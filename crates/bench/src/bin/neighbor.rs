@@ -17,7 +17,8 @@
 //! the same configuration.
 //!
 //! Scenario count can be capped with `SWQUE_NEIGHBOR_MAX` (0–3, default
-//! 3) — verify.sh uses 1 for its determinism smoke. Budgets follow the
+//! 3; an unparsable value is an error) — verify.sh uses 1 for its
+//! determinism smoke. Budgets follow the
 //! usual `SWQUE_WARMUP`/`SWQUE_INSTS` knobs; the JSON report
 //! (`SWQUE_JSON`) carries one requester-tagged row per core per scenario.
 //!
@@ -25,7 +26,7 @@
 //! `[neighbor] aggressors=<n> arb_wait_cycles=<w> quota_stall_cycles=<q>`
 //! so the verify gate can assert non-vacuity without parsing tables.
 
-use swque_bench::harness::{default_insts, default_warmup};
+use swque_bench::harness::{default_insts, default_warmup, knob};
 use swque_bench::{Report, Table};
 use swque_core::IqKind;
 use swque_cpu::{CoreConfig, MultiCoreSim, SimResult};
@@ -50,11 +51,7 @@ const AGGRESSORS: [&str; 3] = ["lbm_like", "fotonik3d_like", "xz_like"];
 const MSHR_POOL: usize = 8;
 
 fn max_aggressors() -> usize {
-    std::env::var("SWQUE_NEIGHBOR_MAX")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(AGGRESSORS.len())
-        .min(AGGRESSORS.len())
+    knob("SWQUE_NEIGHBOR_MAX", AGGRESSORS.len()).min(AGGRESSORS.len())
 }
 
 /// Field-wise counter delta `now - earlier` of the shared-level stats

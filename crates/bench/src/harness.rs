@@ -1,5 +1,6 @@
 //! Shared experiment machinery: kernel runs, suite sweeps, aggregation.
 
+use std::str::FromStr;
 use std::sync::Mutex;
 
 use swque_core::IqKind;
@@ -135,15 +136,38 @@ impl RunSpec {
 /// Default per-run measured-instruction budget. The paper simulates 100M
 /// instructions per program; the default here keeps a full-suite experiment
 /// in minutes and can be raised with the `SWQUE_INSTS` environment
-/// variable.
+/// variable (see [`knob`]).
 pub fn default_insts() -> u64 {
-    std::env::var("SWQUE_INSTS").ok().and_then(|v| v.parse().ok()).unwrap_or(400_000)
+    knob("SWQUE_INSTS", 400_000)
 }
 
 /// Default warmup budget (cold caches and predictors are excluded from
-/// measurement); override with `SWQUE_WARMUP`.
+/// measurement); override with `SWQUE_WARMUP` (see [`knob`]).
 pub fn default_warmup() -> u64 {
-    std::env::var("SWQUE_WARMUP").ok().and_then(|v| v.parse().ok()).unwrap_or(300_000)
+    knob("SWQUE_WARMUP", 300_000)
+}
+
+/// Reads the integer environment knob `name`: `default` when unset, its
+/// value when it parses. Any other value exits the process with status 2
+/// and a message naming the variable and the value, so a typo such as
+/// `SWQUE_INSTS=20k` cannot silently run the default budget. The policy
+/// lives in the pure [`parse_knob`].
+pub fn knob<T: FromStr>(name: &str, default: T) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Pure parse behind [`knob`]: `Ok(default)` when the variable is unset
+/// (`raw` is `None`), the parsed value when `raw` parses, and otherwise an
+/// error naming `name` and `raw`.
+pub fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+    }
 }
 
 /// Runs `kernel` under `spec` and returns the measured-window result
@@ -367,6 +391,18 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
+    }
+
+    #[test]
+    fn knobs_parse_or_name_the_bad_value() {
+        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", None, 400_000), Ok(400_000));
+        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", Some("20000"), 400_000), Ok(20_000));
+        assert_eq!(parse_knob::<usize>("SWQUE_NEIGHBOR_MAX", Some("0"), 3), Ok(0));
+        for bad in ["20k", "", "-1", " 5", "1e6"] {
+            let err = parse_knob::<u64>("SWQUE_WARMUP", Some(bad), 300_000).unwrap_err();
+            assert!(err.contains("SWQUE_WARMUP"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Core configuration — the paper's Table 2 (medium/base) and Table 4
 //! (large) processor models.
+//!
+//! A config describes only the simulated machine. Host-side switches that
+//! cannot change results, such as quiescence skipping, are not fields
+//! here: skipping is toggled on the simulator itself
+//! ([`Core::set_skip`](crate::Core::set_skip)).
 
 use swque_branch::PredictorConfig;
 use swque_core::{BucketSpec, IqConfig};
@@ -31,12 +36,6 @@ pub struct CoreConfig {
     pub predictor: PredictorConfig,
     /// Memory hierarchy (Table 2 caches, prefetcher, DRAM).
     pub mem: MemConfig,
-    /// Quiescence skipping (DESIGN.md §10): when the core proves no stage
-    /// can act this cycle, jump the clock to the next wake horizon instead
-    /// of ticking. Simulated timing and statistics are byte-identical
-    /// either way (the skip differential pins this); the flag exists for
-    /// the differential itself and the `SWQUE_NO_SKIP` escape hatch.
-    pub skip: bool,
 }
 
 impl CoreConfig {
@@ -58,7 +57,6 @@ impl CoreConfig {
             },
             predictor: PredictorConfig::default(),
             mem: MemConfig::default(),
-            skip: true,
         }
     }
 
@@ -95,7 +93,6 @@ impl CoreConfig {
             iq: IqConfig { capacity: 8, issue_width: 2, ..IqConfig::default() },
             predictor: PredictorConfig::default(),
             mem: MemConfig::default(),
-            skip: true,
         }
     }
 

@@ -29,6 +29,15 @@
 //!   instructions are replayed through the front end (they are correct-path
 //!   by construction), and fetch stalls for the switch penalty.
 //!
+//! # Memory ownership
+//!
+//! The pipeline state (`Pipeline`) never owns a memory hierarchy: every
+//! stage borrows one and tags its accesses with the pipeline's requester
+//! id. [`Core`] is the thin owner of one pipeline and one private
+//! hierarchy; [`crate::MultiCoreSim`] drives N pipelines over one shared
+//! hierarchy. Both run through the same drive loop, so a standalone core
+//! is exactly the N=1 case of a multi-core run.
+//!
 //! # Quiescence skipping
 //!
 //! Between [`Core::step_cycle`] calls, [`Core::run`] asks
@@ -40,8 +49,8 @@
 //! FU pool, the memory hierarchy, and the issue queue, and the per-cycle
 //! bookkeeping (`iq_stall_cycles`, queue occupancy averages, SWQUE mode
 //! residency) is bulk-advanced. Results are byte-identical with skipping
-//! on or off (DESIGN.md §10); `SWQUE_NO_SKIP=1` or
-//! [`Core::set_skip`] force the per-cycle path.
+//! on or off (DESIGN.md §10); [`Core::set_skip`] forces the per-cycle
+//! path.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -49,12 +58,13 @@ use std::collections::{BinaryHeap, VecDeque};
 use swque_branch::{BranchKind, BranchOutcome, BranchPredictor};
 use swque_core::{min_horizon, DispatchReq, IqKind, IqMode, IssueBudget, IssueQueue, WakeHorizon};
 use swque_isa::{Emulator, Opcode, Program, Retired, ShadowEmulator};
-use swque_mem::{AccessKind, MemStats, MemoryHierarchy};
+use swque_mem::{AccessKind, MemoryHierarchy};
 use swque_trace::{TraceEvent, TraceHandle};
 
 use crate::config::CoreConfig;
 use crate::fu::FuPool;
 use crate::lsq::{LoadAction, Lsq};
+use crate::multi::drive;
 use crate::rename::RenameState;
 use crate::result::{CoreStats, InvariantViolation, SimResult};
 use crate::rob::{Rob, RobEntry, RobState};
@@ -124,18 +134,163 @@ pub struct PipelineSnapshot {
     pub mode: IqMode,
 }
 
-/// The simulated core.
+/// The simulated core: one pipeline that owns a private single-requester
+/// memory hierarchy.
 #[derive(Debug)]
 pub struct Core {
+    pipe: Pipeline,
+    mem: MemoryHierarchy,
+}
+
+impl Core {
+    /// Creates a core running `program` with the issue queue `kind`,
+    /// owning a private single-requester memory hierarchy.
+    pub fn new(config: CoreConfig, kind: IqKind, program: &Program) -> Core {
+        let mem = MemoryHierarchy::new(config.mem);
+        Core { pipe: Pipeline::new(config, kind, program, 0), mem }
+    }
+
+    /// Connects an observability sink: the core emits [`TraceEvent`]s into
+    /// it ([`TraceEvent::IntervalIpc`], [`TraceEvent::ModeSwitch`],
+    /// [`TraceEvent::DispatchStall`]) and propagates the handle to the
+    /// issue queue (controller interval samples) and the memory hierarchy
+    /// (epoch samples). With the default disabled handle every emission
+    /// site is a single predictable branch.
+    pub fn attach_trace(&mut self, trace: &TraceHandle) {
+        self.pipe.attach_trace(trace);
+        self.mem.set_trace(trace);
+    }
+
+    /// Current cycle.
+    // swque-domain: return: CycleStamp
+    pub fn cycle(&self) -> u64 {
+        self.pipe.cycle
+    }
+
+    /// Retired instructions so far.
+    pub fn retired(&self) -> u64 {
+        self.pipe.retired
+    }
+
+    /// The functional emulator (architectural state oracle). After the run
+    /// completes, this holds the program's final architectural state, which
+    /// is identical across all issue-queue organizations — a key invariant.
+    pub fn emulator(&self) -> &Emulator {
+        &self.pipe.emu
+    }
+
+    /// True when the program has halted and the pipeline has drained.
+    pub fn finished(&self) -> bool {
+        self.pipe.finished()
+    }
+
+    /// The first pipeline-invariant violation, if the simulator wedged
+    /// itself (also carried on every [`SimResult`] this core produces).
+    /// Once set, the pipeline is frozen: every later
+    /// [`step_cycle`](Self::step_cycle) is a no-op.
+    pub fn violation(&self) -> Option<&InvariantViolation> {
+        self.pipe.violation.as_ref()
+    }
+
+    /// Runs until `max_insts` instructions retire, the program finishes, or
+    /// a pipeline invariant is violated (see [`SimResult::invariant`]).
+    /// Returns the accumulated results (callable again to continue).
+    pub fn run(&mut self, max_insts: u64) -> SimResult {
+        drive(std::slice::from_mut(&mut self.pipe), &mut self.mem, max_insts);
+        self.result()
+    }
+
+    /// True while [`run`](Self::run) with this bound would keep stepping:
+    /// the retirement target is unmet, the program has not finished, and no
+    /// invariant violation has frozen the pipeline.
+    pub fn active(&self, max_insts: u64) -> bool {
+        self.pipe.active(max_insts)
+    }
+
+    /// Enables or disables quiescence skipping for this core (on by
+    /// default). The skip differential switches it off to compare against
+    /// the per-cycle path.
+    pub fn set_skip(&mut self, on: bool) {
+        self.pipe.set_skip(on);
+    }
+
+    /// Whether quiescence skipping is currently armed.
+    pub fn skip_enabled(&self) -> bool {
+        self.pipe.skip_enabled()
+    }
+
+    /// `(jumps_taken, cycles_skipped)` so far — host-side observability for
+    /// the skip machinery. Deliberately *not* part of [`SimResult`]: results
+    /// must be byte-identical with skipping on or off.
+    pub fn skip_stats(&self) -> (u64, u64) {
+        self.pipe.skip_stats()
+    }
+
+    /// Snapshot of the statistics so far.
+    pub fn result(&self) -> SimResult {
+        self.pipe.result(&self.mem)
+    }
+
+    /// Current IQ mode (meaningful for SWQUE).
+    pub fn iq_mode(&self) -> IqMode {
+        self.pipe.iq.mode()
+    }
+
+    /// A point-in-time view of pipeline occupancy, for instrumentation and
+    /// debugging (the `mode_switching` example uses it to narrate runs).
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        let p = &self.pipe;
+        PipelineSnapshot {
+            cycle: p.cycle,
+            retired: p.retired,
+            rob_occupancy: p.rob.len(),
+            iq_occupancy: p.iq.len(),
+            lsq_occupancy: p.lsq.len(),
+            decode_occupancy: p.decode_q.len(),
+            replay_pending: p.replay.len(),
+            wrong_path_active: p.wrong_path.is_some(),
+            mode: p.iq.mode(),
+        }
+    }
+
+    /// Advances one cycle. A no-op once a pipeline invariant has been
+    /// violated (the frozen state is exactly what the violation report
+    /// describes).
+    pub fn step_cycle(&mut self) {
+        self.pipe.step_cycle(&mut self.mem);
+    }
+
+    /// The quiescence predicate: decides whether the *next*
+    /// [`step_cycle`](Self::step_cycle) could change any architectural or
+    /// queue state, and if not, how far the clock may jump.
+    ///
+    /// Returns `None` when some stage could act this cycle (the core must
+    /// tick normally), or `Some(h)` with `h > self.cycle()` when every
+    /// stage is provably idle until at least `h`: `h` is the minimum of the
+    /// timed wake-ups (completion events, fetch stall expiry, front-end
+    /// `ready_at`, pending-load AGU times, and every subsystem's
+    /// [`WakeHorizon`]) capped at the deadlock limit, so a fully wedged
+    /// pipeline jumps straight to the cycle at which the progress invariant
+    /// fires — with the identical cycle stamp the per-cycle path produces.
+    ///
+    /// Pure: a query over `&self`, usable by tests to cross-check any
+    /// claimed horizon against a per-cycle reference run.
+    // swque-domain: return: CycleStamp
+    pub fn quiescent_horizon(&self) -> Option<u64> {
+        self.pipe.quiescent_horizon(&self.mem)
+    }
+}
+
+/// One core's pipeline state: everything but the memory hierarchy, which
+/// every stage borrows. [`Core`] owns one pipeline over a private
+/// hierarchy; [`crate::MultiCoreSim`] drives N of them over a shared one.
+#[derive(Debug)]
+pub(crate) struct Pipeline {
     config: CoreConfig,
     iq: Box<dyn IssueQueue>,
     emu: Emulator,
-    /// Owned hierarchy of a standalone core. `None` for a core driven over
-    /// a shared hierarchy (see [`crate::MultiCoreSim`]), whose accesses go
-    /// through the `_on` method variants instead.
-    mem: Option<MemoryHierarchy>,
-    /// This core's requester id on the memory hierarchy it is driven over
-    /// (0 for a standalone core).
+    /// Requester id tagging every access this pipeline makes on the
+    /// hierarchy it is driven over (0 for a standalone [`Core`]).
     requester: usize,
     bp: BranchPredictor,
     rename: RenameState,
@@ -173,12 +328,11 @@ pub struct Core {
     /// Cycle the current dispatch-stall run began (`None` = not stalled).
     stall_run_start: Option<u64>,
 
-    /// First pipeline-invariant violation (see [`Core::invariant`]); once
+    /// First pipeline-invariant violation (see [`Pipeline::invariant`]); once
     /// set, the pipeline is frozen and the run loop stops.
     violation: Option<InvariantViolation>,
 
-    /// Quiescence skipping armed (config flag ∧ no `SWQUE_NO_SKIP`; see
-    /// [`Core::set_skip`]).
+    /// Quiescence skipping armed (see [`Core::set_skip`]).
     skip_enabled: bool,
     /// Number of clock jumps taken (host-side observability only — never
     /// part of [`SimResult`], which must be skip-invariant).
@@ -189,38 +343,20 @@ pub struct Core {
     stats: CoreStats,
 }
 
-impl Core {
-    /// Creates a core running `program` with the issue queue `kind`,
-    /// owning a private single-requester memory hierarchy.
-    pub fn new(config: CoreConfig, kind: IqKind, program: &Program) -> Core {
-        let mem = MemoryHierarchy::new(config.mem);
-        Core::build(config, kind, program, Some(mem), 0)
-    }
-
-    /// Creates a core *without* an owned memory hierarchy, to be driven
-    /// over a shared one as requester `requester` via the `_on` method
-    /// variants ([`run_on`](Self::run_on), [`step_cycle_on`](Self::step_cycle_on));
-    /// [`crate::MultiCoreSim`] is the intended driver. The owned-API entry
-    /// points ([`run`](Self::run), [`step_cycle`](Self::step_cycle)) report
-    /// an invariant violation instead of simulating.
-    pub fn detached(config: CoreConfig, kind: IqKind, program: &Program, requester: usize) -> Core {
-        Core::build(config, kind, program, None, requester)
-    }
-
-    fn build(
+impl Pipeline {
+    /// A fresh pipeline running `program` with the issue queue `kind`,
+    /// tagging its memory accesses as requester `requester`. Quiescence
+    /// skipping starts armed.
+    pub(crate) fn new(
         config: CoreConfig,
         kind: IqKind,
         program: &Program,
-        mem: Option<MemoryHierarchy>,
         requester: usize,
-    ) -> Core {
+    ) -> Pipeline {
         let iq = kind.build(&config.iq);
         let interval = config.iq.swque.interval_insts.max(1);
-        // swque-lint: allow(env-read) — SWQUE_NO_SKIP is the documented skip-equivalence escape hatch (verify.sh diffs a run with and without it); tests use set_skip instead of mutating the environment
-        let skip_enabled = config.skip && std::env::var_os("SWQUE_NO_SKIP").is_none();
-        Core {
+        Pipeline {
             emu: Emulator::new(program),
-            mem,
             requester,
             bp: BranchPredictor::new(config.predictor),
             rename: RenameState::new(config.phys_int, config.phys_fp),
@@ -246,7 +382,7 @@ impl Core {
             ipc_window_start: (0, 0),
             stall_run_start: None,
             violation: None,
-            skip_enabled,
+            skip_enabled: true,
             skips_taken: 0,
             cycles_skipped: 0,
             stats: CoreStats::default(),
@@ -254,55 +390,23 @@ impl Core {
         }
     }
 
-    /// Connects an observability sink: the core emits [`TraceEvent`]s into
-    /// it ([`TraceEvent::IntervalIpc`], [`TraceEvent::ModeSwitch`],
-    /// [`TraceEvent::DispatchStall`]) and propagates the handle to the
-    /// issue queue (controller interval samples) and the memory hierarchy
-    /// (epoch samples). With the default disabled handle every emission
-    /// site is a single predictable branch.
-    pub fn attach_trace(&mut self, trace: &TraceHandle) {
+    /// Connects an observability sink to the pipeline and its issue queue
+    /// (the hierarchy's owner connects the hierarchy).
+    pub(crate) fn attach_trace(&mut self, trace: &TraceHandle) {
         self.trace = trace.clone();
         self.iq.attach_trace(trace);
-        if let Some(mem) = &mut self.mem {
-            mem.set_trace(trace);
-        }
     }
 
-    /// This core's requester id on the memory hierarchy it is driven over.
-    pub fn requester(&self) -> usize {
-        self.requester
-    }
-
-    /// Current cycle.
     // swque-domain: return: CycleStamp
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Retired instructions so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
-    }
-
-    /// The functional emulator (architectural state oracle). After the run
-    /// completes, this holds the program's final architectural state, which
-    /// is identical across all issue-queue organizations — a key invariant.
-    pub fn emulator(&self) -> &Emulator {
-        &self.emu
-    }
-
-    /// True when the program has halted and the pipeline has drained.
-    pub fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.emu_halted
             && self.rob.is_empty()
             && self.decode_q.is_empty()
             && self.replay.is_empty()
-    }
-
-    /// The first pipeline-invariant violation, if the simulator wedged
-    /// itself (also carried on every [`SimResult`] this core produces).
-    pub fn violation(&self) -> Option<&InvariantViolation> {
-        self.violation.as_ref()
     }
 
     /// Records a broken pipeline invariant — a simulator bug, not a program
@@ -316,41 +420,8 @@ impl Core {
         }
     }
 
-    /// Runs until `max_insts` instructions retire, the program finishes, or
-    /// a pipeline invariant is violated (see [`SimResult::invariant`]).
-    /// Returns the accumulated results (callable again to continue).
-    pub fn run(&mut self, max_insts: u64) -> SimResult {
-        let Some(mut mem) = self.mem.take() else {
-            self.invariant(
-                "run",
-                "detached core has no owned hierarchy; drive it via run_on".to_string(),
-            );
-            return self.result();
-        };
-        let r = self.run_on(&mut mem, max_insts);
-        self.mem = Some(mem);
-        r
-    }
-
-    /// [`run`](Self::run) over an external (shared) memory hierarchy. The
-    /// owned-hierarchy path delegates here, so a detached core driven over
-    /// an equivalently-configured hierarchy behaves bit-identically.
-    pub fn run_on(&mut self, mem: &mut MemoryHierarchy, max_insts: u64) -> SimResult {
-        while self.active(max_insts) {
-            self.step_cycle_on(mem);
-            self.check_progress();
-            if self.skip_enabled && self.violation.is_none() {
-                self.skip_quiescent_on(mem, max_insts);
-                self.check_progress();
-            }
-        }
-        self.result_on(mem)
-    }
-
-    /// True while [`run`](Self::run) with this bound would keep stepping:
-    /// the retirement target is unmet, the program has not finished, and no
-    /// invariant violation has frozen the pipeline.
-    pub fn active(&self, max_insts: u64) -> bool {
+    /// See [`Core::active`].
+    pub(crate) fn active(&self, max_insts: u64) -> bool {
         self.retired < max_insts && !self.finished() && self.violation.is_none()
     }
 
@@ -369,95 +440,36 @@ impl Core {
         }
     }
 
-    /// Enables or disables quiescence skipping for this core. Used by the
-    /// skip differential (and anyone comparing against the per-cycle path)
-    /// — tests switch this programmatically instead of mutating
-    /// `SWQUE_NO_SKIP`, which would race other threads in-process.
-    pub fn set_skip(&mut self, on: bool) {
+    pub(crate) fn set_skip(&mut self, on: bool) {
         self.skip_enabled = on;
     }
 
-    /// Whether quiescence skipping is currently armed.
-    pub fn skip_enabled(&self) -> bool {
+    pub(crate) fn skip_enabled(&self) -> bool {
         self.skip_enabled
     }
 
-    /// `(jumps_taken, cycles_skipped)` so far — host-side observability for
-    /// the skip machinery. Deliberately *not* part of [`SimResult`]: results
-    /// must be byte-identical with skipping on or off.
-    pub fn skip_stats(&self) -> (u64, u64) {
+    pub(crate) fn skip_stats(&self) -> (u64, u64) {
         (self.skips_taken, self.cycles_skipped)
     }
 
-    /// Snapshot of the statistics so far. On a detached core (no owned
-    /// hierarchy) the memory counters are zero — use
-    /// [`result_on`](Self::result_on) with the shared hierarchy instead.
-    pub fn result(&self) -> SimResult {
-        self.result_with(match &self.mem {
-            Some(mem) => mem.stats_of(self.requester),
-            None => MemStats::default(),
-        })
-    }
-
-    /// Snapshot of the statistics so far, reading memory counters
-    /// attributed to this core's requester id from `mem`.
-    pub fn result_on(&self, mem: &MemoryHierarchy) -> SimResult {
-        self.result_with(mem.stats_of(self.requester))
-    }
-
-    fn result_with(&self, mem: MemStats) -> SimResult {
+    /// Snapshot of the statistics so far, reading the memory counters
+    /// attributed to this pipeline's requester id from `mem`.
+    pub(crate) fn result(&self, mem: &MemoryHierarchy) -> SimResult {
         SimResult {
             cycles: self.cycle,
             retired: self.retired,
             iq: self.iq.stats(),
             swque: self.iq.swque_stats(),
-            mem,
+            mem: mem.stats_of(self.requester),
             branch: self.bp.stats(),
             core: self.stats,
             invariant: self.violation.clone(),
         }
     }
 
-    /// Current IQ mode (meaningful for SWQUE).
-    pub fn iq_mode(&self) -> IqMode {
-        self.iq.mode()
-    }
-
-    /// A point-in-time view of pipeline occupancy, for instrumentation and
-    /// debugging (the `mode_switching` example uses it to narrate runs).
-    pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot {
-            cycle: self.cycle,
-            retired: self.retired,
-            rob_occupancy: self.rob.len(),
-            iq_occupancy: self.iq.len(),
-            lsq_occupancy: self.lsq.len(),
-            decode_occupancy: self.decode_q.len(),
-            replay_pending: self.replay.len(),
-            wrong_path_active: self.wrong_path.is_some(),
-            mode: self.iq.mode(),
-        }
-    }
-
-    /// Advances one cycle. A no-op once a pipeline invariant has been
-    /// violated (the frozen state is exactly what the violation report
-    /// describes).
-    pub fn step_cycle(&mut self) {
-        let Some(mut mem) = self.mem.take() else {
-            self.invariant(
-                "step",
-                "detached core has no owned hierarchy; drive it via step_cycle_on".to_string(),
-            );
-            return;
-        };
-        self.step_cycle_on(&mut mem);
-        self.mem = Some(mem);
-    }
-
-    /// [`step_cycle`](Self::step_cycle) over an external (shared) memory
-    /// hierarchy; all memory accesses are tagged with this core's
-    /// requester id.
-    pub fn step_cycle_on(&mut self, mem: &mut MemoryHierarchy) {
+    /// Advances one cycle over `mem`. A no-op once a pipeline invariant has
+    /// been violated.
+    pub(crate) fn step_cycle(&mut self, mem: &mut MemoryHierarchy) {
         if self.violation.is_some() {
             return;
         }
@@ -476,34 +488,12 @@ impl Core {
 
     // ---- quiescence skipping (DESIGN.md §10) ----
 
-    /// The quiescence predicate: decides whether the *next*
-    /// [`step_cycle`](Self::step_cycle) could change any architectural or
-    /// queue state, and if not, how far the clock may jump.
-    ///
-    /// Returns `None` when some stage could act this cycle (the core must
-    /// tick normally), or `Some(h)` with `h > self.cycle()` when every
-    /// stage is provably idle until at least `h`: `h` is the minimum of the
-    /// timed wake-ups (completion events, fetch stall expiry, front-end
-    /// `ready_at`, pending-load AGU times, and every subsystem's
-    /// [`WakeHorizon`]) capped at the deadlock limit, so a fully wedged
-    /// pipeline jumps straight to the cycle at which the progress invariant
-    /// fires — with the identical cycle stamp the per-cycle path produces.
-    ///
-    /// Pure: a query over `&self`, usable by tests to cross-check any
-    /// claimed horizon against a per-cycle reference run. On a detached
-    /// core this returns `None` ("must tick") — use
-    /// [`quiescent_horizon_on`](Self::quiescent_horizon_on).
-    pub fn quiescent_horizon(&self) -> Option<u64> {
-        self.mem.as_ref().and_then(|mem| self.quiescent_horizon_on(mem))
-    }
-
-    /// [`quiescent_horizon`](Self::quiescent_horizon) over an external
-    /// (shared) memory hierarchy: the hierarchy's wake horizon covers every
-    /// requester's in-flight traffic, so on a shared hierarchy a core is
-    /// only quiescent when no *neighbor* fill could change shared state it
-    /// might observe either.
+    /// [`Core::quiescent_horizon`] over `mem`, which may be shared: its
+    /// wake horizon covers every requester's in-flight traffic, so on a
+    /// shared hierarchy a pipeline is only quiescent when no *neighbor*
+    /// fill could change shared state it might observe either.
     // swque-domain: return: CycleStamp
-    pub fn quiescent_horizon_on(&self, mem: &MemoryHierarchy) -> Option<u64> {
+    pub(crate) fn quiescent_horizon(&self, mem: &MemoryHierarchy) -> Option<u64> {
         if self.finished() {
             return None; // run loop exits; jumping would inflate `cycles`
         }
@@ -602,35 +592,14 @@ impl Core {
         op != Opcode::Nop && !self.iq.has_space()
     }
 
-    /// Attempts one clock jump: no-op unless the pipeline is quiescent.
-    /// The `retired`/`finished` guards keep the jump from covering cycles
-    /// the per-cycle loop would never have simulated (it exits as soon as
-    /// its bounds are met).
-    fn skip_quiescent_on(&mut self, mem: &MemoryHierarchy, max_insts: u64) {
-        if self.retired >= max_insts || self.finished() {
-            return;
-        }
-        let Some(h) = self.quiescent_horizon_on(mem) else { return };
-        let n = h.saturating_sub(self.cycle);
-        if n == 0 {
-            return;
-        }
-        self.apply_skip(n);
-    }
-
-    /// Takes a clock jump of `n` cycles whose quiescence the caller has
-    /// already established (its own horizon query, or — in a lockstep
-    /// multi-core drive — the minimum across all cores' horizons).
-    pub(crate) fn apply_skip(&mut self, n: u64) {
-        self.advance_quiescent(n);
-        self.skips_taken += 1;
-        self.cycles_skipped += n;
-    }
-
-    /// Replays `n` provably idle cycles in bulk: exactly the bookkeeping
+    /// Takes a clock jump of `n` cycles whose quiescence the drive loop has
+    /// established (the minimum across every driven pipeline's horizon):
+    /// replays `n` provably idle cycles in bulk, exactly the bookkeeping
     /// `n` calls to [`step_cycle`](Self::step_cycle) would have done under
     /// the quiescence predicate, with every stage's state unchanged.
-    fn advance_quiescent(&mut self, n: u64) {
+    pub(crate) fn apply_skip(&mut self, n: u64) {
+        self.skips_taken += 1;
+        self.cycles_skipped += n;
         // Dispatch accounting: the gate outcome is stable for the whole
         // window (nothing dispatches, wakes, or frees during it).
         let iq_blocked = self.dispatch_iq_blocked();

@@ -1,30 +1,31 @@
-//! Lockstep multi-core simulation over a shared memory hierarchy.
+//! Lockstep multi-core simulation over a shared memory hierarchy, and the
+//! one drive loop every simulation runs through.
 //!
-//! [`MultiCoreSim`] steps N [`Core`]s round-robin, one cycle each, over one
+//! [`MultiCoreSim`] steps N pipelines round-robin, one cycle each, over one
 //! [`MemoryHierarchy`] built with [`MemoryHierarchy::shared`]: private L1s
 //! and MSHR quotas per core, shared L2/prefetcher/DRAM with round-robin
 //! channel arbitration (DESIGN.md §11). Core `i` is requester `i`, so every
 //! shared-level counter ([`MemoryHierarchy::shared_stats`]) and MemEpoch
 //! trace event attributes traffic to the core that caused it.
 //!
-//! # Single-core equivalence
+//! # A single core is the N=1 case of the same loop
 //!
-//! With one core, the drive loop reduces exactly to [`Core::run`]'s loop
-//! (step, progress check, optional skip, progress check — in that order),
-//! and a one-requester shared hierarchy is bit-identical to the owned
-//! single-core hierarchy, so `MultiCoreSim` with N=1 produces a
-//! byte-identical [`SimResult`] to a standalone [`Core`] — pinned by the
-//! `multi_differential` test across all queue kinds.
+//! [`Core::run`](crate::Core::run) calls the same drive loop with a
+//! one-element slice over its private hierarchy, and a one-requester
+//! shared hierarchy is bit-identical to that private one, so
+//! `MultiCoreSim` with N=1 produces a byte-identical [`SimResult`] to a
+//! standalone [`Core`](crate::Core) — pinned by the `multi_differential`
+//! test across all queue kinds.
 //!
 //! # Quiescence skipping
 //!
-//! A clock jump is taken only when *every* active core is quiescent
-//! ([`Core::quiescent_horizon_on`], which folds in the shared hierarchy's
-//! wake horizon — covering neighbors' in-flight fills) and every active
-//! core has skipping enabled. The jump length is the minimum over the
-//! cores' horizons, so no core is carried past its own wake-up; cores that
-//! have finished (or hit their retirement bound, or froze on a violation)
-//! no longer advance and do not constrain the jump.
+//! A clock jump is taken only when *every* active core is quiescent (its
+//! [`quiescent_horizon`](crate::Core::quiescent_horizon) over the shared
+//! hierarchy, whose wake horizon covers neighbors' in-flight fills) and
+//! every active core has skipping enabled. The jump length is the minimum over the cores'
+//! horizons, so no core is carried past its own wake-up; cores that have
+//! finished (or hit their retirement bound, or froze on a violation) no
+//! longer advance and do not constrain the jump.
 
 use swque_core::IqKind;
 use swque_isa::Program;
@@ -32,13 +33,13 @@ use swque_mem::{MemoryHierarchy, SharedMemStats};
 use swque_trace::TraceHandle;
 
 use crate::config::CoreConfig;
-use crate::core::Core;
+use crate::core::Pipeline;
 use crate::result::SimResult;
 
 /// N cores in lockstep over one shared memory hierarchy.
 #[derive(Debug)]
 pub struct MultiCoreSim {
-    cores: Vec<Core>,
+    cores: Vec<Pipeline>,
     mem: MemoryHierarchy,
 }
 
@@ -56,14 +57,9 @@ impl MultiCoreSim {
         let cores = workloads
             .iter()
             .enumerate()
-            .map(|(i, (kind, program))| Core::detached(config.clone(), *kind, program, i))
+            .map(|(i, (kind, program))| Pipeline::new(config.clone(), *kind, program, i))
             .collect();
         MultiCoreSim { cores, mem }
-    }
-
-    /// The cores, indexed by requester id.
-    pub fn cores(&self) -> &[Core] {
-        &self.cores
     }
 
     /// The shared memory hierarchy.
@@ -98,7 +94,7 @@ impl MultiCoreSim {
     /// `(jumps_taken, cycles_skipped)` summed over all cores — host-side
     /// observability only, never part of any [`SimResult`].
     pub fn skip_stats(&self) -> (u64, u64) {
-        self.cores.iter().map(Core::skip_stats).fold((0, 0), |(j, c), (dj, dc)| {
+        self.cores.iter().map(Pipeline::skip_stats).fold((0, 0), |(j, c), (dj, dc)| {
             (j + dj, c + dc)
         })
     }
@@ -108,48 +104,56 @@ impl MultiCoreSim {
     /// any of those stop stepping while the rest continue. Returns one
     /// [`SimResult`] per core, indexed by requester id.
     pub fn run(&mut self, max_insts: u64) -> Vec<SimResult> {
-        loop {
-            let mut stepped = false;
-            for core in &mut self.cores {
-                if core.active(max_insts) {
-                    stepped = true;
-                    core.step_cycle_on(&mut self.mem);
-                    core.check_progress();
-                }
-            }
-            if !stepped {
-                break;
-            }
-            self.try_skip(max_insts);
-        }
-        self.cores.iter().map(|c| c.result_on(&self.mem)).collect()
+        drive(&mut self.cores, &mut self.mem, max_insts);
+        self.cores.iter().map(|c| c.result(&self.mem)).collect()
     }
+}
 
-    /// One skip attempt: jump every active core by the minimum of their
-    /// quiescent horizons, or nothing at all (some core must tick, or has
-    /// skipping disabled).
-    fn try_skip(&mut self, max_insts: u64) {
-        let mut jump: Option<u64> = None;
-        for core in &self.cores {
-            if !core.active(max_insts) {
-                continue;
-            }
-            if !core.skip_enabled() {
-                return;
-            }
-            let Some(h) = core.quiescent_horizon_on(&self.mem) else { return };
-            let n = h.saturating_sub(core.cycle());
-            if n == 0 {
-                return;
-            }
-            jump = Some(jump.map_or(n, |j| j.min(n)));
-        }
-        let Some(n) = jump else { return };
-        for core in &mut self.cores {
+/// The drive loop: steps every active pipeline one cycle over `mem`,
+/// checks its progress, then tries one lockstep clock jump — until no
+/// pipeline is active (retired `max_insts`, finished, or frozen on a
+/// violation).
+pub(crate) fn drive(cores: &mut [Pipeline], mem: &mut MemoryHierarchy, max_insts: u64) {
+    loop {
+        let mut stepped = false;
+        for core in cores.iter_mut() {
             if core.active(max_insts) {
-                core.apply_skip(n);
+                stepped = true;
+                core.step_cycle(mem);
                 core.check_progress();
             }
+        }
+        if !stepped {
+            break;
+        }
+        try_skip(cores, mem, max_insts);
+    }
+}
+
+/// One skip attempt: jump every active pipeline by the minimum of their
+/// quiescent horizons, or nothing at all (some pipeline must tick, or has
+/// skipping disabled).
+fn try_skip(cores: &mut [Pipeline], mem: &MemoryHierarchy, max_insts: u64) {
+    let mut jump: Option<u64> = None;
+    for core in cores.iter() {
+        if !core.active(max_insts) {
+            continue;
+        }
+        if !core.skip_enabled() {
+            return;
+        }
+        let Some(h) = core.quiescent_horizon(mem) else { return };
+        let n = h.saturating_sub(core.cycle());
+        if n == 0 {
+            return;
+        }
+        jump = Some(jump.map_or(n, |j| j.min(n)));
+    }
+    let Some(n) = jump else { return };
+    for core in cores.iter_mut() {
+        if core.active(max_insts) {
+            core.apply_skip(n);
+            core.check_progress();
         }
     }
 }

@@ -104,27 +104,36 @@ fn two_core_corun_produces_nonzero_contention_counters() {
 
 /// Multi-core quiescence skipping is an optimization, not a model change:
 /// a 2-core co-run with lockstep clock jumps must produce byte-identical
-/// results to the same co-run stepped cycle by cycle.
+/// results to the same co-run stepped cycle by cycle. The second input is
+/// the `neighbor` experiment's 2-core scenario (SHIFT aggressor, the
+/// 8-entry MSHR pool split in two).
 #[test]
 fn two_core_skip_on_off_results_are_byte_identical() {
     let chase = suite::by_name("omnetpp_like").expect("kernel exists").build_scaled(2_000);
     let stream = suite::by_name("lbm_like").expect("kernel exists").build_scaled(2_000);
-    let workloads = [(IqKind::Swque, &chase), (IqKind::AgeMulti, &stream)];
+    let mut neighbor = CoreConfig::medium();
+    neighbor.mem.mshrs = 4;
+    let inputs = [
+        (CoreConfig::medium(), [(IqKind::Swque, &chase), (IqKind::AgeMulti, &stream)]),
+        (neighbor, [(IqKind::Swque, &chase), (IqKind::Shift, &stream)]),
+    ];
+    for (config, workloads) in inputs {
+        let mut skipping = MultiCoreSim::new(config.clone(), &workloads);
+        let skipping_results = skipping.run(RUN_INSTS);
 
-    let mut skipping = MultiCoreSim::new(CoreConfig::medium(), &workloads);
-    let skipping_results = skipping.run(RUN_INSTS);
+        let mut stepped = MultiCoreSim::new(config, &workloads);
+        stepped.set_skip(false);
+        let stepped_results = stepped.run(RUN_INSTS);
 
-    let mut stepped = MultiCoreSim::new(CoreConfig::medium(), &workloads);
-    stepped.set_skip(false);
-    let stepped_results = stepped.run(RUN_INSTS);
-
-    assert_eq!(
-        format!("{skipping_results:?}"),
-        format!("{stepped_results:?}"),
-        "multi-core clock jumps changed simulated behavior"
-    );
-    let (jumps, cycles_skipped) = skipping.skip_stats();
-    assert!(jumps > 0, "skip run never jumped; differential is vacuous");
-    assert!(cycles_skipped > 0);
-    assert_eq!(stepped.skip_stats(), (0, 0));
+        let label = format!("{}+{}", workloads[0].0, workloads[1].0);
+        assert_eq!(
+            format!("{skipping_results:?}"),
+            format!("{stepped_results:?}"),
+            "{label}: multi-core clock jumps changed simulated behavior"
+        );
+        let (jumps, cycles_skipped) = skipping.skip_stats();
+        assert!(jumps > 0, "{label}: skip run never jumped; differential is vacuous");
+        assert!(cycles_skipped > 0);
+        assert_eq!(stepped.skip_stats(), (0, 0));
+    }
 }

@@ -8,10 +8,12 @@
 //! 1. **Lockstep differential** — for every issue-queue organization, a
 //!    medium-model run with skipping on and the same run with skipping
 //!    off must produce `SimResult`s whose `Debug` renderings are equal
-//!    byte-for-byte (this covers every statistic field, recursively).
-//!    The test also asserts non-vacuity: at least one run per kernel must
-//!    actually take skips, so the equality is not trivially comparing two
-//!    per-cycle runs.
+//!    byte-for-byte (this covers every statistic field, recursively). A
+//!    third run steps the same core by hand with [`Core::step_cycle`] and
+//!    must match too: the stepping API and the drive loop behind
+//!    [`Core::run`] are separate code paths. The test also asserts
+//!    non-vacuity: at least one run per kernel must actually take skips,
+//!    so the equality is not trivially comparing two per-cycle runs.
 //!
 //! 2. **Never-overshoot property** — on random programs, tick a core
 //!    per-cycle and cross-examine the pure [`Core::quiescent_horizon`]
@@ -21,8 +23,7 @@
 //!    `None` (or a different horizon) and the assertion fires — exactly
 //!    the overshoot a bulk jump would have committed.
 //!
-//! Tests toggle skipping with [`Core::set_skip`], never by mutating
-//! `SWQUE_NO_SKIP` (process environment is shared across test threads).
+//! Tests toggle skipping with [`Core::set_skip`], the only skip switch.
 
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
@@ -33,16 +34,32 @@ use swque_workloads::suite;
 const RUN_INSTS: u64 = 20_000;
 const SCALE: u64 = 4_000;
 
+/// Builds a medium-model core for `kernel` under `kind` with skipping
+/// forced on or off.
+fn core(kind: IqKind, kernel: &str, skip: bool) -> Core {
+    let k = suite::by_name(kernel).expect("kernel exists");
+    let mut core = Core::new(CoreConfig::medium(), kind, &k.build_scaled(SCALE));
+    core.set_skip(skip);
+    core
+}
+
 /// Runs `kernel` under `kind` with skipping forced on or off; returns the
 /// full `SimResult` debug rendering and the `(skips, cycles_skipped)`
 /// counters.
 fn run(kind: IqKind, kernel: &str, skip: bool) -> (String, (u64, u64)) {
-    let k = suite::by_name(kernel).expect("kernel exists");
-    let program = k.build_scaled(SCALE);
-    let mut core = Core::new(CoreConfig::medium(), kind, &program);
-    core.set_skip(skip);
+    let mut core = core(kind, kernel, skip);
     let r = core.run(RUN_INSTS);
     (format!("{r:?}"), core.skip_stats())
+}
+
+/// Steps `kernel` under `kind` one [`Core::step_cycle`] at a time, skipping
+/// off, to the same bound as [`run`]; returns the `SimResult` rendering.
+fn stepped(kind: IqKind, kernel: &str) -> String {
+    let mut core = core(kind, kernel, false);
+    while core.active(RUN_INSTS) {
+        core.step_cycle();
+    }
+    format!("{:?}", core.result())
 }
 
 fn differential(kernel: &str) {
@@ -54,6 +71,11 @@ fn differential(kernel: &str) {
         assert_eq!(
             with_skip, without,
             "{kind} on {kernel}: SimResult diverges between skip-on and skip-off"
+        );
+        assert_eq!(
+            stepped(kind, kernel),
+            without,
+            "{kind} on {kernel}: stepping with step_cycle diverges from run"
         );
         println!("{kernel} {kind}: {skips} skips, {skipped} cycles skipped");
         if skips > 0 {

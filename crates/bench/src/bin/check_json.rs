@@ -1,20 +1,18 @@
 //! Schema validator for structured tool output: parses each file named on
 //! the command line with the in-tree JSON parser and checks its declared
 //! schema — `swque-bench-v1` experiment reports (including the nested
-//! `swque-trace-v1` shape of any embedded trace digests),
-//! `swque-lint-v3` analyzer reports (the legacy `swque-lint-v2` shape,
-//! whose findings lack the `domain_from`/`domain_to`/`chain` trio, and
-//! the `swque-lint-v1` shape, which also lacks `rule_class`, are still
-//! accepted), and the sweep
+//! `swque-trace-v1` shape of any embedded trace digests), the sweep
 //! orchestrator's three shapes: `swque-sweep-manifest-v1` campaign
 //! manifests, `swque-sweep-shard-v1` per-unit shards, and
 //! `swque-sweep-campaign-v1` merged reports (shard and campaign-row
-//! `unit_key`s are re-derived from the embedded unit, so a tampered or
-//! stale shard fails here exactly as it fails the merge), and
+//! `unit_key`s are re-derived from the embedded unit and results go
+//! through the merge's own `validate_result`, so a tampered, stale, or
+//! zero-IPC shard fails here exactly as it fails the merge), and
 //! `swque-mc-v1` model-checker reports (every violation's replay string
 //! is re-parsed under the `swque-mc-replay-v1` grammar and checked
 //! against the run's target and violated property). Used by
-//! `scripts/verify.sh` as the JSON smoke step for every producer.
+//! `scripts/verify.sh` as the JSON smoke step for these producers (the
+//! lint report's shape is pinned by the lint crate's own tests).
 //!
 //! Diagnostics name the offending JSON path (`tables[2].rows[5]`,
 //! `traces[0].trace.events`, …) so a broken writer can be located without
@@ -24,25 +22,9 @@
 
 use std::process::ExitCode;
 
+use swque_bench::sweep::validate_result;
 use swque_bench::{Manifest, BENCH_SCHEMA, CAMPAIGN_SCHEMA, MANIFEST_SCHEMA, SHARD_SCHEMA};
 use swque_trace::Json;
-
-/// Schema string of current `swque-lint` analyzer reports. Kept as a
-/// literal here because the lint crate is a dev-dependency only; the unit
-/// tests assert it matches `swque_lint::report::LINT_SCHEMA`.
-const LINT_SCHEMA: &str = "swque-lint-v3";
-
-/// The previous analyzer report schema (findings without the
-/// `domain_from`/`domain_to`/`chain` trio), still accepted so archived
-/// reports keep validating.
-const LINT_SCHEMA_V2: &str = "swque-lint-v2";
-
-/// The original analyzer report schema (findings additionally without
-/// `rule_class`), likewise accepted.
-const LINT_SCHEMA_V1: &str = "swque-lint-v1";
-
-/// The analysis layers a v2+ finding may name.
-const RULE_CLASSES: [&str; 4] = ["token", "ast", "reachability", "dataflow"];
 
 /// Schema string of `swque-mc` model-checker reports. A literal because
 /// the mc crate is a dev-dependency only; the unit tests assert it
@@ -53,17 +35,13 @@ const MC_SCHEMA: &str = "swque-mc-v1";
 fn check_report(doc: &Json) -> Result<String, String> {
     match doc.get("schema").and_then(Json::as_str).unwrap_or("") {
         BENCH_SCHEMA => check_bench_report(doc),
-        LINT_SCHEMA => check_lint_report(doc, 3),
-        LINT_SCHEMA_V2 => check_lint_report(doc, 2),
-        LINT_SCHEMA_V1 => check_lint_report(doc, 1),
         MANIFEST_SCHEMA => check_sweep_manifest(doc),
         SHARD_SCHEMA => check_sweep_shard(doc),
         CAMPAIGN_SCHEMA => check_sweep_campaign(doc),
         MC_SCHEMA => check_mc_report(doc),
         other => Err(format!(
-            "schema: {other:?}, expected {BENCH_SCHEMA:?}, {LINT_SCHEMA:?}, {LINT_SCHEMA_V2:?}, \
-             {LINT_SCHEMA_V1:?}, {MANIFEST_SCHEMA:?}, {SHARD_SCHEMA:?}, {CAMPAIGN_SCHEMA:?}, \
-             or {MC_SCHEMA:?}"
+            "schema: {other:?}, expected {BENCH_SCHEMA:?}, {MANIFEST_SCHEMA:?}, \
+             {SHARD_SCHEMA:?}, {CAMPAIGN_SCHEMA:?}, or {MC_SCHEMA:?}"
         )),
     }
 }
@@ -206,23 +184,6 @@ fn check_sweep_unit(unit: &Json, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates the result object of shards and campaign rows.
-fn check_sweep_result(result: &Json, path: &str) -> Result<(), String> {
-    for key in ["cycles", "retired", "mode_switches"] {
-        result
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{path}.{key}: not an integer"))?;
-    }
-    for key in ["ipc", "mpki", "flpi"] {
-        result
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}.{key}: not a number"))?;
-    }
-    Ok(())
-}
-
 /// The content-addressing invariant shared by shards and campaign rows:
 /// `unit_key` must equal the FNV-1a 64 digest of the embedded unit's
 /// serialization — the property resume and merge trust.
@@ -247,7 +208,7 @@ fn check_sweep_shard(doc: &Json) -> Result<String, String> {
     }
     check_unit_key(doc, "$")?;
     check_sweep_unit(doc.get("unit").ok_or("unit: missing")?, "unit")?;
-    check_sweep_result(doc.get("result").ok_or("result: missing")?, "result")?;
+    validate_result(doc.get("result").ok_or("result: missing")?, "result")?;
     Ok(format!(
         "sweep shard {}",
         doc.get("unit_key").and_then(Json::as_str).unwrap_or("?")
@@ -309,91 +270,12 @@ fn check_sweep_campaign(doc: &Json) -> Result<String, String> {
             row.get("unit").ok_or_else(|| format!("{path}.unit: missing"))?,
             &format!("{path}.unit"),
         )?;
-        check_sweep_result(
+        validate_result(
             row.get("result").ok_or_else(|| format!("{path}.result: missing"))?,
             &format!("{path}.result"),
         )?;
     }
     Ok(format!("sweep campaign {name:?}: {units} unit(s), {} marginal(s)", marginals.len()))
-}
-
-/// Validates one `swque-lint` analyzer report (`version` 1, 2, or 3; v2+
-/// findings must carry a valid `rule_class`, v3 findings additionally the
-/// `domain_from`/`domain_to`/`chain` string trio). `Err` carries a
-/// diagnostic of the form `<json path>: <what is wrong>`.
-fn check_lint_report(doc: &Json, version: u8) -> Result<String, String> {
-    let keys = doc.keys();
-    let expect = ["schema", "files_scanned", "suppressed", "status", "rules", "findings"];
-    if keys != expect {
-        return Err(format!("$: top-level keys {keys:?}, expected {expect:?}"));
-    }
-    for key in ["files_scanned", "suppressed"] {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{key}: not an integer"))?;
-    }
-    let status = doc.get("status").and_then(Json::as_str).unwrap_or("");
-    if status != "ok" && status != "baseline-exceeded" {
-        return Err(format!("status: {status:?}, expected \"ok\" or \"baseline-exceeded\""));
-    }
-    let rules = doc.get("rules").and_then(Json::as_arr).ok_or("rules: not an array")?;
-    for (ri, r) in rules.iter().enumerate() {
-        if r.keys() != ["rule", "count", "baseline"] {
-            return Err(format!("rules[{ri}]: keys {:?}, expected rule/count/baseline", r.keys()));
-        }
-        r.get("rule")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("rules[{ri}].rule: not a string"))?;
-        for key in ["count", "baseline"] {
-            r.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("rules[{ri}].{key}: not an integer"))?;
-        }
-    }
-    let findings = doc.get("findings").and_then(Json::as_arr).ok_or("findings: not an array")?;
-    for (fi, f) in findings.iter().enumerate() {
-        let want: &[&str] = match version {
-            3.. => {
-                &["rule", "rule_class", "file", "line", "col", "message", "domain_from",
-                  "domain_to", "chain"]
-            }
-            2 => &["rule", "rule_class", "file", "line", "col", "message"],
-            _ => &["rule", "file", "line", "col", "message"],
-        };
-        if f.keys() != want {
-            return Err(format!("findings[{fi}]: keys {:?}, expected {want:?}", f.keys()));
-        }
-        for key in ["rule", "file", "message"] {
-            f.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("findings[{fi}].{key}: not a string"))?;
-        }
-        if version >= 3 {
-            for key in ["domain_from", "domain_to", "chain"] {
-                f.get(key)
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("findings[{fi}].{key}: not a string"))?;
-            }
-        }
-        if version >= 2 {
-            let class = f.get("rule_class").and_then(Json::as_str).unwrap_or("");
-            if !RULE_CLASSES.contains(&class) {
-                return Err(format!(
-                    "findings[{fi}].rule_class: {class:?}, expected one of {RULE_CLASSES:?}"
-                ));
-            }
-        }
-        for key in ["line", "col"] {
-            f.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("findings[{fi}].{key}: not an integer"))?;
-        }
-    }
-    Ok(format!(
-        "lint v{version}: {status}, {} rule(s), {} finding(s)",
-        rules.len(),
-        findings.len()
-    ))
 }
 
 /// The roles a requester-tagged result row may claim.
@@ -702,128 +584,6 @@ mod tests {
         assert!(err.starts_with("$:"), "{err}");
     }
 
-    /// A schema-valid lint report via the real `swque-lint` writer.
-    fn valid_lint_doc() -> Json {
-        use swque_lint::baseline::Baseline;
-        use swque_lint::rules::scan_rust;
-        let (findings, suppressed) = scan_rust(
-            "crates/core/src/fixture.rs",
-            "fn t() { let _ = std::time::Instant::now(); }\n",
-        );
-        let scan = swque_lint::Scan { findings, suppressed, files_scanned: 1 };
-        let counts = scan.counts();
-        let doc = swque_lint::report::report_json(&scan, &counts, &Baseline::default());
-        Json::parse(&doc.to_string()).expect("lint writer output parses")
-    }
-
-    /// A minimal hand-written legacy v1 report (findings lack rule_class).
-    fn v1_lint_doc() -> Json {
-        Json::parse(
-            r#"{"schema":"swque-lint-v1","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"wall-clock","count":1,"baseline":0}],
-                "findings":[{"rule":"wall-clock","file":"crates/core/src/x.rs",
-                             "line":1,"col":18,"message":"m"}]}"#,
-        )
-        .expect("literal parses")
-    }
-
-    /// A minimal hand-written legacy v2 report (findings lack the
-    /// domain_from/domain_to/chain trio).
-    fn v2_lint_doc() -> Json {
-        Json::parse(
-            r#"{"schema":"swque-lint-v2","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"wall-clock","count":1,"baseline":0}],
-                "findings":[{"rule":"wall-clock","rule_class":"token",
-                             "file":"crates/core/src/x.rs",
-                             "line":1,"col":18,"message":"m"}]}"#,
-        )
-        .expect("literal parses")
-    }
-
-    #[test]
-    fn schema_literal_matches_the_lint_crate() {
-        assert_eq!(LINT_SCHEMA, swque_lint::report::LINT_SCHEMA);
-        assert_eq!(LINT_SCHEMA_V2, swque_lint::report::LINT_SCHEMA_V2);
-        assert_eq!(LINT_SCHEMA_V1, swque_lint::report::LINT_SCHEMA_V1);
-    }
-
-    #[test]
-    fn accepts_lint_writer_output() {
-        let desc = check_report(&valid_lint_doc()).expect("valid lint report");
-        assert!(desc.contains("baseline-exceeded"), "unbaselined finding shows: {desc}");
-        assert!(desc.contains("1 finding(s)"), "{desc}");
-        assert!(desc.contains("lint v3"), "writer output is v3: {desc}");
-    }
-
-    #[test]
-    fn accepts_legacy_lint_reports() {
-        let desc = check_report(&v1_lint_doc()).expect("valid legacy v1 report");
-        assert!(desc.contains("lint v1"), "{desc}");
-        let desc = check_report(&v2_lint_doc()).expect("valid legacy v2 report");
-        assert!(desc.contains("lint v2"), "{desc}");
-    }
-
-    #[test]
-    fn lint_migration_round_trips_through_the_validator() {
-        for old in [v1_lint_doc(), v2_lint_doc()] {
-            let v3 = swque_lint::report::migrate_report(&old).expect("migrates");
-            let desc = check_report(&v3).expect("migrated report validates as v3");
-            assert!(desc.contains("lint v3"), "{desc}");
-            // Same counts either way; only the schema and finding keys grow.
-            assert_eq!(v3.get("findings").unwrap().as_arr().unwrap().len(), 1);
-            let f = &v3.get("findings").unwrap().as_arr().unwrap()[0];
-            assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("token"));
-            assert_eq!(f.get("domain_from").and_then(Json::as_str), Some(""));
-            assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_lint_findings() {
-        let doc = valid_lint_doc();
-        // A v3 finding without the domain trio is a key-set violation.
-        let stripped = Json::Arr(vec![Json::obj([
-            ("rule", Json::from("wall-clock")),
-            ("rule_class", Json::from("token")),
-            ("file", Json::from("x.rs")),
-            ("line", Json::from(1u64)),
-            ("col", Json::from(1u64)),
-            ("message", Json::from("m")),
-        ])]);
-        let err = check_report(&with(&doc, "findings", stripped)).unwrap_err();
-        assert!(err.starts_with("findings[0]:"), "{err}");
-        // A present-but-bogus class is named precisely.
-        let bogus = Json::Arr(vec![Json::obj([
-            ("rule", Json::from("wall-clock")),
-            ("rule_class", Json::from("vibes")),
-            ("file", Json::from("x.rs")),
-            ("line", Json::from(1u64)),
-            ("col", Json::from(1u64)),
-            ("message", Json::from("m")),
-            ("domain_from", Json::from("")),
-            ("domain_to", Json::from("")),
-            ("chain", Json::from("")),
-        ])]);
-        let err = check_report(&with(&doc, "findings", bogus)).unwrap_err();
-        assert!(err.starts_with("findings[0].rule_class:"), "{err}");
-        // A non-string domain key is named precisely too.
-        let non_string = Json::Arr(vec![Json::obj([
-            ("rule", Json::from("wall-clock")),
-            ("rule_class", Json::from("token")),
-            ("file", Json::from("x.rs")),
-            ("line", Json::from(1u64)),
-            ("col", Json::from(1u64)),
-            ("message", Json::from("m")),
-            ("domain_from", Json::from(1u64)),
-            ("domain_to", Json::from("")),
-            ("chain", Json::from("")),
-        ])]);
-        let err = check_report(&with(&doc, "findings", non_string)).unwrap_err();
-        assert!(err.starts_with("findings[0].domain_from:"), "{err}");
-    }
-
     /// A schema-valid shard document shaped like the real orchestrator's
     /// output (hand-built so the test needs no simulation run; the
     /// `sweep` integration test covers the real writer).
@@ -912,13 +672,22 @@ mod tests {
             ),
             ("geomean_ipc", Json::from(2.0)),
             ("marginals", Json::Arr(vec![])),
-            ("rows", Json::Arr(vec![row])),
+            ("rows", Json::Arr(vec![row.clone()])),
         ]);
         let desc = check_report(&campaign).expect("valid campaign");
         assert!(desc.contains("1 unit(s)"), "{desc}");
         // Declared unit count must match the row count.
         let err = check_report(&with(&campaign, "units", Json::from(2u64))).unwrap_err();
         assert!(err.starts_with("rows:"), "{err}");
+        // A zero-IPC result is rejected, as the merge rejects it, both in a
+        // campaign row and in a shard.
+        let zero_ipc = with(shard.get("result").unwrap(), "ipc", Json::from(0.0));
+        let bad_row = with(&row, "result", zero_ipc.clone());
+        let err =
+            check_report(&with(&campaign, "rows", Json::Arr(vec![bad_row]))).unwrap_err();
+        assert!(err.starts_with("rows[0].result.ipc:"), "{err}");
+        let err = check_report(&with(&shard, "result", zero_ipc)).unwrap_err();
+        assert!(err.starts_with("result.ipc:"), "{err}");
     }
 
     #[test]
@@ -938,27 +707,6 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("axes.kinds"), "{err}");
-    }
-
-    #[test]
-    fn names_the_offending_lint_field() {
-        let doc = valid_lint_doc();
-        let err = check_report(&with(&doc, "status", Json::from("maybe"))).unwrap_err();
-        assert!(err.starts_with("status:"), "{err}");
-        let err = check_report(&with(&doc, "rules", Json::Arr(vec![Json::obj([
-            ("rule", Json::from("no-unsafe")),
-            ("count", Json::from("zero")),
-            ("baseline", Json::from(0u64)),
-        ])])))
-        .unwrap_err();
-        assert!(err.starts_with("rules[0].count:"), "{err}");
-        let err = check_report(&with(&doc, "findings", Json::Arr(vec![Json::obj([
-            ("rule", Json::from("wall-clock")),
-            ("file", Json::from("x.rs")),
-            ("line", Json::from(1u64)),
-        ])])))
-        .unwrap_err();
-        assert!(err.starts_with("findings[0]:"), "{err}");
     }
 
     /// A schema-valid model-checker report via the real `swque-mc` writer.

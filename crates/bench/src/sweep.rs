@@ -405,24 +405,32 @@ pub fn validate_shard(text: &str, unit: &WorkUnit) -> Result<Json, String> {
     if embedded.to_string() != unit.canonical_json().to_string() {
         return Err("unit: embedded unit differs from the manifest expansion".to_string());
     }
-    let result = doc.get("result").ok_or("result: missing")?;
+    validate_result(doc.get("result").ok_or("result: missing")?, "result")?;
+    Ok(doc)
+}
+
+/// Validates the result object of a shard or campaign row: integer
+/// counters, numeric rates, and a positive IPC (the merged report takes
+/// geometric means over it). `path` prefixes the diagnostic, e.g.
+/// `rows[3].result`.
+pub fn validate_result(result: &Json, path: &str) -> Result<(), String> {
     for key in ["cycles", "retired", "mode_switches"] {
         result
             .get(key)
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("result.{key}: not an integer"))?;
+            .ok_or_else(|| format!("{path}.{key}: not an integer"))?;
     }
     for key in ["ipc", "mpki", "flpi"] {
         result
             .get(key)
             .and_then(Json::as_f64)
-            .ok_or_else(|| format!("result.{key}: not a number"))?;
+            .ok_or_else(|| format!("{path}.{key}: not a number"))?;
     }
     let ipc = result.get("ipc").and_then(Json::as_f64).unwrap_or(0.0);
     if !(ipc > 0.0) {
-        return Err(format!("result.ipc: {ipc} not positive"));
+        return Err(format!("{path}.ipc: {ipc} not positive"));
     }
-    Ok(doc)
+    Ok(())
 }
 
 /// Writes `doc` to `path` atomically: a worker-unique temporary in the

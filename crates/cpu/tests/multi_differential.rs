@@ -13,6 +13,7 @@
 
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig, MultiCoreSim};
+use swque_isa::{Assembler, Program, Reg};
 use swque_workloads::suite;
 
 const RUN_INSTS: u64 = 8_000;
@@ -102,20 +103,42 @@ fn two_core_corun_produces_nonzero_contention_counters() {
     assert!(shared.per_requester.iter().all(|p| p.dram_transfers > 0));
 }
 
+/// A miss-free program whose only timed events are the core's own: a loop
+/// of dependent 20-cycle integer divides, so while it waits its quiescent
+/// horizon is the next divide's completion, not a memory event.
+fn divide_chain() -> Program {
+    let mut a = Assembler::new();
+    a.li(Reg(1), 2_000);
+    a.li(Reg(2), 1);
+    a.li(Reg(3), 12_345);
+    a.label("loop");
+    for _ in 0..4 {
+        a.div(Reg(3), Reg(3), Reg(2));
+    }
+    a.addi(Reg(1), Reg(1), -1);
+    a.bne(Reg(1), Reg::ZERO, "loop");
+    a.halt();
+    a.finish().expect("valid labels")
+}
+
 /// Multi-core quiescence skipping is an optimization, not a model change:
 /// a 2-core co-run with lockstep clock jumps must produce byte-identical
 /// results to the same co-run stepped cycle by cycle. The second input is
 /// the `neighbor` experiment's 2-core scenario (SHIFT aggressor, the
-/// 8-entry MSHR pool split in two).
+/// 8-entry MSHR pool split in two). In the third, one core's own divide
+/// completion is the earliest horizon while the other waits on DRAM, so
+/// the lockstep jump must be the *minimum* of the cores' horizons.
 #[test]
 fn two_core_skip_on_off_results_are_byte_identical() {
     let chase = suite::by_name("omnetpp_like").expect("kernel exists").build_scaled(2_000);
     let stream = suite::by_name("lbm_like").expect("kernel exists").build_scaled(2_000);
+    let divides = divide_chain();
     let mut neighbor = CoreConfig::medium();
     neighbor.mem.mshrs = 4;
     let inputs = [
         (CoreConfig::medium(), [(IqKind::Swque, &chase), (IqKind::AgeMulti, &stream)]),
         (neighbor, [(IqKind::Swque, &chase), (IqKind::Shift, &stream)]),
+        (CoreConfig::medium(), [(IqKind::Age, &divides), (IqKind::Swque, &chase)]),
     ];
     for (config, workloads) in inputs {
         let mut skipping = MultiCoreSim::new(config.clone(), &workloads);

@@ -21,23 +21,18 @@
 //!   calls, with cross-domain arithmetic/comparison/argument findings.
 //! * [`rules`] — the AST-visitor rule engine with per-crate-class
 //!   policies and reasoned `// swque-lint: allow(rule) — why` pragmas.
-//! * [`baseline`] — the committed per-rule ratchet (`lint-baseline.json`):
-//!   pre-existing debt is held exactly, new debt fails the build, paid-down
-//!   debt nags until the baseline is tightened.
-//! * [`report`] — the versioned `swque-lint-v3` JSON report (findings
+//! * [`report`] — the versioned `swque-lint-v4` JSON report (findings
 //!   tagged with their `rule_class`, domain pair, and reachability chain)
-//!   consumed by the `check_json` validator, plus the v1→v2→v3 migration
-//!   shims for archived reports.
+//!   and, in its tests, the schema's one validator.
 //!
 //! The `swque-lint` binary (`src/main.rs`) drives a workspace scan;
-//! `scripts/verify.sh` runs it as a hard gate. The rule table, policy
-//! matrix, pragma grammar, and ratchet semantics are documented in
-//! DESIGN.md §8.
+//! `scripts/verify.sh` runs it as a hard gate that fails on any
+//! unsuppressed finding. The rule table, policy matrix, pragma grammar,
+//! and report schema are documented in DESIGN.md §8.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod domains;
 pub mod lexer;
 pub mod parser;
@@ -64,7 +59,7 @@ pub struct Scan {
 
 impl Scan {
     /// Per-rule finding counts, with every known rule present (zeros
-    /// included) so the ratchet and the report cover the full rule set.
+    /// included) so the summary and the report cover the full rule set.
     pub fn counts(&self) -> BTreeMap<&'static str, u64> {
         let mut counts: BTreeMap<&'static str, u64> = RULES.iter().map(|&r| (r, 0)).collect();
         for f in &self.findings {

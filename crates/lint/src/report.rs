@@ -1,70 +1,44 @@
-//! The versioned `swque-lint-v3` JSON report.
+//! The versioned `swque-lint-v4` JSON report.
 //!
-//! Shape (all keys always present, validated by the `check_json` binary in
-//! `swque-bench` and documented field-by-field in DESIGN.md §8):
+//! Shape (all keys always present, documented field-by-field in DESIGN.md
+//! §8.9):
 //!
 //! ```json
 //! {
-//!   "schema": "swque-lint-v3",
+//!   "schema": "swque-lint-v4",
 //!   "files_scanned": 123,
 //!   "suppressed": 2,
 //!   "status": "ok",
-//!   "rules": [ {"rule": "no-unsafe", "count": 0, "baseline": 0}, … ],
+//!   "rules": [ {"rule": "no-unsafe", "count": 0}, … ],
 //!   "findings": [ {"rule": "…", "rule_class": "token", "file": "…",
 //!                  "line": 1, "col": 5, "message": "…",
 //!                  "domain_from": "", "domain_to": "", "chain": ""}, … ]
 //! }
 //! ```
 //!
-//! `status` is `"ok"` when every rule is at or under its baseline and
-//! `"baseline-exceeded"` otherwise; `rules` lists every known rule in
-//! stable order with its current count and its baseline allowance.
-//!
-//! The version history, one key-set change per version:
-//!
-//! * **v1 → v2**: every finding gains a `rule_class` (`token`, `ast`,
-//!   `reachability`, or — since v3 — `dataflow`; see
-//!   [`crate::rules::rule_class`]) naming the analysis layer.
-//! * **v2 → v3**: every finding gains `domain_from`/`domain_to` (the
-//!   rendered cycle domains of a dataflow finding, empty for other
-//!   rules) and `chain` (the pub-to-site reachability hop chain of a
-//!   `panic-in-lib` finding, empty when there is none).
-//!
-//! [`migrate_report`] lifts an archived v1 or v2 document to v3 —
-//! deriving `rule_class` from the rule name and filling the v3 keys with
-//! their empty defaults — so old reports stay consumable; v3 documents
-//! pass through unchanged.
-
-use std::collections::BTreeMap;
+//! `status` is `"ok"` when the scan has no unsuppressed finding and
+//! `"failed"` otherwise — the same verdict as the binary's exit code;
+//! `rules` lists every known rule in stable order with its current count.
+//! The `report_shape_is_stable_and_parses` test below is the schema's one
+//! validator: it pins every key and value type at every level.
 
 use swque_trace::Json;
 
-use crate::baseline::Baseline;
 use crate::rules::{rule_class, RULES};
 use crate::Scan;
 
 /// Schema identifier written into every report.
-pub const LINT_SCHEMA: &str = "swque-lint-v3";
+pub const LINT_SCHEMA: &str = "swque-lint-v4";
 
-/// The v2 schema, still accepted by consumers (findings lack the domain
-/// pair and chain).
-pub const LINT_SCHEMA_V2: &str = "swque-lint-v2";
-
-/// The original report schema, still accepted by consumers (findings
-/// additionally lack `rule_class`).
-pub const LINT_SCHEMA_V1: &str = "swque-lint-v1";
-
-/// Serializes a scan plus its ratchet verdict as a `swque-lint-v3`
-/// document.
-pub fn report_json(scan: &Scan, counts: &BTreeMap<&'static str, u64>, baseline: &Baseline) -> Json {
-    let ok = counts.iter().all(|(rule, &n)| n <= baseline.allowed(rule));
+/// Serializes a scan and its verdict as a `swque-lint-v4` document.
+pub fn report_json(scan: &Scan) -> Json {
+    let counts = scan.counts();
     let rules = RULES
         .iter()
         .map(|&rule| {
             Json::obj([
                 ("rule", Json::from(rule)),
                 ("count", Json::from(counts.get(rule).copied().unwrap_or(0))),
-                ("baseline", Json::from(baseline.allowed(rule))),
             ])
         })
         .collect();
@@ -89,69 +63,10 @@ pub fn report_json(scan: &Scan, counts: &BTreeMap<&'static str, u64>, baseline: 
         ("schema", Json::from(LINT_SCHEMA)),
         ("files_scanned", Json::from(scan.files_scanned as u64)),
         ("suppressed", Json::from(scan.suppressed as u64)),
-        ("status", Json::from(if ok { "ok" } else { "baseline-exceeded" })),
+        ("status", Json::from(if scan.findings.is_empty() { "ok" } else { "failed" })),
         ("rules", Json::Arr(rules)),
         ("findings", Json::Arr(findings)),
     ])
-}
-
-/// Lifts a lint report to the current schema. A v3 document is returned
-/// unchanged; a v2 document gets the empty `domain_from`/`domain_to`/
-/// `chain` keys appended to each finding; a v1 document additionally
-/// gets a `rule_class` derived from each finding's rule name (inserted
-/// directly after `rule`, preserving current key order). Anything else
-/// is an error.
-pub fn migrate_report(doc: &Json) -> Result<Json, String> {
-    let schema = doc.get("schema").and_then(Json::as_str);
-    let (add_class, add_domains) = match schema {
-        Some(LINT_SCHEMA) => return Ok(doc.clone()),
-        Some(LINT_SCHEMA_V2) => (false, true),
-        Some(LINT_SCHEMA_V1) => (true, true),
-        other => {
-            return Err(format!(
-                "lint report schema {other:?}, expected {LINT_SCHEMA:?}, {LINT_SCHEMA_V2:?}, \
-                 or {LINT_SCHEMA_V1:?}"
-            ))
-        }
-    };
-    let Json::Obj(pairs) = doc else {
-        return Err("lint report is not an object".to_string());
-    };
-    let pairs = pairs
-        .iter()
-        .map(|(k, v)| {
-            let v = match k.as_str() {
-                "schema" => Json::from(LINT_SCHEMA),
-                "findings" => {
-                    let arr = v.as_arr().unwrap_or(&[]);
-                    Json::Arr(arr.iter().map(|f| migrate_finding(f, add_class, add_domains)).collect())
-                }
-                _ => v.clone(),
-            };
-            (k.clone(), v)
-        })
-        .collect();
-    Ok(Json::Obj(pairs))
-}
-
-/// Lifts one finding: optionally inserts the derived `rule_class` after
-/// `rule`, then appends the empty v3 keys.
-fn migrate_finding(f: &Json, add_class: bool, add_domains: bool) -> Json {
-    let Json::Obj(pairs) = f else { return f.clone() };
-    let class = f.get("rule").and_then(Json::as_str).map(rule_class).unwrap_or("token");
-    let mut out = Vec::with_capacity(pairs.len() + 4);
-    for (k, v) in pairs {
-        out.push((k.clone(), v.clone()));
-        if add_class && k == "rule" {
-            out.push(("rule_class".to_string(), Json::from(class)));
-        }
-    }
-    if add_domains {
-        for key in ["domain_from", "domain_to", "chain"] {
-            out.push((key.to_string(), Json::from("")));
-        }
-    }
-    Json::Obj(out)
 }
 
 #[cfg(test)]
@@ -159,52 +74,113 @@ mod tests {
     use super::*;
     use crate::rules::Finding;
 
-    const V3_FINDING_KEYS: [&str; 9] = [
-        "rule",
-        "rule_class",
-        "file",
-        "line",
-        "col",
-        "message",
-        "domain_from",
-        "domain_to",
-        "chain",
-    ];
-
     fn scan_with(findings: Vec<Finding>) -> Scan {
         Scan { findings, suppressed: 1, files_scanned: 3 }
     }
 
-    #[test]
-    fn report_shape_is_stable_and_parses() {
-        let mut f = Finding::new(
-            "wall-clock",
-            "crates/core/src/x.rs".to_string(),
-            4,
-            9,
-            "`Instant` outside the sanctioned timing harness".to_string(),
-        );
-        f.chain = String::new();
-        let scan = scan_with(vec![f]);
-        let doc = report_json(&scan, &scan.counts(), &Baseline::default());
+    /// Asserts that `doc` has exactly the v4 shape: every key at every
+    /// level, in order, each with its value type.
+    fn assert_v4_shape(doc: &Json) {
         assert_eq!(
             doc.keys(),
             vec!["schema", "files_scanned", "suppressed", "status", "rules", "findings"],
         );
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(LINT_SCHEMA));
-        assert_eq!(doc.get("status").and_then(Json::as_str), Some("baseline-exceeded"));
-        let rules = doc.get("rules").and_then(Json::as_arr).unwrap();
-        assert_eq!(rules.len(), RULES.len());
-        for r in rules {
-            assert_eq!(r.keys(), vec!["rule", "count", "baseline"]);
+        for key in ["files_scanned", "suppressed"] {
+            assert!(doc.get(key).and_then(Json::as_u64).is_some(), "{key}: not an integer");
         }
-        let findings = doc.get("findings").and_then(Json::as_arr).unwrap();
-        assert_eq!(findings[0].keys(), V3_FINDING_KEYS.to_vec());
-        assert_eq!(findings[0].get("rule_class").and_then(Json::as_str), Some("token"));
-        assert_eq!(findings[0].get("domain_from").and_then(Json::as_str), Some(""));
-        // Round-trips through the in-tree parser.
+        let status = doc.get("status").and_then(Json::as_str);
+        assert!(matches!(status, Some("ok" | "failed")), "status: {status:?}");
+
+        let rules = doc.get("rules").and_then(Json::as_arr).expect("rules: not an array");
+        assert_eq!(rules.len(), RULES.len());
+        for (r, name) in rules.iter().zip(RULES) {
+            assert_eq!(r.keys(), vec!["rule", "count"]);
+            assert_eq!(r.get("rule").and_then(Json::as_str), Some(name), "rules out of order");
+            let count = r.get("count").and_then(Json::as_u64);
+            assert!(count.is_some(), "{name}.count: not an integer");
+        }
+
+        let findings = doc.get("findings").and_then(Json::as_arr).expect("findings: not an array");
+        for f in findings {
+            assert_eq!(
+                f.keys(),
+                vec![
+                    "rule",
+                    "rule_class",
+                    "file",
+                    "line",
+                    "col",
+                    "message",
+                    "domain_from",
+                    "domain_to",
+                    "chain",
+                ],
+            );
+            for key in ["rule", "file", "message", "domain_from", "domain_to", "chain"] {
+                assert!(f.get(key).and_then(Json::as_str).is_some(), "{key}: not a string");
+            }
+            for key in ["line", "col"] {
+                assert!(f.get(key).and_then(Json::as_u64).is_some(), "{key}: not an integer");
+            }
+            let class = f.get("rule_class").and_then(Json::as_str);
+            assert!(
+                matches!(class, Some("token" | "ast" | "reachability" | "dataflow")),
+                "rule_class: {class:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn report_shape_is_stable_and_parses() {
+        let scan = scan_with(vec![Finding::new(
+            "wall-clock",
+            "crates/core/src/x.rs".to_string(),
+            4,
+            9,
+            "`Instant` outside the sanctioned timing harness".to_string(),
+        )]);
+        let doc = report_json(&scan);
+        // Round-trips through the in-tree parser, and the parsed copy
+        // (what a consumer sees) carries the full shape.
         let back = Json::parse(&doc.to_string()).unwrap();
         assert_eq!(back, doc);
+        assert_v4_shape(&back);
+
+        assert_eq!(back.get("files_scanned").and_then(Json::as_u64), Some(3));
+        assert_eq!(back.get("suppressed").and_then(Json::as_u64), Some(1));
+        let rules = back.get("rules").and_then(Json::as_arr).unwrap();
+        for r in rules {
+            let want = u64::from(r.get("rule").and_then(Json::as_str) == Some("wall-clock"));
+            assert_eq!(r.get("count").and_then(Json::as_u64), Some(want));
+        }
+        let f = &back.get("findings").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("token"));
+        assert_eq!(f.get("line").and_then(Json::as_u64), Some(4));
+        assert_eq!(f.get("col").and_then(Json::as_u64), Some(9));
+        assert_eq!(f.get("domain_from").and_then(Json::as_str), Some(""));
+        assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
+    }
+
+    #[test]
+    fn status_fails_on_any_unsuppressed_finding() {
+        let failing = scan_with(vec![Finding::new(
+            "panic-in-lib",
+            "crates/bench/src/output.rs".to_string(),
+            1,
+            1,
+            "x".to_string(),
+        )]);
+        let doc = report_json(&failing);
+        assert_v4_shape(&doc);
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+
+        // Suppressed findings alone do not fail the gate.
+        let clean = scan_with(Vec::new());
+        let doc = report_json(&clean);
+        assert_v4_shape(&doc);
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(doc.get("findings").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
     }
 
     #[test]
@@ -218,8 +194,8 @@ mod tests {
         );
         f.domain_from = "CycleStamp(completion)".to_string();
         f.domain_to = "CycleStamp(launch)".to_string();
-        let scan = scan_with(vec![f]);
-        let doc = report_json(&scan, &scan.counts(), &Baseline::default());
+        let doc = report_json(&scan_with(vec![f]));
+        assert_v4_shape(&doc);
         let j = &doc.get("findings").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(j.get("rule_class").and_then(Json::as_str), Some("dataflow"));
         assert_eq!(
@@ -227,58 +203,5 @@ mod tests {
             Some("CycleStamp(completion)")
         );
         assert_eq!(j.get("domain_to").and_then(Json::as_str), Some("CycleStamp(launch)"));
-    }
-
-    #[test]
-    fn migrates_v1_and_v2_to_v3_and_v3_is_identity() {
-        let v1 = Json::parse(
-            r#"{"schema":"swque-lint-v1","files_scanned":1,"suppressed":0,
-                "status":"baseline-exceeded",
-                "rules":[{"rule":"panic-in-lib","count":1,"baseline":0}],
-                "findings":[{"rule":"panic-in-lib","file":"crates/core/src/x.rs",
-                             "line":3,"col":5,"message":"m"}]}"#,
-        )
-        .unwrap();
-        let v3 = migrate_report(&v1).unwrap();
-        assert_eq!(v3.get("schema").and_then(Json::as_str), Some(LINT_SCHEMA));
-        let f = &v3.get("findings").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(f.keys(), V3_FINDING_KEYS.to_vec(), "v1 gains class + v3 keys");
-        assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("reachability"));
-        assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
-
-        let v2 = Json::parse(
-            r#"{"schema":"swque-lint-v2","files_scanned":1,"suppressed":0,
-                "status":"ok",
-                "rules":[{"rule":"wall-clock","count":0,"baseline":0}],
-                "findings":[{"rule":"wall-clock","rule_class":"token",
-                             "file":"crates/core/src/x.rs",
-                             "line":3,"col":5,"message":"m"}]}"#,
-        )
-        .unwrap();
-        let lifted = migrate_report(&v2).unwrap();
-        assert_eq!(lifted.get("schema").and_then(Json::as_str), Some(LINT_SCHEMA));
-        let f = &lifted.get("findings").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(f.keys(), V3_FINDING_KEYS.to_vec(), "v2 gains exactly the v3 keys");
-
-        // Migration is idempotent: a v3 document passes through unchanged.
-        assert_eq!(migrate_report(&lifted).unwrap(), lifted);
-        // Unknown schemas are an error, not a silent pass-through.
-        let junk = Json::obj([("schema", Json::from("swque-lint-v0"))]);
-        assert!(migrate_report(&junk).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn status_ok_when_baseline_holds_the_debt() {
-        let scan = scan_with(vec![Finding::new(
-            "panic-in-lib",
-            "crates/bench/src/output.rs".to_string(),
-            1,
-            1,
-            "x".to_string(),
-        )]);
-        let counts = scan.counts();
-        let baseline = Baseline::from_counts(&counts);
-        let doc = report_json(&scan, &counts, &baseline);
-        assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     }
 }

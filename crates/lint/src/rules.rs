@@ -30,7 +30,7 @@
 //! * **reachability** — the `panic-in-lib` pass walks the workspace-wide
 //!   call graph of [`crate::resolve`] and attributes every panic site to
 //!   the public item that reaches it — across files and crates since v3 —
-//!   so the debt list reads as an API audit rather than a grep dump.
+//!   so the finding list reads as an API audit rather than a grep dump.
 //! * **dataflow** — the cycle-domain pass of [`crate::domains`]
 //!   classifies integer values (cycle stamps vs deltas vs instruction
 //!   counts vs …) and flags cross-domain arithmetic, comparison, and
@@ -128,7 +128,7 @@ pub fn is_known_rule(rule: &str) -> bool {
 }
 
 /// The engine class a rule belongs to — carried per finding in the
-/// `swque-lint-v3` report as `rule_class`.
+/// `swque-lint-v4` report as `rule_class`.
 pub fn rule_class(rule: &str) -> &'static str {
     match rule {
         "unordered-container" | "iterated-unordered" | "truncating-cast" | "unchecked-arith"
@@ -196,8 +196,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              library code. Each finding is attributed to its enclosing\n\
              function and, via the workspace-wide call graph (cross-file,\n\
              cross-crate since v3), to the nearest public item that reaches\n\
-             it — so the debt reads as an API audit. debug_assert! is\n\
-             exempt (compiled out of release binaries). Burn down by\n\
+             it — so the findings read as an API audit. debug_assert! is\n\
+             exempt (compiled out of release binaries). Fix by\n\
              bubbling a Result, saturating, or justifying the invariant\n\
              with a reasoned pragma.\n\
              bad:  pub fn ipc(&self) -> f64 { self.div().unwrap() }\n\
@@ -337,7 +337,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding with empty v3 extras (`domain_from`/`domain_to`/`chain`).
+    /// A finding with empty structured extras (`domain_from`/`domain_to`/`chain`).
     pub fn new(rule: &'static str, file: String, line: u32, col: u32, message: String) -> Finding {
         Finding {
             rule,

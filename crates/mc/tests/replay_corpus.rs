@@ -3,10 +3,9 @@
 //! Every `.replay` file re-executes against the real queues/controller
 //! and must honor its `expect=` contract, so each counterexample the
 //! checker ever minimized stays a live regression test. The `MANIFEST`
-//! ratchet pins each trace's content digest, mirroring the lint-baseline
-//! one-way design: a trace can be *appended* (add the file plus its
-//! MANIFEST line), but silently altering or dropping a committed trace
-//! fails here.
+//! ratchet pins each trace's content digest, one way only: a trace can
+//! be *appended* (add the file plus its MANIFEST line), but silently
+//! altering or dropping a committed trace fails here.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

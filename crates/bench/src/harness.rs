@@ -294,27 +294,28 @@ pub fn run_suite_traced_on(
 }
 
 /// Worker-thread count for a sweep over `kernels` kernels: the
-/// `SWQUE_THREADS` environment variable when set to a positive integer
-/// (invalid or zero values are ignored), otherwise the host's available
-/// parallelism; always clamped to the number of kernels.
+/// `SWQUE_THREADS` environment variable when set (read through [`knob`],
+/// so an unparsable value exits with status 2), otherwise the host's
+/// available parallelism; always clamped to the number of kernels.
 ///
 /// This is the *only* place the harness reads `SWQUE_THREADS`; all the
 /// sizing logic lives in the pure [`default_workers_with`], which tests
 /// exercise without mutating process environment (mutating env from one
 /// `#[test]` races every other test in the same process).
 pub fn default_workers(kernels: usize) -> usize {
-    let requested = std::env::var("SWQUE_THREADS").ok().and_then(|v| v.parse::<usize>().ok());
-    default_workers_with(requested, kernels)
+    default_workers_with(knob("SWQUE_THREADS", 0), kernels)
 }
 
 /// Pure worker-count policy behind [`default_workers`]: `requested` wins
-/// when it is a positive integer (`None` or `Some(0)` fall back to the
-/// host's available parallelism), and the result is always clamped to the
-/// number of kernels (at least 1).
-pub fn default_workers_with(requested: Option<usize>, kernels: usize) -> usize {
-    let n = requested
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
+/// when it is positive (`0` falls back to the host's available
+/// parallelism), and the result is always clamped to the number of
+/// kernels (at least 1).
+pub fn default_workers_with(requested: usize, kernels: usize) -> usize {
+    let n = if requested >= 1 {
+        requested
+    } else {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    };
     n.min(kernels.max(1))
 }
 
@@ -401,6 +402,16 @@ mod tests {
         for bad in ["20k", "", "-1", " 5", "1e6"] {
             let err = parse_knob::<u64>("SWQUE_WARMUP", Some(bad), 300_000).unwrap_err();
             assert!(err.contains("SWQUE_WARMUP"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+        // `SWQUE_THREADS` is a knob like the budgets: 0 is a value (the
+        // host default), and a typo is an error, not host parallelism.
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", None, 0), Ok(0));
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("0"), 0), Ok(0));
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("4"), 0), Ok(4));
+        for bad in ["4x", "four", "-2", ""] {
+            let err = parse_knob::<usize>("SWQUE_THREADS", Some(bad), 0).unwrap_err();
+            assert!(err.contains("SWQUE_THREADS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }

@@ -1,4 +1,4 @@
-//! Experiment harness shared by the per-figure binaries and benches.
+//! Experiment harness shared by the per-figure binaries.
 //!
 //! The paper's evaluation (Section 4) is regenerated by the binaries in
 //! `src/bin/`, one per figure/table; this library provides the common
@@ -19,27 +19,26 @@
 //!   (default 300 000; the paper skips 16 B). Read by
 //!   [`harness::default_warmup`].
 //!
-//! Both budgets (and `neighbor`'s `SWQUE_NEIGHBOR_MAX`) go through
-//! [`harness::knob`]: an unparsable value such as `SWQUE_INSTS=20k` is an
-//! error naming the variable, never a silent fallback to the default.
 //! * **`SWQUE_JSON`** — when set, the binary *additionally* writes a
 //!   structured JSON report (schema `swque-bench-v1`, see [`output`]) to
 //!   this path. `all_experiments` treats the value as a directory and
 //!   writes one `BENCH_<figure>.json` per child experiment. Read by
 //!   [`output::json_path`].
-//! * **`SWQUE_THREADS`** — worker-thread count for suite sweeps (default:
-//!   the host's available parallelism, clamped to the kernel count;
-//!   invalid or zero values are ignored). A pure throughput knob: results
-//!   are identical for any value, a property pinned by the `determinism`
-//!   integration test. Read by [`harness::default_workers`].
-//! * **`SWQUE_PERF_SMOKE`** — when set to anything non-empty other than
-//!   `0`, the `perf_gate` binary uses its reduced CI budget, same as the
-//!   `--smoke` flag.
+//! * **`SWQUE_THREADS`** — worker-thread count for suite sweeps (default,
+//!   and for `0`: the host's available parallelism; always clamped to the
+//!   kernel count). A pure throughput knob: results are identical for any
+//!   value, a property pinned by the `determinism` integration test. Read
+//!   by [`harness::default_workers`].
 //! * **`SWQUE_PROP_CASES`** — property-test cases per property (default
 //!   64); consumed by the in-tree harness `swque_rng::prop`.
 //! * **`SWQUE_PROP_SEED`** — base seed for property-test case generation,
 //!   for deterministic replay of a failing case; also consumed by
 //!   `swque_rng::prop`.
+//!
+//! The integer knobs (`SWQUE_INSTS`, `SWQUE_WARMUP`, `SWQUE_THREADS`, and
+//! `neighbor`'s `SWQUE_NEIGHBOR_MAX`) go through [`harness::knob`]: an
+//! unparsable value such as `SWQUE_INSTS=20k` exits with status 2 and an
+//! error naming the variable, never a silent fallback to the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -80,21 +80,21 @@ fn empty_and_single_kernel_lists() {
 #[test]
 fn worker_override_resolution_is_pure() {
     // Respected when positive, clamped to the kernel count.
-    assert_eq!(default_workers_with(Some(3), 8), 3);
-    assert_eq!(default_workers_with(Some(3), 2), 2, "clamped to kernel count");
-    // Zero (or an unparsable value, which the env read maps to `None`)
-    // falls back to host parallelism — always at least one worker.
-    assert!(default_workers_with(Some(0), 64) >= 1);
-    assert!(default_workers_with(None, 64) >= 1);
+    assert_eq!(default_workers_with(3, 8), 3);
+    assert_eq!(default_workers_with(3, 2), 2, "clamped to kernel count");
+    // Zero (also the value when the variable is unset) falls back to host
+    // parallelism — always at least one worker. An unparsable value never
+    // gets here: the env read exits with status 2 naming it.
+    assert!(default_workers_with(0, 64) >= 1);
     // Degenerate kernel counts never produce a zero-worker sweep.
-    assert_eq!(default_workers_with(Some(5), 0), 1);
+    assert_eq!(default_workers_with(5, 0), 1);
 
     // An override-forced single worker is the same sweep as an explicit
     // one — and single- vs multi-worker equality is already pinned above,
     // so the override provably cannot change results.
     let kernels = suite::all();
     let specs = specs();
-    let forced = fingerprint(&run_suite_on(&kernels, &specs, default_workers_with(Some(1), kernels.len())));
+    let forced = fingerprint(&run_suite_on(&kernels, &specs, default_workers_with(1, kernels.len())));
     let explicit = fingerprint(&run_suite_on(&kernels, &specs, 1));
     assert_eq!(forced, explicit);
 }

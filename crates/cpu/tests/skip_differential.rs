@@ -3,7 +3,7 @@
 //! out byte-identical whether the core ticks through idle windows one
 //! cycle at a time or jumps them in bulk.
 //!
-//! Two gates:
+//! Three gates:
 //!
 //! 1. **Lockstep differential** — for every issue-queue organization, a
 //!    medium-model run with skipping on and the same run with skipping
@@ -23,6 +23,11 @@
 //!    `None` (or a different horizon) and the assertion fires — exactly
 //!    the overshoot a bulk jump would have committed.
 //!
+//! 3. **Skip effectiveness** — on a latency-bound serial pointer chase,
+//!    skipping must jump over nearly every simulated cycle. The first two
+//!    gates hold for a horizon that never skips; this one fails when the
+//!    horizon stops covering idle windows.
+//!
 //! Tests toggle skipping with [`Core::set_skip`], the only skip switch.
 
 use swque_core::IqKind;
@@ -30,9 +35,16 @@ use swque_cpu::{Core, CoreConfig};
 use swque_isa::{Assembler, Program, Reg};
 use swque_rng::prop::check;
 use swque_workloads::suite;
+use swque_workloads::synthetic::{pointer_chase, PointerChaseParams};
 
 const RUN_INSTS: u64 = 20_000;
 const SCALE: u64 = 4_000;
+
+/// Instructions simulated on the serial chase.
+const SERIAL_CHASE_INSTS: u64 = 20_000;
+/// Floor on the share of serial-chase cycles the clock jumps over
+/// (measured 0.979: 1,230,698 of 1,256,554 cycles in 3,995 jumps).
+const SERIAL_CHASE_MIN_SKIPPED: f64 = 0.95;
 
 /// Builds a medium-model core for `kernel` under `kind` with skipping
 /// forced on or off.
@@ -101,6 +113,49 @@ fn skip_differential_deepsjeng_like() {
 #[test]
 fn skip_differential_xz_like() {
     differential("xz_like");
+}
+
+/// The latency-bound pin: one serial dependent-miss chain over an 8 MiB
+/// ring. With one load in flight and ~5 instructions per DRAM round trip,
+/// nearly every cycle is quiescent — the configuration skipping exists for.
+fn serial_chase() -> Program {
+    pointer_chase(
+        60_000,
+        &PointerChaseParams {
+            chains: 1,
+            nodes: 1 << 20,
+            spacing: 0,
+            alu_work: 1,
+            fp_work: 0,
+            seed: 0xC0FFEE,
+        },
+    )
+}
+
+/// Skipping must actually remove idle cycles, not merely stay invisible:
+/// on the serial chase the clock jumps over at least
+/// [`SERIAL_CHASE_MIN_SKIPPED`] of all simulated cycles, with the result
+/// byte-identical to the per-cycle run. Both are exact counters, so the
+/// floor gates without wall-clock noise.
+#[test]
+fn skipping_removes_idle_cycles_on_serial_chase() {
+    let program = serial_chase();
+    let run = |skip: bool| {
+        let mut core = Core::new(CoreConfig::medium(), IqKind::Swque, &program);
+        core.set_skip(skip);
+        let r = core.run(SERIAL_CHASE_INSTS);
+        (r, core.skip_stats())
+    };
+    let (on, (skips, skipped)) = run(true);
+    let (off, _) = run(false);
+    assert_eq!(format!("{on:?}"), format!("{off:?}"), "skipping changed the simulated result");
+    let frac = skipped as f64 / on.cycles as f64;
+    println!("serial_chase: {skips} skips, {skipped}/{} cycles skipped ({frac:.4})", on.cycles);
+    assert!(
+        frac >= SERIAL_CHASE_MIN_SKIPPED,
+        "serial_chase: only {frac:.4} of cycles skipped (floor {SERIAL_CHASE_MIN_SKIPPED}) — \
+         the quiescence horizon stopped covering idle windows"
+    );
 }
 
 /// A small random program: serial dependent loads (long idle windows)

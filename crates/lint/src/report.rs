@@ -138,7 +138,7 @@ mod tests {
             "crates/core/src/x.rs".to_string(),
             4,
             9,
-            "`Instant` outside the sanctioned timing harness".to_string(),
+            "`Instant` reads the host clock".to_string(),
         )]);
         let doc = report_json(&scan);
         // Round-trips through the in-tree parser, and the parsed copy

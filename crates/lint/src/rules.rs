@@ -62,8 +62,8 @@ use crate::resolve::{self, Program};
 ///   `HashSet` in a deterministic crate. This is the precise successor
 ///   of PR-4's blanket mention rule: probing by key is fine, consuming
 ///   in hash order is not.
-/// * `wall-clock` — `std::time` / `Instant` / `SystemTime` anywhere
-///   except the two sanctioned timing harness files.
+/// * `wall-clock` — `std::time` / `Instant` / `SystemTime` anywhere; a
+///   reasoned pragma is the only exception.
 /// * `ambient-rng` — `thread_rng` / `from_entropy` / `rand::` paths; all
 ///   randomness must flow through the pinned in-tree `swque-rng`.
 /// * `panic-in-lib` — the panic family (`.unwrap(` / `.expect(` /
@@ -175,11 +175,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "wall-clock" => {
             "wall-clock [token]\n\
-             std::time / Instant / SystemTime outside the two sanctioned\n\
-             harness files (crates/rng/src/timer.rs, perf_gate.rs). Reading\n\
-             the clock on the simulated path makes runs irreproducible.\n\
+             std::time / Instant / SystemTime anywhere in the workspace.\n\
+             Reading the clock on the simulated path makes runs\n\
+             irreproducible. Host-speed measurement is the one place that\n\
+             needs the clock, and it says so with a reasoned pragma on\n\
+             each read (as swque_benchmark's clock.rs does).\n\
              bad:  let t0 = std::time::Instant::now();\n\
-             fix:  count cycles/events, or use swque_rng::timer in harness code."
+             fix:  count cycles/events; in a host-speed harness, write\n\
+             // swque-lint: allow(wall-clock) — <why host time is measured>"
         }
         "ambient-rng" => {
             "ambient-rng [token]\n\
@@ -276,7 +279,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              prevent, so a broken comment is itself a finding rather than a\n\
              silent no-op.\n\
              bad:  // swque-lint: allow(wall-clock)\n\
-             fix:  // swque-lint: allow(wall-clock) — bench timer, documented"
+             fix:  // swque-lint: allow(wall-clock) — host time is what this measures"
         }
         "mc-replay" => {
             "mc-replay [token]\n\
@@ -370,10 +373,7 @@ pub struct Policy {
     /// Library code of a simulated-path crate: unordered containers,
     /// narrowing counter casts, and interior mutability banned.
     pub deterministic: bool,
-    /// Sanctioned wall-clock site (the bench timer and the perf gate).
-    pub wall_clock_allowed: bool,
-    /// Sanctioned environment-read site (harness crate, bins, tests, and
-    /// the bench timer).
+    /// Sanctioned environment-read site (harness crate, bins, tests).
     pub env_allowed: bool,
     /// Non-bin, non-test code under some `src/`: panic family banned.
     pub lib_code: bool,
@@ -387,11 +387,6 @@ pub struct Policy {
 /// contract applies to the checker itself.
 const DETERMINISTIC_CRATES: [&str; 10] =
     ["core", "cpu", "mem", "isa", "workloads", "trace", "branch", "circuit", "swque", "mc"];
-
-/// Files allowed to read the wall clock: the in-tree bench timer (the
-/// workspace's only `Instant` abstraction) and the host-throughput gate.
-const WALL_CLOCK_FILES: [&str; 2] =
-    ["crates/rng/src/timer.rs", "crates/bench/src/bin/perf_gate.rs"];
 
 /// Derives the rule policy for a workspace-relative path (forward-slash
 /// separated, e.g. `crates/mem/src/hierarchy.rs`).
@@ -407,11 +402,9 @@ pub fn classify(rel: &str) -> Policy {
     let in_src = segs.iter().any(|s| *s == "src");
     let deterministic =
         DETERMINISTIC_CRATES.contains(&crate_name) && in_src && !test_code && !bin;
-    let wall_clock_allowed = WALL_CLOCK_FILES.contains(&rel);
-    let env_allowed =
-        crate_name == "bench" || bin || test_code || rel == "crates/rng/src/timer.rs";
+    let env_allowed = crate_name == "bench" || bin || test_code;
     let lib_code = in_src && !bin && !test_code;
-    Policy { test_code, bin, deterministic, wall_clock_allowed, env_allowed, lib_code }
+    Policy { test_code, bin, deterministic, env_allowed, lib_code }
 }
 
 /// A parsed suppression pragma.
@@ -559,20 +552,11 @@ fn token_rules(
             "unsafe" => {
                 push("no-unsafe", t, "`unsafe` is banned workspace-wide".to_string());
             }
-            "Instant" | "SystemTime" if !policy.wall_clock_allowed => {
-                push(
-                    "wall-clock",
-                    t,
-                    format!("`{}` outside the sanctioned timing harness", t.text),
-                );
+            "Instant" | "SystemTime" => {
+                push("wall-clock", t, format!("`{}` reads the host clock", t.text));
             }
-            "std"
-                if !policy.wall_clock_allowed
-                    && next == Some(":")
-                    && next2 == Some(":")
-                    && next3 == Some("time") =>
-            {
-                push("wall-clock", t, "`std::time` outside the sanctioned timing harness".into());
+            "std" if next == Some(":") && next2 == Some(":") && next3 == Some("time") => {
+                push("wall-clock", t, "`std::time` reads the host clock".into());
             }
             "thread_rng" | "from_entropy" => {
                 push(
@@ -1153,10 +1137,10 @@ mod tests {
         assert!(det.deterministic && det.lib_code && !det.env_allowed);
         let bench = classify("crates/bench/src/harness.rs");
         assert!(!bench.deterministic && bench.env_allowed && bench.lib_code);
-        let bin = classify("crates/bench/src/bin/perf_gate.rs");
-        assert!(bin.bin && bin.wall_clock_allowed && !bin.lib_code);
-        let timer = classify("crates/rng/src/timer.rs");
-        assert!(timer.wall_clock_allowed && timer.env_allowed && timer.lib_code);
+        let bin = classify("crates/bench/src/bin/fig09.rs");
+        assert!(bin.bin && bin.env_allowed && !bin.lib_code);
+        let rng = classify("crates/rng/src/lib.rs");
+        assert!(!rng.env_allowed && rng.lib_code);
         let test = classify("crates/core/tests/proptest_queues.rs");
         assert!(test.test_code && !test.deterministic && test.env_allowed);
         let root = classify("src/lib.rs");

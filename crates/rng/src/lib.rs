@@ -10,14 +10,9 @@
 //! workload trace generated from seed `s` today is bit-identical to the
 //! trace generated from `s` by any past or future checkout.
 //!
-//! The crate also hosts the two dev-tool substrates that previously pulled
-//! external dependencies:
-//!
-//! * [`prop`] — a lightweight property-testing harness (seeded case
-//!   generation, configurable case counts, failing-seed reporting) that
-//!   replaces `proptest`.
-//! * [`timer`] — a minimal wall-clock bench harness that replaces
-//!   `criterion` for the `crates/bench/benches/` targets.
+//! The crate also hosts [`prop`], a lightweight property-testing harness
+//! (seeded case generation, configurable case counts, failing-seed
+//! reporting) that replaces `proptest`.
 //!
 //! # Algorithm
 //!
@@ -55,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod prop;
-pub mod timer;
 
 use std::ops::Range;
 

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release --offline --workspace"
 # --workspace matters twice over: it builds the harness binaries this
 # script runs below (a bare `cargo build` only covers the facade crate's
-# dependency closure, silently leaving stale fig/perf_gate binaries), and
+# dependency closure, silently leaving stale figure and checker binaries), and
 # it builds the swque-lint gate.
 cargo build --release --offline --workspace
 
@@ -152,10 +152,6 @@ echo "== json: schema smoke (fig09 -> check_json, reduced budget)"
 SWQUE_WARMUP=5000 SWQUE_INSTS=20000 SWQUE_JSON="$json_tmp/fig09.json" \
     ./target/release/fig09 > /dev/null
 ./target/release/check_json "$json_tmp/fig09.json"
-
-echo "== perf gate: perf_gate --smoke -> check_json"
-SWQUE_JSON="$json_tmp/BENCH_TIER1.json" ./target/release/perf_gate --smoke > /dev/null
-./target/release/check_json "$json_tmp/BENCH_TIER1.json"
 
 echo "== multi-core: neighbor determinism smoke (2-core, thread-count invariance)"
 # The 2-core neighbor co-run (DESIGN.md §11) must be byte-identical however

@@ -17,7 +17,7 @@
 //! * [`circuit`] — analytical area / delay / energy models of the IQ
 //!   circuits.
 //! * [`rng`] — the in-tree deterministic randomness substrate (pinned
-//!   xoshiro256\*\* PRNG, property-test harness, bench timer) that keeps
+//!   xoshiro256\*\* PRNG and property-test harness) that keeps
 //!   the workspace dependency-free and every workload trace reproducible.
 //! * [`trace`] — the observability layer: typed trace events (controller
 //!   intervals, mode switches, per-interval IPC), a bounded ring-buffer

@@ -268,7 +268,7 @@ impl Core {
     /// tick normally), or `Some(h)` with `h > self.cycle()` when every
     /// stage is provably idle until at least `h`: `h` is the minimum of the
     /// timed wake-ups (completion events, fetch stall expiry, front-end
-    /// `ready_at`, pending-load AGU times, and every subsystem's
+    /// `ready_at`, and every subsystem's
     /// [`WakeHorizon`]) capped at the deadlock limit, so a fully wedged
     /// pipeline jumps straight to the cycle at which the progress invariant
     /// fires — with the identical cycle stamp the per-cycle path produces.
@@ -316,8 +316,11 @@ pub(crate) struct Pipeline {
 
     /// Completion events: `(cycle, seq, uid)` min-heap.
     events: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// Loads whose address generation is done: `(ready_cycle, uid)`.
-    pending_loads: Vec<(u64, u64)>,
+    /// Uids of issued loads awaiting their memory access. `issue` runs
+    /// after `execute` within a cycle and the clock advances after both, so
+    /// a load issued (AGU busy) this cycle is first seen by `execute`, and by
+    /// the horizon, on the next cycle, when its address is ready.
+    pending_loads: Vec<u64>,
 
     /// Observability sink (disabled by default; see [`Core::attach_trace`]).
     trace: TraceHandle,
@@ -522,12 +525,11 @@ impl Pipeline {
         if self.iq.has_ready() {
             return None;
         }
-        // Execute: every pending load is either timed (horizon) or blocked
-        // in the LSQ (quiet until a store executes, which needs an issue).
-        for &(ready, uid) in &self.pending_loads {
-            if ready > self.cycle {
-                horizon = min_horizon(horizon, Some(ready));
-            } else if !matches!(self.lsq.load_action(uid), LoadAction::Wait) {
+        // Execute: every pending load's address is ready (see
+        // `pending_loads`), so each is blocked in the LSQ (quiet until a
+        // store executes, which needs an issue) or would start this cycle.
+        for &uid in &self.pending_loads {
+            if !matches!(self.lsq.load_action(uid), LoadAction::Wait) {
                 return None;
             }
         }
@@ -706,7 +708,7 @@ impl Pipeline {
         // Anything younger still in the front end is wrong-path too.
         self.decode_q.retain(|d| !d.wp);
         self.iq.squash_younger(seq);
-        self.pending_loads.retain(|&(_, uid)| self.rob.get(uid).is_some());
+        self.pending_loads.retain(|&uid| self.rob.get(uid).is_some());
     }
 
     // ---- execute (memory scheduling) ----
@@ -714,13 +716,9 @@ impl Pipeline {
     fn execute(&mut self, mem: &mut MemoryHierarchy) {
         let mut still = Vec::new();
         let pending = std::mem::take(&mut self.pending_loads);
-        for (ready, uid) in pending {
-            if ready > self.cycle {
-                still.push((ready, uid));
-                continue;
-            }
+        for uid in pending {
             match self.lsq.load_action(uid) {
-                LoadAction::Wait => still.push((ready, uid)),
+                LoadAction::Wait => still.push(uid),
                 LoadAction::Forward => {
                     self.lsq.mark_load_started(uid);
                     self.stats.loads_forwarded += 1;
@@ -769,9 +767,10 @@ impl Pipeline {
             let op = entry.oracle.inst.op;
             self.fus.acquire(op, self.cycle);
             if op.is_load() {
-                // Address generation completes next cycle; the memory access
-                // is scheduled by `execute` once the LSQ permits it.
-                self.pending_loads.push((self.cycle + 1, uid));
+                // Address generation completes next cycle, the first cycle
+                // `execute` sees this load; the memory access is scheduled
+                // there once the LSQ permits it.
+                self.pending_loads.push(uid);
             } else if op.is_store() {
                 // AGU computes the address; the LSQ learns it and younger
                 // loads may now disambiguate. The store is then complete

@@ -64,13 +64,16 @@ impl Error for EmuError {}
 
 /// Functional interpreter for [`Program`]s.
 ///
-/// Executes one instruction per [`step`](Emulator::step), maintaining the
-/// architectural register files and memory. Loops forever if the program
-/// does; callers bound execution with [`run`](Emulator::run) or by counting
-/// steps.
+/// Holds the program's instruction text and a paged memory loaded from its
+/// data segments; the segments themselves are not kept, so an emulator holds
+/// one copy of the data image. Executes one instruction per
+/// [`step`](Emulator::step), maintaining the architectural register files
+/// and memory. Loops forever if the program does; callers bound execution
+/// with [`run`](Emulator::run) or by counting steps.
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    program: Program,
+    /// Instruction text, indexed by pc.
+    insts: Vec<Inst>,
     iregs: [u64; 32],
     fregs: [f64; 32],
     mem: SparseMemory,
@@ -85,7 +88,7 @@ impl Emulator {
     pub fn new(program: &Program) -> Emulator {
         Emulator {
             mem: program.initial_memory(),
-            program: program.clone(),
+            insts: program.insts.clone(),
             iregs: [0; 32],
             fregs: [0.0; 32],
             pc: program.entry,
@@ -135,9 +138,9 @@ impl Emulator {
         self.fregs[r.0 as usize] = value;
     }
 
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        &self.program
+    /// The instruction at `pc`, if it is inside the instruction text.
+    pub fn fetch(&self, pc: u64) -> Option<&Inst> {
+        self.insts.get(pc as usize)
     }
 
     /// Immutable view of memory.
@@ -170,7 +173,7 @@ impl Emulator {
     /// text, which indicates a malformed program.
     pub fn step(&mut self) -> Result<Retired, EmuError> {
         let pc = self.pc;
-        let inst = *self.program.fetch(pc).ok_or(EmuError::PcOutOfRange(pc))?;
+        let inst = *self.fetch(pc).ok_or(EmuError::PcOutOfRange(pc))?;
         let outcome = execute_one(self, pc, &inst);
         if outcome.halt {
             self.halted = true;
@@ -292,8 +295,8 @@ impl ShadowEmulator {
         self.halted
     }
 
-    /// Executes one wrong-path instruction against `base`'s program and
-    /// memory image.
+    /// Executes one wrong-path instruction against `base`'s instruction
+    /// text and memory image.
     ///
     /// # Errors
     ///
@@ -301,7 +304,7 @@ impl ShadowEmulator {
     /// instruction text (the caller stops fetching down the path).
     pub fn step(&mut self, base: &Emulator) -> Result<Retired, EmuError> {
         let pc = self.pc;
-        let inst = *base.program().fetch(pc).ok_or(EmuError::PcOutOfRange(pc))?;
+        let inst = *base.fetch(pc).ok_or(EmuError::PcOutOfRange(pc))?;
         let outcome = {
             let mut view = ShadowView { shadow: self, base };
             execute_one(&mut view, pc, &inst)

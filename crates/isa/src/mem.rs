@@ -34,13 +34,14 @@ impl SparseMemory {
         }
     }
 
+    /// The page holding `addr`, allocated (zeroed) on first touch.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
     /// Writes one byte, allocating the page if needed.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = value;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
     }
 
     /// Reads a little-endian `u64` at `addr` (no alignment requirement).
@@ -65,11 +66,7 @@ impl SparseMemory {
         let off = (addr & PAGE_MASK) as usize;
         let bytes = value.to_le_bytes();
         if off + 8 <= PAGE_SIZE {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + 8].copy_from_slice(&bytes);
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&bytes);
             return;
         }
         for (i, b) in bytes.iter().enumerate() {
@@ -87,10 +84,20 @@ impl SparseMemory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+    /// Copies a byte slice into memory starting at `addr`, a page at a
+    /// time: one page lookup and one block copy per touched page, so
+    /// loading an image costs O(pages), not O(bytes). Addresses wrap past
+    /// `u64::MAX` to 0, and an empty slice allocates no page.
+    pub fn write_bytes(&mut self, mut addr: u64, bytes: &[u8]) {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            // Every chunk but the last fills its page, so the next one
+            // starts at the next page boundary.
+            addr = (addr | PAGE_MASK).wrapping_add(1);
+            rest = tail;
         }
     }
 }

@@ -69,6 +69,19 @@ mod tests {
     }
 
     #[test]
+    fn later_segments_overwrite_earlier_ones() {
+        let p = Program {
+            insts: vec![Inst::bare(Opcode::Halt)],
+            data: vec![(0x0ffc, vec![1; 8]), (0x0ffe, vec![2; 4]), (0x1001, vec![3])],
+            entry: 0,
+        };
+        let mem = p.initial_memory();
+        let bytes: Vec<u8> = (0x0ffc..0x1004).map(|a| mem.read_u8(a)).collect();
+        assert_eq!(bytes, [1, 1, 2, 2, 2, 3, 1, 1]);
+        assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
     fn fetch_bounds() {
         let p = Program { insts: vec![Inst::bare(Opcode::Nop)], data: vec![], entry: 0 };
         assert!(p.fetch(0).is_some());

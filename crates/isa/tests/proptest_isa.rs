@@ -4,37 +4,65 @@
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (128).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use swque_rng::prop::check;
 
 use swque_isa::{disassemble, parse_program, Assembler, Emulator, Opcode, Reg, SparseMemory};
 
 /// SparseMemory agrees with a plain byte map under interleaved u8/u64
-/// reads and writes at arbitrary (including straddling) addresses.
+/// writes and page-chunked `write_bytes` copies at arbitrary (including
+/// page-straddling and `u64::MAX`-wrapping) addresses: word reads across
+/// each written range and the resident page count match the model.
 #[test]
 fn sparse_memory_matches_byte_map() {
+    const PAGE: u64 = 4096;
     check(128, |g| {
-        let ops: Vec<(u64, u64, bool)> =
-            g.vec(1..200, |g| (g.gen_range(0u64..10_000), g.u64(), g.bool()));
+        let ops: Vec<(u8, u64, u64)> = g.vec(1..200, |g| {
+            let kind = g.gen_range(0u8..4);
+            let addr = if kind == 3 && g.bool() {
+                // Within 8 KiB of the top, so long copies wrap to 0.
+                u64::MAX - g.gen_range(0u64..2 * PAGE)
+            } else {
+                g.gen_range(0u64..4 * PAGE)
+            };
+            (kind, addr, g.u64())
+        });
         let mut mem = SparseMemory::new();
         let mut model: HashMap<u64, u8> = HashMap::new();
-        for (addr, value, word) in ops {
-            if word {
-                mem.write_u64(addr, value);
-                for (i, b) in value.to_le_bytes().iter().enumerate() {
-                    model.insert(addr + i as u64, *b);
+        let mut pages: HashSet<u64> = HashSet::new();
+        for (kind, addr, value) in ops {
+            let written: Vec<u8> = match kind {
+                0 => vec![value as u8],
+                1 => value.to_le_bytes().to_vec(),
+                _ => {
+                    // Short copies (empty ones included) half the time.
+                    let max = if g.bool() { 16 } else { 3 * PAGE as usize };
+                    let len = g.gen_range(0..max + 1);
+                    (0..len).map(|i| (value as usize).wrapping_add(i * 131) as u8).collect()
                 }
-            } else {
-                mem.write_u8(addr, value as u8);
-                model.insert(addr, value as u8);
+            };
+            match kind {
+                0 => mem.write_u8(addr, written[0]),
+                1 => mem.write_u64(addr, value),
+                _ => mem.write_bytes(addr, &written),
             }
-            // Check a word read at the write address.
-            let mut expect = [0u8; 8];
-            for (i, e) in expect.iter_mut().enumerate() {
-                *e = model.get(&(addr + i as u64)).copied().unwrap_or(0);
+            for (i, b) in written.iter().enumerate() {
+                model.insert(addr.wrapping_add(i as u64), *b);
+                pages.insert(addr.wrapping_add(i as u64) / PAGE);
             }
-            assert_eq!(mem.read_u64(addr), u64::from_le_bytes(expect));
+            // Word reads at every 8-byte step across the written range
+            // (at least one, at its start) and at its last byte.
+            let last = written.len().saturating_sub(1) as u64;
+            let probes = (0..=last).step_by(8).chain([last]);
+            for at in probes.map(|i| addr.wrapping_add(i)) {
+                let mut expect = [0u8; 8];
+                for (i, e) in expect.iter_mut().enumerate() {
+                    *e = model.get(&at.wrapping_add(i as u64)).copied().unwrap_or(0);
+                }
+                assert_eq!(mem.read_u64(at), u64::from_le_bytes(expect), "word at {at:#x}");
+            }
+            assert_eq!(mem.resident_pages(), pages.len());
         }
     });
 }

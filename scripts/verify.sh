@@ -27,6 +27,23 @@ cargo test -q --offline --workspace
 echo "== docs: cargo doc --no-deps --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+echo "== benchmark: swque_benchmark builds, its tests pass, an mlp_stall run is correct"
+# swque_benchmark is a package of its own (an empty [workspace] table), so
+# --workspace above never compiles it, and an API change in a crate it
+# measures could break it unnoticed. It builds under target/, so nothing is
+# written beside its sources.
+bench_manifest=crates/bench/src/bin/swque_benchmark/Cargo.toml
+CARGO_TARGET_DIR=target/swque_benchmark \
+    cargo build --release --offline -q --manifest-path "$bench_manifest"
+CARGO_TARGET_DIR=target/swque_benchmark \
+    cargo test --offline -q --manifest-path "$bench_manifest"
+bench_last="$(./target/swque_benchmark/release/swque_benchmark --workload mlp_stall \
+    --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+case "$bench_last" in
+    '{"correct":true,'*'"failed":0,'*) ;;
+    *) echo "error: swque_benchmark mlp_stall smoke failed: $bench_last" >&2; exit 1 ;;
+esac
+
 echo "== lint: swque-lint --workspace (any unsuppressed finding fails)"
 json_tmp="$(mktemp -d)"
 trap 'rm -rf "$json_tmp"' EXIT

@@ -1,58 +1,5 @@
-//! Ablations of SWQUE's design choices, each tied to a claim the paper
-//! makes in prose:
-//!
-//! * §3.2.2: "This AGE-favoring policy achieves better performance than
-//!   the CIRC-favoring policy" — toggle `SwqueParams::age_favoring`.
-//! * §3.2.3: the instability counter exists to stop mode oscillation —
-//!   toggle `SwqueParams::stabilize`.
-//! * Table 3's switch interval (10k instructions) — sweep it.
-//! * The FLPI region size (unspecified in the paper) — sweep the fraction.
-
-use swque_bench::{geomean, harness, Report, Table};
-use swque_core::IqKind;
-use swque_cpu::{Core, CoreConfig};
-use swque_workloads::suite;
-
-fn run_suite_with(configure: &dyn Fn(&mut CoreConfig)) -> f64 {
-    let mut ratios = Vec::new();
-    for kernel in suite::all() {
-        let program = kernel.build();
-        let mut config = CoreConfig::medium();
-        configure(&mut config);
-        let mut core = Core::new(config, IqKind::Swque, &program);
-        let warm = core.run(harness::default_warmup());
-        let r = core.run(harness::default_warmup() + harness::default_insts()).delta(&warm);
-        ratios.push(r.ipc());
-    }
-    geomean(&ratios)
-}
+//! Ablations of the SWQUE design choices the paper argues for in prose.
 
 fn main() {
-    let baseline = run_suite_with(&|_| {});
-    let mut t = Table::new(["ablation", "GM IPC", "vs default"]);
-    let mut row = |name: &str, ipc: f64| {
-        println!("  measured: {name}");
-        t.row([name.to_string(), format!("{ipc:.3}"), format!("{:+.1}%", (ipc / baseline - 1.0) * 100.0)]);
-    };
-    row("default (Table 3, AGE-favoring, stabilized)", baseline);
-
-    let circ_favoring = run_suite_with(&|c| c.iq.swque.age_favoring = false);
-    row("CIRC-favoring disagreement policy (§3.2.2)", circ_favoring);
-
-    let unstabilized = run_suite_with(&|c| c.iq.swque.stabilize = false);
-    row("no instability counter (§3.2.3)", unstabilized);
-
-    for interval in [2_000u64, 50_000] {
-        let v = run_suite_with(&|c| c.iq.swque.interval_insts = interval);
-        row(&format!("switch interval = {interval} insts"), v);
-    }
-
-    for frac in [0.25f64, 0.125] {
-        let v = run_suite_with(&|c| c.iq.flpi_region_frac = frac);
-        row(&format!("FLPI region = {frac} of the queue"), v);
-    }
-
-    println!("\nAblations of SWQUE design choices (suite GM IPC, medium model)\n");
-    println!("{t}");
-    Report::new("ablations").add_table("ablations", &t).finish();
+    swque_bench::experiments::shim("ablations", &swque_bench::Budget::from_env());
 }

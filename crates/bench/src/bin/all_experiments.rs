@@ -1,44 +1,34 @@
-//! Runs every paper experiment in sequence (the full evaluation of
-//! Section 4). Output is EXPERIMENTS.md-ready plain text.
-//!
-//! Budget knobs: `SWQUE_INSTS` (measured instructions per run, default
-//! 400k) and `SWQUE_WARMUP` (warmup instructions, default 300k).
+//! Runs the paper's whole evaluation (Section 4) in one process: the
+//! `swque_bench::experiments::EVALUATION` entries share one run, in which
+//! each distinct simulation unit runs once. Output is EXPERIMENTS.md-ready
+//! plain text.
 //!
 //! With `SWQUE_JSON=<dir>` set, the value is treated as a *directory*
-//! (created if missing) and every child experiment writes its structured
-//! report to `<dir>/BENCH_<experiment>.json` — one `swque-bench-v1`
-//! document per figure/table, ready for downstream tooling.
+//! (created if missing) and every entry writes its structured report to
+//! `<dir>/BENCH_<experiment>.json` — one `swque-bench-v1` document per
+//! figure/table, ready for downstream tooling.
 
-use std::process::Command;
+use swque_bench::{default_workers, experiments, json_path, Budget};
+use swque_workloads::suite;
 
 fn main() {
-    let exe_dir = std::env::current_exe()
-        .expect("own path")
-        .parent()
-        .expect("bin dir")
-        .to_path_buf();
-    let json_dir = swque_bench::json_path();
+    let budget = Budget::from_env();
+    let json_dir = json_path();
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("SWQUE_JSON: cannot create {}: {e}", dir.display()));
     }
-    let experiments = [
-        "tables", "fig08", "fig09", "fig10", "fig10_timeline", "fig11", "fig12", "fig13",
-        "fig14", "tab06", "sec47", "sec48",
-    ];
-    for exp in experiments {
+    let entries: Vec<_> = experiments::EVALUATION.iter().collect();
+    let kernels = suite::all();
+    let outputs = experiments::run(&entries, &kernels, &budget, default_workers(kernels.len()));
+    for (entry, out) in entries.iter().zip(&outputs) {
         println!("\n=============================================================");
-        println!("== {exp}");
+        println!("== {}", entry.name);
         println!("=============================================================\n");
-        let mut cmd = Command::new(exe_dir.join(exp));
-        match &json_dir {
-            Some(dir) => cmd.env("SWQUE_JSON", dir.join(format!("BENCH_{exp}.json"))),
-            // Children must not misread the (empty/absent) variable as a
-            // file path of their own.
-            None => cmd.env_remove("SWQUE_JSON"),
-        };
-        let status = cmd.status().unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
-        assert!(status.success(), "{exp} failed");
+        print!("{}", out.text);
+        if let Some(dir) = &json_dir {
+            out.report.write(&dir.join(format!("BENCH_{}.json", entry.name)));
+        }
     }
     if let Some(dir) = &json_dir {
         println!("\nStructured reports written to {}/BENCH_*.json", dir.display());

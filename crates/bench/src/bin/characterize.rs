@@ -1,48 +1,5 @@
-//! Workload characterization: instruction mix, branch behaviour, and
-//! memory behaviour of every suite kernel — the numbers that justify each
-//! kernel's m-ILP / r-ILP / MLP class assignment.
-
-use swque_bench::{run_kernel, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_isa::{Emulator, FuClass};
-use swque_workloads::suite;
+//! Instruction mix, branch and memory behaviour of every suite kernel.
 
 fn main() {
-    let mut t = Table::new([
-        "kernel", "class", "iALU%", "mul%", "ld/st%", "FP%", "br%", "mispred%", "MPKI", "IPC(AGE)",
-    ]);
-    for kernel in suite::all() {
-        // Instruction mix from a functional run.
-        let program = kernel.build_scaled(300);
-        let mut emu = Emulator::new(&program);
-        let mut mix = [0u64; 4];
-        let mut branches = 0u64;
-        let mut total = 0u64;
-        while !emu.halted() && total < 60_000 {
-            let r = emu.step().expect("well-formed kernel");
-            mix[r.inst.op.fu_class().index()] += 1;
-            branches += r.inst.op.is_control() as u64;
-            total += 1;
-        }
-        // Timing behaviour from a measured run.
-        let r = run_kernel(&kernel, &RunSpec::medium(IqKind::Age));
-        let pct = |c: FuClass| 100.0 * mix[c.index()] as f64 / total as f64;
-        t.row([
-            kernel.name.to_string(),
-            kernel.class.to_string(),
-            format!("{:.0}", pct(FuClass::IntAlu)),
-            format!("{:.0}", pct(FuClass::IntMulDiv)),
-            format!("{:.0}", pct(FuClass::LdSt)),
-            format!("{:.0}", pct(FuClass::Fpu)),
-            format!("{:.1}", 100.0 * branches as f64 / total as f64),
-            format!("{:.1}", r.branch.mispredict_rate() * 100.0),
-            format!("{:.2}", r.mpki()),
-            format!("{:.2}", r.ipc()),
-        ]);
-    }
-    println!("Suite characterization (mix from functional runs; timing on AGE)\n");
-    println!("{t}");
-    Report::new("characterize").add_table("characterization", &t).finish();
-    println!("\n(m-ILP kernels: load-heavy, sub-1 MPKI, branchy with real mispredicts;");
-    println!(" MLP kernels: tens of MPKI; r-ILP kernels: FP-dominated, high IPC)");
+    swque_bench::experiments::shim("characterize", &swque_bench::Budget::from_env());
 }

@@ -190,7 +190,7 @@ fn check_sweep_unit(unit: &Json, path: &str) -> Result<(), String> {
 fn check_unit_key(doc: &Json, path: &str) -> Result<(), String> {
     let key = doc.get("unit_key").and_then(Json::as_str).unwrap_or("");
     let unit = doc.get("unit").ok_or_else(|| format!("{path}.unit: missing"))?;
-    let expect = format!("{:016x}", swque_bench::sweep::fnv1a64(unit.to_string().as_bytes()));
+    let expect = format!("{:016x}", swque_core::fnv1a64(unit.to_string().as_bytes()));
     if key != expect {
         return Err(format!(
             "{path}.unit_key: {key:?} does not match the unit's content hash {expect:?}"
@@ -450,11 +450,12 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swque_bench::{Report, Table};
+    use swque_bench::{Budget, Report, Table};
 
     /// A schema-valid report via the real writer.
     fn valid_doc() -> Json {
-        let mut report = Report::new("unit");
+        let budget = Budget { warmup_insts: 1_000, max_insts: 4_000, scale: None };
+        let mut report = Report::new("unit", &budget);
         let mut table = Table::new(["a", "b"]);
         table.row(["1".to_string(), "2".to_string()]);
         report.add_table("t", &table);
@@ -606,7 +607,7 @@ mod tests {
         ]);
         let key = format!(
             "{:016x}",
-            swque_bench::sweep::fnv1a64(unit.to_string().as_bytes())
+            swque_core::fnv1a64(unit.to_string().as_bytes())
         );
         Json::obj([
             ("schema", Json::from(SHARD_SCHEMA)),

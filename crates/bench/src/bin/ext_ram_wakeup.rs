@@ -1,63 +1,5 @@
-//! Extension experiment (the paper's §2.1 future work): what would SWQUE's
-//! circuit costs look like over a RAM-type wakeup (IBM POWER8 style)
-//! instead of the paper's CAM-type wakeup?
-//!
-//! Behaviourally the two styles schedule identically (both implement
-//! precise wakeup), so IPC results carry over; the difference is circuit
-//! cost: the dependency matrix trades quadratic area for cheaper
-//! broadcasts. This binary quantifies that trade with the same area/energy
-//! models used for the paper's figures.
-
-use swque_bench::{run_kernel, Report, RunSpec, Table};
-use swque_circuit::area::areas;
-use swque_circuit::energy::iq_energy;
-use swque_circuit::{IqGeometry, WakeupStyle};
-use swque_core::IqKind;
-use swque_workloads::suite;
+//! Extension (the paper's §2.1 future work): SWQUE over a RAM-type wakeup.
 
 fn main() {
-    let cam = IqGeometry::medium();
-    let ram = IqGeometry { wakeup: WakeupStyle::Ram, ..IqGeometry::medium() };
-
-    let mut t = Table::new(["metric", "CAM wakeup (paper)", "RAM wakeup (future work)"]);
-    let (a_cam, a_ram) = (areas(&cam), areas(&ram));
-    t.row([
-        "wakeup structure area (Mlambda^2)".to_string(),
-        format!("{:.1}", a_cam.wakeup / 1e6),
-        format!("{:.1}", a_ram.wakeup / 1e6),
-    ]);
-    t.row([
-        "SWQUE area overhead vs baseline IQ".to_string(),
-        format!("{:.1}%", a_cam.overhead_fraction() * 100.0),
-        format!("{:.1}%", a_ram.overhead_fraction() * 100.0),
-    ]);
-
-    // Energy on a representative moderate-ILP run (the mode where the
-    // SWQUE-specific machinery is busiest).
-    let kernel = suite::by_name("deepsjeng_like").expect("kernel");
-    let r = run_kernel(&kernel, &RunSpec::medium(IqKind::Swque));
-    let e_cam = iq_energy(&r, &cam, true);
-    let e_ram = iq_energy(&r, &ram, true);
-    t.row([
-        "IQ energy (deepsjeng_like run, EU)".to_string(),
-        format!("{:.0}", e_cam.total()),
-        format!("{:.0}", e_ram.total()),
-    ]);
-    t.row([
-        "  of which dynamic".to_string(),
-        format!("{:.0}", e_cam.dynamic_basic + e_cam.dynamic_swque),
-        format!("{:.0}", e_ram.dynamic_basic + e_ram.dynamic_swque),
-    ]);
-    t.row([
-        "  of which static".to_string(),
-        format!("{:.0}", e_cam.static_basic + e_cam.static_swque),
-        format!("{:.0}", e_ram.static_basic + e_ram.static_swque),
-    ]);
-
-    println!("Extension: SWQUE over a RAM-type wakeup (paper §2.1 future work)\n");
-    println!("{t}");
-    Report::new("ext_ram_wakeup").add_table("ram_wakeup", &t).finish();
-    println!("\n(The dependency matrix enlarges the wakeup structure — which also");
-    println!(" shrinks SWQUE's *relative* overhead — while cutting broadcast energy.");
-    println!(" Scheduling behaviour, and therefore every IPC result, is unchanged.)");
+    swque_bench::experiments::shim("ext_ram_wakeup", &swque_bench::Budget::from_env());
 }

@@ -1,42 +1,5 @@
-//! Extension experiment (beyond the paper): how does the rearranging
-//! random queue of Sakai et al. — the related-work §5 scheme that protects
-//! *multiple* oldest instructions — compare against AGE and SWQUE?
-
-use swque_bench::{geomean, run_suite, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_workloads::Category;
+//! Extension: the rearranging random queue of Sakai et al. (§5) vs AGE and SWQUE.
 
 fn main() {
-    let kinds = [IqKind::Age, IqKind::Rearrange, IqKind::Swque, IqKind::Shift];
-    let specs: Vec<RunSpec> = kinds.iter().map(|&k| RunSpec::medium(k)).collect();
-    let rows = run_suite(&specs);
-
-    let mut table = Table::new(["program", "class", "REARRANGE/AGE", "SWQUE/AGE", "SHIFT/AGE"]);
-    let mut gms = [[Vec::new(), Vec::new(), Vec::new()], [Vec::new(), Vec::new(), Vec::new()]];
-    for row in &rows {
-        let age = row.results[0].ipc();
-        let cat = (row.kernel.category == Category::Fp) as usize;
-        let mut cells = vec![row.kernel.name.to_string(), row.kernel.class.to_string()];
-        for (i, r) in row.results.iter().enumerate().skip(1) {
-            let ratio = r.ipc() / age;
-            gms[cat][i - 1].push(ratio);
-            cells.push(format!("{:+.1}%", (ratio - 1.0) * 100.0));
-        }
-        table.row(cells);
-    }
-    for (cat, label) in [(0usize, "GM int"), (1, "GM fp")] {
-        table.row([
-            label.to_string(),
-            String::new(),
-            format!("{:+.1}%", (geomean(&gms[cat][0]) - 1.0) * 100.0),
-            format!("{:+.1}%", (geomean(&gms[cat][1]) - 1.0) * 100.0),
-            format!("{:+.1}%", (geomean(&gms[cat][2]) - 1.0) * 100.0),
-        ]);
-    }
-    println!("Extension: rearranging random queue (Sakai et al.) vs AGE vs SWQUE");
-    println!("(multiple-oldest protection recovers part of RAND's priority loss");
-    println!(" with full capacity efficiency, but cannot reach SWQUE's CIRC-PC");
-    println!(" phases — consistent with the paper's related-work discussion)\n");
-    println!("{table}");
-    Report::new("ext_rearrange").add_table("rearrange", &table).finish();
+    swque_bench::experiments::shim("ext_rearrange", &swque_bench::Budget::from_env());
 }

@@ -1,32 +1,5 @@
-//! Figure 8: IPC degradation relative to SHIFT for CIRC, RAND, AGE and
-//! SWQUE (geometric mean over the INT and FP suites, medium model).
-
-use swque_bench::{geomean, run_suite, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_workloads::Category;
+//! Figure 8: IPC degradation of CIRC, RAND, AGE and SWQUE relative to SHIFT.
 
 fn main() {
-    let kinds = [IqKind::Shift, IqKind::Circ, IqKind::Rand, IqKind::Age, IqKind::Swque];
-    let specs: Vec<RunSpec> = kinds.iter().map(|&k| RunSpec::medium(k)).collect();
-    let rows = run_suite(&specs);
-
-    let mut table = Table::new(["IQ", "GM int degradation", "GM fp degradation"]);
-    for (i, kind) in kinds.iter().enumerate().skip(1) {
-        let mut cells = vec![kind.label().to_string()];
-        for cat in [Category::Int, Category::Fp] {
-            let ratios: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.kernel.category == cat)
-                .map(|r| r.results[i].ipc() / r.results[0].ipc())
-                .collect();
-            let degradation = (1.0 - geomean(&ratios)) * 100.0;
-            cells.push(format!("{degradation:.1}%"));
-        }
-        table.row(cells);
-    }
-    println!("Figure 8: performance degradation relative to SHIFT (medium model)");
-    println!("(longer = worse; the paper reports >10% for CIRC/RAND, ~8% AGE-INT,");
-    println!(" and SWQUE within 0.8% (INT) / 2.4% (FP) of SHIFT)\n");
-    println!("{table}");
-    Report::new("fig08").add_table("degradation", &table).finish();
+    swque_bench::experiments::shim("fig08", &swque_bench::Budget::from_env());
 }

@@ -1,69 +1,5 @@
-//! Figure 9: per-program speedup of SWQUE over AGE, for the medium
-//! (default) and large processor models, with the paper's m-ILP / r-ILP /
-//! MLP class annotations.
-//!
-//! With `SWQUE_JSON=<file>` set, the run is traced and the report carries
-//! typed per-program rows (`rows`) plus the SWQUE medium-model trace
-//! digests (`traces`: per-interval mode residency, schema
-//! `swque-trace-v1`).
-
-use swque_bench::{geomean, json_path, run_suite, run_suite_traced, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_trace::Json;
-use swque_workloads::Category;
+//! Figure 9: per-program SWQUE speedup over AGE, medium and large models.
 
 fn main() {
-    let specs = vec![
-        RunSpec::medium(IqKind::Age),
-        RunSpec::medium(IqKind::Swque),
-        RunSpec::large(IqKind::Age),
-        RunSpec::large(IqKind::Swque),
-    ];
-    let json = json_path().is_some();
-    let rows = if json { run_suite_traced(&specs) } else { run_suite(&specs) };
-
-    let mut report = Report::new("fig09");
-    let mut table = Table::new(["program", "class", "speedup (medium)", "speedup (large)"]);
-    let mut gm = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]]; // [cat][model]
-    for row in &rows {
-        let medium = row.results[1].ipc() / row.results[0].ipc();
-        let large = row.results[3].ipc() / row.results[2].ipc();
-        let cat = (row.kernel.category == Category::Fp) as usize;
-        gm[cat][0].push(medium);
-        gm[cat][1].push(large);
-        table.row([
-            row.kernel.name.to_string(),
-            row.kernel.class.to_string(),
-            format!("{:+.1}%", (medium - 1.0) * 100.0),
-            format!("{:+.1}%", (large - 1.0) * 100.0),
-        ]);
-        if json {
-            report.push_row(Json::obj([
-                ("program", Json::from(row.kernel.name)),
-                ("class", Json::from(row.kernel.class.to_string())),
-                ("ipc_age_medium", Json::from(row.results[0].ipc())),
-                ("ipc_swque_medium", Json::from(row.results[1].ipc())),
-                ("ipc_age_large", Json::from(row.results[2].ipc())),
-                ("ipc_swque_large", Json::from(row.results[3].ipc())),
-                ("speedup_medium", Json::from(medium)),
-                ("speedup_large", Json::from(large)),
-            ]));
-            // The SWQUE medium-model run (spec index 1) carries the
-            // interval series the figure's narrative is about.
-            report.push_trace(row.kernel.name, &row.traces[1]);
-        }
-    }
-    for (cat, label) in [(0, "GM int"), (1, "GM fp")] {
-        table.row([
-            label.to_string(),
-            String::new(),
-            format!("{:+.1}%", (geomean(&gm[cat][0]) - 1.0) * 100.0),
-            format!("{:+.1}%", (geomean(&gm[cat][1]) - 1.0) * 100.0),
-        ]);
-    }
-    println!("Figure 9: SWQUE speedup over AGE (medium and large models)");
-    println!("(paper averages: +9.7% INT / +2.9% FP medium; +13.4% / +4.0% large)\n");
-    println!("{table}");
-    report.add_table("speedup", &table);
-    report.finish();
+    swque_bench::experiments::shim("fig09", &swque_bench::Budget::from_env());
 }

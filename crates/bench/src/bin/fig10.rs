@@ -1,45 +1,5 @@
-//! Figure 10: breakdown of SWQUE's execution cycles by mode (CIRC-PC vs
-//! AGE) for every program (medium model).
-//!
-//! With `SWQUE_JSON=<file>` set, the run is traced and the report carries
-//! typed per-program rows plus the interval-level trace digests; the
-//! `fig10_timeline` binary renders the same data as a time series.
-
-use swque_bench::{json_path, run_suite, run_suite_traced, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_trace::Json;
+//! Figure 10: SWQUE's execution cycles by mode (CIRC-PC vs AGE), per program.
 
 fn main() {
-    let json = json_path().is_some();
-    let specs = [RunSpec::medium(IqKind::Swque)];
-    let rows = if json { run_suite_traced(&specs) } else { run_suite(&specs) };
-    let mut report = Report::new("fig10");
-    let mut table =
-        Table::new(["program", "class", "CIRC-PC cycles", "AGE cycles", "switches"]);
-    for row in &rows {
-        let sw = row.results[0].swque.expect("SWQUE reports mode stats");
-        let frac = sw.circ_pc_fraction();
-        table.row([
-            row.kernel.name.to_string(),
-            row.kernel.class.to_string(),
-            format!("{:5.1}%", frac * 100.0),
-            format!("{:5.1}%", (1.0 - frac) * 100.0),
-            format!("{}", sw.switches),
-        ]);
-        if json {
-            report.push_row(Json::obj([
-                ("program", Json::from(row.kernel.name)),
-                ("class", Json::from(row.kernel.class.to_string())),
-                ("circ_pc_fraction", Json::from(frac)),
-                ("switches", Json::from(sw.switches)),
-                ("intervals", Json::from(sw.intervals)),
-            ]));
-            report.push_trace(row.kernel.name, &row.traces[0]);
-        }
-    }
-    println!("Figure 10: execution-cycle breakdown by SWQUE mode (medium model)");
-    println!("(paper: m-ILP programs run mostly as CIRC-PC; r-ILP and MLP as AGE)\n");
-    println!("{table}");
-    report.add_table("mode_breakdown", &table);
-    report.finish();
+    swque_bench::experiments::shim("fig10", &swque_bench::Budget::from_env());
 }

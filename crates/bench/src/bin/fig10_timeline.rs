@@ -1,75 +1,5 @@
-//! Figure 10 as a *time series*: per-program mode-residency timelines
-//! built from the trace events the observability layer records, rather
-//! than from end-of-run aggregate counters.
-//!
-//! Each program prints one strip — one character per controller interval,
-//! `C` = CIRC-PC, `A` = AGE, `|` marking interval decisions that requested
-//! a switch — plus the per-interval IPC range, so the phase behaviour the
-//! paper's Figure 10 summarizes is visible cycle-stamped. With
-//! `SWQUE_JSON=<file>` set, the full interval series is serialized.
-
-use swque_bench::{run_suite_traced, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_trace::Json;
-
-/// Widest strip printed before the timeline is downsampled (terminal
-/// width, roughly). Downsampling keeps every switch boundary visible: a
-/// bucket renders as the mode the majority of its intervals ran in.
-const STRIP_WIDTH: usize = 96;
-
-fn render_strip(strip: &str) -> String {
-    if strip.len() <= STRIP_WIDTH {
-        return strip.to_string();
-    }
-    let chars: Vec<char> = strip.chars().collect();
-    (0..STRIP_WIDTH)
-        .map(|b| {
-            let lo = b * chars.len() / STRIP_WIDTH;
-            let hi = ((b + 1) * chars.len() / STRIP_WIDTH).max(lo + 1);
-            let circ = chars[lo..hi].iter().filter(|&&c| c == 'C').count();
-            if circ * 2 >= hi - lo {
-                'C'
-            } else {
-                'A'
-            }
-        })
-        .collect()
-}
+//! Figure 10 as a time series: per-interval SWQUE mode strips from trace events.
 
 fn main() {
-    let rows = run_suite_traced(&[RunSpec::medium(IqKind::Swque)]);
-    let mut report = Report::new("fig10_timeline");
-    let mut table = Table::new(["program", "intervals", "switches", "CIRC-PC", "IPC range"]);
-    println!("Figure 10 (timeline): SWQUE mode residency per controller interval");
-    println!("(one char per 10k-instruction interval: C = CIRC-PC, A = AGE)\n");
-    for row in &rows {
-        let t = &row.traces[0];
-        let strip = t.mode_strip();
-        let ipc_lo = t.ipc.iter().map(|s| s.ipc).fold(f64::INFINITY, f64::min);
-        let ipc_hi = t.ipc.iter().map(|s| s.ipc).fold(0.0, f64::max);
-        let ipc_range = if t.ipc.is_empty() {
-            "-".to_string()
-        } else {
-            format!("{ipc_lo:.2}-{ipc_hi:.2}")
-        };
-        println!("{:>16} [{}]", row.kernel.name, render_strip(&strip));
-        table.row([
-            row.kernel.name.to_string(),
-            t.intervals.len().to_string(),
-            t.switches.to_string(),
-            format!("{:5.1}%", t.circ_pc_fraction() * 100.0),
-            ipc_range.clone(),
-        ]);
-        report.push_row(Json::obj([
-            ("program", Json::from(row.kernel.name)),
-            ("intervals", Json::from(t.intervals.len())),
-            ("switches", Json::from(t.switches)),
-            ("circ_pc_fraction", Json::from(t.circ_pc_fraction())),
-            ("mode_strip", Json::from(strip)),
-        ]));
-        report.push_trace(row.kernel.name, t);
-    }
-    println!("\n{table}");
-    report.add_table("timeline", &table);
-    report.finish();
+    swque_bench::experiments::shim("fig10_timeline", &swque_bench::Budget::from_env());
 }

@@ -1,34 +1,5 @@
-//! Figure 11: IPC degradation relative to SHIFT for the circular-queue
-//! variants CIRC-CONV, CIRC-PPRI (idealized perfect priority), and CIRC-PC
-//! (the paper's realizable priority correction).
-
-use swque_bench::{geomean, run_suite, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_workloads::Category;
+//! Figure 11: degradation vs SHIFT of CIRC-CONV, CIRC-PPRI and CIRC-PC.
 
 fn main() {
-    let kinds = [IqKind::Shift, IqKind::Circ, IqKind::CircPpri, IqKind::CircPc];
-    let specs: Vec<RunSpec> = kinds.iter().map(|&k| RunSpec::medium(k)).collect();
-    let rows = run_suite(&specs);
-
-    let mut table = Table::new(["IQ", "GM int degradation", "GM fp degradation"]);
-    let labels = ["CIRC-CONV", "CIRC-PPRI", "CIRC-PC"];
-    for (i, label) in labels.iter().enumerate() {
-        let mut cells = vec![label.to_string()];
-        for cat in [Category::Int, Category::Fp] {
-            let ratios: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.kernel.category == cat)
-                .map(|r| r.results[i + 1].ipc() / r.results[0].ipc())
-                .collect();
-            cells.push(format!("{:.1}%", (1.0 - geomean(&ratios)) * 100.0));
-        }
-        table.row(cells);
-    }
-    println!("Figure 11: degradation vs SHIFT for circular-queue variants (medium)");
-    println!("(paper: CIRC-PC is nearly identical to the idealized CIRC-PPRI —");
-    println!(" the two-cycle RV issue path costs ~1.1% because ready wrapped");
-    println!(" instructions are latency-tolerant)\n");
-    println!("{table}");
-    Report::new("fig11").add_table("degradation", &table).finish();
+    swque_bench::experiments::shim("fig11", &swque_bench::Budget::from_env());
 }

@@ -1,60 +1,5 @@
-//! Figure 12: IQ energy consumption of SWQUE relative to the idealized
-//! shifting queue (I-SHIFT), split into static/dynamic × basic/SWQUE-
-//! specific, aggregated over the whole suite (medium model).
-
-use swque_bench::{run_suite, Report, RunSpec, Table};
-use swque_circuit::energy::{iq_energy, EnergyBreakdown};
-use swque_circuit::IqGeometry;
-use swque_core::IqKind;
+//! Figure 12: IQ energy of SWQUE relative to the idealized shifting queue (I-SHIFT).
 
 fn main() {
-    let specs = vec![RunSpec::medium(IqKind::Shift), RunSpec::medium(IqKind::Swque)];
-    let rows = run_suite(&specs);
-    let g = IqGeometry::medium();
-
-    let mut ishift = EnergyBreakdown::default();
-    let mut swque = EnergyBreakdown::default();
-    for row in &rows {
-        let a = iq_energy(&row.results[0], &g, false);
-        let b = iq_energy(&row.results[1], &g, true);
-        ishift.static_basic += a.static_basic;
-        ishift.dynamic_basic += a.dynamic_basic;
-        swque.static_basic += b.static_basic;
-        swque.dynamic_basic += b.dynamic_basic;
-        swque.static_swque += b.static_swque;
-        swque.dynamic_swque += b.dynamic_swque;
-    }
-
-    let base = ishift.total();
-    let mut table = Table::new(["component", "I-SHIFT", "SWQUE"]);
-    table.row([
-        "static (basic)".to_string(),
-        format!("{:.3}", ishift.static_basic / base),
-        format!("{:.3}", swque.static_basic / base),
-    ]);
-    table.row([
-        "dynamic (basic)".to_string(),
-        format!("{:.3}", ishift.dynamic_basic / base),
-        format!("{:.3}", swque.dynamic_basic / base),
-    ]);
-    table.row([
-        "static (SWQUE-specific)".to_string(),
-        "-".to_string(),
-        format!("{:.4}", swque.static_swque / base),
-    ]);
-    table.row([
-        "dynamic (SWQUE-specific)".to_string(),
-        "-".to_string(),
-        format!("{:.4}", swque.dynamic_swque / base),
-    ]);
-    table.row([
-        "total".to_string(),
-        "1.000".to_string(),
-        format!("{:.3}", swque.relative_to(&ishift)),
-    ]);
-    println!("Figure 12: IQ energy relative to I-SHIFT (suite aggregate, medium)");
-    println!("(paper: SWQUE totals only ~0.5% above I-SHIFT; the SWQUE-specific");
-    println!(" slices are nearly invisible)\n");
-    println!("{table}");
-    Report::new("fig12").add_table("energy", &table).finish();
+    swque_bench::experiments::shim("fig12", &swque_bench::Budget::from_env());
 }

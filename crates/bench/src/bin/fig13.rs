@@ -1,25 +1,5 @@
 //! Figure 13: relative size of each circuit in SWQUE (medium geometry).
 
-use swque_bench::{Report, Table};
-use swque_circuit::area::areas;
-use swque_circuit::IqGeometry;
-
 fn main() {
-    let a = areas(&IqGeometry::medium());
-    let total: f64 = a.figure13_rows().iter().map(|r| r.1).sum();
-    let mut table = Table::new(["circuit", "relative size", "bar"]);
-    for (name, area) in a.figure13_rows() {
-        let frac = area / total;
-        let bar = "#".repeat((frac * 120.0).round() as usize);
-        table.row([name.to_string(), format!("{:5.1}%", frac * 100.0), bar]);
-    }
-    println!("Figure 13: relative size of each circuit in SWQUE (128-entry, 6-wide)");
-    println!("(paper: the age matrix dominates; the tag RAM is small — which is");
-    println!(" why its time-sliced double access fits in a cycle)\n");
-    println!("{table}");
-    Report::new("fig13").add_table("area", &table).finish();
-    println!(
-        "\nSWQUE area overhead vs baseline IQ: {:.1}% (paper: 17%)",
-        a.overhead_fraction() * 100.0
-    );
+    swque_bench::experiments::shim("fig13", &swque_bench::Budget::from_env());
 }

@@ -1,46 +1,5 @@
-//! Figure 14: enhancing AGE with multiple age matrices (§4.9) — average
-//! speedup over single-matrix AGE for SWQUE-1AM, AGE-multiAM and
-//! SWQUE-multiAM, on the medium (7 matrices) and large (9 matrices) models.
-
-use swque_bench::{geomean, run_suite, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_workloads::Category;
+//! Figure 14: SWQUE-1AM, AGE-multiAM and SWQUE-multiAM over single-matrix AGE.
 
 fn main() {
-    let kinds = [IqKind::Age, IqKind::Swque, IqKind::AgeMulti, IqKind::SwqueMulti];
-    let mut specs = Vec::new();
-    for &k in &kinds {
-        specs.push(RunSpec::medium(k));
-    }
-    for &k in &kinds {
-        specs.push(RunSpec::large(k));
-    }
-    let rows = run_suite(&specs);
-
-    let mut table =
-        Table::new(["model", "category", "SWQUE-1AM", "AGE-multiAM", "SWQUE-multiAM"]);
-    for (model, off) in [("medium (7 AM)", 0usize), ("large (9 AM)", 4)] {
-        for cat in [Category::Int, Category::Fp] {
-            let gm = |idx: usize| {
-                let ratios: Vec<f64> = rows
-                    .iter()
-                    .filter(|r| r.kernel.category == cat)
-                    .map(|r| r.results[off + idx].ipc() / r.results[off].ipc())
-                    .collect();
-                (geomean(&ratios) - 1.0) * 100.0
-            };
-            table.row([
-                model.to_string(),
-                format!("{cat}"),
-                format!("{:+.1}%", gm(1)),
-                format!("{:+.1}%", gm(2)),
-                format!("{:+.1}%", gm(3)),
-            ]);
-        }
-    }
-    println!("Figure 14: speedup over single-age-matrix AGE (medium & large)");
-    println!("(paper: AGE-multiAM gains only ~1.4%; SWQUE's INT advantage persists");
-    println!(" because CIRC-PC, not the age matrix, is its speedup source)\n");
-    println!("{table}");
-    Report::new("fig14").add_table("multi_am", &table).finish();
+    swque_bench::experiments::shim("fig14", &swque_bench::Budget::from_env());
 }

@@ -26,8 +26,8 @@
 //! `[neighbor] aggressors=<n> arb_wait_cycles=<w> quota_stall_cycles=<q>`
 //! so the verify gate can assert non-vacuity without parsing tables.
 
-use swque_bench::harness::{default_insts, default_warmup, knob};
-use swque_bench::{Report, Table};
+use swque_bench::harness::knob;
+use swque_bench::{json_path, Budget, Report, Table};
 use swque_core::IqKind;
 use swque_cpu::{CoreConfig, MultiCoreSim, SimResult};
 use swque_mem::SharedMemStats;
@@ -109,8 +109,9 @@ fn run_scenario(aggressors: usize, warmup: u64, insts: u64) -> Scenario {
 }
 
 fn main() {
-    let (warmup, insts) = (default_warmup(), default_insts());
-    let mut report = Report::new("neighbor");
+    let budget = Budget::from_env();
+    let (warmup, insts) = (budget.warmup_insts, budget.max_insts);
+    let mut report = Report::new("neighbor", &budget);
     report.param("measured_kernel", MEASURED);
     report.param("measured_iq", IqKind::Swque.label());
 
@@ -190,5 +191,8 @@ fn main() {
     println!("(shared L2/prefetcher/DRAM; MSHRs statically partitioned across cores)\n");
     println!("{summary}");
     println!("{per_req}");
-    report.add_table("interference", &summary).add_table("per_requester", &per_req).finish();
+    report.add_table("interference", &summary).add_table("per_requester", &per_req);
+    if let Some(path) = json_path() {
+        report.write(&path);
+    }
 }

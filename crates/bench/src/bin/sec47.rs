@@ -1,35 +1,5 @@
-//! Section 4.7: delay analysis — the DTM's contribution to the IQ critical
-//! path and whether the double (time-sliced) tag-RAM access fits in a
-//! cycle.
-
-use swque_bench::{Report, Table};
-use swque_circuit::delay::delays;
-use swque_circuit::IqGeometry;
+//! Section 4.7: delay analysis, the DTM's share of the IQ critical path.
 
 fn main() {
-    let mut t = Table::new([
-        "geometry",
-        "IQ critical path",
-        "double tag access",
-        "payload read",
-        "DTM overhead",
-        "fits?",
-    ]);
-    for (label, g) in [("medium (128/6)", IqGeometry::medium()), ("large (256/8)", IqGeometry::large())]
-    {
-        let d = delays(&g);
-        t.row([
-            label.to_string(),
-            format!("{:.1}", d.critical_path()),
-            format!("{:.0}%", d.double_tag_fraction() * 100.0),
-            format!("{:.0}%", d.payload_fraction() * 100.0),
-            format!("{:.1}%", d.dtm_overhead() * 100.0),
-            if d.double_access_fits() { "yes".into() } else { "NO".to_string() },
-        ]);
-    }
-    println!("Section 4.7: SWQUE delay analysis");
-    println!("(paper at medium geometry: double tag access = 66% of the IQ critical");
-    println!(" path, payload read = 43%, DTM adds 1.3%)\n");
-    println!("{t}");
-    Report::new("sec47").add_table("delay", &t).finish();
+    swque_bench::experiments::shim("sec47", &swque_bench::Budget::from_env());
 }

@@ -1,46 +1,5 @@
-//! Section 4.8: sensitivity of SWQUE to the mode-switch penalty (10 vs 40
-//! cycles) and the measured switch rate per million cycles.
-
-use swque_bench::{geomean, run_kernel, Report, RunSpec, Table};
-use swque_core::IqKind;
-use swque_workloads::suite;
+//! Section 4.8: SWQUE's sensitivity to the mode-switch penalty (10 vs 40 cycles).
 
 fn main() {
-    let mut ratios = Vec::new();
-    let mut switches_per_mcycle = Vec::new();
-    let mut t = Table::new(["program", "IPC (10-cycle)", "IPC (40-cycle)", "delta", "switches/Mcycle"]);
-    for kernel in suite::all() {
-        let base = run_kernel(&kernel, &RunSpec::medium(IqKind::Swque));
-        // 40-cycle penalty variant.
-        let program = kernel.build();
-        let mut config = swque_cpu::CoreConfig::medium();
-        config.iq.swque.switch_penalty = 40;
-        let mut core = swque_cpu::Core::new(config, IqKind::Swque, &program);
-        let warm = core.run(swque_bench::harness::default_warmup());
-        let slow = core
-            .run(swque_bench::harness::default_warmup() + swque_bench::harness::default_insts())
-            .delta(&warm);
-
-        let ratio = slow.ipc() / base.ipc();
-        ratios.push(ratio);
-        let rate = base.swque.map(|s| s.switches).unwrap_or(0) as f64 * 1e6 / base.cycles as f64;
-        switches_per_mcycle.push(rate);
-        t.row([
-            kernel.name.to_string(),
-            format!("{:.3}", base.ipc()),
-            format!("{:.3}", slow.ipc()),
-            format!("{:+.2}%", (ratio - 1.0) * 100.0),
-            format!("{rate:.1}"),
-        ]);
-    }
-    println!("Section 4.8: switch-penalty sensitivity (10 vs 40 cycles)");
-    println!("(paper: only 0.02% average degradation, because transitions occur");
-    println!(" ~8 times per million cycles)\n");
-    Report::new("sec48").add_table("penalty_sensitivity", &t).finish();
-    println!("{t}");
-    println!(
-        "\nGM degradation at 40 cycles: {:+.2}%   mean switch rate: {:.1}/Mcycle",
-        (geomean(&ratios) - 1.0) * 100.0,
-        switches_per_mcycle.iter().sum::<f64>() / switches_per_mcycle.len() as f64
-    );
+    swque_bench::experiments::shim("sec48", &swque_bench::Budget::from_env());
 }

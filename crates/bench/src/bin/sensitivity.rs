@@ -1,39 +1,5 @@
-//! Sensitivity study: how the circuit models scale with IQ size — where
-//! CIRC-PC's time-sliced double tag-RAM access stops fitting in a cycle,
-//! and how the SWQUE area overhead moves.
-
-use swque_bench::{Report, Table};
-use swque_circuit::area::areas;
-use swque_circuit::delay::delays;
-use swque_circuit::IqGeometry;
+//! Circuit-model scaling with IQ size: where the double tag access stops fitting.
 
 fn main() {
-    let mut t = Table::new([
-        "IQ entries",
-        "critical path",
-        "double tag access",
-        "payload",
-        "DTM",
-        "area overhead",
-        "fits?",
-    ]);
-    for entries in [32usize, 64, 128, 192, 256, 384, 512] {
-        let g = IqGeometry::with_entries(entries);
-        let d = delays(&g);
-        let a = areas(&g);
-        t.row([
-            entries.to_string(),
-            format!("{:.0}", d.critical_path()),
-            format!("{:.0}%", d.double_tag_fraction() * 100.0),
-            format!("{:.0}%", d.payload_fraction() * 100.0),
-            format!("{:.1}%", d.dtm_overhead() * 100.0),
-            format!("{:.1}%", a.overhead_fraction() * 100.0),
-            if d.double_access_fits() { "yes".into() } else { "NO".to_string() },
-        ]);
-    }
-    println!("Sensitivity: circuit scaling with IQ size (medium issue width)");
-    println!("(the paper's design point is 128 entries; the double tag access");
-    println!(" has large margin there and the trend shows where it would not)\n");
-    println!("{t}");
-    Report::new("sensitivity").add_table("circuit_scaling", &t).finish();
+    swque_bench::experiments::shim("sensitivity", &swque_bench::Budget::from_env());
 }

@@ -1,62 +1,5 @@
-//! Table 6: SWQUE's additional cost and the cost-neutral comparison —
-//! giving AGE the same extra area as 17% more entries (150) instead.
-
-use swque_bench::{geomean, run_suite, Report, RunSpec, Table};
-use swque_circuit::area::cost_summary;
-use swque_circuit::IqGeometry;
-use swque_core::IqKind;
-use swque_workloads::Category;
+//! Table 6: SWQUE's added cost, and AGE given the same area as 150 entries instead.
 
 fn main() {
-    // Cost rows from the area model.
-    let cost = cost_summary(&IqGeometry::medium());
-    let mut t = Table::new(["row", "value"]);
-    t.row(["additional area (14nm)", &format!("{:.4} mm^2", cost.additional_mm2)]);
-    t.row(["vs. Skylake core", &format!("{:.3}%", cost.vs_core * 100.0)]);
-    t.row(["vs. Skylake chip", &format!("{:.3}%", cost.vs_chip * 100.0)]);
-
-    // Cost-neutral performance: AGE with 150 entries vs SWQUE with 128,
-    // both against the 128-entry AGE baseline.
-    let specs = vec![
-        RunSpec::medium(IqKind::Age),   // baseline 128
-        RunSpec::medium(IqKind::Swque), // SWQUE 128
-    ];
-    let rows = run_suite(&specs);
-    // The 150-entry AGE needs a custom config; run it per kernel.
-    let mut ratios_swque = [Vec::new(), Vec::new()];
-    let mut ratios_age150 = [Vec::new(), Vec::new()];
-    for row in &rows {
-        let cat = (row.kernel.category == Category::Fp) as usize;
-        ratios_swque[cat].push(row.results[1].ipc() / row.results[0].ipc());
-        let mut config = swque_cpu::CoreConfig::medium();
-        config.iq.capacity = 150;
-        let program = row.kernel.build();
-        let mut core = swque_cpu::Core::new(config, IqKind::Age, &program);
-        let warm = core.run(swque_bench::harness::default_warmup());
-        let r = core
-            .run(swque_bench::harness::default_warmup() + swque_bench::harness::default_insts())
-            .delta(&warm);
-        ratios_age150[cat].push(r.ipc() / row.results[0].ipc());
-    }
-    t.row([
-        "perf: SWQUE (128 entries) over baseline AGE".to_string(),
-        format!(
-            "{:+.1}% (INT), {:+.1}% (FP)",
-            (geomean(&ratios_swque[0]) - 1.0) * 100.0,
-            (geomean(&ratios_swque[1]) - 1.0) * 100.0
-        ),
-    ]);
-    t.row([
-        "perf: AGE (150 entries) over baseline AGE".to_string(),
-        format!(
-            "{:+.1}% (INT), {:+.1}% (FP)",
-            (geomean(&ratios_age150[0]) - 1.0) * 100.0,
-            (geomean(&ratios_age150[1]) - 1.0) * 100.0
-        ),
-    ]);
-    println!("Table 6: additional costs and cost-neutral performance comparison");
-    println!("(paper: +9.8%/+3.7% for SWQUE vs -0.6%/-0.1% for simply enlarging AGE —");
-    println!(" spending the area on more entries does not help)\n");
-    Report::new("tab06").add_table("cost", &t).finish();
-    println!("{t}");
+    swque_bench::experiments::shim("tab06", &swque_bench::Budget::from_env());
 }

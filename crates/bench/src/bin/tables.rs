@@ -1,136 +1,6 @@
-//! Tables 2–5: configuration tables (2–4) rendered from the actual config
-//! structs, and the transistor-density comparison (Table 5).
-
-use swque_bench::{Report, Table};
-use swque_circuit::area::density;
-use swque_core::SwqueParams;
-use swque_cpu::CoreConfig;
-
-fn table2(report: &mut Report) {
-    let c = CoreConfig::medium();
-    let mut t = Table::new(["parameter", "value"]);
-    t.row(["Pipeline width", &format!("{}-instruction fetch/decode/issue/commit", c.width)]);
-    t.row(["Reorder buffer", &format!("{} entries", c.rob_entries)]);
-    t.row(["IQ", &format!("{} entries", c.iq.capacity)]);
-    t.row(["Load/store queue", &format!("{} entries", c.lsq_entries)]);
-    t.row(["Physical registers", &format!("{}(int) + {}(fp)", c.phys_int, c.phys_fp)]);
-    t.row([
-        "Branch prediction".to_string(),
-        format!(
-            "{}-bit history {}K-entry PHT gshare, {}K-set {}-way BTB, {}-cycle misprediction penalty",
-            c.predictor.history_bits,
-            c.predictor.pht_entries / 1024,
-            c.predictor.btb_sets / 1024,
-            c.predictor.btb_ways,
-            c.frontend_depth
-        ),
-    ]);
-    t.row([
-        "Function units".to_string(),
-        format!(
-            "{} iALU, {} iMULT/DIV, {} Ld/St, {} FPU",
-            c.fu_counts[0], c.fu_counts[1], c.fu_counts[2], c.fu_counts[3]
-        ),
-    ]);
-    t.row([
-        "L1 I-cache".to_string(),
-        format!("{}KB, {}-way, {}B line", c.mem.l1i.size_bytes >> 10, c.mem.l1i.ways, c.mem.l1i.line_bytes),
-    ]);
-    t.row([
-        "L1 D-cache".to_string(),
-        format!(
-            "{}KB, {}-way, {}B line, 2 ports, {}-cycle hit, non-blocking",
-            c.mem.l1d.size_bytes >> 10, c.mem.l1d.ways, c.mem.l1d.line_bytes, c.mem.l1d.hit_latency
-        ),
-    ]);
-    t.row([
-        "L2 cache".to_string(),
-        format!(
-            "{}MB, {}-way, {}B line, {}-cycle hit",
-            c.mem.l2.size_bytes >> 20, c.mem.l2.ways, c.mem.l2.line_bytes, c.mem.l2.hit_latency
-        ),
-    ]);
-    t.row([
-        "Main memory".to_string(),
-        format!("{}-cycle min latency, {}B/cycle bandwidth", c.mem.dram_latency, c.mem.dram_bytes_per_cycle),
-    ]);
-    let p = c.mem.prefetch.expect("medium model has a prefetcher");
-    t.row([
-        "Data prefetch".to_string(),
-        format!(
-            "stream-based: {}-stream tracked, {}-line distance, {}-line degree, prefetch to L2",
-            p.streams, p.distance, p.degree
-        ),
-    ]);
-    println!("Table 2: base processor configuration\n\n{t}");
-    report.add_table("table2", &t);
-}
-
-fn table3(report: &mut Report) {
-    let p = SwqueParams::default();
-    let mut t = Table::new(["parameter", "value"]);
-    t.row(["Switch interval", &format!("{} instructions", p.interval_insts)]);
-    t.row(["Switch penalty", &format!("{} cycles", p.switch_penalty)]);
-    t.row(["Switch MPKI threshold", &format!("{}", p.mpki_threshold)]);
-    t.row(["FLPI threshold", &format!("{}", p.flpi_threshold)]);
-    t.row(["Instability counter threshold", &format!("{}", p.instability_threshold)]);
-    t.row(["Reduction of FLPI threshold at instability", &format!("{}", p.flpi_reduction)]);
-    t.row(["Instability counter reset interval", &format!("{} instructions", p.reset_interval_insts)]);
-    println!("Table 3: parameters for SWQUE\n\n{t}");
-    report.add_table("table3", &t);
-}
-
-fn table4(report: &mut Report) {
-    let m = CoreConfig::medium();
-    let l = CoreConfig::large();
-    let mut t = Table::new(["parameter", "medium", "large"]);
-    t.row(["Fetch/decode/issue/commit width", &m.width.to_string(), &l.width.to_string()]);
-    t.row(["IQ size", &m.iq.capacity.to_string(), &l.iq.capacity.to_string()]);
-    t.row(["Load/store queue size", &m.lsq_entries.to_string(), &l.lsq_entries.to_string()]);
-    t.row(["Reorder buffer size", &m.rob_entries.to_string(), &l.rob_entries.to_string()]);
-    t.row([
-        "Physical regs (int+fp)".to_string(),
-        format!("{}+{}", m.phys_int, m.phys_fp),
-        format!("{}+{}", l.phys_int, l.phys_fp),
-    ]);
-    t.row(["Number of iALUs", &m.fu_counts[0].to_string(), &l.fu_counts[0].to_string()]);
-    t.row(["Number of FPUs", &m.fu_counts[3].to_string(), &l.fu_counts[3].to_string()]);
-    println!("Table 4: medium/large processor models\n\n{t}");
-    report.add_table("table4", &t);
-}
-
-fn table5(report: &mut Report) {
-    let mut t = Table::new(["design", "circuit", "tr. density (x10^-3 / lambda^2)"]);
-    t.row(["this model", "tag RAM", &format!("{:.3}", density::TAG_RAM)]);
-    t.row(["this model", "wakeup logic", &format!("{:.3}", density::WAKEUP)]);
-    t.row(["this model", "select logic", &format!("{:.3}", density::SELECT)]);
-    t.row(["this model", "age matrix", &format!("{:.3}", density::AGE_MATRIX)]);
-    t.row(["Sun Micro", "512KB L2 cache", &format!("{:.3}", density::REF_L2_CACHE)]);
-    t.row(["Fujitsu", "54-bit FP multiplier", &format!("{:.3}", density::REF_MULTIPLIER)]);
-    t.row(["Intel", "processor (Skylake)", &format!("{:.3}", density::REF_SKYLAKE)]);
-    println!("Table 5: transistor density comparison\n\n{t}");
-    report.add_table("table5", &t);
-    println!("(IQ circuits are sparser than the dense L2 but comparable to or denser");
-    println!(" than logic arrays and the whole Skylake chip — the layout is reasonable)");
-}
+//! Tables 2–5 from the config structs and the density model; `tables table3` prints one.
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let mut report = Report::new("tables");
-    match which.as_str() {
-        "table2" => table2(&mut report),
-        "table3" => table3(&mut report),
-        "table4" => table4(&mut report),
-        "table5" => table5(&mut report),
-        _ => {
-            table2(&mut report);
-            println!();
-            table3(&mut report);
-            println!();
-            table4(&mut report);
-            println!();
-            table5(&mut report);
-        }
-    }
-    report.finish();
+    let part = std::env::args().nth(1);
+    swque_bench::experiments::tables_shim(part.as_deref(), &swque_bench::Budget::from_env());
 }

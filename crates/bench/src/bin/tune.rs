@@ -1,44 +1,5 @@
-//! Development aid: prints per-kernel IPC for every issue-queue scheme so
-//! the workload parameters can be validated against the paper's expected
-//! shape (not itself a paper figure).
-
-use swque_bench::{run_suite, Report, RunSpec, Table};
-use swque_core::IqKind;
+//! Development aid: per-kernel IPC of every issue-queue scheme (not a paper figure).
 
 fn main() {
-    let kinds = [
-        IqKind::Shift,
-        IqKind::Circ,
-        IqKind::CircPpri,
-        IqKind::CircPc,
-        IqKind::Rand,
-        IqKind::Age,
-        IqKind::Swque,
-    ];
-    let specs: Vec<RunSpec> = kinds.iter().map(|&k| RunSpec::medium(k)).collect();
-    let rows = run_suite(&specs);
-
-    let mut header: Vec<String> = vec!["kernel".into(), "class".into()];
-    header.extend(kinds.iter().map(|k| k.label().to_string()));
-    header.push("SWQUE/AGE".into());
-    header.push("%CIRC-PC".into());
-    header.push("MPKI".into());
-    header.push("FLPI".into());
-    let mut t = Table::new(header);
-    for row in &rows {
-        let mut cells = vec![row.kernel.name.to_string(), row.kernel.class.to_string()];
-        for r in &row.results {
-            cells.push(format!("{:.3}", r.ipc()));
-        }
-        let age = row.results[5].ipc();
-        let swque = row.results[6].ipc();
-        cells.push(format!("{:+.1}%", (swque / age - 1.0) * 100.0));
-        let sw = row.results[6].swque.unwrap();
-        cells.push(format!("{:.0}%", sw.circ_pc_fraction() * 100.0));
-        cells.push(format!("{:.2}", row.results[5].mpki()));
-        cells.push(format!("{:.4}", row.results[5].iq.flpi()));
-        t.row(cells);
-    }
-    println!("{t}");
-    Report::new("tune").add_table("per_kernel_ipc", &t).finish();
+    swque_bench::experiments::shim("tune", &swque_bench::Budget::from_env());
 }

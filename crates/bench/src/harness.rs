@@ -1,12 +1,15 @@
-//! Shared experiment machinery: kernel runs, suite sweeps, aggregation.
+//! Shared experiment machinery: budgets, run specs, kernel runs, the
+//! kernel-parallel worker pool, aggregation.
 
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig, SimResult};
+use swque_isa::Program;
 use swque_trace::{TraceHandle, TraceSummary};
-use swque_workloads::{suite, Kernel};
+use swque_workloads::Kernel;
 
 /// Ring-buffer capacity (events) for traced runs. Sized so the default
 /// instruction budgets keep a complete event stream: one interval plus one
@@ -52,99 +55,76 @@ impl ProcessorModel {
     }
 }
 
-/// One simulation request.
-///
-/// Construct via [`RunSpec::medium`]/[`RunSpec::large`] and override the
-/// handful of fields an experiment varies; [`RunSpec::config`] resolves
-/// the spec to a concrete [`CoreConfig`] with any controller-threshold
-/// overrides applied:
-///
-/// ```
-/// use swque_bench::RunSpec;
-/// use swque_core::IqKind;
-///
-/// let spec = RunSpec {
-///     warmup_insts: 1_000,
-///     max_insts: 5_000,
-///     scale: Some(500),          // shrink the kernel for a quick run
-///     mpki_threshold: Some(12.0), // controller sensitivity axis
-///     ..RunSpec::medium(IqKind::Swque)
-/// };
-/// assert_eq!(spec.config().iq.swque.mpki_threshold, 12.0);
-/// // Untouched fields keep the paper's Table 2/3 values.
-/// assert_eq!(spec.config().width, 6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Processor model.
-    pub model: ProcessorModel,
-    /// Issue-queue organization.
-    pub iq: IqKind,
+/// Instruction budget of a run: what an experiment binary reads from the
+/// environment once ([`Budget::from_env`]) and a sweep manifest states.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Budget {
     /// Warmup instructions excluded from measurement (the paper skips the
     /// first 16B instructions of each program before its 100M sample).
     pub warmup_insts: u64,
     /// Measured dynamic instructions after warmup.
     pub max_insts: u64,
-    /// Kernel scale override (`None` = the kernel's default).
+    /// Kernel scale override (`None` = each kernel's default).
     pub scale: Option<u64>,
+}
+
+impl Budget {
+    /// The experiment budget: `SWQUE_WARMUP` warmup instructions (default
+    /// 300 000; the paper skips 16 B) and `SWQUE_INSTS` measured ones
+    /// (default 400 000; the paper samples 100 M), each read through
+    /// [`knob`], at every kernel's default scale.
+    pub fn from_env() -> Budget {
+        Budget {
+            warmup_insts: knob("SWQUE_WARMUP", 300_000),
+            max_insts: knob("SWQUE_INSTS", 400_000),
+            scale: None,
+        }
+    }
+}
+
+/// One simulation request: a resolved machine configuration, an issue
+/// queue, a budget, and a workload layout seed. Two equal specs on the
+/// same kernel are the same simulation.
+///
+/// Construct via [`RunSpec::medium`]/[`RunSpec::large`] and edit the
+/// configuration an experiment varies:
+///
+/// ```
+/// use swque_bench::{Budget, RunSpec};
+/// use swque_core::IqKind;
+///
+/// // A quick run on a shrunken kernel.
+/// let budget = Budget { warmup_insts: 1_000, max_insts: 5_000, scale: Some(500) };
+/// let mut spec = RunSpec::medium(IqKind::Swque, budget);
+/// spec.config.iq.swque.mpki_threshold = 12.0; // controller sensitivity axis
+/// // Untouched fields keep the paper's Table 2/3 values.
+/// assert_eq!(spec.config.width, 6);
+/// assert_ne!(spec, RunSpec::medium(IqKind::Swque, budget));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
+    /// The machine configuration, overrides included.
+    pub config: CoreConfig,
+    /// Issue-queue organization.
+    pub iq: IqKind,
+    /// Warmup and measured instruction counts, and the kernel scale.
+    pub budget: Budget,
     /// Workload layout-seed perturbation, mixed into the kernel generator's
     /// base seed (`0` = the kernel's canonical program, byte-identical to
     /// pre-seed-axis builds). Sweep campaigns use this as their seed axis.
     pub seed: u64,
-    /// SWQUE controller MPKI-threshold override (`None` = the paper's
-    /// Table 3 value from the model config).
-    pub mpki_threshold: Option<f64>,
-    /// SWQUE controller base FLPI-threshold override (`None` = the paper's
-    /// Table 3 value from the model config).
-    pub flpi_threshold: Option<f64>,
 }
 
 impl RunSpec {
-    /// A medium-model run of `iq` with the default experiment budget.
-    pub fn medium(iq: IqKind) -> RunSpec {
-        RunSpec {
-            model: ProcessorModel::Medium,
-            iq,
-            warmup_insts: default_warmup(),
-            max_insts: default_insts(),
-            scale: None,
-            seed: 0,
-            mpki_threshold: None,
-            flpi_threshold: None,
-        }
+    /// A medium-model (Table 2) run of `iq` under `budget`.
+    pub fn medium(iq: IqKind, budget: Budget) -> RunSpec {
+        RunSpec { config: CoreConfig::medium(), iq, budget, seed: 0 }
     }
 
-    /// A large-model run of `iq` with the default experiment budget.
-    pub fn large(iq: IqKind) -> RunSpec {
-        RunSpec { model: ProcessorModel::Large, ..RunSpec::medium(iq) }
+    /// A large-model (Table 4) run of `iq` under `budget`.
+    pub fn large(iq: IqKind, budget: Budget) -> RunSpec {
+        RunSpec { config: CoreConfig::large(), ..RunSpec::medium(iq, budget) }
     }
-
-    /// The core configuration this spec resolves to: the model's config
-    /// with any controller-threshold overrides applied.
-    pub fn config(&self) -> CoreConfig {
-        let mut config = self.model.config();
-        if let Some(mpki) = self.mpki_threshold {
-            config.iq.swque.mpki_threshold = mpki;
-        }
-        if let Some(flpi) = self.flpi_threshold {
-            config.iq.swque.flpi_threshold = flpi;
-        }
-        config
-    }
-}
-
-/// Default per-run measured-instruction budget. The paper simulates 100M
-/// instructions per program; the default here keeps a full-suite experiment
-/// in minutes and can be raised with the `SWQUE_INSTS` environment
-/// variable (see [`knob`]).
-pub fn default_insts() -> u64 {
-    knob("SWQUE_INSTS", 400_000)
-}
-
-/// Default warmup budget (cold caches and predictors are excluded from
-/// measurement); override with `SWQUE_WARMUP` (see [`knob`]).
-pub fn default_warmup() -> u64 {
-    knob("SWQUE_WARMUP", 300_000)
 }
 
 /// Reads the integer environment knob `name`: `default` when unset, its
@@ -170,130 +150,148 @@ pub fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Resu
     }
 }
 
+/// A unit request: one spec, and whether a trace of its measured window
+/// is wanted. A trace only observes the run, so a traced unit's result
+/// also serves every request for the same spec untraced.
+#[derive(Debug, Clone)]
+pub struct Unit {
+    /// The simulation.
+    pub spec: RunSpec,
+    /// Attach a trace ring to the measured window.
+    pub traced: bool,
+}
+
+/// What one simulated unit produced.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// The measured-window result (warmup excluded).
+    pub result: SimResult,
+    /// The measured window's trace digest, when the unit was traced.
+    pub trace: Option<TraceSummary>,
+    /// Where the run stopped, if it stopped before retiring its whole
+    /// budget (the program halted, or an invariant violation froze the
+    /// pipeline).
+    pub short: Option<Short>,
+}
+
+/// Where a unit that retired less than its budget stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Short {
+    /// The program halted during warmup: no measured window ran, and the
+    /// outcome's result is the warmup's.
+    InWarmup,
+    /// The measured window ended early.
+    InMeasurement,
+}
+
+/// Simulates `program` under `spec`. Warmup runs untraced (cold-cache
+/// transients would pollute the series exactly the way they would pollute
+/// IPC); a traced unit then gets a fresh [`TRACE_CAPACITY`]-event ring for
+/// the measured window, reduced to a [`TraceSummary`].
+fn measure(program: &Program, spec: &RunSpec, traced: bool) -> Outcome {
+    let budget = spec.budget;
+    let mut core = Core::new(spec.config.clone(), spec.iq, program);
+    let warm = core.run(budget.warmup_insts);
+    if core.finished() {
+        // Short program: no meaningful warmup split.
+        let trace = traced.then(TraceSummary::default);
+        return Outcome { result: warm, trace, short: Some(Short::InWarmup) };
+    }
+    let ring = traced.then(|| TraceHandle::ring(TRACE_CAPACITY));
+    if let Some(ring) = &ring {
+        core.attach_trace(ring);
+    }
+    let full = core.run(budget.warmup_insts + budget.max_insts);
+    Outcome {
+        short: (full.retired < budget.warmup_insts + budget.max_insts)
+            .then_some(Short::InMeasurement),
+        result: full.delta(&warm),
+        trace: ring.map(|r| TraceSummary::from_events(&r.events(), r.dropped())),
+    }
+}
+
 /// Runs `kernel` under `spec` and returns the measured-window result
 /// (warmup excluded).
 pub fn run_kernel(kernel: &Kernel, spec: &RunSpec) -> SimResult {
-    let program = kernel.build_seeded(spec.scale, spec.seed);
-    let mut core = Core::new(spec.config(), spec.iq, &program);
-    let warm = core.run(spec.warmup_insts);
-    if core.finished() {
-        // Short program: no meaningful warmup split.
-        return warm;
-    }
-    core.run(spec.warmup_insts + spec.max_insts).delta(&warm)
+    measure(&kernel.build_seeded(spec.budget.scale, spec.seed), spec, false).result
 }
 
 /// Like [`run_kernel`] but with a [`TraceHandle`] attached for the measured
-/// window: warmup runs untraced (cold-cache transients would pollute the
-/// series exactly the way they would pollute IPC), then a fresh
-/// [`TRACE_CAPACITY`]-event ring observes the measurement and is reduced to
-/// a [`TraceSummary`].
+/// window: warmup runs untraced, then a fresh [`TRACE_CAPACITY`]-event ring
+/// observes the measurement and is reduced to a [`TraceSummary`]. The
+/// result is byte-identical to [`run_kernel`]'s.
 ///
 /// ```
-/// use swque_bench::{run_kernel_traced, RunSpec};
+/// use swque_bench::{run_kernel_traced, Budget, RunSpec};
 /// use swque_core::IqKind;
 /// use swque_workloads::suite;
 ///
 /// let kernel = suite::by_name("deepsjeng_like").unwrap();
-/// let spec = RunSpec {
-///     warmup_insts: 2_000,
-///     max_insts: 10_000,
-///     scale: Some(1_000),
-///     ..RunSpec::medium(IqKind::Swque)
-/// };
-/// let (result, trace) = run_kernel_traced(&kernel, &spec);
+/// let budget = Budget { warmup_insts: 2_000, max_insts: 10_000, scale: Some(1_000) };
+/// let (result, trace) = run_kernel_traced(&kernel, &RunSpec::medium(IqKind::Swque, budget));
 /// assert!(result.retired >= 9_000, "measured window excludes warmup");
 /// // The summary digests the ring: IPC interval samples land every 10k
 /// // retired instructions, so a short window may hold at most one.
 /// assert_eq!(trace.dropped, 0);
 /// ```
 pub fn run_kernel_traced(kernel: &Kernel, spec: &RunSpec) -> (SimResult, TraceSummary) {
-    let program = kernel.build_seeded(spec.scale, spec.seed);
-    let mut core = Core::new(spec.config(), spec.iq, &program);
-    let warm = core.run(spec.warmup_insts);
-    if core.finished() {
-        return (warm, TraceSummary::default());
-    }
-    let trace = TraceHandle::ring(TRACE_CAPACITY);
-    core.attach_trace(&trace);
-    let result = core.run(spec.warmup_insts + spec.max_insts).delta(&warm);
-    let summary = TraceSummary::from_events(&trace.events(), trace.dropped());
-    (result, summary)
+    let out = measure(&kernel.build_seeded(spec.budget.scale, spec.seed), spec, true);
+    (out.result, out.trace.unwrap_or_default())
 }
 
-/// One suite kernel's results across a set of run specs.
-#[derive(Debug, Clone)]
-pub struct SuiteRow {
-    /// The kernel that produced this row.
-    pub kernel: Kernel,
-    /// One result per requested spec, in request order.
-    pub results: Vec<SimResult>,
-    /// One trace digest per spec when produced by [`run_suite_traced`];
-    /// empty for untraced sweeps ([`run_suite`]).
-    pub traces: Vec<TraceSummary>,
-}
-
-/// Runs every suite kernel under each spec (kernels in parallel across
-/// threads), returning rows in suite order. Worker count follows
-/// [`default_workers`], so `SWQUE_THREADS=1` forces a serial sweep.
-pub fn run_suite(specs: &[RunSpec]) -> Vec<SuiteRow> {
-    let kernels = suite::all();
-    let workers = default_workers(kernels.len());
-    sweep(&kernels, specs, false, workers)
-}
-
-/// [`run_suite`] with a trace ring attached to every run (see
-/// [`run_kernel_traced`]): each returned row carries one [`TraceSummary`]
-/// per spec. Trace handles live entirely inside the worker thread that
-/// owns the run — only the plain-data summaries cross threads.
-pub fn run_suite_traced(specs: &[RunSpec]) -> Vec<SuiteRow> {
-    let kernels = suite::all();
-    let workers = default_workers(kernels.len());
-    sweep(&kernels, specs, true, workers)
-}
-
-/// [`run_suite`] over an explicit kernel list with an explicit worker
-/// count. Row order always matches `kernels` regardless of worker count
-/// or scheduling, and every run is single-threaded and deterministic, so
-/// the result is identical for any `workers` value — a property pinned by
-/// the `determinism` integration test. Empty kernel lists yield an empty
-/// result; `workers` is clamped to `1..=kernels.len()`.
+/// Runs every job — a kernel and its units — on `workers` threads, one
+/// kernel at a time per worker, and returns one outcome per unit, aligned
+/// with `jobs`. A worker builds a kernel's program once for each run of
+/// consecutive units with the same scale and seed, and runs those units on
+/// it. Every run is single-threaded and deterministic and outcomes are
+/// written back by index, so the result is identical for any `workers`
+/// value — a property pinned by the `determinism` integration test.
+/// `workers` is clamped to `1..=jobs.len()`.
 ///
 /// ```
-/// use swque_bench::{run_suite_on, RunSpec};
+/// use swque_bench::{run_units, Budget, RunSpec, Unit};
 /// use swque_core::IqKind;
 /// use swque_workloads::suite;
 ///
-/// let kernels = [
-///     suite::by_name("deepsjeng_like").unwrap(),
-///     suite::by_name("xz_like").unwrap(),
+/// let budget = Budget { warmup_insts: 1_000, max_insts: 5_000, scale: Some(500) };
+/// let unit = Unit { spec: RunSpec::medium(IqKind::Circ, budget), traced: false };
+/// let jobs = [
+///     (suite::by_name("deepsjeng_like").unwrap(), vec![unit.clone()]),
+///     (suite::by_name("xz_like").unwrap(), vec![unit]),
 /// ];
-/// let spec = RunSpec {
-///     warmup_insts: 1_000,
-///     max_insts: 5_000,
-///     scale: Some(500),
-///     ..RunSpec::medium(IqKind::Circ)
-/// };
-/// let rows = run_suite_on(&kernels, &[spec], 2);
-/// // Row order follows the kernel list, not thread completion order.
-/// assert_eq!(rows[0].kernel.name, "deepsjeng_like");
-/// assert_eq!(rows[1].kernel.name, "xz_like");
-/// assert_eq!(rows[0].results.len(), 1);
+/// let outcomes = run_units(&jobs, 2);
+/// // Outcomes follow the job list, not thread completion order.
+/// assert_eq!(outcomes.len(), 2);
+/// assert!(outcomes[1][0].trace.is_none());
 /// ```
-pub fn run_suite_on(kernels: &[Kernel], specs: &[RunSpec], workers: usize) -> Vec<SuiteRow> {
-    sweep(kernels, specs, false, workers)
+pub fn run_units(jobs: &[(Kernel, Vec<Unit>)], workers: usize) -> Vec<Vec<Outcome>> {
+    let outcomes: Mutex<Vec<Vec<Outcome>>> = Mutex::new(vec![Vec::new(); jobs.len()]);
+    let next = AtomicUsize::new(0);
+    let workers = workers.clamp(1, jobs.len().max(1));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((kernel, units)) = jobs.get(i) else { break };
+                let mut done = Vec::with_capacity(units.len());
+                for group in units.chunk_by(|a, b| layout(&a.spec) == layout(&b.spec)) {
+                    let (scale, seed) = layout(&group[0].spec);
+                    let program = kernel.build_seeded(scale, seed);
+                    done.extend(group.iter().map(|u| measure(&program, &u.spec, u.traced)));
+                }
+                outcomes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[i] = done;
+            });
+        }
+    });
+    outcomes.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// [`run_suite_on`] with trace rings attached (see [`run_suite_traced`]).
-pub fn run_suite_traced_on(
-    kernels: &[Kernel],
-    specs: &[RunSpec],
-    workers: usize,
-) -> Vec<SuiteRow> {
-    sweep(kernels, specs, true, workers)
+/// The program a spec runs: its kernel scale and layout seed.
+fn layout(spec: &RunSpec) -> (Option<u64>, u64) {
+    (spec.budget.scale, spec.seed)
 }
 
-/// Worker-thread count for a sweep over `kernels` kernels: the
+/// Worker-thread count for a run over `kernels` kernels: the
 /// `SWQUE_THREADS` environment variable when set (read through [`knob`],
 /// so an unparsable value exits with status 2), otherwise the host's
 /// available parallelism; always clamped to the number of kernels.
@@ -317,47 +315,6 @@ pub fn default_workers_with(requested: usize, kernels: usize) -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     };
     n.min(kernels.max(1))
-}
-
-fn sweep(kernels: &[Kernel], specs: &[RunSpec], traced: bool, workers: usize) -> Vec<SuiteRow> {
-    let rows: Mutex<Vec<Option<SuiteRow>>> = Mutex::new(vec![None; kernels.len()]);
-    let next: Mutex<usize> = Mutex::new(0);
-    let workers = workers.clamp(1, kernels.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut n = next.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                if i >= kernels.len() {
-                    break;
-                }
-                let kernel = &kernels[i];
-                let mut results = Vec::with_capacity(specs.len());
-                let mut traces = Vec::new();
-                for s in specs {
-                    if traced {
-                        let (r, t) = run_kernel_traced(kernel, s);
-                        results.push(r);
-                        traces.push(t);
-                    } else {
-                        results.push(run_kernel(kernel, s));
-                    }
-                }
-                rows.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[i] =
-                    Some(SuiteRow { kernel: kernel.clone(), results, traces });
-            });
-        }
-    });
-    rows.into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // swque-lint: allow(panic-in-lib) — the worker loop claims every index in 0..kernels.len() exactly once before exiting
-        .map(|r| r.expect("every kernel filled"))
-        .collect()
 }
 
 /// Geometric mean of a non-empty slice.
@@ -418,13 +375,9 @@ mod tests {
 
     #[test]
     fn run_kernel_smoke() {
-        let k = suite::by_name("deepsjeng_like").unwrap();
-        let spec = RunSpec {
-            warmup_insts: 5_000,
-            max_insts: 20_000,
-            scale: Some(2_000),
-            ..RunSpec::medium(IqKind::Age)
-        };
+        let k = swque_workloads::suite::by_name("deepsjeng_like").unwrap();
+        let budget = Budget { warmup_insts: 5_000, max_insts: 20_000, scale: Some(2_000) };
+        let spec = RunSpec::medium(IqKind::Age, budget);
         let r = run_kernel(&k, &spec);
         // Commit-width granularity means the warmup snapshot may overshoot
         // by a few instructions.

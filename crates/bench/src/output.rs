@@ -1,21 +1,23 @@
 //! Structured JSON experiment output (schema `swque-bench-v1`).
 //!
-//! Every experiment binary prints its plain-text tables unconditionally and
-//! *additionally* serializes a machine-readable report when the
+//! Every experiment prints its plain-text tables unconditionally and
+//! *additionally* fills a [`Report`], which its binary serializes when the
 //! [`SWQUE_JSON`](crate#environment-knobs) environment variable names an
-//! output file. The serialized shape is stable and versioned (documented
-//! field-by-field in `DESIGN.md`): tooling that reads `BENCH_fig09.json`
-//! today keeps working until the schema string changes.
+//! output file (for `all_experiments`, a directory of one
+//! `BENCH_<experiment>.json` per entry). The serialized shape is stable
+//! and versioned (documented field-by-field in `DESIGN.md`): tooling that
+//! reads `BENCH_fig09.json` today keeps working until the schema string
+//! changes.
 //!
 //! The writer is [`swque_trace::Json`] — the workspace is hermetic, so no
 //! external serializer is available, and none is needed: reports are
 //! trees of strings, numbers, and arrays.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use swque_trace::{Json, TraceSummary};
 
-use crate::harness::{default_insts, default_warmup};
+use crate::harness::Budget;
 use crate::table::Table;
 
 /// Schema identifier written into every report.
@@ -24,14 +26,14 @@ pub const BENCH_SCHEMA: &str = "swque-bench-v1";
 /// The `SWQUE_JSON` destination, if the caller requested JSON output.
 ///
 /// For single-figure binaries this is the output *file*; `all_experiments`
-/// instead treats it as a *directory* and gives each child binary its own
+/// instead treats it as a *directory* and writes each entry's report to
 /// `BENCH_<figure>.json` inside it.
 pub fn json_path() -> Option<PathBuf> {
     std::env::var_os("SWQUE_JSON").filter(|v| !v.is_empty()).map(PathBuf::from)
 }
 
 /// A structured experiment report, accumulated alongside the plain-text
-/// output and serialized by [`Report::finish`].
+/// output and serialized by [`Report::write`].
 ///
 /// Reports always contain all top-level keys (`tables`, `rows`, `traces`),
 /// empty arrays included, so consumers can index unconditionally.
@@ -46,14 +48,14 @@ pub struct Report {
 
 impl Report {
     /// Starts a report for `experiment` (e.g. `"fig09"`). The run budget
-    /// ([`default_warmup`]/[`default_insts`]) is recorded automatically so
-    /// a report is interpretable without the environment that produced it.
-    pub fn new(experiment: &str) -> Report {
+    /// is recorded so a report is interpretable without the environment
+    /// that produced it.
+    pub fn new(experiment: &str, budget: &Budget) -> Report {
         Report {
             experiment: experiment.to_string(),
             params: vec![
-                ("warmup_insts".to_string(), Json::from(default_warmup())),
-                ("max_insts".to_string(), Json::from(default_insts())),
+                ("warmup_insts".to_string(), Json::from(budget.warmup_insts)),
+                ("max_insts".to_string(), Json::from(budget.max_insts)),
             ],
             tables: Vec::new(),
             rows: Vec::new(),
@@ -120,18 +122,17 @@ impl Report {
         ])
     }
 
-    /// Writes the report to the `SWQUE_JSON` destination, if one was
-    /// requested; otherwise does nothing. The notice goes to stderr so the
-    /// plain-text tables on stdout stay paste-ready.
+    /// Writes the report to `path` (the `SWQUE_JSON` destination). The
+    /// notice goes to stderr so the plain-text tables on stdout stay
+    /// paste-ready.
     ///
     /// # Panics
     ///
-    /// Panics when the destination cannot be written — a silently dropped
-    /// report is worse than a failed experiment run.
-    pub fn finish(&self) {
-        let Some(path) = json_path() else { return };
+    /// Panics when `path` cannot be written — a silently dropped report is
+    /// worse than a failed experiment run.
+    pub fn write(&self, path: &Path) {
         let doc = format!("{}\n", self.to_json());
-        std::fs::write(&path, doc)
+        std::fs::write(path, doc)
             // swque-lint: allow(panic-in-lib) — documented: a silently dropped report is worse than a failed run
             .unwrap_or_else(|e| panic!("SWQUE_JSON: cannot write {}: {e}", path.display()));
         eprintln!("[swque-bench] wrote {}", path.display());
@@ -146,7 +147,8 @@ mod tests {
     fn report_shape_is_stable() {
         let mut t = Table::new(["program", "ipc"]);
         t.row(["xz_like", "0.40"]);
-        let mut r = Report::new("fig99");
+        let budget = Budget { warmup_insts: 300, max_insts: 400, scale: None };
+        let mut r = Report::new("fig99", &budget);
         r.param("model", "medium").add_table("main", &t);
         r.push_row(Json::obj([("program", Json::from("xz_like"))]));
         r.push_trace("xz_like", &TraceSummary::default());
@@ -158,8 +160,8 @@ mod tests {
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fig99"));
         let params = doc.get("params").unwrap();
-        assert!(params.get("warmup_insts").and_then(Json::as_u64).is_some());
-        assert!(params.get("max_insts").and_then(Json::as_u64).is_some());
+        assert_eq!(params.get("warmup_insts").and_then(Json::as_u64), Some(300));
+        assert_eq!(params.get("max_insts").and_then(Json::as_u64), Some(400));
         assert_eq!(params.get("model").and_then(Json::as_str), Some("medium"));
         let table = &doc.get("tables").unwrap().as_arr().unwrap()[0];
         assert_eq!(table.keys(), vec!["name", "header", "rows"]);
@@ -175,7 +177,8 @@ mod tests {
 
     #[test]
     fn empty_report_still_has_all_keys() {
-        let doc = Report::new("x").to_json();
+        let budget = Budget { warmup_insts: 1, max_insts: 1, scale: None };
+        let doc = Report::new("x", &budget).to_json();
         assert_eq!(doc.get("tables").unwrap().as_arr().unwrap().len(), 0);
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 0);
         assert_eq!(doc.get("traces").unwrap().as_arr().unwrap().len(), 0);

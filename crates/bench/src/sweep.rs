@@ -28,11 +28,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use swque_core::IqKind;
+use swque_core::{fnv1a64, IqKind};
 use swque_trace::Json;
 use swque_workloads::suite;
 
-use crate::harness::{geomean, run_suite_on, ProcessorModel, RunSpec};
+use crate::harness::{geomean, run_kernel, Budget, ProcessorModel, RunSpec};
 
 /// Schema identifier of campaign manifests.
 pub const MANIFEST_SCHEMA: &str = "swque-sweep-manifest-v1";
@@ -40,17 +40,6 @@ pub const MANIFEST_SCHEMA: &str = "swque-sweep-manifest-v1";
 pub const SHARD_SCHEMA: &str = "swque-sweep-shard-v1";
 /// Schema identifier of merged campaign reports.
 pub const CAMPAIGN_SCHEMA: &str = "swque-sweep-campaign-v1";
-
-/// Run budget shared by every unit of a campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Budget {
-    /// Warmup instructions excluded from measurement.
-    pub warmup_insts: u64,
-    /// Measured dynamic instructions after warmup.
-    pub max_insts: u64,
-    /// Kernel scale override (`None` = each kernel's default).
-    pub scale: Option<u64>,
-}
 
 /// Axis values of a campaign (each axis contributes one factor to the
 /// cartesian product; an axis omitted from the manifest holds exactly its
@@ -104,17 +93,6 @@ pub struct WorkUnit {
     pub budget: Budget,
 }
 
-/// FNV-1a 64-bit digest (the shard content hash; also used elsewhere in
-/// the workspace for fingerprints — small, dependency-free, and stable).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn opt_f64_json(v: Option<f64>) -> Json {
     match v {
         Some(x) => Json::from(x),
@@ -160,18 +138,17 @@ impl WorkUnit {
         format!("{:016x}", fnv1a64(self.canonical_json().to_string().as_bytes()))
     }
 
-    /// The harness spec this unit resolves to.
+    /// The harness spec this unit resolves to: the model's configuration
+    /// with the controller-threshold overrides applied.
     pub fn spec(&self) -> RunSpec {
-        RunSpec {
-            model: self.model,
-            iq: self.kind,
-            warmup_insts: self.budget.warmup_insts,
-            max_insts: self.budget.max_insts,
-            scale: self.budget.scale,
-            seed: self.seed,
-            mpki_threshold: self.mpki_threshold,
-            flpi_threshold: self.flpi_threshold,
+        let mut config = self.model.config();
+        if let Some(mpki) = self.mpki_threshold {
+            config.iq.swque.mpki_threshold = mpki;
         }
+        if let Some(flpi) = self.flpi_threshold {
+            config.iq.swque.flpi_threshold = flpi;
+        }
+        RunSpec { config, iq: self.kind, budget: self.budget, seed: self.seed }
     }
 }
 
@@ -351,8 +328,7 @@ impl Manifest {
 pub fn run_unit(unit: &WorkUnit) -> Result<Json, String> {
     let kernel = suite::by_name(&unit.kernel)
         .ok_or_else(|| format!("unit {}: unknown kernel {:?}", unit.key(), unit.kernel))?;
-    let rows = run_suite_on(std::slice::from_ref(&kernel), &[unit.spec()], 1);
-    let result = &rows[0].results[0];
+    let result = run_kernel(&kernel, &unit.spec());
     if let Some(v) = &result.invariant {
         return Err(format!("unit {} ({}): {v}", unit.key(), unit.kernel));
     }
@@ -752,17 +728,35 @@ mod tests {
     }
 
     #[test]
+    fn unit_thresholds_reach_the_spec_config() {
+        let budget = Budget { warmup_insts: 10, max_insts: 20, scale: Some(30) };
+        let large = ProcessorModel::Large.config();
+        let plain = WorkUnit {
+            kind: IqKind::Swque,
+            model: ProcessorModel::Large,
+            mpki_threshold: None,
+            flpi_threshold: None,
+            seed: 7,
+            kernel: "mcf_like".to_string(),
+            budget,
+        };
+        // Without overrides the spec is the model's configuration.
+        let spec = RunSpec { config: large.clone(), iq: IqKind::Swque, budget, seed: 7 };
+        assert_eq!(plain.spec(), spec);
+        // Each override lands in its own field (neither is the default).
+        assert!(large.iq.swque.mpki_threshold != 12.0 && large.iq.swque.flpi_threshold != 0.07);
+        let unit = WorkUnit { mpki_threshold: Some(12.0), flpi_threshold: Some(0.07), ..plain };
+        let mut expected = spec;
+        expected.config.iq.swque.mpki_threshold = 12.0;
+        expected.config.iq.swque.flpi_threshold = 0.07;
+        assert_eq!(unit.spec(), expected);
+    }
+
+    #[test]
     fn budget_is_part_of_the_content_hash() {
         let m = mini_manifest();
         let mut changed = m.clone();
         changed.budget.max_insts += 1;
         assert_ne!(m.units()[0].key(), changed.units()[0].key());
-    }
-
-    #[test]
-    fn fnv_vector() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

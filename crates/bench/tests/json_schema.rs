@@ -4,29 +4,22 @@
 //! `swque-bench-v1` / `swque-trace-v1` shapes. A change that reshapes the
 //! JSON must update this test, DESIGN.md, and the schema version together.
 
-use swque_bench::{run_kernel_traced, Report, RunSpec, Table, BENCH_SCHEMA};
+use swque_bench::{run_kernel_traced, Budget, Report, RunSpec, Table, BENCH_SCHEMA};
 use swque_core::IqKind;
 use swque_trace::Json;
 use swque_workloads::suite;
 
-fn small_spec() -> RunSpec {
-    RunSpec {
-        warmup_insts: 5_000,
-        max_insts: 40_000,
-        scale: Some(2_000),
-        ..RunSpec::medium(IqKind::Swque)
-    }
-}
+const BUDGET: Budget = Budget { warmup_insts: 5_000, max_insts: 40_000, scale: Some(2_000) };
 
 #[test]
 fn bench_report_schema_is_pinned() {
     let kernel = suite::by_name("mcf_like").expect("suite kernel");
-    let (result, trace) = run_kernel_traced(&kernel, &small_spec());
+    let (result, trace) = run_kernel_traced(&kernel, &RunSpec::medium(IqKind::Swque, BUDGET));
     assert!(result.retired >= 30_000, "measured window ran");
 
     let mut table = Table::new(["program", "ipc"]);
     table.row([kernel.name.to_string(), format!("{:.3}", result.ipc())]);
-    let mut report = Report::new("golden");
+    let mut report = Report::new("golden", &BUDGET);
     report.param("model", "medium");
     report.add_table("main", &table);
     report.push_row(Json::obj([

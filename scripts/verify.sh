@@ -165,10 +165,28 @@ mc_neg() {
 mc_neg CIRC-PC 3 circ-pc-no-correct pc-age-ordered
 mc_neg CTRL 0 controller-no-stabilize ctrl-instability-reduction
 
-echo "== json: schema smoke (fig09 -> check_json, reduced budget)"
-SWQUE_WARMUP=5000 SWQUE_INSTS=20000 SWQUE_JSON="$json_tmp/fig09.json" \
-    ./target/release/fig09 > /dev/null
-./target/release/check_json "$json_tmp/fig09.json"
+echo "== experiments: all_experiments -> check_json, and a shim matches its section"
+# The whole evaluation in one process at a reduced budget: every entry's
+# swque-bench-v1 report must validate, and a figure binary run on its own
+# must print exactly its section of the shared run.
+SWQUE_WARMUP=2000 SWQUE_INSTS=5000 SWQUE_JSON="$json_tmp/experiments" \
+    ./target/release/all_experiments > "$json_tmp/all.txt" 2> /dev/null
+reports=("$json_tmp"/experiments/BENCH_*.json)
+[ "${#reports[@]}" -eq 12 ] || {
+    echo "error: all_experiments wrote ${#reports[@]} BENCH_*.json reports, expected 12" >&2
+    exit 1
+}
+./target/release/check_json "${reports[@]}"
+SWQUE_WARMUP=2000 SWQUE_INSTS=5000 ./target/release/fig09 > "$json_tmp/fig09.txt"
+# A section is the lines after its "== <name>" banner, one blank line on
+# each side of the entry's own text.
+bar="============================================================="
+awk -v bar="$bar" '$0 == bar {next} /^== / {sec = $2; next} sec == "fig09"' \
+    "$json_tmp/all.txt" > "$json_tmp/fig09-section.txt"
+{ echo; cat "$json_tmp/fig09.txt"; echo; } | diff -u - "$json_tmp/fig09-section.txt" || {
+    echo "error: fig09 alone differs from its all_experiments section" >&2
+    exit 1
+}
 
 echo "== multi-core: neighbor determinism smoke (2-core, thread-count invariance)"
 # The 2-core neighbor co-run (DESIGN.md §11) must be byte-identical however

@@ -403,7 +403,7 @@ pub fn validate_result(result: &Json, path: &str) -> Result<(), String> {
             .ok_or_else(|| format!("{path}.{key}: not a number"))?;
     }
     let ipc = result.get("ipc").and_then(Json::as_f64).unwrap_or(0.0);
-    if !(ipc > 0.0) {
+    if ipc.is_nan() || ipc <= 0.0 {
         return Err(format!("{path}.ipc: {ipc} not positive"));
     }
     Ok(())

@@ -171,7 +171,7 @@ mod tests {
             assert!(d > density::REF_MULTIPLIER);
             assert!(d > density::REF_SKYLAKE);
         }
-        assert!(density::SELECT < density::REF_L2_CACHE);
+        const { assert!(density::SELECT < density::REF_L2_CACHE) };
     }
 
     #[test]

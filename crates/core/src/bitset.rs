@@ -185,12 +185,12 @@ pub fn for_each_set_in(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(us
     }
     let first_w = lo / 64;
     let last_w = (hi - 1) / 64;
-    for wi in first_w..=last_w {
-        let mut word = words[wi];
+    for (wi, &w) in (first_w..).zip(&words[first_w..=last_w]) {
+        let mut word = w;
         if wi == first_w {
             word &= u64::MAX << (lo % 64);
         }
-        if wi == last_w && hi % 64 != 0 {
+        if wi == last_w && !hi.is_multiple_of(64) {
             word &= u64::MAX >> (64 - hi % 64);
         }
         while word != 0 {

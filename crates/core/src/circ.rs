@@ -111,7 +111,7 @@ impl CircQueue {
             if wi == first_w {
                 word &= u64::MAX << (lo % 64);
             }
-            if wi == last_w && hi % 64 != 0 {
+            if wi == last_w && !hi.is_multiple_of(64) {
                 word &= u64::MAX >> (64 - hi % 64);
             }
             while word != 0 {

@@ -629,10 +629,12 @@ impl RefQueue for RefRearrange {
                 break;
             }
             let slot = self.slots.slots[pos];
-            if slot.valid && slot.ready() && !self.old.contains_key(&slot.seq) {
-                if budget.try_take(slot.fu) {
-                    grants.push(self.grant_at(pos, pos));
-                }
+            if slot.valid
+                && slot.ready()
+                && !self.old.contains_key(&slot.seq)
+                && budget.try_take(slot.fu)
+            {
+                grants.push(self.grant_at(pos, pos));
             }
         }
         grants

@@ -4,6 +4,10 @@
 //!
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (64).
+#![expect(
+    clippy::disallowed_types,
+    reason = "test models: the live map and the woken/granted sets are probed, never iterated"
+)]
 
 use swque_rng::prop::{check, Gen};
 

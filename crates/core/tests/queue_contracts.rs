@@ -7,6 +7,12 @@
 //!   (two select passes for the two-cycle scan organizations).
 //! * `state_digest` equality tracks `Debug`-render equality, and no
 //!   host-parallelism knob (worker threads, `SWQUE_THREADS`) moves it.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test code: the woken-tag sets are probed, never iterated, and the digest \
+              test sets SWQUE_THREADS to prove the knob does not move the state"
+)]
 
 use std::collections::HashSet;
 

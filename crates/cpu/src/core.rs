@@ -1131,9 +1131,9 @@ impl Pipeline {
         // Wrong-path instructions are dropped outright (they are refetched
         // never; the mispredicted branch itself is correct-path and will be
         // re-predicted on replay). Everything else replays in order.
-        let mut replay: VecDeque<FrontInst> = self
-            .rob
-            .drain_in_order()
+        let in_flight = self.rob.drain_in_order();
+        self.stats.flushed += in_flight.len() as u64;
+        let mut replay: VecDeque<FrontInst> = in_flight
             .into_iter()
             .filter(|e| !e.wp)
             .map(|e| FrontInst { uid: e.uid, oracle: e.oracle })

@@ -141,8 +141,8 @@ impl RenameState {
         }
         self.free_int.clear();
         self.free_fp.clear();
-        for t in 0..self.ready.len() {
-            if !live[t] {
+        for (t, &is_live) in live.iter().enumerate() {
+            if !is_live {
                 if t < self.phys_int {
                     self.free_int.push_back(t as Tag);
                 } else {

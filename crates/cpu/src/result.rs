@@ -19,6 +19,9 @@ pub struct CoreStats {
     pub mode_switch_flushes: u64,
     /// Instructions replayed through the front end after a flush.
     pub replayed: u64,
+    /// Dispatched instructions a mode-switch flush removed from the ROB:
+    /// correct-path ones are replayed, wrong-path ones are dropped.
+    pub flushed: u64,
     /// Cycles in which no instruction could be dispatched because the IQ
     /// had no allocatable entry (capacity pressure).
     pub iq_stall_cycles: u64,
@@ -95,6 +98,7 @@ impl CoreStats {
                 .mode_switch_flushes
                 .saturating_sub(earlier.mode_switch_flushes),
             replayed: self.replayed.saturating_sub(earlier.replayed),
+            flushed: self.flushed.saturating_sub(earlier.flushed),
             iq_stall_cycles: self.iq_stall_cycles.saturating_sub(earlier.iq_stall_cycles),
             icache_stall_cycles: self
                 .icache_stall_cycles

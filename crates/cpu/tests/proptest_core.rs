@@ -5,6 +5,8 @@
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (24).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use swque_rng::prop::check;
 
 use swque_core::IqKind;
@@ -86,21 +88,35 @@ fn all_queues_match_functional_reference() {
 }
 
 /// Timing sanity on random programs: cycles ≥ instructions / width, and
-/// every dispatched instruction either retires or is squashed.
+/// every dispatched instruction either retires, is squashed by a
+/// misprediction, or is removed by a SWQUE mode-switch flush. SWQUE
+/// decides every 8 instructions here, so even these short programs switch
+/// modes and replay.
 #[test]
 fn timing_bounds_hold() {
+    let swque_flushed = AtomicU64::new(0);
     check(24, |g| {
         let body: Vec<u8> = g.vec(3..16, |g| g.u8());
         let iters = g.gen_range(1u8..20);
         let program = random_program(&body, iters);
-        let mut core = Core::new(CoreConfig::tiny(), IqKind::Age, &program);
-        let r = core.run(u64::MAX);
-        assert!(r.cycles as f64 >= r.retired as f64 / 2.0, "width-2 bound");
-        assert!(r.core.dispatched >= r.retired);
-        assert_eq!(
-            r.core.dispatched - r.retired,
-            r.core.wrong_path_squashed + r.core.replayed.min(0), // squashed never retire
-            "dispatch = retire + squashed"
-        );
+        for kind in [IqKind::Age, IqKind::Swque] {
+            let mut config = CoreConfig::tiny();
+            config.iq.swque.interval_insts = 8;
+            let mut core = Core::new(config, kind, &program);
+            let r = core.run(u64::MAX);
+            assert!(r.cycles as f64 >= r.retired as f64 / 2.0, "{kind}: width-2 bound");
+            assert_eq!(
+                r.core.dispatched,
+                r.retired + r.core.wrong_path_squashed + r.core.flushed,
+                "{kind}: dispatch = retire + squashed + flushed"
+            );
+            if kind == IqKind::Age {
+                let replay = (r.core.mode_switch_flushes, r.core.flushed, r.core.replayed);
+                assert_eq!(replay, (0, 0, 0), "AGE never flushes or replays");
+            } else {
+                swque_flushed.fetch_add(r.core.flushed, Ordering::Relaxed);
+            }
+        }
     });
+    assert!(swque_flushed.into_inner() > 0, "SWQUE never flushed: the flush term went unexercised");
 }

@@ -1,6 +1,5 @@
 //! Assembler DSL for building [`Program`]s in Rust code.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -48,7 +47,11 @@ impl Error for AsmError {}
 #[derive(Debug, Default)]
 pub struct Assembler {
     insts: Vec<Inst>,
-    labels: HashMap<String, u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: labels are probed by name, never iterated"
+    )]
+    labels: std::collections::HashMap<String, u64>,
     fixups: Vec<(usize, String)>,
     data: Vec<(u64, Vec<u8>)>,
     duplicate: Option<String>,

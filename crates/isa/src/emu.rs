@@ -156,7 +156,7 @@ impl Emulator {
             iregs: self.iregs,
             fregs: self.fregs,
             pc: start_pc,
-            writes: std::collections::HashMap::new(),
+            writes: Default::default(),
             halted: false,
         }
     }
@@ -242,6 +242,10 @@ pub struct ShadowEmulator {
     fregs: [f64; 32],
     pc: u64,
     /// Byte-granular write overlay.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: the overlay is probed by address, never iterated"
+    )]
     writes: std::collections::HashMap<u64, u8>,
     halted: bool,
 }

@@ -1,7 +1,5 @@
 //! Paged sparse memory.
 
-use std::collections::HashMap;
-
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
@@ -12,7 +10,11 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// Multi-byte accesses may span page boundaries.
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: pages are probed by page number, never iterated"
+    )]
+    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl SparseMemory {

@@ -132,6 +132,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a set model in test code; only its length is read"
+    )]
     fn flat_index_is_injective() {
         let mut seen = std::collections::HashSet::new();
         for i in 0..32 {

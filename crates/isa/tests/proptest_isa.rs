@@ -3,6 +3,10 @@
 //!
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (128).
+#![expect(
+    clippy::disallowed_types,
+    reason = "test models: the byte map and page set are probed and counted, never iterated"
+)]
 
 use std::collections::{HashMap, HashSet};
 

@@ -746,7 +746,10 @@ fn check_expr(
 
 /// Checks each argument of a call site against the consensus parameter
 /// domain at that position across every in-scope callee candidate.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the call-site context is already bundled in `cx`; the rest is per-call data"
+)]
 fn check_call_args(
     cx: &Cx<'_, '_>,
     name: &str,

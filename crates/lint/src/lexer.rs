@@ -390,9 +390,9 @@ mod tests {
     #[test]
     fn lifetimes_vs_char_literals() {
         let toks = kinds("&'a str; 'x'; '\\n'");
-        assert!(toks.iter().any(|t| *t == (TokKind::Lifetime, "'a")));
-        assert!(toks.iter().any(|t| *t == (TokKind::Char, "'x'")));
-        assert!(toks.iter().any(|t| *t == (TokKind::Char, "'\\n'")));
+        assert!(toks.contains(&(TokKind::Lifetime, "'a")));
+        assert!(toks.contains(&(TokKind::Char, "'x'")));
+        assert!(toks.contains(&(TokKind::Char, "'\\n'")));
     }
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
         // that swallows the next delimiter (it desynced paren matching in
         // the parser on `unwrap_or('\u{fffd}'));`).
         let toks = kinds("f('\\u{fffd}'); g()");
-        assert!(toks.iter().any(|t| *t == (TokKind::Char, "'\\u{fffd}'")), "{toks:?}");
+        assert!(toks.contains(&(TokKind::Char, "'\\u{fffd}'")), "{toks:?}");
         assert_eq!(toks.iter().filter(|t| t.1 == ")").count(), 2, "{toks:?}");
         assert!(toks.iter().any(|t| *t == (TokKind::Char, "'\\u{8}'") || t.1 == "g"));
     }

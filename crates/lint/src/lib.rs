@@ -1,10 +1,14 @@
 //! `swque-lint` — the workspace's determinism and hermeticity analyzer.
 //!
 //! The SWQUE reproduction's evidence — golden cycle pins, lockstep bitset
-//! differentials, byte-identical parallel sweeps — rests on a contract the
-//! compiler does not enforce: simulated-path code must not read the wall
-//! clock, tap ambient randomness, iterate unordered containers, or consult
-//! the environment. This crate enforces that contract statically:
+//! differentials, byte-identical parallel sweeps — rests on a contract:
+//! simulated-path code is a pure function of `(program, config, seed)`.
+//! rustc and clippy enforce its generic half (no `unsafe`, no host clock,
+//! no hash-order containers, no interior mutability, no environment
+//! reads), configured by the workspace's `clippy.toml` files. This crate
+//! enforces what no compiler lint can express: narrowed counters, bare
+//! counter subtraction, cycle-domain dataflow, panic reachability from the
+//! public API, replay-literal grammar, and manifest hermeticity.
 //!
 //! * [`lexer`] — a minimal, total Rust lexer (comments, string/char/raw
 //!   literals, idents, punctuation) so rules see *code*, never prose.
@@ -19,16 +23,17 @@
 //!   classified (stamps vs deltas vs instruction counts vs …) from names
 //!   and `// swque-domain:` annotations, propagated through bindings and
 //!   calls, with cross-domain arithmetic/comparison/argument findings.
-//! * [`rules`] — the AST-visitor rule engine with per-crate-class
-//!   policies and reasoned `// swque-lint: allow(rule) — why` pragmas.
+//! * [`rules`] — the rule engine with per-crate-class policies and
+//!   reasoned `// swque-lint: allow(rule) — why` pragmas.
 //! * [`report`] — the versioned `swque-lint-v4` JSON report (findings
 //!   tagged with their `rule_class`, domain pair, and reachability chain)
 //!   and, in its tests, the schema's one validator.
 //!
 //! The `swque-lint` binary (`src/main.rs`) drives a workspace scan;
-//! `scripts/verify.sh` runs it as a hard gate that fails on any
-//! unsuppressed finding. The rule table, policy matrix, pragma grammar,
-//! and report schema are documented in DESIGN.md §8.
+//! `scripts/verify.sh` runs it beside `cargo clippy` as hard gates that
+//! fail on any unsuppressed finding. The rule table (with which tool owns
+//! each rule), the class placement, the pragma grammar, and the report
+//! schema are documented in DESIGN.md §8.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,13 +82,32 @@ fn skip_dir(name: &str) -> bool {
     name == "target" || name.starts_with('.')
 }
 
+/// True when `dir/Cargo.toml` declares a `[workspace]` table of its own.
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Collects every lintable file under `root`: `*.rs`, `Cargo.toml`, and
-/// `Cargo.lock`, skipping `target/` and hidden directories. Paths come
-/// back sorted so scans (and their reports) are deterministic.
+/// `Cargo.lock`, skipping `target/` and hidden directories. A nested
+/// package with a `[workspace]` of its own (`swque_benchmark`) is outside
+/// `cargo --workspace` and so outside the clippy gate; its sources are
+/// not read, but its manifest and lockfile still are, for the hermeticity
+/// rules. Paths come back sorted so scans (and their reports) are
+/// deterministic.
 pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
+        if dir != root && declares_workspace(&dir) {
+            files.extend(
+                ["Cargo.toml", "Cargo.lock"]
+                    .map(|f| dir.join(f))
+                    .into_iter()
+                    .filter(|p| p.is_file()),
+            );
+            continue;
+        }
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
@@ -144,11 +168,8 @@ pub fn scan_workspace(root: &Path) -> io::Result<Scan> {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.lines().any(|l| l.trim() == "[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
@@ -182,9 +203,8 @@ mod tests {
         std::fs::create_dir_all(&src_dir).unwrap();
         std::fs::write(
             src_dir.join("bad.rs"),
-            "use std::collections::HashMap;\n\
-             pub fn t(m: &HashMap<u64, u8>) -> usize { m.len() }\n\
-             fn u() { let _ = std::time::Instant::now(); }\n",
+            "pub fn t(v: &[u8]) -> u8 { *v.first().unwrap() }\n\
+             fn u(cycle: u64) -> u32 { cycle as u32 }\n",
         )
         .unwrap();
         std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
@@ -192,9 +212,45 @@ mod tests {
         let again = scan_workspace(&dir).unwrap();
         assert_eq!(scan.findings, again.findings);
         let counts = scan.counts();
-        assert_eq!(counts["unordered-container"], 1);
-        assert_eq!(counts["wall-clock"], 1);
+        assert_eq!(counts["panic-in-lib"], 1);
+        assert_eq!(counts["truncating-cast"], 1);
         assert_eq!(find_workspace_root(&src_dir), Some(dir.clone()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn nested_workspace_keeps_only_its_manifests() {
+        // A nested package with its own [workspace] (like swque_benchmark)
+        // is outside clippy's reach, so a pragma naming a rule that moved
+        // to clippy must not surface as malformed-pragma; its lockfile must
+        // still be held to the path-only rule.
+        let dir =
+            std::env::temp_dir().join(format!("swque-lint-nested-{}", std::process::id()));
+        let pkg = dir.join("crates/bench/src/bin/tool");
+        std::fs::create_dir_all(pkg.join("src")).unwrap();
+        std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(pkg.join("Cargo.toml"), "[package]\nname = \"tool\"\n\n[workspace]\n")
+            .unwrap();
+        std::fs::write(
+            pkg.join("src/clock.rs"),
+            "// swque-lint: allow(wall-clock) — a rule clippy owns\nfn f() {}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            pkg.join("Cargo.lock"),
+            "[[package]]\nname = \"x\"\nsource = \"registry+https://x\"\n",
+        )
+        .unwrap();
+        let scan = scan_workspace(&dir).unwrap();
+        let counts = scan.counts();
+        assert_eq!(counts["malformed-pragma"], 0, "{:?}", scan.findings);
+        assert_eq!(counts["registry-source"], 1, "{:?}", scan.findings);
+        assert_eq!(scan.findings[0].file, "crates/bench/src/bin/tool/Cargo.lock");
+        // The stale pragma is a finding when the package is an ordinary
+        // member of the outer workspace.
+        std::fs::write(pkg.join("Cargo.toml"), "[package]\nname = \"tool\"\n").unwrap();
+        let scan = scan_workspace(&dir).unwrap();
+        assert_eq!(scan.counts()["malformed-pragma"], 1, "{:?}", scan.findings);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * **items** — `fn` (name, visibility, signature, body), `impl` /
 //!   `mod` / `trait` bodies (recursed), `struct` / `enum` (field type
-//!   tokens kept), `static` (mutability kept), everything else verbatim;
+//!   tokens kept), everything else verbatim;
 //! * **expressions** — paths, method calls, free calls, macro calls,
 //!   `as` casts, binary operators, `for` loops, `let` bindings, blocks;
 //! * **attributes** — kept per item so `#[cfg(test)]` regions are a
@@ -100,14 +100,9 @@ pub enum ItemKind {
         /// Token index of the name ident, when present.
         name: Option<usize>,
     },
-    /// `static [mut] NAME: …` — mutability is what `interior-mutability`
-    /// needs.
-    Static {
-        /// True for `static mut`.
-        mutable: bool,
-    },
-    /// Anything else (`use`, `const`, `type`, `extern`, item-level macro
-    /// invocations, stray tokens): held as its token range only.
+    /// Anything else (`use`, `const`, `static`, `type`, `extern`,
+    /// item-level macro invocations, stray tokens): held as its token
+    /// range only.
     Verbatim,
 }
 
@@ -521,7 +516,6 @@ impl<'t, 'a> Parser<'t, 'a> {
             }
             "impl" | "trait" => self.container_item(lo, attrs.clone(), vis_pub),
             "struct" | "enum" | "union" => self.adt_item(lo, attrs.clone(), vis_pub),
-            "static" => self.static_item(lo, attrs.clone(), vis_pub),
             _ => self.verbatim_item(lo, attrs.clone(), vis_pub),
         };
         debug_assert!(item.hi > lo || self.pos > lo, "item must consume tokens");
@@ -691,26 +685,6 @@ impl<'t, 'a> Parser<'t, 'a> {
             }
         }
         Item { attrs, vis_pub, kind: ItemKind::Adt { name }, lo, hi: self.pos }
-    }
-
-    fn static_item(&mut self, lo: usize, attrs: Vec<Attr>, vis_pub: bool) -> Item {
-        self.bump(); // `static`
-        let mutable = self.text(0) == "mut";
-        while let Some(t) = self.peek(0) {
-            match t.text {
-                ";" => {
-                    self.bump();
-                    break;
-                }
-                "{" => self.skip_balanced("{", "}"),
-                "(" => self.skip_balanced("(", ")"),
-                "[" => self.skip_balanced("[", "]"),
-                _ => {
-                    self.bump();
-                }
-            }
-        }
-        Item { attrs, vis_pub, kind: ItemKind::Static { mutable }, lo, hi: self.pos }
     }
 
     /// Everything else: consume to the next `;` at depth zero, or one
@@ -1543,20 +1517,6 @@ mod tests {
         assert_eq!(name.as_deref(), Some("m"));
         assert!(ty.unwrap_or_default().starts_with("HashMap"), "type tokens kept");
         assert!(has_init);
-    }
-
-    #[test]
-    fn static_mut_is_distinguished() {
-        let ast = parse("static mut COUNTER: u64 = 0;\nstatic OK: u64 = 0;\n");
-        let muts: Vec<bool> = ast
-            .items
-            .iter()
-            .filter_map(|i| match i.kind {
-                ItemKind::Static { mutable } => Some(mutable),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(muts, vec![true, false]);
     }
 
     #[test]

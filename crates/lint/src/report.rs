@@ -9,7 +9,7 @@
 //!   "files_scanned": 123,
 //!   "suppressed": 2,
 //!   "status": "ok",
-//!   "rules": [ {"rule": "no-unsafe", "count": 0}, … ],
+//!   "rules": [ {"rule": "panic-in-lib", "count": 0}, … ],
 //!   "findings": [ {"rule": "…", "rule_class": "token", "file": "…",
 //!                  "line": 1, "col": 5, "message": "…",
 //!                  "domain_from": "", "domain_to": "", "chain": ""}, … ]
@@ -134,11 +134,11 @@ mod tests {
     #[test]
     fn report_shape_is_stable_and_parses() {
         let scan = scan_with(vec![Finding::new(
-            "wall-clock",
-            "crates/core/src/x.rs".to_string(),
+            "mc-replay",
+            "crates/mc/tests/x.rs".to_string(),
             4,
             9,
-            "`Instant` reads the host clock".to_string(),
+            "replay literal fails to parse: bad cap".to_string(),
         )]);
         let doc = report_json(&scan);
         // Round-trips through the in-tree parser, and the parsed copy
@@ -151,7 +151,7 @@ mod tests {
         assert_eq!(back.get("suppressed").and_then(Json::as_u64), Some(1));
         let rules = back.get("rules").and_then(Json::as_arr).unwrap();
         for r in rules {
-            let want = u64::from(r.get("rule").and_then(Json::as_str) == Some("wall-clock"));
+            let want = u64::from(r.get("rule").and_then(Json::as_str) == Some("mc-replay"));
             assert_eq!(r.get("count").and_then(Json::as_u64), Some(want));
         }
         let f = &back.get("findings").and_then(Json::as_arr).unwrap()[0];

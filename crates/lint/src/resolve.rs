@@ -166,7 +166,7 @@ impl<'a> Program<'a> {
             return false;
         }
         let (uf, ug) = (&self.units[cf.unit], &self.units[cg.unit]);
-        uf.crate_name == ug.crate_name || uf.imports.iter().any(|i| *i == ug.crate_name)
+        uf.crate_name == ug.crate_name || uf.imports.contains(&ug.crate_name)
     }
 
     /// Callee candidates for a call site: every function named `name`

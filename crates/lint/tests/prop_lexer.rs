@@ -156,12 +156,9 @@ fn pragma_parsing_property() {
 
         // The pragma suppresses exactly the picked rules on the next line.
         let probes: &[(&str, &str)] = &[
-            ("wall-clock", "fn a() { let _ = std::time::Instant::now(); }"),
-            ("env-read", "fn b() { let _ = std::env::var(\"X\"); }"),
-            (
-                "unordered-container",
-                "pub fn t(m: &std::collections::HashMap<u64, u8>) -> usize { m.len() }",
-            ),
+            ("truncating-cast", "fn a(cycle: u64) -> u32 { cycle as u32 }"),
+            ("unchecked-arith", "fn b(cycle: u64, tick: u64) -> u64 { cycle - tick }"),
+            ("panic-in-lib", "pub fn t(v: &[u8]) -> u8 { *v.first().unwrap() }"),
         ];
         let (probe_rule, probe_code) = probes[g.gen_range(0..probes.len())];
         let src = format!("{pragma}\n{probe_code}\n");
@@ -181,12 +178,12 @@ fn pragma_parsing_property() {
 fn malformed_pragmas_are_always_findings() {
     check(256, |g| {
         let breakages = [
-            "// swque-lint: allow(wall-clock)",        // missing reason
-            "// swque-lint: allow(wall-clock) —",      // empty reason
+            "// swque-lint: allow(panic-in-lib)",      // missing reason
+            "// swque-lint: allow(panic-in-lib) —",    // empty reason
             "// swque-lint: allow() — reason",         // empty rule list
             "// swque-lint: allow(nope) — reason",     // unknown rule
-            "// swque-lint: allow(wall-clock — r",     // unclosed list
-            "// swque-lint: wall-clock — reason",      // missing allow(
+            "// swque-lint: allow(panic-in-lib — r",   // unclosed list
+            "// swque-lint: panic-in-lib — reason",    // missing allow(
         ];
         let bad = breakages[g.gen_range(0..breakages.len())];
         let src = format!("{bad}\nfn f() {{}}\n");

@@ -41,7 +41,7 @@ fn soup(g: &mut Gen, max_frags: usize) -> String {
 
 /// Child items of `item` must sit inside its range, in order, without
 /// overlapping each other.
-fn assert_children_nest(ast: &Ast<'_>, item: &Item) {
+fn assert_children_nest(item: &Item) {
     let children: &[Item] = match &item.kind {
         ItemKind::Mod { items, .. } | ItemKind::Container { items, .. } => items,
         _ => return,
@@ -57,7 +57,7 @@ fn assert_children_nest(ast: &Ast<'_>, item: &Item) {
             item.lo,
             item.hi
         );
-        assert_children_nest(ast, child);
+        assert_children_nest(child);
         cursor = child.hi;
     }
 }
@@ -70,7 +70,7 @@ fn assert_tiles(ast: &Ast<'_>) {
         assert_eq!(item.lo, cursor, "gap or overlap before item at token {}", item.lo);
         assert!(item.hi > item.lo, "item consumed no tokens at {}", item.lo);
         assert!(item.hi <= ast.toks.len());
-        assert_children_nest(ast, item);
+        assert_children_nest(item);
         cursor = item.hi;
     }
     assert_eq!(cursor, ast.toks.len(), "tokens dropped after the last item");

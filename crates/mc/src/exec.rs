@@ -74,7 +74,7 @@ pub fn check_replay(replay: &Replay) -> Result<ReplayOutcome, String> {
             Err(format!("trace expected to violate {expected} replayed clean"))
         }
         (Some(expected), Some(violation)) => {
-            if &violation.property == expected {
+            if violation.property == *expected {
                 Ok(outcome)
             } else {
                 Err(format!(

@@ -153,19 +153,20 @@ mod tests {
         let mut p = pf();
         p.observe(0, true);
         p.observe(1, true);
+        let distance = PrefetchConfig::default().distance;
+        // Hammer the stream without consuming prefetches: each access
+        // consumes one line of run-ahead and issues up to `degree` more, so
+        // the run-ahead must climb to the configured distance and stop there.
         let mut ahead: u64 = 0;
-        let mut line = 2;
-        // Hammer the stream without consuming prefetches: issued_ahead should
-        // saturate at the configured distance.
-        for _ in 0..40 {
+        for line in 2..42 {
             let out = p.observe(line, true);
-            ahead = ahead.saturating_sub(1).max(0) + out.len() as u64;
+            ahead = ahead.saturating_sub(1) + out.len() as u64;
+            assert!(ahead <= distance, "run-ahead {ahead} exceeds the {distance}-line cap");
             for &o in &out {
-                assert!(o <= line + PrefetchConfig::default().distance, "within distance window");
+                assert!(o <= line + distance, "within distance window");
             }
-            line += 1;
         }
-        assert!(p.issued() > 0);
+        assert_eq!(ahead, distance, "run-ahead saturates at the distance cap");
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::{splitmix64, Rng, UniformRange};
 
 /// Default base seed when `SWQUE_PROP_SEED` is unset. Arbitrary but fixed:
 /// the suite is fully deterministic run-to-run.
-const DEFAULT_BASE_SEED: u64 = 0x5EED_0F_CA5E_5340;
+const DEFAULT_BASE_SEED: u64 = 0x005E_ED0F_CA5E_5340;
 
 /// Per-case random input source handed to property closures.
 ///
@@ -163,8 +163,11 @@ impl std::ops::DerefMut for Gen {
 
 /// How many cases to run given the test's request, honouring
 /// `SWQUE_PROP_CASES`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SWQUE_PROP_CASES is the documented case-budget knob"
+)]
 fn effective_cases(requested: usize) -> usize {
-    // swque-lint: allow(env-read) — SWQUE_PROP_CASES is the documented case-budget knob
     match std::env::var("SWQUE_PROP_CASES") {
         Ok(v) => v
             .trim()
@@ -178,8 +181,11 @@ fn effective_cases(requested: usize) -> usize {
 
 /// The base seed, honouring `SWQUE_PROP_SEED` (hex with `0x` prefix, or
 /// decimal).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SWQUE_PROP_SEED is the documented failing-case replay knob"
+)]
 fn base_seed() -> u64 {
-    // swque-lint: allow(env-read) — SWQUE_PROP_SEED is the documented failing-case replay knob
     match std::env::var("SWQUE_PROP_SEED") {
         Ok(v) => {
             let t = v.trim();
@@ -224,6 +230,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test code: `check` takes an `Fn`, so the seed log needs a cell"
+    )]
     fn cases_and_seeds() {
         use std::cell::RefCell;
         let seeds: RefCell<Vec<u64>> = RefCell::new(Vec::new());

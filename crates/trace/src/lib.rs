@@ -62,7 +62,11 @@ pub mod summary;
 pub use json::Json;
 pub use summary::{IntervalSample, IpcSample, TraceSummary};
 
-use std::cell::RefCell; // swque-lint: allow(interior-mutability) — single-threaded trace fan-in, documented on TraceHandle
+#[expect(
+    clippy::disallowed_types,
+    reason = "single-threaded trace fan-in, documented on TraceHandle"
+)]
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -297,7 +301,11 @@ impl TraceSink for RingRecorder {
 /// and callers that would do work just to *build* an event should guard on
 /// [`enabled`](TraceHandle::enabled) first.
 #[derive(Clone, Default)]
-pub struct TraceHandle(Option<Rc<RefCell<dyn TraceSink>>>); // swque-lint: allow(interior-mutability) — single-threaded by design (see type docs); events append in deterministic simulation order
+#[expect(
+    clippy::disallowed_types,
+    reason = "single-threaded by design (see type docs); events append in simulation order"
+)]
+pub struct TraceHandle(Option<Rc<RefCell<dyn TraceSink>>>);
 
 impl TraceHandle {
     /// The disabled handle: records nothing, costs one branch per call.
@@ -311,8 +319,9 @@ impl TraceHandle {
     }
 
     /// A handle feeding an arbitrary sink implementation.
+    #[expect(clippy::disallowed_types, reason = "single-threaded by design (see type docs)")]
     pub fn with_sink<S: TraceSink + 'static>(sink: S) -> TraceHandle {
-        TraceHandle(Some(Rc::new(RefCell::new(sink)))) // swque-lint: allow(interior-mutability) — single-threaded by design (see type docs)
+        TraceHandle(Some(Rc::new(RefCell::new(sink))))
     }
 
     /// True when events are being consumed. Emitters with non-trivial event

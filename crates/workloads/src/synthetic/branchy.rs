@@ -127,7 +127,7 @@ pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
                 let r = Reg(16 + chain as u8);
                 let step = chain_progress[chain];
                 chain_progress[chain] += 1;
-                if step % 2 == 0 {
+                if step.is_multiple_of(2) {
                     a.addi(r, r, 1 + chain as i64);
                 } else {
                     a.xori(r, r, 0x2F + chain as i64);

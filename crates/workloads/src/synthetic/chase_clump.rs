@@ -284,7 +284,7 @@ mod tests {
         let mut emu = Emulator::new(&p);
         emu.run(30_000_000).unwrap();
         let cursor = emu.int_reg(Reg(25));
-        assert!(cursor >= 0x80_0000 && cursor < 0x80_0000 + (1 << 12));
+        assert!((0x80_0000..0x80_0000 + (1 << 12)).contains(&cursor));
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
                 let r = FReg(16 + c as u8);
                 let step = chain_step[c];
                 chain_step[c] += 1;
-                if step % 2 == 0 {
+                if step.is_multiple_of(2) {
                     a.fmul(r, r, FReg(1)); // ×(1+ε): bounded growth
                 } else {
                     a.fadd(r, r, FReg(3));

@@ -91,11 +91,11 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
     }
     // Advance and wrap the stream pointers.
     let stride = ((p.unroll / p.arrays).max(1) * 8) as i64;
-    for k in 0..p.arrays {
+    for (k, &b) in bases.iter().enumerate() {
         let ptr = Reg(24 + k as u8);
         a.addi(ptr, ptr, stride);
         // Wrap within the footprint: ptr = base + ((ptr - base) & mask).
-        a.li(Reg(6), bases[k] as i64);
+        a.li(Reg(6), b as i64);
         a.sub(Reg(7), ptr, Reg(6));
         a.and(Reg(7), Reg(7), Reg(4));
         a.add(ptr, Reg(6), Reg(7));

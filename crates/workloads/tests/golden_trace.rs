@@ -64,6 +64,10 @@ fn golden(name: &str) -> &'static str {
 /// Regeneration helper (not an assertion): prints the current traces in
 /// paste-ready form when SWQUE_GOLDEN_DUMP=1.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "SWQUE_GOLDEN_DUMP is the documented re-baseline knob"
+)]
 fn dump_traces_when_requested() {
     if std::env::var("SWQUE_GOLDEN_DUMP").is_err() {
         return;

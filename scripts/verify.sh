@@ -27,6 +27,91 @@ cargo test -q --offline --workspace
 echo "== docs: cargo doc --no-deps --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+echo "== clippy: the determinism bans (root and per-crate clippy.toml) and reasoned #[expect]s"
+# rustc and clippy own the generic determinism rules (DESIGN.md §8.4): the
+# clock, hash-order containers, interior mutability and environment reads
+# are clippy.toml bans, and `unsafe` is forbidden outright. The only
+# accepted suppression is `#[expect(lint, reason = "…")]`: a bare #[allow],
+# an #[expect] without a reason, and a stale #[expect] all fail.
+clippy_flags=(-D warnings -F unsafe_code -D clippy::allow_attributes
+    -D clippy::allow_attributes_without_reason)
+cargo clippy --workspace --all-targets --offline -q -- "${clippy_flags[@]}"
+
+echo "== clippy: negative self-check matrix (one injection per retired lint rule)"
+# Each injection goes into a scratch package under target/ that carries a
+# copy of a workspace clippy.toml. It must fail, and the output must name
+# the lint that owns the rule, so a ban that silently stops applying is
+# caught here. A clean control must pass under the same setup, so a broken
+# scratch package cannot fake the failures.
+clippy_neg=target/clippy-neg
+mkdir -p "$clippy_neg"
+cat > "$clippy_neg/Cargo.toml" <<'EOF_TOML'
+[package]
+name = "clippy-neg"
+version = "0.0.0"
+edition = "2021"
+publish = false
+
+[lib]
+path = "lib.rs"
+
+[workspace]
+EOF_TOML
+clippy_scratch() {
+    local config="$1" src="$2"
+    cp "$config" "$clippy_neg/clippy.toml"
+    printf '%b' "$src" > "$clippy_neg/lib.rs"
+    CARGO_TARGET_DIR="$clippy_neg/target" cargo clippy --offline -q \
+        --manifest-path "$clippy_neg/Cargo.toml" -- "${clippy_flags[@]}" \
+        > "$clippy_neg/out.txt" 2>&1
+}
+clippy_pass() {
+    local what="$1" config="$2" src="$3"
+    clippy_scratch "$config" "$src" || {
+        echo "error: clippy rejected the $what control" >&2
+        cat "$clippy_neg/out.txt" >&2
+        exit 1
+    }
+}
+clippy_neg_check() {
+    local lint="$1" config="$2" src="$3"
+    if clippy_scratch "$config" "$src"; then
+        echo "error: clippy passed an injected $lint violation" >&2
+        exit 1
+    fi
+    grep -q "$lint" "$clippy_neg/out.txt" || {
+        echo "error: the injected violation did not fail through $lint" >&2
+        cat "$clippy_neg/out.txt" >&2
+        exit 1
+    }
+}
+clippy_pass clean clippy.toml \
+    'pub fn t(m: &std::collections::BTreeMap<u64, u8>) -> usize { m.len() }\n'
+clippy_neg_check disallowed_types clippy.toml \
+    'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
+clippy_neg_check disallowed_types clippy.toml \
+    'use std::collections::HashMap;\npub fn t(m: &HashMap<u64, u8>) -> usize { m.len() }\n'
+clippy_neg_check disallowed_types clippy.toml \
+    'pub fn f() -> u64 { let m = std::collections::HashMap::from([(1u64, 2u64)]); m.values().sum() }\n'
+clippy_neg_check disallowed_types clippy.toml \
+    'pub fn f() -> u8 { let c = std::cell::RefCell::new(0u8); c.replace(1) }\n'
+clippy_neg_check disallowed_types clippy.toml \
+    'pub fn f() -> std::hash::RandomState { std::hash::RandomState::new() }\n'
+clippy_neg_check disallowed_methods clippy.toml \
+    'pub fn t() -> bool { std::env::var_os("X").is_some() }\n'
+clippy_neg_check unsafe.code clippy.toml \
+    'pub fn f(p: &u8) -> u8 { unsafe { *(p as *const u8) } }\n'
+clippy_neg_check allow.attributes clippy.toml \
+    '#[allow(dead_code)]\nfn f() {}\n'
+clippy_neg_check unfulfilled.lint.expectations clippy.toml \
+    '#[expect(dead_code, reason = "stale: f is public")]\npub fn f() {}\n'
+# The harness configuration (bench, lint) allows the environment knobs
+# and still rejects the clock.
+clippy_pass "harness env-read" crates/bench/clippy.toml \
+    'pub fn t() -> bool { std::env::var_os("X").is_some() }\n'
+clippy_neg_check disallowed_types crates/bench/clippy.toml \
+    'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
+
 echo "== benchmark: swque_benchmark builds, its tests pass, an mlp_stall run is correct"
 # swque_benchmark is a package of its own (an empty [workspace] table), so
 # --workspace above never compiles it, and an API change in a crate it
@@ -49,7 +134,7 @@ json_tmp="$(mktemp -d)"
 trap 'rm -rf "$json_tmp"' EXIT
 ./target/release/swque-lint --workspace
 
-echo "== lint: negative self-check matrix (one injection per rule, each must fail)"
+echo "== lint: negative self-check matrix (one injection per semantic rule, each must fail)"
 # Each injection goes into its own scratch tree, where its one
 # unsuppressed finding must make the gate exit non-zero. A rule that
 # silently stops firing is caught here, not in a post-mortem.
@@ -63,26 +148,16 @@ neg_check() {
         exit 1
     fi
 }
-neg_check wall-clock crates/core/src/injected.rs \
-    'fn t() -> std::time::Instant { std::time::Instant::now() }\n'
-neg_check unordered-container crates/cpu/src/injected.rs \
-    'use std::collections::HashMap;\npub fn t(m: &HashMap<u64, u8>) -> usize { m.len() }\n'
-neg_check iterated-unordered crates/cpu/src/injected.rs \
-    'use std::collections::HashMap;\nfn f(m: &HashMap<u64, u8>) { for k in m.keys() { let _ = k; } }\n'
 neg_check truncating-cast crates/core/src/injected.rs \
     'fn f(cycle: u64) -> u32 { cycle as u32 }\n'
 neg_check unchecked-arith crates/core/src/injected.rs \
     'fn f(cycle: u64, tick: u64) -> u64 { cycle - tick }\n'
-neg_check interior-mutability crates/mem/src/injected.rs \
-    'fn f() { let c = std::cell::RefCell::new(0u8); c.replace(1); }\n'
 neg_check panic-in-lib crates/trace/src/injected.rs \
     'pub fn head(v: &[u8]) -> u8 { *v.first().unwrap() }\n'
 neg_check cross-domain-arith crates/mem/src/injected.rs \
     'fn f(done_at: u64, issue_at: u64) -> u64 { done_at + issue_at }\n'
 neg_check cross-domain-call crates/mem/src/injected.rs \
     '// swque-domain: at: CycleStamp(launch)\nfn launch(at: u64) { let _ = at; }\nfn f(done_at: u64) { launch(done_at); }\n'
-neg_check env-read crates/cpu/src/injected.rs \
-    'pub fn t() -> bool { std::env::var_os("X").is_some() }\n'
 neg_check mc-replay crates/mc/src/injected.rs \
     'const T: &str = "swque-mc-replay-v1 kind=CIRC cap=x width=1 inject=- expect=- events=-";\n'
 
@@ -90,7 +165,7 @@ echo "== lint: --explain smoke (a known rule explains itself, an unknown one exi
 # Per-rule coverage (every rule has a class and a bad:/fix: example pair)
 # is the every_rule_has_a_class_and_an_explanation meta-test in
 # crates/lint/src/rules.rs; this checks the CLI path once each way.
-./target/release/swque-lint --explain wall-clock > /dev/null
+./target/release/swque-lint --explain panic-in-lib > /dev/null
 explain_status=0
 ./target/release/swque-lint --explain not-a-rule > /dev/null 2>&1 || explain_status=$?
 [ "$explain_status" -eq 2 ] || {

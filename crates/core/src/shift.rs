@@ -115,9 +115,14 @@ impl IssueQueue for ShiftQueue {
         self.stats.region_sum += self.entries.len() as u64;
 
         let mut grants = Vec::new();
-        let mut keep = Vec::with_capacity(self.entries.len());
-        for (rank, e) in self.entries.drain(..).enumerate() {
-            if !budget.exhausted() && e.ready() && budget.try_take(e.req.fu) {
+        // Compaction in place: each survivor moves up over the holes that
+        // grants left before it, so `entries[..kept]` stays age-ordered.
+        // Once the budget is spent, the untouched tail shifts up in one move.
+        let mut kept = 0;
+        let mut rank = 0;
+        while rank < self.entries.len() && !budget.exhausted() {
+            let e = self.entries[rank];
+            if e.ready() && budget.try_take(e.req.fu) {
                 self.stats.issued += 1;
                 self.stats.tag_reads += 1;
                 if rank >= self.flpi_floor {
@@ -132,11 +137,12 @@ impl IssueQueue for ShiftQueue {
                     two_cycle: false,
                 });
             } else {
-                keep.push(e);
+                self.entries[kept] = e;
+                kept += 1;
             }
+            rank += 1;
         }
-        // Compaction: survivors shift up to close the holes.
-        self.entries = keep;
+        self.entries.drain(kept..rank);
         grants
     }
 
@@ -210,6 +216,34 @@ mod tests {
         let g = q.select(&mut budget(4));
         assert_eq!(g[0].seq, 0);
         assert_eq!(g[0].rank, 0);
+    }
+
+    #[test]
+    fn in_place_compaction_keeps_grant_ranks_and_survivor_order() {
+        // Five entries; only the 2nd and 4th (ranks 1 and 3) are ready.
+        let mut q = ShiftQueue::new(&IqConfig { flpi_region_frac: 0.75, ..cfg(8, 4) });
+        assert_eq!(q.flpi_floor, 2, "ranks 2 and up count as low priority");
+        for seq in 0..5 {
+            let req =
+                if seq % 2 == 1 { ready(seq, FuClass::IntAlu) } else { waiting(seq, 90 + seq as Tag) };
+            q.dispatch(req).unwrap();
+        }
+        let g = q.select(&mut budget(4));
+        let granted: Vec<_> = g.iter().map(|g| (g.seq, g.rank)).collect();
+        assert_eq!(granted, vec![(1, 1), (3, 3)]);
+        assert_eq!(q.entries.iter().map(|e| e.req.seq).collect::<Vec<_>>(), vec![0, 2, 4]);
+        let s = q.stats();
+        assert_eq!((s.issued, s.tag_reads), (2, 2));
+        assert_eq!(s.issued_low_priority, 1, "rank 3 is at or above the floor, rank 1 is not");
+        // The survivors issue oldest first from their compacted slots.
+        for seq in [0, 2, 4] {
+            q.wakeup(90 + seq as Tag);
+        }
+        let g = q.select(&mut budget(4));
+        let granted: Vec<_> = g.iter().map(|g| (g.seq, g.rank)).collect();
+        assert_eq!(granted, vec![(0, 0), (2, 1), (4, 2)]);
+        assert!(q.is_empty());
+        assert_eq!(q.stats().issued_low_priority, 2, "rank 2 is the floor itself");
     }
 
     #[test]

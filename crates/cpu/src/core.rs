@@ -12,9 +12,10 @@
 //! * **Fetch** uses the functional [`Emulator`] as an execute-at-fetch
 //!   oracle: each fetched instruction carries its architectural outcome
 //!   (next pc, memory address). Branches are predicted with gshare+BTB; on a
-//!   misprediction fetch *stalls* until the branch resolves (no wrong-path
-//!   execution, SimpleScalar's default) and then pays the front-end refill
-//!   implied by `frontend_depth`.
+//!   misprediction fetch follows the predicted (wrong) path through a
+//!   [`ShadowEmulator`] until the branch resolves, when the wrong-path
+//!   instructions are squashed from every structure and fetch pays the
+//!   front-end refill implied by `frontend_depth` on the correct path.
 //! * **Dispatch** renames registers, allocates ROB/LSQ/IQ entries in program
 //!   order, and stalls on any structural hazard — including the circular
 //!   queues' hole-induced capacity loss, which is how CIRC's inefficiency
@@ -720,13 +721,11 @@ impl Pipeline {
             match self.lsq.load_action(uid) {
                 LoadAction::Wait => still.push(uid),
                 LoadAction::Forward => {
-                    self.lsq.mark_load_started(uid);
                     self.stats.loads_forwarded += 1;
                     let done = self.cycle + self.config.mem.l1d.hit_latency;
                     self.schedule(uid, done.max(self.cycle + 1));
                 }
                 LoadAction::Access => {
-                    self.lsq.mark_load_started(uid);
                     self.stats.loads_accessed += 1;
                     let Some(m) = self.rob.get(uid).and_then(|e| e.oracle.mem) else {
                         self.invariant(

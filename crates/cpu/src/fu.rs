@@ -9,7 +9,7 @@ use swque_isa::{FuClass, Opcode};
 
 /// Pool of function units with busy-until bookkeeping.
 #[derive(Debug, Clone)]
-pub struct FuPool {
+pub(crate) struct FuPool {
     /// `busy_until[class][unit]`: first cycle the unit is free again.
     busy_until: [Vec<u64>; 4],
 }
@@ -22,7 +22,7 @@ fn unpipelined(op: Opcode) -> bool {
 impl FuPool {
     /// Creates a pool with `counts[c]` units of each class (indexed by
     /// [`FuClass::index`]).
-    pub fn new(counts: [usize; 4]) -> FuPool {
+    pub(crate) fn new(counts: [usize; 4]) -> FuPool {
         FuPool {
             busy_until: [
                 vec![0; counts[0]],
@@ -34,12 +34,12 @@ impl FuPool {
     }
 
     /// Units of `class` free at cycle `now`.
-    pub fn free_count(&self, class: FuClass, now: u64) -> usize {
+    pub(crate) fn free_count(&self, class: FuClass, now: u64) -> usize {
         self.busy_until[class.index()].iter().filter(|&&b| b <= now).count()
     }
 
     /// Free counts for all classes (the issue budget).
-    pub fn free_counts(&self, now: u64) -> [usize; 4] {
+    pub(crate) fn free_counts(&self, now: u64) -> [usize; 4] {
         [
             self.free_count(FuClass::IntAlu, now),
             self.free_count(FuClass::IntMulDiv, now),
@@ -56,7 +56,7 @@ impl FuPool {
     ///
     /// Panics if no unit is free (callers budget with
     /// [`free_counts`](Self::free_counts) first).
-    pub fn acquire(&mut self, op: Opcode, now: u64) {
+    pub(crate) fn acquire(&mut self, op: Opcode, now: u64) {
         let class = op.fu_class();
         let hold = if unpipelined(op) { op.latency() as u64 } else { 1 };
         let unit = self.busy_until[class.index()]
@@ -68,7 +68,7 @@ impl FuPool {
     }
 
     /// Releases every unit (full flush).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for class in &mut self.busy_until {
             class.fill(0);
         }

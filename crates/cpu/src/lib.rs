@@ -46,9 +46,4 @@ mod switching;
 pub use crate::core::{Core, PipelineSnapshot};
 pub use crate::multi::MultiCoreSim;
 pub use config::CoreConfig;
-pub use fu::FuPool;
-pub use lsq::{LoadAction, Lsq};
-pub use rename::RenameState;
 pub use result::{CoreStats, InvariantViolation, SimResult};
-pub use rob::{Rob, RobEntry, RobState};
-pub use switching::{mode_switch_response, SwitchResponse};

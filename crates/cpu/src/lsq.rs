@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 /// What the load scheduler should do with a load this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadAction {
+pub(crate) enum LoadAction {
     /// No older-store hazard: access the cache.
     Access,
     /// Forward from an older store already executed.
@@ -35,13 +35,11 @@ struct LsqEntry {
     size: u8,
     /// Store: address (and data) computed, i.e. the store has issued.
     executed: bool,
-    /// Load: memory access already started (or forwarded).
-    started: bool,
 }
 
 /// The load/store queue.
 #[derive(Debug)]
-pub struct Lsq {
+pub(crate) struct Lsq {
     capacity: usize,
     entries: VecDeque<LsqEntry>,
 }
@@ -52,23 +50,18 @@ fn overlap(a: u64, asize: u8, b: u64, bsize: u8) -> bool {
 
 impl Lsq {
     /// Creates an empty LSQ of `capacity` entries.
-    pub fn new(capacity: usize) -> Lsq {
+    pub(crate) fn new(capacity: usize) -> Lsq {
         Lsq { capacity, entries: VecDeque::with_capacity(capacity) }
     }
 
     /// Occupied entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True if a memory instruction can dispatch.
-    pub fn has_space(&self) -> bool {
+    pub(crate) fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Allocates an entry at dispatch (program order).
@@ -76,9 +69,9 @@ impl Lsq {
     /// # Panics
     ///
     /// Panics if full.
-    pub fn push(&mut self, uid: u64, is_store: bool, addr: u64, size: u8) {
+    pub(crate) fn push(&mut self, uid: u64, is_store: bool, addr: u64, size: u8) {
         assert!(self.has_space(), "LSQ overflow"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: dispatch budgets with has_space first
-        self.entries.push_back(LsqEntry { uid, is_store, addr, size, executed: false, started: false });
+        self.entries.push_back(LsqEntry { uid, is_store, addr, size, executed: false });
     }
 
     fn index_of(&self, uid: u64) -> Option<usize> {
@@ -86,24 +79,11 @@ impl Lsq {
     }
 
     /// Marks a store as executed (its address/data are now known).
-    pub fn mark_store_executed(&mut self, uid: u64) {
+    pub(crate) fn mark_store_executed(&mut self, uid: u64) {
         if let Some(i) = self.index_of(uid) {
             debug_assert!(self.entries[i].is_store);
             self.entries[i].executed = true;
         }
-    }
-
-    /// Marks a load as having started its access (so it is not re-issued).
-    pub fn mark_load_started(&mut self, uid: u64) {
-        if let Some(i) = self.index_of(uid) {
-            debug_assert!(!self.entries[i].is_store);
-            self.entries[i].started = true;
-        }
-    }
-
-    /// True if the load has already begun its access.
-    pub fn load_started(&self, uid: u64) -> bool {
-        self.index_of(uid).map(|i| self.entries[i].started).unwrap_or(true)
     }
 
     /// Decides whether the load `uid` may access memory this cycle.
@@ -111,7 +91,7 @@ impl Lsq {
     /// # Panics
     ///
     /// Panics if `uid` is not in the queue.
-    pub fn load_action(&self, uid: u64) -> LoadAction {
+    pub(crate) fn load_action(&self, uid: u64) -> LoadAction {
         // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: the scheduler only queries loads it dispatched
         let i = self.index_of(uid).expect("load must be in the LSQ");
         let load = self.entries[i];
@@ -137,14 +117,14 @@ impl Lsq {
     }
 
     /// Removes the entry for `uid` at commit (no-op if absent).
-    pub fn remove(&mut self, uid: u64) {
+    pub(crate) fn remove(&mut self, uid: u64) {
         if let Some(i) = self.index_of(uid) {
             self.entries.remove(i);
         }
     }
 
     /// Empties the queue (full flush).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 }
@@ -220,16 +200,6 @@ mod tests {
         q.remove(1);
         assert!(q.has_space());
         q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn load_started_bookkeeping() {
-        let mut q = Lsq::new(4);
-        q.push(5, false, 0x40, 8);
-        assert!(!q.load_started(5));
-        q.mark_load_started(5);
-        assert!(q.load_started(5));
-        assert!(q.load_started(99), "absent loads count as started (already handled)");
+        assert_eq!(q.len(), 0);
     }
 }

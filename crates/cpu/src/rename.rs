@@ -14,7 +14,7 @@ use swque_core::Tag;
 
 /// Rename state for both register classes.
 #[derive(Debug, Clone)]
-pub struct RenameState {
+pub(crate) struct RenameState {
     phys_int: usize,
     /// Speculative map, indexed by [`ArchReg::flat_index`].
     map: Vec<Tag>,
@@ -34,7 +34,7 @@ impl RenameState {
     ///
     /// Panics if either file has fewer physical than architectural
     /// registers, or more than `Tag` can index.
-    pub fn new(phys_int: usize, phys_fp: usize) -> RenameState {
+    pub(crate) fn new(phys_int: usize, phys_fp: usize) -> RenameState {
         assert!(phys_int >= NUM_ARCH_REGS && phys_fp >= NUM_ARCH_REGS); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         assert!(phys_int + phys_fp <= Tag::MAX as usize + 1);
         let mut map = Vec::with_capacity(2 * NUM_ARCH_REGS);
@@ -62,7 +62,7 @@ impl RenameState {
     }
 
     /// Free physical registers available for `class`.
-    pub fn free_count(&self, class: RegClass) -> usize {
+    pub(crate) fn free_count(&self, class: RegClass) -> usize {
         match class {
             RegClass::Int => self.free_int.len(),
             RegClass::Fp => self.free_fp.len(),
@@ -70,23 +70,23 @@ impl RenameState {
     }
 
     /// Current speculative mapping of `reg`.
-    pub fn lookup(&self, reg: ArchReg) -> Tag {
+    pub(crate) fn lookup(&self, reg: ArchReg) -> Tag {
         self.map[reg.flat_index()]
     }
 
     /// Is the value of `tag` available?
-    pub fn is_ready(&self, tag: Tag) -> bool {
+    pub(crate) fn is_ready(&self, tag: Tag) -> bool {
         self.ready[tag as usize]
     }
 
     /// Marks `tag` ready (result written back).
-    pub fn set_ready(&mut self, tag: Tag) {
+    pub(crate) fn set_ready(&mut self, tag: Tag) {
         self.ready[tag as usize] = true;
     }
 
     /// Renames a source operand: returns `None` if the value is already
     /// available, otherwise the tag to wait on.
-    pub fn rename_src(&self, reg: ArchReg) -> Option<Tag> {
+    pub(crate) fn rename_src(&self, reg: ArchReg) -> Option<Tag> {
         if reg.is_zero() {
             return None;
         }
@@ -104,7 +104,7 @@ impl RenameState {
     ///
     /// Returns `None` if the free list for the class is empty (dispatch must
     /// stall).
-    pub fn rename_dst(&mut self, reg: ArchReg) -> Option<(Tag, Tag)> {
+    pub(crate) fn rename_dst(&mut self, reg: ArchReg) -> Option<(Tag, Tag)> {
         let new = self.free_list(reg.class).pop_front()?;
         let old = self.map[reg.flat_index()];
         self.map[reg.flat_index()] = new;
@@ -115,7 +115,7 @@ impl RenameState {
     /// Reverses a speculative [`rename_dst`](Self::rename_dst) during
     /// misprediction squash. Must be called in reverse dispatch order so
     /// nested renames of the same register unwind correctly.
-    pub fn undo_dst(&mut self, reg: ArchReg, new: Tag, old: Tag) {
+    pub(crate) fn undo_dst(&mut self, reg: ArchReg, new: Tag, old: Tag) {
         debug_assert_eq!(self.map[reg.flat_index()], new, "squash order violation");
         self.map[reg.flat_index()] = old;
         self.free_list(reg.class).push_front(new);
@@ -123,7 +123,7 @@ impl RenameState {
 
     /// Commits a destination rename: the committed map adopts `new` and the
     /// previously committed tag `old` returns to the free list.
-    pub fn commit_dst(&mut self, reg: ArchReg, new: Tag, old: Tag) {
+    pub(crate) fn commit_dst(&mut self, reg: ArchReg, new: Tag, old: Tag) {
         debug_assert_eq!(self.committed[reg.flat_index()], old, "commit order violation");
         self.committed[reg.flat_index()] = new;
         let class = reg.class;
@@ -132,7 +132,7 @@ impl RenameState {
 
     /// Full-flush recovery: the speculative map reverts to the committed
     /// map, committed values become ready, and every other tag is free.
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.map.copy_from_slice(&self.committed);
         let mut live = vec![false; self.ready.len()];
         for &t in &self.committed {

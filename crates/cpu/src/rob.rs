@@ -1,6 +1,26 @@
 //! Reorder buffer: program-order retirement of out-of-order execution.
+//!
+//! # Representation
+//!
+//! The ROB is a FIFO: instructions arrive at dispatch in program order and
+//! leave at commit in program order, and a squash or a flush only ever cuts
+//! off its young end. It is therefore one [`VecDeque`] of entries, oldest at
+//! the front, and a lookup by uid is a binary search over it.
+//!
+//! That lookup relies on one invariant: **uids strictly increase from the
+//! head to the tail.** The pipeline keeps it because
+//!
+//! * fresh uids (correct-path and wrong-path fetch alike) come from one
+//!   monotonic counter;
+//! * a replayed instruction keeps its uid, but replays arrive in program
+//!   order, and only after a full flush has emptied the ROB;
+//! * wrong-path instructions carry uids younger than their mispredicted
+//!   branch and are squashed when it resolves, before any younger
+//!   correct-path (or replayed) instruction dispatches.
+//!
+//! [`Rob::push`] asserts the invariant on every dispatch.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use swque_isa::{ArchReg, Retired};
 
@@ -8,7 +28,7 @@ use swque_core::Tag;
 
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RobState {
+pub(crate) enum RobState {
     /// Waiting in the issue queue (or not yet issued).
     Waiting,
     /// Issued to a function unit / memory.
@@ -19,84 +39,86 @@ pub enum RobState {
 
 /// One in-flight instruction.
 #[derive(Debug, Clone)]
-pub struct RobEntry {
+pub(crate) struct RobEntry {
     /// Stable identity of the dynamic instruction (survives replays).
-    pub uid: u64,
+    pub(crate) uid: u64,
     /// Dispatch-order sequence number (fresh per dispatch).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The oracle outcome (instruction, next pc, memory access).
-    pub oracle: Retired,
+    pub(crate) oracle: Retired,
     /// Execution state.
-    pub state: RobState,
+    pub(crate) state: RobState,
     /// Destination rename `(arch, new_tag, old_tag)`, if any.
-    pub dst: Option<(ArchReg, Tag, Tag)>,
+    pub(crate) dst: Option<(ArchReg, Tag, Tag)>,
     /// True if the front end flagged this control instruction mispredicted.
-    pub mispredicted: bool,
+    pub(crate) mispredicted: bool,
     /// True for wrong-path instructions (fetched past a mispredicted
     /// branch); they are squashed when the branch resolves and never
     /// commit.
-    pub wp: bool,
+    pub(crate) wp: bool,
 }
 
-/// A bounded, program-ordered reorder buffer keyed by instruction uid.
+/// A bounded reorder buffer in program order, looked up by instruction uid.
 #[derive(Debug)]
-pub struct Rob {
+pub(crate) struct Rob {
     capacity: usize,
-    order: VecDeque<u64>,
-    /// Ordered map, per the determinism contract (DESIGN.md §8): uids are
-    /// monotone and the map stays at ROB size (≤ a few hundred), so the
-    /// B-tree costs nothing measurable while making every traversal
-    /// host-independent.
-    entries: BTreeMap<u64, RobEntry>,
+    /// In-flight entries, oldest first; uids strictly increase (module docs).
+    entries: VecDeque<RobEntry>,
 }
 
 impl Rob {
     /// Creates an empty ROB of `capacity` entries.
-    pub fn new(capacity: usize) -> Rob {
-        Rob { capacity, order: VecDeque::with_capacity(capacity), entries: BTreeMap::new() }
+    pub(crate) fn new(capacity: usize) -> Rob {
+        Rob { capacity, entries: VecDeque::with_capacity(capacity) }
     }
 
     /// Occupied entries.
-    pub fn len(&self) -> usize {
-        self.order.len()
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 
     /// True when no instruction is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// True if another instruction can dispatch.
-    pub fn has_space(&self) -> bool {
-        self.order.len() < self.capacity
+    pub(crate) fn has_space(&self) -> bool {
+        self.entries.len() < self.capacity
     }
 
     /// Appends an entry at the tail.
     ///
     /// # Panics
     ///
-    /// Panics if full or if `uid` is already present.
-    pub fn push(&mut self, entry: RobEntry) {
+    /// Panics if full or if `entry.uid` is not greater than the tail's uid.
+    pub(crate) fn push(&mut self, entry: RobEntry) {
         assert!(self.has_space(), "ROB overflow"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: dispatch budgets with has_space first
-        let uid = entry.uid;
-        let prev = self.entries.insert(uid, entry);
-        assert!(prev.is_none(), "duplicate ROB uid {uid}"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract; uid reuse would alias two in-flight instructions
-        self.order.push_back(uid);
+        if let Some(tail) = self.entries.back() {
+            let (uid, tail) = (entry.uid, tail.uid);
+            // swque-lint: allow(panic-in-lib) — documented `# Panics` contract; an out-of-order uid would break the binary-search lookup
+            assert!(uid > tail, "ROB uid {uid} is not younger than tail uid {tail}");
+        }
+        self.entries.push_back(entry);
+    }
+
+    fn index_of(&self, uid: u64) -> Option<usize> {
+        self.entries.binary_search_by_key(&uid, |e| e.uid).ok()
     }
 
     /// Looks up an entry by uid.
-    pub fn get(&self, uid: u64) -> Option<&RobEntry> {
-        self.entries.get(&uid)
+    pub(crate) fn get(&self, uid: u64) -> Option<&RobEntry> {
+        self.index_of(uid).map(|i| &self.entries[i])
     }
 
     /// Mutable lookup by uid.
-    pub fn get_mut(&mut self, uid: u64) -> Option<&mut RobEntry> {
-        self.entries.get_mut(&uid)
+    pub(crate) fn get_mut(&mut self, uid: u64) -> Option<&mut RobEntry> {
+        self.index_of(uid).map(|i| &mut self.entries[i])
     }
 
     /// The oldest in-flight entry, if any.
-    pub fn head(&self) -> Option<&RobEntry> {
-        self.order.front().map(|uid| &self.entries[uid])
+    pub(crate) fn head(&self) -> Option<&RobEntry> {
+        self.entries.front()
     }
 
     /// Retires the head entry (must be `Done`).
@@ -104,10 +126,8 @@ impl Rob {
     /// # Panics
     ///
     /// Panics if empty or if the head has not completed.
-    pub fn pop_head(&mut self) -> RobEntry {
-        let uid = self.order.pop_front().expect("pop from empty ROB"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: commit checks head() first
-        // swque-lint: allow(panic-in-lib) — order and entries are mutated together; desync is a ROB bug
-        let entry = self.entries.remove(&uid).expect("order/entries in sync");
+    pub(crate) fn pop_head(&mut self) -> RobEntry {
+        let entry = self.entries.pop_front().expect("pop from empty ROB"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: commit checks head() first
         // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: commit only retires Done heads
         assert_eq!(entry.state, RobState::Done, "commit of incomplete instruction");
         entry
@@ -115,43 +135,36 @@ impl Rob {
 
     /// Removes every entry younger than `seq` (exclusive), returning them
     /// youngest-first so the caller can unwind renames in reverse order.
-    pub fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
+    pub(crate) fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
         let mut out = Vec::new();
-        while let Some(&uid) = self.order.back() {
-            if self.entries[&uid].seq <= seq {
-                break;
-            }
-            self.order.pop_back();
-            out.extend(self.entries.remove(&uid));
+        while self.entries.back().is_some_and(|e| e.seq > seq) {
+            out.extend(self.entries.pop_back());
         }
         out
     }
 
     /// Drains every in-flight entry in program order (full flush). The
     /// caller replays them through the front end.
-    pub fn drain_in_order(&mut self) -> Vec<RobEntry> {
-        let mut out = Vec::with_capacity(self.order.len());
-        for uid in self.order.drain(..) {
-            out.extend(self.entries.remove(&uid));
-        }
-        out
-    }
-
-    /// Iterates in program order.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> + '_ {
-        self.order.iter().map(|uid| &self.entries[uid])
+    pub(crate) fn drain_in_order(&mut self) -> Vec<RobEntry> {
+        self.entries.drain(..).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use swque_isa::{Inst, Opcode};
+    use swque_rng::prop::check;
 
     fn entry(uid: u64) -> RobEntry {
+        entry_at(uid, uid)
+    }
+
+    fn entry_at(uid: u64, seq: u64) -> RobEntry {
         RobEntry {
             uid,
-            seq: uid,
+            seq,
             oracle: Retired {
                 pc: uid,
                 inst: Inst::bare(Opcode::Nop),
@@ -186,6 +199,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not younger than tail")]
+    fn push_of_a_uid_not_younger_than_the_tail_panics() {
+        let mut rob = Rob::new(4);
+        rob.push(entry(5));
+        rob.push(entry(7));
+        rob.push(entry(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "not younger than tail")]
+    fn push_of_a_duplicate_uid_panics() {
+        let mut rob = Rob::new(4);
+        rob.push(entry(5));
+        rob.push(entry(5));
+    }
+
+    #[test]
     fn capacity_enforced() {
         let mut rob = Rob::new(2);
         rob.push(entry(1));
@@ -213,5 +243,143 @@ mod tests {
         rob.get_mut(2).unwrap().state = RobState::Done; // younger completes first
         assert_eq!(rob.head().unwrap().uid, 1);
         assert_eq!(rob.head().unwrap().state, RobState::Waiting, "head not committable yet");
+    }
+
+    /// The keyed representation the deque replaced: a uid-keyed map plus a
+    /// program-order list of uids. It makes no assumption about uid order,
+    /// so it is the reference the deque must agree with.
+    struct RefRob {
+        order: VecDeque<u64>,
+        entries: BTreeMap<u64, RobEntry>,
+    }
+
+    impl RefRob {
+        fn push(&mut self, e: RobEntry) {
+            self.order.push_back(e.uid);
+            self.entries.insert(e.uid, e);
+        }
+
+        fn head(&self) -> Option<&RobEntry> {
+            self.order.front().map(|uid| &self.entries[uid])
+        }
+
+        fn pop_head(&mut self) -> RobEntry {
+            let uid = self.order.pop_front().unwrap();
+            self.entries.remove(&uid).unwrap()
+        }
+
+        fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
+            let mut out = Vec::new();
+            while let Some(&uid) = self.order.back() {
+                if self.entries[&uid].seq <= seq {
+                    break;
+                }
+                self.order.pop_back();
+                out.extend(self.entries.remove(&uid));
+            }
+            out
+        }
+
+        fn drain_in_order(&mut self) -> Vec<RobEntry> {
+            self.order.drain(..).filter_map(|uid| self.entries.remove(&uid)).collect()
+        }
+    }
+
+    /// The fields an answer is compared on.
+    fn key(e: &RobEntry) -> (u64, u64, RobState, u64) {
+        (e.uid, e.seq, e.state, e.oracle.pc)
+    }
+
+    fn keys(es: &[RobEntry]) -> Vec<(u64, u64, RobState, u64)> {
+        es.iter().map(key).collect()
+    }
+
+    /// Random dispatch / complete / commit / squash / flush-and-replay
+    /// sequences, with uids assigned the way the pipeline assigns them
+    /// (fresh uids from a gapped monotonic counter, replays re-pushed with
+    /// their old uids after a flush), give the same answers from the deque
+    /// and from the keyed reference.
+    #[test]
+    fn deque_agrees_with_the_keyed_reference() {
+        check(256, |g| {
+            let capacity = g.gen_range(1usize..12);
+            let mut rob = Rob::new(capacity);
+            let mut reference = RefRob { order: VecDeque::new(), entries: BTreeMap::new() };
+            let mut next_uid = 0u64;
+            let mut next_seq = 0u64;
+            let mut replay: VecDeque<u64> = VecDeque::new();
+            for _ in 0..g.gen_range(1usize..200) {
+                match g.weighted(&[6, 3, 3, 1, 1, 4, 4]) {
+                    0 => {
+                        if !rob.has_space() {
+                            continue;
+                        }
+                        let uid = match replay.pop_front() {
+                            Some(uid) => uid,
+                            None => {
+                                next_uid += g.gen_range(1u64..4);
+                                next_uid
+                            }
+                        };
+                        next_seq += 1;
+                        rob.push(entry_at(uid, next_seq));
+                        reference.push(entry_at(uid, next_seq));
+                    }
+                    1 => {
+                        let head_done = rob.head().is_some_and(|h| h.state == RobState::Done);
+                        assert_eq!(
+                            head_done,
+                            reference.head().is_some_and(|h| h.state == RobState::Done)
+                        );
+                        if head_done {
+                            assert_eq!(key(&rob.pop_head()), key(&reference.pop_head()));
+                        }
+                    }
+                    2 => {
+                        let state = if g.bool() { RobState::Done } else { RobState::Executing };
+                        let uid = g.gen_range(0..next_uid + 2);
+                        let ours = rob.get_mut(uid).map(|e| {
+                            e.state = state;
+                            key(e)
+                        });
+                        let theirs = reference.entries.get_mut(&uid).map(|e| {
+                            e.state = state;
+                            key(e)
+                        });
+                        assert_eq!(ours, theirs, "get_mut({uid})");
+                    }
+                    3 => {
+                        let seq = g.gen_range(0..next_seq + 2);
+                        let ours = rob.squash_younger(seq);
+                        assert_eq!(keys(&ours), keys(&reference.squash_younger(seq)));
+                    }
+                    4 => {
+                        let ours = rob.drain_in_order();
+                        assert_eq!(keys(&ours), keys(&reference.drain_in_order()));
+                        // The flushed instructions replay, in program order,
+                        // ahead of anything still waiting to replay.
+                        let mut again: VecDeque<u64> = ours.iter().map(|e| e.uid).collect();
+                        again.append(&mut replay);
+                        replay = again;
+                    }
+                    5 => {
+                        let uid = g.gen_range(0..next_uid + 2);
+                        assert_eq!(rob.get(uid).map(key), reference.entries.get(&uid).map(key));
+                    }
+                    _ => {
+                        // Every live uid is found by the search.
+                        let uid = match reference.order.len() {
+                            0 => continue,
+                            n => reference.order[g.gen_range(0..n)],
+                        };
+                        assert_eq!(rob.get(uid).map(key), Some(key(&reference.entries[&uid])));
+                    }
+                }
+                assert_eq!(rob.len(), reference.order.len());
+                assert_eq!(rob.is_empty(), reference.order.is_empty());
+                assert_eq!(rob.has_space(), reference.order.len() < capacity);
+                assert_eq!(rob.head().map(key), reference.head().map(key));
+            }
+        });
     }
 }

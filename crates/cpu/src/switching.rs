@@ -5,15 +5,15 @@
 //! and a fetch stall of `switch_penalty` cycles (paper §4.3's 10-cycle
 //! drain-and-reconfigure window). [`Core`](crate::Core) routes its poll
 //! through [`mode_switch_response`] so the cost model is a standalone
-//! transition function the `swque-mc` model checker and unit tests can
-//! exercise without building a pipeline.
+//! transition function that unit tests exercise without building a
+//! pipeline.
 
 /// What the pipeline must do after the issue queue commits a mode switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchResponse {
+pub(crate) struct SwitchResponse {
     /// First cycle at which fetch may run again; fetch is stalled for every
     /// cycle strictly before this mark.
-    pub fetch_stalled_until: u64,
+    pub(crate) fetch_stalled_until: u64,
 }
 
 /// Maps the issue queue's mode-switch poll result to the pipeline response.
@@ -24,7 +24,7 @@ pub struct SwitchResponse {
 /// full flush and a fetch stall covering exactly `switch_penalty` cycles
 /// starting at `cycle`. The charge is per *switch*, not per poll, which is
 /// the `swque-switch-once` property the model checker enforces.
-pub fn mode_switch_response(
+pub(crate) fn mode_switch_response(
     cycle: u64,
     switch_penalty: u64,
     wants_switch: bool,

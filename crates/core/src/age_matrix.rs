@@ -31,6 +31,7 @@
 //! test checks the two agree on random allocate/deallocate/query histories.
 
 use crate::bitset::words_for;
+use crate::digest::ArchKey;
 
 /// A bit matrix over `capacity` issue-queue slots.
 ///
@@ -129,6 +130,13 @@ impl AgeMatrix {
     pub fn clear(&mut self) {
         self.rows.fill(0);
         self.valid.fill(0);
+    }
+
+    /// Writes every row (dead rows of invalid slots included) and the
+    /// valid mask into `key`.
+    pub fn arch_key(&self, key: &mut ArchKey) {
+        key.push_words(&self.rows);
+        key.push_words(&self.valid);
     }
 
     /// Packed-request form of [`oldest_ready`](AgeMatrix::oldest_ready):

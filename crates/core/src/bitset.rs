@@ -13,6 +13,8 @@
 //! the fly (`ready & !pending & !reverse`) without materializing the
 //! intersection.
 
+use crate::digest::ArchKey;
+
 /// A fixed-capacity set of small integers, one bit per element, packed
 /// into `u64` words.
 ///
@@ -48,6 +50,11 @@ impl BitSet {
     /// The number of elements the set can hold.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Writes the set's words into `key` (the capacity is a constant).
+    pub fn arch_key(&self, key: &mut ArchKey) {
+        key.push_words(&self.words);
     }
 
     /// Inserts `i`.

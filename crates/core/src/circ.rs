@@ -16,6 +16,7 @@
 //! keeps circular allocation but always selects in true age order — the
 //! upper bound that CIRC-PC (paper §3.1) approaches with real hardware.
 
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
@@ -251,6 +252,12 @@ impl IssueQueue for CircQueue {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.slots.arch_key(key);
+        key.push_usize(self.head);
+        key.push_usize(self.region);
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

@@ -20,6 +20,7 @@
 //! paper's §4.4 result is that this costs almost nothing, because ready
 //! wrapped instructions are young and latency-tolerant.
 
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
@@ -315,6 +316,16 @@ impl IssueQueue for CircPcQueue {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.slots.arch_key(key);
+        key.push_usize(self.head);
+        key.push_usize(self.region);
+        key.push_usize(self.pending.len());
+        for &pos in &self.pending {
+            key.push_usize(pos);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

@@ -20,6 +20,7 @@
 //! FLPI threshold is lowered, making AGE mode stickier; both the counter and
 //! the AGE threshold reset periodically to re-adapt.
 
+use crate::digest::ArchKey;
 use crate::types::IqMode;
 
 /// SWQUE parameters — the paper's Table 3.
@@ -133,6 +134,16 @@ impl SwqueController {
     /// Times the AGE-mode threshold has been lowered.
     pub fn threshold_reductions(&self) -> u64 {
         self.threshold_reductions
+    }
+
+    /// Writes the controller's architectural state into `key`: the mode,
+    /// the adapted AGE-mode FLPI threshold (as f64 bits) and the
+    /// instability counter. The parameters are constants; the last-reset
+    /// total and the reduction count are monotone totals and stay out.
+    pub fn arch_key(&self, key: &mut ArchKey) {
+        key.push(self.mode as u64);
+        key.push_f64(self.flpi_threshold_age);
+        key.push(u64::from(self.instability));
     }
 
     /// Applies the periodic reset if `retired_insts` has advanced past the

@@ -75,7 +75,7 @@ mod swque;
 mod types;
 
 pub use age_matrix::AgeMatrix;
-pub use digest::fnv1a64;
+pub use digest::{fnv1a64, ArchKey};
 pub use bitset::BitSet;
 pub use circ::CircQueue;
 pub use circ_pc::CircPcQueue;

@@ -7,6 +7,7 @@ use swque_trace::TraceHandle;
 use crate::circ::CircQueue;
 use crate::circ_pc::CircPcQueue;
 use crate::controller::SwqueParams;
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::random_queue::RandomQueue;
 use crate::rearrange::RearrangingQueue;
@@ -193,6 +194,11 @@ impl fmt::Display for IqKind {
 /// contract (default `None`: every organization here is purely reactive —
 /// SWQUE's switch penalty is charged through the core's fetch stall, which
 /// has its own horizon).
+///
+/// For the `swque-mc` model checker (DESIGN.md §12) every organization
+/// also forks ([`clone_box`](IssueQueue::clone_box)) and states its
+/// identity as typed words ([`arch_key`](IssueQueue::arch_key)): the
+/// architectural state only, with sequence numbers renamed by the caller.
 pub trait IssueQueue: fmt::Debug + WakeHorizon {
     /// The paper's name for this organization.
     fn name(&self) -> &'static str;
@@ -296,21 +302,19 @@ pub trait IssueQueue: fmt::Debug + WakeHorizon {
         None
     }
 
-    /// A 64-bit FNV-1a digest of this queue's *entire* observable state —
-    /// by contract exactly the [`fmt::Debug`] render, so two queues have
-    /// equal digests if and only if their `Debug` renders are equal
-    /// (`{:?}`, not `{:#?}`). Statistics counters are part of the render
-    /// and therefore part of the digest; consumers that want to compare
-    /// *architectural* state only (the `swque-mc` model checker's state
-    /// dedup) mask the statistics fields out of the render before hashing
-    /// — see DESIGN.md §12.
+    /// Writes this queue's *architectural* state into `key`: everything
+    /// that can influence a future grant, occupancy or mode decision, and
+    /// nothing else. This is the state identity of the `swque-mc` model
+    /// checker's dedup (DESIGN.md §12.2).
     ///
-    /// Implementations must not override this with anything weaker: the
-    /// digest ⇔ `Debug` equivalence is property-tested across every
-    /// [`IqKind`].
-    fn state_digest(&self) -> u64 {
-        crate::digest::fnv1a64(format!("{self:?}").as_bytes())
-    }
+    /// Implementations write every slot record (stale ones included, with
+    /// `seq` and `payload` through [`ArchKey::push_seq`]), the bit planes
+    /// and age matrices, allocation pointers, in-flight correction state
+    /// and, for SWQUE, the pending mode and the controller's key. They
+    /// omit statistics, waiter-table layout, scratch buffers, trace
+    /// handles, monotone totals and construction-time constants, and put
+    /// a length prefix before every variable-length part.
+    fn arch_key(&self, key: &mut ArchKey);
 
     /// Clones this queue behind a fresh box. This is the model checker's
     /// state-fork primitive: trait objects cannot derive [`Clone`], so

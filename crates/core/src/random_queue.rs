@@ -12,6 +12,7 @@
 use swque_isa::FuClass;
 
 use crate::age_matrix::AgeMatrix;
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{BucketSpec, IqConfig, IssueQueue};
 use crate::slots::SlotArray;
@@ -256,6 +257,20 @@ impl IssueQueue for RandomQueue {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.slots.arch_key(key);
+        for matrix in &self.matrices {
+            matrix.arch_key(key);
+        }
+        for (first, count) in self.groups {
+            key.push(u64::from(first));
+            key.push(u64::from(count));
+        }
+        for &load in &self.bucket_load {
+            key.push_usize(load);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

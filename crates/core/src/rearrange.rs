@@ -16,6 +16,7 @@
 //! the old set in age order before falling back to positional order.
 
 use crate::bitset::BitSet;
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
@@ -273,6 +274,16 @@ impl IssueQueue for RearrangingQueue {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.slots.arch_key(key);
+        key.push_usize(self.old.len());
+        for &(seq, pos) in &self.old {
+            key.push_seq(seq);
+            key.push_usize(pos);
+        }
+        self.old_mask.arch_key(key);
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

@@ -6,6 +6,7 @@
 //! the IPC upper bound among the conventional queues, at the cost of circuit
 //! complexity the paper's delay/energy analysis charges against it.
 
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::stats::IqStats;
@@ -156,6 +157,20 @@ impl IssueQueue for ShiftQueue {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        key.push_usize(self.entries.len());
+        for e in &self.entries {
+            key.push_seq(e.req.seq);
+            key.push_seq(e.req.payload);
+            key.push_opt(e.req.dst);
+            key.push_opt(e.req.srcs[0]);
+            key.push_opt(e.req.srcs[1]);
+            key.push_usize(e.req.fu.index());
+            key.push_bool(e.ready[0]);
+            key.push_bool(e.ready[1]);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

@@ -30,6 +30,7 @@
 use swque_isa::FuClass;
 
 use crate::bitset::BitSet;
+use crate::digest::ArchKey;
 use crate::types::{DispatchReq, Tag};
 
 /// One wakeup-logic entry (an "entry slice" in the paper's Figure 5).
@@ -261,6 +262,29 @@ impl SlotArray {
         for list in &mut self.waiters {
             list.clear();
         }
+    }
+
+    /// Writes every slot record (stale ones included), the occupancy and
+    /// the four bit planes into `key`; the waiter table is layout, not
+    /// state (its live content is determined by the slot sources).
+    pub fn arch_key(&self, key: &mut ArchKey) {
+        for slot in &self.slots {
+            key.push_bool(slot.valid);
+            key.push_seq(slot.seq);
+            key.push_seq(slot.payload);
+            key.push_opt(slot.dst);
+            key.push_opt(slot.srcs[0]);
+            key.push_opt(slot.srcs[1]);
+            key.push_usize(slot.fu.index());
+            key.push_bool(slot.reverse);
+            key.push_bool(slot.pending_rv);
+            key.push(u64::from(slot.bucket));
+        }
+        key.push_usize(self.len);
+        self.valid.arch_key(key);
+        self.ready.arch_key(key);
+        self.reverse.arch_key(key);
+        self.pending_rv.arch_key(key);
     }
 
     /// Positions of all valid slots (ascending position order).

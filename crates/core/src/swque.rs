@@ -17,6 +17,7 @@ use swque_trace::{TraceEvent, TraceHandle};
 
 use crate::circ_pc::CircPcQueue;
 use crate::controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
+use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::random_queue::RandomQueue;
@@ -206,6 +207,13 @@ impl IssueQueue for Swque {
             tag_reads: c.tag_reads + a.tag_reads,
             dispatch_stalls: c.dispatch_stalls + a.dispatch_stalls,
         }
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.circ_pc.arch_key(key);
+        self.age.arch_key(key);
+        self.controller.arch_key(key);
+        key.push_opt(self.pending_mode.map(|mode| mode as u16));
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {

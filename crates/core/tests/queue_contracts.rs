@@ -5,12 +5,16 @@
 //!
 //! * `has_ready` ⇔ a nonzero-budget select grants, per kind, per cycle
 //!   (two select passes for the two-cycle scan organizations).
-//! * `state_digest` equality tracks `Debug`-render equality, and no
-//!   host-parallelism knob (worker threads, `SWQUE_THREADS`) moves it.
+//! * `arch_key` (the checker's state identity) is equal for equal
+//!   architectural states — lockstep drives, the same drive at other
+//!   absolute seqs, drives differing only in statistics, waiter-table
+//!   layout or monotone totals — separates unequal ones, renames stale
+//!   seqs, and no host-parallelism knob (`SWQUE_THREADS`, a worker
+//!   thread) moves it.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
-    reason = "test code: the woken-tag sets are probed, never iterated, and the digest \
+    reason = "test code: the woken-tag sets are probed, never iterated, and the key \
               test sets SWQUE_THREADS to prove the knob does not move the state"
 )]
 
@@ -18,7 +22,10 @@ use std::collections::HashSet;
 
 use swque_rng::prop::{check, Gen};
 
-use swque_core::{DispatchReq, IqConfig, IqKind, IssueBudget, IssueQueue, Tag};
+use swque_core::{
+    ArchKey, DispatchReq, IntervalMetrics, IqConfig, IqKind, IssueBudget, IssueQueue,
+    SwqueController, SwqueParams, Tag,
+};
 use swque_isa::FuClass;
 
 #[derive(Debug, Clone)]
@@ -148,63 +155,212 @@ fn has_ready_and_select_stay_in_lockstep() {
     });
 }
 
-/// Digest equality ⇔ `Debug`-render equality: two identically driven
-/// instances agree at every step, and a single extra dispatch separates
-/// both the render and the digest.
+/// The model checker's renaming, over a live list in seq order: a live
+/// seq becomes `BASE + rank`, any other seq ≥ `BASE` the stale marker,
+/// and smaller values (a never-used slot's zeroed seq) stay.
+const BASE: u64 = 1000;
+const STALE: u64 = u64::MAX;
+
+fn renamer(live: &[u64]) -> impl Fn(u64) -> u64 + '_ {
+    move |seq| {
+        if seq < BASE {
+            return seq;
+        }
+        match live.binary_search(&seq) {
+            Ok(rank) => BASE + rank as u64,
+            Err(_) => STALE,
+        }
+    }
+}
+
+/// `q`'s key words under the renaming of its live list.
+fn key_words(q: &dyn IssueQueue, live: &[u64]) -> Vec<u64> {
+    let rename = renamer(live);
+    let mut key = ArchKey::new(&rename);
+    q.arch_key(&mut key);
+    key.words().to_vec()
+}
+
+fn dispatch_ready(q: &mut Box<dyn IssueQueue>, seq: u64) {
+    q.dispatch(DispatchReq::new(seq, seq, None, [None, None], FuClass::IntAlu))
+        .expect("has_space held");
+}
+
+fn empty_select(q: &mut Box<dyn IssueQueue>) {
+    let mut budget = IssueBudget::new(2, [2, 2, 2, 2]);
+    assert!(q.select(&mut budget).is_empty(), "{}: empty select granted", q.name());
+}
+
+/// Lockstep-driven queues get equal keys at every step, and one extra
+/// dispatch separates them; driven at different absolute seqs (the same
+/// architecture elsewhere in the program), they still get equal keys.
 #[test]
-fn state_digest_tracks_debug_render_equality() {
+fn arch_key_tracks_lockstep_state_at_any_absolute_seq() {
     check(48, |g| {
         let ops: Vec<Op> = g.vec(1..80, random_op);
         let config = IqConfig { capacity: 8, issue_width: 4, ..IqConfig::default() };
         for kind in IqKind::ALL {
+            // `a` and `b` in lockstep; `c` the same ops 4000 seqs later
+            // (a multiple of the 50-tag destination cycle, so the dst tags
+            // match too).
             let mut a = kind.build(&config);
             let mut b = kind.build(&config);
-            let (mut seq_a, mut seq_b) = (0u64, 0u64);
-            let (mut live_a, mut live_b) = (Vec::new(), Vec::new());
-            let (mut woken_a, mut woken_b) = (HashSet::new(), HashSet::new());
+            let mut c = kind.build(&config);
+            let (mut seq_a, mut seq_b, mut seq_c) = (BASE, BASE, BASE + 4000);
+            let (mut live_a, mut live_b, mut live_c) = (Vec::new(), Vec::new(), Vec::new());
+            let mut woken = [HashSet::new(), HashSet::new(), HashSet::new()];
             for op in &ops {
-                apply(&mut a, op, &mut seq_a, &mut live_a, &mut woken_a);
-                apply(&mut b, op, &mut seq_b, &mut live_b, &mut woken_b);
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind}: lockstep drive");
-                assert_eq!(a.state_digest(), b.state_digest(), "{kind}: equal render, equal digest");
+                apply(&mut a, op, &mut seq_a, &mut live_a, &mut woken[0]);
+                apply(&mut b, op, &mut seq_b, &mut live_b, &mut woken[1]);
+                apply(&mut c, op, &mut seq_c, &mut live_c, &mut woken[2]);
+                let key_a = key_words(a.as_ref(), &live_a);
+                assert_eq!(key_a, key_words(b.as_ref(), &live_b), "{kind}: lockstep drive");
+                assert_eq!(key_a, key_words(c.as_ref(), &live_c), "{kind}: seqs shifted by 4000");
             }
             if a.has_space() {
-                a.dispatch(DispatchReq::new(seq_a, seq_a, None, [None, None], FuClass::IntAlu))
-                    .expect("has_space held");
-                assert_ne!(format!("{a:?}"), format!("{b:?}"), "{kind}: dispatch shows in Debug");
-                assert_ne!(a.state_digest(), b.state_digest(), "{kind}: digest separates states");
+                dispatch_ready(&mut a, seq_a);
+                live_a.push(seq_a);
+                assert_ne!(
+                    key_words(a.as_ref(), &live_a),
+                    key_words(b.as_ref(), &live_b),
+                    "{kind}: one extra dispatch must separate the keys"
+                );
             }
         }
     });
 }
 
-/// No host-parallelism knob may move a digest: the same queue state
-/// digests identically under different `SWQUE_THREADS` settings (the
-/// bench harness's worker knob) and from a spawned worker thread.
+/// Statistics, the waiter table's layout and monotone totals stay out
+/// of the key: extra empty selects (stats only), a source woken after
+/// dispatch instead of dispatched ready (the table grew, SHIFT aside,
+/// whose entries keep their source tags) and an extra empty SWQUE
+/// interval (totals only) all leave it unchanged.
 #[test]
-fn state_digest_is_stable_across_thread_settings() {
-    fn drive_and_digest(kind: IqKind) -> u64 {
+fn arch_key_omits_stats_waiters_and_totals() {
+    let config = IqConfig { capacity: 4, issue_width: 2, ..IqConfig::default() };
+    for kind in IqKind::ALL {
+        let (mut a, mut b) = (kind.build(&config), kind.build(&config));
+        for _ in 0..3 {
+            empty_select(&mut b);
+        }
+        a.dispatch(DispatchReq::new(BASE, BASE, None, [Some(5), None], FuClass::IntAlu))
+            .expect("space");
+        a.wakeup(5);
+        if kind == IqKind::Shift {
+            b.dispatch(DispatchReq::new(BASE, BASE, None, [Some(5), None], FuClass::IntAlu))
+                .expect("space");
+            b.wakeup(5);
+        } else {
+            dispatch_ready(&mut b, BASE);
+        }
+        assert_ne!(a.stats(), b.stats(), "{kind}: the drives must differ in stats");
+        let live = [BASE];
+        assert_eq!(key_words(a.as_ref(), &live), key_words(b.as_ref(), &live), "{kind}");
+    }
+
+    // SWQUE: one calm interval (no misses, nothing issued) vs two leaves
+    // the controller in CIRC-PC with its base threshold; only the
+    // interval totals and the interval counter differ.
+    for kind in [IqKind::Swque, IqKind::SwqueMulti] {
+        let (mut a, mut b) = (kind.build(&config), kind.build(&config));
+        let interval = config.swque.interval_insts;
+        assert!(!a.poll_mode_switch(1, interval, 0));
+        assert!(!b.poll_mode_switch(1, interval, 0));
+        assert!(!b.poll_mode_switch(2, 2 * interval, 0));
+        assert_ne!(a.swque_stats(), b.swque_stats(), "{kind}: the drives must differ");
+        assert_eq!(key_words(a.as_ref(), &[]), key_words(b.as_ref(), &[]), "{kind}");
+    }
+}
+
+/// A seq left behind in an invalidated slot becomes the stale marker,
+/// and no raw seq ≥ `BASE` ever reaches the key words.
+#[test]
+fn arch_key_renames_stale_seqs_to_the_marker() {
+    let config = IqConfig { capacity: 4, issue_width: 2, ..IqConfig::default() };
+    for kind in IqKind::ALL {
+        let mut q = kind.build(&config);
+        let seqs = [BASE + 37, BASE + 38];
+        for seq in seqs {
+            dispatch_ready(&mut q, seq);
+        }
+        let mut budget = IssueBudget::new(1, [1, 1, 1, 1]);
+        let issued = q.select(&mut budget);
+        assert_eq!(issued.len(), 1, "{kind}");
+        let live: Vec<u64> = seqs.into_iter().filter(|&s| s != issued[0].seq).collect();
+        let words = key_words(q.as_ref(), &live);
+        assert!(words.iter().all(|w| !seqs.contains(w)), "{kind}: a raw seq leaked");
+        assert!(words.contains(&BASE), "{kind}: the live seq is rank 0");
+        // SHIFT compacts its issued entry away; every slot array keeps it.
+        assert_eq!(words.contains(&STALE), kind != IqKind::Shift, "{kind}");
+    }
+}
+
+/// The controller's key carries the adapted FLPI threshold as f64 bits
+/// and the instability counter: identical drives agree, a threshold
+/// reduction separates, and a periodic reset (a total moves, the
+/// threshold returns to its base) joins again.
+#[test]
+fn controller_key_tracks_threshold_and_instability() {
+    let words = |c: &SwqueController| {
+        let no_seqs = |seq| seq;
+        let mut key = ArchKey::new(&no_seqs);
+        c.arch_key(&mut key);
+        key.words().to_vec()
+    };
+    let unstable = IntervalMetrics { mpki: 0.0, flpi: 0.05 };
+    let calm = IntervalMetrics { mpki: 0.0, flpi: 0.0 };
+    let missy = IntervalMetrics { mpki: 2.0, flpi: 0.0 };
+    let fresh = SwqueController::new(SwqueParams::default());
+    let mut c = fresh.clone();
+    c.evaluate(unstable);
+    assert_ne!(words(&c), words(&fresh), "instability counter and mode are state");
+    let mut twin = fresh.clone();
+    twin.evaluate(unstable);
+    assert_eq!(words(&c), words(&twin));
+    // Two FLPI-driven departures lower the AGE threshold; an MPKI-driven
+    // departure reaches the same mode and counter at the base threshold.
+    c.evaluate(calm);
+    c.evaluate(unstable);
+    assert_eq!(c.threshold_reductions(), 1);
+    let mut base = fresh.clone();
+    base.evaluate(missy);
+    assert_eq!((c.mode(), c.instability()), (base.mode(), base.instability()));
+    assert_ne!(words(&c), words(&base), "the reduced threshold is state");
+    let reset = SwqueParams::default().reset_interval_insts;
+    c.maybe_periodic_reset(reset);
+    base.maybe_periodic_reset(reset);
+    assert_eq!(words(&c), words(&base), "after a reset only the totals differ");
+}
+
+/// No host-parallelism knob may move a key: the same queue state keys
+/// identically under different `SWQUE_THREADS` settings (the bench
+/// harness's worker knob) and from a spawned worker thread.
+#[test]
+fn arch_key_is_stable_across_thread_settings() {
+    fn drive_and_key(kind: IqKind) -> Vec<u64> {
         let config = IqConfig { capacity: 6, issue_width: 2, ..IqConfig::default() };
         let mut q = kind.build(&config);
-        for s in 0..4u64 {
+        let mut live: Vec<u64> = (BASE..BASE + 4).collect();
+        for &s in &live {
             q.dispatch(DispatchReq::new(s, s, None, [Some(7), None], FuClass::IntAlu))
                 .expect("space");
         }
         q.wakeup(7);
         let mut budget = IssueBudget::new(2, [2, 2, 2, 2]);
-        let _ = q.select(&mut budget);
-        q.state_digest()
+        for grant in q.select(&mut budget) {
+            live.retain(|&s| s != grant.seq);
+        }
+        key_words(q.as_ref(), &live)
     }
 
     for kind in IqKind::ALL {
-        let home = drive_and_digest(kind);
+        let home = drive_and_key(kind);
         for threads in ["1", "8"] {
             std::env::set_var("SWQUE_THREADS", threads);
-            assert_eq!(drive_and_digest(kind), home, "{kind}: digest moved under SWQUE_THREADS");
+            assert_eq!(drive_and_key(kind), home, "{kind}: key moved under SWQUE_THREADS");
         }
         std::env::remove_var("SWQUE_THREADS");
-        let from_worker =
-            std::thread::spawn(move || drive_and_digest(kind)).join().expect("worker");
-        assert_eq!(from_worker, home, "{kind}: digest moved across threads");
+        let from_worker = std::thread::spawn(move || drive_and_key(kind)).join().expect("worker");
+        assert_eq!(from_worker, home, "{kind}: key moved across threads");
     }
 }

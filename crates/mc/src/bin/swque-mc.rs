@@ -7,9 +7,9 @@
 //! ```
 //!
 //! With no target flags the full matrix runs: every `IqKind` at
-//! capacities 2–3, capacity 4 where the space closes in seconds (see
-//! `in_matrix`), plus the controller. `--smoke` shrinks the matrix for
-//! CI (SWQUE kinds at capacity 2 only). `--inject` plants a named bug
+//! capacities 2–3, the non-SWQUE kinds at capacity 4 (see
+//! `swque_mc::scope::in_matrix`), plus the controller. `--smoke` shrinks
+//! the matrix for CI (SWQUE kinds at capacity 2 only). `--inject` plants a named bug
 //! (with `--kind`) so `scripts/verify.sh` can prove detection. `--json`
 //! emits the `swque-mc-v1` report on stdout (human progress moves to
 //! stderr). Exit status: 0 = every run closed its state space with no
@@ -20,6 +20,7 @@ use std::process::ExitCode;
 
 use swque_core::replay::{Replay, ReplayTarget};
 use swque_core::IqKind;
+use swque_mc::scope::{ctrl_depth, in_matrix, queue_depth};
 use swque_mc::{
     check_replay, explore, minimize, report, CtrlHarness, Harness, Injection, McRun, McViolation,
     QueueHarness, RunOutcome,
@@ -88,41 +89,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Per-kind depth ceilings. The explorer stops at the reachable-set
-/// fixpoint, so a generous bound costs nothing once the space closes;
-/// measured closure depths (EXPERIMENTS.md) are ≤ 23 events for the
-/// single-structure kinds and 62–70 for the SWQUE organizations, whose
-/// controller walks a six-value FLPI-threshold ladder (0.04 stepping
-/// down by 0.01 to an f64 epsilon, then 0) before the space folds shut.
-fn queue_depth(kind: IqKind) -> u64 {
-    match kind {
-        IqKind::Swque | IqKind::SwqueMulti => 80,
-        _ => 32,
-    }
-}
-
-fn ctrl_depth() -> u64 {
-    24 // closes at depth 18: the same threshold ladder, controller-only
-}
-
-/// Whether (kind, capacity) belongs to the default matrix. Every kind
-/// runs at capacities 2–3; capacity 4 joins for the kinds whose spaces
-/// close in seconds. The exclusions are measured, not guessed
-/// (EXPERIMENTS.md): AGE-multiAM at capacity 4 reaches ~860k states
-/// (minutes of wall time) and the SWQUE kinds multiply their queue space
-/// by the controller ladder; `--smoke` further drops the SWQUE kinds to
-/// capacity 2 (capacity 3 alone costs ~90 s). Any excluded scope stays
-/// reachable explicitly via `--kind`/`--capacity`/`--depth`.
-fn in_matrix(smoke: bool, kind: IqKind, capacity: usize) -> bool {
-    let swque = matches!(kind, IqKind::Swque | IqKind::SwqueMulti);
-    match capacity {
-        2 => true,
-        3 => !(smoke && swque),
-        4 => !smoke && !swque && kind != IqKind::AgeMulti,
-        _ => false,
-    }
 }
 
 fn jobs(args: &Args) -> Result<Vec<Job>, String> {

@@ -20,9 +20,8 @@
 //! counter-observable.
 
 use swque_core::replay::Event;
-use swque_core::{IntervalMetrics, IqMode, ModeDecision, SwqueController, SwqueParams};
+use swque_core::{ArchKey, IntervalMetrics, IqMode, ModeDecision, SwqueController, SwqueParams};
 
-use crate::canon::canonical_render;
 use crate::explore::Harness;
 use crate::harness::{Injection, Violation, INJECT_CIRC_PC_NO_CORRECT};
 
@@ -182,12 +181,11 @@ impl Harness for CtrlHarness {
     }
 
     fn state_key(&self) -> u64 {
-        let key = format!(
-            "{}|sh={}",
-            canonical_render(&format!("{:?}", self.controller), &std::collections::BTreeMap::new()),
-            self.shadow_instability
-        );
-        swque_core::fnv1a64(key.as_bytes())
+        let no_seqs = |seq| seq;
+        let mut key = ArchKey::new(&no_seqs);
+        self.controller.arch_key(&mut key);
+        key.push(u64::from(self.shadow_instability));
+        key.digest()
     }
 }
 

@@ -19,7 +19,8 @@ pub trait Harness: Clone {
     fn enabled_events(&self) -> Vec<Event>;
     /// Applies one event, checking every property along the way.
     fn apply(&mut self, event: Event) -> Result<(), Violation>;
-    /// Canonical dedup key of the current state (see `canon`).
+    /// Canonical dedup key of the current state: a digest of its typed
+    /// architectural key (DESIGN.md §12.2).
     fn state_key(&self) -> u64;
 }
 

@@ -23,16 +23,22 @@
 //!   (`retired = (k+1) · interval_insts`), so MPKI deltas are `0` or an
 //!   unambiguously-high value chosen by the event, never an accumulation.
 
-use std::collections::BTreeMap;
-
 use swque_core::replay::Event;
 use swque_core::{
-    CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue, Tag,
+    ArchKey, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue, Tag,
 };
 use swque_isa::FuClass;
 
-use crate::canon::{canonical_render, SEQ_BASE};
 use crate::explore::Harness;
+
+/// First sequence number the harness assigns (payloads carry the same
+/// values). Every seq at or above it is renamed in state keys: a live one
+/// to `SEQ_BASE + rank` (rank 0 = oldest), any other to one stale marker;
+/// values below it (the zeroed seq of a never-used slot) stay as they are.
+pub const SEQ_BASE: u64 = 1000;
+
+/// What a stale seq (left in an invalidated slot) is renamed to.
+const STALE_SEQ: u64 = u64::MAX;
 
 /// `--inject` name for [`Injection::CircPcNoCorrect`].
 pub const INJECT_CIRC_PC_NO_CORRECT: &str = "circ-pc-no-correct";
@@ -269,16 +275,29 @@ impl QueueHarness {
         Ok(())
     }
 
+    /// The renaming of [`SEQ_BASE`]: live seqs become `SEQ_BASE + rank`
+    /// by their position in the (seq-ordered) shadow, others ≥ `SEQ_BASE`
+    /// become [`STALE_SEQ`], smaller values stay.
+    fn rename(&self, seq: u64) -> u64 {
+        if seq < SEQ_BASE {
+            return seq;
+        }
+        match self.entries.binary_search_by_key(&seq, |e| e.seq) {
+            Ok(rank) => SEQ_BASE + rank as u64,
+            Err(_) => STALE_SEQ,
+        }
+    }
+
     /// `idle_tick(n)` must be observably identical to `n` empty selects
-    /// — architectural state (canonical render, which masks reused
+    /// — architectural state (the exact key words, which leave out reused
     /// scratch allocations) *and* statistics — and those empty selects
     /// must grant nothing. Pure probe on clones.
     fn idle_probe(&self) -> Result<(), Violation> {
         if self.queue.has_ready() {
             return Ok(());
         }
-        let live: BTreeMap<u64, u64> =
-            self.entries.iter().enumerate().map(|(rank, e)| (e.seq, rank as u64)).collect();
+        let rename = |seq| self.rename(seq);
+        let (mut key_ticked, mut key_selected) = (ArchKey::new(&rename), ArchKey::new(&rename));
         for n in [1u64, 3] {
             let mut ticked = self.queue.clone();
             ticked.idle_tick(n);
@@ -293,9 +312,11 @@ impl QueueHarness {
                     ));
                 }
             }
-            let arch_ticked = canonical_render(&format!("{ticked:?}"), &live);
-            let arch_selected = canonical_render(&format!("{selected:?}"), &live);
-            if arch_ticked != arch_selected {
+            key_ticked.clear();
+            ticked.arch_key(&mut key_ticked);
+            key_selected.clear();
+            selected.arch_key(&mut key_selected);
+            if key_ticked.words() != key_selected.words() {
                 return Err(Violation::new(
                     "idle-equivalence",
                     format!("idle_tick({n}) architecturally diverges from {n} empty selects"),
@@ -303,7 +324,7 @@ impl QueueHarness {
             }
             let stats = (ticked.stats(), ticked.swque_stats());
             let expected = (selected.stats(), selected.swque_stats());
-            if format!("{stats:?}") != format!("{expected:?}") {
+            if stats != expected {
                 return Err(Violation::new(
                     "idle-equivalence",
                     format!(
@@ -636,21 +657,19 @@ impl Harness for QueueHarness {
     }
 
     fn state_key(&self) -> u64 {
-        let live: BTreeMap<u64, u64> =
-            self.entries.iter().enumerate().map(|(rank, e)| (e.seq, rank as u64)).collect();
-        let queue_part = canonical_render(&format!("{:?}", self.queue), &live);
-        let mut shadow = String::new();
-        for (rank, entry) in self.entries.iter().enumerate() {
-            shadow.push_str(&format!(
-                "s{rank}:{:?}/{:?}*{};",
-                entry.srcs[0], entry.srcs[1], entry.starve
-            ));
+        let rename = |seq| self.rename(seq);
+        let mut key = ArchKey::new(&rename);
+        self.queue.arch_key(&mut key);
+        // The shadow, by rank: its seqs are implied by the renaming.
+        key.push_usize(self.entries.len());
+        for entry in &self.entries {
+            key.push_opt(entry.srcs[0]);
+            key.push_opt(entry.srcs[1]);
+            key.push(entry.starve);
         }
-        shadow.push_str(&format!(
-            "|pend={:?} g={}",
-            self.pending_switch, self.granted_since_interval
-        ));
-        swque_core::fnv1a64(format!("{queue_part}|{shadow}").as_bytes())
+        key.push_opt(self.pending_switch.map(|mode| mode as u16));
+        key.push_bool(self.granted_since_interval);
+        key.digest()
     }
 }
 

@@ -6,8 +6,9 @@
 //! path. Small-scope queues (capacity 2–6) are driven through every
 //! reachable interleaving of dispatch / wakeup / select / squash / flush /
 //! mode-poll events up to a depth bound, deduplicating visited states by a
-//! canonicalized digest of the queue's `Debug` render (DESIGN.md §12). At
-//! every step a per-kind property catalog is checked:
+//! digest of their typed architectural key (`IssueQueue::arch_key`, with
+//! sequence numbers renamed to age ranks; DESIGN.md §12.2). At every step
+//! a per-kind property catalog is checked:
 //!
 //! | property | kinds | claim |
 //! |---|---|---|
@@ -17,7 +18,7 @@
 //! | `space-consistent` | all | `has_space` is truthful at both extremes |
 //! | `ready-agrees` | all | `has_ready` equals the shadow's ready bit |
 //! | `no-ready-no-grant` | all | `!has_ready` ⇒ the next select grants nothing |
-//! | `idle-equivalence` | all | `idle_tick(n)` ≡ `n` empty selects, stats included |
+//! | `idle-equivalence` | all | `idle_tick(n)` ≡ `n` empty selects: equal keys, equal stats |
 //! | `ready-within-1` | single-cycle kinds | a non-exhausted select leaves no ready entry |
 //! | `pc-age-ordered` | CIRC-PC, SWQUE | single-cycle grants issue oldest-first |
 //! | `pc-ready-within-bound` | CIRC-PC, SWQUE | the two-cycle RV path cannot starve an entry |
@@ -43,16 +44,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod canon;
 pub mod ctrl;
 pub mod exec;
 pub mod explore;
 pub mod harness;
 pub mod report;
+pub mod scope;
 
-pub use canon::{canonical_render, SEQ_BASE};
 pub use ctrl::CtrlHarness;
 pub use exec::{check_replay, run_replay, ReplayOutcome};
 pub use explore::{explore, minimize, FoundViolation, Harness, RunOutcome};
-pub use harness::{Injection, QueueHarness, Violation};
+pub use harness::{Injection, QueueHarness, Violation, SEQ_BASE};
 pub use report::{report, McRun, McViolation, MC_SCHEMA};

@@ -211,6 +211,14 @@ echo "== mc: swque-mc --smoke (bounded exhaustive check, every kind + controller
 ./target/release/swque-mc --smoke --json > "$json_tmp/mc-smoke.json"
 ./target/release/check_json "$json_tmp/mc-smoke.json"
 
+echo "== mc: SWQUE and SWQUE-multiAM at capacity 3 (159,897 and 96,177 states)"
+# The two scopes --smoke leaves out (the benchmark's mc_explore workload
+# mirrors --smoke, so it stays as it is); each must close clean.
+for kind in SWQUE SWQUE-multiAM; do
+    ./target/release/swque-mc --kind "$kind" --capacity 3 --json > "$json_tmp/mc-$kind-3.json"
+    ./target/release/check_json "$json_tmp/mc-$kind-3.json"
+done
+
 echo "== mc: negative injections (planted bugs must be caught, minimized, replayable)"
 # Each injection plants a real bug (the priority-correction pass removed;
 # the controller's Figure-7 stabilization disabled) in a harness copy of

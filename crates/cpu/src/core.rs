@@ -315,13 +315,16 @@ pub(crate) struct Pipeline {
     emu_halted: bool,
     last_fetch_line: Option<u64>,
 
-    /// Completion events: `(cycle, seq, uid)` min-heap.
+    /// Completion events: `(cycle, seq, slot)` min-heap. `(slot, seq)` is
+    /// the instruction's ROB handle (see [`crate::rob`]); seqs are unique,
+    /// so the slot never decides the pop order.
     events: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// Uids of issued loads awaiting their memory access. `issue` runs
-    /// after `execute` within a cycle and the clock advances after both, so
-    /// a load issued (AGU busy) this cycle is first seen by `execute`, and by
-    /// the horizon, on the next cycle, when its address is ready.
-    pending_loads: Vec<u64>,
+    /// ROB handles `(slot, seq)` of issued loads awaiting their memory
+    /// access. `issue` runs after `execute` within a cycle and the clock
+    /// advances after both, so a load issued (AGU busy) this cycle is first
+    /// seen by `execute`, and by the horizon, on the next cycle, when its
+    /// address is ready.
+    pending_loads: Vec<(u64, u64)>,
 
     /// Observability sink (disabled by default; see [`Core::attach_trace`]).
     trace: TraceHandle,
@@ -528,9 +531,10 @@ impl Pipeline {
         }
         // Execute: every pending load's address is ready (see
         // `pending_loads`), so each is blocked in the LSQ (quiet until a
-        // store executes, which needs an issue) or would start this cycle.
-        for &uid in &self.pending_loads {
-            if !matches!(self.lsq.load_action(uid), LoadAction::Wait) {
+        // store executes, which needs an issue), would start this cycle, or
+        // does not resolve, which the next step reports.
+        for &(slot, seq) in &self.pending_loads {
+            if !matches!(self.load_action(slot, seq), Some((LoadAction::Wait, _))) {
                 return None;
             }
         }
@@ -651,7 +655,10 @@ impl Pipeline {
                     // never blocks retirement.
                     let _ = mem.access_from(self.requester, m.addr, AccessKind::Store, self.cycle);
                 }
-                self.lsq.remove(e.uid);
+                if !self.lsq.pop_head(e.uid) {
+                    self.invariant("commit", format!("committed uid {} is not the LSQ head", e.uid));
+                    return;
+                }
             }
             self.retired += 1;
             self.last_retire_cycle = self.cycle;
@@ -665,12 +672,13 @@ impl Pipeline {
             if t > self.cycle {
                 break;
             }
-            let Some(Reverse((_, _, uid))) = self.events.pop() else { break };
-            // Squashed instructions may leave stale completion events.
-            let Some(entry) = self.rob.get_mut(uid) else { continue };
+            let Some(Reverse((_, seq, slot))) = self.events.pop() else { break };
+            // A squashed instruction leaves a stale completion event, and
+            // its slot may already hold a younger dispatch: the seq tells.
+            let Some(entry) = self.rob.resolve_mut(slot, seq) else { continue };
             entry.state = RobState::Done;
             let dst = entry.dst;
-            let seq = entry.seq;
+            let uid = entry.uid;
             let mispredicted = entry.mispredicted;
             if let Some((_, new, _)) = dst {
                 self.rename.set_ready(new);
@@ -701,15 +709,16 @@ impl Pipeline {
             if let Some((reg, new, old)) = e.dst {
                 self.rename.undo_dst(reg, new, old);
             }
-            if e.oracle.mem.is_some() {
-                self.lsq.remove(e.uid);
+            if e.oracle.mem.is_some() && !self.lsq.pop_tail(e.uid) {
+                self.invariant("squash", format!("squashed uid {} is not the LSQ tail", e.uid));
             }
         }
         self.stats.wrong_path_squashed += squashed.len() as u64;
         // Anything younger still in the front end is wrong-path too.
         self.decode_q.retain(|d| !d.wp);
         self.iq.squash_younger(seq);
-        self.pending_loads.retain(|&uid| self.rob.get(uid).is_some());
+        // The squashed slots are reused by the next dispatches.
+        self.pending_loads.retain(|&(slot, seq)| self.rob.resolve(slot, seq).is_some());
     }
 
     // ---- execute (memory scheduling) ----
@@ -717,37 +726,45 @@ impl Pipeline {
     fn execute(&mut self, mem: &mut MemoryHierarchy) {
         let mut still = Vec::new();
         let pending = std::mem::take(&mut self.pending_loads);
-        for uid in pending {
-            match self.lsq.load_action(uid) {
-                LoadAction::Wait => still.push(uid),
+        for (slot, seq) in pending {
+            let Some((action, addr)) = self.load_action(slot, seq) else {
+                self.invariant(
+                    "execute",
+                    format!(
+                        "pending load (slot {slot}, seq {seq}) is not a live load in the ROB and LSQ"
+                    ),
+                );
+                return;
+            };
+            match action {
+                LoadAction::Wait => still.push((slot, seq)),
                 LoadAction::Forward => {
                     self.stats.loads_forwarded += 1;
                     let done = self.cycle + self.config.mem.l1d.hit_latency;
-                    self.schedule(uid, done.max(self.cycle + 1));
+                    self.schedule(slot, seq, done.max(self.cycle + 1));
                 }
                 LoadAction::Access => {
                     self.stats.loads_accessed += 1;
-                    let Some(m) = self.rob.get(uid).and_then(|e| e.oracle.mem) else {
-                        self.invariant(
-                            "execute",
-                            format!("pending load uid {uid} has no live ROB memory record"),
-                        );
-                        return;
-                    };
-                    let r = mem.access_from(self.requester, m.addr, AccessKind::Load, self.cycle);
-                    self.schedule(uid, r.done_at.max(self.cycle + 1));
+                    let r = mem.access_from(self.requester, addr, AccessKind::Load, self.cycle);
+                    self.schedule(slot, seq, r.done_at.max(self.cycle + 1));
                 }
             }
         }
         self.pending_loads = still;
     }
 
-    fn schedule(&mut self, uid: u64, at: u64) {
-        let Some(entry) = self.rob.get(uid) else {
-            self.invariant("schedule", format!("uid {uid} scheduled without a live ROB entry"));
-            return;
-        };
-        self.events.push(Reverse((at, entry.seq, uid)));
+    /// What the pending load `(slot, seq)` may do this cycle, with its
+    /// address; `None` if the handle is stale or the load has no entry in
+    /// the LSQ.
+    fn load_action(&self, slot: u64, seq: u64) -> Option<(LoadAction, u64)> {
+        let e = self.rob.resolve(slot, seq)?;
+        let addr = e.oracle.mem?.addr;
+        Some((self.lsq.load_action(e.lsq?, e.uid)?, addr))
+    }
+
+    /// Queues the completion of the instruction at ROB handle `(slot, seq)`.
+    fn schedule(&mut self, slot: u64, seq: u64, at: u64) {
+        self.events.push(Reverse((at, seq, slot)));
     }
 
     // ---- issue ----
@@ -757,28 +774,31 @@ impl Pipeline {
             IssueBudget::new(self.config.width, self.fus.free_counts(self.cycle));
         let grants = self.iq.select(&mut budget);
         for g in grants {
-            let uid = g.payload;
-            let Some(entry) = self.rob.get_mut(uid) else {
-                self.invariant("issue", format!("granted uid {uid} is not live in the ROB"));
+            let (slot, seq) = (g.payload, g.seq);
+            let Some(entry) = self.rob.resolve_mut(slot, seq) else {
+                self.invariant("issue", format!("granted slot {slot} does not hold seq {seq}"));
                 return;
             };
             entry.state = RobState::Executing;
-            let op = entry.oracle.inst.op;
+            let (op, uid, lsq) = (entry.oracle.inst.op, entry.uid, entry.lsq);
             self.fus.acquire(op, self.cycle);
             if op.is_load() {
                 // Address generation completes next cycle, the first cycle
                 // `execute` sees this load; the memory access is scheduled
                 // there once the LSQ permits it.
-                self.pending_loads.push(uid);
+                self.pending_loads.push((slot, seq));
             } else if op.is_store() {
                 // AGU computes the address; the LSQ learns it and younger
                 // loads may now disambiguate. The store is then complete
                 // from the ROB's point of view (data waits in the store
                 // buffer until commit).
-                self.lsq.mark_store_executed(uid);
-                self.schedule(uid, self.cycle + 1);
+                if !lsq.is_some_and(|l| self.lsq.mark_store_executed(l, uid)) {
+                    self.invariant("issue", format!("issued store uid {uid} has no LSQ entry"));
+                    return;
+                }
+                self.schedule(slot, seq, self.cycle + 1);
             } else {
-                self.schedule(uid, self.cycle + op.latency() as u64);
+                self.schedule(slot, seq, self.cycle + op.latency() as u64);
             }
         }
     }
@@ -834,15 +854,15 @@ impl Pipeline {
                 },
                 None => None,
             };
-            if let Some(mem) = d.front.oracle.mem {
-                self.lsq.push(d.front.uid, mem.is_store, mem.addr, mem.size);
-            }
-            self.rob.push(RobEntry {
+            let lsq =
+                d.front.oracle.mem.map(|m| self.lsq.push(d.front.uid, m.is_store, m.addr, m.size));
+            let slot = self.rob.push(RobEntry {
                 uid: d.front.uid,
                 seq,
                 oracle: d.front.oracle,
                 state: if needs_iq { RobState::Waiting } else { RobState::Done },
                 dst,
+                lsq,
                 mispredicted: d.mispredicted,
                 wp: d.wp,
             });
@@ -851,7 +871,7 @@ impl Pipeline {
                     .iq
                     .dispatch(DispatchReq {
                         seq,
-                        payload: d.front.uid,
+                        payload: slot,
                         dst: dst.map(|(_, new, _)| new),
                         srcs,
                         fu: op.fu_class(),
@@ -1149,5 +1169,42 @@ impl Pipeline {
         self.rename.recover();
         self.wrong_path = None;
         self.last_fetch_line = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swque_isa::{Assembler, Reg};
+
+    /// A pending load whose handle no longer resolves — here the first
+    /// instruction's, long committed — is a simulator bug. It is reported
+    /// as a structured `execute` violation, and the horizon refuses to
+    /// skip past it, rather than the library panicking.
+    #[test]
+    fn a_lost_pending_load_is_an_execute_violation_not_a_panic() {
+        let mut a = Assembler::new();
+        a.li(Reg(1), 50);
+        a.label("loop");
+        a.addi(Reg(1), Reg(1), -1);
+        a.bne(Reg(1), Reg::ZERO, "loop");
+        a.halt();
+        let program = a.finish().unwrap();
+        let mut core = Core::new(CoreConfig::tiny(), IqKind::Age, &program);
+        for _ in 0..10_000 {
+            if core.retired() >= 4 {
+                break;
+            }
+            core.step_cycle();
+        }
+        assert!(core.retired() >= 4, "the loop retires within 10k cycles");
+        assert!(core.violation().is_none() && !core.finished());
+        core.pipe.pending_loads.push((0, 0));
+        assert_eq!(core.quiescent_horizon(), None, "the next step must run and report");
+        let cycle = core.cycle();
+        core.step_cycle();
+        let v = core.violation().expect("the lost load is reported");
+        assert_eq!((v.stage, v.cycle), ("execute", cycle));
+        assert!(v.detail.contains("slot 0, seq 0"), "{}", v.detail);
     }
 }

@@ -163,3 +163,53 @@ fn wrong_path_depth_is_bounded_by_the_front_end() {
         "wrong path per mispredict should be bounded: {per_mispredict:.0}"
     );
 }
+
+/// The chaotic branch guards two divides (20 cycles each) that read only
+/// the LCG state, so on a misprediction into the guarded block they issue
+/// alongside the branch's own compare chain and are still executing when
+/// the branch resolves a few cycles later. The squash frees their ROB
+/// slots, the correct path dispatches into them, and their completion
+/// events fire while those slots hold younger instructions.
+fn stale_divide_program(iters: i64) -> Program {
+    let mut a = Assembler::new();
+    a.li(Reg(1), iters);
+    a.li(Reg(2), 12345);
+    a.li(Reg(3), 1103515245);
+    a.li(Reg(4), 0);
+    a.label("loop");
+    a.mul(Reg(2), Reg(2), Reg(3));
+    a.addi(Reg(2), Reg(2), 12345);
+    a.srli(Reg(5), Reg(2), 17);
+    a.andi(Reg(5), Reg(5), 1);
+    a.beq(Reg(5), Reg::ZERO, "skip");
+    a.div(Reg(6), Reg(2), Reg(3));
+    a.div(Reg(7), Reg(3), Reg(2));
+    a.add(Reg(4), Reg(4), Reg(6));
+    a.label("skip");
+    a.div(Reg(8), Reg(8), Reg(3));
+    a.addi(Reg(1), Reg(1), -1);
+    a.bne(Reg(1), Reg::ZERO, "loop");
+    a.halt();
+    a.finish().unwrap()
+}
+
+#[test]
+fn stale_completion_events_leave_reused_slots_alone() {
+    // A completion event names its instruction by ROB slot *and* dispatch
+    // seq. Resolving it by slot alone would complete whatever younger
+    // instruction now occupies a squashed divide's slot, early; the pinned
+    // cycles (and the clean invariant) catch that.
+    let program = stale_divide_program(400);
+    let mut reference = swque_isa::Emulator::new(&program);
+    reference.run(10_000_000).unwrap();
+    for (kind, cycles) in [(IqKind::Age, 20_704), (IqKind::Swque, 21_871)] {
+        let mut core = Core::new(CoreConfig::tiny(), kind, &program);
+        let r = core.run(u64::MAX);
+        assert_eq!(r.invariant, None, "{kind}");
+        assert!(core.finished(), "{kind} drains");
+        assert!(r.core.wrong_path_squashed > 0, "{kind}: no wrong path was squashed");
+        assert_eq!(r.retired, reference.retired(), "{kind}");
+        assert_eq!(core.emulator().int_reg(Reg(4)), reference.int_reg(Reg(4)), "{kind}");
+        assert_eq!(r.cycles, cycles, "{kind}: cycles moved");
+    }
+}

@@ -112,22 +112,26 @@ clippy_pass "harness env-read" crates/bench/clippy.toml \
 clippy_neg_check disallowed_types crates/bench/clippy.toml \
     'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
 
-echo "== benchmark: swque_benchmark builds, its tests pass, an mlp_stall run is correct"
+echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall and ilp_busy runs are correct"
 # swque_benchmark is a package of its own (an empty [workspace] table), so
 # --workspace above never compiles it, and an API change in a crate it
 # measures could break it unnoticed. It builds under target/, so nothing is
-# written beside its sources.
+# written beside its sources. mlp_stall covers the skipping, memory and
+# tracing paths; ilp_busy covers all 10 kinds and the large model on the
+# busy path (ROB and LSQ slot handles, wakeup/select, dispatch, commit).
 bench_manifest=crates/bench/src/bin/swque_benchmark/Cargo.toml
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo build --release --offline -q --manifest-path "$bench_manifest"
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo test --offline -q --manifest-path "$bench_manifest"
-bench_last="$(./target/swque_benchmark/release/swque_benchmark --workload mlp_stall \
-    --seed 0 --seconds 1 --trace 0 | tail -n 1)"
-case "$bench_last" in
-    '{"correct":true,'*'"failed":0,'*) ;;
-    *) echo "error: swque_benchmark mlp_stall smoke failed: $bench_last" >&2; exit 1 ;;
-esac
+for workload in mlp_stall ilp_busy; do
+    bench_last="$(./target/swque_benchmark/release/swque_benchmark --workload "$workload" \
+        --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+    case "$bench_last" in
+        '{"correct":true,'*'"failed":0,'*) ;;
+        *) echo "error: swque_benchmark $workload smoke failed: $bench_last" >&2; exit 1 ;;
+    esac
+done
 
 echo "== lint: swque-lint --workspace (any unsuppressed finding fails)"
 json_tmp="$(mktemp -d)"

@@ -21,7 +21,7 @@ use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
 use crate::stats::IqStats;
-use crate::types::{DispatchReq, Grant, IqFullError, IssueBudget, Tag};
+use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// A circular issue queue (CIRC or CIRC-PPRI).
 #[derive(Debug, Clone)]
@@ -34,6 +34,7 @@ pub struct CircQueue {
     /// True = CIRC-PPRI (select in age order even under wrap-around).
     perfect: bool,
     flpi_floor: usize,
+    grants: GrantBuf,
     stats: IqStats,
 }
 
@@ -46,6 +47,7 @@ impl CircQueue {
             region: 0,
             perfect: false,
             flpi_floor: config.flpi_rank_floor(),
+            grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
     }
@@ -203,13 +205,13 @@ impl IssueQueue for CircQueue {
         self.advance_head();
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
         self.stats.occupancy_sum += self.slots.len() as u64;
         self.stats.region_sum += self.region as u64;
 
         let cap = self.capacity_();
-        let mut grants = Vec::new();
+        let mut grants = self.grants.take();
         // Candidate positions in this organization's priority order.
         // CIRC: ascending physical position (reversed under wrap-around).
         // CIRC-PPRI: circular order from the head (true age order), i.e.
@@ -222,7 +224,7 @@ impl IssueQueue for CircQueue {
             self.grant_ready_in(0, cap, budget, &mut grants);
         }
         self.advance_head();
-        grants
+        self.grants.put(grants)
     }
 
     fn flush(&mut self) {

@@ -25,7 +25,7 @@ use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
 use crate::stats::IqStats;
-use crate::types::{DispatchReq, Grant, IqFullError, IssueBudget, Tag};
+use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The priority-correcting circular queue.
 ///
@@ -68,6 +68,7 @@ pub struct CircPcQueue {
     /// [`CircPcQueue::without_correction`], the model checker's
     /// negative-injection hook.
     correct: bool,
+    grants: GrantBuf,
     stats: IqStats,
 }
 
@@ -82,6 +83,7 @@ impl CircPcQueue {
             issue_width: config.issue_width,
             flpi_floor: config.flpi_rank_floor(),
             correct: true,
+            grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
     }
@@ -206,12 +208,12 @@ impl IssueQueue for CircPcQueue {
         self.advance_head();
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
         self.stats.occupancy_sum += self.slots.len() as u64;
         self.stats.region_sum += self.region as u64;
 
-        let mut grants = Vec::new();
+        let mut grants = self.grants.take();
         let wrapped = self.wrapped() && self.correct;
         let nwords = self.slots.ready_words().len();
 
@@ -242,9 +244,11 @@ impl IssueQueue for CircPcQueue {
 
         // 2. DTM merge: RV tags selected last cycle (waiting in the PTLs)
         //    fill the remaining merge slots; NR had priority. Losers are
-        //    discarded and must re-arbitrate through S_RV.
-        let pending = std::mem::take(&mut self.pending);
-        for pos in pending {
+        //    discarded and must re-arbitrate through S_RV. The PTL list is
+        //    drained in place (taken, cleared, put back), keeping its
+        //    buffer for this cycle's S_RV picks.
+        let mut pending = std::mem::take(&mut self.pending);
+        for &pos in &pending {
             let slot = self.slots.get(pos);
             if !slot.valid || !slot.pending_rv {
                 continue; // flushed or otherwise gone
@@ -257,6 +261,8 @@ impl IssueQueue for CircPcQueue {
                 self.stats.rv_discards += 1;
             }
         }
+        pending.clear();
+        self.pending = pending;
 
         // 3. S_RV: select up to IW ready RV requests for next cycle's merge
         //    (`ready & !pending_rv & reverse`; only meaningful while the
@@ -283,7 +289,7 @@ impl IssueQueue for CircPcQueue {
         }
 
         self.advance_head();
-        grants
+        self.grants.put(grants)
     }
 
     fn flush(&mut self) {
@@ -417,6 +423,18 @@ mod tests {
         assert_eq!(g.iter().map(|g| g.seq).collect::<Vec<_>>(), vec![8, 9]);
         assert!(g.iter().all(|g| g.two_cycle));
         assert_eq!(q.stats().rv_issues, 2);
+    }
+
+    #[test]
+    fn dtm_merge_drains_the_ptl_list_and_keeps_its_capacity() {
+        let mut q = wrapped(8, 2, 6);
+        q.wakeup(888);
+        assert!(q.select(&mut budget(6)).is_empty());
+        assert_eq!(q.pending, vec![0, 1], "S_RV latched both RV entries");
+        let cap = q.pending.capacity();
+        assert_eq!(q.select(&mut budget(6)).len(), 2);
+        assert!(q.pending.is_empty(), "the merge drains the PTLs");
+        assert_eq!(q.pending.capacity(), cap, "the drained list keeps its buffer");
     }
 
     #[test]

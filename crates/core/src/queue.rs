@@ -233,7 +233,14 @@ pub trait IssueQueue: fmt::Debug + WakeHorizon {
     /// Selects up to `budget` ready instructions in this organization's
     /// priority order, removing them from the queue. Must be called exactly
     /// once per simulated cycle (it also advances per-cycle bookkeeping).
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant>;
+    ///
+    /// The grants are returned in grant order as a slice of a buffer the
+    /// queue owns and reuses, so the per-cycle select never allocates once
+    /// the buffer has grown to the issue width. The slice is valid until
+    /// the next call on the queue; a caller that keeps the grants across
+    /// later queue calls copies them (`.to_vec()`). The buffer is scratch,
+    /// not state: [`arch_key`](IssueQueue::arch_key) leaves it out.
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant];
 
     /// True if at least one entry has all source operands ready. Must be a
     /// pure query (no bookkeeping).

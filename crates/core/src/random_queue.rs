@@ -17,7 +17,7 @@ use crate::horizon::WakeHorizon;
 use crate::queue::{BucketSpec, IqConfig, IssueQueue};
 use crate::slots::SlotArray;
 use crate::stats::IqStats;
-use crate::types::{DispatchReq, Grant, IqFullError, IssueBudget, Tag};
+use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// A free-list queue: RAND (no matrices), AGE (one matrix), or AGE-multiAM
 /// (one matrix per bucket).
@@ -33,6 +33,7 @@ pub struct RandomQueue {
     bucket_load: Vec<usize>,
     flpi_floor: usize,
     name: &'static str,
+    grants: GrantBuf,
     stats: IqStats,
 }
 
@@ -59,6 +60,7 @@ impl RandomQueue {
             bucket_load: vec![0; total.max(1)],
             flpi_floor: config.flpi_rank_floor(),
             name,
+            grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
     }
@@ -188,12 +190,12 @@ impl IssueQueue for RandomQueue {
         self.stats.region_sum += cycles * self.slots.len() as u64;
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
         self.stats.occupancy_sum += self.slots.len() as u64;
         self.stats.region_sum += self.slots.len() as u64;
 
-        let mut grants = Vec::new();
+        let mut grants = self.grants.take();
 
         // Phase 1: each age matrix nominates its oldest ready instruction,
         // which gets the highest priority independently of IQ position. The
@@ -233,7 +235,7 @@ impl IssueQueue for RandomQueue {
             }
         }
 
-        grants
+        self.grants.put(grants)
     }
 
     fn flush(&mut self) {
@@ -245,13 +247,18 @@ impl IssueQueue for RandomQueue {
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        let doomed: Vec<usize> = self
-            .slots
-            .valid_positions()
-            .filter(|&p| self.slots.get(p).seq > seq)
-            .collect();
-        for pos in doomed {
-            self.remove_entry(pos);
+        // Word scan over the valid plane; each word is copied to a register
+        // before its bits are visited, so removing (which clears the bit)
+        // cannot disturb the scan.
+        for wi in 0..self.slots.valid_words().len() {
+            let mut word = self.slots.valid_words()[wi];
+            while word != 0 {
+                let pos = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.slots.get(pos).seq > seq {
+                    self.remove_entry(pos);
+                }
+            }
         }
     }
 

@@ -21,7 +21,7 @@ use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
 use crate::stats::IqStats;
-use crate::types::{DispatchReq, Grant, IqFullError, IssueBudget, Tag};
+use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The rearranging random queue (extension; see module docs).
 #[derive(Debug, Clone)]
@@ -44,6 +44,7 @@ pub struct RearrangingQueue {
     /// Old-queue position snapshot reused across select cycles (granting
     /// mutates `old`, so selection iterates a copy).
     old_scratch: Vec<usize>,
+    grants: GrantBuf,
     stats: IqStats,
 }
 
@@ -79,6 +80,7 @@ impl RearrangingQueue {
             flpi_floor: config.flpi_rank_floor(),
             scratch: Vec::with_capacity(move_width),
             old_scratch: Vec::with_capacity(old_capacity),
+            grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
     }
@@ -208,13 +210,13 @@ impl IssueQueue for RearrangingQueue {
         }
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
         self.stats.occupancy_sum += self.slots.len() as u64;
         self.stats.region_sum += self.slots.len() as u64;
         self.rearrange();
 
-        let mut grants = Vec::new();
+        let mut grants = self.grants.take();
         // Old queue first, in age order: multiple oldest instructions get
         // high priority (the scheme's whole point).
         let mut old_positions = std::mem::take(&mut self.old_scratch);
@@ -248,7 +250,7 @@ impl IssueQueue for RearrangingQueue {
                 }
             }
         }
-        grants
+        self.grants.put(grants)
     }
 
     fn flush(&mut self) {
@@ -258,14 +260,18 @@ impl IssueQueue for RearrangingQueue {
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        let doomed: Vec<usize> = self
-            .slots
-            .valid_positions()
-            .filter(|&p| self.slots.get(p).seq > seq)
-            .collect();
-        for pos in doomed {
-            self.old_mask.clear(pos);
-            self.slots.remove(pos);
+        // Word scan over the valid plane, as in `RandomQueue`: a copied
+        // word is immune to the removals it triggers.
+        for wi in 0..self.slots.valid_words().len() {
+            let mut word = self.slots.valid_words()[wi];
+            while word != 0 {
+                let pos = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.slots.get(pos).seq > seq {
+                    self.old_mask.clear(pos);
+                    self.slots.remove(pos);
+                }
+            }
         }
         // `old` is sorted by seq: everything younger sits past the cut.
         let cut = self.old.partition_point(|&(s, _)| s <= seq);

@@ -10,7 +10,7 @@ use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::stats::IqStats;
-use crate::types::{DispatchReq, Grant, IqFullError, IssueBudget, Tag};
+use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -44,6 +44,7 @@ pub struct ShiftQueue {
     flpi_floor: usize,
     /// Age-ordered entries; index 0 is the oldest (highest priority).
     entries: Vec<Entry>,
+    grants: GrantBuf,
     stats: IqStats,
 }
 
@@ -54,6 +55,7 @@ impl ShiftQueue {
             capacity: config.capacity,
             flpi_floor: config.flpi_rank_floor(),
             entries: Vec::with_capacity(config.capacity),
+            grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
     }
@@ -110,12 +112,12 @@ impl IssueQueue for ShiftQueue {
         self.stats.region_sum += cycles * self.entries.len() as u64;
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
         self.stats.occupancy_sum += self.entries.len() as u64;
         self.stats.region_sum += self.entries.len() as u64;
 
-        let mut grants = Vec::new();
+        let mut grants = self.grants.take();
         // Compaction in place: each survivor moves up over the holes that
         // grants left before it, so `entries[..kept]` stays age-ordered.
         // Once the budget is spent, the untouched tail shifts up in one move.
@@ -144,7 +146,7 @@ impl IssueQueue for ShiftQueue {
             rank += 1;
         }
         self.entries.drain(kept..rank);
-        grants
+        self.grants.put(grants)
     }
 
     fn flush(&mut self) {

@@ -20,7 +20,9 @@
 //! go stale (the slot issued or was squashed before the tag fired); a
 //! broadcast validates each entry against the live slot before resolving,
 //! which is exactly what the scalar CAM scan it replaces did implicitly.
-//! The table is drained per broadcast, so an entry is visited at most once.
+//! The table is drained per broadcast, so an entry is visited at most once;
+//! a drained list keeps its capacity, so steady-state wakeup and insert
+//! never touch the allocator.
 //!
 //! The scalar reference implementation is retained as
 //! `ScalarSlotArray` behind `#[cfg(test)]`; a differential property test at
@@ -133,6 +135,12 @@ impl SlotArray {
         self.ready.words()
     }
 
+    /// Packed valid plane: bit `p` set iff slot `p` holds a live entry.
+    #[inline]
+    pub fn valid_words(&self) -> &[u64] {
+        self.valid.words()
+    }
+
     /// True if any slot raises an issue request (the quiescence-skip query;
     /// a whole-plane emptiness test, no per-slot walk).
     #[inline]
@@ -229,8 +237,11 @@ impl SlotArray {
         if idx >= self.waiters.len() {
             return;
         }
-        let list = std::mem::take(&mut self.waiters[idx]);
-        for pos in list {
+        // Iterated in place and cleared, so the list keeps its capacity for
+        // the tag's next registrations (the slot and plane borrows are
+        // disjoint from the waiter table).
+        let list = &mut self.waiters[idx];
+        for &pos in list.iter() {
             let pos = pos as usize;
             let slot = &mut self.slots[pos];
             if !slot.valid {
@@ -247,6 +258,7 @@ impl SlotArray {
                 self.ready.set(pos);
             }
         }
+        list.clear();
     }
 
     /// Clears every slot.
@@ -467,6 +479,19 @@ mod tests {
         assert!(!a.get(0).ready(), "tag 7 is not a source of the new occupant");
         a.wakeup(8);
         assert!(a.get(0).ready());
+    }
+
+    #[test]
+    fn wakeup_drains_the_waiter_list_and_keeps_its_capacity() {
+        let mut a = SlotArray::new(4);
+        a.insert(0, req(1, [Some(3), None]), false, 0);
+        a.insert(1, req(2, [Some(3), Some(3)]), false, 0);
+        let cap = a.waiters[3].capacity();
+        assert!(cap >= 3);
+        a.wakeup(3);
+        assert!(a.waiters[3].is_empty(), "a broadcast drains its waiter list");
+        assert_eq!(a.waiters[3].capacity(), cap, "the drained list keeps its buffer");
+        assert!(a.get(0).ready() && a.get(1).ready());
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl IssueQueue for Swque {
         self.active_mut().wakeup(tag);
     }
 
-    fn select(&mut self, budget: &mut IssueBudget) -> Vec<Grant> {
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         match self.effective_mode() {
             IqMode::Age => self.stats.cycles_age += 1,
             _ => self.stats.cycles_circ_pc += 1,

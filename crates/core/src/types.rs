@@ -59,6 +59,38 @@ pub struct Grant {
     pub two_cycle: bool,
 }
 
+/// The grant buffer a queue's [`select`] fills and returns a slice of,
+/// reused every cycle so that select never allocates once it has grown to
+/// the issue width. It is scratch, not state: a clone starts empty, so
+/// forking a queue (the model checker's hot path) copies no stale grants,
+/// and no `arch_key` includes it.
+///
+/// [`select`]: crate::IssueQueue::select
+#[derive(Debug, Default)]
+pub(crate) struct GrantBuf(Vec<Grant>);
+
+impl Clone for GrantBuf {
+    fn clone(&self) -> GrantBuf {
+        GrantBuf::default()
+    }
+}
+
+impl GrantBuf {
+    /// Takes the buffer out, cleared, so that it can be filled while the
+    /// queue is borrowed mutably; [`put`](Self::put) returns it.
+    pub(crate) fn take(&mut self) -> Vec<Grant> {
+        let mut grants = std::mem::take(&mut self.0);
+        grants.clear();
+        grants
+    }
+
+    /// Puts the filled buffer back and returns its grants.
+    pub(crate) fn put(&mut self, grants: Vec<Grant>) -> &[Grant] {
+        self.0 = grants;
+        &self.0
+    }
+}
+
 /// Per-cycle issue resources: total width plus free function units per
 /// [`FuClass`] (indexed by [`FuClass::index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -707,9 +707,10 @@ fn drive(g: &mut Gen, mut real: Box<dyn IssueQueue>, reference: &mut dyn RefQueu
                 ];
                 let mut b_real = IssueBudget::new(width, fu_free);
                 let mut b_ref = IssueBudget::new(width, fu_free);
-                let g_real = real.select(&mut b_real);
                 let g_ref = reference.select(&mut b_ref);
-                assert_eq!(g_real, g_ref, "step {step}: grant stream ({})", real.name());
+                let name = real.name();
+                let g_real = real.select(&mut b_real);
+                assert_eq!(g_real, g_ref, "step {step}: grant stream ({name})");
                 assert_eq!(b_real, b_ref, "step {step}: leftover budget");
             }
             // Branch-misprediction squash to a random dispatched seq.

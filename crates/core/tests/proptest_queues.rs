@@ -90,7 +90,7 @@ fn queue_invariants_hold_under_random_ops() {
                         let mut budget = IssueBudget::new(w, [w, w, w, w]);
                         let grants = q.select(&mut budget);
                         assert!(grants.len() <= w, "{kind}: grant count within width");
-                        for grant in &grants {
+                        for grant in grants {
                             let waited = live.remove(&grant.seq);
                             assert!(waited.is_some(), "{kind}: grant of live entry {}", grant.seq);
                             if let Some(Some(tag)) = waited {

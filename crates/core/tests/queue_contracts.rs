@@ -272,6 +272,39 @@ fn arch_key_omits_stats_waiters_and_totals() {
     }
 }
 
+/// `select` hands out one queue-owned buffer: a select that grants, an
+/// empty select and another granting select all return slices of the
+/// same allocation (a fresh `Vec` per call would give the empty select a
+/// dangling pointer and regrow on the third). The buffer is scratch: a
+/// drained queue whose last select granted and its clone after an empty
+/// select have equal keys.
+#[test]
+fn select_reuses_one_grant_buffer_outside_the_key() {
+    let config = IqConfig { capacity: 8, issue_width: 4, ..IqConfig::default() };
+    let budget = |n| IssueBudget::new(n, [n; 4]);
+    for kind in IqKind::ALL {
+        let mut q = kind.build(&config);
+        for seq in BASE..BASE + 6 {
+            dispatch_ready(&mut q, seq);
+        }
+        let granted = q.select(&mut budget(3));
+        assert_eq!(granted.len(), 3, "{kind}");
+        let first = granted.as_ptr() as usize;
+        let empty = q.select(&mut budget(0));
+        assert!(empty.is_empty(), "{kind}");
+        assert_eq!(empty.as_ptr() as usize, first, "{kind}: the empty select kept the buffer");
+        let granted = q.select(&mut budget(3));
+        assert_eq!((granted.len(), granted.as_ptr() as usize), (3, first), "{kind}: regrew");
+
+        let mut drained = kind.build(&config);
+        dispatch_ready(&mut drained, BASE);
+        assert_eq!(drained.select(&mut budget(1)).len(), 1, "{kind}");
+        let mut emptied = drained.clone();
+        empty_select(&mut emptied);
+        assert_eq!(key_words(drained.as_ref(), &[]), key_words(emptied.as_ref(), &[]), "{kind}");
+    }
+}
+
 /// A seq left behind in an invalidated slot becomes the stale marker,
 /// and no raw seq ≥ `BASE` ever reaches the key words.
 #[test]

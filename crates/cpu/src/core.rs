@@ -53,16 +53,18 @@
 //! on or off (DESIGN.md §10); [`Core::set_skip`] forces the per-cycle
 //! path.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use swque_branch::{BranchKind, BranchOutcome, BranchPredictor};
-use swque_core::{min_horizon, DispatchReq, IqKind, IqMode, IssueBudget, IssueQueue, WakeHorizon};
+use swque_core::{
+    min_horizon, DispatchReq, Grant, IqKind, IqMode, IssueBudget, IssueQueue, WakeHorizon,
+};
 use swque_isa::{Emulator, Opcode, Program, Retired, ShadowEmulator};
 use swque_mem::{AccessKind, MemoryHierarchy};
 use swque_trace::{TraceEvent, TraceHandle};
 
 use crate::config::CoreConfig;
+use crate::events::EventRing;
 use crate::fu::FuPool;
 use crate::lsq::{LoadAction, Lsq};
 use crate::multi::drive;
@@ -315,10 +317,16 @@ pub(crate) struct Pipeline {
     emu_halted: bool,
     last_fetch_line: Option<u64>,
 
-    /// Completion events: `(cycle, seq, slot)` min-heap. `(slot, seq)` is
-    /// the instruction's ROB handle (see [`crate::rob`]); seqs are unique,
-    /// so the slot never decides the pop order.
-    events: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// Completion events by cycle, drained in `(cycle, seq)` order (see
+    /// [`crate::events`]). `(slot, seq)` is the instruction's ROB handle
+    /// (see [`crate::rob`]).
+    events: EventRing,
+    /// This cycle's due events, `(seq, slot)`, filled by
+    /// [`EventRing::take_due`]; reused every cycle.
+    due: Vec<(u64, u64)>,
+    /// This cycle's grants, copied out of the queue's buffer so that the
+    /// issue loop can borrow the pipeline mutably; reused every cycle.
+    grants: Vec<Grant>,
     /// ROB handles `(slot, seq)` of issued loads awaiting their memory
     /// access. `issue` runs after `execute` within a cycle and the clock
     /// advances after both, so a load issued (AGU busy) this cycle is first
@@ -382,7 +390,9 @@ impl Pipeline {
             wrong_path: None,
             emu_halted: false,
             last_fetch_line: None,
-            events: BinaryHeap::new(),
+            events: EventRing::new(),
+            due: Vec::new(),
+            grants: Vec::new(),
             pending_loads: Vec::new(),
             trace: TraceHandle::disabled(),
             next_ipc_mark: interval,
@@ -518,7 +528,7 @@ impl Pipeline {
         }
         // Writeback: the earliest completion event is either due or a
         // horizon.
-        if let Some(&Reverse((t, _, _))) = self.events.peek() {
+        if let Some(t) = self.events.next_at(self.cycle) {
             if t <= self.cycle {
                 return None;
             }
@@ -668,11 +678,9 @@ impl Pipeline {
     // ---- writeback ----
 
     fn writeback(&mut self) {
-        while let Some(&Reverse((t, _, _))) = self.events.peek() {
-            if t > self.cycle {
-                break;
-            }
-            let Some(Reverse((_, seq, slot))) = self.events.pop() else { break };
+        let mut due = std::mem::take(&mut self.due);
+        self.events.take_due(self.cycle, &mut due);
+        for &(seq, slot) in &due {
             // A squashed instruction leaves a stale completion event, and
             // its slot may already hold a younger dispatch: the seq tells.
             let Some(entry) = self.rob.resolve_mut(slot, seq) else { continue };
@@ -698,22 +706,22 @@ impl Pipeline {
                 self.last_fetch_line = None;
             }
         }
+        self.due = due;
     }
 
     /// Misprediction recovery: removes every instruction younger than
     /// `seq` from the whole pipeline, unwinding renames in reverse order.
     fn squash_younger(&mut self, seq: u64) {
-        let squashed = self.rob.squash_younger(seq);
-        for e in &squashed {
-            // Youngest-first: rename map unwinds correctly.
+        // Youngest-first: the rename map unwinds correctly.
+        while let Some(e) = self.rob.pop_younger(seq) {
             if let Some((reg, new, old)) = e.dst {
                 self.rename.undo_dst(reg, new, old);
             }
             if e.oracle.mem.is_some() && !self.lsq.pop_tail(e.uid) {
                 self.invariant("squash", format!("squashed uid {} is not the LSQ tail", e.uid));
             }
+            self.stats.wrong_path_squashed += 1;
         }
-        self.stats.wrong_path_squashed += squashed.len() as u64;
         // Anything younger still in the front end is wrong-path too.
         self.decode_q.retain(|d| !d.wp);
         self.iq.squash_younger(seq);
@@ -724,9 +732,12 @@ impl Pipeline {
     // ---- execute (memory scheduling) ----
 
     fn execute(&mut self, mem: &mut MemoryHierarchy) {
-        let mut still = Vec::new();
-        let pending = std::mem::take(&mut self.pending_loads);
-        for (slot, seq) in pending {
+        // Filtered in place: the loads still waiting are compacted to the
+        // front of the list, which keeps its buffer.
+        let mut pending = std::mem::take(&mut self.pending_loads);
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let (slot, seq) = pending[i];
             let Some((action, addr)) = self.load_action(slot, seq) else {
                 self.invariant(
                     "execute",
@@ -737,7 +748,10 @@ impl Pipeline {
                 return;
             };
             match action {
-                LoadAction::Wait => still.push((slot, seq)),
+                LoadAction::Wait => {
+                    pending[kept] = (slot, seq);
+                    kept += 1;
+                }
                 LoadAction::Forward => {
                     self.stats.loads_forwarded += 1;
                     let done = self.cycle + self.config.mem.l1d.hit_latency;
@@ -750,7 +764,8 @@ impl Pipeline {
                 }
             }
         }
-        self.pending_loads = still;
+        pending.truncate(kept);
+        self.pending_loads = pending;
     }
 
     /// What the pending load `(slot, seq)` may do this cycle, with its
@@ -764,7 +779,7 @@ impl Pipeline {
 
     /// Queues the completion of the instruction at ROB handle `(slot, seq)`.
     fn schedule(&mut self, slot: u64, seq: u64, at: u64) {
-        self.events.push(Reverse((at, seq, slot)));
+        self.events.push(self.cycle, at, seq, slot);
     }
 
     // ---- issue ----
@@ -772,12 +787,14 @@ impl Pipeline {
     fn issue(&mut self) {
         let mut budget =
             IssueBudget::new(self.config.width, self.fus.free_counts(self.cycle));
-        let grants = self.iq.select(&mut budget);
-        for g in grants {
+        let mut grants = std::mem::take(&mut self.grants);
+        grants.clear();
+        grants.extend_from_slice(self.iq.select(&mut budget));
+        for g in &grants {
             let (slot, seq) = (g.payload, g.seq);
             let Some(entry) = self.rob.resolve_mut(slot, seq) else {
                 self.invariant("issue", format!("granted slot {slot} does not hold seq {seq}"));
-                return;
+                break;
             };
             entry.state = RobState::Executing;
             let (op, uid, lsq) = (entry.oracle.inst.op, entry.uid, entry.lsq);
@@ -794,13 +811,14 @@ impl Pipeline {
                 // buffer until commit).
                 if !lsq.is_some_and(|l| self.lsq.mark_store_executed(l, uid)) {
                     self.invariant("issue", format!("issued store uid {uid} has no LSQ entry"));
-                    return;
+                    break;
                 }
                 self.schedule(slot, seq, self.cycle + 1);
             } else {
                 self.schedule(slot, seq, self.cycle + op.latency() as u64);
             }
         }
+        self.grants = grants;
     }
 
     // ---- dispatch (rename + allocate) ----

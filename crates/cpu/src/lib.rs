@@ -35,6 +35,7 @@
 
 mod config;
 mod core;
+mod events;
 mod fu;
 mod lsq;
 mod multi;

@@ -158,15 +158,17 @@ impl Rob {
         entry
     }
 
-    /// Removes every entry younger than `seq` (exclusive), returning them
-    /// youngest-first so the caller can unwind renames in reverse order.
-    /// Their slots are reused by the next dispatches.
-    pub(crate) fn squash_younger(&mut self, seq: u64) -> Vec<RobEntry> {
-        let mut out = Vec::new();
-        while self.entries.back().is_some_and(|e| e.seq > seq) {
-            out.extend(self.entries.pop_back());
+    /// Removes and returns the youngest entry if it is younger than `seq`
+    /// (exclusive). Called until it returns `None`, it squashes everything
+    /// younger than `seq` youngest-first, so the caller can unwind renames
+    /// in reverse order without collecting the entries. The slots are
+    /// reused by the next dispatches.
+    pub(crate) fn pop_younger(&mut self, seq: u64) -> Option<RobEntry> {
+        if self.entries.back().is_some_and(|e| e.seq > seq) {
+            self.entries.pop_back()
+        } else {
+            None
         }
-        out
     }
 
     /// Drains every in-flight entry in program order (full flush). The
@@ -279,7 +281,7 @@ mod tests {
         let mut rob = Rob::new(4);
         let a = rob.push(entry_at(1, 10));
         let b = rob.push(entry_at(2, 11));
-        assert_eq!(rob.squash_younger(10).len(), 1);
+        assert_eq!(squash_younger(&mut rob, 10).len(), 1);
         let c = rob.push(entry_at(3, 12));
         assert_eq!(c, b, "the squashed slot is the next one handed out");
         assert!(rob.resolve(b, 11).is_none(), "the old handle is stale");
@@ -336,6 +338,12 @@ mod tests {
         fn resolve_mut(&mut self, uid: u64, seq: u64) -> Option<&mut RobEntry> {
             self.entries.get_mut(&uid).filter(|e| e.seq == seq)
         }
+    }
+
+    /// Every entry younger than `seq`, youngest-first, as the pipeline's
+    /// squash pops them.
+    fn squash_younger(rob: &mut Rob, seq: u64) -> Vec<RobEntry> {
+        std::iter::from_fn(|| rob.pop_younger(seq)).collect()
     }
 
     /// The fields an answer is compared on.
@@ -420,7 +428,7 @@ mod tests {
                     }
                     3 => {
                         let seq = g.gen_range(0..next_seq + 2);
-                        let ours = rob.squash_younger(seq);
+                        let ours = squash_younger(&mut rob, seq);
                         assert_eq!(keys(&ours), keys(&reference.squash_younger(seq)));
                     }
                     4 => {

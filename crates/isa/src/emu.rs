@@ -270,13 +270,18 @@ impl Machine for ShadowView<'_> {
         self.shadow.fregs[index as usize] = value;
     }
     fn read_mem(&self, addr: u64) -> u64 {
-        let mut bytes = [0u8; 8];
+        // One word read of the base image (one page probe, not eight),
+        // then the overlay's bytes on top; an empty overlay is the common
+        // case and costs no further lookups.
+        let word = self.base.memory().read_u64(addr);
+        if self.shadow.writes.is_empty() {
+            return word;
+        }
+        let mut bytes = word.to_le_bytes();
         for (i, b) in bytes.iter_mut().enumerate() {
-            let a = addr.wrapping_add(i as u64);
-            *b = match self.shadow.writes.get(&a) {
-                Some(&v) => v,
-                None => self.base.memory().read_u8(a),
-            };
+            if let Some(&v) = self.shadow.writes.get(&addr.wrapping_add(i as u64)) {
+                *b = v;
+            }
         }
         u64::from_le_bytes(bytes)
     }
@@ -336,6 +341,50 @@ mod tests {
         let mut emu = Emulator::new(&p);
         emu.run(1_000_000).unwrap();
         emu
+    }
+
+    /// The byte-wise overlay read `ShadowView::read_mem` replaced: eight
+    /// overlay probes, each falling back to one base byte.
+    fn read_mem_bytewise(view: &ShadowView<'_>, addr: u64) -> u64 {
+        let mut bytes = [0u8; 8];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            let a = addr.wrapping_add(i as u64);
+            *b = match view.shadow.writes.get(&a) {
+                Some(&v) => v,
+                None => view.base.memory().read_u8(a),
+            };
+        }
+        u64::from_le_bytes(bytes)
+    }
+
+    #[test]
+    fn shadow_word_reads_match_the_bytewise_overlay_read() {
+        // Two resident pages around the 0x2000 boundary, a page that is
+        // never touched above them, and the top of the address space.
+        let mut a = Assembler::new();
+        let pattern: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        a.data_bytes(0x2000 - 32, &pattern);
+        a.data_bytes(u64::MAX - 3, &pattern[..4]);
+        a.halt();
+        let emu = Emulator::new(&a.finish().unwrap());
+        let mut shadow = emu.shadow(0);
+        let addrs: Vec<u64> = (0x2000 - 40..0x2000 + 40)
+            .chain(0x3000 - 8..0x3000 + 8)
+            .chain([u64::MAX - 7, u64::MAX - 3, u64::MAX])
+            .collect();
+        for overlay in [None, Some(0x2000 - 3), Some(0x1000), Some(u64::MAX - 1)] {
+            if let Some(at) = overlay {
+                ShadowView { shadow: &mut shadow, base: &emu }.write_mem(at, 0x0123_4567_89ab_cdef);
+            }
+            let view = ShadowView { shadow: &mut shadow, base: &emu };
+            for &addr in &addrs {
+                assert_eq!(
+                    view.read_mem(addr),
+                    read_mem_bytewise(&view, addr),
+                    "addr {addr:#x}, overlay {overlay:x?}"
+                );
+            }
+        }
     }
 
     #[test]

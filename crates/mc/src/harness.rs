@@ -386,7 +386,7 @@ impl QueueHarness {
             ));
         }
         let mut granted: Vec<u64> = Vec::with_capacity(grants.len());
-        for g in &grants {
+        for g in grants {
             if granted.contains(&g.seq) {
                 return Err(Violation::new(
                     "grant-ready",

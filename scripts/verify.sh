@@ -112,19 +112,21 @@ clippy_pass "harness env-read" crates/bench/clippy.toml \
 clippy_neg_check disallowed_types crates/bench/clippy.toml \
     'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
 
-echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall and ilp_busy runs are correct"
+echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall, ilp_busy and multicore_contention runs are correct"
 # swque_benchmark is a package of its own (an empty [workspace] table), so
 # --workspace above never compiles it, and an API change in a crate it
 # measures could break it unnoticed. It builds under target/, so nothing is
 # written beside its sources. mlp_stall covers the skipping, memory and
 # tracing paths; ilp_busy covers all 10 kinds and the large model on the
-# busy path (ROB and LSQ slot handles, wakeup/select, dispatch, commit).
+# busy path (ROB and LSQ slot handles, wakeup/select, dispatch, commit);
+# multicore_contention covers the shared L2/DRAM arbitration, whose
+# queueing gives the longest completion latencies through the event ring.
 bench_manifest=crates/bench/src/bin/swque_benchmark/Cargo.toml
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo build --release --offline -q --manifest-path "$bench_manifest"
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo test --offline -q --manifest-path "$bench_manifest"
-for workload in mlp_stall ilp_busy; do
+for workload in mlp_stall ilp_busy multicore_contention; do
     bench_last="$(./target/swque_benchmark/release/swque_benchmark --workload "$workload" \
         --seed 0 --seconds 1 --trace 0 | tail -n 1)"
     case "$bench_last" in

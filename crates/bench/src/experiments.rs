@@ -12,6 +12,7 @@ use swque_circuit::area::{areas, cost_summary, density};
 use swque_circuit::delay::delays;
 use swque_circuit::energy::{iq_energy, EnergyBreakdown};
 use swque_circuit::{IqGeometry, WakeupStyle};
+use swque_core::cycle::{CycleDelta, InstCount};
 use swque_core::IqKind::{self, *};
 use swque_core::SwqueParams;
 use swque_cpu::{CoreConfig, SimResult};
@@ -122,7 +123,7 @@ pub static EVALUATION: [Experiment; 12] = [
     Experiment::new("sec47", |_| Vec::new(), sec47),
     Experiment::new(
         "sec48",
-        |b| vec![m(Swque, b), with(m(Swque, b), |c| c.iq.swque.switch_penalty = 40)],
+        |b| vec![m(Swque, b), with(m(Swque, b), |c| c.iq.swque.switch_penalty = CycleDelta::new(40))],
         sec48,
     ),
 ];
@@ -269,8 +270,8 @@ const ABLATIONS: [(&str, ConfigChange); 7] = [
     ("default (Table 3, AGE-favoring, stabilized)", |_| {}),
     ("CIRC-favoring disagreement policy (§3.2.2)", |c| c.iq.swque.age_favoring = false),
     ("no instability counter (§3.2.3)", |c| c.iq.swque.stabilize = false),
-    ("switch interval = 2000 insts", |c| c.iq.swque.interval_insts = 2_000),
-    ("switch interval = 50000 insts", |c| c.iq.swque.interval_insts = 50_000),
+    ("switch interval = 2000 insts", |c| c.iq.swque.interval_insts = InstCount::new(2_000)),
+    ("switch interval = 50000 insts", |c| c.iq.swque.interval_insts = InstCount::new(50_000)),
     ("FLPI region = 0.25 of the queue", |c| c.iq.flpi_region_frac = 0.25),
     ("FLPI region = 0.125 of the queue", |c| c.iq.flpi_region_frac = 0.125),
 ];

@@ -16,6 +16,7 @@
 //! keeps circular allocation but always selects in true age order — the
 //! upper bound that CIRC-PC (paper §3.1) approaches with real hardware.
 
+use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
@@ -195,7 +196,8 @@ impl IssueQueue for CircQueue {
         self.slots.any_ready()
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        let cycles = cycles.get();
         self.stats.selects += cycles;
         self.stats.occupancy_sum += cycles * self.slots.len() as u64;
         self.stats.region_sum += cycles * self.region as u64;
@@ -268,7 +270,7 @@ impl IssueQueue for CircQueue {
 }
 
 impl WakeHorizon for CircQueue {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         None // purely reactive: state changes only via wakeup/select/dispatch
     }
 }

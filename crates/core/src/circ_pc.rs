@@ -20,6 +20,7 @@
 //! paper's §4.4 result is that this costs almost nothing, because ready
 //! wrapped instructions are young and latency-tolerant.
 
+use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
@@ -191,7 +192,8 @@ impl IssueQueue for CircPcQueue {
         self.slots.any_ready()
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        let cycles = cycles.get();
         self.stats.selects += cycles;
         self.stats.occupancy_sum += cycles * self.slots.len() as u64;
         self.stats.region_sum += cycles * self.region as u64;
@@ -340,7 +342,7 @@ impl IssueQueue for CircPcQueue {
 }
 
 impl WakeHorizon for CircPcQueue {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         // The PTL pipeline is clocked by select() calls, not by wall cycles,
         // and with nothing ready no PTL entry is live — purely reactive.
         None

@@ -20,6 +20,7 @@
 //! FLPI threshold is lowered, making AGE mode stickier; both the counter and
 //! the AGE threshold reset periodically to re-adapt.
 
+use crate::cycle::{CycleDelta, InstCount};
 use crate::digest::ArchKey;
 use crate::types::IqMode;
 
@@ -27,9 +28,9 @@ use crate::types::IqMode;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwqueParams {
     /// Switch-decision interval in retired instructions (10k).
-    pub interval_insts: u64,
+    pub interval_insts: InstCount,
     /// Pipeline-flush penalty per mode switch in cycles (10).
-    pub switch_penalty: u64,
+    pub switch_penalty: CycleDelta,
     /// MPKI above this means capacity-demanding (1.0).
     pub mpki_threshold: f64,
     /// Base FLPI threshold (0.04).
@@ -39,7 +40,7 @@ pub struct SwqueParams {
     /// How much the AGE-mode FLPI threshold drops per trip (0.01).
     pub flpi_reduction: f64,
     /// Period for resetting the counter and AGE threshold (1M insts).
-    pub reset_interval_insts: u64,
+    pub reset_interval_insts: InstCount,
     /// Disagreement policy: `true` (the paper's choice, §3.2.2) resolves
     /// metric disagreement toward AGE; `false` toward CIRC-PC. The paper
     /// reports the AGE-favoring policy performs better; the `ablations`
@@ -55,13 +56,13 @@ impl Default for SwqueParams {
     /// Table 3 values.
     fn default() -> SwqueParams {
         SwqueParams {
-            interval_insts: 10_000,
-            switch_penalty: 10,
+            interval_insts: InstCount::new(10_000),
+            switch_penalty: CycleDelta::new(10),
             mpki_threshold: 1.0,
             flpi_threshold: 0.04,
             instability_threshold: 2,
             flpi_reduction: 0.01,
-            reset_interval_insts: 1_000_000,
+            reset_interval_insts: InstCount::new(1_000_000),
             age_favoring: true,
             stabilize: true,
         }
@@ -96,7 +97,7 @@ pub struct SwqueController {
     flpi_threshold_age: f64,
     instability: u32,
     /// Retired-instruction count at the last periodic reset.
-    last_reset_insts: u64,
+    last_reset_insts: InstCount,
     threshold_reductions: u64,
 }
 
@@ -108,7 +109,7 @@ impl SwqueController {
             mode: IqMode::CircPc,
             flpi_threshold_age: params.flpi_threshold,
             instability: 0,
-            last_reset_insts: 0,
+            last_reset_insts: InstCount::ZERO,
             threshold_reductions: 0,
         }
     }
@@ -148,8 +149,8 @@ impl SwqueController {
 
     /// Applies the periodic reset if `retired_insts` has advanced past the
     /// reset interval (re-starts learning, paper §3.2.3).
-    pub fn maybe_periodic_reset(&mut self, retired_insts: u64) {
-        if retired_insts.saturating_sub(self.last_reset_insts) >= self.params.reset_interval_insts {
+    pub fn maybe_periodic_reset(&mut self, retired_insts: InstCount) {
+        if retired_insts >= self.last_reset_insts + self.params.reset_interval_insts {
             self.instability = 0;
             self.flpi_threshold_age = self.params.flpi_threshold;
             self.last_reset_insts = retired_insts;
@@ -267,9 +268,9 @@ mod tests {
         c.evaluate(metrics(0.0, 0.035));
         c.evaluate(metrics(0.0, 0.05));
         assert!(c.active_flpi_threshold() < 0.04);
-        c.maybe_periodic_reset(999_999);
+        c.maybe_periodic_reset(InstCount::new(999_999));
         assert!(c.active_flpi_threshold() < 0.04, "not yet due");
-        c.maybe_periodic_reset(1_000_000);
+        c.maybe_periodic_reset(InstCount::new(1_000_000));
         assert_eq!(c.mode(), IqMode::Age);
         // Threshold restored (visible because we are in AGE mode).
         assert!((c.active_flpi_threshold() - 0.04).abs() < 1e-12);

@@ -33,22 +33,26 @@
 //! cycle until it passes, then has no timed state left:
 //!
 //! ```
+//! use swque_core::cycle::CycleStamp;
 //! use swque_core::WakeHorizon;
 //!
 //! struct RefillTimer {
-//!     ready_at: u64,
+//!     ready_at: CycleStamp,
 //! }
 //!
 //! impl WakeHorizon for RefillTimer {
-//!     fn wake_horizon(&self, now: u64) -> Option<u64> {
+//!     fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp> {
 //!         (self.ready_at > now).then_some(self.ready_at)
 //!     }
 //! }
 //!
-//! let t = RefillTimer { ready_at: 300 };
-//! assert_eq!(t.wake_horizon(10), Some(300));
-//! assert_eq!(t.wake_horizon(300), None, "already woke; nothing timed remains");
+//! let t = RefillTimer { ready_at: CycleStamp::new(300) };
+//! assert_eq!(t.wake_horizon(CycleStamp::new(10)), Some(CycleStamp::new(300)));
+//! let woke = t.wake_horizon(CycleStamp::new(300));
+//! assert_eq!(woke, None, "already woke; nothing timed remains");
 //! ```
+
+use crate::cycle::CycleStamp;
 
 /// A subsystem that can report its earliest future wake-up cycle.
 ///
@@ -67,27 +71,13 @@ pub trait WakeHorizon {
     /// Earliest cycle strictly after `now` at which this subsystem would
     /// change observable state without external stimulus, or `None` if it
     /// is purely reactive from `now` on.
-    // swque-domain: now: CycleStamp, return: CycleStamp
-    fn wake_horizon(&self, now: u64) -> Option<u64>;
+    fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp>;
 }
 
 /// Minimum of two optional horizons (`None` = no constraint).
-pub fn min_horizon(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+pub fn min_horizon(a: Option<CycleStamp>, b: Option<CycleStamp>) -> Option<CycleStamp> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (h, None) | (None, h) => h,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn min_horizon_combines() {
-        assert_eq!(min_horizon(None, None), None);
-        assert_eq!(min_horizon(Some(5), None), Some(5));
-        assert_eq!(min_horizon(None, Some(7)), Some(7));
-        assert_eq!(min_horizon(Some(9), Some(7)), Some(7));
     }
 }

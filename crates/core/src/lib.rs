@@ -62,6 +62,7 @@ pub mod bitset;
 mod circ;
 mod circ_pc;
 mod controller;
+pub mod cycle;
 pub mod digest;
 mod horizon;
 mod queue;

@@ -7,6 +7,7 @@ use swque_trace::TraceHandle;
 use crate::circ::CircQueue;
 use crate::circ_pc::CircPcQueue;
 use crate::controller::SwqueParams;
+use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::random_queue::RandomQueue;
@@ -270,7 +271,7 @@ pub trait IssueQueue: fmt::Debug + WakeHorizon {
     /// must end in *exactly* the state `cycles` empty selects would have
     /// produced — statistics included — so that skip-on and skip-off runs
     /// stay byte-identical.
-    fn idle_tick(&mut self, cycles: u64);
+    fn idle_tick(&mut self, cycles: CycleDelta);
 
     /// Empties the queue (pipeline flush).
     fn flush(&mut self);
@@ -287,7 +288,12 @@ pub trait IssueQueue: fmt::Debug + WakeHorizon {
     /// totals once per cycle; returns `true` when the queue wants a
     /// pipeline flush to reconfigure itself (only SWQUE ever does). The
     /// cycle stamps the trace events the decision emits.
-    fn poll_mode_switch(&mut self, cycle: u64, retired_insts: u64, llc_misses: u64) -> bool {
+    fn poll_mode_switch(
+        &mut self,
+        cycle: CycleStamp,
+        retired_insts: InstCount,
+        llc_misses: u64,
+    ) -> bool {
         let _ = (cycle, retired_insts, llc_misses);
         false
     }

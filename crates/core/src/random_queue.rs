@@ -12,6 +12,7 @@
 use swque_isa::FuClass;
 
 use crate::age_matrix::AgeMatrix;
+use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{BucketSpec, IqConfig, IssueQueue};
@@ -181,7 +182,8 @@ impl IssueQueue for RandomQueue {
         self.slots.any_ready()
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        let cycles = cycles.get();
         // With an empty ready plane both select phases are pure reads (the
         // age matrices only nominate; nomination with no ready bits returns
         // nothing) — only the per-cycle averages advance.
@@ -286,7 +288,7 @@ impl IssueQueue for RandomQueue {
 }
 
 impl WakeHorizon for RandomQueue {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         None // purely reactive: state changes only via wakeup/select/dispatch
     }
 }

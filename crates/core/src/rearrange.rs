@@ -16,6 +16,7 @@
 //! the old set in age order before falling back to positional order.
 
 use crate::bitset::BitSet;
+use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
@@ -192,7 +193,8 @@ impl IssueQueue for RearrangingQueue {
         self.slots.any_ready()
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        let cycles = cycles.get();
         self.stats.selects += cycles;
         self.stats.occupancy_sum += cycles * self.slots.len() as u64;
         self.stats.region_sum += cycles * self.slots.len() as u64;
@@ -298,7 +300,7 @@ impl IssueQueue for RearrangingQueue {
 }
 
 impl WakeHorizon for RearrangingQueue {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         // Promotion is clocked by select()/idle_tick(), not wall cycles,
         // and promotions never make an entry ready — purely reactive.
         None

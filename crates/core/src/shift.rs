@@ -6,6 +6,7 @@
 //! the IPC upper bound among the conventional queues, at the cost of circuit
 //! complexity the paper's delay/energy analysis charges against it.
 
+use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
@@ -104,7 +105,8 @@ impl IssueQueue for ShiftQueue {
         self.entries.iter().any(Entry::ready)
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        let cycles = cycles.get();
         // An empty select only advances the per-cycle averages; nothing
         // compacts because nothing issues.
         self.stats.selects += cycles;
@@ -181,7 +183,7 @@ impl IssueQueue for ShiftQueue {
 }
 
 impl WakeHorizon for ShiftQueue {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         None // purely reactive: state changes only via wakeup/select/dispatch
     }
 }

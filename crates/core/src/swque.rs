@@ -17,6 +17,7 @@ use swque_trace::{TraceEvent, TraceHandle};
 
 use crate::circ_pc::CircPcQueue;
 use crate::controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
+use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
@@ -27,7 +28,7 @@ use crate::types::{DispatchReq, Grant, IqFullError, IqMode, IssueBudget, Tag};
 /// Snapshot of the counters an interval's metrics are computed from.
 #[derive(Debug, Clone, Copy, Default)]
 struct IntervalStart {
-    retired: u64,
+    retired: InstCount,
     llc_misses: u64,
     issued: u64,
     issued_low_priority: u64,
@@ -43,7 +44,7 @@ pub struct Swque {
     /// Mode to adopt at the next flush, when a switch has been requested
     /// but not yet performed.
     pending_mode: Option<IqMode>,
-    next_interval_retired: u64,
+    next_interval_retired: InstCount,
     interval_start: IntervalStart,
     stats: SwqueStats,
     trace: TraceHandle,
@@ -69,7 +70,7 @@ impl Swque {
     }
 
     /// The switch penalty the core must charge per reconfiguration.
-    pub fn switch_penalty(&self) -> u64 {
+    pub fn switch_penalty(&self) -> CycleDelta {
         self.params.switch_penalty
     }
 
@@ -164,14 +165,14 @@ impl IssueQueue for Swque {
         }
     }
 
-    fn idle_tick(&mut self, cycles: u64) {
+    fn idle_tick(&mut self, cycles: CycleDelta) {
         // Mode residency accrues exactly as `cycles` selects would have
         // charged it; the skip cannot straddle a mode switch because a
         // pending switch keeps poll_mode_switch returning true, which
         // flushes before the core ever reaches a quiescent cycle.
         match self.effective_mode() {
-            IqMode::Age => self.stats.cycles_age += cycles,
-            _ => self.stats.cycles_circ_pc += cycles,
+            IqMode::Age => self.stats.cycles_age += cycles.get(),
+            _ => self.stats.cycles_circ_pc += cycles.get(),
         }
         self.active_mut().idle_tick(cycles);
     }
@@ -220,7 +221,12 @@ impl IssueQueue for Swque {
         Box::new(self.clone())
     }
 
-    fn poll_mode_switch(&mut self, cycle: u64, retired_insts: u64, llc_misses: u64) -> bool {
+    fn poll_mode_switch(
+        &mut self,
+        cycle: CycleStamp,
+        retired_insts: InstCount,
+        llc_misses: u64,
+    ) -> bool {
         if self.pending_mode.is_some() {
             // Waiting for the core to perform the flush.
             return true;
@@ -234,7 +240,8 @@ impl IssueQueue for Swque {
 
         let interval_mode = self.effective_mode();
         let (issued, low) = self.combined_issue_counters();
-        let d_retired = retired_insts.saturating_sub(self.interval_start.retired);
+        // swque-lint: allow(unchecked-arith) — `InstCount` subtraction saturates
+        let d_retired = (retired_insts - self.interval_start.retired).get();
         let d_miss = llc_misses.saturating_sub(self.interval_start.llc_misses);
         let d_issued = issued.saturating_sub(self.interval_start.issued);
         let d_low = low.saturating_sub(self.interval_start.issued_low_priority);
@@ -252,8 +259,8 @@ impl IssueQueue for Swque {
         let switched = matches!(decision, ModeDecision::SwitchTo(_));
         if self.trace.enabled() {
             self.trace.record(TraceEvent::Interval {
-                cycle,
-                retired: retired_insts,
+                cycle: cycle.get(),
+                retired: retired_insts.get(),
                 mpki: metrics.mpki,
                 flpi: metrics.flpi,
                 // swque-lint: allow(panic-in-lib) — SWQUE only ever operates in the two traceable modes (CIRC-PC, AGE)
@@ -285,7 +292,7 @@ impl IssueQueue for Swque {
 }
 
 impl WakeHorizon for Swque {
-    fn wake_horizon(&self, _now: u64) -> Option<u64> {
+    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
         // Interval boundaries are retirement-counted, not cycle-counted,
         // and the switch penalty is charged through the core's fetch stall
         // (which has its own horizon) — nothing here is clocked by wall
@@ -307,6 +314,12 @@ mod tests {
         DispatchReq::new(seq, seq, Some(seq as Tag), [None, None], FuClass::IntAlu)
     }
 
+    /// Polls at cycle 0 with `retired` instructions and `misses` LLC
+    /// misses so far.
+    fn poll(q: &mut Swque, retired: u64, misses: u64) -> bool {
+        q.poll_mode_switch(CycleStamp::ZERO, InstCount::new(retired), misses)
+    }
+
     fn budget() -> IssueBudget {
         IssueBudget::new(2, [2, 2, 2, 2])
     }
@@ -322,7 +335,7 @@ mod tests {
     #[test]
     fn no_switch_before_interval_boundary() {
         let mut q = Swque::new(&cfg(), false);
-        assert!(!q.poll_mode_switch(0, 9_999, 500));
+        assert!(!poll(&mut q, 9_999, 500));
         assert_eq!(q.swque_stats().unwrap().intervals, 0);
     }
 
@@ -330,9 +343,9 @@ mod tests {
     fn high_mpki_interval_switches_to_age_after_flush() {
         let mut q = Swque::new(&cfg(), false);
         // 10k instructions with 100 LLC misses -> MPKI 10 (> 1.0).
-        assert!(q.poll_mode_switch(0, 10_000, 100), "switch requested");
+        assert!(poll(&mut q, 10_000, 100), "switch requested");
         assert_eq!(q.mode(), IqMode::CircPc, "still old mode until the flush");
-        assert!(q.poll_mode_switch(0, 10_001, 100), "keeps requesting until flushed");
+        assert!(poll(&mut q, 10_001, 100), "keeps requesting until flushed");
         q.flush();
         assert_eq!(q.mode(), IqMode::Age);
         assert_eq!(q.swque_stats().unwrap().switches, 1);
@@ -341,11 +354,11 @@ mod tests {
     #[test]
     fn low_metrics_switch_back_to_circ_pc() {
         let mut q = Swque::new(&cfg(), false);
-        assert!(q.poll_mode_switch(0, 10_000, 100));
+        assert!(poll(&mut q, 10_000, 100));
         q.flush();
         assert_eq!(q.mode(), IqMode::Age);
         // Next interval: no new misses, no issues -> both metrics low.
-        assert!(q.poll_mode_switch(0, 20_000, 100));
+        assert!(poll(&mut q, 20_000, 100));
         q.flush();
         assert_eq!(q.mode(), IqMode::CircPc);
         assert_eq!(q.swque_stats().unwrap().switches, 2);
@@ -360,7 +373,7 @@ mod tests {
         assert_eq!(q.swque_stats().unwrap().cycles_circ_pc, 1);
 
         // Switch to AGE and verify the other structure operates.
-        q.poll_mode_switch(0, 10_000, 100);
+        poll(&mut q, 10_000, 100);
         q.flush();
         q.dispatch(ready(1)).unwrap();
         let g = q.select(&mut budget());
@@ -381,11 +394,11 @@ mod tests {
     fn interval_metrics_use_deltas_not_totals() {
         let mut q = Swque::new(&cfg(), false);
         // Interval 1: misses = 100 -> AGE.
-        q.poll_mode_switch(0, 10_000, 100);
+        poll(&mut q, 10_000, 100);
         q.flush();
         // Interval 2: total misses unchanged (delta 0) -> CIRC-PC again.
         // If totals were used instead of deltas this would stay in AGE.
-        assert!(q.poll_mode_switch(0, 20_000, 100));
+        assert!(poll(&mut q, 20_000, 100));
         q.flush();
         assert_eq!(q.mode(), IqMode::CircPc);
     }
@@ -395,7 +408,7 @@ mod tests {
         let mut q = Swque::new(&cfg(), false);
         q.dispatch(ready(0)).unwrap();
         q.select(&mut budget());
-        q.poll_mode_switch(0, 10_000, 100);
+        poll(&mut q, 10_000, 100);
         q.flush();
         q.dispatch(ready(1)).unwrap();
         q.select(&mut budget());

@@ -22,6 +22,7 @@ use std::collections::HashSet;
 
 use swque_rng::prop::{check, Gen};
 
+use swque_core::cycle::CycleStamp;
 use swque_core::{
     ArchKey, DispatchReq, IntervalMetrics, IqConfig, IqKind, IssueBudget, IssueQueue,
     SwqueController, SwqueParams, Tag,
@@ -264,9 +265,10 @@ fn arch_key_omits_stats_waiters_and_totals() {
     for kind in [IqKind::Swque, IqKind::SwqueMulti] {
         let (mut a, mut b) = (kind.build(&config), kind.build(&config));
         let interval = config.swque.interval_insts;
-        assert!(!a.poll_mode_switch(1, interval, 0));
-        assert!(!b.poll_mode_switch(1, interval, 0));
-        assert!(!b.poll_mode_switch(2, 2 * interval, 0));
+        let at = CycleStamp::new;
+        assert!(!a.poll_mode_switch(at(1), interval, 0));
+        assert!(!b.poll_mode_switch(at(1), interval, 0));
+        assert!(!b.poll_mode_switch(at(2), interval + interval, 0));
         assert_ne!(a.swque_stats(), b.swque_stats(), "{kind}: the drives must differ");
         assert_eq!(key_words(a.as_ref(), &[]), key_words(b.as_ref(), &[]), "{kind}");
     }

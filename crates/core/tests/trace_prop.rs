@@ -4,6 +4,7 @@
 //! events flagged `switched` must equal the completed switches in
 //! `SwqueStats` — the trace is the statistics, itemized.
 
+use swque_core::cycle::{CycleStamp, InstCount};
 use swque_core::{IqConfig, IqKind};
 use swque_rng::prop::{check, Gen};
 use swque_trace::{TraceEvent, TraceHandle};
@@ -12,7 +13,7 @@ use swque_trace::{TraceEvent, TraceHandle};
 fn interval_events_reconcile_with_swque_stats() {
     check(64, |g: &mut Gen| {
         let config = IqConfig { capacity: 16, issue_width: 2, ..IqConfig::default() };
-        let interval = config.swque.interval_insts;
+        let interval = config.swque.interval_insts.get();
         let mut q = IqKind::Swque.build(&config);
         let trace = TraceHandle::ring(8192);
         q.attach_trace(&trace);
@@ -33,7 +34,7 @@ fn interval_events_reconcile_with_swque_stats() {
                 misses += g.gen_range(0u64..200);
             }
             cycle += g.gen_range(1u64..5 * interval);
-            if q.poll_mode_switch(cycle, retired, misses) {
+            if q.poll_mode_switch(CycleStamp::new(cycle), InstCount::new(retired), misses) {
                 q.flush();
             }
         }

@@ -56,6 +56,7 @@
 use std::collections::VecDeque;
 
 use swque_branch::{BranchKind, BranchOutcome, BranchPredictor};
+use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
 use swque_core::{
     min_horizon, DispatchReq, Grant, IqKind, IqMode, IssueBudget, IssueQueue, WakeHorizon,
 };
@@ -85,7 +86,7 @@ struct FrontInst {
 #[derive(Debug, Clone, Copy)]
 struct DecodedInst {
     front: FrontInst,
-    ready_at: u64,
+    ready_at: CycleStamp,
     mispredicted: bool,
     /// Fetched down a mispredicted branch's wrong path.
     wp: bool,
@@ -106,13 +107,13 @@ struct WrongPath {
 }
 
 /// Cycles with no retirement before the simulator declares itself wedged.
-const DEADLOCK_LIMIT: u64 = 2_000_000;
+const DEADLOCK_LIMIT: CycleDelta = CycleDelta::new(2_000_000);
 
 /// Shortest dispatch-stall run (consecutive IQ-blocked cycles) that emits a
 /// [`TraceEvent::DispatchStall`] episode. Shorter runs stay visible in the
 /// aggregate `iq_stall_cycles` counter; emitting each of them would flood a
 /// bounded trace ring with one-cycle episodes in capacity-bound phases.
-const STALL_EPISODE_MIN: u64 = 8;
+const STALL_EPISODE_MIN: CycleDelta = CycleDelta::new(8);
 
 /// A point-in-time view of pipeline occupancy (see [`Core::snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,8 +166,7 @@ impl Core {
     }
 
     /// Current cycle.
-    // swque-domain: return: CycleStamp
-    pub fn cycle(&self) -> u64 {
+    pub fn cycle(&self) -> CycleStamp {
         self.pipe.cycle
     }
 
@@ -244,7 +244,7 @@ impl Core {
     pub fn snapshot(&self) -> PipelineSnapshot {
         let p = &self.pipe;
         PipelineSnapshot {
-            cycle: p.cycle,
+            cycle: p.cycle.get(),
             retired: p.retired,
             rob_occupancy: p.rob.len(),
             iq_occupancy: p.iq.len(),
@@ -278,8 +278,7 @@ impl Core {
     ///
     /// Pure: a query over `&self`, usable by tests to cross-check any
     /// claimed horizon against a per-cycle reference run.
-    // swque-domain: return: CycleStamp
-    pub fn quiescent_horizon(&self) -> Option<u64> {
+    pub fn quiescent_horizon(&self) -> Option<CycleStamp> {
         self.pipe.quiescent_horizon(&self.mem)
     }
 }
@@ -301,9 +300,9 @@ pub(crate) struct Pipeline {
     lsq: Lsq,
     fus: FuPool,
 
-    cycle: u64,
+    cycle: CycleStamp,
     retired: u64,
-    last_retire_cycle: u64,
+    last_retire_cycle: CycleStamp,
     next_uid: u64,
     next_seq: u64,
 
@@ -311,7 +310,7 @@ pub(crate) struct Pipeline {
     replay: VecDeque<FrontInst>,
     /// Fetched instructions in the front-end pipeline.
     decode_q: VecDeque<DecodedInst>,
-    fetch_stalled_until: u64,
+    fetch_stalled_until: CycleStamp,
     /// Wrong-path fetch state while a misprediction is unresolved.
     wrong_path: Option<WrongPath>,
     emu_halted: bool,
@@ -339,9 +338,9 @@ pub(crate) struct Pipeline {
     /// Retired count at which the next [`TraceEvent::IntervalIpc`] fires.
     next_ipc_mark: u64,
     /// `(cycle, retired)` at the previous IPC interval boundary.
-    ipc_window_start: (u64, u64),
+    ipc_window_start: (CycleStamp, u64),
     /// Cycle the current dispatch-stall run began (`None` = not stalled).
-    stall_run_start: Option<u64>,
+    stall_run_start: Option<CycleStamp>,
 
     /// First pipeline-invariant violation (see [`Pipeline::invariant`]); once
     /// set, the pipeline is frozen and the run loop stops.
@@ -369,7 +368,7 @@ impl Pipeline {
         requester: usize,
     ) -> Pipeline {
         let iq = kind.build(&config.iq);
-        let interval = config.iq.swque.interval_insts.max(1);
+        let interval = config.iq.swque.interval_insts.get().max(1);
         Pipeline {
             emu: Emulator::new(program),
             requester,
@@ -379,14 +378,14 @@ impl Pipeline {
             lsq: Lsq::new(config.lsq_entries),
             fus: FuPool::new(config.fu_counts),
             iq,
-            cycle: 0,
+            cycle: CycleStamp::ZERO,
             retired: 0,
-            last_retire_cycle: 0,
+            last_retire_cycle: CycleStamp::ZERO,
             next_uid: 0,
             next_seq: 0,
             replay: VecDeque::new(),
             decode_q: VecDeque::new(),
-            fetch_stalled_until: 0,
+            fetch_stalled_until: CycleStamp::ZERO,
             wrong_path: None,
             emu_halted: false,
             last_fetch_line: None,
@@ -396,7 +395,7 @@ impl Pipeline {
             pending_loads: Vec::new(),
             trace: TraceHandle::disabled(),
             next_ipc_mark: interval,
-            ipc_window_start: (0, 0),
+            ipc_window_start: (CycleStamp::ZERO, 0),
             stall_run_start: None,
             violation: None,
             skip_enabled: true,
@@ -414,8 +413,7 @@ impl Pipeline {
         self.iq.attach_trace(trace);
     }
 
-    // swque-domain: return: CycleStamp
-    pub(crate) fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> CycleStamp {
         self.cycle
     }
 
@@ -433,7 +431,7 @@ impl Pipeline {
     /// library panic or ever-worsening garbage counters.
     fn invariant(&mut self, stage: &'static str, detail: String) {
         if self.violation.is_none() {
-            self.violation = Some(InvariantViolation { stage, detail, cycle: self.cycle });
+            self.violation = Some(InvariantViolation { stage, detail, cycle: self.cycle.get() });
         }
     }
 
@@ -446,7 +444,7 @@ impl Pipeline {
     /// clock ticked or jumped there) when nothing has retired for
     /// [`DEADLOCK_LIMIT`] cycles.
     pub(crate) fn check_progress(&mut self) {
-        if self.cycle.saturating_sub(self.last_retire_cycle) >= DEADLOCK_LIMIT {
+        if self.cycle >= self.last_retire_cycle + DEADLOCK_LIMIT {
             self.invariant(
                 "progress",
                 format!(
@@ -473,7 +471,7 @@ impl Pipeline {
     /// attributed to this pipeline's requester id from `mem`.
     pub(crate) fn result(&self, mem: &MemoryHierarchy) -> SimResult {
         SimResult {
-            cycles: self.cycle,
+            cycles: self.cycle.get(),
             retired: self.retired,
             iq: self.iq.stats(),
             swque: self.iq.swque_stats(),
@@ -500,7 +498,7 @@ impl Pipeline {
         self.dispatch();
         self.fetch(mem);
         self.poll_mode_switch(mem);
-        self.cycle += 1;
+        self.cycle += CycleDelta::ONE;
     }
 
     // ---- quiescence skipping (DESIGN.md §10) ----
@@ -509,12 +507,11 @@ impl Pipeline {
     /// wake horizon covers every requester's in-flight traffic, so on a
     /// shared hierarchy a pipeline is only quiescent when no *neighbor*
     /// fill could change shared state it might observe either.
-    // swque-domain: return: CycleStamp
-    pub(crate) fn quiescent_horizon(&self, mem: &MemoryHierarchy) -> Option<u64> {
+    pub(crate) fn quiescent_horizon(&self, mem: &MemoryHierarchy) -> Option<CycleStamp> {
         if self.finished() {
             return None; // run loop exits; jumping would inflate `cycles`
         }
-        let mut horizon: Option<u64> = None;
+        let mut horizon: Option<CycleStamp> = None;
 
         // Commit: a Done ROB head retires this cycle.
         if matches!(self.rob.head(), Some(h) if h.state == RobState::Done) {
@@ -614,14 +611,14 @@ impl Pipeline {
     /// replays `n` provably idle cycles in bulk, exactly the bookkeeping
     /// `n` calls to [`step_cycle`](Self::step_cycle) would have done under
     /// the quiescence predicate, with every stage's state unchanged.
-    pub(crate) fn apply_skip(&mut self, n: u64) {
+    pub(crate) fn apply_skip(&mut self, n: CycleDelta) {
         self.skips_taken += 1;
-        self.cycles_skipped += n;
+        self.cycles_skipped += n.get();
         // Dispatch accounting: the gate outcome is stable for the whole
         // window (nothing dispatches, wakes, or frees during it).
         let iq_blocked = self.dispatch_iq_blocked();
         if iq_blocked {
-            self.stats.iq_stall_cycles += n;
+            self.stats.iq_stall_cycles += n.get();
         }
         if self.trace.enabled() {
             // The stall-run tracker transitions only on a change of
@@ -637,7 +634,7 @@ impl Pipeline {
         if self.cycle >= self.fetch_stalled_until
             && matches!(&self.wrong_path, Some(wp) if wp.dead)
         {
-            self.stats.mispredict_stall_cycles += n;
+            self.stats.mispredict_stall_cycles += n.get();
         }
         // Queue per-cycle bookkeeping (occupancy averages, SWQUE mode
         // residency, REARRANGE promotions).
@@ -702,7 +699,7 @@ impl Pipeline {
                 );
                 self.squash_younger(seq);
                 self.wrong_path = None;
-                self.fetch_stalled_until = self.fetch_stalled_until.max(self.cycle + 1);
+                self.fetch_stalled_until = self.fetch_stalled_until.max(self.cycle + CycleDelta::ONE);
                 self.last_fetch_line = None;
             }
         }
@@ -754,13 +751,14 @@ impl Pipeline {
                 }
                 LoadAction::Forward => {
                     self.stats.loads_forwarded += 1;
-                    let done = self.cycle + self.config.mem.l1d.hit_latency;
-                    self.schedule(slot, seq, done.max(self.cycle + 1));
+                    let done = self.cycle + CycleDelta::new(self.config.mem.l1d.hit_latency);
+                    self.schedule(slot, seq, done.max(self.cycle + CycleDelta::ONE));
                 }
                 LoadAction::Access => {
                     self.stats.loads_accessed += 1;
                     let r = mem.access_from(self.requester, addr, AccessKind::Load, self.cycle);
-                    self.schedule(slot, seq, r.done_at.max(self.cycle + 1));
+                    let done = CycleStamp::new(r.done_at);
+                    self.schedule(slot, seq, done.max(self.cycle + CycleDelta::ONE));
                 }
             }
         }
@@ -778,7 +776,7 @@ impl Pipeline {
     }
 
     /// Queues the completion of the instruction at ROB handle `(slot, seq)`.
-    fn schedule(&mut self, slot: u64, seq: u64, at: u64) {
+    fn schedule(&mut self, slot: u64, seq: u64, at: CycleStamp) {
         self.events.push(self.cycle, at, seq, slot);
     }
 
@@ -813,9 +811,9 @@ impl Pipeline {
                     self.invariant("issue", format!("issued store uid {uid} has no LSQ entry"));
                     break;
                 }
-                self.schedule(slot, seq, self.cycle + 1);
+                self.schedule(slot, seq, self.cycle + CycleDelta::ONE);
             } else {
-                self.schedule(slot, seq, self.cycle + op.latency() as u64);
+                self.schedule(slot, seq, self.cycle + CycleDelta::new(op.latency() as u64));
             }
         }
         self.grants = grants;
@@ -956,8 +954,9 @@ impl Pipeline {
                 let r = mem.access_from(self.requester, byte_addr, AccessKind::IFetch, self.cycle);
                 self.last_fetch_line = Some(line);
                 if !r.l1_hit {
-                    self.fetch_stalled_until = r.done_at;
-                    self.stats.icache_stall_cycles += r.done_at - self.cycle;
+                    let done = CycleStamp::new(r.done_at);
+                    self.fetch_stalled_until = done;
+                    self.stats.icache_stall_cycles += (done - self.cycle).get();
                     break;
                 }
             }
@@ -1054,7 +1053,7 @@ impl Pipeline {
 
             self.decode_q.push_back(DecodedInst {
                 front,
-                ready_at: self.cycle + self.config.frontend_depth,
+                ready_at: self.cycle + CycleDelta::new(self.config.frontend_depth),
                 mispredicted,
                 wp: is_wp,
             });
@@ -1106,7 +1105,7 @@ impl Pipeline {
     fn poll_mode_switch(&mut self, mem: &MemoryHierarchy) {
         let before = self.iq.mode();
         let misses = mem.llc_demand_misses_of(self.requester);
-        let switched = self.iq.poll_mode_switch(self.cycle, self.retired, misses);
+        let switched = self.iq.poll_mode_switch(self.cycle, InstCount::new(self.retired), misses);
         let penalty = self.config.iq.swque.switch_penalty;
         if let Some(response) = switching::mode_switch_response(self.cycle, penalty, switched) {
             self.full_flush();
@@ -1115,7 +1114,7 @@ impl Pipeline {
             if self.trace.enabled() {
                 if let (Some(from), Some(to)) = (before.trace(), self.iq.mode().trace()) {
                     self.trace.record(TraceEvent::ModeSwitch {
-                        cycle: self.cycle,
+                        cycle: self.cycle.get(),
                         retired: self.retired,
                         from,
                         to,
@@ -1132,16 +1131,16 @@ impl Pipeline {
         if self.retired < self.next_ipc_mark {
             return;
         }
-        let (start_cycle, start_retired) = self.ipc_window_start;
-        let cycles = self.cycle.saturating_sub(start_cycle).max(1);
+        let (since, start_retired) = self.ipc_window_start;
+        let cycles = (self.cycle - since).get().max(1);
         let insts = self.retired.saturating_sub(start_retired);
         self.trace.record(TraceEvent::IntervalIpc {
-            cycle: self.cycle,
+            cycle: self.cycle.get(),
             retired: self.retired,
             ipc: insts as f64 / cycles as f64,
         });
         self.ipc_window_start = (self.cycle, self.retired);
-        let interval = self.config.iq.swque.interval_insts.max(1);
+        let interval = self.config.iq.swque.interval_insts.get().max(1);
         self.next_ipc_mark = self.retired + interval;
     }
 
@@ -1152,9 +1151,12 @@ impl Pipeline {
         match (blocked, self.stall_run_start) {
             (true, None) => self.stall_run_start = Some(self.cycle),
             (false, Some(start)) => {
-                let run = self.cycle.saturating_sub(start);
+                let run = self.cycle - start;
                 if run >= STALL_EPISODE_MIN {
-                    self.trace.record(TraceEvent::DispatchStall { cycle: start, cycles: run });
+                    self.trace.record(TraceEvent::DispatchStall {
+                        cycle: start.get(),
+                        cycles: run.get(),
+                    });
                 }
                 self.stall_run_start = None;
             }
@@ -1222,7 +1224,7 @@ mod tests {
         let cycle = core.cycle();
         core.step_cycle();
         let v = core.violation().expect("the lost load is reported");
-        assert_eq!((v.stage, v.cycle), ("execute", cycle));
+        assert_eq!((v.stage, v.cycle), ("execute", cycle.get()));
         assert!(v.detail.contains("slot 0, seq 0"), "{}", v.detail);
     }
 }

@@ -32,6 +32,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use swque_core::cycle::{CycleDelta, CycleStamp};
+
 /// Ring span in cycles, a power of two. Covers a DRAM round trip (300
 /// cycles at the default latency) with room for queueing; anything
 /// further out takes the overflow heap.
@@ -65,7 +67,7 @@ pub(crate) struct EventRing {
     free: u32,
     /// `(at, seq, slot)` min-heap of the events pushed `SPAN` or more
     /// cycles ahead.
-    overflow: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    overflow: BinaryHeap<Reverse<(CycleStamp, u64, u64)>>,
 }
 
 impl EventRing {
@@ -82,13 +84,13 @@ impl EventRing {
 
     /// Schedules `(seq, slot)` to complete at cycle `at`, strictly after
     /// the current cycle `now`.
-    pub(crate) fn push(&mut self, now: u64, at: u64, seq: u64, slot: u64) {
+    pub(crate) fn push(&mut self, now: CycleStamp, at: CycleStamp, seq: u64, slot: u64) {
         debug_assert!(at > now, "event at cycle {at} scheduled at cycle {now}");
-        if at - now >= SPAN {
+        if at - now >= CycleDelta::new(SPAN) {
             self.overflow.push(Reverse((at, seq, slot)));
             return;
         }
-        let b = (at & MASK) as usize;
+        let b = (at.get() & MASK) as usize;
         let node = Node { seq, slot, next: self.heads[b] };
         let id = if self.free == NIL {
             self.nodes.push(node);
@@ -106,9 +108,9 @@ impl EventRing {
 
     /// Replaces the contents of `due` with the events due at `now`, in
     /// `seq` order, freeing their nodes.
-    pub(crate) fn take_due(&mut self, now: u64, due: &mut Vec<(u64, u64)>) {
+    pub(crate) fn take_due(&mut self, now: CycleStamp, due: &mut Vec<(u64, u64)>) {
         due.clear();
-        let b = (now & MASK) as usize;
+        let b = (now.get() & MASK) as usize;
         let mut id = std::mem::replace(&mut self.heads[b], NIL);
         self.occupied[b / 64] &= !(1 << (b % 64));
         while id != NIL {
@@ -130,8 +132,8 @@ impl EventRing {
 
     /// The earliest cycle with a pending event, if any (`now` itself when
     /// events are due).
-    pub(crate) fn next_at(&self, now: u64) -> Option<u64> {
-        let start = (now & MASK) as usize;
+    pub(crate) fn next_at(&self, now: CycleStamp) -> Option<CycleStamp> {
+        let start = (now.get() & MASK) as usize;
         let w0 = start / 64;
         // Cyclic scan from `start`: the rest of its word, the other words
         // in ring order, then the bits of its word below `start`.
@@ -152,7 +154,8 @@ impl EventRing {
                 }
             }
         }
-        let ring = bucket.map(|b| now + ((b as u64).wrapping_sub(now) & MASK));
+        let ring =
+            bucket.map(|b| now + CycleDelta::new((b as u64).wrapping_sub(now.get()) & MASK));
         let far = self.overflow.peek().map(|&Reverse((at, _, _))| at);
         match (ring, far) {
             (Some(r), Some(f)) => Some(r.min(f)),
@@ -181,42 +184,46 @@ mod tests {
     use std::collections::BTreeSet;
     use swque_rng::prop::check;
 
+    fn cy(cycle: u64) -> CycleStamp {
+        CycleStamp::new(cycle)
+    }
+
     #[test]
     fn same_cycle_events_come_out_in_seq_order() {
         let mut ring = EventRing::new();
         let mut due = Vec::new();
-        ring.push(0, 3, 9, 1);
-        ring.push(0, 3, 4, 2);
-        ring.push(1, 3, 6, 3);
-        assert_eq!(ring.next_at(1), Some(3));
-        ring.take_due(2, &mut due);
+        ring.push(cy(0), cy(3), 9, 1);
+        ring.push(cy(0), cy(3), 4, 2);
+        ring.push(cy(1), cy(3), 6, 3);
+        assert_eq!(ring.next_at(cy(1)), Some(cy(3)));
+        ring.take_due(cy(2), &mut due);
         assert!(due.is_empty());
-        ring.take_due(3, &mut due);
+        ring.take_due(cy(3), &mut due);
         assert_eq!(due, vec![(4, 2), (6, 3), (9, 1)]);
-        assert_eq!(ring.next_at(3), None);
+        assert_eq!(ring.next_at(cy(3)), None);
     }
 
     #[test]
     fn far_events_merge_from_the_overflow_heap_in_seq_order() {
         let mut ring = EventRing::new();
         let mut due = Vec::new();
-        ring.push(0, SPAN + 5, 7, 0); // overflow
-        assert_eq!(ring.next_at(0), Some(SPAN + 5), "next_at sees the overflow heap");
-        ring.push(SPAN, SPAN + 5, 3, 1); // ring, bucket 5
-        assert_eq!(ring.next_at(SPAN + 1), Some(SPAN + 5));
-        ring.take_due(SPAN + 5, &mut due);
+        ring.push(cy(0), cy(SPAN + 5), 7, 0); // overflow
+        assert_eq!(ring.next_at(cy(0)), Some(cy(SPAN + 5)), "next_at sees the overflow heap");
+        ring.push(cy(SPAN), cy(SPAN + 5), 3, 1); // ring, bucket 5
+        assert_eq!(ring.next_at(cy(SPAN + 1)), Some(cy(SPAN + 5)));
+        ring.take_due(cy(SPAN + 5), &mut due);
         assert_eq!(due, vec![(3, 1), (7, 0)]);
-        assert_eq!(ring.next_at(SPAN + 5), None);
+        assert_eq!(ring.next_at(cy(SPAN + 5)), None);
     }
 
     #[test]
     fn next_at_wraps_around_the_end_of_the_ring() {
         let mut ring = EventRing::new();
         let now = 3 * SPAN - 2; // bucket SPAN - 2
-        ring.push(now, now + 5, 1, 0); // bucket 3, below `now`'s
-        assert_eq!(ring.next_at(now), Some(now + 5));
-        ring.push(now, now + 1, 2, 0); // bucket SPAN - 1
-        assert_eq!(ring.next_at(now), Some(now + 1));
+        ring.push(cy(now), cy(now + 5), 1, 0); // bucket 3, below `now`'s
+        assert_eq!(ring.next_at(cy(now)), Some(cy(now + 5)));
+        ring.push(cy(now), cy(now + 1), 2, 0); // bucket SPAN - 1
+        assert_eq!(ring.next_at(cy(now)), Some(cy(now + 1)));
     }
 
     #[test]
@@ -224,17 +231,17 @@ mod tests {
         let mut ring = EventRing::new();
         let mut due = Vec::new();
         for now in 0..100 {
-            ring.push(now, now + 1, 2 * now, 0);
-            ring.push(now, now + 1, 2 * now + 1, 1);
-            ring.take_due(now + 1, &mut due);
+            ring.push(cy(now), cy(now + 1), 2 * now, 0);
+            ring.push(cy(now), cy(now + 1), 2 * now + 1, 1);
+            ring.take_due(cy(now + 1), &mut due);
             assert_eq!(due, vec![(2 * now, 0), (2 * now + 1, 1)]);
         }
         assert_eq!(ring.nodes.len(), 2, "the pool grows only to the events pending at once");
-        ring.push(100, 102, 7, 0);
-        ring.push(100, 102 + SPAN, 8, 0);
+        ring.push(cy(100), cy(102), 7, 0);
+        ring.push(cy(100), cy(102 + SPAN), 8, 0);
         ring.clear();
-        assert_eq!(ring.next_at(101), None);
-        ring.take_due(102, &mut due);
+        assert_eq!(ring.next_at(cy(101)), None);
+        ring.take_due(cy(102), &mut due);
         assert!(due.is_empty());
     }
 
@@ -269,7 +276,7 @@ mod tests {
                     } else if (now + lat) & MASK < now & MASK {
                         wrapped += 1;
                     }
-                    ring.push(now, now + lat, seq, slot);
+                    ring.push(cy(now), cy(now + lat), seq, slot);
                     heap.push(Reverse((now + lat, seq, slot)));
                     seq += g.gen_range(1u64..4);
                 }
@@ -278,13 +285,13 @@ mod tests {
                     heap.clear();
                 }
                 let expect_next = heap.peek().map(|&Reverse((at, _, _))| at);
-                assert_eq!(ring.next_at(now), expect_next, "next_at at cycle {now}");
+                assert_eq!(ring.next_at(cy(now)), expect_next.map(cy), "next_at at cycle {now}");
                 // The next cycle, or a jump that stops at the next event.
                 now = match (g.gen_range(0u32..4), expect_next) {
                     (0, Some(at)) => at.min(now + g.gen_range(1u64..2 * SPAN)),
                     _ => now + 1,
                 };
-                ring.take_due(now, &mut due);
+                ring.take_due(cy(now), &mut due);
                 let mut expect = Vec::new();
                 while let Some(&Reverse((at, s, slot))) = heap.peek() {
                     if at > now {

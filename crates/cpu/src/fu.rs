@@ -4,6 +4,7 @@
 //! the integer divider and FP divide/sqrt, which occupy their unit for the
 //! full operation latency, as in SimpleScalar's resource model.
 
+use swque_core::cycle::{CycleDelta, CycleStamp};
 use swque_core::WakeHorizon;
 use swque_isa::{FuClass, Opcode};
 
@@ -11,7 +12,7 @@ use swque_isa::{FuClass, Opcode};
 #[derive(Debug, Clone)]
 pub(crate) struct FuPool {
     /// `busy_until[class][unit]`: first cycle the unit is free again.
-    busy_until: [Vec<u64>; 4],
+    busy_until: [Vec<CycleStamp>; 4],
 }
 
 /// Whether `op` monopolizes its unit for the full latency.
@@ -25,21 +26,21 @@ impl FuPool {
     pub(crate) fn new(counts: [usize; 4]) -> FuPool {
         FuPool {
             busy_until: [
-                vec![0; counts[0]],
-                vec![0; counts[1]],
-                vec![0; counts[2]],
-                vec![0; counts[3]],
+                vec![CycleStamp::ZERO; counts[0]],
+                vec![CycleStamp::ZERO; counts[1]],
+                vec![CycleStamp::ZERO; counts[2]],
+                vec![CycleStamp::ZERO; counts[3]],
             ],
         }
     }
 
     /// Units of `class` free at cycle `now`.
-    pub(crate) fn free_count(&self, class: FuClass, now: u64) -> usize {
+    pub(crate) fn free_count(&self, class: FuClass, now: CycleStamp) -> usize {
         self.busy_until[class.index()].iter().filter(|&&b| b <= now).count()
     }
 
     /// Free counts for all classes (the issue budget).
-    pub(crate) fn free_counts(&self, now: u64) -> [usize; 4] {
+    pub(crate) fn free_counts(&self, now: CycleStamp) -> [usize; 4] {
         [
             self.free_count(FuClass::IntAlu, now),
             self.free_count(FuClass::IntMulDiv, now),
@@ -56,9 +57,9 @@ impl FuPool {
     ///
     /// Panics if no unit is free (callers budget with
     /// [`free_counts`](Self::free_counts) first).
-    pub(crate) fn acquire(&mut self, op: Opcode, now: u64) {
+    pub(crate) fn acquire(&mut self, op: Opcode, now: CycleStamp) {
         let class = op.fu_class();
-        let hold = if unpipelined(op) { op.latency() as u64 } else { 1 };
+        let hold = CycleDelta::new(if unpipelined(op) { op.latency() as u64 } else { 1 });
         let unit = self.busy_until[class.index()]
             .iter_mut()
             .find(|b| **b <= now)
@@ -70,7 +71,7 @@ impl FuPool {
     /// Releases every unit (full flush).
     pub(crate) fn reset(&mut self) {
         for class in &mut self.busy_until {
-            class.fill(0);
+            class.fill(CycleStamp::ZERO);
         }
     }
 }
@@ -82,7 +83,7 @@ impl WakeHorizon for FuPool {
     /// IQ entries, so nothing is waiting to acquire a unit — but the
     /// contract (DESIGN.md §10) is that every timed subsystem reports its
     /// state honestly rather than relying on the predicate's other clauses.
-    fn wake_horizon(&self, now: u64) -> Option<u64> {
+    fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp> {
         self.busy_until
             .iter()
             .flatten()
@@ -96,53 +97,57 @@ impl WakeHorizon for FuPool {
 mod tests {
     use super::*;
 
+    fn at(cycle: u64) -> CycleStamp {
+        CycleStamp::new(cycle)
+    }
+
     #[test]
     fn pipelined_units_free_next_cycle() {
         let mut p = FuPool::new([2, 1, 2, 2]);
-        assert_eq!(p.free_count(FuClass::IntAlu, 0), 2);
-        p.acquire(Opcode::Add, 0);
-        assert_eq!(p.free_count(FuClass::IntAlu, 0), 1);
-        assert_eq!(p.free_count(FuClass::IntAlu, 1), 2, "pipelined: free again next cycle");
+        assert_eq!(p.free_count(FuClass::IntAlu, at(0)), 2);
+        p.acquire(Opcode::Add, at(0));
+        assert_eq!(p.free_count(FuClass::IntAlu, at(0)), 1);
+        assert_eq!(p.free_count(FuClass::IntAlu, at(1)), 2, "pipelined: free again next cycle");
     }
 
     #[test]
     fn divider_blocks_for_full_latency() {
         let mut p = FuPool::new([1, 1, 1, 1]);
-        p.acquire(Opcode::Div, 0);
-        assert_eq!(p.free_count(FuClass::IntMulDiv, 1), 0);
-        assert_eq!(p.free_count(FuClass::IntMulDiv, Opcode::Div.latency() as u64 - 1), 0);
-        assert_eq!(p.free_count(FuClass::IntMulDiv, Opcode::Div.latency() as u64), 1);
+        p.acquire(Opcode::Div, at(0));
+        assert_eq!(p.free_count(FuClass::IntMulDiv, at(1)), 0);
+        assert_eq!(p.free_count(FuClass::IntMulDiv, at(Opcode::Div.latency() as u64 - 1)), 0);
+        assert_eq!(p.free_count(FuClass::IntMulDiv, at(Opcode::Div.latency() as u64)), 1);
     }
 
     #[test]
     fn multiplier_is_pipelined() {
         let mut p = FuPool::new([1, 1, 1, 1]);
-        p.acquire(Opcode::Mul, 0);
-        assert_eq!(p.free_count(FuClass::IntMulDiv, 1), 1, "a mul can start every cycle");
+        p.acquire(Opcode::Mul, at(0));
+        assert_eq!(p.free_count(FuClass::IntMulDiv, at(1)), 1, "a mul can start every cycle");
     }
 
     #[test]
     fn free_counts_vector() {
         let mut p = FuPool::new([3, 1, 2, 2]);
-        p.acquire(Opcode::Add, 5);
-        p.acquire(Opcode::Ld, 5);
-        assert_eq!(p.free_counts(5), [2, 1, 1, 2]);
-        assert_eq!(p.free_counts(6), [3, 1, 2, 2]);
+        p.acquire(Opcode::Add, at(5));
+        p.acquire(Opcode::Ld, at(5));
+        assert_eq!(p.free_counts(at(5)), [2, 1, 1, 2]);
+        assert_eq!(p.free_counts(at(6)), [3, 1, 2, 2]);
     }
 
     #[test]
     fn reset_frees_everything() {
         let mut p = FuPool::new([1, 1, 1, 1]);
-        p.acquire(Opcode::FDiv, 0);
+        p.acquire(Opcode::FDiv, at(0));
         p.reset();
-        assert_eq!(p.free_count(FuClass::Fpu, 0), 1);
+        assert_eq!(p.free_count(FuClass::Fpu, at(0)), 1);
     }
 
     #[test]
     #[should_panic(expected = "no free")]
     fn overcommit_panics() {
         let mut p = FuPool::new([1, 1, 1, 1]);
-        p.acquire(Opcode::Add, 0);
-        p.acquire(Opcode::Sub, 0);
+        p.acquire(Opcode::Add, at(0));
+        p.acquire(Opcode::Sub, at(0));
     }
 }

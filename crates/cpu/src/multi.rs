@@ -27,6 +27,7 @@
 //! finished (or hit their retirement bound, or froze on a violation) no
 //! longer advance and do not constrain the jump.
 
+use swque_core::cycle::CycleDelta;
 use swque_core::IqKind;
 use swque_isa::Program;
 use swque_mem::{MemoryHierarchy, SharedMemStats};
@@ -134,7 +135,7 @@ pub(crate) fn drive(cores: &mut [Pipeline], mem: &mut MemoryHierarchy, max_insts
 /// quiescent horizons, or nothing at all (some pipeline must tick, or has
 /// skipping disabled).
 fn try_skip(cores: &mut [Pipeline], mem: &MemoryHierarchy, max_insts: u64) {
-    let mut jump: Option<u64> = None;
+    let mut jump: Option<CycleDelta> = None;
     for core in cores.iter() {
         if !core.active(max_insts) {
             continue;
@@ -143,8 +144,8 @@ fn try_skip(cores: &mut [Pipeline], mem: &MemoryHierarchy, max_insts: u64) {
             return;
         }
         let Some(h) = core.quiescent_horizon(mem) else { return };
-        let n = h.saturating_sub(core.cycle());
-        if n == 0 {
+        let n = h - core.cycle();
+        if n == CycleDelta::ZERO {
             return;
         }
         jump = Some(jump.map_or(n, |j| j.min(n)));

@@ -8,12 +8,14 @@
 //! transition function that unit tests exercise without building a
 //! pipeline.
 
+use swque_core::cycle::{CycleDelta, CycleStamp};
+
 /// What the pipeline must do after the issue queue commits a mode switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SwitchResponse {
     /// First cycle at which fetch may run again; fetch is stalled for every
     /// cycle strictly before this mark.
-    pub(crate) fetch_stalled_until: u64,
+    pub(crate) fetch_stalled_until: CycleStamp,
 }
 
 /// Maps the issue queue's mode-switch poll result to the pipeline response.
@@ -25,38 +27,40 @@ pub(crate) struct SwitchResponse {
 /// starting at `cycle`. The charge is per *switch*, not per poll, which is
 /// the `swque-switch-once` property the model checker enforces.
 pub(crate) fn mode_switch_response(
-    cycle: u64,
-    switch_penalty: u64,
+    cycle: CycleStamp,
+    switch_penalty: CycleDelta,
     wants_switch: bool,
 ) -> Option<SwitchResponse> {
     if !wants_switch {
         return None;
     }
-    Some(SwitchResponse { fetch_stalled_until: cycle.saturating_add(switch_penalty) })
+    Some(SwitchResponse { fetch_stalled_until: cycle + switch_penalty })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn respond(cycle: u64, penalty: u64, wants: bool) -> Option<u64> {
+        mode_switch_response(CycleStamp::new(cycle), CycleDelta::new(penalty), wants)
+            .map(|r| r.fetch_stalled_until.get())
+    }
+
     #[test]
     fn no_switch_is_free() {
-        assert_eq!(mode_switch_response(100, 10, false), None);
-        assert_eq!(mode_switch_response(0, 0, false), None);
+        assert_eq!(respond(100, 10, false), None);
+        assert_eq!(respond(0, 0, false), None);
     }
 
     #[test]
     fn a_switch_stalls_fetch_for_exactly_the_penalty() {
-        let r = mode_switch_response(100, 10, true).unwrap();
-        assert_eq!(r.fetch_stalled_until, 110);
+        assert_eq!(respond(100, 10, true), Some(110));
         // A zero-penalty configuration resumes fetch on the same cycle.
-        let r = mode_switch_response(7, 0, true).unwrap();
-        assert_eq!(r.fetch_stalled_until, 7);
+        assert_eq!(respond(7, 0, true), Some(7));
     }
 
     #[test]
     fn the_stall_mark_saturates_instead_of_wrapping() {
-        let r = mode_switch_response(u64::MAX, 10, true).unwrap();
-        assert_eq!(r.fetch_stalled_until, u64::MAX);
+        assert_eq!(respond(u64::MAX, 10, true), Some(u64::MAX));
     }
 }

@@ -1,6 +1,7 @@
 //! Integration tests for the out-of-order core: architectural correctness
 //! across every issue-queue organization, plus timing sanity properties.
 
+use swque_core::cycle::InstCount;
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
 use swque_isa::{Assembler, FReg, Program, Reg};
@@ -202,7 +203,7 @@ fn swque_switches_modes_on_memory_intensive_code() {
     let program = a.finish().unwrap();
 
     let mut config = CoreConfig::medium();
-    config.iq.swque.interval_insts = 1_000; // faster decisions for the test
+    config.iq.swque.interval_insts = InstCount::new(1_000); // faster decisions for the test
     let mut core = Core::new(config, IqKind::Swque, &program);
     let r = core.run(u64::MAX);
     let sw = r.swque.expect("SWQUE reports mode stats");

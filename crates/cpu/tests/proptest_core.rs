@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use swque_rng::prop::check;
 
+use swque_core::cycle::InstCount;
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
 use swque_isa::{Assembler, Emulator, Program, Reg};
@@ -101,7 +102,7 @@ fn timing_bounds_hold() {
         let program = random_program(&body, iters);
         for kind in [IqKind::Age, IqKind::Swque] {
             let mut config = CoreConfig::tiny();
-            config.iq.swque.interval_insts = 8;
+            config.iq.swque.interval_insts = InstCount::new(8);
             let mut core = Core::new(config, kind, &program);
             let r = core.run(u64::MAX);
             assert!(r.cycles as f64 >= r.retired as f64 / 2.0, "{kind}: width-2 bound");
@@ -138,7 +139,7 @@ fn tiny_rob_and_lsq_match_functional_reference() {
         let mut config = CoreConfig::tiny();
         config.rob_entries = g.gen_range(1usize..9);
         config.lsq_entries = g.gen_range(1usize..9);
-        config.iq.swque.interval_insts = 8;
+        config.iq.swque.interval_insts = InstCount::new(8);
         let sizes = (config.rob_entries, config.lsq_entries);
         for kind in IqKind::ALL {
             let mut core = Core::new(config.clone(), kind, &program);

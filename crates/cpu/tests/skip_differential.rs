@@ -30,6 +30,7 @@
 //!
 //! Tests toggle skipping with [`Core::set_skip`], the only skip switch.
 
+use swque_core::cycle::CycleStamp;
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
 use swque_isa::{Assembler, Program, Reg};
@@ -209,7 +210,7 @@ fn horizon_never_overshoots() {
         for kind in [IqKind::Shift, IqKind::CircPc, IqKind::Swque] {
             let mut core = Core::new(CoreConfig::tiny(), kind, &program);
             core.set_skip(false); // tick per-cycle; the horizon is only queried
-            let mut promised: Option<u64> = None;
+            let mut promised: Option<CycleStamp> = None;
             let mut windows = 0u32;
             for _ in 0..200_000u32 {
                 if core.finished() {

@@ -2,6 +2,7 @@
 //! branches, shadow isolation, squash accounting, and interaction with
 //! SWQUE's mode-switch flushes.
 
+use swque_core::cycle::InstCount;
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig};
 use swque_isa::{Assembler, Program, Reg};
@@ -141,7 +142,7 @@ fn swque_mode_switch_drops_wrong_path_from_replay() {
     reference.run(10_000_000).unwrap();
 
     let mut config = CoreConfig::medium();
-    config.iq.swque.interval_insts = 500;
+    config.iq.swque.interval_insts = InstCount::new(500);
     let mut core = Core::new(config, IqKind::Swque, &program);
     let r = core.run(u64::MAX);
     assert!(core.finished());

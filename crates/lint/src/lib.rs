@@ -6,9 +6,11 @@
 //! rustc and clippy enforce its generic half (no `unsafe`, no host clock,
 //! no hash-order containers, no interior mutability, no environment
 //! reads), configured by the workspace's `clippy.toml` files. This crate
-//! enforces what no compiler lint can express: narrowed counters, bare
-//! counter subtraction, cycle-domain dataflow, panic reachability from the
-//! public API, replay-literal grammar, and manifest hermeticity.
+//! enforces what neither can express: narrowed counters, bare counter
+//! subtraction, panic reachability from the public API, replay-literal
+//! grammar, and manifest hermeticity. Cycle domains (stamps vs deltas vs
+//! instruction counts) are types in `swque_core::cycle`, so rustc checks
+//! them.
 //!
 //! * [`lexer`] — a minimal, total Rust lexer (comments, string/char/raw
 //!   literals, idents, punctuation) so rules see *code*, never prose.
@@ -19,15 +21,11 @@
 //!   crate parsed into one structure with a cross-file, cross-crate call
 //!   graph (crate identity derived from workspace paths, visibility- and
 //!   import-scoped edges).
-//! * [`domains`] — the cycle-domain dataflow pass: integer values
-//!   classified (stamps vs deltas vs instruction counts vs …) from names
-//!   and `// swque-domain:` annotations, propagated through bindings and
-//!   calls, with cross-domain arithmetic/comparison/argument findings.
 //! * [`rules`] — the rule engine with per-crate-class policies and
 //!   reasoned `// swque-lint: allow(rule) — why` pragmas.
-//! * [`report`] — the versioned `swque-lint-v4` JSON report (findings
-//!   tagged with their `rule_class`, domain pair, and reachability chain)
-//!   and, in its tests, the schema's one validator.
+//! * [`report`] — the versioned `swque-lint-v5` JSON report (findings
+//!   tagged with their `rule_class` and reachability chain) and, in its
+//!   tests, the schema's one validator.
 //!
 //! The `swque-lint` binary (`src/main.rs`) drives a workspace scan;
 //! `scripts/verify.sh` runs it beside `cargo clippy` as hard gates that
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod domains;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -134,9 +131,8 @@ fn relative(root: &Path, path: &Path) -> String {
 }
 
 /// Scans every lintable file under `root`. Rust sources are collected
-/// first and analyzed as **one program** (so reachability chains and
-/// domain resolution cross file and crate boundaries); manifests keep
-/// their per-file line rules.
+/// first and analyzed as **one program** (so reachability chains cross
+/// file and crate boundaries); manifests keep their per-file line rules.
 pub fn scan_workspace(root: &Path) -> io::Result<Scan> {
     let mut scan = Scan { findings: Vec::new(), suppressed: 0, files_scanned: 0 };
     let mut sources: Vec<(String, String)> = Vec::new();

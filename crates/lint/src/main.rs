@@ -4,7 +4,7 @@
 //! swque-lint --workspace                 # gate the enclosing workspace
 //! swque-lint --root DIR                  # gate an explicit tree
 //! swque-lint --explain RULE              # rationale + fixture example
-//! SWQUE_JSON=lint.json swque-lint --workspace  # also emit swque-lint-v4
+//! SWQUE_JSON=lint.json swque-lint --workspace  # also emit swque-lint-v5
 //! ```
 //!
 //! Exit codes: `0` no unsuppressed finding, `1` any unsuppressed finding,

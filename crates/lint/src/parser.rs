@@ -6,7 +6,7 @@
 //! probed, or attribute a panic to the public item that reaches it. This
 //! parser recovers just enough structure for those judgements:
 //!
-//! * **items** — `fn` (name, visibility, signature, body), `impl` /
+//! * **items** — `fn` (name, visibility, body), `impl` /
 //!   `mod` / `trait` bodies (recursed), `struct` / `enum` (field type
 //!   tokens kept), everything else verbatim;
 //! * **expressions** — paths, method calls, free calls, macro calls,
@@ -73,9 +73,6 @@ pub enum ItemKind {
     Fn {
         /// Token index of the name ident.
         name: usize,
-        /// Signature token range: from after the name to the body `{`
-        /// (exclusive) or the terminating `;`.
-        sig: (usize, usize),
         /// The body block, absent for bodyless trait methods.
         body: Option<Block>,
     },
@@ -200,14 +197,11 @@ pub enum ExprKind {
         /// Loop body.
         body: Block,
     },
-    /// `let <pat>[: ty] [= init]` — the binding the variable tracker
-    /// reads.
+    /// `let <pat>[: ty] [= init]` — the type annotation is skipped.
     Let {
         /// Token index of the bound name ident, when the pattern is a
         /// simple (possibly `mut`) identifier.
         name: Option<usize>,
-        /// Token range of the `: …` type annotation, when present.
-        ty: Option<(usize, usize)>,
         /// Initializer expression.
         init: Option<Box<Expr>>,
     },
@@ -579,7 +573,6 @@ impl<'t, 'a> Parser<'t, 'a> {
         } else {
             self.pos.saturating_sub(1)
         };
-        let sig_lo = self.pos;
         // Signature runs to the body `{` or a `;`. Skip balanced groups
         // so `where F: Fn() -> { … }`-ish token runs can't derail it, and
         // `->` return types with generic `<`s pass through unparsed.
@@ -594,7 +587,6 @@ impl<'t, 'a> Parser<'t, 'a> {
                 }
             }
         }
-        let sig_hi = self.pos;
         let body = if self.text(0) == "{" {
             Some(self.block())
         } else {
@@ -603,7 +595,7 @@ impl<'t, 'a> Parser<'t, 'a> {
             }
             None
         };
-        Item { attrs, vis_pub, kind: ItemKind::Fn { name, sig: (sig_lo, sig_hi), body }, lo, hi: self.pos }
+        Item { attrs, vis_pub, kind: ItemKind::Fn { name, body }, lo, hi: self.pos }
     }
 
     fn mod_item(&mut self, lo: usize, attrs: Vec<Attr>, vis_pub: bool) -> Item {
@@ -1113,21 +1105,17 @@ impl<'t, 'a> Parser<'t, 'a> {
                 self.bump();
             }
         }
-        let ty = if self.text(0) == ":" && self.match_op("::").is_none() {
+        if self.text(0) == ":" && self.match_op("::").is_none() {
             self.bump();
-            let ty_lo = self.pos;
             self.type_tokens();
-            Some((ty_lo, self.pos))
-        } else {
-            None
-        };
+        }
         let init = if self.text(0) == "=" && self.match_op("==").is_none() && self.match_op("=>").is_none() {
             self.bump();
             Some(Box::new(self.expr()))
         } else {
             None
         };
-        Expr { kind: ExprKind::Let { name, ty, init }, lo, hi: self.pos }
+        Expr { kind: ExprKind::Let { name, init }, lo, hi: self.pos }
     }
 
     fn for_expr(&mut self, lo: usize) -> Expr {
@@ -1505,18 +1493,13 @@ mod tests {
         let ast = parse(src);
         let mut found = None;
         walk_exprs(&ast, &ast.items.clone(), &mut |e, _| {
-            if let ExprKind::Let { name, ty, init } = &e.kind {
-                found = Some((
-                    name.map(|i| ast.text(i).to_string()),
-                    ty.map(|(a, b)| (a..b).map(|i| ast.text(i)).collect::<String>()),
-                    init.is_some(),
-                ));
+            if let ExprKind::Let { name, init } = &e.kind {
+                found = Some((name.map(|i| ast.text(i).to_string()), init.is_some()));
             }
         });
-        let (name, ty, has_init) = found.expect("let parsed");
+        let (name, has_init) = found.expect("let parsed");
         assert_eq!(name.as_deref(), Some("m"));
-        assert!(ty.unwrap_or_default().starts_with("HashMap"), "type tokens kept");
-        assert!(has_init);
+        assert!(has_init, "the initializer is found past the type tokens");
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The versioned `swque-lint-v4` JSON report.
+//! The versioned `swque-lint-v5` JSON report.
 //!
 //! Shape (all keys always present, documented field-by-field in DESIGN.md
 //! §8.9):
 //!
 //! ```json
 //! {
-//!   "schema": "swque-lint-v4",
+//!   "schema": "swque-lint-v5",
 //!   "files_scanned": 123,
 //!   "suppressed": 2,
 //!   "status": "ok",
 //!   "rules": [ {"rule": "panic-in-lib", "count": 0}, … ],
 //!   "findings": [ {"rule": "…", "rule_class": "token", "file": "…",
-//!                  "line": 1, "col": 5, "message": "…",
-//!                  "domain_from": "", "domain_to": "", "chain": ""}, … ]
+//!                  "line": 1, "col": 5, "message": "…", "chain": ""}, … ]
 //! }
 //! ```
 //!
@@ -28,9 +27,9 @@ use crate::rules::{rule_class, RULES};
 use crate::Scan;
 
 /// Schema identifier written into every report.
-pub const LINT_SCHEMA: &str = "swque-lint-v4";
+pub const LINT_SCHEMA: &str = "swque-lint-v5";
 
-/// Serializes a scan and its verdict as a `swque-lint-v4` document.
+/// Serializes a scan and its verdict as a `swque-lint-v5` document.
 pub fn report_json(scan: &Scan) -> Json {
     let counts = scan.counts();
     let rules = RULES
@@ -53,8 +52,6 @@ pub fn report_json(scan: &Scan) -> Json {
                 ("line", Json::from(u64::from(f.line))),
                 ("col", Json::from(u64::from(f.col))),
                 ("message", Json::from(f.message.as_str())),
-                ("domain_from", Json::from(f.domain_from.as_str())),
-                ("domain_to", Json::from(f.domain_to.as_str())),
                 ("chain", Json::from(f.chain.as_str())),
             ])
         })
@@ -78,9 +75,9 @@ mod tests {
         Scan { findings, suppressed: 1, files_scanned: 3 }
     }
 
-    /// Asserts that `doc` has exactly the v4 shape: every key at every
+    /// Asserts that `doc` has exactly the v5 shape: every key at every
     /// level, in order, each with its value type.
-    fn assert_v4_shape(doc: &Json) {
+    fn assert_v5_shape(doc: &Json) {
         assert_eq!(
             doc.keys(),
             vec!["schema", "files_scanned", "suppressed", "status", "rules", "findings"],
@@ -105,19 +102,9 @@ mod tests {
         for f in findings {
             assert_eq!(
                 f.keys(),
-                vec![
-                    "rule",
-                    "rule_class",
-                    "file",
-                    "line",
-                    "col",
-                    "message",
-                    "domain_from",
-                    "domain_to",
-                    "chain",
-                ],
+                vec!["rule", "rule_class", "file", "line", "col", "message", "chain"],
             );
-            for key in ["rule", "file", "message", "domain_from", "domain_to", "chain"] {
+            for key in ["rule", "file", "message", "chain"] {
                 assert!(f.get(key).and_then(Json::as_str).is_some(), "{key}: not a string");
             }
             for key in ["line", "col"] {
@@ -125,7 +112,7 @@ mod tests {
             }
             let class = f.get("rule_class").and_then(Json::as_str);
             assert!(
-                matches!(class, Some("token" | "ast" | "reachability" | "dataflow")),
+                matches!(class, Some("token" | "ast" | "reachability")),
                 "rule_class: {class:?}"
             );
         }
@@ -145,7 +132,7 @@ mod tests {
         // (what a consumer sees) carries the full shape.
         let back = Json::parse(&doc.to_string()).unwrap();
         assert_eq!(back, doc);
-        assert_v4_shape(&back);
+        assert_v5_shape(&back);
 
         assert_eq!(back.get("files_scanned").and_then(Json::as_u64), Some(3));
         assert_eq!(back.get("suppressed").and_then(Json::as_u64), Some(1));
@@ -158,7 +145,6 @@ mod tests {
         assert_eq!(f.get("rule_class").and_then(Json::as_str), Some("token"));
         assert_eq!(f.get("line").and_then(Json::as_u64), Some(4));
         assert_eq!(f.get("col").and_then(Json::as_u64), Some(9));
-        assert_eq!(f.get("domain_from").and_then(Json::as_str), Some(""));
         assert_eq!(f.get("chain").and_then(Json::as_str), Some(""));
     }
 
@@ -172,36 +158,14 @@ mod tests {
             "x".to_string(),
         )]);
         let doc = report_json(&failing);
-        assert_v4_shape(&doc);
+        assert_v5_shape(&doc);
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
 
         // Suppressed findings alone do not fail the gate.
         let clean = scan_with(Vec::new());
         let doc = report_json(&clean);
-        assert_v4_shape(&doc);
+        assert_v5_shape(&doc);
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(doc.get("findings").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
-    }
-
-    #[test]
-    fn dataflow_findings_carry_their_domain_pair() {
-        let mut f = Finding::new(
-            "cross-domain-call",
-            "crates/mem/src/hierarchy.rs".to_string(),
-            360,
-            40,
-            "completion stamp passed as launch".to_string(),
-        );
-        f.domain_from = "CycleStamp(completion)".to_string();
-        f.domain_to = "CycleStamp(launch)".to_string();
-        let doc = report_json(&scan_with(vec![f]));
-        assert_v4_shape(&doc);
-        let j = &doc.get("findings").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(j.get("rule_class").and_then(Json::as_str), Some("dataflow"));
-        assert_eq!(
-            j.get("domain_from").and_then(Json::as_str),
-            Some("CycleStamp(completion)")
-        );
-        assert_eq!(j.get("domain_to").and_then(Json::as_str), Some("CycleStamp(launch)"));
     }
 }

@@ -57,13 +57,8 @@ pub struct FnNode {
     pub lo: usize,
     /// One past the last token of the item.
     pub hi: usize,
-    /// Signature token range (after the name, up to the body or `;`).
-    pub sig: (usize, usize),
     /// 1-based line of the item's first token.
     pub line: u32,
-    /// 1-based line of the name ident (where a `swque-domain` annotation
-    /// anchors).
-    pub name_line: u32,
 }
 
 /// The whole-workspace program model.
@@ -131,16 +126,14 @@ impl<'a> Program<'a> {
         let mut fns: Vec<FnNode> = Vec::new();
         for (u_idx, unit) in units.iter().enumerate() {
             walk_items(&unit.ast, &unit.ast.items, false, &mut |item, _| {
-                if let ItemKind::Fn { name, sig, .. } = item.kind {
+                if let ItemKind::Fn { name, .. } = item.kind {
                     fns.push(FnNode {
                         unit: u_idx,
                         name: unit.ast.text(name).to_string(),
                         vis_pub: item.vis_pub,
                         lo: item.lo,
                         hi: item.hi,
-                        sig,
                         line: unit.ast.pos(item.lo).0,
-                        name_line: unit.ast.pos(name).0,
                     });
                 }
             });
@@ -167,15 +160,6 @@ impl<'a> Program<'a> {
         }
         let (uf, ug) = (&self.units[cf.unit], &self.units[cg.unit]);
         uf.crate_name == ug.crate_name || uf.imports.contains(&ug.crate_name)
-    }
-
-    /// Callee candidates for a call site: every function named `name`
-    /// that `caller` could reach under the edge scoping rules.
-    pub fn candidates(&self, caller: usize, name: &str) -> Vec<usize> {
-        self.by_name
-            .get(name)
-            .map(|v| v.iter().copied().filter(|&g| self.edge_allowed(caller, g)).collect())
-            .unwrap_or_default()
     }
 
     /// Name-keyed call edges: `callers[g]` lists every function whose
@@ -370,16 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn candidates_respect_scoping() {
+    fn edges_respect_scoping() {
         let srcs = sources(&[
             ("crates/mem/src/a.rs", "pub fn probe() {}\nfn probe_helper() { probe(); }\n"),
             ("crates/cpu/src/b.rs", "fn cpu_side() {}\n"),
         ]);
         let prog = Program::build(&srcs);
-        let cpu_side = prog.fns.iter().position(|f| f.name == "cpu_side").unwrap();
-        // No `use swque_mem` in b.rs: the cross-crate candidate set is empty.
-        assert!(prog.candidates(cpu_side, "probe").is_empty());
-        let helper = prog.fns.iter().position(|f| f.name == "probe_helper").unwrap();
-        assert_eq!(prog.candidates(helper, "probe").len(), 1);
+        let position = |name: &str| prog.fns.iter().position(|f| f.name == name).unwrap();
+        let probe = position("probe");
+        // No `use swque_mem` in b.rs: no cross-crate edge reaches `probe`.
+        assert!(!prog.edge_allowed(position("cpu_side"), probe));
+        assert!(prog.edge_allowed(position("probe_helper"), probe));
     }
 }

@@ -19,7 +19,7 @@
 //! finding (`malformed-pragma`): silent or unexplained suppressions are
 //! exactly what the tool exists to prevent.
 //!
-//! Rules come in four classes (reported per finding as `rule_class`):
+//! Rules come in three classes (reported per finding as `rule_class`):
 //!
 //! * **token** — pattern over the lexed token stream (pragma syntax,
 //!   replay literals, manifest hygiene). These need no structure.
@@ -30,24 +30,20 @@
 //!   call graph of [`crate::resolve`] and attributes every panic site to
 //!   the public item that reaches it — across files and crates since v3 —
 //!   so the finding list reads as an API audit rather than a grep dump.
-//! * **dataflow** — the cycle-domain pass of [`crate::domains`]
-//!   classifies integer values (cycle stamps vs deltas vs instruction
-//!   counts vs …) and flags cross-domain arithmetic, comparison, and
-//!   argument passing.
 //!
 //! Since v3 the engine scans the workspace as **one program**: every file
 //! is parsed into a [`crate::resolve::Program`], per-file passes run per
-//! unit, and the reachability and dataflow passes run over the whole
-//! model. [`scan_rust`] remains as the one-file wrapper the fixture
-//! suite exercises.
+//! unit, and the reachability pass runs over the whole model.
+//! [`scan_rust`] remains as the one-file wrapper the fixture suite
+//! exercises.
 //!
 //! The generic determinism rules (no `unsafe`, no host clock, no
 //! hash-order containers, no interior mutability, no environment reads)
 //! are rustc's and clippy's, configured by the `clippy.toml` files and
-//! gated in `scripts/verify.sh`; this engine keeps only what no compiler
-//! lint expresses (DESIGN.md §8.4).
+//! gated in `scripts/verify.sh`; cycle domains are types
+//! (`swque_core::cycle`), so rustc owns them too. This engine keeps only
+//! what neither expresses (DESIGN.md §8.4).
 
-use crate::domains;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parser::{walk_exprs, walk_items, Ast, Expr, ExprKind};
 use crate::resolve::{self, Program};
@@ -68,17 +64,7 @@ use crate::resolve::{self, Program};
 ///   a deterministic crate; the workspace convention for counter deltas
 ///   is `saturating_sub` (an underflow wraps to ~2^64 and poisons every
 ///   statistic downstream).
-/// * `cross-domain-arith` — arithmetic or comparison that mixes cycle
-///   domains (stamp+stamp, delta−stamp, a stamp compared against a
-///   delta, a stamp-named binding initialized from a delta) in a
-///   deterministic crate; see [`crate::domains`] for the algebra.
-/// * `cross-domain-call` — an argument whose inferred domain contradicts
-///   the parameter's seeded/annotated domain at a call site resolved
-///   through the workspace call graph — including a `CycleStamp`
-///   qualifier clash (`done_at` passed where a launch stamp is
-///   expected), the exact shape of the PR-8 prefetch bug.
-/// * `malformed-pragma` — a `swque-lint:` pragma or `swque-domain:`
-///   annotation that fails to parse.
+/// * `malformed-pragma` — a `swque-lint:` pragma that fails to parse.
 /// * `mc-replay` — a string literal that begins with the
 ///   `swque-mc-replay-v1` magic but fails `Replay::parse`. Replay
 ///   strings are executable counterexamples; a committed trace that no
@@ -87,12 +73,10 @@ use crate::resolve::{self, Program};
 /// * `external-dep` — `rand`/`proptest`/`criterion` named in a manifest.
 /// * `registry-source` — a `source =` entry in `Cargo.lock` (the lockfile
 ///   must stay path-only for the offline build guarantee).
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 7] = [
     "panic-in-lib",
     "truncating-cast",
     "unchecked-arith",
-    "cross-domain-arith",
-    "cross-domain-call",
     "malformed-pragma",
     "mc-replay",
     "external-dep",
@@ -105,12 +89,11 @@ pub fn is_known_rule(rule: &str) -> bool {
 }
 
 /// The engine class a rule belongs to — carried per finding in the
-/// `swque-lint-v4` report as `rule_class`.
+/// `swque-lint-v5` report as `rule_class`.
 pub fn rule_class(rule: &str) -> &'static str {
     match rule {
         "truncating-cast" | "unchecked-arith" => "ast",
         "panic-in-lib" => "reachability",
-        "cross-domain-arith" | "cross-domain-call" => "dataflow",
         _ => "token",
     }
 }
@@ -152,42 +135,12 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              bad:  let delta = end_cycle - start_cycle;\n\
              fix:  let delta = end_cycle.saturating_sub(start_cycle);"
         }
-        "cross-domain-arith" => {
-            "cross-domain-arith [dataflow]\n\
-             Arithmetic, comparison, or a let-binding that mixes cycle\n\
-             domains in a deterministic crate. Values are classified\n\
-             (CycleStamp, CycleDelta, InstCount, IntervalIdx, ByteAddr,\n\
-             RequesterId, SlotTag) from names and `// swque-domain:`\n\
-             annotations; the legal algebra is stamp−stamp→delta and\n\
-             stamp±delta→stamp — adding two stamps, subtracting a stamp\n\
-             from a delta, or comparing a stamp against a delta is a unit\n\
-             error of exactly the kind behind the PR-8 prefetch bug.\n\
-             `*`/`/`/`%` erase the domain (insts/cycles is IPC, not a bug)\n\
-             and unknown operands never flag.\n\
-             bad:  let budget = done_at + issue_at;\n\
-             fix:  let budget = done_at - issue_at; // stamp - stamp = delta"
-        }
-        "cross-domain-call" => {
-            "cross-domain-call [dataflow]\n\
-             An argument whose inferred cycle domain contradicts the\n\
-             parameter's domain (seeded from its name or pinned by a\n\
-             `// swque-domain:` annotation on the callee signature), at a\n\
-             call site resolved through the workspace-wide call graph.\n\
-             CycleStamp qualifiers are enforced here: passing a\n\
-             completion-qualified stamp (`done_at`) where the callee\n\
-             declares `CycleStamp(launch)` re-creates the PR-8 bug of\n\
-             launching prefetches at the demand's completion cycle.\n\
-             bad:  dram.request_from(requester, done_at)\n\
-             fix:  dram.request_from(requester, pf_issue_at)"
-        }
         "malformed-pragma" => {
             "malformed-pragma [token]\n\
-             A `// swque-lint: …` pragma or `// swque-domain: …` annotation\n\
-             that fails to parse — unknown rule or domain name, missing\n\
-             parens, or missing reason. Silent or unexplained suppressions\n\
-             (and silently ignored annotations) are what the tool exists to\n\
-             prevent, so a broken comment is itself a finding rather than a\n\
-             silent no-op.\n\
+             A `// swque-lint: …` pragma that fails to parse — unknown rule\n\
+             name, missing parens, or missing reason. Silent or unexplained\n\
+             suppressions are what the tool exists to prevent, so a broken\n\
+             pragma is itself a finding rather than a silent no-op.\n\
              bad:  // swque-lint: allow(panic-in-lib)\n\
              fix:  // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition"
         }
@@ -237,12 +190,6 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Dataflow rules: the domain the offending value actually has
-    /// (rendered per the annotation grammar, e.g. `CycleStamp(completion)`).
-    /// Empty for other rules.
-    pub domain_from: String,
-    /// Dataflow rules: the domain the context expects. Empty otherwise.
-    pub domain_to: String,
     /// Reachability rules: the pub-to-site hop chain (`entry:12 →
     /// helper:40 (crates/cpu/src/core.rs)`). Empty when the site is
     /// directly public, at module scope, or the rule carries no chain.
@@ -250,18 +197,9 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding with empty structured extras (`domain_from`/`domain_to`/`chain`).
+    /// A finding with an empty `chain`.
     pub fn new(rule: &'static str, file: String, line: u32, col: u32, message: String) -> Finding {
-        Finding {
-            rule,
-            file,
-            line,
-            col,
-            message,
-            domain_from: String::new(),
-            domain_to: String::new(),
-            chain: String::new(),
-        }
+        Finding { rule, file, line, col, message, chain: String::new() }
     }
 }
 
@@ -280,15 +218,15 @@ pub struct Policy {
     /// File is a binary target (`src/bin/…` or `src/main.rs`): harness
     /// layer, may panic.
     pub bin: bool,
-    /// Library code of a simulated-path crate: narrowing counter casts,
-    /// bare counter subtraction, and cross-domain arithmetic banned.
+    /// Library code of a simulated-path crate: narrowing counter casts and
+    /// bare counter subtraction banned.
     pub deterministic: bool,
     /// Non-bin, non-test code under some `src/`: panic family banned.
     pub lib_code: bool,
 }
 
 /// Crates whose library code runs on the simulated path, where a truncated
-/// counter or a cross-domain cycle value corrupts every figure. `swque` is
+/// or wrapped counter corrupts every figure. `swque` is
 /// the root facade. `mc` is not simulated-path but its whole value is
 /// exhaustive reproducibility — the same contract applies to the checker
 /// itself. Each of them resolves to the strict root `clippy.toml`; the
@@ -628,28 +566,24 @@ fn panic_rules(
 // ---------------------------------------------------------------------------
 
 /// Scans a set of Rust sources as **one program**: per-file token/AST
-/// rules, then the workspace passes (cross-file panic reachability and
-/// the cycle-domain dataflow pass), then per-file pragma suppression.
+/// rules and cross-file panic reachability, then per-file pragma
+/// suppression.
 /// Returns the surviving findings (sorted by file, line, col, rule) plus
 /// the number of findings pragmas suppressed.
 pub fn scan_sources(sources: &[(String, String)]) -> (Vec<Finding>, usize) {
     let prog = Program::build(sources);
     let mut raw: Vec<Finding> = Vec::new();
-    // Malformed pragmas/annotations bypass suppression: no pragma may
-    // suppress the finding that reports a broken pragma.
+    // Malformed pragmas bypass suppression: no pragma may suppress the
+    // finding that reports a broken pragma.
     let mut findings: Vec<Finding> = Vec::new();
     let mut pragmas_by_file: std::collections::BTreeMap<&str, Vec<Pragma>> = Default::default();
-    let mut annots: Vec<Vec<domains::Annot>> = Vec::new();
 
     for (u, (rel, src)) in sources.iter().enumerate() {
         let policy = classify(rel);
         let raw_toks = lex(src);
         let (pragmas, mut malformed) = collect_pragmas(&raw_toks, rel);
-        let (file_annots, mut bad_annots) = domains::collect_annotations(&raw_toks, rel);
         findings.append(&mut malformed);
-        findings.append(&mut bad_annots);
         pragmas_by_file.insert(rel.as_str(), pragmas);
-        annots.push(file_annots);
 
         let ast = &prog.units[u].ast;
         let regions = test_regions(ast);
@@ -662,8 +596,6 @@ pub fn scan_sources(sources: &[(String, String)]) -> (Vec<Finding>, usize) {
         }
     }
 
-    let sigs = domains::fn_sigs(&prog, &annots);
-    domains::domain_rules(&prog, &sigs, &annots, &mut raw);
 
     // One finding per (rule, file, line): `a.unwrap() + b.unwrap()`
     // should read as one diagnostic, not two.
@@ -693,8 +625,7 @@ pub fn scan_sources(sources: &[(String, String)]) -> (Vec<Finding>, usize) {
 
 /// Scans one Rust source file as a single-unit program. The fixture
 /// suite runs through this wrapper; its semantics are [`scan_sources`]
-/// over one file (so reachability chains and domain resolution see only
-/// this file, as in v2).
+/// over one file (so reachability chains see only this file, as in v2).
 pub fn scan_rust(rel: &str, src: &str) -> (Vec<Finding>, usize) {
     let sources = vec![(rel.to_string(), src.to_string())];
     scan_sources(&sources)
@@ -786,7 +717,7 @@ mod tests {
     #[test]
     fn clippy_configs_match_crate_classes() {
         // clippy owns the generic determinism bans; swque-lint owns the
-        // counter and cycle-domain rules. A crate gets the harness
+        // counter rules. A crate gets the harness
         // clippy.toml exactly when swque-lint treats its library code as
         // harness, so neither tool relaxes a crate the other keeps strict.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -833,7 +764,7 @@ mod tests {
     fn every_rule_has_a_class_and_an_explanation() {
         for rule in RULES {
             assert!(
-                matches!(rule_class(rule), "token" | "ast" | "reachability" | "dataflow"),
+                matches!(rule_class(rule), "token" | "ast" | "reachability"),
                 "{rule}: bad class"
             );
             let text = explain(rule).unwrap_or_else(|| panic!("{rule}: no explanation"));
@@ -844,8 +775,6 @@ mod tests {
         assert_eq!(rule_class("panic-in-lib"), "reachability");
         assert_eq!(rule_class("truncating-cast"), "ast");
         assert_eq!(rule_class("mc-replay"), "token");
-        assert_eq!(rule_class("cross-domain-arith"), "dataflow");
-        assert_eq!(rule_class("cross-domain-call"), "dataflow");
     }
 
     #[test]

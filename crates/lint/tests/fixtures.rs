@@ -71,38 +71,6 @@ fn fixture_panic_in_lib() {
 }
 
 #[test]
-fn fixture_cross_domain_arith() {
-    assert_rule(
-        "cross-domain-arith",
-        "crates/mem/src/fixture.rs",
-        "fn f(done_at: u64, issue_at: u64) -> u64 { done_at + issue_at }\n",
-        "// swque-lint: allow(cross-domain-arith) — fixture: documenting the bad add\n\
-         fn f(done_at: u64, issue_at: u64) -> u64 { done_at + issue_at }\n",
-        1,
-        52,
-        "CycleStamp",
-    );
-}
-
-#[test]
-fn fixture_cross_domain_call() {
-    assert_rule(
-        "cross-domain-call",
-        "crates/mem/src/fixture.rs",
-        "// swque-domain: at: CycleStamp(launch)\n\
-         fn launch(at: u64) { let _ = at; }\n\
-         fn f(done_at: u64) { launch(done_at); }\n",
-        "// swque-domain: at: CycleStamp(launch)\n\
-         fn launch(at: u64) { let _ = at; }\n\
-         // swque-lint: allow(cross-domain-call) — fixture: documenting the bad pass\n\
-         fn f(done_at: u64) { launch(done_at); }\n",
-        3,
-        22,
-        "parameter `at` expects CycleStamp(launch)",
-    );
-}
-
-#[test]
 fn fixture_malformed_pragma() {
     // A reasonless pragma is itself the finding; there is deliberately no
     // pragma that can suppress a malformed pragma.
@@ -182,8 +150,6 @@ fn every_rule_has_a_fixture() {
         "truncating-cast",
         "unchecked-arith",
         "panic-in-lib",
-        "cross-domain-arith",
-        "cross-domain-call",
         "malformed-pragma",
         "mc-replay",
         "external-dep",

@@ -1,7 +1,7 @@
 //! swque-rng property tests for the workspace-wide call-graph resolver.
 //!
-//! The dataflow and reachability passes lean on three resolver
-//! guarantees, pinned here over randomly generated module trees:
+//! The reachability pass leans on three resolver guarantees, pinned here
+//! over randomly generated module trees:
 //!
 //! 1. **Totality** — `Program::build` never panics, on adversarial token
 //!    soup or on semi-realistic multi-unit workspaces, and every `FnNode`
@@ -96,8 +96,6 @@ fn assert_well_formed(prog: &Program<'_>) {
         assert!(f.unit < prog.units.len(), "fn {:?}: unit out of range", f.name);
         let n_toks = prog.units[f.unit].ast.toks.len();
         assert!(f.lo < f.hi && f.hi <= n_toks, "fn {:?}: bad token range", f.name);
-        let (lo, hi) = f.sig;
-        assert!(lo <= hi && hi <= n_toks, "fn {:?}: bad sig range", f.name);
     }
     assert_eq!(prog.callers.len(), prog.fns.len());
     for (callee, callers) in prog.callers.iter().enumerate() {
@@ -128,14 +126,6 @@ fn edges_land_on_declared_items_and_respect_scoping() {
         let sources = gen_workspace(g, gen_unit);
         let prog = Program::build(&sources);
         assert_well_formed(&prog);
-        // Candidate lookup agrees with the recorded edges: a candidate of
-        // (caller, name) is exactly a same-named fn the caller may reach.
-        for f in 0..prog.fns.len() {
-            for g_idx in prog.candidates(f, &prog.fns[f].name.clone()) {
-                assert_eq!(prog.fns[g_idx].name, prog.fns[f].name);
-                assert!(prog.edge_allowed(f, g_idx));
-            }
-        }
     });
 }
 

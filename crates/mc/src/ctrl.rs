@@ -19,6 +19,7 @@
 //! (0.04), so threshold adaptation is behaviorally observable, not just
 //! counter-observable.
 
+use swque_core::cycle::InstCount;
 use swque_core::replay::Event;
 use swque_core::{ArchKey, IntervalMetrics, IqMode, ModeDecision, SwqueController, SwqueParams};
 
@@ -135,7 +136,7 @@ impl CtrlHarness {
     }
 
     fn do_reset(&mut self, insts: u64) -> Result<(), Violation> {
-        self.controller.maybe_periodic_reset(insts);
+        self.controller.maybe_periodic_reset(InstCount::new(insts));
         self.resets += 1;
         self.shadow_instability = 0;
         // The reset restores the base threshold; reductions-so-far remain
@@ -165,7 +166,7 @@ impl Harness for CtrlHarness {
                 events.push(Event::Interval { mpki_milli, flpi_milli });
             }
         }
-        events.push(Event::Reset((self.resets + 1) * self.params.reset_interval_insts));
+        events.push(Event::Reset((self.resets + 1) * self.params.reset_interval_insts.get()));
         events
     }
 

@@ -23,6 +23,7 @@
 //!   (`retired = (k+1) · interval_insts`), so MPKI deltas are `0` or an
 //!   unambiguously-high value chosen by the event, never an accumulation.
 
+use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
 use swque_core::replay::Event;
 use swque_core::{
     ArchKey, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue, Tag,
@@ -206,7 +207,7 @@ impl QueueHarness {
                 kind.build(&config)
             }
         };
-        let interval = config.swque.interval_insts;
+        let interval = config.swque.interval_insts.get();
         Ok(QueueHarness {
             kind,
             queue,
@@ -300,7 +301,7 @@ impl QueueHarness {
         let (mut key_ticked, mut key_selected) = (ArchKey::new(&rename), ArchKey::new(&rename));
         for n in [1u64, 3] {
             let mut ticked = self.queue.clone();
-            ticked.idle_tick(n);
+            ticked.idle_tick(CycleDelta::new(n));
             let mut selected = self.queue.clone();
             for _ in 0..n {
                 let mut budget = IssueBudget::new(self.width, [self.width; 4]);
@@ -529,7 +530,9 @@ impl QueueHarness {
 
     fn do_poll(&mut self, retired: u64, misses: u64) -> Result<(), Violation> {
         let mode_before = self.queue.mode();
-        let wants = self.queue.poll_mode_switch(self.intervals_done, retired, misses);
+        // The harness has no clock: the interval ordinal stamps the trace.
+        let at = CycleStamp::new(self.intervals_done);
+        let wants = self.queue.poll_mode_switch(at, InstCount::new(retired), misses);
         if !is_swque(self.kind) {
             if wants {
                 return Err(Violation::new(
@@ -642,7 +645,7 @@ impl Harness for QueueHarness {
             Event::Poll { retired, misses } => self.do_poll(retired, misses)?,
             Event::IdleTick(cycles) => {
                 if !self.queue.has_ready() {
-                    self.queue.idle_tick(cycles);
+                    self.queue.idle_tick(CycleDelta::new(cycles));
                 }
             }
             Event::Interval { .. } | Event::Reset(_) => {

@@ -5,14 +5,16 @@
 //! checker ever minimized stays a live regression test. The `MANIFEST`
 //! ratchet pins each trace's content digest, one way only: a trace can
 //! be *appended* (add the file plus its MANIFEST line), but silently
-//! altering or dropping a committed trace fails here.
+//! altering or dropping a committed trace fails here. The corpus also
+//! seeds the totality property of `Replay::parse`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use swque_core::fnv1a64;
-use swque_core::replay::Replay;
+use swque_core::replay::{Replay, REPLAY_MAGIC};
 use swque_mc::check_replay;
+use swque_rng::prop::{check, Gen};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("replays")
@@ -98,4 +100,76 @@ fn manifest_ratchet_pins_every_trace() {
             "{name} pinned in MANIFEST but missing on disk — committed traces are append-only"
         );
     }
+}
+
+/// Fragments the soup and the mutations draw from: the grammar's own
+/// keys, event heads and separators, numbers at and past every integer
+/// width the fields parse into, multi-byte characters (the event parser
+/// slices after the first character), and stray whitespace.
+const FRAGMENTS: &[&str] = &[
+    REPLAY_MAGIC, "kind=", "cap=", "width=", "inject=", "expect=", "events=", "CIRC-PC",
+    "SWQUE", "CTRL", "AGE-multiAM", "-", ",", ".", ":", "=", " ", "\t", "\n", "d", "w", "s",
+    "q", "f", "p", "i", "e", "r", "0", "7", "65535", "65536", "4294967296",
+    "18446744073709551615", "18446744073709551616", "-1", "+3", "é", "☃", "\u{0}", "",
+];
+
+fn fragment(g: &mut Gen) -> &'static str {
+    FRAGMENTS[g.gen_range(0..FRAGMENTS.len())]
+}
+
+/// Random bytes (decoded lossily, as a file read would be) or a run of
+/// grammar fragments.
+fn soup(g: &mut Gen) -> String {
+    if g.bool() {
+        let bytes = g.vec(0..200, Gen::u8);
+        String::from_utf8_lossy(&bytes).into_owned()
+    } else {
+        (0..g.gen_range(0..40)).map(|_| fragment(g)).collect()
+    }
+}
+
+/// `trace` with one token deleted, duplicated or replaced. Tokens are
+/// maximal alphanumeric runs and single other characters, so a mutation
+/// can hit a key, a number, an event head or a separator.
+fn mutate(g: &mut Gen, trace: &str) -> String {
+    let mut tokens: Vec<String> = Vec::new();
+    for c in trace.chars() {
+        match tokens.last_mut() {
+            Some(t) if c.is_alphanumeric() && t.chars().all(char::is_alphanumeric) => t.push(c),
+            _ => tokens.push(c.to_string()),
+        }
+    }
+    let at = g.gen_range(0..tokens.len());
+    match g.gen_range(0u32..3) {
+        0 => {
+            tokens.remove(at);
+        }
+        1 => tokens.insert(at, tokens[at].clone()),
+        _ => tokens[at] = fragment(g).to_string(),
+    }
+    tokens.concat()
+}
+
+/// `Replay::parse` is total: random byte soup and single-token mutations
+/// of the committed traces each return `Ok` or a `ReplayParseError`,
+/// never a panic. The parser makes one pass over its input, so every
+/// case finishing is the no-hang half.
+#[test]
+fn replay_parse_is_total_on_soup_and_corpus_mutations() {
+    let traces: Vec<String> =
+        corpus_files().values().map(|text| trace_line(text).to_string()).collect();
+    for trace in &traces {
+        assert!(Replay::parse(trace).is_ok(), "unmutated trace must parse: {trace}");
+    }
+    check(2048, |g| {
+        let input = if g.bool() {
+            soup(g)
+        } else {
+            let trace = &traces[g.gen_range(0..traces.len())];
+            mutate(g, trace)
+        };
+        if let Err(e) = Replay::parse(&input) {
+            assert!(!e.message.is_empty(), "an error names its cause: {input:?}");
+        }
+    });
 }

@@ -36,6 +36,30 @@
 
 use std::collections::BTreeSet;
 
+use swque_core::cycle::{CycleDelta, CycleStamp};
+
+/// The cycle at which a requested line arrives. [`Dram::request_from`]
+/// takes the cycle a request is *launched* at as a plain [`CycleStamp`]
+/// and returns this distinct type, so a completion cannot be passed where
+/// a launch is expected: launching a prefetch at the completion of the
+/// miss it rides on (which already includes the whole DRAM latency) is a
+/// type error. Waiting on a completion goes through
+/// [`stamp`](Self::stamp).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Completion(CycleStamp);
+
+impl Completion {
+    /// The completion at cycle `at`.
+    pub(crate) fn at(at: CycleStamp) -> Completion {
+        Completion(at)
+    }
+
+    /// The cycle the data is available, as a point on the clock.
+    pub fn stamp(self) -> CycleStamp {
+        self.0
+    }
+}
+
 /// Per-requester DRAM channel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramRequesterStats {
@@ -60,18 +84,18 @@ const MAX_HOLES: usize = 1024;
 /// between requesters (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Dram {
-    latency: u64,
-    transfer_cycles: u64,
-    next_free: u64,
+    latency: CycleDelta,
+    transfer_cycles: CycleDelta,
+    next_free: CycleStamp,
     transfers: u64,
     /// Reserved future slots declined by rate-capped requesters: start
     /// cycles, claimable by any requester whose own rate cap reaches back
     /// that far. Expired entries (start < now) are pruned lazily.
-    holes: BTreeSet<u64>,
+    holes: BTreeSet<CycleStamp>,
     /// Last request cycle per requester (`None` until the first request).
-    last_req: Vec<Option<u64>>,
+    last_req: Vec<Option<CycleStamp>>,
     /// Last granted slot start per requester (rate-cap anchor).
-    last_grant: Vec<Option<u64>>,
+    last_grant: Vec<Option<CycleStamp>>,
     per: Vec<DramRequesterStats>,
     /// Total contended wait cycles (sum of the per-requester counters).
     arb_wait_cycles: u64,
@@ -105,9 +129,9 @@ impl Dram {
         assert!(bytes_per_cycle > 0, "bandwidth must be positive"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         assert!(requesters > 0, "a channel needs at least one requester"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         Dram {
-            latency,
-            transfer_cycles: line_bytes.div_ceil(bytes_per_cycle),
-            next_free: 0,
+            latency: CycleDelta::new(latency),
+            transfer_cycles: CycleDelta::new(line_bytes.div_ceil(bytes_per_cycle)),
+            next_free: CycleStamp::ZERO,
             transfers: 0,
             holes: BTreeSet::new(),
             last_req: vec![None; requesters],
@@ -122,23 +146,15 @@ impl Dram {
         self.per.len()
     }
 
-    /// Requests one line at cycle `now` on behalf of requester 0; returns
-    /// the completion cycle. Single-requester channels keep the historical
-    /// semantics: completion is `start + latency` where
-    /// `start = max(now, next_free)`.
-    // swque-domain: now: CycleStamp(launch), return: CycleStamp(completion)
-    pub fn request(&mut self, now: u64) -> u64 {
-        self.request_from(0, now)
-    }
-
-    /// Requests one line at cycle `now` on behalf of `requester`; returns
-    /// the completion cycle under round-robin arbitration.
+    /// Requests one line launched at cycle `now` on behalf of `requester`;
+    /// returns its completion under round-robin arbitration. A single
+    /// requester gets first-come packing: completion is `start + latency`
+    /// where `start = max(now, next_free)`.
     ///
     /// # Panics
     ///
     /// Panics if `requester` is out of range for the channel.
-    // swque-domain: now: CycleStamp(launch), return: CycleStamp(completion)
-    pub fn request_from(&mut self, requester: usize, now: u64) -> u64 {
+    pub fn request_from(&mut self, requester: usize, now: CycleStamp) -> Completion {
         assert!(requester < self.per.len(), "requester id out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         // Expired holes: their start cycle passed unclaimed.
         while let Some(&start) = self.holes.first() {
@@ -160,8 +176,8 @@ impl Dram {
         // requester's next grant may start no earlier than one full
         // round-robin rotation after its previous one.
         let earliest = if others_active {
-            let spacing = active * self.transfer_cycles;
-            now.max(self.last_grant[requester].map_or(now, |g| g.saturating_add(spacing)))
+            let spacing = self.transfer_cycles * active;
+            now.max(self.last_grant[requester].map_or(now, |g| g + spacing))
         } else {
             now
         };
@@ -195,21 +211,21 @@ impl Dram {
         self.last_grant[requester] = Some(start);
 
         if others_active {
-            let wait = start.saturating_sub(now);
+            let wait = (start - now).get();
             self.per[requester].arb_wait_cycles += wait;
             self.arb_wait_cycles += wait;
         }
         self.transfers += 1;
         self.per[requester].transfers += 1;
-        start + self.latency
+        Completion(start + self.latency)
     }
 
     /// How long after its last request a requester still counts as an
     /// active contender for arbitration purposes. Sized to cover one full
     /// miss round-trip with slack, so a latency-bound requester (one
     /// outstanding miss at a time) stays continuously active.
-    fn activity_window(&self) -> u64 {
-        2 * (self.latency + self.transfer_cycles)
+    fn activity_window(&self) -> CycleDelta {
+        (self.latency + self.transfer_cycles) * 2
     }
 
     /// Number of line transfers performed (all requesters).
@@ -228,49 +244,52 @@ impl Dram {
     pub fn requester_stats(&self) -> &[DramRequesterStats] {
         &self.per
     }
-
-    /// Cycle at which the channel next becomes free.
-    pub fn next_free(&self) -> u64 {
-        self.next_free
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn at(cycle: u64) -> CycleStamp {
+        CycleStamp::new(cycle)
+    }
+
+    fn done(cycle: u64) -> Completion {
+        Completion(at(cycle))
+    }
+
     #[test]
     fn single_request_pays_minimum_latency() {
         let mut d = Dram::new(300, 8, 64);
-        assert_eq!(d.request(100), 400);
+        assert_eq!(d.request_from(0, at(100)), done(400));
     }
 
     #[test]
     fn back_to_back_requests_overlap_latency_but_not_bandwidth() {
         let mut d = Dram::new(300, 8, 64);
-        let a = d.request(0);
-        let b = d.request(0);
-        let c = d.request(0);
-        assert_eq!(a, 300);
-        assert_eq!(b, 308, "second transfer starts 8 cycles later (64B @ 8B/cyc)");
-        assert_eq!(c, 316);
+        let a = d.request_from(0, at(0));
+        let b = d.request_from(0, at(0));
+        let c = d.request_from(0, at(0));
+        assert_eq!(a, done(300));
+        assert_eq!(b, done(308), "second transfer starts 8 cycles later (64B @ 8B/cyc)");
+        assert_eq!(c, done(316));
         // Overlap: three misses cost 316 cycles, not 900 — this is the MLP
         // effect the paper's capacity-demanding phases exploit.
-        assert!(c < 3 * 300);
+        assert!(c < done(3 * 300));
     }
 
     #[test]
     fn channel_idles_between_distant_requests() {
         let mut d = Dram::new(300, 8, 64);
-        d.request(0);
-        assert_eq!(d.request(1000), 1300, "no residual queueing after idle gap");
+        d.request_from(0, at(0));
+        assert_eq!(d.request_from(0, at(1000)), done(1300), "no residual queueing after idle gap");
     }
 
     #[test]
     fn transfer_count_tracks_requests() {
         let mut d = Dram::new(10, 8, 64);
-        d.request(0);
-        d.request(0);
+        d.request_from(0, at(0));
+        d.request_from(0, at(0));
         assert_eq!(d.transfers(), 2);
     }
 
@@ -279,7 +298,7 @@ mod tests {
         let mut a = Dram::new(300, 8, 64);
         let mut b = Dram::shared(300, 8, 64, 1);
         for now in [0, 0, 5, 700, 700, 701, 10_000] {
-            assert_eq!(a.request(now), b.request_from(0, now));
+            assert_eq!(a.request_from(0, at(now)), b.request_from(0, at(now)));
         }
         assert_eq!(a.arb_wait_cycles(), 0);
         assert_eq!(b.arb_wait_cycles(), 0, "no contention possible with one requester");
@@ -289,36 +308,36 @@ mod tests {
     fn rate_capped_aggressor_leaves_claimable_holes() {
         let mut d = Dram::shared(300, 8, 64, 2);
         // Both requesters announce themselves, then requester 0 floods.
-        let v0 = d.request_from(1, 0);
-        assert_eq!(v0, 300);
-        let a = d.request_from(0, 0);
-        let b = d.request_from(0, 0);
-        let c = d.request_from(0, 0);
+        let v0 = d.request_from(1, at(0));
+        assert_eq!(v0, done(300));
+        let a = d.request_from(0, at(0));
+        let b = d.request_from(0, at(0));
+        let c = d.request_from(0, at(0));
         // First aggressor grant packs (slot at 8); with two active
         // requesters its grants must then be spaced 2 slots apart, so the
         // next two land at 24 and 40, each leaving the declined slot (16,
         // then 32) reserved.
-        assert_eq!(a, 308);
-        assert_eq!(b, 324);
-        assert_eq!(c, 340);
+        assert_eq!(a, done(308));
+        assert_eq!(b, done(324));
+        assert_eq!(c, done(340));
         // The victim's next request claims the earliest reserved hole (16)
         // instead of queueing behind the whole backlog.
-        let v1 = d.request_from(1, 1);
-        assert!(v1 <= 316, "victim claims a declined slot, got completion {v1}");
+        let v1 = d.request_from(1, at(1));
+        assert!(v1 <= done(316), "victim claims a declined slot, got completion {v1:?}");
     }
 
     #[test]
     fn aggressor_cannot_reclaim_its_own_declined_slots() {
         let mut d = Dram::shared(300, 8, 64, 2);
-        d.request_from(1, 0);
-        d.request_from(0, 0); // grant at 8
-        d.request_from(0, 0); // grant at 24, hole at 16
+        d.request_from(1, at(0));
+        d.request_from(0, at(0)); // grant at 8
+        d.request_from(0, at(0)); // grant at 24, hole at 16
         // The aggressor's own rate cap (next earliest start 40) is past the
         // hole it just declined, so its next grant cannot slip back into it.
-        let again = d.request_from(0, 0);
-        assert_eq!(again, 340, "rate cap holds the flood to every other slot");
+        let again = d.request_from(0, at(0));
+        assert_eq!(again, done(340), "rate cap holds the flood to every other slot");
         // The hole is still there for the victim.
-        assert_eq!(d.request_from(1, 2), 316);
+        assert_eq!(d.request_from(1, at(2)), done(316));
     }
 
     #[test]
@@ -328,7 +347,7 @@ mod tests {
         let mut d = Dram::shared(300, 8, 64, 2);
         let mut solo = Dram::new(300, 8, 64);
         for now in [0, 0, 0, 4, 16, 16] {
-            assert_eq!(d.request_from(0, now), solo.request(now));
+            assert_eq!(d.request_from(0, at(now)), solo.request_from(0, at(now)));
         }
         assert_eq!(d.arb_wait_cycles(), 0);
     }
@@ -337,7 +356,7 @@ mod tests {
     fn per_requester_transfers_sum_to_total() {
         let mut d = Dram::shared(100, 8, 64, 3);
         for (r, now) in [(0, 0), (1, 0), (2, 1), (0, 2), (1, 900), (1, 901)] {
-            d.request_from(r, now);
+            d.request_from(r, at(now));
         }
         let per: u64 = d.requester_stats().iter().map(|s| s.transfers).sum();
         assert_eq!(per, d.transfers());
@@ -350,19 +369,19 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_requester_rejected() {
         let mut d = Dram::shared(100, 8, 64, 2);
-        let _ = d.request_from(2, 0);
+        let _ = d.request_from(2, at(0));
     }
 
     #[test]
     fn expired_holes_do_not_serve_late_requests() {
         let mut d = Dram::shared(300, 8, 64, 2);
-        d.request_from(1, 0);
-        d.request_from(0, 0);
-        d.request_from(0, 0); // declines slot 16
+        d.request_from(1, at(0));
+        d.request_from(0, at(0));
+        d.request_from(0, at(0)); // declines slot 16
         // Requester 1 arrives long after the hole's start cycle passed (and
         // after requester 0's activity window lapsed): the hole has expired
         // and the request is served like an uncontended one.
-        let late = d.request_from(1, 1_000);
-        assert_eq!(late, 1_300, "expired hole is not claimable");
+        let late = d.request_from(1, at(1_000));
+        assert_eq!(late, done(1_300), "expired hole is not claimable");
     }
 }

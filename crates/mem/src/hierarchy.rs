@@ -13,12 +13,13 @@
 
 use std::collections::BTreeMap;
 
+use swque_core::cycle::{CycleDelta, CycleStamp};
 use swque_core::WakeHorizon;
 use swque_trace::{TraceEvent, TraceHandle};
 
 use crate::cache::Cache;
 use crate::config::MemConfig;
-use crate::dram::Dram;
+use crate::dram::{Completion, Dram};
 use crate::prefetch::StreamPrefetcher;
 use crate::stats::{MemStats, RequesterMemStats, SharedMemStats};
 
@@ -33,7 +34,7 @@ pub enum AccessKind {
     IFetch,
 }
 
-/// Timing outcome of an access.
+/// Timing outcome of an access, as a report: raw cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// Cycle at which the data is available.
@@ -44,17 +45,23 @@ pub struct AccessResult {
     pub l2_hit: bool,
 }
 
+impl AccessResult {
+    fn new(done: Completion, l1_hit: bool, l2_hit: bool) -> AccessResult {
+        AccessResult { done_at: done.stamp().get(), l1_hit, l2_hit }
+    }
+}
+
 /// One requester's private slice of the hierarchy: its L1 caches, its MSHR
 /// quota, and the counters attributed to it.
 #[derive(Debug)]
 struct RequesterMem {
     l1i: Cache,
     l1d: Cache,
-    /// Outstanding L1D misses: L1-line address → completion cycle. Ordered
-    /// map on purpose: `purge` and the MSHR occupancy scan iterate it, and
-    /// the determinism contract (DESIGN.md §8) bans hash-order iteration
-    /// on the simulated path.
-    mshr: BTreeMap<u64, u64>,
+    /// Outstanding L1D misses: L1-line address → completion. Ordered map
+    /// on purpose: `purge` and the MSHR occupancy scan iterate it, and the
+    /// determinism contract (DESIGN.md §8) bans hash-order iteration on
+    /// the simulated path.
+    mshr: BTreeMap<u64, Completion>,
     /// Demand LLC misses this requester caused.
     llc_demand_misses: u64,
     /// Misses merged into an existing MSHR.
@@ -76,9 +83,9 @@ pub struct MemoryHierarchy {
     l2: Cache,
     dram: Dram,
     prefetcher: Option<StreamPrefetcher>,
-    /// In-flight L2 fills (demand or prefetch): L2-line → completion cycle.
+    /// In-flight L2 fills (demand or prefetch): L2-line → completion.
     /// Ordered for the same reason as the MSHR maps.
-    inflight_l2: BTreeMap<u64, u64>,
+    inflight_l2: BTreeMap<u64, Completion>,
     /// L2 evictions whose displaced line was last touched by a different
     /// requester than the filler.
     neighbor_evictions: u64,
@@ -156,8 +163,8 @@ impl MemoryHierarchy {
     /// Samples miss/transfer activity when `now` has crossed into a new
     /// epoch. Called from the demand-miss path, so epochs with no misses
     /// fold into the next sample rather than emitting empty events.
-    fn sample_epoch(&mut self, requester: usize, now: u64) {
-        let epoch = now / MEM_EPOCH_CYCLES;
+    fn sample_epoch(&mut self, requester: usize, now: CycleStamp) {
+        let epoch = now.get() / MEM_EPOCH_CYCLES;
         if epoch <= self.trace_epoch {
             return;
         }
@@ -248,22 +255,21 @@ impl MemoryHierarchy {
         self.cores[requester].llc_demand_misses // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition (indexing is the check)
     }
 
-    fn purge(&mut self, requester: usize, now: u64) {
+    fn purge(&mut self, requester: usize, now: CycleStamp) {
         // Keep the in-flight maps small; entries strictly in the past can go.
         if self.cores[requester].mshr.len() > 64 {
-            self.cores[requester].mshr.retain(|_, done| *done > now);
+            self.cores[requester].mshr.retain(|_, done| done.stamp() > now);
         }
         if self.inflight_l2.len() > 256 {
-            self.inflight_l2.retain(|_, done| *done > now);
+            self.inflight_l2.retain(|_, done| done.stamp() > now);
         }
     }
 
     /// Performs an access starting at cycle `now` on behalf of requester 0;
-    /// returns its timing. The single-core entry point — multi-core
-    /// callers use [`access_from`](Self::access_from).
-    // swque-domain: now: CycleStamp(launch), addr: ByteAddr
+    /// returns its timing. The single-core entry point over raw cycles —
+    /// the pipeline uses [`access_from`](Self::access_from).
     pub fn access(&mut self, addr: u64, kind: AccessKind, now: u64) -> AccessResult {
-        self.access_from(0, addr, kind, now)
+        self.access_from(0, addr, kind, CycleStamp::new(now))
     }
 
     /// Performs an access starting at cycle `now` on behalf of `requester`;
@@ -272,38 +278,37 @@ impl MemoryHierarchy {
     /// # Panics
     ///
     /// Panics if `requester` is out of range for the hierarchy.
-    // swque-domain: now: CycleStamp(launch), addr: ByteAddr
     pub fn access_from(
         &mut self,
         requester: usize,
         addr: u64,
         kind: AccessKind,
-        now: u64,
+        now: CycleStamp,
     ) -> AccessResult {
         assert!(requester < self.cores.len(), "requester id out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
         self.purge(requester, now);
         let is_data = kind != AccessKind::IFetch;
         let pc = &mut self.cores[requester];
         let l1 = if is_data { &mut pc.l1d } else { &mut pc.l1i };
-        let l1_lat = l1.config().hit_latency;
+        let l1_lat = CycleDelta::new(l1.config().hit_latency);
         let l1_line = l1.line_addr(addr);
 
         if l1.access(addr) {
             // A hit may still be to a line whose fill is in flight.
             if let Some(&done) = pc.mshr.get(&l1_line) {
-                if done > now && is_data {
-                    return AccessResult { done_at: done, l1_hit: true, l2_hit: false };
+                if done.stamp() > now && is_data {
+                    return AccessResult::new(done, true, false);
                 }
             }
-            return AccessResult { done_at: now + l1_lat, l1_hit: true, l2_hit: false };
+            return AccessResult::new(Completion::at(now + l1_lat), true, false);
         }
 
         // L1 miss. Merge into an outstanding MSHR for the same line if any.
         if is_data {
             if let Some(&done) = pc.mshr.get(&l1_line) {
-                if done > now {
+                if done.stamp() > now {
                     pc.mshr_merges += 1;
-                    return AccessResult { done_at: done, l1_hit: false, l2_hit: false };
+                    return AccessResult::new(done, false, false);
                 }
             }
         }
@@ -314,15 +319,16 @@ impl MemoryHierarchy {
         let mut start = now;
         if is_data {
             loop {
-                let busy = pc.mshr.values().filter(|&&d| d > start).count();
+                let busy = pc.mshr.values().filter(|d| d.stamp() > start).count();
                 if busy < self.config.mshrs {
                     break;
                 }
-                let Some(earliest) = pc.mshr.values().filter(|&&d| d > start).copied().min()
+                let Some(earliest) =
+                    pc.mshr.values().map(|d| d.stamp()).filter(|&d| d > start).min()
                 else {
                     break; // busy == 0 next iteration anyway
                 };
-                pc.mshr_stall_cycles += earliest - start;
+                pc.mshr_stall_cycles += (earliest - start).get();
                 start = earliest;
             }
         }
@@ -330,10 +336,11 @@ impl MemoryHierarchy {
         // Shared L2 lookup.
         let l2_line = self.l2.line_addr(addr);
         let l2_lookup_at = start + l1_lat;
+        let l2_lat = CycleDelta::new(self.config.l2.hit_latency);
         let l2_hit = self.l2.access_by(addr, requester);
         let done_at;
         if l2_hit {
-            let mut done = l2_lookup_at + self.config.l2.hit_latency;
+            let mut done = Completion::at(l2_lookup_at + l2_lat);
             // Hit to a line still being filled (e.g. by a prefetch in
             // flight): wait for the fill.
             if let Some(&fill_done) = self.inflight_l2.get(&l2_line) {
@@ -344,7 +351,7 @@ impl MemoryHierarchy {
             done_at = done;
         } else {
             self.cores[requester].llc_demand_misses += 1;
-            let done = self.dram.request_from(requester, l2_lookup_at + self.config.l2.hit_latency);
+            let done = self.dram.request_from(requester, l2_lookup_at + l2_lat);
             self.note_l2_fill(requester, addr, false);
             self.inflight_l2.insert(l2_line, done);
             done_at = done;
@@ -357,7 +364,7 @@ impl MemoryHierarchy {
         // the channel once the demand it rides on has fully returned would
         // arrive ~`dram_latency` cycles late and lose the timeliness race
         // it exists to win.
-        let pf_issue_at = l2_lookup_at + self.config.l2.hit_latency;
+        let pf_issue_at = l2_lookup_at + l2_lat;
         {
             if let Some(pf) = &mut self.prefetcher {
                 let requests = pf.observe(l2_line, !l2_hit);
@@ -383,7 +390,7 @@ impl MemoryHierarchy {
             self.sample_epoch(requester, now);
         }
 
-        AccessResult { done_at, l1_hit: false, l2_hit }
+        AccessResult::new(done_at, false, l2_hit)
     }
 
     /// Fills the shared L2 on behalf of `requester`, attributing any
@@ -406,12 +413,12 @@ impl WakeHorizon for MemoryHierarchy {
     /// rather than assumed absent. `dram.next_free` is deliberately *not* a
     /// horizon: bandwidth occupancy only delays requests that have not been
     /// made yet — it wakes nothing on its own.
-    fn wake_horizon(&self, now: u64) -> Option<u64> {
+    fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp> {
         self.cores
             .iter()
             .flat_map(|c| c.mshr.values())
             .chain(self.inflight_l2.values())
-            .copied()
+            .map(|done| done.stamp())
             .filter(|&done| done > now)
             .min()
     }
@@ -591,14 +598,14 @@ mod tests {
         let mut m = MemoryHierarchy::shared(cfg, 2);
         // Requester 0 warms a line; requester 1 still L1-misses it (private
         // L1s) but L2-hits (shared L2).
-        let a = m.access_from(0, 0x10000, AccessKind::Load, 0);
-        let b = m.access_from(1, 0x10000, AccessKind::Load, a.done_at);
+        let a = m.access_from(0, 0x10000, AccessKind::Load, CycleStamp::new(0));
+        let b = m.access_from(1, 0x10000, AccessKind::Load, CycleStamp::new(a.done_at));
         assert!(!b.l1_hit && b.l2_hit, "shared L2, private L1");
         // Requester 1's quota is private: its single MSHR being busy must
         // not stall requester 0.
-        let _ = m.access_from(1, 0x200000, AccessKind::Load, 5000);
+        let _ = m.access_from(1, 0x200000, AccessKind::Load, CycleStamp::new(5000));
         let before = m.stats_of(0).mshr_stall_cycles;
-        let _ = m.access_from(0, 0x300000, AccessKind::Load, 5000);
+        let _ = m.access_from(0, 0x300000, AccessKind::Load, CycleStamp::new(5000));
         assert_eq!(m.stats_of(0).mshr_stall_cycles, before, "quotas are per-core");
     }
 
@@ -608,11 +615,11 @@ mod tests {
         let mut cfg = no_prefetch();
         cfg.l2 = CacheConfig { size_bytes: 64, ways: 1, line_bytes: 64, hit_latency: 12 };
         let mut m = MemoryHierarchy::shared(cfg, 2);
-        let _ = m.access_from(0, 0x10000, AccessKind::Load, 0);
+        let _ = m.access_from(0, 0x10000, AccessKind::Load, CycleStamp::new(0));
         assert_eq!(m.shared_stats().neighbor_evictions, 0, "first fill displaces nothing");
-        let _ = m.access_from(1, 0x20000, AccessKind::Load, 1000);
+        let _ = m.access_from(1, 0x20000, AccessKind::Load, CycleStamp::new(1000));
         assert_eq!(m.shared_stats().neighbor_evictions, 1, "core 1 evicted core 0's line");
-        let _ = m.access_from(1, 0x30000, AccessKind::Load, 2000);
+        let _ = m.access_from(1, 0x30000, AccessKind::Load, CycleStamp::new(2000));
         assert_eq!(m.shared_stats().neighbor_evictions, 1, "self-eviction is not a neighbor hit");
     }
 
@@ -620,7 +627,7 @@ mod tests {
     fn shared_stats_sum_per_requester_counters() {
         let mut m = MemoryHierarchy::shared(no_prefetch(), 3);
         for (r, addr) in [(0usize, 0x10000u64), (1, 0x20000), (2, 0x30000), (1, 0x40000)] {
-            let _ = m.access_from(r, addr, AccessKind::Load, 0);
+            let _ = m.access_from(r, addr, AccessKind::Load, CycleStamp::new(0));
         }
         let shared = m.shared_stats();
         let per_misses: u64 = shared.per_requester.iter().map(|p| p.llc_demand_misses).sum();

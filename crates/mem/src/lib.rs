@@ -42,7 +42,7 @@ mod stats;
 
 pub use cache::Cache;
 pub use config::{CacheConfig, MemConfig, PrefetchConfig};
-pub use dram::{Dram, DramRequesterStats};
+pub use dram::{Completion, Dram, DramRequesterStats};
 pub use hierarchy::{AccessKind, AccessResult, MemoryHierarchy};
 pub use prefetch::StreamPrefetcher;
 pub use stats::{CacheStats, MemStats, RequesterMemStats, SharedMemStats};

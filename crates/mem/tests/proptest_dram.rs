@@ -12,6 +12,7 @@
 //! wait stays bounded by a small constant regardless of how deep the
 //! flooders' backlog has grown.
 
+use swque_core::cycle::CycleStamp;
 use swque_mem::Dram;
 use swque_rng::prop::check;
 
@@ -47,7 +48,7 @@ fn paced_requesters_are_never_starved_by_flooders() {
                 .enumerate()
                 .min_by_key(|&(i, &t)| (t, i))
                 .expect("at least one requester");
-            let done = dram.request_from(r, now);
+            let done = dram.request_from(r, CycleStamp::new(now)).stamp().get();
             let wait = done - LATENCY - now;
             if floods[r] {
                 // Flooders fire regardless of completions: the backlog they
@@ -78,7 +79,7 @@ fn per_requester_transfer_and_wait_accounting_sums_to_totals() {
         for _ in 0..200 {
             let r = g.gen_range(0usize..requesters);
             now += g.gen_range(0u64..20);
-            let done = dram.request_from(r, now);
+            let done = dram.request_from(r, CycleStamp::new(now)).stamp().get();
             assert!(done >= now + LATENCY, "service can never beat the floor latency");
         }
         let per = dram.requester_stats();

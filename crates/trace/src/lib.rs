@@ -174,7 +174,6 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The cycle stamp carried by every variant.
-    // swque-domain: return: CycleStamp
     pub fn cycle(&self) -> u64 {
         match *self {
             TraceEvent::Interval { cycle, .. }

@@ -112,6 +112,115 @@ clippy_pass "harness env-read" crates/bench/clippy.toml \
 clippy_neg_check disallowed_types crates/bench/clippy.toml \
     'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
 
+echo "== types: cycle-domain negative matrix (one injection per illegal mix, each must fail)"
+# Cycle stamps, cycle deltas and instruction counts are newtypes
+# (swque_core::cycle), and a DRAM completion is a type distinct from the
+# launch stamp a request takes (swque_mem::Completion), so rustc rejects
+# mixing them. Each injection goes into a scratch package under target/
+# with path dependencies on the workspace crates. It must fail to build
+# with its expected error code: E0308 (mismatched types) where an
+# operator or a call has an impl for another type, E0369 where the
+# operator has no impl at all. A clean control of the legal algebra must
+# build under the same setup.
+type_neg=target/type-neg
+mkdir -p "$type_neg"
+cat > "$type_neg/Cargo.toml" <<'EOF_TOML'
+[package]
+name = "type-neg"
+version = "0.0.0"
+edition = "2021"
+publish = false
+
+[lib]
+path = "lib.rs"
+
+[dependencies]
+swque-core = { path = "../../crates/core" }
+swque-mem = { path = "../../crates/mem" }
+
+[workspace]
+EOF_TOML
+type_prelude='use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
+use swque_core::IssueQueue;
+use swque_mem::{Completion, Dram};
+'
+type_build() {
+    printf '%s%b' "$type_prelude" "$1" > "$type_neg/lib.rs"
+    CARGO_TARGET_DIR="$type_neg/target" cargo build --offline -q \
+        --manifest-path "$type_neg/Cargo.toml" > "$type_neg/out.txt" 2>&1
+}
+type_build 'pub fn wait(done: CycleStamp, now: CycleStamp) -> CycleDelta { done - now }
+pub fn refill(d: &mut Dram, at: CycleStamp) -> Completion { d.request_from(0, at + CycleDelta::ONE) }
+pub fn due(now: CycleStamp, done: Completion) -> bool { done.stamp() <= now }
+pub fn reset(n: InstCount, last: InstCount, every: InstCount) -> bool { n >= last + every }
+pub fn poll(q: &mut dyn IssueQueue, now: CycleStamp, n: InstCount) -> bool {
+    q.poll_mode_switch(now, n, 0)
+}
+' || {
+    echo "error: the cycle-domain control does not build" >&2
+    cat "$type_neg/out.txt" >&2
+    exit 1
+}
+type_neg_check() {
+    local what="$1" code="$2" src="$3"
+    if type_build "$src"; then
+        echo "error: rustc accepted $what" >&2
+        exit 1
+    fi
+    grep -q "^error\[$code\]" "$type_neg/out.txt" || {
+        echo "error: $what did not fail with $code" >&2
+        cat "$type_neg/out.txt" >&2
+        exit 1
+    }
+}
+type_neg_check "stamp + stamp" E0308 \
+    'pub fn f(done: CycleStamp, now: CycleStamp) -> CycleStamp { done + now }\n'
+type_neg_check "delta - stamp" E0369 \
+    'pub fn f(lat: CycleDelta, now: CycleStamp) -> CycleDelta { lat - now }\n'
+type_neg_check "a completion passed as a launch" E0308 \
+    'pub fn f(d: &mut Dram, done: Completion) -> Completion { d.request_from(0, done) }\n'
+type_neg_check "a stamp compared with an instruction count" E0308 \
+    'pub fn f(now: CycleStamp, last_reset: InstCount) -> bool { now >= last_reset }\n'
+type_neg_check "poll_mode_switch with cycle and instructions swapped" E0308 \
+    'pub fn f(q: &mut dyn IssueQueue, now: CycleStamp, n: InstCount) -> bool {\n    q.poll_mode_switch(n, now, 0)\n}\n'
+
+echo "== types: regression demo (reverting the PR-8 prefetch launch fix must not compile)"
+# PR 8 fixed prefetches launched at the *completion* stamp of the
+# triggering miss instead of its launch stamp. Re-introduce that bug in a
+# scratch copy of the workspace and demand E0308 at the precise call site
+# of crates/mem/src/hierarchy.rs; the unmodified copy must build.
+demo=target/pr8-demo
+rm -rf "$demo/crates" "$demo/src" "$demo/tests" "$demo/examples"
+mkdir -p "$demo"
+tar --exclude=target -cf - Cargo.toml Cargo.lock crates src tests examples | tar -xf - -C "$demo"
+pr8_build() {
+    CARGO_TARGET_DIR="$demo/target" cargo build --offline -q -p swque-mem \
+        --manifest-path "$demo/Cargo.toml" > "$demo/out.txt" 2>&1
+}
+pr8_build || {
+    echo "error: the unmodified copy of the workspace does not build" >&2
+    cat "$demo/out.txt" >&2
+    exit 1
+}
+sed -i 's/request_from(requester, pf_issue_at)/request_from(requester, done_at)/' \
+    "$demo/crates/mem/src/hierarchy.rs"
+bug_line="$(grep -n 'request_from(requester, done_at)' "$demo/crates/mem/src/hierarchy.rs" \
+    | cut -d: -f1)"
+[ -n "$bug_line" ] || {
+    echo "error: regression demo could not re-introduce the PR-8 bug (call site moved?)" >&2
+    exit 1
+}
+if pr8_build; then
+    echo "error: the workspace built with the PR-8 prefetch bug re-introduced" >&2
+    exit 1
+fi
+grep -q '^error\[E0308\]' "$demo/out.txt" \
+    && grep -q "crates/mem/src/hierarchy.rs:$bug_line:" "$demo/out.txt" || {
+    echo "error: PR-8 regression not rejected with E0308 at hierarchy.rs:$bug_line" >&2
+    cat "$demo/out.txt" >&2
+    exit 1
+}
+
 echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall, ilp_busy and multicore_contention runs are correct"
 # swque_benchmark is a package of its own (an empty [workspace] table), so
 # --workspace above never compiles it, and an API change in a crate it
@@ -160,10 +269,6 @@ neg_check unchecked-arith crates/core/src/injected.rs \
     'fn f(cycle: u64, tick: u64) -> u64 { cycle - tick }\n'
 neg_check panic-in-lib crates/trace/src/injected.rs \
     'pub fn head(v: &[u8]) -> u8 { *v.first().unwrap() }\n'
-neg_check cross-domain-arith crates/mem/src/injected.rs \
-    'fn f(done_at: u64, issue_at: u64) -> u64 { done_at + issue_at }\n'
-neg_check cross-domain-call crates/mem/src/injected.rs \
-    '// swque-domain: at: CycleStamp(launch)\nfn launch(at: u64) { let _ = at; }\nfn f(done_at: u64) { launch(done_at); }\n'
 neg_check mc-replay crates/mc/src/injected.rs \
     'const T: &str = "swque-mc-replay-v1 kind=CIRC cap=x width=1 inject=- expect=- events=-";\n'
 
@@ -176,37 +281,6 @@ explain_status=0
 ./target/release/swque-lint --explain not-a-rule > /dev/null 2>&1 || explain_status=$?
 [ "$explain_status" -eq 2 ] || {
     echo "error: --explain of an unknown rule exited $explain_status, expected 2" >&2
-    exit 1
-}
-
-echo "== lint: regression demo (reverting the PR-8 prefetch launch fix must be caught)"
-# The dataflow pass exists to catch exactly the bug class PR 8 fixed:
-# launching a prefetch DRAM request at the *completion* stamp of the
-# triggering miss instead of its launch stamp. Re-introduce that bug in a
-# scratch copy of crates/mem and demand a cross-domain-call finding at the
-# precise call site; the fixed tree must stay clean.
-demo="$json_tmp/pr8-demo"
-mkdir -p "$demo/crates"
-cp -r crates/mem "$demo/crates/"
-./target/release/swque-lint --root "$demo" > /dev/null || {
-    echo "error: the fixed prefetch tree is not lint-clean" >&2
-    exit 1
-}
-sed -i 's/request_from(requester, pf_issue_at)/request_from(requester, done_at)/' \
-    "$demo/crates/mem/src/hierarchy.rs"
-bug_line="$(grep -n 'request_from(requester, done_at)' "$demo/crates/mem/src/hierarchy.rs" \
-    | cut -d: -f1)"
-[ -n "$bug_line" ] || {
-    echo "error: regression demo could not re-introduce the PR-8 bug (call site moved?)" >&2
-    exit 1
-}
-if ./target/release/swque-lint --root "$demo" > "$json_tmp/pr8-out.txt" 2>&1; then
-    echo "error: swque-lint passed a tree with the PR-8 prefetch bug re-introduced" >&2
-    exit 1
-fi
-grep -q "crates/mem/src/hierarchy.rs:$bug_line:.*cross-domain-call" "$json_tmp/pr8-out.txt" || {
-    echo "error: PR-8 regression not attributed to hierarchy.rs:$bug_line" >&2
-    cat "$json_tmp/pr8-out.txt" >&2
     exit 1
 }
 

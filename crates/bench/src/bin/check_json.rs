@@ -11,8 +11,7 @@
 //! `swque-mc-v1` model-checker reports (every violation's replay string
 //! is re-parsed under the `swque-mc-replay-v1` grammar and checked
 //! against the run's target and violated property). Used by
-//! `scripts/verify.sh` as the JSON smoke step for these producers (the
-//! lint report's shape is pinned by the lint crate's own tests).
+//! `scripts/verify.sh` as the JSON smoke step for these producers.
 //!
 //! Diagnostics name the offending JSON path (`tables[2].rows[5]`,
 //! `traces[0].trace.events`, …) so a broken writer can be located without
@@ -770,8 +769,8 @@ mod tests {
 
     #[test]
     fn rejects_mc_replays_that_do_not_match_their_run() {
-        // Replay fails the grammar outright (assembled with `format!` so
-        // the broken trace is invisible to the `mc-replay` lint rule).
+        // Replay fails the grammar outright (assembled with `format!`, so
+        // every literal with the magic prefix stays a well-formed trace).
         let magic = swque_core::replay::REPLAY_MAGIC;
         let bad = valid_mc_doc(&format!("{magic} kind=CIRC-PC cap=3"));
         let err = check_report(&bad).unwrap_err();

@@ -66,8 +66,12 @@ impl<'a> Row<'a> {
 
     /// The trace of the entry's `i`-th unit, which the entry declared
     /// traced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry did not declare unit `i` traced.
     pub fn trace(&self, i: usize) -> &'a TraceSummary {
-        // swque-lint: allow(panic-in-lib) — run() traces every unit an entry declares traced
+        #[expect(clippy::expect_used, reason = "run() traces every unit an entry declares traced")]
         self.outcomes[i].trace.as_ref().expect("the entry declared this unit traced")
     }
 }
@@ -347,6 +351,11 @@ pub fn tables_shim(part: Option<&str>, budget: &Budget) {
     out.emit();
 }
 
+/// Table 2: the medium model's configuration.
+///
+/// # Panics
+///
+/// Panics if the medium model has no prefetcher.
 fn table2(out: &mut Output) {
     let c = CoreConfig::medium();
     let (pred, fu, mem) = (&c.predictor, &c.fu_counts, &c.mem);
@@ -397,7 +406,7 @@ fn table2(out: &mut Output) {
     let (latency, bandwidth) = (mem.dram_latency, mem.dram_bytes_per_cycle);
     let dram = format!("{latency}-cycle min latency, {bandwidth}B/cycle bandwidth");
     t.row(["Main memory", &dram]);
-    // swque-lint: allow(panic-in-lib) — Table 2 describes the medium model, which has one
+    #[expect(clippy::expect_used, reason = "Table 2 describes the medium model, which has one")]
     let p = mem.prefetch.expect("medium model has a prefetcher");
     t.row([
         "Data prefetch",
@@ -505,10 +514,15 @@ fn fig09(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("speedup", &table);
 }
 
+/// Figure 10: the share of cycles SWQUE spends in each mode.
+///
+/// # Panics
+///
+/// Panics if a row's unit is not a SWQUE run.
 fn fig10(rows: &[Row<'_>], out: &mut Output) {
     let mut table = Table::new(["program", "class", "CIRC-PC cycles", "AGE cycles", "switches"]);
     for row in rows {
-        // swque-lint: allow(panic-in-lib) — fig10's one unit is a SWQUE run
+        #[expect(clippy::expect_used, reason = "fig10's one unit is a SWQUE run")]
         let sw = row.result(0).swque.expect("SWQUE reports mode stats");
         let frac = sw.circ_pc_fraction();
         let (name, class) = (row.kernel.name, row.kernel.class.to_string());
@@ -618,6 +632,7 @@ fn fig12(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("energy", &table);
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "a bar is a fraction of 120 characters")]
 fn fig13(_: &[Row<'_>], out: &mut Output) {
     let a = areas(&IqGeometry::medium());
     let total: f64 = a.figure13_rows().iter().map(|r| r.1).sum();
@@ -747,6 +762,12 @@ fn ablations(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("ablations", &t);
 }
 
+/// The kernel characterization table: instruction mix, mispredictions,
+/// MPKI and IPC.
+///
+/// # Panics
+///
+/// Panics if a suite kernel faults in the functional emulator.
 fn characterize(rows: &[Row<'_>], out: &mut Output) {
     let mut t = Table::new([
         "kernel", "class", "iALU%", "mul%", "ld/st%", "FP%", "br%", "mispred%", "MPKI", "IPC(AGE)",
@@ -757,7 +778,10 @@ fn characterize(rows: &[Row<'_>], out: &mut Output) {
         let mut emu = Emulator::new(&program);
         let (mut mix, mut branches, mut total) = ([0u64; 4], 0u64, 0u64);
         while !emu.halted() && total < 60_000 {
-            // swque-lint: allow(panic-in-lib) — suite kernels are well-formed; golden traces pin them
+            #[expect(
+                clippy::expect_used,
+                reason = "suite kernels are well-formed; golden traces pin them"
+            )]
             let r = emu.step().expect("well-formed kernel");
             mix[r.inst.op.fu_class().index()] += 1;
             branches += r.inst.op.is_control() as u64;
@@ -853,6 +877,12 @@ fn sensitivity(_: &[Row<'_>], out: &mut Output) {
     out.report.add_table("circuit_scaling", &t);
 }
 
+/// The tuning table: every `TUNE` kind's IPC, SWQUE's mode share and the
+/// interval metrics.
+///
+/// # Panics
+///
+/// Panics if `TUNE`'s unit 6 is not a SWQUE run.
 fn tune(rows: &[Row<'_>], out: &mut Output) {
     let mut header: Vec<&str> = vec!["kernel", "class"];
     header.extend(TUNE.iter().map(|k| k.label()));
@@ -863,7 +893,7 @@ fn tune(rows: &[Row<'_>], out: &mut Output) {
         cells.extend((0..TUNE.len()).map(|i| format!("{:.3}", row.result(i).ipc())));
         let (age, swque) = (row.result(5), row.result(6));
         cells.push(pct(swque.ipc() / age.ipc()));
-        // swque-lint: allow(panic-in-lib) — TUNE's unit 6 is a SWQUE run
+        #[expect(clippy::expect_used, reason = "TUNE's unit 6 is a SWQUE run")]
         let sw = swque.swque.expect("SWQUE reports mode stats");
         cells.push(format!("{:.0}%", sw.circ_pc_fraction() * 100.0));
         cells.push(format!("{:.2}", age.mpki()));

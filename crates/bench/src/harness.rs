@@ -323,11 +323,10 @@ pub fn default_workers_with(requested: usize, kernels: usize) -> usize {
 ///
 /// Panics if `values` is empty or contains non-positive entries.
 pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geomean of nothing"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+    assert!(!values.is_empty(), "geomean of nothing");
     let log_sum: f64 = values
         .iter()
         .map(|&v| {
-            // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
             assert!(v > 0.0, "geomean requires positive values, got {v}");
             v.ln()
         })

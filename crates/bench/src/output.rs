@@ -132,9 +132,14 @@ impl Report {
     /// worse than a failed experiment run.
     pub fn write(&self, path: &Path) {
         let doc = format!("{}\n", self.to_json());
-        std::fs::write(path, doc)
-            // swque-lint: allow(panic-in-lib) — documented: a silently dropped report is worse than a failed run
-            .unwrap_or_else(|e| panic!("SWQUE_JSON: cannot write {}: {e}", path.display()));
+        match std::fs::write(path, doc) {
+            Ok(()) => {}
+            #[expect(
+                clippy::panic,
+                reason = "documented: a silently dropped report is worse than a failed run"
+            )]
+            Err(e) => panic!("SWQUE_JSON: cannot write {}: {e}", path.display()),
+        }
         eprintln!("[swque-bench] wrote {}", path.display());
     }
 }

@@ -26,7 +26,7 @@ impl Btb {
     ///
     /// Panics if `num_sets` is not a power of two or `ways == 0`.
     pub fn new(num_sets: usize, ways: usize) -> Btb {
-        assert!(num_sets.is_power_of_two(), "BTB set count must be a power of two"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(num_sets.is_power_of_two(), "BTB set count must be a power of two");
         assert!(ways > 0, "BTB needs at least one way");
         Btb {
             sets: vec![vec![Way { tag: 0, target: 0, lru: 0, valid: false }; ways]; num_sets],
@@ -34,6 +34,7 @@ impl Btb {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked below the set count, a usize")]
     fn set_index(&self, pc: u64) -> usize {
         (pc & (self.sets.len() as u64 - 1)) as usize
     }

@@ -19,7 +19,7 @@ impl Gshare {
     ///
     /// Panics if `pht_entries` is not a power of two or `history_bits > 32`.
     pub fn new(history_bits: u32, pht_entries: usize) -> Gshare {
-        assert!(pht_entries.is_power_of_two(), "PHT size must be a power of two"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(pht_entries.is_power_of_two(), "PHT size must be a power of two");
         assert!(history_bits <= 32, "history length out of range");
         Gshare {
             history_bits,
@@ -29,6 +29,7 @@ impl Gshare {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked below the table length, a usize")]
     fn index(&self, pc: u64) -> usize {
         let mask = (self.pht.len() - 1) as u64;
         ((pc ^ self.history) & mask) as usize

@@ -62,8 +62,12 @@ pub struct AgeMatrix {
 
 impl AgeMatrix {
     /// Creates an empty matrix over `capacity` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is 0.
     pub fn new(capacity: usize) -> AgeMatrix {
-        assert!(capacity > 0, "age matrix needs at least one slot"); // swque-lint: allow(panic-in-lib) — construction-time size contract shared by every queue config
+        assert!(capacity > 0, "age matrix needs at least one slot");
         let words_per_row = words_for(capacity);
         AgeMatrix {
             capacity,
@@ -93,7 +97,7 @@ impl AgeMatrix {
     ///
     /// Panics if slot `i` is already allocated.
     pub fn allocate(&mut self, i: usize) {
-        assert!(!Self::bit(&self.valid, i), "age-matrix slot {i} allocated twice"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract; a double allocate corrupts age order silently otherwise
+        assert!(!Self::bit(&self.valid, i), "age-matrix slot {i} allocated twice");
         // Row i := current valid vector. Column i needs no clearing: it is
         // already 0 in every valid row (valid rows ⊆ valid mask and i was
         // invalid), and invalid rows are rewritten when their slot

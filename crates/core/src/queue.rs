@@ -22,11 +22,11 @@ use crate::types::{DispatchReq, Grant, IqFullError, IqMode, IssueBudget, Tag};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketSpec {
     /// Buckets for integer instructions (iALU + iMULT/DIV).
-    pub int: usize,
+    pub int: u8,
     /// Buckets for memory instructions.
-    pub mem: usize,
+    pub mem: u8,
     /// Buckets for FP instructions.
-    pub fp: usize,
+    pub fp: u8,
 }
 
 impl BucketSpec {
@@ -43,7 +43,7 @@ impl BucketSpec {
 
     /// Total number of age matrices.
     pub fn total(&self) -> usize {
-        self.int + self.mem + self.fp
+        usize::from(self.int) + usize::from(self.mem) + usize::from(self.fp)
     }
 }
 
@@ -82,6 +82,10 @@ impl Default for IqConfig {
 
 impl IqConfig {
     /// First priority rank that counts as "low priority" for FLPI.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the region is a fraction of the capacity, so the rounded product fits a usize"
+    )]
     pub fn flpi_rank_floor(&self) -> usize {
         let region = (self.capacity as f64 * self.flpi_region_frac).round() as usize;
         self.capacity.saturating_sub(region.max(1))

@@ -50,9 +50,9 @@ impl RandomQueue {
     fn with_buckets(config: &IqConfig, spec: BucketSpec, name: &'static str) -> RandomQueue {
         let total = spec.total();
         let groups = [
-            (0u8, spec.int as u8),
-            (spec.int as u8, spec.mem as u8),
-            ((spec.int + spec.mem) as u8, spec.fp as u8),
+            (0, spec.int),
+            (spec.int, spec.mem),
+            (spec.int + spec.mem, spec.fp),
         ];
         RandomQueue {
             slots: SlotArray::new(config.capacity),
@@ -93,12 +93,17 @@ impl RandomQueue {
 
     /// Chooses the least-loaded bucket serving `fu`. With a single matrix
     /// everything maps to bucket 0; with none the value is unused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no bucket serves `fu`'s group: the group table is built
+    /// to cover every FU class, so a gap is a construction bug.
     fn steer(&self, fu: FuClass) -> u8 {
         if self.matrices.len() <= 1 {
             return 0;
         }
         let (first, count) = self.groups[group_of(fu)];
-        assert!(count > 0, "no bucket serves {fu}"); // swque-lint: allow(panic-in-lib) — the group table is built to cover every FU class; a gap is a construction bug
+        assert!(count > 0, "no bucket serves {fu}");
         (first..first + count)
             .min_by_key(|&b| self.bucket_load[b as usize])
             .unwrap_or(first)

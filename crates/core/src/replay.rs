@@ -6,8 +6,8 @@
 //! mutation, expected property, and the event trace — so a `#[test]` can
 //! re-execute the exact counterexample against the real queue forever. The
 //! grammar lives here in `swque-core` (next to the event vocabulary it
-//! serializes) so the checker, the committed replay corpus, and the
-//! `mc-replay` lint rule all parse with one implementation.
+//! serializes) so the checker, the committed replay corpus, and
+//! `check_json` all parse with one implementation.
 //!
 //! # Grammar
 //!
@@ -357,9 +357,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_replays_with_named_errors() {
-        // Deliberately malformed traces are assembled with `format!` so no
-        // string literal carries the magic prefix: the `mc-replay` lint
-        // rule parse-checks every literal that starts with it.
+        // Deliberately malformed traces are assembled with `format!`, so
+        // every string literal that carries the magic prefix is a
+        // well-formed trace, parsed by the test that holds it.
         let m = REPLAY_MAGIC;
         let cases = [
             (String::new(), "must start with"),

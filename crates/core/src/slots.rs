@@ -94,8 +94,12 @@ pub struct SlotArray {
 
 impl SlotArray {
     /// Creates `capacity` empty slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is 0.
     pub fn new(capacity: usize) -> SlotArray {
-        assert!(capacity > 0, "issue queue needs at least one entry"); // swque-lint: allow(panic-in-lib) — construction-time size contract shared by every queue config
+        assert!(capacity > 0, "issue queue needs at least one entry");
         SlotArray {
             slots: vec![Slot::EMPTY; capacity],
             len: 0,
@@ -181,9 +185,13 @@ impl SlotArray {
     /// # Panics
     ///
     /// Panics if the slot is already valid (the caller tracks free slots).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pos indexes the slots, and queue capacities are far below 2^32"
+    )]
     pub fn insert(&mut self, pos: usize, req: DispatchReq, reverse: bool, bucket: u8) {
         let slot = &mut self.slots[pos];
-        assert!(!slot.valid, "dispatch into an occupied slot {pos}"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract; overwriting a live entry would corrupt the queue silently
+        assert!(!slot.valid, "dispatch into an occupied slot {pos}");
         *slot = Slot {
             valid: true,
             seq: req.seq,
@@ -212,7 +220,7 @@ impl SlotArray {
     /// Panics if the slot is not valid.
     pub fn remove(&mut self, pos: usize) {
         let slot = &mut self.slots[pos];
-        assert!(slot.valid, "remove of an empty slot {pos}"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract; a double remove would desync the occupancy planes
+        assert!(slot.valid, "remove of an empty slot {pos}");
         slot.valid = false;
         slot.pending_rv = false;
         slot.reverse = false;

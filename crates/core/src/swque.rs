@@ -240,7 +240,6 @@ impl IssueQueue for Swque {
 
         let interval_mode = self.effective_mode();
         let (issued, low) = self.combined_issue_counters();
-        // swque-lint: allow(unchecked-arith) — `InstCount` subtraction saturates
         let d_retired = (retired_insts - self.interval_start.retired).get();
         let d_miss = llc_misses.saturating_sub(self.interval_start.llc_misses);
         let d_issued = issued.saturating_sub(self.interval_start.issued);
@@ -258,13 +257,17 @@ impl IssueQueue for Swque {
             self.controller.threshold_reductions() - reductions_before;
         let switched = matches!(decision, ModeDecision::SwitchTo(_));
         if self.trace.enabled() {
+            #[expect(
+                clippy::expect_used,
+                reason = "SWQUE only ever operates in the two traceable modes (CIRC-PC, AGE)"
+            )]
+            let mode = interval_mode.trace().expect("SWQUE modes always trace");
             self.trace.record(TraceEvent::Interval {
                 cycle: cycle.get(),
                 retired: retired_insts.get(),
                 mpki: metrics.mpki,
                 flpi: metrics.flpi,
-                // swque-lint: allow(panic-in-lib) — SWQUE only ever operates in the two traceable modes (CIRC-PC, AGE)
-                mode: interval_mode.trace().expect("SWQUE modes always trace"),
+                mode,
                 instability: self.controller.instability(),
                 switched,
             });

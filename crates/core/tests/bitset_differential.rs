@@ -454,9 +454,9 @@ impl RefRand {
             slots: RefSlots::new(capacity),
             matrices: (0..matrices).map(|_| RefAgeMatrix::new(capacity)).collect(),
             groups: [
-                (0, spec.int as u8),
-                (spec.int as u8, spec.mem as u8),
-                ((spec.int + spec.mem) as u8, spec.fp as u8),
+                (0, spec.int),
+                (spec.int, spec.mem),
+                (spec.int + spec.mem, spec.fp),
             ],
             bucket_load: vec![0; matrices.max(1)],
         }

@@ -913,6 +913,7 @@ impl Pipeline {
     // ---- fetch ----
 
     /// Maximum instructions buffered in the front end.
+    #[expect(clippy::cast_possible_truncation, reason = "the front-end depth is a few cycles")]
     fn decode_capacity(&self) -> usize {
         self.config.width * self.config.frontend_depth as usize
     }

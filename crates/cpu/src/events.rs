@@ -37,10 +37,11 @@ use swque_core::cycle::{CycleDelta, CycleStamp};
 /// Ring span in cycles, a power of two. Covers a DRAM round trip (300
 /// cycles at the default latency) with room for queueing; anything
 /// further out takes the overflow heap.
-pub(crate) const SPAN: u64 = 1024;
+pub(crate) const SPAN: u64 = BUCKETS as u64;
 
+const BUCKETS: usize = 1024;
 const MASK: u64 = SPAN - 1;
-const WORDS: usize = (SPAN / 64) as usize;
+const WORDS: usize = BUCKETS / 64;
 /// End of a bucket list or of the free list.
 const NIL: u32 = u32::MAX;
 
@@ -74,7 +75,7 @@ impl EventRing {
     /// An empty ring.
     pub(crate) fn new() -> EventRing {
         EventRing {
-            heads: vec![NIL; SPAN as usize],
+            heads: vec![NIL; BUCKETS],
             occupied: [0; WORDS],
             nodes: Vec::new(),
             free: NIL,
@@ -84,6 +85,10 @@ impl EventRing {
 
     /// Schedules `(seq, slot)` to complete at cycle `at`, strictly after
     /// the current cycle `now`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node ids count the events in flight at once, far below 2^32"
+    )]
     pub(crate) fn push(&mut self, now: CycleStamp, at: CycleStamp, seq: u64, slot: u64) {
         debug_assert!(at > now, "event at cycle {at} scheduled at cycle {now}");
         if at - now >= CycleDelta::new(SPAN) {

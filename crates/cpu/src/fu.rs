@@ -60,12 +60,14 @@ impl FuPool {
     pub(crate) fn acquire(&mut self, op: Opcode, now: CycleStamp) {
         let class = op.fu_class();
         let hold = CycleDelta::new(if unpipelined(op) { op.latency() as u64 } else { 1 });
-        let unit = self.busy_until[class.index()]
-            .iter_mut()
-            .find(|b| **b <= now)
-            // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: callers budget with free_counts first
-            .unwrap_or_else(|| panic!("no free {class} unit at cycle {now}"));
-        *unit = now + hold;
+        match self.busy_until[class.index()].iter_mut().find(|b| **b <= now) {
+            Some(unit) => *unit = now + hold,
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract: callers budget with free_counts first"
+            )]
+            None => panic!("no free {class} unit at cycle {now}"),
+        }
     }
 
     /// Releases every unit (full flush).

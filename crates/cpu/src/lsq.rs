@@ -84,7 +84,7 @@ impl Lsq {
     ///
     /// Panics if full.
     pub(crate) fn push(&mut self, uid: u64, is_store: bool, addr: u64, size: u8) -> u64 {
-        assert!(self.has_space(), "LSQ overflow"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: dispatch budgets with has_space first
+        assert!(self.has_space(), "LSQ overflow");
         let slot = self.base + self.entries.len() as u64;
         self.entries.push_back(LsqEntry { uid, is_store, addr, size, executed: false });
         slot

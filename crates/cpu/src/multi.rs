@@ -53,7 +53,7 @@ impl MultiCoreSim {
     ///
     /// Panics if `workloads` is empty.
     pub fn new(config: CoreConfig, workloads: &[(IqKind, &Program)]) -> MultiCoreSim {
-        assert!(!workloads.is_empty(), "a multi-core sim needs at least one core"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(!workloads.is_empty(), "a multi-core sim needs at least one core");
         let mem = MemoryHierarchy::shared(config.mem, workloads.len());
         let cores = workloads
             .iter()

@@ -34,8 +34,12 @@ impl RenameState {
     ///
     /// Panics if either file has fewer physical than architectural
     /// registers, or more than `Tag` can index.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every tag is below phys_int + phys_fp, which the assert bounds by Tag::MAX + 1"
+    )]
     pub(crate) fn new(phys_int: usize, phys_fp: usize) -> RenameState {
-        assert!(phys_int >= NUM_ARCH_REGS && phys_fp >= NUM_ARCH_REGS); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(phys_int >= NUM_ARCH_REGS && phys_fp >= NUM_ARCH_REGS);
         assert!(phys_int + phys_fp <= Tag::MAX as usize + 1);
         let mut map = Vec::with_capacity(2 * NUM_ARCH_REGS);
         for i in 0..NUM_ARCH_REGS {
@@ -132,6 +136,10 @@ impl RenameState {
 
     /// Full-flush recovery: the speculative map reverts to the committed
     /// map, committed values become ready, and every other tag is free.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every tag is below phys_int + phys_fp, which `new` bounds by Tag::MAX + 1"
+    )]
     pub(crate) fn recover(&mut self) {
         self.map.copy_from_slice(&self.committed);
         let mut live = vec![false; self.ready.len()];

@@ -112,10 +112,9 @@ impl Rob {
     ///
     /// Panics if full or if `entry.uid` is not greater than the tail's uid.
     pub(crate) fn push(&mut self, entry: RobEntry) -> u64 {
-        assert!(self.has_space(), "ROB overflow"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: dispatch budgets with has_space first
+        assert!(self.has_space(), "ROB overflow");
         if let Some(tail) = self.entries.back() {
             let (uid, tail) = (entry.uid, tail.uid);
-            // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: uids are in program order (module docs)
             assert!(uid > tail, "ROB uid {uid} is not younger than tail uid {tail}");
         }
         let slot = self.base + self.entries.len() as u64;
@@ -151,8 +150,11 @@ impl Rob {
     ///
     /// Panics if empty or if the head has not completed.
     pub(crate) fn pop_head(&mut self) -> RobEntry {
-        let entry = self.entries.pop_front().expect("pop from empty ROB"); // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: commit checks head() first
-        // swque-lint: allow(panic-in-lib) — documented `# Panics` contract: commit only retires Done heads
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: commit checks head() first"
+        )]
+        let entry = self.entries.pop_front().expect("pop from empty ROB");
         assert_eq!(entry.state, RobState::Done, "commit of incomplete instruction");
         self.base += 1;
         entry

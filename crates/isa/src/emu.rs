@@ -140,7 +140,7 @@ impl Emulator {
 
     /// The instruction at `pc`, if it is inside the instruction text.
     pub fn fetch(&self, pc: u64) -> Option<&Inst> {
-        self.insts.get(pc as usize)
+        usize::try_from(pc).ok().and_then(|i| self.insts.get(i))
     }
 
     /// Immutable view of memory.

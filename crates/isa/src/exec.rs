@@ -60,11 +60,19 @@ pub(crate) trait Machine {
 /// time, so a miss here is a construction bug (caught by the golden-trace
 /// tests), not a runtime condition — this is the module's one sanctioned
 /// panic site.
+///
+/// # Panics
+///
+/// Panics if the slot is empty.
 fn req(r: Option<ArchReg>, what: &str) -> ArchReg {
-    r.unwrap_or_else(|| {
-        // swque-lint: allow(panic-in-lib) — operand presence is fixed per opcode by the decode table; a miss is an assembler bug, not a runtime condition
-        panic!("missing operand: {what}")
-    })
+    match r {
+        Some(reg) => reg,
+        #[expect(
+            clippy::panic,
+            reason = "operand presence is fixed per opcode by the decode table; a miss is an assembler bug, not a runtime condition"
+        )]
+        None => panic!("missing operand: {what}"),
+    }
 }
 
 /// The effect of executing one instruction.
@@ -137,6 +145,10 @@ pub(crate) fn execute_one<M: Machine>(m: &mut M, pc: u64, inst: &Inst) -> ExecOu
             let a = m.read(req(inst.src1, "icvtf has src1")) as i64;
             m.write_f(req(inst.dst, "icvtf has dst"), a as f64);
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "fcvti is defined as Rust's saturating float-to-int conversion (NaN gives 0)"
+        )]
         FCvtI => {
             let a = m.read_f(req(inst.src1, "fcvti has src1"));
             m.write(req(inst.dst, "fcvti has dst"), a as i64 as u64);
@@ -219,7 +231,10 @@ fn int_alu(op: Opcode, a: u64, b: u64) -> u64 {
                 ((a as i64).wrapping_rem(b as i64)) as u64
             }
         }
-        // swque-lint: allow(panic-in-lib) — the caller matches on the ALU opcode class first; reaching this arm is a decode-table bug
+        #[expect(
+            clippy::unreachable,
+            reason = "the caller matches on the ALU opcode class first; reaching this arm is a decode-table bug"
+        )]
         _ => unreachable!("not an integer ALU op: {op:?}"),
     }
 }

@@ -22,6 +22,7 @@
 //! `ld rd, rbase, disp`, stores are `st rvalue, rbase, disp`, branches are
 //! `bne ra, rb, label`.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -96,6 +97,10 @@ fn parse_freg(line: usize, token: &str) -> Result<FReg, ParseError> {
 /// unknown mnemonics, malformed operands, or unresolved/duplicate labels.
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     let mut a = Assembler::new();
+    // Label definitions, and the line of each label's first reference, so
+    // a label error names a line like every other error.
+    let mut defined: BTreeSet<&str> = BTreeSet::new();
+    let mut first_use: BTreeMap<&str, usize> = BTreeMap::new();
     for (idx, raw) in source.lines().enumerate() {
         let line = idx + 1;
         let text = raw.split(';').next().unwrap_or("").trim();
@@ -108,6 +113,9 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             let label = label.trim();
             if label.is_empty() || label.contains(char::is_whitespace) {
                 return err(line, format!("malformed label `{label}`"));
+            }
+            if !defined.insert(label) {
+                return err(line, format!("duplicate label `{label}`"));
             }
             a.label(label);
             let rest = rest.trim();
@@ -163,6 +171,11 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
         let r = |i: usize| parse_reg(line, ops[i]);
         let f = |i: usize| parse_freg(line, ops[i]);
         let imm = |i: usize| parse_int(line, ops[i]);
+        if matches!(mnemonic, "beq" | "bne" | "blt" | "bge" | "j" | "jal") {
+            if let Some(&target) = ops.last() {
+                first_use.entry(target).or_insert(line);
+            }
+        }
 
         match mnemonic {
             // integer reg-reg
@@ -220,7 +233,14 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
             other => return err(line, format!("unknown mnemonic `{other}`")),
         }
     }
-    a.finish().map_err(|e| ParseError { line: 0, message: e.to_string() })
+    if let Some((label, &line)) =
+        first_use.iter().filter(|(label, _)| !defined.contains(*label)).min_by_key(|(_, &l)| l)
+    {
+        return err(line, format!("undefined label `{label}`"));
+    }
+    // Both label errors are caught above with their lines; the
+    // assembler's own check is the backstop, placed at the last line.
+    a.finish().map_err(|e| ParseError { line: source.lines().count(), message: e.to_string() })
 }
 
 #[cfg(test)]
@@ -295,6 +315,16 @@ mod tests {
     fn undefined_label_reported() {
         let e = parse_program("j nowhere\nhalt").unwrap_err();
         assert!(e.message.contains("nowhere"));
+        assert_eq!(e.line, 1);
+        // The first reference names the line, wherever the label is used.
+        let e = parse_program("nop\nbne r1, r0, gone\nj gone\nhalt").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "undefined label `gone`"));
+    }
+
+    #[test]
+    fn duplicate_label_reported_at_its_second_definition() {
+        let e = parse_program("top: nop\nj top\ntop:\nhalt").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "duplicate label `top`"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl Program {
 
     /// Fetches the instruction at `pc`, if in range.
     pub fn fetch(&self, pc: u64) -> Option<&Inst> {
-        self.insts.get(pc as usize)
+        usize::try_from(pc).ok().and_then(|i| self.insts.get(i))
     }
 
     /// Builds the initial memory image from the data segments.

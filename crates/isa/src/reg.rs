@@ -69,7 +69,7 @@ impl ArchReg {
     ///
     /// Panics if `index >= 32`.
     pub fn int(index: u8) -> ArchReg {
-        assert!((index as usize) < NUM_ARCH_REGS, "integer register index {index} out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!((index as usize) < NUM_ARCH_REGS, "integer register index {index} out of range");
         ArchReg { class: RegClass::Int, index }
     }
 
@@ -79,7 +79,7 @@ impl ArchReg {
     ///
     /// Panics if `index >= 32`.
     pub fn fp(index: u8) -> ArchReg {
-        assert!((index as usize) < NUM_ARCH_REGS, "fp register index {index} out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!((index as usize) < NUM_ARCH_REGS, "fp register index {index} out of range");
         ArchReg { class: RegClass::Fp, index }
     }
 

@@ -140,6 +140,13 @@ mod tests {
     }
 
     #[test]
+    fn sample_replay_is_well_formed() {
+        let run = sample_run();
+        let replay = swque_core::replay::Replay::parse(&run.violations[0].replay).expect("parse");
+        assert_eq!(replay.expect.as_deref(), Some("pc-age-ordered"));
+    }
+
+    #[test]
     fn report_has_the_schema_tag_and_fixed_key_order() {
         let text = report(true, &[sample_run()]).to_string();
         assert!(text.starts_with("{\"schema\":\"swque-mc-v1\",\"smoke\":true,\"runs\":["));

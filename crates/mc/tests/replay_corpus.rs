@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use swque_core::fnv1a64;
 use swque_core::replay::{Replay, REPLAY_MAGIC};
 use swque_mc::check_replay;
-use swque_rng::prop::{check, Gen};
+use swque_rng::prop::check;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("replays")
@@ -113,43 +113,6 @@ const FRAGMENTS: &[&str] = &[
     "18446744073709551615", "18446744073709551616", "-1", "+3", "é", "☃", "\u{0}", "",
 ];
 
-fn fragment(g: &mut Gen) -> &'static str {
-    FRAGMENTS[g.gen_range(0..FRAGMENTS.len())]
-}
-
-/// Random bytes (decoded lossily, as a file read would be) or a run of
-/// grammar fragments.
-fn soup(g: &mut Gen) -> String {
-    if g.bool() {
-        let bytes = g.vec(0..200, Gen::u8);
-        String::from_utf8_lossy(&bytes).into_owned()
-    } else {
-        (0..g.gen_range(0..40)).map(|_| fragment(g)).collect()
-    }
-}
-
-/// `trace` with one token deleted, duplicated or replaced. Tokens are
-/// maximal alphanumeric runs and single other characters, so a mutation
-/// can hit a key, a number, an event head or a separator.
-fn mutate(g: &mut Gen, trace: &str) -> String {
-    let mut tokens: Vec<String> = Vec::new();
-    for c in trace.chars() {
-        match tokens.last_mut() {
-            Some(t) if c.is_alphanumeric() && t.chars().all(char::is_alphanumeric) => t.push(c),
-            _ => tokens.push(c.to_string()),
-        }
-    }
-    let at = g.gen_range(0..tokens.len());
-    match g.gen_range(0u32..3) {
-        0 => {
-            tokens.remove(at);
-        }
-        1 => tokens.insert(at, tokens[at].clone()),
-        _ => tokens[at] = fragment(g).to_string(),
-    }
-    tokens.concat()
-}
-
 /// `Replay::parse` is total: random byte soup and single-token mutations
 /// of the committed traces each return `Ok` or a `ReplayParseError`,
 /// never a panic. The parser makes one pass over its input, so every
@@ -163,10 +126,10 @@ fn replay_parse_is_total_on_soup_and_corpus_mutations() {
     }
     check(2048, |g| {
         let input = if g.bool() {
-            soup(g)
+            g.soup(FRAGMENTS)
         } else {
             let trace = &traces[g.gen_range(0..traces.len())];
-            mutate(g, trace)
+            g.mutate(trace, FRAGMENTS)
         };
         if let Err(e) = Replay::parse(&input) {
             assert!(!e.message.is_empty(), "an error names its cause: {input:?}");

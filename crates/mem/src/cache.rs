@@ -60,6 +60,7 @@ impl Cache {
         addr >> self.line_shift
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "masked below the set count, a usize")]
     fn set_of(&self, line: u64) -> usize {
         (line & self.set_mask) as usize
     }

@@ -21,10 +21,10 @@ impl CacheConfig {
     /// Panics if the geometry is inconsistent (non-power-of-two set count or
     /// line size, or zero ways).
     pub fn num_sets(&self) -> usize {
-        assert!(self.ways > 0, "cache needs at least one way"); // swque-lint: allow(panic-in-lib) — documented `# Panics` geometry check
+        assert!(self.ways > 0, "cache needs at least one way");
         assert!(self.line_bytes.is_power_of_two(), "line size must be a power of two");
         let sets = self.size_bytes / (self.ways * self.line_bytes);
-        assert!(sets.is_power_of_two() && sets > 0, "set count must be a power of two"); // swque-lint: allow(panic-in-lib) — documented `# Panics` geometry check
+        assert!(sets.is_power_of_two() && sets > 0, "set count must be a power of two");
         sets
     }
 

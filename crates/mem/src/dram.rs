@@ -126,8 +126,8 @@ impl Dram {
         line_bytes: u64,
         requesters: usize,
     ) -> Dram {
-        assert!(bytes_per_cycle > 0, "bandwidth must be positive"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
-        assert!(requesters > 0, "a channel needs at least one requester"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(bytes_per_cycle > 0, "bandwidth must be positive");
+        assert!(requesters > 0, "a channel needs at least one requester");
         Dram {
             latency: CycleDelta::new(latency),
             transfer_cycles: CycleDelta::new(line_bytes.div_ceil(bytes_per_cycle)),
@@ -155,7 +155,7 @@ impl Dram {
     ///
     /// Panics if `requester` is out of range for the channel.
     pub fn request_from(&mut self, requester: usize, now: CycleStamp) -> Completion {
-        assert!(requester < self.per.len(), "requester id out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(requester < self.per.len(), "requester id out of range");
         // Expired holes: their start cycle passed unclaimed.
         while let Some(&start) = self.holes.first() {
             if start >= now {

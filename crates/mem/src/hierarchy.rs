@@ -118,7 +118,7 @@ impl MemoryHierarchy {
     ///
     /// Panics if `requesters` is zero.
     pub fn shared(config: MemConfig, requesters: usize) -> MemoryHierarchy {
-        assert!(requesters > 0, "a hierarchy needs at least one requester"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(requesters > 0, "a hierarchy needs at least one requester");
         MemoryHierarchy {
             cores: (0..requesters)
                 .map(|_| RequesterMem {
@@ -163,6 +163,7 @@ impl MemoryHierarchy {
     /// Samples miss/transfer activity when `now` has crossed into a new
     /// epoch. Called from the demand-miss path, so epochs with no misses
     /// fold into the next sample rather than emitting empty events.
+    #[expect(clippy::cast_possible_truncation, reason = "requester ids are below the core count")]
     fn sample_epoch(&mut self, requester: usize, now: CycleStamp) {
         let epoch = now.get() / MEM_EPOCH_CYCLES;
         if epoch <= self.trace_epoch {
@@ -202,7 +203,7 @@ impl MemoryHierarchy {
     ///
     /// Panics if `requester` is out of range for the hierarchy.
     pub fn stats_of(&self, requester: usize) -> MemStats {
-        let pc = &self.cores[requester]; // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition (indexing is the check)
+        let pc = &self.cores[requester];
         MemStats {
             l1i: pc.l1i.stats(),
             l1d: pc.l1d.stats(),
@@ -252,7 +253,7 @@ impl MemoryHierarchy {
     ///
     /// Panics if `requester` is out of range for the hierarchy.
     pub fn llc_demand_misses_of(&self, requester: usize) -> u64 {
-        self.cores[requester].llc_demand_misses // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition (indexing is the check)
+        self.cores[requester].llc_demand_misses
     }
 
     fn purge(&mut self, requester: usize, now: CycleStamp) {
@@ -285,7 +286,7 @@ impl MemoryHierarchy {
         kind: AccessKind,
         now: CycleStamp,
     ) -> AccessResult {
-        assert!(requester < self.cores.len(), "requester id out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(requester < self.cores.len(), "requester id out of range");
         self.purge(requester, now);
         let is_data = kind != AccessKind::IFetch;
         let pc = &mut self.cores[requester];

@@ -150,7 +150,7 @@ impl Rng {
     /// words for `len ≥ 2`, otherwise none).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
-            let j = self.bounded(i as u64 + 1) as usize;
+            let j = self.gen_range(0..i + 1);
             slice.swap(i, j);
         }
     }
@@ -160,7 +160,7 @@ impl Rng {
         if slice.is_empty() {
             None
         } else {
-            Some(&slice[self.bounded(slice.len() as u64) as usize])
+            Some(&slice[self.gen_range(0..slice.len())])
         }
     }
 
@@ -180,26 +180,45 @@ pub trait UniformRange: Copy {
     fn sample(rng: &mut Rng, range: Range<Self>) -> Self;
 }
 
+// The types narrower than the u64 stream word (`usize` counts: it is
+// narrower on 32-bit targets). `u64` and `i64` are written out below, as
+// their samplers have no narrowing cast for the `#[expect]` to match.
 macro_rules! impl_uniform_uint {
     ($($t:ty),*) => {$(
         impl UniformRange for $t {
             #[inline]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the offset is below the span, which fits the range's type"
+            )]
             fn sample(rng: &mut Rng, range: Range<$t>) -> $t {
-                assert!(range.start < range.end, "gen_range on empty range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition of gen_range
+                assert!(range.start < range.end, "gen_range on empty range");
                 let span = (range.end - range.start) as u64;
                 range.start + rng.bounded(span) as $t
             }
         }
     )*};
 }
-impl_uniform_uint!(u8, u16, u32, u64, usize);
+impl_uniform_uint!(u8, u16, u32, usize);
+
+impl UniformRange for u64 {
+    #[inline]
+    fn sample(rng: &mut Rng, range: Range<u64>) -> u64 {
+        assert!(range.start < range.end, "gen_range on empty range");
+        range.start + rng.bounded(range.end - range.start)
+    }
+}
 
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformRange for $t {
             #[inline]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the offset wraps back into the range's type by design"
+            )]
             fn sample(rng: &mut Rng, range: Range<$t>) -> $t {
-                assert!(range.start < range.end, "gen_range on empty range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition of gen_range
+                assert!(range.start < range.end, "gen_range on empty range");
                 // Width fits in u64 even for i64::MIN..i64::MAX.
                 let span = range.end.wrapping_sub(range.start) as u64;
                 range.start.wrapping_add(rng.bounded(span) as $t)
@@ -207,12 +226,21 @@ macro_rules! impl_uniform_int {
         }
     )*};
 }
-impl_uniform_int!(i8, i16, i32, i64, isize);
+impl_uniform_int!(i8, i16, i32, isize);
+
+impl UniformRange for i64 {
+    #[inline]
+    fn sample(rng: &mut Rng, range: Range<i64>) -> i64 {
+        assert!(range.start < range.end, "gen_range on empty range");
+        let span = range.end.wrapping_sub(range.start) as u64;
+        range.start.wrapping_add(rng.bounded(span) as i64)
+    }
+}
 
 impl UniformRange for f64 {
     #[inline]
     fn sample(rng: &mut Rng, range: Range<f64>) -> f64 {
-        assert!(range.start < range.end, "gen_range on empty range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition of gen_range
+        assert!(range.start < range.end, "gen_range on empty range");
         // 53 uniform mantissa bits in [0, 1).
         let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         range.start + unit * (range.end - range.start)

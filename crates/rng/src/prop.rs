@@ -129,9 +129,13 @@ impl Gen {
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
+    #[expect(
+        clippy::unreachable,
+        reason = "bounded(total) returns a value below total, so some weight absorbs the roll"
+    )]
     pub fn weighted(&mut self, weights: &[u32]) -> usize {
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
-        assert!(total > 0, "weighted() needs a positive total weight"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(total > 0, "weighted() needs a positive total weight");
         let mut roll = self.rng.bounded(total);
         for (i, &w) in weights.iter().enumerate() {
             if roll < w as u64 {
@@ -139,7 +143,48 @@ impl Gen {
             }
             roll -= w as u64;
         }
-        unreachable!("roll < total by construction"); // swque-lint: allow(panic-in-lib) — bounded(total) returns a value below total, so some weight absorbs the roll
+        unreachable!("roll < total by construction");
+    }
+
+    /// Parser input soup: random bytes (decoded lossily, as a file read
+    /// would be) or a run of up to 40 entries of `fragments`, the
+    /// grammar's own tokens.
+    pub fn soup(&mut self, fragments: &[&str]) -> String {
+        if self.bool() {
+            let bytes = self.vec(0..200, Gen::u8);
+            String::from_utf8_lossy(&bytes).into_owned()
+        } else {
+            let n = self.gen_range(0..40);
+            (0..n).filter_map(|_| self.rng.choose(fragments).copied()).collect()
+        }
+    }
+
+    /// `text` with one token deleted, duplicated or replaced by an entry
+    /// of `fragments`. Tokens are maximal alphanumeric runs and single
+    /// other characters, so a mutation can hit a key, a number, a
+    /// mnemonic or a separator.
+    pub fn mutate(&mut self, text: &str, fragments: &[&str]) -> String {
+        let mut tokens: Vec<String> = Vec::new();
+        for c in text.chars() {
+            match tokens.last_mut() {
+                Some(t) if c.is_alphanumeric() && t.chars().all(char::is_alphanumeric) => {
+                    t.push(c);
+                }
+                _ => tokens.push(c.to_string()),
+            }
+        }
+        if tokens.is_empty() {
+            return self.soup(fragments);
+        }
+        let at = self.gen_range(0..tokens.len());
+        match self.gen_range(0u32..3) {
+            0 => {
+                tokens.remove(at);
+            }
+            1 => tokens.insert(at, tokens[at].clone()),
+            _ => tokens[at] = self.rng.choose(fragments).copied().unwrap_or("").to_string(),
+        }
+        tokens.concat()
     }
 
     /// Direct access to the underlying [`Rng`] (for APIs taking `&mut Rng`).
@@ -163,24 +208,34 @@ impl std::ops::DerefMut for Gen {
 
 /// How many cases to run given the test's request, honouring
 /// `SWQUE_PROP_CASES`.
+///
+/// # Panics
+///
+/// Panics if `SWQUE_PROP_CASES` is set but is not an integer.
 #[expect(
     clippy::disallowed_methods,
     reason = "SWQUE_PROP_CASES is the documented case-budget knob"
 )]
 fn effective_cases(requested: usize) -> usize {
     match std::env::var("SWQUE_PROP_CASES") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            // swque-lint: allow(panic-in-lib) — a garbled case budget must fail the test run loudly, not shrink coverage silently
-            .unwrap_or_else(|_| panic!("SWQUE_PROP_CASES must be an integer, got {v:?}"))
-            .max(1),
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(cases) => cases.max(1),
+            #[expect(
+                clippy::panic,
+                reason = "a garbled case budget must fail the test run loudly, not shrink coverage silently"
+            )]
+            Err(_) => panic!("SWQUE_PROP_CASES must be an integer, got {v:?}"),
+        },
         Err(_) => requested,
     }
 }
 
 /// The base seed, honouring `SWQUE_PROP_SEED` (hex with `0x` prefix, or
 /// decimal).
+///
+/// # Panics
+///
+/// Panics if `SWQUE_PROP_SEED` is set but is neither hex nor decimal.
 #[expect(
     clippy::disallowed_methods,
     reason = "SWQUE_PROP_SEED is the documented failing-case replay knob"
@@ -193,8 +248,14 @@ fn base_seed() -> u64 {
                 Some(hex) => u64::from_str_radix(hex, 16),
                 None => t.parse::<u64>(),
             };
-            // swque-lint: allow(panic-in-lib) — a garbled replay seed must fail loudly, not silently test a different case
-            parsed.unwrap_or_else(|_| panic!("SWQUE_PROP_SEED must be hex or decimal, got {v:?}"))
+            match parsed {
+                Ok(seed) => seed,
+                #[expect(
+                    clippy::panic,
+                    reason = "a garbled replay seed must fail loudly, not silently test a different case"
+                )]
+                Err(_) => panic!("SWQUE_PROP_SEED must be hex or decimal, got {v:?}"),
+            }
         }
         Err(_) => DEFAULT_BASE_SEED,
     }

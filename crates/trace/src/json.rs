@@ -82,6 +82,10 @@ impl Json {
     /// The numeric payload as an unsigned integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the guard admits only integers in 0..=2^53"
+            )]
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
@@ -207,6 +211,10 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) if !n.is_finite() => f.write_str("null"),
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the guard admits only integers below 2^53 in magnitude"
+            )]
             Json::Num(n) if n.fract() == 0.0 && n.abs() < 2f64.powi(53) => {
                 write!(f, "{}", *n as i64)
             }
@@ -460,13 +468,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            // swque-lint: allow(panic-in-lib) — the scan above admits only ASCII digit/sign/dot/exponent bytes, which are valid UTF-8
-            .expect("digits and punctuation are ASCII");
-        let n: f64 = text.parse().map_err(|_| ParseError {
-            offset: start,
-            expected: "a number",
-        })?;
+        // The scan above admits only ASCII bytes, so the UTF-8 check passes.
+        let n: f64 = std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse().ok())
+            .ok_or(ParseError { offset: start, expected: "a number" })?;
         // Overflowing literals like `1e999` parse to ±infinity, which the
         // writer can only render as `null` — accepting them would break
         // parse/serialize round-tripping. Reject at the source instead.

@@ -244,7 +244,7 @@ impl RingRecorder {
     ///
     /// Panics if `capacity` is zero (use [`NullSink`] to discard).
     pub fn new(capacity: usize) -> RingRecorder {
-        assert!(capacity > 0, "a zero-capacity ring records nothing; use NullSink"); // swque-lint: allow(panic-in-lib) — documented `# Panics` precondition
+        assert!(capacity > 0, "a zero-capacity ring records nothing; use NullSink");
         RingRecorder { capacity, buf: VecDeque::with_capacity(capacity.min(4096)), dropped: 0 }
     }
 

@@ -11,7 +11,9 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, Program, Reg};
 
-use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load};
+use super::{
+    emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load, finish, reg_num,
+};
 
 /// Parameters for [`branchy_search`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +71,7 @@ enum Slot {
 ///
 /// Panics if `chains` exceeds 8 or `footprint` is not a power of two ≥ 8.
 pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
-    assert!((1..=8).contains(&p.chains), "chains out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=8).contains(&p.chains), "chains out of range");
     assert!(p.footprint.is_power_of_two() && p.footprint >= 8);
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut a = Assembler::new();
@@ -91,7 +93,7 @@ pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
     a.li(Reg(2), (p.seed | 1) as i64);
     a.li(Reg(3), base as i64);
     for c in 0..p.chains {
-        a.li(Reg(16 + c as u8), c as i64 + 1);
+        a.li(Reg(reg_num(16, c)), c as i64 + 1);
     }
     a.label("loop");
     emit_lcg_step(&mut a);
@@ -124,7 +126,7 @@ pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
     for slot in &slots {
         match *slot {
             Slot::Chain { chain } => {
-                let r = Reg(16 + chain as u8);
+                let r = Reg(reg_num(16, chain));
                 let step = chain_progress[chain];
                 chain_progress[chain] += 1;
                 if step.is_multiple_of(2) {
@@ -154,8 +156,7 @@ pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
     a.addi(Reg(1), Reg(1), -1);
     a.bne(Reg(1), Reg::ZERO, "loop");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

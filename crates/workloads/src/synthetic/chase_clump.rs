@@ -24,7 +24,7 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, FReg, Program, Reg};
 
-use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step};
+use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step, finish, reg_num, ring_table};
 
 /// Parameters for [`chase_clump`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,21 +105,16 @@ impl Default for ChaseClumpParams {
 /// Panics if `chains` is outside `1..=4` or a footprint is not a power of
 /// two ≥ 64.
 pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
-    assert!((1..=6).contains(&p.chains), "chains out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=6).contains(&p.chains), "chains out of range");
     assert!(p.ring_bytes.is_power_of_two() && p.ring_bytes >= 64);
-    assert!(p.gather_bytes.is_power_of_two() && p.gather_bytes >= 64); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!(p.gather_bytes.is_power_of_two() && p.gather_bytes >= 64);
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut a = Assembler::new();
 
     // Chase ring: Sattolo single cycle over the L1-resident nodes.
     let ring_base = 0x10_0000u64;
-    let nodes = (p.ring_bytes / 8) as usize;
-    let mut perm: Vec<u32> = (0..nodes as u32).collect();
-    for i in (1..nodes).rev() {
-        let j = rng.gen_range(0..i);
-        perm.swap(i, j);
-    }
-    let ring: Vec<u64> = perm.iter().map(|&n| ring_base + n as u64 * 8).collect();
+    let nodes = p.ring_bytes / 8;
+    let ring = ring_table(nodes, ring_base, &mut rng);
     a.data_u64s(ring_base, &ring);
 
     // Gather buffer: LCG noise, so hard-branch conditions derived from
@@ -141,8 +136,8 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
     a.li(Reg(26), (p.gather_bytes - 1) as i64); // gather wrap mask
     a.li(Reg(27), gather_base as i64);
     for c in 0..p.chains {
-        let start = (nodes / p.chains) * c;
-        a.li(Reg(16 + c as u8), (ring_base + start as u64 * 8) as i64);
+        let start = (nodes / p.chains as u64) * c as u64;
+        a.li(Reg(reg_num(16, c)), (ring_base + start * 8) as i64);
     }
     a.li(Reg(5), 0x1000);
     a.fld(FReg(1), Reg(5), 0);
@@ -165,7 +160,7 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
     let mut fill_fp = 0usize;
     for link in 0..p.links {
         for c in 0..p.chains {
-            let r = Reg(16 + c as u8);
+            let r = Reg(reg_num(16, c));
             a.ld(r, r, 0); // critical: p = *p
             // Critical ALU tail of the link: dependent on the loaded
             // pointer, net-zero change so the walk stays on the ring.
@@ -182,15 +177,15 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
             // Young gathers: ready at dispatch, contend for the ports.
             for _ in 0..young_per_link {
                 if young_emitted < p.young_loads {
-                    let dst = Reg(8 + (young_emitted % 4) as u8);
+                    let dst = Reg(reg_num(8, young_emitted % 4));
                     a.ld(dst, Reg(25), (young_emitted as u64 * p.young_stride) as i64);
                     young_emitted += 1;
                 }
             }
             for _ in 0..deps_per_link {
                 if deps_emitted < p.clump_deps {
-                    let src = Reg(8 + (deps_emitted % 4) as u8);
-                    let dst = Reg(12 + (deps_emitted % 4) as u8);
+                    let src = Reg(reg_num(8, deps_emitted % 4));
+                    let dst = Reg(reg_num(12, deps_emitted % 4));
                     a.add(dst, src, Reg(2));
                     deps_emitted += 1;
                 }
@@ -200,7 +195,7 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
                 fill_int += 1;
             }
             if fill_fp < p.filler_fp && link % 2 == 1 {
-                let dst = FReg(8 + (fill_fp % 8) as u8);
+                let dst = FReg(reg_num(8, fill_fp % 8));
                 a.fmul(dst, FReg(1), FReg(2));
                 fill_fp += 1;
             }
@@ -211,7 +206,7 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
         fill_int += 1;
     }
     while fill_fp < p.filler_fp {
-        let dst = FReg(8 + (fill_fp % 8) as u8);
+        let dst = FReg(reg_num(8, fill_fp % 8));
         a.fmul(dst, FReg(1), FReg(2));
         fill_fp += 1;
     }
@@ -233,7 +228,7 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
     for b in 0..p.hard_branches {
         let label = format!("cch{label_id}");
         label_id += 1;
-        let src = Reg(8 + (b % 4) as u8); // a gather destination
+        let src = Reg(reg_num(8, b % 4)); // a gather destination
         a.srli(Reg(5), src, 2 + b as i64);
         a.andi(Reg(5), Reg(5), 7);
         a.slti(Reg(5), Reg(5), p.hard_bias);
@@ -254,8 +249,7 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
     a.addi(Reg(1), Reg(1), -1);
     a.bne(Reg(1), Reg::ZERO, "loop");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

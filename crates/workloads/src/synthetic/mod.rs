@@ -41,11 +41,54 @@ pub use pointer::{pointer_chase, PointerChaseParams};
 pub use recurrence::{fp_recurrence, FpRecurrenceParams};
 pub use stream::{stream_fp, StreamFpParams};
 
-use swque_isa::{Assembler, Reg};
+use swque_isa::{Assembler, Program, Reg};
+use swque_rng::Rng;
 
 /// LCG constants used for in-program pseudo-randomness.
 pub(crate) const LCG_MUL: i64 = 6364136223846793005;
 pub(crate) const LCG_ADD: i64 = 1442695040888963407;
+
+/// Register number `base + offset` in one of the register-convention
+/// windows above: `offset` is a chain index (every generator bounds its
+/// chain count by 8) or a rotation taken `% 8` or `% 4`.
+#[expect(clippy::cast_possible_truncation, reason = "a window offset is below 8")]
+pub(crate) fn reg_num(base: u8, offset: usize) -> u8 {
+    debug_assert!(offset < 8, "register window offset {offset} out of range");
+    base + offset as u8
+}
+
+/// Builds a random ring permutation (a single cycle) with Sattolo's
+/// algorithm and returns the node table: `table[i]` is the *address* of the
+/// successor of node `i`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "node indices fit a u32: the suite's largest ring is 2^21 nodes (16 MiB)"
+)]
+pub(crate) fn ring_table(nodes: u64, base: u64, rng: &mut Rng) -> Vec<u64> {
+    let n = nodes as usize;
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    // Sattolo: guarantees a single cycle covering all nodes.
+    for i in (1..n).rev() {
+        let j = rng.gen_range(0..i);
+        perm.swap(i, j);
+    }
+    // perm is a cyclic permutation; successor of node i is perm[i].
+    perm.iter().map(|&next| base + next as u64 * 8).collect()
+}
+
+/// Resolves a generator's labels into its program.
+///
+/// # Panics
+///
+/// Panics if a label is branched to but never defined.
+pub(crate) fn finish(a: Assembler) -> Program {
+    #[expect(
+        clippy::expect_used,
+        reason = "every label branched to is defined by the generator; a dangling label is a generator bug caught by the suite tests"
+    )]
+    let program = a.finish().expect("generator emits valid labels");
+    program
+}
 
 /// Emits one LCG step: `r2 = r2 * LCG_MUL + LCG_ADD` (one `mul`, one
 /// `addi`). The multiply also exercises the iMULT unit.
@@ -70,7 +113,7 @@ pub(crate) fn emit_biased_branch(
     a.slti(Reg(5), Reg(5), bias);
     a.bne(Reg(5), Reg::ZERO, label);
     for j in 0..skipped {
-        a.xori(Reg(8 + (j % 8) as u8), Reg(1), 0x55 + j as i64);
+        a.xori(Reg(reg_num(8, j % 8)), Reg(1), 0x55 + j as i64);
     }
     a.label(label);
 }
@@ -88,7 +131,7 @@ pub(crate) fn emit_rand_load(a: &mut Assembler, shift: i64, footprint: u64) {
 
 /// Emits one independent single-cycle ALU op into a rotating destination.
 pub(crate) fn emit_indep_alu(a: &mut Assembler, j: usize) {
-    let dst = Reg(8 + (j % 8) as u8);
+    let dst = Reg(reg_num(8, j % 8));
     match j % 3 {
         0 => a.xori(dst, Reg(1), 0x1234 + j as i64),
         1 => a.addi(dst, Reg(1), 7 + j as i64),

@@ -10,7 +10,9 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, Program, Reg};
 
-use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load};
+use super::{
+    emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load, finish, reg_num, ring_table,
+};
 
 /// Parameters for [`phased`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,17 +50,11 @@ impl Default for PhasedParams {
 ///
 /// Panics if `chains` exceeds 8.
 pub fn phased(phases: u64, p: &PhasedParams) -> Program {
-    assert!((1..=8).contains(&p.chains), "chains out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=8).contains(&p.chains), "chains out of range");
     let mut rng = Rng::seed_from_u64(p.seed);
     let base = 0x100_0000u64;
     // Ring for the memory phase (Sattolo single cycle).
-    let n = p.nodes as usize;
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..i);
-        perm.swap(i, j);
-    }
-    let table: Vec<u64> = perm.iter().map(|&next| base + next as u64 * 8).collect();
+    let table = ring_table(p.nodes, base, &mut rng);
 
     let mut a = Assembler::new();
     a.data_u64s(base, &table);
@@ -99,12 +95,12 @@ pub fn phased(phases: u64, p: &PhasedParams) -> Program {
     a.li(Reg(1), p.memory_iters as i64);
     for k in 0..p.chains {
         let start = (p.nodes / p.chains as u64) * k as u64;
-        a.li(Reg(16 + k as u8), (base + start * 8) as i64);
+        a.li(Reg(reg_num(16, k)), (base + start * 8) as i64);
     }
     a.label("memory");
     let mut indep = 0usize;
     for k in 0..p.chains {
-        let r = Reg(16 + k as u8);
+        let r = Reg(reg_num(16, k));
         a.ld(r, r, 0);
         for _ in 0..12 {
             emit_indep_alu(&mut a, indep);
@@ -117,8 +113,7 @@ pub fn phased(phases: u64, p: &PhasedParams) -> Program {
     a.addi(Reg(28), Reg(28), -1);
     a.bne(Reg(28), Reg::ZERO, "phase");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

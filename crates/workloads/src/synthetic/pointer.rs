@@ -12,7 +12,7 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, FReg, Program, Reg};
 
-use super::emit_indep_alu;
+use super::{emit_indep_alu, finish, reg_num, ring_table};
 
 /// Parameters for [`pointer_chase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,21 +47,6 @@ impl Default for PointerChaseParams {
     }
 }
 
-/// Builds a random ring permutation (a single cycle) with Sattolo's
-/// algorithm and returns the node table: `table[i]` is the *address* of the
-/// successor of node `i`.
-fn ring_table(nodes: u64, base: u64, rng: &mut Rng) -> Vec<u64> {
-    let n = nodes as usize;
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    // Sattolo: guarantees a single cycle covering all nodes.
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..i);
-        perm.swap(i, j);
-    }
-    // perm is a cyclic permutation; successor of node i is perm[i].
-    perm.iter().map(|&next| base + next as u64 * 8).collect()
-}
-
 /// Generates a pointer-chase MLP kernel of `iters` iterations (each
 /// iteration advances every chain one node).
 ///
@@ -69,7 +54,7 @@ fn ring_table(nodes: u64, base: u64, rng: &mut Rng) -> Vec<u64> {
 ///
 /// Panics if `chains` exceeds 8 or `nodes < chains * 8`.
 pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
-    assert!((1..=8).contains(&p.chains), "chains out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=8).contains(&p.chains), "chains out of range");
     assert!(p.nodes >= p.chains as u64 * 8, "ring too small for the chains");
     let mut rng = Rng::seed_from_u64(p.seed);
     let base = 0x100_0000u64;
@@ -85,7 +70,7 @@ pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
     // Start the chains at evenly spaced ring phases.
     for k in 0..p.chains {
         let start = (p.nodes / p.chains as u64) * k as u64;
-        a.li(Reg(16 + k as u8), (base + start * 8) as i64);
+        a.li(Reg(reg_num(16, k)), (base + start * 8) as i64);
     }
     if p.fp_work > 0 {
         a.li(Reg(4), 0x1000);
@@ -96,7 +81,7 @@ pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
     a.label("loop");
     let mut indep = 0usize;
     for k in 0..p.chains {
-        let r = Reg(16 + k as u8);
+        let r = Reg(reg_num(16, k));
         a.ld(r, r, 0); // p = *p : the chase
         for w in 0..p.alu_work {
             // Dependent no-net-change work: lengthens the chain's latency
@@ -109,15 +94,14 @@ pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
             indep += 1;
         }
         for f in 0..p.fp_work {
-            let dst = FReg(8 + (f % 8) as u8);
+            let dst = FReg(reg_num(8, f % 8));
             a.fmul(dst, FReg(1), FReg(2));
         }
     }
     a.addi(Reg(1), Reg(1), -1);
     a.bne(Reg(1), Reg::ZERO, "loop");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, FReg, Program, Reg};
 
-use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step};
+use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step, finish, reg_num};
 
 /// Parameters for [`fp_recurrence`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ enum Slot {
 ///
 /// Panics if `chains` is outside `1..=8`.
 pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
-    assert!((1..=8).contains(&p.chains), "chains out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=8).contains(&p.chains), "chains out of range");
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut a = Assembler::new();
 
@@ -77,7 +77,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
     a.fld(FReg(2), Reg(5), 8);
     a.fld(FReg(3), Reg(5), 16);
     for c in 0..p.chains {
-        a.fmul(FReg(16 + c as u8), FReg(1), FReg(2));
+        a.fmul(FReg(reg_num(16, c)), FReg(1), FReg(2));
     }
 
     a.label("loop");
@@ -108,7 +108,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
     for slot in &slots {
         match *slot {
             Slot::Chain(c) => {
-                let r = FReg(16 + c as u8);
+                let r = FReg(reg_num(16, c));
                 let step = chain_step[c];
                 chain_step[c] += 1;
                 if step.is_multiple_of(2) {
@@ -118,7 +118,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
                 }
             }
             Slot::IndepFp(j) => {
-                let dst = FReg(8 + (j % 8) as u8);
+                let dst = FReg(reg_num(8, j % 8));
                 a.fmul(dst, FReg(2), FReg(3));
             }
             Slot::IndepInt(j) => emit_indep_alu(&mut a, j),
@@ -126,7 +126,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
                 a.srli(Reg(4), Reg(2), 7 + 3 * l as i64);
                 a.andi(Reg(4), Reg(4), 0x1FF8);
                 a.add(Reg(4), Reg(4), Reg(3));
-                a.fld(FReg(4 + (l % 4) as u8), Reg(4), 0);
+                a.fld(FReg(reg_num(4, l % 4)), Reg(4), 0);
             }
             Slot::Branch(b) => {
                 let label = format!("fb{label_id}");
@@ -139,8 +139,7 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
     a.addi(Reg(1), Reg(1), -1);
     a.bne(Reg(1), Reg::ZERO, "loop");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

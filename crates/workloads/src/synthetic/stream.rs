@@ -10,6 +10,8 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, FReg, Program, Reg};
 
+use super::{finish, reg_num};
+
 /// Parameters for [`stream_fp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamFpParams {
@@ -45,9 +47,9 @@ impl Default for StreamFpParams {
 /// Panics if `arrays` exceeds 4, `unroll` is 0, or `footprint` is not a
 /// power of two large enough for one unrolled stride.
 pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
-    assert!((1..=4).contains(&p.arrays), "arrays out of range"); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!((1..=4).contains(&p.arrays), "arrays out of range");
     assert!(p.unroll > 0, "unroll must be positive");
-    assert!(p.footprint.is_power_of_two() && p.footprint >= (p.unroll as u64) * 8); // swque-lint: allow(panic-in-lib) — documented `# Panics` parameter contract
+    assert!(p.footprint.is_power_of_two() && p.footprint >= (p.unroll as u64) * 8);
     let mut rng = Rng::seed_from_u64(p.seed);
     let mut a = Assembler::new();
 
@@ -62,7 +64,7 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
 
     a.li(Reg(1), iters as i64);
     for (k, &b) in bases.iter().enumerate() {
-        a.li(Reg(24 + k as u8), b as i64); // stream pointers
+        a.li(Reg(reg_num(24, k)), b as i64); // stream pointers
     }
     a.li(Reg(4), (p.footprint - 1) as i64); // wrap mask
     a.data_f64s(0x1000, &[1.5, 0.25]);
@@ -73,8 +75,8 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
     a.label("loop");
     for u in 0..p.unroll {
         let arr = u % p.arrays;
-        let ptr = Reg(24 + arr as u8);
-        let v = FReg(8 + (u % 8) as u8);
+        let ptr = Reg(reg_num(24, arr));
+        let v = FReg(reg_num(8, u % 8));
         a.fld(v, ptr, (u as i64 / p.arrays as i64) * 8);
         for op in 0..p.fp_ops_per_elem {
             // Independent per element: each op feeds the next for THIS
@@ -86,13 +88,13 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
             }
         }
         // Fold into per-lane accumulators (independent across lanes).
-        let acc = FReg(16 + (u % 8) as u8);
+        let acc = FReg(reg_num(16, u % 8));
         a.fadd(acc, acc, v);
     }
     // Advance and wrap the stream pointers.
     let stride = ((p.unroll / p.arrays).max(1) * 8) as i64;
     for (k, &b) in bases.iter().enumerate() {
-        let ptr = Reg(24 + k as u8);
+        let ptr = Reg(reg_num(24, k));
         a.addi(ptr, ptr, stride);
         // Wrap within the footprint: ptr = base + ((ptr - base) & mask).
         a.li(Reg(6), b as i64);
@@ -103,8 +105,7 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
     a.addi(Reg(1), Reg(1), -1);
     a.bne(Reg(1), Reg::ZERO, "loop");
     a.halt();
-    // swque-lint: allow(panic-in-lib) — every label branched to is defined above; a dangling label is a generator bug caught by the suite tests
-    a.finish().expect("generator emits valid labels")
+    finish(a)
 }
 
 #[cfg(test)]

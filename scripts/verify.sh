@@ -12,10 +12,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: cargo build --release --offline --workspace"
-# --workspace matters twice over: it builds the harness binaries this
-# script runs below (a bare `cargo build` only covers the facade crate's
-# dependency closure, silently leaving stale figure and checker binaries), and
-# it builds the swque-lint gate.
+# --workspace matters: it builds the harness binaries this script runs
+# below (a bare `cargo build` only covers the facade crate's dependency
+# closure, silently leaving stale figure and checker binaries).
 cargo build --release --offline --workspace
 
 echo "== tier-1: cargo test -q --offline"
@@ -28,7 +27,7 @@ echo "== docs: cargo doc --no-deps --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "== clippy: the determinism bans (root and per-crate clippy.toml) and reasoned #[expect]s"
-# rustc and clippy own the generic determinism rules (DESIGN.md §8.4): the
+# rustc and clippy own the generic determinism rules (DESIGN.md §8.1): the
 # clock, hash-order containers, interior mutability and environment reads
 # are clippy.toml bans, and `unsafe` is forbidden outright. The only
 # accepted suppression is `#[expect(lint, reason = "…")]`: a bare #[allow],
@@ -37,12 +36,24 @@ clippy_flags=(-D warnings -F unsafe_code -D clippy::allow_attributes
     -D clippy::allow_attributes_without_reason)
 cargo clippy --workspace --all-targets --offline -q -- "${clippy_flags[@]}"
 
-echo "== clippy: negative self-check matrix (one injection per retired lint rule)"
+echo "== clippy: library code documents every panic and narrows no integer silently"
+# Library targets only (tests, benches and binaries may panic freely): a
+# function that can panic needs a `# Panics` doc section (private helpers
+# too: check-private-items in every clippy.toml), and each unwrap, expect,
+# panic!, unreachable!, todo!, unimplemented! or truncating `as` needs a
+# reasoned #[expect] at the site or on the narrowest item sharing its bound.
+lib_flags=("${clippy_flags[@]}" -D clippy::missing_panics_doc -D clippy::unwrap_used
+    -D clippy::expect_used -D clippy::panic -D clippy::unreachable -D clippy::todo
+    -D clippy::unimplemented -D clippy::cast_possible_truncation)
+cargo clippy --workspace --lib --offline -q -- "${lib_flags[@]}"
+
+echo "== clippy: negative self-check matrix (one injection per determinism and panic rule)"
 # Each injection goes into a scratch package under target/ that carries a
 # copy of a workspace clippy.toml. It must fail, and the output must name
 # the lint that owns the rule, so a ban that silently stops applying is
-# caught here. A clean control must pass under the same setup, so a broken
-# scratch package cannot fake the failures.
+# caught here. Clean controls must pass under the same setup, so a broken
+# scratch package cannot fake the failures. The first rows run under the
+# all-targets flags, the panic and cast rows under the library flags.
 clippy_neg=target/clippy-neg
 mkdir -p "$clippy_neg"
 cat > "$clippy_neg/Cargo.toml" <<'EOF_TOML'
@@ -62,7 +73,7 @@ clippy_scratch() {
     cp "$config" "$clippy_neg/clippy.toml"
     printf '%b' "$src" > "$clippy_neg/lib.rs"
     CARGO_TARGET_DIR="$clippy_neg/target" cargo clippy --offline -q \
-        --manifest-path "$clippy_neg/Cargo.toml" -- "${clippy_flags[@]}" \
+        --manifest-path "$clippy_neg/Cargo.toml" -- "${neg_flags[@]}" \
         > "$clippy_neg/out.txt" 2>&1
 }
 clippy_pass() {
@@ -85,6 +96,7 @@ clippy_neg_check() {
         exit 1
     }
 }
+neg_flags=("${clippy_flags[@]}")
 clippy_pass clean clippy.toml \
     'pub fn t(m: &std::collections::BTreeMap<u64, u8>) -> usize { m.len() }\n'
 clippy_neg_check disallowed_types clippy.toml \
@@ -111,6 +123,46 @@ clippy_pass "harness env-read" crates/bench/clippy.toml \
     'pub fn t() -> bool { std::env::var_os("X").is_some() }\n'
 clippy_neg_check disallowed_types crates/bench/clippy.toml \
     'pub fn t() -> std::time::Instant { std::time::Instant::now() }\n'
+# Each panic injection sits in a private helper called from a pub fn. The
+# site-lint rows document the helper's panic, so the site lint alone must
+# catch it; the assert rows leave it undocumented for missing_panics_doc.
+# These lint names also occur in the injected source text, so the check
+# matches the help link clippy prints for the lint that fired.
+clippy_site_check() {
+    local lint="$1"
+    clippy_neg_check "$@"
+    grep -q "index.html#$lint\$" "$clippy_neg/out.txt" || {
+        echo "error: the injected violation did not fail through $lint" >&2
+        cat "$clippy_neg/out.txt" >&2
+        exit 1
+    }
+}
+neg_flags=("${lib_flags[@]}")
+documented='/// Reads the head.\n///\n/// # Panics\n///\n/// Panics on bad input.\n'
+clippy_pass "documented assert" clippy.toml \
+    '/// Halves `x`.\n///\n/// # Panics\n///\n/// Panics if `x` is odd.\npub fn half(x: u64) -> u64 {\n    assert!(x.is_multiple_of(2), "odd");\n    x / 2\n}\n'
+clippy_pass "undocumented debug_assert" clippy.toml \
+    'pub fn f(x: u64) -> u64 { g(x) }\n/// Decrements.\nfn g(x: u64) -> u64 { debug_assert!(x > 0); x.saturating_sub(1) }\n'
+clippy_site_check unwrap_used clippy.toml \
+    "pub fn f(v: &[u8]) -> u8 { head(v) }\n${documented}fn head(v: &[u8]) -> u8 { *v.first().unwrap() }\n"
+clippy_site_check expect_used clippy.toml \
+    "pub fn f(v: &[u8]) -> u8 { head(v) }\n${documented}fn head(v: &[u8]) -> u8 { *v.first().expect(\"non-empty\") }\n"
+clippy_site_check panic clippy.toml \
+    "pub fn f(v: &[u8]) -> u8 { head(v) }\n${documented}fn head(v: &[u8]) -> u8 {\n    match v.first() {\n        Some(x) => *x,\n        None => panic!(\"empty\"),\n    }\n}\n"
+clippy_site_check unreachable clippy.toml \
+    "pub fn f(v: &[u8]) -> u8 { head(v) }\n${documented}fn head(v: &[u8]) -> u8 {\n    match v.first() {\n        Some(x) => *x,\n        None => unreachable!(),\n    }\n}\n"
+clippy_site_check todo clippy.toml \
+    "pub fn f() -> u8 { head() }\n${documented}fn head() -> u8 { todo!() }\n"
+clippy_site_check unimplemented clippy.toml \
+    "pub fn f() -> u8 { head() }\n${documented}fn head() -> u8 { unimplemented!() }\n"
+clippy_site_check missing_panics_doc clippy.toml \
+    'pub fn f(x: u64) -> u64 { g(x) }\n/// Decrements.\nfn g(x: u64) -> u64 { assert!(x > 0); x - 1 }\n'
+clippy_site_check missing_panics_doc clippy.toml \
+    'pub fn f(x: u64) -> u64 { g(x) }\n/// Decrements.\nfn g(x: u64) -> u64 { assert_eq!(x % 2, 1); x - 1 }\n'
+clippy_site_check missing_panics_doc crates/bench/clippy.toml \
+    'pub fn f(x: u64) -> u64 { g(x) }\n/// Decrements.\nfn g(x: u64) -> u64 { assert!(x > 0); x - 1 }\n'
+clippy_site_check cast_possible_truncation clippy.toml \
+    'pub fn low(cycle: u64) -> u32 { f(cycle) }\nfn f(cycle: u64) -> u32 { cycle as u32 }\n'
 
 echo "== types: cycle-domain negative matrix (one injection per illegal mix, each must fail)"
 # Cycle stamps, cycle deltas and instruction counts are newtypes
@@ -183,6 +235,10 @@ type_neg_check "a stamp compared with an instruction count" E0308 \
     'pub fn f(now: CycleStamp, last_reset: InstCount) -> bool { now >= last_reset }\n'
 type_neg_check "poll_mode_switch with cycle and instructions swapped" E0308 \
     'pub fn f(q: &mut dyn IssueQueue, now: CycleStamp, n: InstCount) -> bool {\n    q.poll_mode_switch(n, now, 0)\n}\n'
+type_neg_check "a stamp narrowed with as" E0605 \
+    'pub fn f(now: CycleStamp) -> u32 { now as u32 }\n'
+type_neg_check "a raw u64 subtracted from an instruction count" E0308 \
+    'pub fn f(n: InstCount, last: u64) -> InstCount { n - last }\n'
 
 echo "== types: regression demo (reverting the PR-8 prefetch launch fix must not compile)"
 # PR 8 fixed prefetches launched at the *completion* stamp of the
@@ -244,45 +300,8 @@ for workload in mlp_stall ilp_busy multicore_contention; do
     esac
 done
 
-echo "== lint: swque-lint --workspace (any unsuppressed finding fails)"
 json_tmp="$(mktemp -d)"
 trap 'rm -rf "$json_tmp"' EXIT
-./target/release/swque-lint --workspace
-
-echo "== lint: negative self-check matrix (one injection per semantic rule, each must fail)"
-# Each injection goes into its own scratch tree, where its one
-# unsuppressed finding must make the gate exit non-zero. A rule that
-# silently stops firing is caught here, not in a post-mortem.
-neg_check() {
-    local rule="$1" file="$2" src="$3"
-    local tree="$json_tmp/neg-$rule"
-    mkdir -p "$tree/$(dirname "$file")"
-    printf '%b' "$src" > "$tree/$file"
-    if ./target/release/swque-lint --root "$tree" > /dev/null 2>&1; then
-        echo "error: swque-lint passed a tree with an injected $rule violation" >&2
-        exit 1
-    fi
-}
-neg_check truncating-cast crates/core/src/injected.rs \
-    'fn f(cycle: u64) -> u32 { cycle as u32 }\n'
-neg_check unchecked-arith crates/core/src/injected.rs \
-    'fn f(cycle: u64, tick: u64) -> u64 { cycle - tick }\n'
-neg_check panic-in-lib crates/trace/src/injected.rs \
-    'pub fn head(v: &[u8]) -> u8 { *v.first().unwrap() }\n'
-neg_check mc-replay crates/mc/src/injected.rs \
-    'const T: &str = "swque-mc-replay-v1 kind=CIRC cap=x width=1 inject=- expect=- events=-";\n'
-
-echo "== lint: --explain smoke (a known rule explains itself, an unknown one exits 2)"
-# Per-rule coverage (every rule has a class and a bad:/fix: example pair)
-# is the every_rule_has_a_class_and_an_explanation meta-test in
-# crates/lint/src/rules.rs; this checks the CLI path once each way.
-./target/release/swque-lint --explain panic-in-lib > /dev/null
-explain_status=0
-./target/release/swque-lint --explain not-a-rule > /dev/null 2>&1 || explain_status=$?
-[ "$explain_status" -eq 2 ] || {
-    echo "error: --explain of an unknown rule exited $explain_status, expected 2" >&2
-    exit 1
-}
 
 echo "== mc: swque-mc --smoke (bounded exhaustive check, every kind + controller)"
 # Every smoke-scope state space must close ("frontier empty") with zero
@@ -422,8 +441,7 @@ if ./target/release/check_json "$sweep_out/shards/$first_shard" > /dev/null 2>&1
     exit 1
 fi
 
-# Hermeticity (no external deps in manifests, path-only Cargo.lock) is
-# enforced by the swque-lint gate above via the external-dep and
-# registry-source rules — one enforcement path instead of ad-hoc greps.
+# Hermeticity (path-only lockfiles for the workspace and swque_benchmark)
+# is the tier-1 test tests/hermetic.rs, run by `cargo test` above.
 
 echo "verify: OK"

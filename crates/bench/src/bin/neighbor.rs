@@ -102,8 +102,7 @@ fn run_scenario(aggressors: usize, warmup: u64, insts: u64) -> Scenario {
     let warm = sim.run(warmup);
     let warm_shared = sim.shared_stats();
     let full = sim.run(warmup + insts);
-    let results: Vec<SimResult> =
-        full.iter().zip(&warm).map(|(f, w)| f.delta(w)).collect();
+    let results: Vec<SimResult> = full.iter().zip(&warm).map(|(f, w)| f.delta(w)).collect();
     let shared = delta_shared(&sim.shared_stats(), &warm_shared);
     Scenario { aggressors, results, shared, kernels }
 }

@@ -38,15 +38,12 @@ fn parse_args() -> Result<Args, String> {
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--workers" => {
                 workers = Some(
-                    value("--workers")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--workers: {e}"))?,
+                    value("--workers")?.parse::<usize>().map_err(|e| format!("--workers: {e}"))?,
                 );
             }
             "--limit" => {
-                limit = Some(
-                    value("--limit")?.parse::<usize>().map_err(|e| format!("--limit: {e}"))?,
-                );
+                limit =
+                    Some(value("--limit")?.parse::<usize>().map_err(|e| format!("--limit: {e}"))?);
             }
             "--merge-only" => merge_only = true,
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),

@@ -127,7 +127,12 @@ pub static EVALUATION: [Experiment; 12] = [
     Experiment::new("sec47", |_| Vec::new(), sec47),
     Experiment::new(
         "sec48",
-        |b| vec![m(Swque, b), with(m(Swque, b), |c| c.iq.swque.switch_penalty = CycleDelta::new(40))],
+        |b| {
+            vec![
+                m(Swque, b),
+                with(m(Swque, b), |c| c.iq.swque.switch_penalty = CycleDelta::new(40)),
+            ]
+        },
         sec48,
     ),
 ];
@@ -560,7 +565,11 @@ fn render_strip(strip: &str) -> String {
             let lo = b * chars.len() / STRIP_WIDTH;
             let hi = ((b + 1) * chars.len() / STRIP_WIDTH).max(lo + 1);
             let circ = chars[lo..hi].iter().filter(|&&c| c == 'C').count();
-            if circ * 2 >= hi - lo { 'C' } else { 'A' }
+            if circ * 2 >= hi - lo {
+                'C'
+            } else {
+                'A'
+            }
         })
         .collect()
 }
@@ -699,12 +708,20 @@ fn delay_cells(g: &IqGeometry, path_digits: usize) -> [String; 4] {
 }
 
 fn fits(g: &IqGeometry) -> &'static str {
-    if delays(g).double_access_fits() { "yes" } else { "NO" }
+    if delays(g).double_access_fits() {
+        "yes"
+    } else {
+        "NO"
+    }
 }
 
 fn sec47(_: &[Row<'_>], out: &mut Output) {
     let mut t = Table::new([
-        "geometry", "IQ critical path", "double tag access", "payload read", "DTM overhead",
+        "geometry",
+        "IQ critical path",
+        "double tag access",
+        "payload read",
+        "DTM overhead",
         "fits?",
     ]);
     for (label, g) in
@@ -861,7 +878,12 @@ fn ext_rearrange(rows: &[Row<'_>], out: &mut Output) {
 
 fn sensitivity(_: &[Row<'_>], out: &mut Output) {
     let mut t = Table::new([
-        "IQ entries", "critical path", "double tag access", "payload", "DTM", "area overhead",
+        "IQ entries",
+        "critical path",
+        "double tag access",
+        "payload",
+        "DTM",
+        "area overhead",
         "fits?",
     ]);
     for entries in [32usize, 64, 128, 192, 256, 384, 512] {

@@ -100,10 +100,8 @@ impl Report {
     /// Attaches a run's trace digest under `program` (schema
     /// `swque-trace-v1`, nested verbatim).
     pub fn push_trace(&mut self, program: &str, summary: &TraceSummary) -> &mut Report {
-        self.traces.push(Json::obj([
-            ("program", Json::from(program)),
-            ("trace", summary.to_json()),
-        ]));
+        self.traces
+            .push(Json::obj([("program", Json::from(program)), ("trace", summary.to_json())]));
         self
     }
 
@@ -112,10 +110,7 @@ impl Report {
         Json::obj([
             ("schema", Json::from(BENCH_SCHEMA)),
             ("experiment", Json::from(self.experiment.as_str())),
-            (
-                "params",
-                Json::Obj(self.params.clone()),
-            ),
+            ("params", Json::Obj(self.params.clone())),
             ("tables", Json::Arr(self.tables.clone())),
             ("rows", Json::Arr(self.rows.clone())),
             ("traces", Json::Arr(self.traces.clone())),
@@ -158,10 +153,7 @@ mod tests {
         r.push_row(Json::obj([("program", Json::from("xz_like"))]));
         r.push_trace("xz_like", &TraceSummary::default());
         let doc = r.to_json();
-        assert_eq!(
-            doc.keys(),
-            vec!["schema", "experiment", "params", "tables", "rows", "traces"],
-        );
+        assert_eq!(doc.keys(), vec!["schema", "experiment", "params", "tables", "rows", "traces"],);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("fig99"));
         let params = doc.get("params").unwrap();

@@ -166,10 +166,9 @@ fn opt_f64_axis(doc: &Json, key: &str) -> Result<Vec<Option<f64>>, String> {
         .enumerate()
         .map(|(i, v)| match v {
             Json::Null => Ok(None),
-            _ => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("axes.{key}[{i}]: not a number or null")),
+            _ => {
+                v.as_f64().map(Some).ok_or_else(|| format!("axes.{key}[{i}]: not a number or null"))
+            }
         })
         .collect()
 }
@@ -206,21 +205,13 @@ impl Manifest {
             max_insts: parse_u64(budget, "max_insts").map_err(|e| format!("budget.{e}"))?,
             scale: match budget.get("scale") {
                 None | Some(Json::Null) => None,
-                Some(v) => {
-                    Some(v.as_u64().ok_or("budget.scale: not an integer or null")?)
-                }
+                Some(v) => Some(v.as_u64().ok_or("budget.scale: not an integer or null")?),
             },
         };
         let axes = doc.get("axes").cloned().unwrap_or_else(|| Json::obj::<&str, _>([]));
         for key in axes.keys() {
-            let known = [
-                "kinds",
-                "models",
-                "mpki_thresholds",
-                "flpi_thresholds",
-                "seeds",
-                "kernels",
-            ];
+            let known =
+                ["kinds", "models", "mpki_thresholds", "flpi_thresholds", "seeds", "kernels"];
             if !known.contains(&key) {
                 return Err(format!("axes: unknown key {key:?}"));
             }
@@ -347,10 +338,7 @@ pub fn run_unit(unit: &WorkUnit) -> Result<Json, String> {
                 ("ipc", Json::from(result.ipc())),
                 ("mpki", Json::from(result.mpki())),
                 ("flpi", Json::from(result.iq.flpi())),
-                (
-                    "mode_switches",
-                    Json::from(result.swque.map_or(0, |s| s.switches)),
-                ),
+                ("mode_switches", Json::from(result.swque.map_or(0, |s| s.switches))),
             ]),
         ),
     ]))
@@ -469,10 +457,7 @@ pub fn run_campaign(
             Ok(text) => match validate_shard(&text, unit) {
                 Ok(_) => skipped += 1,
                 Err(why) => {
-                    eprintln!(
-                        "[swque-sweep] repairing shard {} ({why})",
-                        path.display()
-                    );
+                    eprintln!("[swque-sweep] repairing shard {} ({why})", path.display());
                     std::fs::remove_file(&path)
                         .map_err(|e| format!("remove {}: {e}", path.display()))?;
                     repaired += 1;
@@ -510,12 +495,11 @@ pub fn run_campaign(
                     break;
                 }
                 let unit = pending[i];
-                let outcome = run_unit(unit)
-                    .and_then(|doc| write_atomic(&shard_path(out, unit), &doc, w));
+                let outcome =
+                    run_unit(unit).and_then(|doc| write_atomic(&shard_path(out, unit), &doc, w));
                 match outcome {
                     Ok(()) => {
-                        let mut d =
-                            done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut d = done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                         *d += 1;
                         eprintln!(
                             "[swque-sweep] {}/{} {} {}/{} seed {} {}",
@@ -528,10 +512,9 @@ pub fn run_campaign(
                             unit.kernel,
                         );
                     }
-                    Err(e) => errors
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(e),
+                    Err(e) => {
+                        errors.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(e)
+                    }
                 }
             });
         }
@@ -608,8 +591,8 @@ pub fn merge_campaign(manifest: &Manifest, out: &Path) -> Result<Json, String> {
         let path = shard_path(out, unit);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("merge: {}: {e}", path.display()))?;
-        let doc = validate_shard(&text, unit)
-            .map_err(|e| format!("merge: {}: {e}", path.display()))?;
+        let doc =
+            validate_shard(&text, unit).map_err(|e| format!("merge: {}: {e}", path.display()))?;
         let result = doc.get("result").cloned().unwrap_or(Json::Null);
         ipcs.push(result.get("ipc").and_then(Json::as_f64).unwrap_or(0.0));
         rows.push(Json::obj([

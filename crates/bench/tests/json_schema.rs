@@ -32,26 +32,17 @@ fn bench_report_schema_is_pinned() {
     // format, not on the in-memory builder.
     let doc = Json::parse(&report.to_json().to_string()).expect("own output parses");
 
-    assert_eq!(
-        doc.keys(),
-        vec!["schema", "experiment", "params", "tables", "rows", "traces"],
-    );
+    assert_eq!(doc.keys(), vec!["schema", "experiment", "params", "tables", "rows", "traces"],);
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
     assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("golden"));
-    assert_eq!(
-        doc.get("params").unwrap().keys(),
-        vec!["warmup_insts", "max_insts", "model"],
-    );
+    assert_eq!(doc.get("params").unwrap().keys(), vec!["warmup_insts", "max_insts", "model"],);
 
     let tables = doc.get("tables").and_then(Json::as_arr).unwrap();
     assert_eq!(tables.len(), 1);
     assert_eq!(tables[0].keys(), vec!["name", "header", "rows"]);
     assert_eq!(
         tables[0].get("header").and_then(Json::as_arr).unwrap().len(),
-        tables[0].get("rows").and_then(Json::as_arr).unwrap()[0]
-            .as_arr()
-            .unwrap()
-            .len(),
+        tables[0].get("rows").and_then(Json::as_arr).unwrap()[0].as_arr().unwrap().len(),
         "row width matches header",
     );
 

@@ -28,11 +28,42 @@ fn corpus() -> Vec<String> {
 /// manifest's keys and labels (known and unknown), and numbers that are
 /// not integers or overflow one.
 const FRAGMENTS: &[&str] = &[
-    "{", "}", "[", "]", ":", ",", "\"", " ", "\n", "null", "true", "\"schema\"",
-    "\"swque-sweep-manifest-v1\"", "\"name\"", "\"budget\"", "\"axes\"", "\"warmup_insts\"",
-    "\"max_insts\"", "\"scale\"", "\"kinds\"", "\"models\"", "\"seeds\"", "\"kernels\"",
-    "\"mpki_thresholds\"", "\"flpi_thresholds\"", "\"SWQUE\"", "\"BOGUS\"", "\"medium\"",
-    "\"mcf_like\"", "\"nope_like\"", "0", "-1", "1.5", "1e999", "18446744073709551616", "é",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    " ",
+    "\n",
+    "null",
+    "true",
+    "\"schema\"",
+    "\"swque-sweep-manifest-v1\"",
+    "\"name\"",
+    "\"budget\"",
+    "\"axes\"",
+    "\"warmup_insts\"",
+    "\"max_insts\"",
+    "\"scale\"",
+    "\"kinds\"",
+    "\"models\"",
+    "\"seeds\"",
+    "\"kernels\"",
+    "\"mpki_thresholds\"",
+    "\"flpi_thresholds\"",
+    "\"SWQUE\"",
+    "\"BOGUS\"",
+    "\"medium\"",
+    "\"mcf_like\"",
+    "\"nope_like\"",
+    "0",
+    "-1",
+    "1.5",
+    "1e999",
+    "18446744073709551616",
+    "é",
     "",
 ];
 

@@ -79,8 +79,7 @@ fn resume_skips_completed_shards_by_content_hash() {
     assert!(partial.merged.is_none(), "incomplete campaign must not merge");
     // The shard files the partial run produced, by content hash.
     let units = m.units();
-    let first_shards: Vec<String> =
-        units[..2].iter().map(|u| read(&shard_path(&out, u))).collect();
+    let first_shards: Vec<String> = units[..2].iter().map(|u| read(&shard_path(&out, u))).collect();
     // Resume: the two existing shards are recognized and skipped.
     let resumed = run_campaign(&m, &out, 2, None).expect("resume");
     assert_eq!((resumed.skipped, resumed.ran, resumed.repaired), (2, 2, 0));

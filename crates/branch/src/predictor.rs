@@ -236,9 +236,6 @@ mod tests {
     #[test]
     fn not_taken_correct_prediction_ignores_target() {
         let p = Prediction { taken: false, target: None };
-        assert!(p.correct(
-            BranchKind::Conditional,
-            BranchOutcome { taken: false, target: 0xdead }
-        ));
+        assert!(p.correct(BranchKind::Conditional, BranchOutcome { taken: false, target: 0xdead }));
     }
 }

@@ -133,7 +133,11 @@ pub struct CostSummary {
 /// Computes Table 6's first three rows for `g`.
 pub fn cost_summary(g: &IqGeometry) -> CostSummary {
     let add = lambda2_to_mm2(areas(g).swque_addition());
-    CostSummary { additional_mm2: add, vs_core: add / SKYLAKE_CORE_MM2, vs_chip: add / SKYLAKE_CHIP_MM2 }
+    CostSummary {
+        additional_mm2: add,
+        vs_core: add / SKYLAKE_CORE_MM2,
+        vs_chip: add / SKYLAKE_CHIP_MM2,
+    }
 }
 
 #[cfg(test)]

@@ -80,12 +80,12 @@ pub fn delays(g: &IqGeometry) -> IqDelays {
     let iw = g.issue_width as f64;
     let levels = (g.entries as f64).log2() / 2.0; // log4
     IqDelays {
-        wakeup: 25.0 + 0.15625 * n, // 45 @ 128
-        select: 7.714 * levels,     // 27 @ 128
-        tag_read: 12.0 + 0.125 * n, // 28 @ 128
+        wakeup: 25.0 + 0.15625 * n,       // 45 @ 128
+        select: 7.714 * levels,           // 27 @ 128
+        tag_read: 12.0 + 0.125 * n,       // 28 @ 128
         tag_precharge: 6.0 + 0.03125 * n, // 10 @ 128
-        payload: 20.6 + 0.175 * n,  // 43 @ 128
-        dtm: 1.0 + 0.05 * iw,       // 1.3 @ IW 6
+        payload: 20.6 + 0.175 * n,        // 43 @ 128
+        dtm: 1.0 + 0.05 * iw,             // 1.3 @ IW 6
     }
 }
 

@@ -75,18 +75,15 @@ pub fn iq_energy(r: &SimResult, g: &IqGeometry, swque_hardware: bool) -> EnergyB
         + r.iq.selects as f64 * E_SELECT_PER_LEVEL * levels
         + r.iq.issued as f64 * (E_TAG_READ + E_PAYLOAD)
         + r.iq.dispatched as f64 * E_PAYLOAD;
-    let static_basic =
-        r.cycles as f64 * c.baseline_total() as f64 / 1e6 * LEAK_PER_MTRANSISTOR;
+    let static_basic = r.cycles as f64 * c.baseline_total() as f64 / 1e6 * LEAK_PER_MTRANSISTOR;
 
     let (static_swque, dynamic_swque) = if swque_hardware {
         let extra_tag_reads = r.iq.tag_reads.saturating_sub(r.iq.issued);
         // Each extra tag read came from an S_RV selection, which also paid
         // an arbitration in the second select logic — a quarter of a full
         // arbitration's energy, since only the (small) RV subset toggles.
-        let dynamic =
-            extra_tag_reads as f64 * (E_TAG_READ + 0.25 * E_SELECT_PER_LEVEL * levels);
-        let stat =
-            r.cycles as f64 * c.swque_additions() as f64 / 1e6 * LEAK_PER_MTRANSISTOR;
+        let dynamic = extra_tag_reads as f64 * (E_TAG_READ + 0.25 * E_SELECT_PER_LEVEL * levels);
+        let stat = r.cycles as f64 * c.swque_additions() as f64 / 1e6 * LEAK_PER_MTRANSISTOR;
         (stat, dynamic)
     } else {
         (0.0, 0.0)

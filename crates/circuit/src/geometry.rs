@@ -34,13 +34,25 @@ impl IqGeometry {
     /// The paper's medium (Table 2) queue: 128 entries, 6-wide, 512
     /// physical registers (9-bit tags).
     pub fn medium() -> IqGeometry {
-        IqGeometry { entries: 128, issue_width: 6, tag_bits: 9, payload_bits: 48, wakeup: WakeupStyle::Cam }
+        IqGeometry {
+            entries: 128,
+            issue_width: 6,
+            tag_bits: 9,
+            payload_bits: 48,
+            wakeup: WakeupStyle::Cam,
+        }
     }
 
     /// The paper's large (Table 4) queue: 256 entries, 8-wide, 1024
     /// physical registers (10-bit tags).
     pub fn large() -> IqGeometry {
-        IqGeometry { entries: 256, issue_width: 8, tag_bits: 10, payload_bits: 48, wakeup: WakeupStyle::Cam }
+        IqGeometry {
+            entries: 256,
+            issue_width: 8,
+            tag_bits: 10,
+            payload_bits: 48,
+            wakeup: WakeupStyle::Cam,
+        }
     }
 
     /// A custom geometry with medium-style tag/payload widths (used for

@@ -202,7 +202,10 @@ pub struct ScalarAgeMatrix {
 impl ScalarAgeMatrix {
     pub fn new(capacity: usize) -> ScalarAgeMatrix {
         assert!(capacity > 0);
-        ScalarAgeMatrix { older: vec![vec![false; capacity]; capacity], valid: vec![false; capacity] }
+        ScalarAgeMatrix {
+            older: vec![vec![false; capacity]; capacity],
+            valid: vec![false; capacity],
+        }
     }
 
     pub fn allocate(&mut self, i: usize) {
@@ -370,8 +373,7 @@ mod tests {
                     }
                 }
                 // Random request subset, including some invalid slots.
-                let req: Vec<usize> =
-                    (0..cap).filter(|_| g.gen_range(0u32..3) == 0).collect();
+                let req: Vec<usize> = (0..cap).filter(|_| g.gen_range(0u32..3) == 0).collect();
                 assert_eq!(
                     fast.oldest_ready(req.iter().copied()),
                     oracle.oldest_ready(req.iter().copied()),

@@ -152,13 +152,10 @@ pub fn first_set(words: &[u64]) -> Option<usize> {
 /// Iterates the set bits of a word slice in ascending index order.
 pub fn iter_set(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
-        std::iter::successors(
-            (w != 0).then_some(w),
-            |&rest| {
-                let rest = rest & (rest - 1);
-                (rest != 0).then_some(rest)
-            },
-        )
+        std::iter::successors((w != 0).then_some(w), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
         .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
     })
 }

@@ -417,7 +417,7 @@ mod tests {
     fn rv_instruction_takes_two_cycles() {
         let mut q = wrapped(8, 2, 6);
         q.wakeup(888); // only RV are ready
-        // Cycle N: S_RV selects them, but nothing issues yet.
+                       // Cycle N: S_RV selects them, but nothing issues yet.
         let g = q.select(&mut budget(6));
         assert!(g.is_empty(), "RV selection does not issue in the same cycle");
         // Cycle N+1: PTL tags merge (no NR competition) and issue.
@@ -446,7 +446,7 @@ mod tests {
         let g = q.select(&mut budget(2));
         assert!(g.is_empty());
         q.wakeup(999); // now all NR are ready as well
-        // Merge cycle with width 2: both slots go to NR; RV tags discarded.
+                       // Merge cycle with width 2: both slots go to NR; RV tags discarded.
         let g = q.select(&mut budget(2));
         assert_eq!(g.iter().map(|g| g.seq).collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(q.stats().rv_discards, 2);

@@ -76,11 +76,11 @@ mod swque;
 mod types;
 
 pub use age_matrix::AgeMatrix;
-pub use digest::{fnv1a64, ArchKey};
 pub use bitset::BitSet;
 pub use circ::CircQueue;
 pub use circ_pc::CircPcQueue;
 pub use controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
+pub use digest::{fnv1a64, ArchKey};
 pub use horizon::{min_horizon, WakeHorizon};
 pub use queue::{BucketSpec, IqConfig, IqKind, IssueQueue};
 pub use random_queue::RandomQueue;

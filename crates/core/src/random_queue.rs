@@ -49,11 +49,7 @@ fn group_of(fu: FuClass) -> usize {
 impl RandomQueue {
     fn with_buckets(config: &IqConfig, spec: BucketSpec, name: &'static str) -> RandomQueue {
         let total = spec.total();
-        let groups = [
-            (0, spec.int),
-            (spec.int, spec.mem),
-            (spec.int + spec.mem, spec.fp),
-        ];
+        let groups = [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)];
         RandomQueue {
             slots: SlotArray::new(config.capacity),
             matrices: (0..total).map(|_| AgeMatrix::new(config.capacity)).collect(),
@@ -68,8 +64,7 @@ impl RandomQueue {
 
     /// RAND: free-list allocation, position priority, no age matrix.
     pub fn rand(config: &IqConfig) -> RandomQueue {
-        let mut q =
-            RandomQueue::with_buckets(config, BucketSpec { int: 0, mem: 0, fp: 0 }, "RAND");
+        let mut q = RandomQueue::with_buckets(config, BucketSpec { int: 0, mem: 0, fp: 0 }, "RAND");
         q.matrices.clear();
         q
     }
@@ -104,9 +99,7 @@ impl RandomQueue {
         }
         let (first, count) = self.groups[group_of(fu)];
         assert!(count > 0, "no bucket serves {fu}");
-        (first..first + count)
-            .min_by_key(|&b| self.bucket_load[b as usize])
-            .unwrap_or(first)
+        (first..first + count).min_by_key(|&b| self.bucket_load[b as usize]).unwrap_or(first)
     }
 
     fn remove_entry(&mut self, pos: usize) {
@@ -213,8 +206,7 @@ impl IssueQueue for RandomQueue {
             if budget.exhausted() {
                 break;
             }
-            let Some(pos) = self.matrices[m].oldest_ready_words(self.slots.ready_words())
-            else {
+            let Some(pos) = self.matrices[m].oldest_ready_words(self.slots.ready_words()) else {
                 continue;
             };
             let fu = self.slots.get(pos).fu;

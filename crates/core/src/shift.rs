@@ -243,8 +243,11 @@ mod tests {
         let mut q = ShiftQueue::new(&IqConfig { flpi_region_frac: 0.75, ..cfg(8, 4) });
         assert_eq!(q.flpi_floor, 2, "ranks 2 and up count as low priority");
         for seq in 0..5 {
-            let req =
-                if seq % 2 == 1 { ready(seq, FuClass::IntAlu) } else { waiting(seq, 90 + seq as Tag) };
+            let req = if seq % 2 == 1 {
+                ready(seq, FuClass::IntAlu)
+            } else {
+                waiting(seq, 90 + seq as Tag)
+            };
             q.dispatch(req).unwrap();
         }
         let g = q.select(&mut budget(4));

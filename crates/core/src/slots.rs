@@ -531,8 +531,7 @@ mod tests {
                     // Insert into a random free slot.
                     0..=44 => {
                         let Some(_) = fast.first_free() else { continue };
-                        let free: Vec<usize> =
-                            (0..cap).filter(|&p| !oracle.get(p).valid).collect();
+                        let free: Vec<usize> = (0..cap).filter(|&p| !oracle.get(p).valid).collect();
                         let pos = free[g.gen_range(0usize..free.len())];
                         let mk = |g: &mut swque_rng::prop::Gen| -> Option<Tag> {
                             g.bool().then(|| g.gen_range(0u64..12) as Tag)
@@ -546,8 +545,7 @@ mod tests {
                     }
                     // Remove a random valid slot.
                     45..=64 => {
-                        let live: Vec<usize> =
-                            (0..cap).filter(|&p| oracle.get(p).valid).collect();
+                        let live: Vec<usize> = (0..cap).filter(|&p| oracle.get(p).valid).collect();
                         if live.is_empty() {
                             continue;
                         }
@@ -563,8 +561,7 @@ mod tests {
                     }
                     // Toggle pending_rv on a valid slot.
                     90..=96 => {
-                        let live: Vec<usize> =
-                            (0..cap).filter(|&p| oracle.get(p).valid).collect();
+                        let live: Vec<usize> = (0..cap).filter(|&p| oracle.get(p).valid).collect();
                         if live.is_empty() {
                             continue;
                         }
@@ -582,8 +579,7 @@ mod tests {
                 assert_eq!(fast.len(), oracle.len());
                 assert_eq!(fast.first_free(), oracle.first_free());
                 let valid_fast: Vec<usize> = fast.valid_positions().collect();
-                let valid_oracle: Vec<usize> =
-                    (0..cap).filter(|&p| oracle.get(p).valid).collect();
+                let valid_oracle: Vec<usize> = (0..cap).filter(|&p| oracle.get(p).valid).collect();
                 assert_eq!(valid_fast, valid_oracle, "valid plane");
                 for p in 0..cap {
                     let (f, o) = (fast.get(p), oracle.get(p));

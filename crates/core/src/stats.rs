@@ -39,7 +39,9 @@ impl IqStats {
         IqStats {
             dispatched: self.dispatched.saturating_sub(earlier.dispatched),
             issued: self.issued.saturating_sub(earlier.issued),
-            issued_low_priority: self.issued_low_priority.saturating_sub(earlier.issued_low_priority),
+            issued_low_priority: self
+                .issued_low_priority
+                .saturating_sub(earlier.issued_low_priority),
             wakeups: self.wakeups.saturating_sub(earlier.wakeups),
             selects: self.selects.saturating_sub(earlier.selects),
             occupancy_sum: self.occupancy_sum.saturating_sub(earlier.occupancy_sum),
@@ -106,7 +108,9 @@ impl SwqueStats {
             cycles_circ_pc: self.cycles_circ_pc.saturating_sub(earlier.cycles_circ_pc),
             cycles_age: self.cycles_age.saturating_sub(earlier.cycles_age),
             intervals: self.intervals.saturating_sub(earlier.intervals),
-            threshold_reductions: self.threshold_reductions.saturating_sub(earlier.threshold_reductions),
+            threshold_reductions: self
+                .threshold_reductions
+                .saturating_sub(earlier.threshold_reductions),
         }
     }
 

@@ -54,8 +54,7 @@ impl Swque {
     /// Creates a SWQUE starting in CIRC-PC mode. `multi_am` selects whether
     /// the AGE configuration uses multiple age matrices (SWQUE-multiAM).
     pub fn new(config: &IqConfig, multi_am: bool) -> Swque {
-        let age =
-            if multi_am { RandomQueue::age_multi(config) } else { RandomQueue::age(config) };
+        let age = if multi_am { RandomQueue::age_multi(config) } else { RandomQueue::age(config) };
         Swque {
             circ_pc: CircPcQueue::new(config),
             age,

@@ -19,9 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use swque_core::{
-    BucketSpec, DispatchReq, Grant, IqConfig, IqKind, IssueBudget, IssueQueue, Tag,
-};
+use swque_core::{BucketSpec, DispatchReq, Grant, IqConfig, IqKind, IssueBudget, IssueQueue, Tag};
 use swque_isa::FuClass;
 use swque_rng::prop::{check, Gen};
 
@@ -165,8 +163,7 @@ impl RefAgeMatrix {
         (0..self.valid.len()).find(|&i| {
             req[i]
                 && self.valid[i]
-                && (0..self.valid.len())
-                    .all(|j| !(self.older[i][j] && req[j] && self.valid[j]))
+                && (0..self.valid.len()).all(|j| !(self.older[i][j] && req[j] && self.valid[j]))
         })
     }
 }
@@ -453,11 +450,7 @@ impl RefRand {
         RefRand {
             slots: RefSlots::new(capacity),
             matrices: (0..matrices).map(|_| RefAgeMatrix::new(capacity)).collect(),
-            groups: [
-                (0, spec.int),
-                (spec.int, spec.mem),
-                (spec.int + spec.mem, spec.fp),
-            ],
+            groups: [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)],
             bucket_load: vec![0; matrices.max(1)],
         }
     }
@@ -566,7 +559,12 @@ struct RefRearrange {
 
 impl RefRearrange {
     fn new(capacity: usize) -> RefRearrange {
-        RefRearrange { slots: RefSlots::new(capacity), old: BTreeMap::new(), old_capacity: 16, move_width: 4 }
+        RefRearrange {
+            slots: RefSlots::new(capacity),
+            old: BTreeMap::new(),
+            old_capacity: 16,
+            move_width: 4,
+        }
     }
 
     fn rearrange(&mut self) {
@@ -752,9 +750,7 @@ fn run_kind(kind: IqKind, cases: usize) {
             IqKind::Age => {
                 Box::new(RefRand::new(capacity, BucketSpec { int: 1, mem: 0, fp: 0 }, 1))
             }
-            IqKind::AgeMulti => {
-                Box::new(RefRand::new(capacity, cfg.buckets, cfg.buckets.total()))
-            }
+            IqKind::AgeMulti => Box::new(RefRand::new(capacity, cfg.buckets, cfg.buckets.total())),
             IqKind::Rearrange => Box::new(RefRearrange::new(capacity)),
             other => panic!("no scalar reference for {other}"),
         };

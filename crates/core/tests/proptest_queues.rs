@@ -28,10 +28,9 @@ enum Op {
 /// (4 dispatch : 3 wakeup : 3 select : 1 squash : 1 flush).
 fn random_op(g: &mut Gen) -> Op {
     match g.weighted(&[4, 3, 3, 1, 1]) {
-        0 => Op::Dispatch {
-            wait_tag: g.option(|g| g.gen_range(1u16..24)),
-            fu: g.gen_range(0u8..4),
-        },
+        0 => {
+            Op::Dispatch { wait_tag: g.option(|g| g.gen_range(1u16..24)), fu: g.gen_range(0u8..4) }
+        }
         1 => Op::Wakeup(g.gen_range(1u16..24)),
         2 => Op::Select { width: g.gen_range(1u8..7) },
         3 => Op::SquashTail { keep_frac: g.gen_range(0u8..8) },
@@ -72,9 +71,13 @@ fn queue_invariants_hold_under_random_ops() {
                         let tag = wait_tag.filter(|t| !woken.contains(t));
                         if q.has_space() {
                             q.dispatch(DispatchReq::new(
-                                seq, seq, Some(200 + (seq % 50) as Tag),
-                                [tag, None], fu_of(*fu),
-                            )).expect("has_space held");
+                                seq,
+                                seq,
+                                Some(200 + (seq % 50) as Tag),
+                                [tag, None],
+                                fu_of(*fu),
+                            ))
+                            .expect("has_space held");
                             live.insert(seq, tag);
                             seq += 1;
                         } else {
@@ -140,13 +143,8 @@ fn age_matrix_matches_sequence_oracle() {
                 ages[slot] = None;
             }
         }
-        let requests: Vec<usize> =
-            (0..16).filter(|&i| request_mask >> i & 1 == 1).collect();
-        let oracle = requests
-            .iter()
-            .filter_map(|&i| ages[i].map(|a| (a, i)))
-            .min()
-            .map(|(_, i)| i);
+        let requests: Vec<usize> = (0..16).filter(|&i| request_mask >> i & 1 == 1).collect();
+        let oracle = requests.iter().filter_map(|&i| ages[i].map(|a| (a, i))).min().map(|(_, i)| i);
         assert_eq!(m.oldest_ready(requests), oracle);
     });
 }
@@ -167,8 +165,7 @@ fn shift_issues_in_age_order() {
         let mut budget = IssueBudget::new(16, [16, 16, 16, 16]);
         let grants = q.select(&mut budget);
         let seqs: Vec<u64> = grants.iter().map(|grant| grant.seq).collect();
-        let mut expected: Vec<u64> =
-            (0..16u64).filter(|s| ready_mask >> s & 1 == 1).collect();
+        let mut expected: Vec<u64> = (0..16u64).filter(|s| ready_mask >> s & 1 == 1).collect();
         expected.truncate(seqs.len());
         assert_eq!(seqs, expected);
     });

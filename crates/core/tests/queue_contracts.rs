@@ -40,10 +40,9 @@ enum Op {
 
 fn random_op(g: &mut Gen) -> Op {
     match g.weighted(&[4, 3, 3, 1, 1]) {
-        0 => Op::Dispatch {
-            wait_tag: g.option(|g| g.gen_range(1u16..24)),
-            fu: g.gen_range(0u8..4),
-        },
+        0 => {
+            Op::Dispatch { wait_tag: g.option(|g| g.gen_range(1u16..24)), fu: g.gen_range(0u8..4) }
+        }
         1 => Op::Wakeup(g.gen_range(1u16..24)),
         2 => Op::Select { width: g.gen_range(1u8..5) },
         3 => Op::SquashTail { keep_frac: g.gen_range(0u8..8) },

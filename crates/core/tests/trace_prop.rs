@@ -43,10 +43,8 @@ fn interval_events_reconcile_with_swque_stats() {
         let events = trace.events();
         assert_eq!(trace.dropped(), 0, "ring sized for the whole run");
 
-        let intervals: Vec<&TraceEvent> = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Interval { .. }))
-            .collect();
+        let intervals: Vec<&TraceEvent> =
+            events.iter().filter(|e| matches!(e, TraceEvent::Interval { .. })).collect();
         assert_eq!(
             intervals.len() as u64,
             stats.intervals,

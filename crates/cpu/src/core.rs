@@ -418,10 +418,7 @@ impl Pipeline {
     }
 
     fn finished(&self) -> bool {
-        self.emu_halted
-            && self.rob.is_empty()
-            && self.decode_q.is_empty()
-            && self.replay.is_empty()
+        self.emu_halted && self.rob.is_empty() && self.decode_q.is_empty() && self.replay.is_empty()
     }
 
     /// Records a broken pipeline invariant — a simulator bug, not a program
@@ -556,9 +553,7 @@ impl Pipeline {
                 let blocked = !self.rob.has_space()
                     || (needs_iq && !self.iq.has_space())
                     || (op.is_mem() && !self.lsq.has_space())
-                    || inst
-                        .dest()
-                        .is_some_and(|r| self.rename.free_count(r.class) == 0);
+                    || inst.dest().is_some_and(|r| self.rename.free_count(r.class) == 0);
                 if !blocked {
                     return None;
                 }
@@ -571,9 +566,8 @@ impl Pipeline {
         if self.cycle < self.fetch_stalled_until {
             horizon = min_horizon(horizon, Some(self.fetch_stalled_until));
         } else if !matches!(&self.wrong_path, Some(wp) if wp.dead) {
-            let has_source = self.wrong_path.is_some()
-                || !self.replay.is_empty()
-                || !self.emu_halted;
+            let has_source =
+                self.wrong_path.is_some() || !self.replay.is_empty() || !self.emu_halted;
             if has_source && self.decode_q.len() < self.decode_capacity() {
                 return None;
             }
@@ -631,8 +625,7 @@ impl Pipeline {
         // skips at `fetch_stalled_until`, so `cycle >= fetch_stalled_until`
         // here means every skipped cycle is too), a dead wrong path charges
         // one mispredict-stall cycle per cycle.
-        if self.cycle >= self.fetch_stalled_until
-            && matches!(&self.wrong_path, Some(wp) if wp.dead)
+        if self.cycle >= self.fetch_stalled_until && matches!(&self.wrong_path, Some(wp) if wp.dead)
         {
             self.stats.mispredict_stall_cycles += n.get();
         }
@@ -663,7 +656,10 @@ impl Pipeline {
                     let _ = mem.access_from(self.requester, m.addr, AccessKind::Store, self.cycle);
                 }
                 if !self.lsq.pop_head(e.uid) {
-                    self.invariant("commit", format!("committed uid {} is not the LSQ head", e.uid));
+                    self.invariant(
+                        "commit",
+                        format!("committed uid {} is not the LSQ head", e.uid),
+                    );
                     return;
                 }
             }
@@ -699,7 +695,8 @@ impl Pipeline {
                 );
                 self.squash_younger(seq);
                 self.wrong_path = None;
-                self.fetch_stalled_until = self.fetch_stalled_until.max(self.cycle + CycleDelta::ONE);
+                self.fetch_stalled_until =
+                    self.fetch_stalled_until.max(self.cycle + CycleDelta::ONE);
                 self.last_fetch_line = None;
             }
         }
@@ -783,8 +780,7 @@ impl Pipeline {
     // ---- issue ----
 
     fn issue(&mut self) {
-        let mut budget =
-            IssueBudget::new(self.config.width, self.fus.free_counts(self.cycle));
+        let mut budget = IssueBudget::new(self.config.width, self.fus.free_counts(self.cycle));
         let mut grants = std::mem::take(&mut self.grants);
         grants.clear();
         grants.extend_from_slice(self.iq.select(&mut budget));
@@ -858,16 +854,18 @@ impl Pipeline {
                 inst.src2.and_then(|r| self.rename.rename_src(r)),
             ];
             let dst = match inst.dest() {
-                Some(r) => match self.rename.rename_dst(r) {
-                    Some((new, old)) => Some((r, new, old)),
-                    None => {
-                        self.invariant(
+                Some(r) => {
+                    match self.rename.rename_dst(r) {
+                        Some((new, old)) => Some((r, new, old)),
+                        None => {
+                            self.invariant(
                             "dispatch",
                             format!("no free physical register for seq {seq} after free_count check"),
                         );
-                        return;
+                            return;
+                        }
                     }
-                },
+                }
                 None => None,
             };
             let lsq =
@@ -1086,11 +1084,9 @@ impl Pipeline {
                         shadow: self.emu.shadow(wpc),
                         dead: false,
                     },
-                    None => WrongPath {
-                        branch_uid: front.uid,
-                        shadow: self.emu.shadow(0),
-                        dead: true,
-                    },
+                    None => {
+                        WrongPath { branch_uid: front.uid, shadow: self.emu.shadow(0), dead: true }
+                    }
                 });
                 self.last_fetch_line = None;
                 break;

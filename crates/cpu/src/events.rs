@@ -159,8 +159,7 @@ impl EventRing {
                 }
             }
         }
-        let ring =
-            bucket.map(|b| now + CycleDelta::new((b as u64).wrapping_sub(now.get()) & MASK));
+        let ring = bucket.map(|b| now + CycleDelta::new((b as u64).wrapping_sub(now.get()) & MASK));
         let far = self.overflow.peek().map(|&Reverse((at, _, _))| at);
         match (ring, far) {
             (Some(r), Some(f)) => Some(r.min(f)),

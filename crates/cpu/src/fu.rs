@@ -86,12 +86,7 @@ impl WakeHorizon for FuPool {
     /// contract (DESIGN.md §10) is that every timed subsystem reports its
     /// state honestly rather than relying on the predicate's other clauses.
     fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp> {
-        self.busy_until
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|&b| b > now)
-            .min()
+        self.busy_until.iter().flatten().copied().filter(|&b| b > now).min()
     }
 }
 

@@ -331,7 +331,8 @@ mod tests {
                     }
                     1 => {
                         let stores: Vec<_> = issued.iter().filter(|h| h.2).collect();
-                        let Some(&&(slot, uid, _)) = stores.get(g.gen_range(0..stores.len().max(1)))
+                        let Some(&&(slot, uid, _)) =
+                            stores.get(g.gen_range(0..stores.len().max(1)))
                         else {
                             continue;
                         };

@@ -95,9 +95,10 @@ impl MultiCoreSim {
     /// `(jumps_taken, cycles_skipped)` summed over all cores — host-side
     /// observability only, never part of any [`SimResult`].
     pub fn skip_stats(&self) -> (u64, u64) {
-        self.cores.iter().map(Pipeline::skip_stats).fold((0, 0), |(j, c), (dj, dc)| {
-            (j + dj, c + dc)
-        })
+        self.cores
+            .iter()
+            .map(Pipeline::skip_stats)
+            .fold((0, 0), |(j, c), (dj, dc)| (j + dj, c + dc))
     }
 
     /// Runs every core until it retires `max_insts` instructions, finishes

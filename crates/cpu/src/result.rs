@@ -56,7 +56,11 @@ pub struct InvariantViolation {
 
 impl std::fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pipeline invariant violated in {} at cycle {}: {}", self.stage, self.cycle, self.detail)
+        write!(
+            f,
+            "pipeline invariant violated in {} at cycle {}: {}",
+            self.stage, self.cycle, self.detail
+        )
     }
 }
 

@@ -197,12 +197,7 @@ mod tests {
         RobEntry {
             uid,
             seq,
-            oracle: Retired {
-                pc: uid,
-                inst: Inst::bare(Opcode::Nop),
-                next_pc: uid + 1,
-                mem: None,
-            },
+            oracle: Retired { pc: uid, inst: Inst::bare(Opcode::Nop), next_pc: uid + 1, mem: None },
             state: RobState::Waiting,
             dst: None,
             lsq: None,

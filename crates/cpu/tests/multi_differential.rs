@@ -76,10 +76,7 @@ fn two_core_corun_produces_nonzero_contention_counters() {
     // flight, so an MLP burst must stall on its quota.
     config.mem.mshrs = 2;
 
-    let mut multi = MultiCoreSim::new(
-        config,
-        &[(IqKind::Swque, &chase), (IqKind::Swque, &stream)],
-    );
+    let mut multi = MultiCoreSim::new(config, &[(IqKind::Swque, &chase), (IqKind::Swque, &stream)]);
     let results = multi.run(RUN_INSTS);
     assert_eq!(results.len(), 2);
     for (i, r) in results.iter().enumerate() {

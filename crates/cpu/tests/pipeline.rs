@@ -99,10 +99,7 @@ fn shift_is_at_least_as_fast_as_circ_on_a_wrapping_workload() {
     };
     let shift = ipc(IqKind::Shift);
     let circ = ipc(IqKind::Circ);
-    assert!(
-        shift >= circ * 0.999,
-        "SHIFT ({shift:.3}) should not lose to CIRC ({circ:.3})"
-    );
+    assert!(shift >= circ * 0.999, "SHIFT ({shift:.3}) should not lose to CIRC ({circ:.3})");
 }
 
 #[test]

@@ -96,10 +96,7 @@ fn differential(kernel: &str) {
             any_skips = true;
         }
     }
-    assert!(
-        any_skips,
-        "{kernel}: no queue kind took a single skip — the differential is vacuous"
-    );
+    assert!(any_skips, "{kernel}: no queue kind took a single skip — the differential is vacuous");
 }
 
 /// ILP-bound kernel: short idle windows, exercises skip/no-skip

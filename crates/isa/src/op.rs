@@ -18,7 +18,8 @@ pub enum FuClass {
 
 impl FuClass {
     /// All classes, in a fixed order (useful for per-class tables).
-    pub const ALL: [FuClass; 4] = [FuClass::IntAlu, FuClass::IntMulDiv, FuClass::LdSt, FuClass::Fpu];
+    pub const ALL: [FuClass; 4] =
+        [FuClass::IntAlu, FuClass::IntMulDiv, FuClass::LdSt, FuClass::Fpu];
 
     /// Dense index of the class, `0..4`.
     pub fn index(self) -> usize {

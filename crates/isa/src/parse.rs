@@ -68,10 +68,7 @@ fn parse_int(line: usize, token: &str) -> Result<i64, ParseError> {
 }
 
 fn parse_reg(line: usize, token: &str) -> Result<Reg, ParseError> {
-    let idx = token
-        .strip_prefix('r')
-        .and_then(|n| n.parse::<u8>().ok())
-        .filter(|&n| n < 32);
+    let idx = token.strip_prefix('r').and_then(|n| n.parse::<u8>().ok()).filter(|&n| n < 32);
     match idx {
         Some(n) => Ok(Reg(n)),
         None => err(line, format!("expected an integer register r0..r31, got `{token}`")),
@@ -79,10 +76,7 @@ fn parse_reg(line: usize, token: &str) -> Result<Reg, ParseError> {
 }
 
 fn parse_freg(line: usize, token: &str) -> Result<FReg, ParseError> {
-    let idx = token
-        .strip_prefix('f')
-        .and_then(|n| n.parse::<u8>().ok())
-        .filter(|&n| n < 32);
+    let idx = token.strip_prefix('f').and_then(|n| n.parse::<u8>().ok()).filter(|&n| n < 32);
     match idx {
         Some(n) => Ok(FReg(n)),
         None => err(line, format!("expected an FP register f0..f31, got `{token}`")),
@@ -140,11 +134,10 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                 Some("f64") => {
                     let vals: Result<Vec<f64>, ParseError> = parts
                         .map(|t| {
-                            t.parse::<f64>()
-                                .map_err(|_| ParseError {
-                                    line,
-                                    message: format!("expected a float, got `{t}`"),
-                                })
+                            t.parse::<f64>().map_err(|_| ParseError {
+                                line,
+                                message: format!("expected a float, got `{t}`"),
+                            })
                         })
                         .collect();
                     a.data_f64s(base, &vals?);
@@ -179,57 +172,198 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 
         match mnemonic {
             // integer reg-reg
-            "add" => { want(3)?; a.add(r(0)?, r(1)?, r(2)?) }
-            "sub" => { want(3)?; a.sub(r(0)?, r(1)?, r(2)?) }
-            "and" => { want(3)?; a.and(r(0)?, r(1)?, r(2)?) }
-            "or" => { want(3)?; a.or(r(0)?, r(1)?, r(2)?) }
-            "xor" => { want(3)?; a.xor(r(0)?, r(1)?, r(2)?) }
-            "sll" => { want(3)?; a.sll(r(0)?, r(1)?, r(2)?) }
-            "srl" => { want(3)?; a.srl(r(0)?, r(1)?, r(2)?) }
-            "sra" => { want(3)?; a.sra(r(0)?, r(1)?, r(2)?) }
-            "slt" => { want(3)?; a.slt(r(0)?, r(1)?, r(2)?) }
-            "sltu" => { want(3)?; a.sltu(r(0)?, r(1)?, r(2)?) }
-            "mul" => { want(3)?; a.mul(r(0)?, r(1)?, r(2)?) }
-            "div" => { want(3)?; a.div(r(0)?, r(1)?, r(2)?) }
-            "rem" => { want(3)?; a.rem(r(0)?, r(1)?, r(2)?) }
+            "add" => {
+                want(3)?;
+                a.add(r(0)?, r(1)?, r(2)?)
+            }
+            "sub" => {
+                want(3)?;
+                a.sub(r(0)?, r(1)?, r(2)?)
+            }
+            "and" => {
+                want(3)?;
+                a.and(r(0)?, r(1)?, r(2)?)
+            }
+            "or" => {
+                want(3)?;
+                a.or(r(0)?, r(1)?, r(2)?)
+            }
+            "xor" => {
+                want(3)?;
+                a.xor(r(0)?, r(1)?, r(2)?)
+            }
+            "sll" => {
+                want(3)?;
+                a.sll(r(0)?, r(1)?, r(2)?)
+            }
+            "srl" => {
+                want(3)?;
+                a.srl(r(0)?, r(1)?, r(2)?)
+            }
+            "sra" => {
+                want(3)?;
+                a.sra(r(0)?, r(1)?, r(2)?)
+            }
+            "slt" => {
+                want(3)?;
+                a.slt(r(0)?, r(1)?, r(2)?)
+            }
+            "sltu" => {
+                want(3)?;
+                a.sltu(r(0)?, r(1)?, r(2)?)
+            }
+            "mul" => {
+                want(3)?;
+                a.mul(r(0)?, r(1)?, r(2)?)
+            }
+            "div" => {
+                want(3)?;
+                a.div(r(0)?, r(1)?, r(2)?)
+            }
+            "rem" => {
+                want(3)?;
+                a.rem(r(0)?, r(1)?, r(2)?)
+            }
             // integer immediates
-            "addi" => { want(3)?; a.addi(r(0)?, r(1)?, imm(2)?) }
-            "andi" => { want(3)?; a.andi(r(0)?, r(1)?, imm(2)?) }
-            "ori" => { want(3)?; a.ori(r(0)?, r(1)?, imm(2)?) }
-            "xori" => { want(3)?; a.xori(r(0)?, r(1)?, imm(2)?) }
-            "slli" => { want(3)?; a.slli(r(0)?, r(1)?, imm(2)?) }
-            "srli" => { want(3)?; a.srli(r(0)?, r(1)?, imm(2)?) }
-            "srai" => { want(3)?; a.srai(r(0)?, r(1)?, imm(2)?) }
-            "slti" => { want(3)?; a.slti(r(0)?, r(1)?, imm(2)?) }
-            "li" => { want(2)?; a.li(r(0)?, imm(1)?) }
-            "mv" => { want(2)?; a.mv(r(0)?, r(1)?) }
+            "addi" => {
+                want(3)?;
+                a.addi(r(0)?, r(1)?, imm(2)?)
+            }
+            "andi" => {
+                want(3)?;
+                a.andi(r(0)?, r(1)?, imm(2)?)
+            }
+            "ori" => {
+                want(3)?;
+                a.ori(r(0)?, r(1)?, imm(2)?)
+            }
+            "xori" => {
+                want(3)?;
+                a.xori(r(0)?, r(1)?, imm(2)?)
+            }
+            "slli" => {
+                want(3)?;
+                a.slli(r(0)?, r(1)?, imm(2)?)
+            }
+            "srli" => {
+                want(3)?;
+                a.srli(r(0)?, r(1)?, imm(2)?)
+            }
+            "srai" => {
+                want(3)?;
+                a.srai(r(0)?, r(1)?, imm(2)?)
+            }
+            "slti" => {
+                want(3)?;
+                a.slti(r(0)?, r(1)?, imm(2)?)
+            }
+            "li" => {
+                want(2)?;
+                a.li(r(0)?, imm(1)?)
+            }
+            "mv" => {
+                want(2)?;
+                a.mv(r(0)?, r(1)?)
+            }
             // memory
-            "ld" => { want(3)?; a.ld(r(0)?, r(1)?, imm(2)?) }
-            "st" => { want(3)?; a.st(r(0)?, r(1)?, imm(2)?) }
-            "fld" => { want(3)?; a.fld(f(0)?, r(1)?, imm(2)?) }
-            "fst" => { want(3)?; a.fst(f(0)?, r(1)?, imm(2)?) }
+            "ld" => {
+                want(3)?;
+                a.ld(r(0)?, r(1)?, imm(2)?)
+            }
+            "st" => {
+                want(3)?;
+                a.st(r(0)?, r(1)?, imm(2)?)
+            }
+            "fld" => {
+                want(3)?;
+                a.fld(f(0)?, r(1)?, imm(2)?)
+            }
+            "fst" => {
+                want(3)?;
+                a.fst(f(0)?, r(1)?, imm(2)?)
+            }
             // floating point
-            "fadd" => { want(3)?; a.fadd(f(0)?, f(1)?, f(2)?) }
-            "fsub" => { want(3)?; a.fsub(f(0)?, f(1)?, f(2)?) }
-            "fmul" => { want(3)?; a.fmul(f(0)?, f(1)?, f(2)?) }
-            "fdiv" => { want(3)?; a.fdiv(f(0)?, f(1)?, f(2)?) }
-            "fmin" => { want(3)?; a.fmin(f(0)?, f(1)?, f(2)?) }
-            "fmax" => { want(3)?; a.fmax(f(0)?, f(1)?, f(2)?) }
-            "fsqrt" => { want(2)?; a.fsqrt(f(0)?, f(1)?) }
-            "fneg" => { want(2)?; a.fneg(f(0)?, f(1)?) }
-            "icvtf" => { want(2)?; a.icvtf(f(0)?, r(1)?) }
-            "fcvti" => { want(2)?; a.fcvti(r(0)?, f(1)?) }
-            "fcmplt" => { want(3)?; a.fcmplt(r(0)?, f(1)?, f(2)?) }
+            "fadd" => {
+                want(3)?;
+                a.fadd(f(0)?, f(1)?, f(2)?)
+            }
+            "fsub" => {
+                want(3)?;
+                a.fsub(f(0)?, f(1)?, f(2)?)
+            }
+            "fmul" => {
+                want(3)?;
+                a.fmul(f(0)?, f(1)?, f(2)?)
+            }
+            "fdiv" => {
+                want(3)?;
+                a.fdiv(f(0)?, f(1)?, f(2)?)
+            }
+            "fmin" => {
+                want(3)?;
+                a.fmin(f(0)?, f(1)?, f(2)?)
+            }
+            "fmax" => {
+                want(3)?;
+                a.fmax(f(0)?, f(1)?, f(2)?)
+            }
+            "fsqrt" => {
+                want(2)?;
+                a.fsqrt(f(0)?, f(1)?)
+            }
+            "fneg" => {
+                want(2)?;
+                a.fneg(f(0)?, f(1)?)
+            }
+            "icvtf" => {
+                want(2)?;
+                a.icvtf(f(0)?, r(1)?)
+            }
+            "fcvti" => {
+                want(2)?;
+                a.fcvti(r(0)?, f(1)?)
+            }
+            "fcmplt" => {
+                want(3)?;
+                a.fcmplt(r(0)?, f(1)?, f(2)?)
+            }
             // control flow
-            "beq" => { want(3)?; a.beq(r(0)?, r(1)?, ops[2]) }
-            "bne" => { want(3)?; a.bne(r(0)?, r(1)?, ops[2]) }
-            "blt" => { want(3)?; a.blt(r(0)?, r(1)?, ops[2]) }
-            "bge" => { want(3)?; a.bge(r(0)?, r(1)?, ops[2]) }
-            "j" => { want(1)?; a.j(ops[0]) }
-            "jal" => { want(2)?; a.jal(r(0)?, ops[1]) }
-            "jr" => { want(1)?; a.jr(r(0)?) }
-            "nop" => { want(0)?; a.nop() }
-            "halt" => { want(0)?; a.halt() }
+            "beq" => {
+                want(3)?;
+                a.beq(r(0)?, r(1)?, ops[2])
+            }
+            "bne" => {
+                want(3)?;
+                a.bne(r(0)?, r(1)?, ops[2])
+            }
+            "blt" => {
+                want(3)?;
+                a.blt(r(0)?, r(1)?, ops[2])
+            }
+            "bge" => {
+                want(3)?;
+                a.bge(r(0)?, r(1)?, ops[2])
+            }
+            "j" => {
+                want(1)?;
+                a.j(ops[0])
+            }
+            "jal" => {
+                want(2)?;
+                a.jal(r(0)?, ops[1])
+            }
+            "jr" => {
+                want(1)?;
+                a.jr(r(0)?)
+            }
+            "nop" => {
+                want(0)?;
+                a.nop()
+            }
+            "halt" => {
+                want(0)?;
+                a.halt()
+            }
             other => return err(line, format!("unknown mnemonic `{other}`")),
         }
     }

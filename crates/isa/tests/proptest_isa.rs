@@ -179,10 +179,53 @@ const ASM_CORPUS: &[&str] = &[
 /// operand shape, registers at and past both files' ends, labels,
 /// directives, integers at and past `i64`'s range, and separators.
 const ASM_FRAGMENTS: &[&str] = &[
-    "add", "addi", "li", "ld", "st", "fld", "fadd", "fcvti", "bne", "j", "jal", "jr", "halt",
-    "nop", ".data", "u64", "f64", "r0", "r31", "r32", "r255", "r256", "f1", "f32", "x", "loop",
-    "loop:", ":", ",", ";", " ", "\t", "\n", "0", "-1", "0x", "0x10", "-0x8000000000000000",
-    "9223372036854775807", "9223372036854775808", "1e999", "NaN", "-", "--5", "é", "\u{0}", "",
+    "add",
+    "addi",
+    "li",
+    "ld",
+    "st",
+    "fld",
+    "fadd",
+    "fcvti",
+    "bne",
+    "j",
+    "jal",
+    "jr",
+    "halt",
+    "nop",
+    ".data",
+    "u64",
+    "f64",
+    "r0",
+    "r31",
+    "r32",
+    "r255",
+    "r256",
+    "f1",
+    "f32",
+    "x",
+    "loop",
+    "loop:",
+    ":",
+    ",",
+    ";",
+    " ",
+    "\t",
+    "\n",
+    "0",
+    "-1",
+    "0x",
+    "0x10",
+    "-0x8000000000000000",
+    "9223372036854775807",
+    "9223372036854775808",
+    "1e999",
+    "NaN",
+    "-",
+    "--5",
+    "é",
+    "\u{0}",
+    "",
 ];
 
 /// `parse_program` is total: random byte soup and single-token mutations

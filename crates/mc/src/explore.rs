@@ -216,12 +216,7 @@ mod tests {
     fn minimize_strips_redundant_events() {
         let root = Counter { value: 0, limit: 5, trip: Some(2) };
         // A wasteful trace: increments interleaved with resets.
-        let fat = vec![
-            Event::Wakeup(0),
-            Event::Flush,
-            Event::Wakeup(0),
-            Event::Wakeup(0),
-        ];
+        let fat = vec![Event::Wakeup(0), Event::Flush, Event::Wakeup(0), Event::Wakeup(0)];
         assert!(run_trace(&root, &fat).is_some());
         let slim = minimize(&root, &fat, "trip");
         assert_eq!(slim.len(), 2);

@@ -405,7 +405,9 @@ impl QueueHarness {
 
         // Age-ordering family, per kind.
         let ordered_kinds = matches!(self.kind, IqKind::Shift | IqKind::CircPpri);
-        if ordered_kinds || self.kind == IqKind::CircPc || (is_swque(self.kind) && mode == IqMode::CircPc)
+        if ordered_kinds
+            || self.kind == IqKind::CircPc
+            || (is_swque(self.kind) && mode == IqMode::CircPc)
         {
             // CIRC-PC: the priority-corrected single-cycle stream must be
             // age-ordered; RV-path grants (two_cycle) ride on top.
@@ -425,8 +427,7 @@ impl QueueHarness {
         if ordered_kinds {
             // Stronger: the grants are exactly the oldest ready entries.
             let max_granted = granted.iter().max().copied();
-            let min_left =
-                pre_ready.iter().filter(|s| !granted.contains(s)).min().copied();
+            let min_left = pre_ready.iter().filter(|s| !granted.contains(s)).min().copied();
             if let (Some(hi), Some(lo)) = (max_granted, min_left) {
                 if hi > lo {
                     return Err(Violation::new(

@@ -120,12 +120,7 @@ impl Dram {
     /// # Panics
     ///
     /// Panics if `bytes_per_cycle` or `requesters` is zero.
-    pub fn shared(
-        latency: u64,
-        bytes_per_cycle: u64,
-        line_bytes: u64,
-        requesters: usize,
-    ) -> Dram {
+    pub fn shared(latency: u64, bytes_per_cycle: u64, line_bytes: u64, requesters: usize) -> Dram {
         assert!(bytes_per_cycle > 0, "bandwidth must be positive");
         assert!(requesters > 0, "a channel needs at least one requester");
         Dram {
@@ -165,11 +160,8 @@ impl Dram {
         }
         self.last_req[requester] = Some(now);
         let window = self.activity_window();
-        let active = self
-            .last_req
-            .iter()
-            .filter(|t| t.is_some_and(|t| t + window > now))
-            .count() as u64;
+        let active =
+            self.last_req.iter().filter(|t| t.is_some_and(|t| t + window > now)).count() as u64;
         let others_active = active >= 2;
 
         // The rate cap: while k requesters share the channel, this
@@ -182,32 +174,30 @@ impl Dram {
             now
         };
 
-        let start = match others_active
-            .then(|| self.holes.range(earliest..).next().copied())
-            .flatten()
-        {
-            Some(hole) => {
-                // Claim a slot a rate-capped burst declined: the grant
-                // slips into the reserved hole instead of queueing behind
-                // the backlog. The backlog frontier does not move.
-                self.holes.remove(&hole);
-                hole
-            }
-            None => {
-                let start = earliest.max(self.next_free);
-                if others_active {
-                    // Slots the rate cap declined stay reserved for the
-                    // other active requesters.
-                    let mut hole = now.max(self.next_free);
-                    while hole + self.transfer_cycles <= start && self.holes.len() < MAX_HOLES {
-                        self.holes.insert(hole);
-                        hole += self.transfer_cycles;
-                    }
+        let start =
+            match others_active.then(|| self.holes.range(earliest..).next().copied()).flatten() {
+                Some(hole) => {
+                    // Claim a slot a rate-capped burst declined: the grant
+                    // slips into the reserved hole instead of queueing behind
+                    // the backlog. The backlog frontier does not move.
+                    self.holes.remove(&hole);
+                    hole
                 }
-                self.next_free = start + self.transfer_cycles;
-                start
-            }
-        };
+                None => {
+                    let start = earliest.max(self.next_free);
+                    if others_active {
+                        // Slots the rate cap declined stay reserved for the
+                        // other active requesters.
+                        let mut hole = now.max(self.next_free);
+                        while hole + self.transfer_cycles <= start && self.holes.len() < MAX_HOLES {
+                            self.holes.insert(hole);
+                            hole += self.transfer_cycles;
+                        }
+                    }
+                    self.next_free = start + self.transfer_cycles;
+                    start
+                }
+            };
         self.last_grant[requester] = Some(start);
 
         if others_active {
@@ -332,8 +322,8 @@ mod tests {
         d.request_from(1, at(0));
         d.request_from(0, at(0)); // grant at 8
         d.request_from(0, at(0)); // grant at 24, hole at 16
-        // The aggressor's own rate cap (next earliest start 40) is past the
-        // hole it just declined, so its next grant cannot slip back into it.
+                                  // The aggressor's own rate cap (next earliest start 40) is past the
+                                  // hole it just declined, so its next grant cannot slip back into it.
         let again = d.request_from(0, at(0));
         assert_eq!(again, done(340), "rate cap holds the flood to every other slot");
         // The hole is still there for the victim.
@@ -378,9 +368,9 @@ mod tests {
         d.request_from(1, at(0));
         d.request_from(0, at(0));
         d.request_from(0, at(0)); // declines slot 16
-        // Requester 1 arrives long after the hole's start cycle passed (and
-        // after requester 0's activity window lapsed): the hole has expired
-        // and the request is served like an uncontended one.
+                                  // Requester 1 arrives long after the hole's start cycle passed (and
+                                  // after requester 0's activity window lapsed): the hole has expired
+                                  // and the request is served like an uncontended one.
         let late = d.request_from(1, at(1_000));
         assert_eq!(late, done(1_300), "expired hole is not claimable");
     }

@@ -44,7 +44,13 @@ impl StreamPrefetcher {
         StreamPrefetcher {
             config,
             streams: vec![
-                Stream { next_line: 0, direction: 1, issued_ahead: 0, lru: 0, valid: false };
+                Stream {
+                    next_line: 0,
+                    direction: 1,
+                    issued_ahead: 0,
+                    lru: 0,
+                    valid: false
+                };
                 config.streams
             ],
             miss_history: Vec::with_capacity(TRAIN_HISTORY),
@@ -93,12 +99,10 @@ impl StreamPrefetcher {
 
         // Train: a miss adjacent to any recent miss allocates a stream.
         if miss {
-            let dir = self.miss_history.iter().rev().find_map(|&h| {
-                match line as i64 - h as i64 {
-                    1 => Some(1),
-                    -1 => Some(-1),
-                    _ => None,
-                }
+            let dir = self.miss_history.iter().rev().find_map(|&h| match line as i64 - h as i64 {
+                1 => Some(1),
+                -1 => Some(-1),
+                _ => None,
             });
             if let Some(direction) = dir {
                 let victim =

@@ -34,7 +34,15 @@ fn paced_requesters_are_never_starved_by_flooders() {
         let requesters = g.gen_range(2usize..5);
         // At least one flooder, at least one paced victim.
         let floods: Vec<bool> = (0..requesters)
-            .map(|i| if i == 0 { true } else if i == requesters - 1 { false } else { g.bool() })
+            .map(|i| {
+                if i == 0 {
+                    true
+                } else if i == requesters - 1 {
+                    false
+                } else {
+                    g.bool()
+                }
+            })
             .collect();
         let mut dram = Dram::shared(LATENCY, BPC, LINE, requesters);
 
@@ -85,10 +93,7 @@ fn per_requester_transfer_and_wait_accounting_sums_to_totals() {
         let per = dram.requester_stats();
         assert_eq!(per.len(), requesters);
         assert_eq!(per.iter().map(|p| p.transfers).sum::<u64>(), dram.transfers());
-        assert_eq!(
-            per.iter().map(|p| p.arb_wait_cycles).sum::<u64>(),
-            dram.arb_wait_cycles(),
-        );
+        assert_eq!(per.iter().map(|p| p.arb_wait_cycles).sum::<u64>(), dram.arb_wait_cycles(),);
         if requesters == 1 {
             assert_eq!(dram.arb_wait_cycles(), 0, "no neighbor, no arbitration wait");
         }

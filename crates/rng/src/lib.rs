@@ -82,12 +82,8 @@ impl Rng {
     /// four SplitMix64 steps.
     pub fn seed_from_u64(seed: u64) -> Rng {
         let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s =
+            [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
         Rng { s }
     }
 

@@ -86,9 +86,7 @@ impl Json {
                 clippy::cast_possible_truncation,
                 reason = "the guard admits only integers in 0..=2^53"
             )]
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }

@@ -218,7 +218,12 @@ mod tests {
         let events = vec![
             interval(10_000, Mode::CircPc, false),
             interval(20_000, Mode::CircPc, true),
-            TraceEvent::ModeSwitch { cycle: 10_001, retired: 20_000, from: Mode::CircPc, to: Mode::Age },
+            TraceEvent::ModeSwitch {
+                cycle: 10_001,
+                retired: 20_000,
+                from: Mode::CircPc,
+                to: Mode::Age,
+            },
             interval(30_000, Mode::Age, false),
             TraceEvent::IntervalIpc { cycle: 5_000, retired: 10_000, ipc: 2.0 },
             TraceEvent::DispatchStall { cycle: 400, cycles: 12 },

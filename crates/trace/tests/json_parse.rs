@@ -15,8 +15,7 @@ fn corpus() -> Vec<String> {
         manifest,
         r#"{"schema":"swque-bench-v1","rows":[{"ipc":1.25,"cycles":1e3,"ok":true,"x":null}]}"#
             .to_string(),
-        r#"[-0.5e-3, 18446744073709551615, "tab\tquote\"unié😀", [[[]]], {}]"#
-            .to_string(),
+        r#"[-0.5e-3, 18446744073709551615, "tab\tquote\"unié😀", [[[]]], {}]"#.to_string(),
     ]
 }
 
@@ -24,9 +23,43 @@ fn corpus() -> Vec<String> {
 /// literals and their prefixes, escapes (valid, truncated and lone
 /// surrogates), numbers at and past `f64`'s range, and whitespace.
 const FRAGMENTS: &[&str] = &[
-    "{", "}", "[", "]", ":", ",", "\"", "\\", "\"k\"", "true", "tru", "false", "null", "nul",
-    "0", "-", "-0", "01", "1.", ".5", "1e", "1e999", "-1e-999", "18446744073709551616", "+1",
-    "\\u", "\\u00e9", "\\ud83d", "\\udc00", "\\x", " ", "\t", "\n", "\r", "é", "\u{0}", "\u{1f}",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\"k\"",
+    "true",
+    "tru",
+    "false",
+    "null",
+    "nul",
+    "0",
+    "-",
+    "-0",
+    "01",
+    "1.",
+    ".5",
+    "1e",
+    "1e999",
+    "-1e-999",
+    "18446744073709551616",
+    "+1",
+    "\\u",
+    "\\u00e9",
+    "\\ud83d",
+    "\\udc00",
+    "\\x",
+    " ",
+    "\t",
+    "\n",
+    "\r",
+    "é",
+    "\u{0}",
+    "\u{1f}",
     "",
 ];
 

@@ -11,9 +11,7 @@ use swque_rng::Rng;
 
 use swque_isa::{Assembler, Program, Reg};
 
-use super::{
-    emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load, finish, reg_num,
-};
+use super::{emit_biased_branch, emit_indep_alu, emit_lcg_step, emit_rand_load, finish, reg_num};
 
 /// Parameters for [`branchy_search`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

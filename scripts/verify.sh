@@ -11,6 +11,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== fmt: cargo fmt --all --check"
+# Formatting is a gate so it cannot drift: rustfmt.toml at the root keeps
+# the workspace's compact style (use_small_heuristics = "Max"). The
+# swque_benchmark package is its own workspace and is not covered.
+cargo fmt --all --check
+
 echo "== tier-1: cargo build --release --offline --workspace"
 # --workspace matters: it builds the harness binaries this script runs
 # below (a bare `cargo build` only covers the facade crate's dependency

@@ -107,12 +107,9 @@ fn class_annotations_match_measured_mpki() {
             }
             // Residual wrong-path cache pollution leaves a little noise, so
             // the moderate-ILP bound is loose; MLP kernels sit far above it.
-            IlpClass::ModerateIlp => assert!(
-                r.mpki() < 2.0,
-                "{}: m-ILP kernel has MPKI {:.2}",
-                kernel.name,
-                r.mpki()
-            ),
+            IlpClass::ModerateIlp => {
+                assert!(r.mpki() < 2.0, "{}: m-ILP kernel has MPKI {:.2}", kernel.name, r.mpki())
+            }
             IlpClass::RichIlp => assert!(
                 r.ipc() > 2.0,
                 "{}: rich-ILP kernel should flow: IPC {:.2}",

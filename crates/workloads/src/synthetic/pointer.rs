@@ -19,7 +19,8 @@ use super::{emit_indep_alu, finish, reg_num, ring_table};
 pub struct PointerChaseParams {
     /// Parallel chase chains (MLP degree); at most 8.
     pub chains: usize,
-    /// Ring nodes; footprint = `nodes * 8` bytes (use ≫ LLC capacity).
+    /// Ring nodes; footprint = `nodes * 8` bytes (use ≫ LLC capacity, at
+    /// most `u32::MAX` nodes).
     pub nodes: u64,
     /// Independent filler ops between consecutive chase loads — this is
     /// what makes window capacity matter.
@@ -52,16 +53,16 @@ impl Default for PointerChaseParams {
 ///
 /// # Panics
 ///
-/// Panics if `chains` exceeds 8 or `nodes < chains * 8`.
+/// Panics if `chains` is outside `1..=8`, if `nodes < chains * 8`, or if
+/// `nodes` exceeds `u32::MAX` (ring node indices are `u32`); the size is
+/// checked before the ring is allocated.
 pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
     assert!((1..=8).contains(&p.chains), "chains out of range");
     assert!(p.nodes >= p.chains as u64 * 8, "ring too small for the chains");
     let mut rng = Rng::seed_from_u64(p.seed);
     let base = 0x100_0000u64;
-    let table = ring_table(p.nodes, base, &mut rng);
-
     let mut a = Assembler::new();
-    a.data_u64s(base, &table);
+    a.data_bytes(base, ring_table(p.nodes, base, &mut rng));
     if p.fp_work > 0 {
         a.data_f64s(0x1000, &[1.0 + 1.0 / 3.0, 0.75, 2.5]);
     }
@@ -132,7 +133,9 @@ mod tests {
         let mut rng = Rng::seed_from_u64(7);
         let n = 256u64;
         let base = 0u64;
-        let table = ring_table(n, base, &mut rng);
+        let ring = ring_table(n, base, &mut rng);
+        let table: Vec<u64> =
+            ring.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
         // Follow the ring; we must visit all nodes before returning to 0.
         let mut seen = vec![false; n as usize];
         let mut at = 0u64;
@@ -142,6 +145,12 @@ mod tests {
             at = table[at as usize] / 8;
         }
         assert_eq!(at, 0, "returned to start after exactly n steps");
+    }
+
+    #[test]
+    #[should_panic(expected = "a ring of 4294967296 nodes exceeds u32 node indices")]
+    fn oversized_ring_is_refused_before_allocation() {
+        pointer_chase(1, &PointerChaseParams { nodes: 1 << 32, ..small() });
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! made every pin faster; the per-kind deltas are tabulated in
 //! EXPERIMENTS.md.
 //!
+//! The `neighbor` pins at the end do the same for `MultiCoreSim`: each
+//! core's cycles and retired count plus its share of the shared
+//! hierarchy's contention counters, over a run long enough to evict
+//! neighbors' lines from the L2. They were recorded before the in-flight
+//! fill map was indexed by completion time.
+//!
 //! If a *deliberate* timing model change is made, re-record the table with
 //! `cargo test -p swque-cpu --test golden_cycles -- --nocapture` (each run
 //! prints its actual pair) and say so in the commit message.
@@ -22,6 +28,7 @@
 use swque_core::IqKind;
 use swque_cpu::Core;
 use swque_cpu::CoreConfig;
+use swque_cpu::MultiCoreSim;
 use swque_workloads::suite;
 
 const RUN_INSTS: u64 = 30_000;
@@ -81,5 +88,78 @@ fn golden_cycles_xz_like() {
             (IqKind::SwqueMulti, 66_109, 30_000),
             (IqKind::Rearrange, 65_487, 30_000),
         ],
+    );
+}
+
+const MULTI_RUN_INSTS: u64 = 300_000;
+
+/// One core's pinned outcome in a shared-hierarchy co-run: `(cycles,
+/// retired, arb_wait_cycles, quota_stall_cycles)`.
+type CorePin = (u64, u64, u64, u64);
+
+/// Runs the `neighbor` experiment's scenario: a SWQUE pointer chase beside
+/// SHIFT aggressors, `mshrs` MSHRs per core. Returns each core's pin and
+/// the shared neighbor-eviction count.
+fn run_neighbor(kernels: &[(&str, IqKind)], mshrs: usize) -> (Vec<CorePin>, u64) {
+    let programs: Vec<_> = kernels
+        .iter()
+        .map(|(name, _)| suite::by_name(name).expect("golden kernel exists").build_scaled(80_000))
+        .collect();
+    let workloads: Vec<_> =
+        kernels.iter().zip(&programs).map(|((_, kind), p)| (*kind, p)).collect();
+    let mut config = CoreConfig::medium();
+    config.mem.mshrs = mshrs;
+    let mut sim = MultiCoreSim::new(config, &workloads);
+    let results = sim.run(MULTI_RUN_INSTS);
+    let shared = sim.shared_stats();
+    let pins = results
+        .iter()
+        .zip(&shared.per_requester)
+        .map(|(r, m)| (r.cycles, r.retired, m.arb_wait_cycles, m.quota_stall_cycles))
+        .collect();
+    (pins, shared.neighbor_evictions)
+}
+
+fn check_neighbor(kernels: &[(&str, IqKind)], mshrs: usize, expected: (&[CorePin], u64)) {
+    let (pins, evictions) = run_neighbor(kernels, mshrs);
+    println!("{} cores, {mshrs} MSHRs: {pins:?}, neighbor_evictions {evictions}", kernels.len());
+    assert_eq!((pins.as_slice(), evictions), expected, "{} cores, {mshrs} MSHRs", kernels.len());
+}
+
+/// The multi-core pins: every core's timing and its share of the shared
+/// hierarchy's contention counters. The skip differentials compare the
+/// skipping and stepped drive loops with each other, so a fault both share
+/// (the MSHR quota loop, the in-flight fill bookkeeping) shows only here.
+#[test]
+fn golden_neighbor_two_cores() {
+    check_neighbor(
+        &[("omnetpp_like", IqKind::Swque), ("lbm_like", IqKind::Shift)],
+        4,
+        (
+            &[(1_467_400, 300_002, 839_103, 5_643_185), (1_841_683, 300_004, 728_272, 7_249_705)],
+            2_811,
+        ),
+    );
+}
+
+#[test]
+fn golden_neighbor_four_cores() {
+    check_neighbor(
+        &[
+            ("omnetpp_like", IqKind::Swque),
+            ("lbm_like", IqKind::Shift),
+            ("fotonik3d_like", IqKind::Shift),
+            ("xz_like", IqKind::Shift),
+        ],
+        2,
+        (
+            &[
+                (5_858_585, 300_001, 6_959_513, 34_884_308),
+                (6_664_931, 300_000, 6_863_714, 39_844_096),
+                (6_052_499, 300_000, 7_047_284, 35_997_352),
+                (5_590_682, 300_000, 7_127_662, 27_651_420),
+            ],
+            23_743,
+        ),
     );
 }

@@ -45,6 +45,9 @@ pub struct ShiftQueue {
     flpi_floor: usize,
     /// Age-ordered entries; index 0 is the oldest (highest priority).
     entries: Vec<Entry>,
+    /// How many of `entries` are ready, so that an idle queue answers
+    /// `has_ready` and `select` without visiting every entry.
+    ready_count: usize,
     grants: GrantBuf,
     stats: IqStats,
 }
@@ -56,6 +59,7 @@ impl ShiftQueue {
             capacity: config.capacity,
             flpi_floor: config.flpi_rank_floor(),
             entries: Vec::with_capacity(config.capacity),
+            ready_count: 0,
             grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
@@ -84,8 +88,9 @@ impl IssueQueue for ShiftQueue {
             self.stats.dispatch_stalls += 1;
             return Err(IqFullError);
         }
-        let ready = [req.srcs[0].is_none(), req.srcs[1].is_none()];
-        self.entries.push(Entry { req, ready });
+        let entry = Entry { req, ready: [req.srcs[0].is_none(), req.srcs[1].is_none()] };
+        self.ready_count += usize::from(entry.ready());
+        self.entries.push(entry);
         self.stats.dispatched += 1;
         Ok(())
     }
@@ -94,15 +99,16 @@ impl IssueQueue for ShiftQueue {
         self.stats.wakeups += 1;
         for e in &mut self.entries {
             for (i, src) in e.req.srcs.iter().enumerate() {
-                if *src == Some(tag) {
+                if *src == Some(tag) && !e.ready[i] {
                     e.ready[i] = true;
+                    self.ready_count += usize::from(e.ready());
                 }
             }
         }
     }
 
     fn has_ready(&self) -> bool {
-        self.entries.iter().any(Entry::ready)
+        self.ready_count > 0
     }
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
@@ -122,11 +128,14 @@ impl IssueQueue for ShiftQueue {
         let mut grants = self.grants.take();
         // Compaction in place: each survivor moves up over the holes that
         // grants left before it, so `entries[..kept]` stays age-ordered.
-        // Once the budget is spent, the untouched tail shifts up in one move.
+        // Once the budget is spent or the last ready entry has been
+        // visited, the untouched tail shifts up in one move.
         let mut kept = 0;
         let mut rank = 0;
-        while rank < self.entries.len() && !budget.exhausted() {
+        let mut ready_left = self.ready_count;
+        while ready_left > 0 && !budget.exhausted() {
             let e = self.entries[rank];
+            ready_left -= usize::from(e.ready());
             if e.ready() && budget.try_take(e.req.fu) {
                 self.stats.issued += 1;
                 self.stats.tag_reads += 1;
@@ -148,15 +157,18 @@ impl IssueQueue for ShiftQueue {
             rank += 1;
         }
         self.entries.drain(kept..rank);
+        self.ready_count -= grants.len();
         self.grants.put(grants)
     }
 
     fn flush(&mut self) {
         self.entries.clear();
+        self.ready_count = 0;
     }
 
     fn squash_younger(&mut self, seq: u64) {
         self.entries.retain(|e| e.req.seq <= seq);
+        self.ready_count = self.entries.iter().filter(|e| e.ready()).count();
     }
 
     fn stats(&self) -> IqStats {
@@ -192,6 +204,7 @@ impl WakeHorizon for ShiftQueue {
 mod tests {
     use super::*;
     use swque_isa::FuClass;
+    use swque_rng::prop::{check, Gen};
 
     fn cfg(cap: usize, iw: usize) -> IqConfig {
         IqConfig { capacity: cap, issue_width: iw, ..IqConfig::default() }
@@ -307,5 +320,94 @@ mod tests {
         q.flush();
         assert!(q.is_empty());
         assert!(q.select(&mut budget(1)).is_empty());
+    }
+
+    /// The select loop without the early exit: it visits entries until the
+    /// budget runs out, whether or not any ready entry is left. Returns the
+    /// `(seq, rank, fu)` of each grant.
+    fn full_scan_select(
+        entries: &mut Vec<Entry>,
+        budget: &mut IssueBudget,
+    ) -> Vec<(u64, usize, FuClass)> {
+        let mut grants = Vec::new();
+        let mut kept = 0;
+        let mut rank = 0;
+        while rank < entries.len() && !budget.exhausted() {
+            let e = entries[rank];
+            if e.ready() && budget.try_take(e.req.fu) {
+                grants.push((e.req.seq, rank, e.req.fu));
+            } else {
+                entries[kept] = e;
+                kept += 1;
+            }
+            rank += 1;
+        }
+        entries.drain(kept..rank);
+        grants
+    }
+
+    fn state(entries: &[Entry]) -> Vec<(u64, [bool; 2])> {
+        entries.iter().map(|e| (e.req.seq, e.ready)).collect()
+    }
+
+    /// The early-exit select grants the same entries and leaves the same
+    /// age order as the full scan, over random dispatch, wakeup, select,
+    /// squash and flush sequences with budgets that often run out mid-queue
+    /// or starve a unit class. `ready_count` matches a recount after every
+    /// operation.
+    #[test]
+    fn early_exit_select_matches_the_full_scan() {
+        check(256, |g| {
+            let capacity = g.gen_range(1usize..24);
+            let mut q = ShiftQueue::new(&cfg(capacity, 4));
+            let mut reference: Vec<Entry> = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..g.gen_range(1usize..200) {
+                match g.weighted(&[6, 4, 4, 1, 1]) {
+                    0 => {
+                        let tag = |g: &mut Gen| g.option(|g| g.gen_range(0u16..6));
+                        let srcs = [tag(g), tag(g)];
+                        let fu = FuClass::ALL[g.gen_range(0usize..4)];
+                        let req = DispatchReq::new(seq, seq, Some(100), srcs, fu);
+                        if q.dispatch(req).is_ok() {
+                            reference
+                                .push(Entry { req, ready: [srcs[0].is_none(), srcs[1].is_none()] });
+                        }
+                        seq += 1;
+                    }
+                    1 => {
+                        let tag = g.gen_range(0u16..6);
+                        q.wakeup(tag);
+                        for e in &mut reference {
+                            for (i, src) in e.req.srcs.iter().enumerate() {
+                                e.ready[i] |= *src == Some(tag);
+                            }
+                        }
+                    }
+                    2 => {
+                        let fu_free = [0; 4].map(|_: usize| g.gen_range(0usize..3));
+                        let budget = IssueBudget::new(g.gen_range(1usize..5), fu_free);
+                        let (mut early, mut full) = (budget, budget);
+                        let grants: Vec<_> =
+                            q.select(&mut early).iter().map(|g| (g.seq, g.rank, g.fu)).collect();
+                        assert_eq!(grants, full_scan_select(&mut reference, &mut full));
+                        assert_eq!(early, full, "both loops spend the same budget");
+                    }
+                    3 => {
+                        let keep = g.gen_range(0..seq + 1);
+                        q.squash_younger(keep);
+                        reference.retain(|e| e.req.seq <= keep);
+                    }
+                    _ => {
+                        q.flush();
+                        reference.clear();
+                    }
+                }
+                assert_eq!(state(&q.entries), state(&reference));
+                let ready = reference.iter().filter(|e| e.ready()).count();
+                assert_eq!(q.ready_count, ready);
+                assert_eq!(q.has_ready(), ready > 0);
+            }
+        });
     }
 }

@@ -119,23 +119,40 @@ fn divide_chain() -> Program {
 }
 
 /// Multi-core quiescence skipping is an optimization, not a model change:
-/// a 2-core co-run with lockstep clock jumps must produce byte-identical
-/// results to the same co-run stepped cycle by cycle. The second input is
-/// the `neighbor` experiment's 2-core scenario (SHIFT aggressor, the
-/// 8-entry MSHR pool split in two). In the third, one core's own divide
-/// completion is the earliest horizon while the other waits on DRAM, so
-/// the lockstep jump must be the *minimum* of the cores' horizons.
+/// a co-run with lockstep clock jumps must produce byte-identical results
+/// to the same co-run stepped cycle by cycle. The second and fourth inputs
+/// are the `neighbor` experiment's scenarios: SHIFT aggressors beside the
+/// SWQUE chase, the 8-entry MSHR pool split in two and in four. The 4-core
+/// run is long enough that the in-flight maps outgrow their lazy purge
+/// thresholds (64 fills per requester, 256 at the L2) many times over, so
+/// horizons are read across purges as well as before the first one. In
+/// the third, one core's own divide completion is the earliest horizon
+/// while the other waits on DRAM, so the lockstep jump must be the
+/// *minimum* of the cores' horizons.
 #[test]
-fn two_core_skip_on_off_results_are_byte_identical() {
+fn skip_on_off_co_runs_are_byte_identical() {
     let chase = suite::by_name("omnetpp_like").expect("kernel exists").build_scaled(2_000);
     let stream = suite::by_name("lbm_like").expect("kernel exists").build_scaled(2_000);
+    let fotonik = suite::by_name("fotonik3d_like").expect("kernel exists").build_scaled(2_000);
+    let xz = suite::by_name("xz_like").expect("kernel exists").build_scaled(2_000);
     let divides = divide_chain();
-    let mut neighbor = CoreConfig::medium();
-    neighbor.mem.mshrs = 4;
+    let mut two_way = CoreConfig::medium();
+    two_way.mem.mshrs = 4;
+    let mut four_way = CoreConfig::medium();
+    four_way.mem.mshrs = 2;
     let inputs = [
-        (CoreConfig::medium(), [(IqKind::Swque, &chase), (IqKind::AgeMulti, &stream)]),
-        (neighbor, [(IqKind::Swque, &chase), (IqKind::Shift, &stream)]),
-        (CoreConfig::medium(), [(IqKind::Age, &divides), (IqKind::Swque, &chase)]),
+        (CoreConfig::medium(), vec![(IqKind::Swque, &chase), (IqKind::AgeMulti, &stream)]),
+        (two_way, vec![(IqKind::Swque, &chase), (IqKind::Shift, &stream)]),
+        (CoreConfig::medium(), vec![(IqKind::Age, &divides), (IqKind::Swque, &chase)]),
+        (
+            four_way,
+            vec![
+                (IqKind::Swque, &chase),
+                (IqKind::Shift, &stream),
+                (IqKind::Shift, &fotonik),
+                (IqKind::Shift, &xz),
+            ],
+        ),
     ];
     for (config, workloads) in inputs {
         let mut skipping = MultiCoreSim::new(config.clone(), &workloads);
@@ -145,12 +162,19 @@ fn two_core_skip_on_off_results_are_byte_identical() {
         stepped.set_skip(false);
         let stepped_results = stepped.run(RUN_INSTS);
 
-        let label = format!("{}+{}", workloads[0].0, workloads[1].0);
+        let label =
+            workloads.iter().map(|(kind, _)| kind.to_string()).collect::<Vec<_>>().join("+");
         assert_eq!(
             format!("{skipping_results:?}"),
             format!("{stepped_results:?}"),
             "{label}: multi-core clock jumps changed simulated behavior"
         );
+        assert_eq!(
+            format!("{:?}", skipping.shared_stats()),
+            format!("{:?}", stepped.shared_stats()),
+            "{label}: clock jumps changed the shared hierarchy's counters"
+        );
+        assert!(skipping_results.iter().all(|r| r.retired >= RUN_INSTS), "{label}: a core ran dry");
         let (jumps, cycles_skipped) = skipping.skip_stats();
         assert!(jumps > 0, "{label}: skip run never jumped; differential is vacuous");
         assert!(cycles_skipped > 0);

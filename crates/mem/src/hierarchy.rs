@@ -57,17 +57,81 @@ impl AccessResult {
 struct RequesterMem {
     l1i: Cache,
     l1d: Cache,
-    /// Outstanding L1D misses: L1-line address → completion. Ordered map
-    /// on purpose: `purge` and the MSHR occupancy scan iterate it, and the
-    /// determinism contract (DESIGN.md §8) bans hash-order iteration on
-    /// the simulated path.
-    mshr: BTreeMap<u64, Completion>,
+    /// Outstanding L1D misses: L1-line address → completion.
+    mshr: InFlight,
     /// Demand LLC misses this requester caused.
     llc_demand_misses: u64,
     /// Misses merged into an existing MSHR.
     mshr_merges: u64,
     /// Cycles an access waited because the quota's MSHRs were all busy.
     mshr_stall_cycles: u64,
+}
+
+/// In-flight fills: line address → completion, indexed both ways.
+///
+/// `by_done` holds `by_line`'s completions as a sorted multiset, so the
+/// questions the idle and quota paths ask (the earliest completion after a
+/// cycle, how many fills are still busy at it) are binary searches instead
+/// of scans of every remembered fill. A sorted `Vec` rather than a counted
+/// `BTreeMap`: the maps stay small (the purge thresholds bound the past
+/// fills), fills mostly complete in launch order so inserts land near the
+/// end, and a purge is one `drain` with no allocation. The line map is
+/// ordered because the determinism contract (DESIGN.md §8) bans hash-order
+/// iteration on the simulated path.
+#[derive(Debug)]
+struct InFlight {
+    by_line: BTreeMap<u64, Completion>,
+    by_done: Vec<Completion>,
+    /// `purge` forgets past fills only once `by_line` holds more than this.
+    purge_above: usize,
+}
+
+impl InFlight {
+    fn new(purge_above: usize) -> InFlight {
+        InFlight { by_line: BTreeMap::new(), by_done: Vec::new(), purge_above }
+    }
+
+    fn get(&self, line: u64) -> Option<Completion> {
+        self.by_line.get(&line).copied()
+    }
+
+    /// Records `line`'s fill, replacing (and forgetting) any earlier one.
+    fn insert(&mut self, line: u64, done: Completion) {
+        if let Some(old) = self.by_line.insert(line, done) {
+            if let Ok(i) = self.by_done.binary_search(&old) {
+                self.by_done.remove(i);
+            }
+        }
+        let at = self.by_done.partition_point(|&d| d <= done);
+        self.by_done.insert(at, done);
+    }
+
+    /// Lazily drops the fills completed by `now`: only once the map has
+    /// grown past its threshold, so a small map keeps its past entries.
+    /// Accesses arrive out of cycle order, so when this runs is part of
+    /// the timing model, not just housekeeping.
+    fn purge(&mut self, now: CycleStamp) {
+        if self.by_line.len() > self.purge_above {
+            self.by_line.retain(|_, done| done.stamp() > now);
+            let past = self.first_after(now);
+            self.by_done.drain(..past);
+        }
+    }
+
+    /// Index in `by_done` of the first completion after `now`.
+    fn first_after(&self, now: CycleStamp) -> usize {
+        self.by_done.partition_point(|done| done.stamp() <= now)
+    }
+
+    /// The earliest completion after `now`.
+    fn next_after(&self, now: CycleStamp) -> Option<CycleStamp> {
+        self.by_done.get(self.first_after(now)).map(|done| done.stamp())
+    }
+
+    /// How many fills complete after `now`.
+    fn count_after(&self, now: CycleStamp) -> usize {
+        self.by_done.len() - self.first_after(now)
+    }
 }
 
 /// The memory hierarchy timing model.
@@ -84,8 +148,10 @@ pub struct MemoryHierarchy {
     dram: Dram,
     prefetcher: Option<StreamPrefetcher>,
     /// In-flight L2 fills (demand or prefetch): L2-line → completion.
-    /// Ordered for the same reason as the MSHR maps.
-    inflight_l2: BTreeMap<u64, Completion>,
+    inflight_l2: InFlight,
+    /// The prefetcher's output for the current access, kept to reuse its
+    /// allocation.
+    prefetch_lines: Vec<u64>,
     /// L2 evictions whose displaced line was last touched by a different
     /// requester than the filler.
     neighbor_evictions: u64,
@@ -124,7 +190,7 @@ impl MemoryHierarchy {
                 .map(|_| RequesterMem {
                     l1i: Cache::new(config.l1i),
                     l1d: Cache::new(config.l1d),
-                    mshr: BTreeMap::new(),
+                    mshr: InFlight::new(64),
                     llc_demand_misses: 0,
                     mshr_merges: 0,
                     mshr_stall_cycles: 0,
@@ -138,7 +204,8 @@ impl MemoryHierarchy {
                 requesters,
             ),
             prefetcher: config.prefetch.map(StreamPrefetcher::new),
-            inflight_l2: BTreeMap::new(),
+            inflight_l2: InFlight::new(256),
+            prefetch_lines: Vec::new(),
             neighbor_evictions: 0,
             trace: TraceHandle::disabled(),
             trace_epoch: 0,
@@ -256,16 +323,6 @@ impl MemoryHierarchy {
         self.cores[requester].llc_demand_misses
     }
 
-    fn purge(&mut self, requester: usize, now: CycleStamp) {
-        // Keep the in-flight maps small; entries strictly in the past can go.
-        if self.cores[requester].mshr.len() > 64 {
-            self.cores[requester].mshr.retain(|_, done| done.stamp() > now);
-        }
-        if self.inflight_l2.len() > 256 {
-            self.inflight_l2.retain(|_, done| done.stamp() > now);
-        }
-    }
-
     /// Performs an access starting at cycle `now` on behalf of requester 0;
     /// returns its timing. The single-core entry point over raw cycles —
     /// the pipeline uses [`access_from`](Self::access_from).
@@ -287,7 +344,8 @@ impl MemoryHierarchy {
         now: CycleStamp,
     ) -> AccessResult {
         assert!(requester < self.cores.len(), "requester id out of range");
-        self.purge(requester, now);
+        self.cores[requester].mshr.purge(now);
+        self.inflight_l2.purge(now);
         let is_data = kind != AccessKind::IFetch;
         let pc = &mut self.cores[requester];
         let l1 = if is_data { &mut pc.l1d } else { &mut pc.l1i };
@@ -296,7 +354,7 @@ impl MemoryHierarchy {
 
         if l1.access(addr) {
             // A hit may still be to a line whose fill is in flight.
-            if let Some(&done) = pc.mshr.get(&l1_line) {
+            if let Some(done) = pc.mshr.get(l1_line) {
                 if done.stamp() > now && is_data {
                     return AccessResult::new(done, true, false);
                 }
@@ -306,7 +364,7 @@ impl MemoryHierarchy {
 
         // L1 miss. Merge into an outstanding MSHR for the same line if any.
         if is_data {
-            if let Some(&done) = pc.mshr.get(&l1_line) {
+            if let Some(done) = pc.mshr.get(l1_line) {
                 if done.stamp() > now {
                     pc.mshr_merges += 1;
                     return AccessResult::new(done, false, false);
@@ -319,15 +377,9 @@ impl MemoryHierarchy {
         // not channel contention.
         let mut start = now;
         if is_data {
-            loop {
-                let busy = pc.mshr.values().filter(|d| d.stamp() > start).count();
-                if busy < self.config.mshrs {
-                    break;
-                }
-                let Some(earliest) =
-                    pc.mshr.values().map(|d| d.stamp()).filter(|&d| d > start).min()
-                else {
-                    break; // busy == 0 next iteration anyway
+            while pc.mshr.count_after(start) >= self.config.mshrs {
+                let Some(earliest) = pc.mshr.next_after(start) else {
+                    break; // no fill is busy: the quota is free
                 };
                 pc.mshr_stall_cycles += (earliest - start).get();
                 start = earliest;
@@ -344,7 +396,7 @@ impl MemoryHierarchy {
             let mut done = Completion::at(l2_lookup_at + l2_lat);
             // Hit to a line still being filled (e.g. by a prefetch in
             // flight): wait for the fill.
-            if let Some(&fill_done) = self.inflight_l2.get(&l2_line) {
+            if let Some(fill_done) = self.inflight_l2.get(l2_line) {
                 if fill_done > done {
                     done = fill_done;
                 }
@@ -366,18 +418,18 @@ impl MemoryHierarchy {
         // arrive ~`dram_latency` cycles late and lose the timeliness race
         // it exists to win.
         let pf_issue_at = l2_lookup_at + l2_lat;
-        {
-            if let Some(pf) = &mut self.prefetcher {
-                let requests = pf.observe(l2_line, !l2_hit);
-                for line in requests {
-                    let byte_addr = line << self.config.l2.line_bytes.trailing_zeros();
-                    if !self.l2.contains(byte_addr) {
-                        let done = self.dram.request_from(requester, pf_issue_at);
-                        self.note_l2_fill(requester, byte_addr, true);
-                        self.inflight_l2.insert(line, done);
-                    }
+        if let Some(pf) = &mut self.prefetcher {
+            let mut lines = std::mem::take(&mut self.prefetch_lines);
+            pf.observe(l2_line, !l2_hit, &mut lines);
+            for &line in &lines {
+                let byte_addr = line << self.config.l2.line_bytes.trailing_zeros();
+                if !self.l2.contains(byte_addr) {
+                    let done = self.dram.request_from(requester, pf_issue_at);
+                    self.note_l2_fill(requester, byte_addr, true);
+                    self.inflight_l2.insert(line, done);
                 }
             }
+            self.prefetch_lines = lines;
         }
 
         // Fill L1 and remember the outstanding miss.
@@ -409,18 +461,19 @@ impl WakeHorizon for MemoryHierarchy {
     /// Earliest in-flight MSHR or L2 fill completion still in the future,
     /// across every requester.
     ///
+    /// Each in-flight map is indexed by completion, so this is one binary
+    /// search per requester plus one for the L2, whatever the maps hold.
     /// `purge` is lazy (entries at or before `now` linger until the maps
-    /// grow past their thresholds), so stale completions are filtered here
-    /// rather than assumed absent. `dram.next_free` is deliberately *not* a
-    /// horizon: bandwidth occupancy only delays requests that have not been
-    /// made yet — it wakes nothing on its own.
+    /// grow past their thresholds), so the lookup starts after `now`
+    /// rather than assuming stale completions absent. `dram.next_free` is
+    /// deliberately *not* a horizon: bandwidth occupancy only delays
+    /// requests that have not been made yet — it wakes nothing on its own.
     fn wake_horizon(&self, now: CycleStamp) -> Option<CycleStamp> {
         self.cores
             .iter()
-            .flat_map(|c| c.mshr.values())
-            .chain(self.inflight_l2.values())
-            .map(|done| done.stamp())
-            .filter(|&done| done > now)
+            .map(|c| &c.mshr)
+            .chain([&self.inflight_l2])
+            .filter_map(|fills| fills.next_after(now))
             .min()
     }
 }
@@ -429,6 +482,7 @@ impl WakeHorizon for MemoryHierarchy {
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, PrefetchConfig};
+    use swque_rng::prop::check;
 
     fn no_prefetch() -> MemConfig {
         MemConfig { prefetch: None, ..MemConfig::default() }
@@ -636,5 +690,37 @@ mod tests {
         let per_xfers: u64 = shared.per_requester.iter().map(|p| p.dram_transfers).sum();
         assert_eq!(per_xfers, shared.dram_transfers);
         assert_eq!(m.llc_demand_misses_of(1), 2);
+    }
+
+    /// `InFlight`'s completion index answers exactly what a scan of its
+    /// line map would, over random insert/overwrite/purge sequences in
+    /// which `now` sometimes moves backwards (accesses arrive out of cycle
+    /// order) and small purge thresholds make purges frequent.
+    #[test]
+    fn in_flight_index_matches_a_scan_of_its_lines() {
+        check(256, |g| {
+            let mut fills = InFlight::new(g.gen_range(0usize..8));
+            let mut now = 1_000u64;
+            for _ in 0..g.gen_range(1usize..150) {
+                now = match g.weighted(&[3, 1]) {
+                    0 => now + g.gen_range(0u64..40),
+                    _ => now.saturating_sub(g.gen_range(0u64..60)),
+                };
+                if g.weighted(&[3, 1]) == 0 {
+                    let done = Completion::at(CycleStamp::new(now + g.gen_range(0u64..80)));
+                    fills.insert(g.gen_range(0u64..12), done);
+                } else {
+                    fills.purge(CycleStamp::new(now));
+                }
+                for probe in
+                    [now, now.saturating_sub(g.gen_range(0u64..60)), now + g.gen_range(0u64..80)]
+                {
+                    let probe = CycleStamp::new(probe);
+                    let live = || fills.by_line.values().map(|d| d.stamp()).filter(|&d| d > probe);
+                    assert_eq!(fills.next_after(probe), live().min(), "next_after({probe:?})");
+                    assert_eq!(fills.count_after(probe), live().count(), "count_after({probe:?})");
+                }
+            }
+        });
     }
 }

@@ -65,8 +65,11 @@ impl StreamPrefetcher {
     }
 
     /// Observes a demand access to `line` at the L2 (`miss` = demand miss)
-    /// and returns the line addresses to prefetch.
-    pub fn observe(&mut self, line: u64, miss: bool) -> Vec<u64> {
+    /// and replaces `out`'s contents with the line addresses to prefetch.
+    /// The caller owns the buffer so that one allocation serves every
+    /// access.
+    pub fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>) {
+        out.clear();
         self.clock += 1;
         let clock = self.clock;
 
@@ -81,7 +84,6 @@ impl StreamPrefetcher {
                 s.lru = clock;
                 s.next_line = (line as i64 + s.direction) as u64;
                 s.issued_ahead = s.issued_ahead.saturating_sub((delta.unsigned_abs()).max(1));
-                let mut out = Vec::new();
                 for _ in 0..self.config.degree {
                     if s.issued_ahead >= self.config.distance {
                         break;
@@ -93,7 +95,7 @@ impl StreamPrefetcher {
                     }
                 }
                 self.issued += out.len() as u64;
-                return out;
+                return;
             }
         }
 
@@ -122,7 +124,6 @@ impl StreamPrefetcher {
             }
             self.miss_history.push(line);
         }
-        Vec::new()
     }
 }
 
@@ -134,36 +135,44 @@ mod tests {
         StreamPrefetcher::new(PrefetchConfig::default())
     }
 
+    /// One observation into a buffer holding a stale line, so every test
+    /// also checks that `observe` replaces the buffer's contents.
+    fn observe(p: &mut StreamPrefetcher, line: u64, miss: bool) -> Vec<u64> {
+        let mut out = vec![u64::MAX];
+        p.observe(line, miss, &mut out);
+        out
+    }
+
     #[test]
     fn two_adjacent_misses_allocate_then_prefetch() {
         let mut p = pf();
-        assert!(p.observe(100, true).is_empty(), "first miss only trains");
-        assert!(p.observe(101, true).is_empty(), "second miss allocates");
-        let out = p.observe(102, true);
+        assert!(observe(&mut p, 100, true).is_empty(), "first miss only trains");
+        assert!(observe(&mut p, 101, true).is_empty(), "second miss allocates");
+        let out = observe(&mut p, 102, true);
         assert_eq!(out, vec![103, 104], "degree-2 prefetch ahead of the stream");
     }
 
     #[test]
     fn descending_stream_detected() {
         let mut p = pf();
-        p.observe(200, true);
-        p.observe(199, true);
-        let out = p.observe(198, true);
+        observe(&mut p, 200, true);
+        observe(&mut p, 199, true);
+        let out = observe(&mut p, 198, true);
         assert_eq!(out, vec![197, 196]);
     }
 
     #[test]
     fn distance_caps_runahead() {
         let mut p = pf();
-        p.observe(0, true);
-        p.observe(1, true);
+        observe(&mut p, 0, true);
+        observe(&mut p, 1, true);
         let distance = PrefetchConfig::default().distance;
         // Hammer the stream without consuming prefetches: each access
         // consumes one line of run-ahead and issues up to `degree` more, so
         // the run-ahead must climb to the configured distance and stop there.
         let mut ahead: u64 = 0;
         for line in 2..42 {
-            let out = p.observe(line, true);
+            let out = observe(&mut p, line, true);
             ahead = ahead.saturating_sub(1) + out.len() as u64;
             assert!(ahead <= distance, "run-ahead {ahead} exceeds the {distance}-line cap");
             for &o in &out {
@@ -181,10 +190,10 @@ mod tests {
         let mut p = pf();
         let mut fired = [false, false];
         for i in 0..12u64 {
-            if !p.observe(1000 + i, true).is_empty() {
+            if !observe(&mut p, 1000 + i, true).is_empty() {
                 fired[0] = true;
             }
-            if !p.observe(5000 + i, true).is_empty() {
+            if !observe(&mut p, 5000 + i, true).is_empty() {
                 fired[1] = true;
             }
         }
@@ -195,7 +204,7 @@ mod tests {
     fn random_misses_never_prefetch() {
         let mut p = pf();
         for line in [5u64, 900, 17, 4000, 33, 77777] {
-            assert!(p.observe(line, true).is_empty());
+            assert!(observe(&mut p, line, true).is_empty());
         }
         assert_eq!(p.issued(), 0);
     }
@@ -205,10 +214,10 @@ mod tests {
         let mut p = StreamPrefetcher::new(PrefetchConfig { streams: 2, distance: 4, degree: 1 });
         // Allocate 3 streams; table holds 2.
         for base in [1000u64, 2000, 3000] {
-            p.observe(base, true);
-            p.observe(base + 1, true);
+            observe(&mut p, base, true);
+            observe(&mut p, base + 1, true);
         }
         // Oldest (1000) must have been evicted; continuing it re-trains.
-        assert!(p.observe(1002, true).is_empty(), "evicted stream does not advance");
+        assert!(observe(&mut p, 1002, true).is_empty(), "evicted stream does not advance");
     }
 }

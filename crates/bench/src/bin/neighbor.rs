@@ -51,7 +51,7 @@ const AGGRESSORS: [&str; 3] = ["lbm_like", "fotonik3d_like", "xz_like"];
 const MSHR_POOL: usize = 8;
 
 fn max_aggressors() -> usize {
-    knob("SWQUE_NEIGHBOR_MAX", AGGRESSORS.len()).min(AGGRESSORS.len())
+    knob("SWQUE_NEIGHBOR_MAX", AGGRESSORS.len(), 0).min(AGGRESSORS.len())
 }
 
 /// Field-wise counter delta `now - earlier` of the shared-level stats

@@ -1,6 +1,7 @@
 //! Shared experiment machinery: budgets, run specs, kernel runs, the
 //! kernel-parallel worker pool, aggregation.
 
+use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -71,12 +72,13 @@ pub struct Budget {
 impl Budget {
     /// The experiment budget: `SWQUE_WARMUP` warmup instructions (default
     /// 300 000; the paper skips 16 B) and `SWQUE_INSTS` measured ones
-    /// (default 400 000; the paper samples 100 M), each read through
-    /// [`knob`], at every kernel's default scale.
+    /// (default 400 000; the paper samples 100 M; at least 1, since an
+    /// empty window has no IPC), each read through [`knob`], at every
+    /// kernel's default scale.
     pub fn from_env() -> Budget {
         Budget {
-            warmup_insts: knob("SWQUE_WARMUP", 300_000),
-            max_insts: knob("SWQUE_INSTS", 400_000),
+            warmup_insts: knob("SWQUE_WARMUP", 300_000, 0),
+            max_insts: knob("SWQUE_INSTS", 400_000, 1),
             scale: None,
         }
     }
@@ -127,26 +129,34 @@ impl RunSpec {
     }
 }
 
-/// Reads the integer environment knob `name`: `default` when unset, its
-/// value when it parses. Any other value exits the process with status 2
-/// and a message naming the variable and the value, so a typo such as
-/// `SWQUE_INSTS=20k` cannot silently run the default budget. The policy
-/// lives in the pure [`parse_knob`].
-pub fn knob<T: FromStr>(name: &str, default: T) -> T {
+/// Reads the integer environment knob `name`, whose domain is the
+/// integers from `min` up: `default` when unset, its value when it parses
+/// into the domain. Any other value exits the process with status 2 and a
+/// message naming the variable and the value, so a typo such as
+/// `SWQUE_INSTS=20k` cannot silently run the default budget, nor
+/// `SWQUE_INSTS=0` an empty one. The policy lives in the pure
+/// [`parse_knob`].
+pub fn knob<T: FromStr + PartialOrd + Display>(name: &str, default: T, min: T) -> T {
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|e| {
+    parse_knob(name, raw.as_deref(), default, min).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     })
 }
 
 /// Pure parse behind [`knob`]: `Ok(default)` when the variable is unset
-/// (`raw` is `None`), the parsed value when `raw` parses, and otherwise an
-/// error naming `name` and `raw`.
-pub fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
-    match raw {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+/// (`raw` is `None`), the parsed value when `raw` parses to at least
+/// `min`, and otherwise an error naming `name` and `raw`.
+pub fn parse_knob<T: FromStr + PartialOrd + Display>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+    min: T,
+) -> Result<T, String> {
+    let Some(v) = raw else { return Ok(default) };
+    match v.parse() {
+        Ok(value) if value >= min => Ok(value),
+        _ => Err(format!("{name}={v:?} is not an integer >= {min}")),
     }
 }
 
@@ -301,7 +311,7 @@ fn layout(spec: &RunSpec) -> (Option<u64>, u64) {
 /// exercise without mutating process environment (mutating env from one
 /// `#[test]` races every other test in the same process).
 pub fn default_workers(kernels: usize) -> usize {
-    default_workers_with(knob("SWQUE_THREADS", 0), kernels)
+    default_workers_with(knob("SWQUE_THREADS", 0, 0), kernels)
 }
 
 /// Pure worker-count policy behind [`default_workers`]: `requested` wins
@@ -352,24 +362,38 @@ mod tests {
 
     #[test]
     fn knobs_parse_or_name_the_bad_value() {
-        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", None, 400_000), Ok(400_000));
-        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", Some("20000"), 400_000), Ok(20_000));
-        assert_eq!(parse_knob::<usize>("SWQUE_NEIGHBOR_MAX", Some("0"), 3), Ok(0));
+        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", None, 400_000, 1), Ok(400_000));
+        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", Some("20000"), 400_000, 1), Ok(20_000));
+        assert_eq!(parse_knob::<usize>("SWQUE_NEIGHBOR_MAX", Some("0"), 3, 0), Ok(0));
+        assert_eq!(parse_knob::<u64>("SWQUE_WARMUP", Some("0"), 300_000, 0), Ok(0));
         for bad in ["20k", "", "-1", " 5", "1e6"] {
-            let err = parse_knob::<u64>("SWQUE_WARMUP", Some(bad), 300_000).unwrap_err();
+            let err = parse_knob::<u64>("SWQUE_WARMUP", Some(bad), 300_000, 0).unwrap_err();
             assert!(err.contains("SWQUE_WARMUP"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
         // `SWQUE_THREADS` is a knob like the budgets: 0 is a value (the
         // host default), and a typo is an error, not host parallelism.
-        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", None, 0), Ok(0));
-        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("0"), 0), Ok(0));
-        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("4"), 0), Ok(4));
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", None, 0, 0), Ok(0));
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("0"), 0, 0), Ok(0));
+        assert_eq!(parse_knob::<usize>("SWQUE_THREADS", Some("4"), 0, 0), Ok(4));
         for bad in ["4x", "four", "-2", ""] {
-            let err = parse_knob::<usize>("SWQUE_THREADS", Some(bad), 0).unwrap_err();
+            let err = parse_knob::<usize>("SWQUE_THREADS", Some(bad), 0, 0).unwrap_err();
             assert!(err.contains("SWQUE_THREADS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+    }
+
+    /// A value that parses but falls below the knob's domain is refused
+    /// like a parse failure: `SWQUE_INSTS=0` would measure an empty window
+    /// and hand the figures' geomeans a NaN.
+    #[test]
+    fn knobs_refuse_values_below_their_domain() {
+        assert_eq!(parse_knob::<u64>("SWQUE_INSTS", Some("1"), 400_000, 1), Ok(1));
+        let err = parse_knob::<u64>("SWQUE_INSTS", Some("0"), 400_000, 1).unwrap_err();
+        assert!(
+            err.contains("SWQUE_INSTS") && err.contains("\"0\"") && err.contains(">= 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //!
 //! The integer knobs (`SWQUE_INSTS`, `SWQUE_WARMUP`, `SWQUE_THREADS`, and
 //! `neighbor`'s `SWQUE_NEIGHBOR_MAX`) go through [`harness::knob`]: an
-//! unparsable value such as `SWQUE_INSTS=20k` exits with status 2 and an
-//! error naming the variable, never a silent fallback to the default.
+//! unparsable value such as `SWQUE_INSTS=20k`, or one below the knob's
+//! domain (`SWQUE_INSTS` must be at least 1, the others at least 0), exits
+//! with status 2 and an error naming the variable, never a silent
+//! fallback to the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
 //! Packed-`u64` bitset primitives backing the scheduling hot paths.
 //!
 //! Every per-cycle structure in this crate — the wakeup request vector,
-//! the valid mask, CIRC-PC's reverse/pending planes, the age matrix —
-//! is a set over at most a few hundred issue-queue slots. [`BitSet`]
+//! the valid mask, CIRC-PC's reverse/pending planes, the age-matrix
+//! buckets — is a set over at most a few hundred issue-queue slots. [`BitSet`]
 //! packs such a set into `⌈capacity/64⌉` words so the per-cycle scans
 //! become word operations: a 128-entry queue's ready scan is two
 //! `u64` reads plus one `trailing_zeros` per *ready* instruction,

@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod age_matrix;
 pub mod bitset;
 mod circ;
 mod circ_pc;
@@ -75,7 +74,6 @@ mod stats;
 mod swque;
 mod types;
 
-pub use age_matrix::AgeMatrix;
 pub use bitset::BitSet;
 pub use circ::CircQueue;
 pub use circ_pc::CircPcQueue;

@@ -325,12 +325,15 @@ pub trait IssueQueue: fmt::Debug + WakeHorizon {
     /// checker's dedup (DESIGN.md §12.2).
     ///
     /// Implementations write every slot record (stale ones included, with
-    /// `seq` and `payload` through [`ArchKey::push_seq`]), the bit planes
-    /// and age matrices, allocation pointers, in-flight correction state
-    /// and, for SWQUE, the pending mode and the controller's key. They
+    /// `seq` and `payload` through [`ArchKey::push_seq`]), the bit planes,
+    /// allocation pointers, in-flight correction state and, for SWQUE, the
+    /// pending mode and the controller's key; SHIFT, whose slot positions
+    /// are layout, writes its live entries in age order instead. They
     /// omit statistics, waiter-table layout, scratch buffers, trace
-    /// handles, monotone totals and construction-time constants, and put
-    /// a length prefix before every variable-length part.
+    /// handles, monotone totals, construction-time constants and anything
+    /// the written words determine (age order follows from the seqs, and
+    /// bucket membership from the slot records), and put a length prefix
+    /// before every variable-length part.
     fn arch_key(&self, key: &mut ArchKey);
 
     /// Clones this queue behind a fresh box. This is the model checker's

@@ -8,10 +8,22 @@
 //! priority; all other grants remain position-ordered. AGE-multiAM
 //! partitions instructions into per-function-unit buckets at dispatch (load
 //! balanced) and gives each bucket's oldest ready instruction top priority.
+//!
+//! # Age from dispatch order
+//!
+//! An age matrix answers one question: which requesting member was
+//! dispatched first. Dispatch hands out increasing sequence numbers (a
+//! squash or flush only removes the youngest entries, so later dispatches
+//! still carry larger seqs than every survivor), so the member with the
+//! smallest `seq` is exactly the one the matrix would grant. Each bucket
+//! therefore keeps only a member bit set, and a nomination visits the
+//! bucket's ready members — O(ready entries), where a bit-matrix model
+//! pays O(occupancy) per grant to clear a column. The hardware cost of the
+//! matrix is charged by `swque-circuit`, not here.
 
 use swque_isa::FuClass;
 
-use crate::age_matrix::AgeMatrix;
+use crate::bitset::BitSet;
 use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
@@ -25,8 +37,11 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 #[derive(Debug, Clone)]
 pub struct RandomQueue {
     slots: SlotArray,
-    /// One age matrix per bucket; empty for RAND.
-    matrices: Vec<AgeMatrix>,
+    /// The members of each age-matrix bucket; empty for RAND.
+    buckets: Vec<BitSet>,
+    /// XORed into every seq before the oldest-ready comparison: 0, or all
+    /// ones for the model checker's planted youngest-first bug.
+    age_flip: u64,
     /// Bucket id range for each FU group: `[int, mem, fp]` as
     /// `(first, count)`.
     groups: [(u8, u8); 3],
@@ -52,7 +67,8 @@ impl RandomQueue {
         let groups = [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)];
         RandomQueue {
             slots: SlotArray::new(config.capacity),
-            matrices: (0..total).map(|_| AgeMatrix::new(config.capacity)).collect(),
+            buckets: (0..total).map(|_| BitSet::new(config.capacity)).collect(),
+            age_flip: 0,
             groups,
             bucket_load: vec![0; total.max(1)],
             flpi_floor: config.flpi_rank_floor(),
@@ -65,7 +81,7 @@ impl RandomQueue {
     /// RAND: free-list allocation, position priority, no age matrix.
     pub fn rand(config: &IqConfig) -> RandomQueue {
         let mut q = RandomQueue::with_buckets(config, BucketSpec { int: 0, mem: 0, fp: 0 }, "RAND");
-        q.matrices.clear();
+        q.buckets.clear();
         q
     }
 
@@ -81,9 +97,16 @@ impl RandomQueue {
         RandomQueue::with_buckets(config, config.buckets, "AGE-multiAM")
     }
 
+    /// AGE whose matrix grants the *youngest* ready entry instead of the
+    /// oldest: a planted bug for the model checker's negative runs, which
+    /// must catch it as an `age-first` violation. Not a modelled design.
+    pub fn age_youngest_first(config: &IqConfig) -> RandomQueue {
+        RandomQueue { age_flip: u64::MAX, ..RandomQueue::age(config) }
+    }
+
     /// Number of age matrices in use (0 = RAND, 1 = AGE, k = multiAM).
     pub fn num_matrices(&self) -> usize {
-        self.matrices.len()
+        self.buckets.len()
     }
 
     /// Chooses the least-loaded bucket serving `fu`. With a single matrix
@@ -94,7 +117,7 @@ impl RandomQueue {
     /// Panics if no bucket serves `fu`'s group: the group table is built
     /// to cover every FU class, so a gap is a construction bug.
     fn steer(&self, fu: FuClass) -> u8 {
-        if self.matrices.len() <= 1 {
+        if self.buckets.len() <= 1 {
             return 0;
         }
         let (first, count) = self.groups[group_of(fu)];
@@ -105,12 +128,26 @@ impl RandomQueue {
     fn remove_entry(&mut self, pos: usize) {
         let bucket = self.slots.get(pos).bucket as usize;
         self.slots.remove(pos);
-        if let Some(m) = self.matrices.get_mut(bucket) {
-            m.deallocate(pos);
-        }
-        if !self.matrices.is_empty() {
+        if let Some(members) = self.buckets.get_mut(bucket) {
+            members.clear(pos);
             self.bucket_load[bucket] -= 1;
         }
+    }
+
+    /// The age matrix of bucket `b`: the position of its ready member with
+    /// the smallest seq (the first dispatched), if any member is ready.
+    fn oldest_ready(&self, b: usize) -> Option<usize> {
+        let mut oldest = (u64::MAX, usize::MAX);
+        let planes = self.slots.ready_words().iter().zip(self.buckets[b].words());
+        for (wi, (&ready, &members)) in planes.enumerate() {
+            let mut word = ready & members;
+            while word != 0 {
+                let pos = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                oldest = oldest.min((self.slots.get(pos).seq ^ self.age_flip, pos));
+            }
+        }
+        (oldest.1 != usize::MAX).then_some(oldest.1)
     }
 
     fn grant_at(&mut self, pos: usize, rank: usize) -> Grant {
@@ -161,10 +198,8 @@ impl IssueQueue for RandomQueue {
         };
         let bucket = self.steer(req.fu);
         self.slots.insert(pos, req, false, bucket);
-        if let Some(m) = self.matrices.get_mut(bucket as usize) {
-            m.allocate(pos);
-        }
-        if !self.matrices.is_empty() {
+        if let Some(members) = self.buckets.get_mut(bucket as usize) {
+            members.set(pos);
             self.bucket_load[bucket as usize] += 1;
         }
         self.stats.dispatched += 1;
@@ -182,9 +217,9 @@ impl IssueQueue for RandomQueue {
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
         let cycles = cycles.get();
-        // With an empty ready plane both select phases are pure reads (the
-        // age matrices only nominate; nomination with no ready bits returns
-        // nothing) — only the per-cycle averages advance.
+        // With an empty ready plane both select phases are pure reads (a
+        // bucket nominates only ready members) — only the per-cycle
+        // averages advance.
         self.stats.selects += cycles;
         self.stats.occupancy_sum += cycles * self.slots.len() as u64;
         self.stats.region_sum += cycles * self.slots.len() as u64;
@@ -198,15 +233,13 @@ impl IssueQueue for RandomQueue {
         let mut grants = self.grants.take();
 
         // Phase 1: each age matrix nominates its oldest ready instruction,
-        // which gets the highest priority independently of IQ position. The
-        // packed ready plane is handed to the matrix directly; each matrix
-        // masks it with its own (per-bucket) valid set, and a grant updates
-        // the plane before the next matrix reads it.
-        for m in 0..self.matrices.len() {
+        // which gets the highest priority independently of IQ position. A
+        // grant updates the ready plane before the next bucket reads it.
+        for b in 0..self.buckets.len() {
             if budget.exhausted() {
                 break;
             }
-            let Some(pos) = self.matrices[m].oldest_ready_words(self.slots.ready_words()) else {
+            let Some(pos) = self.oldest_ready(b) else {
                 continue;
             };
             let fu = self.slots.get(pos).fu;
@@ -239,8 +272,8 @@ impl IssueQueue for RandomQueue {
 
     fn flush(&mut self) {
         self.slots.clear();
-        for m in &mut self.matrices {
-            m.clear();
+        for members in &mut self.buckets {
+            members.clear_all();
         }
         self.bucket_load.fill(0);
     }
@@ -265,11 +298,10 @@ impl IssueQueue for RandomQueue {
         self.stats
     }
 
+    /// The bucket member sets are left out: a slot's record carries its
+    /// bucket, and seqs carry the age order the matrices stand for.
     fn arch_key(&self, key: &mut ArchKey) {
         self.slots.arch_key(key);
-        for matrix in &self.matrices {
-            matrix.arch_key(key);
-        }
         for (first, count) in self.groups {
             key.push(u64::from(first));
             key.push(u64::from(count));

@@ -13,7 +13,12 @@
 //! This behavioural model tracks old-queue membership as a flag over the
 //! shared entry array: `move_width` entries may be promoted per cycle, the
 //! old set holds at most `old_capacity` instructions, and selection walks
-//! the old set in age order before falling back to positional order.
+//! the old set in age order before falling back to positional order. The
+//! promotion candidates wait in dispatch order (= seq order, since
+//! dispatch hands out increasing seqs), so a promotion pops the front
+//! instead of searching the queue for its oldest entries.
+
+use std::collections::VecDeque;
 
 use crate::bitset::BitSet;
 use crate::cycle::{CycleDelta, CycleStamp};
@@ -29,19 +34,21 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 pub struct RearrangingQueue {
     slots: SlotArray,
     /// Old-queue membership: `(seq, pos)` kept sorted by seq (age order).
-    /// Bounded by `old_capacity` (small), so insertion-sorted linear ops
-    /// beat a tree; the paired position mask makes membership tests O(1).
+    /// Bounded by `old_capacity` (small), so linear ops beat a tree; the
+    /// paired position mask makes membership tests O(1).
     old: Vec<(u64, usize)>,
     /// Positions currently in the old queue (mirror of `old`), tested by
     /// both per-cycle scans instead of a map lookup per candidate.
     old_mask: BitSet,
+    /// Main-queue entries `(seq, pos)` in dispatch order: the promotion
+    /// candidates, oldest first. An entry goes stale when its instruction
+    /// issues from the main queue; stale entries are skipped when they
+    /// reach the front and dropped when the deque grows to twice the
+    /// capacity, so it never holds more than that.
+    main: VecDeque<(u64, u32)>,
     old_capacity: usize,
     move_width: usize,
     flpi_floor: usize,
-    /// Promotion scratch reused across cycles (see [`Self::rearrange`]):
-    /// holds at most `move_width` `(seq, pos)` candidates, so the per-cycle
-    /// select loop never allocates.
-    scratch: Vec<(u64, usize)>,
     /// Old-queue position snapshot reused across select cycles (granting
     /// mutates `old`, so selection iterates a copy).
     old_scratch: Vec<usize>,
@@ -76,10 +83,10 @@ impl RearrangingQueue {
             slots: SlotArray::new(config.capacity),
             old: Vec::with_capacity(old_capacity),
             old_mask: BitSet::new(config.capacity),
+            main: VecDeque::with_capacity(2 * config.capacity),
             old_capacity,
             move_width,
             flpi_floor: config.flpi_rank_floor(),
-            scratch: Vec::with_capacity(move_width),
             old_scratch: Vec::with_capacity(old_capacity),
             grants: GrantBuf::default(),
             stats: IqStats::default(),
@@ -91,44 +98,30 @@ impl RearrangingQueue {
         self.old.len()
     }
 
-    /// Promotes up to `move_width` of the oldest main-queue entries.
-    ///
-    /// Runs every select cycle, so it must not be the hot-path outlier it
-    /// once was: when the old queue is full (the steady state under
-    /// pressure) it exits before touching any slot, and otherwise it keeps
-    /// the `min(move_width, free)` oldest candidates in a small
-    /// insertion-sorted scratch buffer reused across cycles — no per-cycle
-    /// allocation, no O(n log n) sort of the whole queue.
+    /// Whether main-queue entry `(seq, pos)` still names the instruction
+    /// in its slot.
+    fn is_live(slots: &SlotArray, seq: u64, pos: u32) -> bool {
+        let slot = slots.get(pos as usize);
+        slot.valid && slot.seq == seq
+    }
+
+    /// Promotes up to `move_width` of the oldest main-queue entries: the
+    /// first live ones in `main`. Each is younger than every entry already
+    /// in the old queue (those left `main` earlier), so it joins at the
+    /// back and `old` stays sorted.
     fn rearrange(&mut self) {
         let free = self.old_capacity.saturating_sub(self.old.len());
-        let take = free.min(self.move_width);
-        if take == 0 {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for pos in self.slots.valid_positions() {
-            if self.old_mask.test(pos) {
-                continue;
+        let mut take = free.min(self.move_width);
+        while take > 0 {
+            let Some((seq, pos)) = self.main.pop_front() else {
+                return;
+            };
+            if Self::is_live(&self.slots, seq, pos) {
+                self.old.push((seq, pos as usize));
+                self.old_mask.set(pos as usize);
+                take -= 1;
             }
-            let seq = self.slots.get(pos).seq;
-            if scratch.len() == take {
-                // `scratch` is sorted ascending; its last entry is the
-                // youngest survivor.
-                if seq >= scratch[take - 1].0 {
-                    continue;
-                }
-                scratch.pop();
-            }
-            let at = scratch.partition_point(|&(s, _)| s < seq);
-            scratch.insert(at, (seq, pos));
         }
-        for &(seq, pos) in &scratch {
-            let at = self.old.partition_point(|&(s, _)| s < seq);
-            self.old.insert(at, (seq, pos));
-            self.old_mask.set(pos);
-        }
-        self.scratch = scratch;
     }
 
     fn grant_at(&mut self, pos: usize, rank: usize) -> Grant {
@@ -174,12 +167,21 @@ impl IssueQueue for RearrangingQueue {
         self.slots.len() < self.slots.capacity()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pos indexes the slots, and queue capacities are far below 2^32"
+    )]
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
         let Some(pos) = self.slots.first_free() else {
             self.stats.dispatch_stalls += 1;
             return Err(IqFullError);
         };
         self.slots.insert(pos, req, false, 0);
+        if self.main.len() >= 2 * self.slots.capacity() {
+            let slots = &self.slots;
+            self.main.retain(|&(seq, pos)| Self::is_live(slots, seq, pos));
+        }
+        self.main.push_back((req.seq, pos as u32));
         self.stats.dispatched += 1;
         Ok(())
     }
@@ -257,6 +259,7 @@ impl IssueQueue for RearrangingQueue {
 
     fn flush(&mut self) {
         self.slots.clear();
+        self.main.clear();
         self.old.clear();
         self.old_mask.clear_all();
     }
@@ -275,15 +278,21 @@ impl IssueQueue for RearrangingQueue {
                 }
             }
         }
-        // `old` is sorted by seq: everything younger sits past the cut.
+        // `old` and `main` are sorted by seq: everything younger sits past
+        // the cut.
         let cut = self.old.partition_point(|&(s, _)| s <= seq);
         self.old.truncate(cut);
+        while self.main.back().is_some_and(|&(s, _)| s > seq) {
+            self.main.pop_back();
+        }
     }
 
     fn stats(&self) -> IqStats {
         self.stats
     }
 
+    /// `main` is left out: its live entries are the valid slots outside
+    /// the old queue, in seq order.
     fn arch_key(&self, key: &mut ArchKey) {
         self.slots.arch_key(key);
         key.push_usize(self.old.len());

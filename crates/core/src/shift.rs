@@ -5,25 +5,19 @@
 //! always perfectly age-ordered and capacity efficiency is 1.0 — SHIFT is
 //! the IPC upper bound among the conventional queues, at the cost of circuit
 //! complexity the paper's delay/energy analysis charges against it.
+//!
+//! The model keeps the entries in the shared [`SlotArray`] (tag-indexed
+//! wakeup, packed ready plane) and the age order as a list of slot
+//! positions: compaction moves 4-byte indices, not entries, and the
+//! physical slot an entry occupies is layout, not state.
 
 use crate::cycle::{CycleDelta, CycleStamp};
 use crate::digest::ArchKey;
 use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
+use crate::slots::SlotArray;
 use crate::stats::IqStats;
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    req: DispatchReq,
-    ready: [bool; 2],
-}
-
-impl Entry {
-    fn ready(&self) -> bool {
-        self.ready[0] && self.ready[1]
-    }
-}
 
 /// The compacting, age-ordered queue.
 ///
@@ -41,13 +35,14 @@ impl Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShiftQueue {
-    capacity: usize,
+    slots: SlotArray,
+    /// Slot positions in age order; index 0 is the oldest (highest
+    /// priority), and an entry's index is its grant rank.
+    order: Vec<u32>,
+    /// The model checker's planted bug: dispatch files each entry by slot
+    /// position instead of at the back, so select walks slot order.
+    position_order: bool,
     flpi_floor: usize,
-    /// Age-ordered entries; index 0 is the oldest (highest priority).
-    entries: Vec<Entry>,
-    /// How many of `entries` are ready, so that an idle queue answers
-    /// `has_ready` and `select` without visiting every entry.
-    ready_count: usize,
     grants: GrantBuf,
     stats: IqStats,
 }
@@ -56,13 +51,21 @@ impl ShiftQueue {
     /// Creates an empty SHIFT queue.
     pub fn new(config: &IqConfig) -> ShiftQueue {
         ShiftQueue {
-            capacity: config.capacity,
+            slots: SlotArray::new(config.capacity),
+            order: Vec::with_capacity(config.capacity),
+            position_order: false,
             flpi_floor: config.flpi_rank_floor(),
-            entries: Vec::with_capacity(config.capacity),
-            ready_count: 0,
             grants: GrantBuf::default(),
             stats: IqStats::default(),
         }
+    }
+
+    /// SHIFT whose select walks the entries in slot-position order instead
+    /// of age order: a planted bug for the model checker's negative runs,
+    /// which must catch it as an `oldest-first` violation. Not a modelled
+    /// design.
+    pub fn position_order(config: &IqConfig) -> ShiftQueue {
+        ShiftQueue { position_order: true, ..ShiftQueue::new(config) }
     }
 }
 
@@ -72,43 +75,44 @@ impl IssueQueue for ShiftQueue {
     }
 
     fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.capacity()
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.slots.len() < self.slots.capacity()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pos indexes the slots, and queue capacities are far below 2^32"
+    )]
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
-        if !self.has_space() {
+        let Some(pos) = self.slots.first_free() else {
             self.stats.dispatch_stalls += 1;
             return Err(IqFullError);
-        }
-        let entry = Entry { req, ready: [req.srcs[0].is_none(), req.srcs[1].is_none()] };
-        self.ready_count += usize::from(entry.ready());
-        self.entries.push(entry);
+        };
+        self.slots.insert(pos, req, false, 0);
+        let at = if self.position_order {
+            self.order.partition_point(|&p| (p as usize) < pos)
+        } else {
+            self.order.len()
+        };
+        self.order.insert(at, pos as u32);
         self.stats.dispatched += 1;
         Ok(())
     }
 
     fn wakeup(&mut self, tag: Tag) {
         self.stats.wakeups += 1;
-        for e in &mut self.entries {
-            for (i, src) in e.req.srcs.iter().enumerate() {
-                if *src == Some(tag) && !e.ready[i] {
-                    e.ready[i] = true;
-                    self.ready_count += usize::from(e.ready());
-                }
-            }
-        }
+        self.slots.wakeup(tag);
     }
 
     fn has_ready(&self) -> bool {
-        self.ready_count > 0
+        self.slots.any_ready()
     }
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
@@ -116,76 +120,86 @@ impl IssueQueue for ShiftQueue {
         // An empty select only advances the per-cycle averages; nothing
         // compacts because nothing issues.
         self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.entries.len() as u64;
-        self.stats.region_sum += cycles * self.entries.len() as u64;
+        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
+        self.stats.region_sum += cycles * self.slots.len() as u64;
     }
 
     fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
         self.stats.selects += 1;
-        self.stats.occupancy_sum += self.entries.len() as u64;
-        self.stats.region_sum += self.entries.len() as u64;
+        self.stats.occupancy_sum += self.slots.len() as u64;
+        self.stats.region_sum += self.slots.len() as u64;
 
         let mut grants = self.grants.take();
-        // Compaction in place: each survivor moves up over the holes that
-        // grants left before it, so `entries[..kept]` stays age-ordered.
-        // Once the budget is spent or the last ready entry has been
-        // visited, the untouched tail shifts up in one move.
+        // Compaction in place: each survivor's index moves up over the
+        // holes that grants left before it, so `order[..kept]` stays
+        // age-ordered. Once the budget is spent or the last ready entry
+        // has been visited, the untouched tail shifts up in one move.
         let mut kept = 0;
         let mut rank = 0;
-        let mut ready_left = self.ready_count;
+        let mut ready_left = self.slots.ready_len();
         while ready_left > 0 && !budget.exhausted() {
-            let e = self.entries[rank];
-            ready_left -= usize::from(e.ready());
-            if e.ready() && budget.try_take(e.req.fu) {
+            let pos = self.order[rank];
+            let slot = self.slots.get(pos as usize);
+            let ready = slot.ready();
+            ready_left -= usize::from(ready);
+            if ready && budget.try_take(slot.fu) {
                 self.stats.issued += 1;
                 self.stats.tag_reads += 1;
                 if rank >= self.flpi_floor {
                     self.stats.issued_low_priority += 1;
                 }
                 grants.push(Grant {
-                    payload: e.req.payload,
-                    seq: e.req.seq,
-                    dst: e.req.dst,
-                    fu: e.req.fu,
+                    payload: slot.payload,
+                    seq: slot.seq,
+                    dst: slot.dst,
+                    fu: slot.fu,
                     rank,
                     two_cycle: false,
                 });
+                self.slots.remove(pos as usize);
             } else {
-                self.entries[kept] = e;
+                self.order[kept] = pos;
                 kept += 1;
             }
             rank += 1;
         }
-        self.entries.drain(kept..rank);
-        self.ready_count -= grants.len();
+        self.order.drain(kept..rank);
         self.grants.put(grants)
     }
 
     fn flush(&mut self) {
-        self.entries.clear();
-        self.ready_count = 0;
+        self.slots.clear();
+        self.order.clear();
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        self.entries.retain(|e| e.req.seq <= seq);
-        self.ready_count = self.entries.iter().filter(|e| e.ready()).count();
+        let slots = &mut self.slots;
+        self.order.retain(|&pos| {
+            let keep = slots.get(pos as usize).seq <= seq;
+            if !keep {
+                slots.remove(pos as usize);
+            }
+            keep
+        });
     }
 
     fn stats(&self) -> IqStats {
         self.stats
     }
 
+    /// The live entries in age order, each as the slot-array kinds write a
+    /// slot (a resolved source is `None`); which physical slot holds an
+    /// entry never decides a grant, so positions stay out.
     fn arch_key(&self, key: &mut ArchKey) {
-        key.push_usize(self.entries.len());
-        for e in &self.entries {
-            key.push_seq(e.req.seq);
-            key.push_seq(e.req.payload);
-            key.push_opt(e.req.dst);
-            key.push_opt(e.req.srcs[0]);
-            key.push_opt(e.req.srcs[1]);
-            key.push_usize(e.req.fu.index());
-            key.push_bool(e.ready[0]);
-            key.push_bool(e.ready[1]);
+        key.push_usize(self.order.len());
+        for &pos in &self.order {
+            let slot = self.slots.get(pos as usize);
+            key.push_seq(slot.seq);
+            key.push_seq(slot.payload);
+            key.push_opt(slot.dst);
+            key.push_opt(slot.srcs[0]);
+            key.push_opt(slot.srcs[1]);
+            key.push_usize(slot.fu.index());
         }
     }
 
@@ -204,7 +218,6 @@ impl WakeHorizon for ShiftQueue {
 mod tests {
     use super::*;
     use swque_isa::FuClass;
-    use swque_rng::prop::{check, Gen};
 
     fn cfg(cap: usize, iw: usize) -> IqConfig {
         IqConfig { capacity: cap, issue_width: iw, ..IqConfig::default() }
@@ -220,6 +233,10 @@ mod tests {
 
     fn budget(iw: usize) -> IssueBudget {
         IssueBudget::new(iw, [iw, iw, iw, iw])
+    }
+
+    fn seqs_in_age_order(q: &ShiftQueue) -> Vec<u64> {
+        q.order.iter().map(|&pos| q.slots.get(pos as usize).seq).collect()
     }
 
     #[test]
@@ -266,7 +283,7 @@ mod tests {
         let g = q.select(&mut budget(4));
         let granted: Vec<_> = g.iter().map(|g| (g.seq, g.rank)).collect();
         assert_eq!(granted, vec![(1, 1), (3, 3)]);
-        assert_eq!(q.entries.iter().map(|e| e.req.seq).collect::<Vec<_>>(), vec![0, 2, 4]);
+        assert_eq!(seqs_in_age_order(&q), vec![0, 2, 4]);
         let s = q.stats();
         assert_eq!((s.issued, s.tag_reads), (2, 2));
         assert_eq!(s.issued_low_priority, 1, "rank 3 is at or above the floor, rank 1 is not");
@@ -320,94 +337,5 @@ mod tests {
         q.flush();
         assert!(q.is_empty());
         assert!(q.select(&mut budget(1)).is_empty());
-    }
-
-    /// The select loop without the early exit: it visits entries until the
-    /// budget runs out, whether or not any ready entry is left. Returns the
-    /// `(seq, rank, fu)` of each grant.
-    fn full_scan_select(
-        entries: &mut Vec<Entry>,
-        budget: &mut IssueBudget,
-    ) -> Vec<(u64, usize, FuClass)> {
-        let mut grants = Vec::new();
-        let mut kept = 0;
-        let mut rank = 0;
-        while rank < entries.len() && !budget.exhausted() {
-            let e = entries[rank];
-            if e.ready() && budget.try_take(e.req.fu) {
-                grants.push((e.req.seq, rank, e.req.fu));
-            } else {
-                entries[kept] = e;
-                kept += 1;
-            }
-            rank += 1;
-        }
-        entries.drain(kept..rank);
-        grants
-    }
-
-    fn state(entries: &[Entry]) -> Vec<(u64, [bool; 2])> {
-        entries.iter().map(|e| (e.req.seq, e.ready)).collect()
-    }
-
-    /// The early-exit select grants the same entries and leaves the same
-    /// age order as the full scan, over random dispatch, wakeup, select,
-    /// squash and flush sequences with budgets that often run out mid-queue
-    /// or starve a unit class. `ready_count` matches a recount after every
-    /// operation.
-    #[test]
-    fn early_exit_select_matches_the_full_scan() {
-        check(256, |g| {
-            let capacity = g.gen_range(1usize..24);
-            let mut q = ShiftQueue::new(&cfg(capacity, 4));
-            let mut reference: Vec<Entry> = Vec::new();
-            let mut seq = 0u64;
-            for _ in 0..g.gen_range(1usize..200) {
-                match g.weighted(&[6, 4, 4, 1, 1]) {
-                    0 => {
-                        let tag = |g: &mut Gen| g.option(|g| g.gen_range(0u16..6));
-                        let srcs = [tag(g), tag(g)];
-                        let fu = FuClass::ALL[g.gen_range(0usize..4)];
-                        let req = DispatchReq::new(seq, seq, Some(100), srcs, fu);
-                        if q.dispatch(req).is_ok() {
-                            reference
-                                .push(Entry { req, ready: [srcs[0].is_none(), srcs[1].is_none()] });
-                        }
-                        seq += 1;
-                    }
-                    1 => {
-                        let tag = g.gen_range(0u16..6);
-                        q.wakeup(tag);
-                        for e in &mut reference {
-                            for (i, src) in e.req.srcs.iter().enumerate() {
-                                e.ready[i] |= *src == Some(tag);
-                            }
-                        }
-                    }
-                    2 => {
-                        let fu_free = [0; 4].map(|_: usize| g.gen_range(0usize..3));
-                        let budget = IssueBudget::new(g.gen_range(1usize..5), fu_free);
-                        let (mut early, mut full) = (budget, budget);
-                        let grants: Vec<_> =
-                            q.select(&mut early).iter().map(|g| (g.seq, g.rank, g.fu)).collect();
-                        assert_eq!(grants, full_scan_select(&mut reference, &mut full));
-                        assert_eq!(early, full, "both loops spend the same budget");
-                    }
-                    3 => {
-                        let keep = g.gen_range(0..seq + 1);
-                        q.squash_younger(keep);
-                        reference.retain(|e| e.req.seq <= keep);
-                    }
-                    _ => {
-                        q.flush();
-                        reference.clear();
-                    }
-                }
-                assert_eq!(state(&q.entries), state(&reference));
-                let ready = reference.iter().filter(|e| e.ready()).count();
-                assert_eq!(q.ready_count, ready);
-                assert_eq!(q.has_ready(), ready > 0);
-            }
-        });
     }
 }

@@ -1,7 +1,7 @@
-//! Shared physical-entry storage used by the position-priority queues
-//! (CIRC, CIRC-PC, RAND, AGE). Models the wakeup-logic CAM array: each slot
-//! holds two source tags with ready flags and requests issue when both are
-//! ready.
+//! Shared physical-entry storage used by every single-queue organization
+//! (SHIFT, CIRC, CIRC-PC, RAND, AGE, REARRANGE). Models the wakeup-logic
+//! CAM array: each slot holds two source tags with ready flags and
+//! requests issue when both are ready.
 //!
 //! # Hot-path representation
 //!
@@ -150,6 +150,13 @@ impl SlotArray {
     #[inline]
     pub fn any_ready(&self) -> bool {
         !self.ready.is_empty()
+    }
+
+    /// Number of slots raising an issue request (a popcount of the ready
+    /// plane).
+    #[inline]
+    pub fn ready_len(&self) -> usize {
+        self.ready.count()
     }
 
     /// Packed CIRC-PC reverse flags.
@@ -307,11 +314,6 @@ impl SlotArray {
         self.pending_rv.arch_key(key);
     }
 
-    /// Positions of all valid slots (ascending position order).
-    pub fn valid_positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.valid.iter()
-    }
-
     /// Lowest-index free slot, if any.
     pub fn first_free(&self) -> Option<usize> {
         self.valid.first_clear()
@@ -458,18 +460,18 @@ mod tests {
         a.insert(1, req(1, [None, None]), true, 2);
         a.clear();
         assert!(a.is_empty());
-        assert_eq!(a.valid_positions().count(), 0);
+        assert_eq!(bitset::first_set(a.valid_words()), None);
         assert!(!a.get(1).reverse);
         assert_eq!(bitset::first_set(a.ready_words()), None);
         assert_eq!(bitset::first_set(a.reverse_words()), None);
     }
 
     #[test]
-    fn valid_positions_in_position_order() {
+    fn valid_plane_in_position_order() {
         let mut a = SlotArray::new(4);
         a.insert(3, req(1, [None, None]), false, 0);
         a.insert(1, req(2, [None, None]), false, 0);
-        let v: Vec<usize> = a.valid_positions().collect();
+        let v: Vec<usize> = bitset::iter_set(a.valid_words()).collect();
         assert_eq!(v, vec![1, 3]);
     }
 
@@ -578,7 +580,7 @@ mod tests {
                 }
                 assert_eq!(fast.len(), oracle.len());
                 assert_eq!(fast.first_free(), oracle.first_free());
-                let valid_fast: Vec<usize> = fast.valid_positions().collect();
+                let valid_fast: Vec<usize> = bitset::iter_set(fast.valid_words()).collect();
                 let valid_oracle: Vec<usize> = (0..cap).filter(|&p| oracle.get(p).valid).collect();
                 assert_eq!(valid_fast, valid_oracle, "valid plane");
                 for p in 0..cap {

@@ -1,6 +1,6 @@
 //! Property-based tests over the issue-queue organizations: random
 //! operation sequences must preserve the structural invariants of every
-//! scheme, and the age matrix must agree with a sequence-number oracle.
+//! scheme.
 //!
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (64).
@@ -11,7 +11,7 @@
 
 use swque_rng::prop::{check, Gen};
 
-use swque_core::{AgeMatrix, DispatchReq, IqConfig, IqKind, IssueBudget, Tag};
+use swque_core::{DispatchReq, IqConfig, IqKind, IssueBudget, Tag};
 use swque_isa::FuClass;
 
 /// A randomly generated queue operation.
@@ -120,32 +120,6 @@ fn queue_invariants_hold_under_random_ops() {
                 assert_eq!(q.len(), live.len(), "{kind} occupancy mirrors the model");
             }
         }
-    });
-}
-
-/// The bit-matrix age matrix agrees with a simple "smallest sequence
-/// number among requesters" oracle under arbitrary histories.
-#[test]
-fn age_matrix_matches_sequence_oracle() {
-    check(64, |g| {
-        let events: Vec<(usize, bool)> = g.vec(1..200, |g| (g.gen_range(0usize..16), g.bool()));
-        let request_mask: u16 = g.u16();
-        let mut m = AgeMatrix::new(16);
-        let mut ages: Vec<Option<u64>> = vec![None; 16];
-        let mut clock = 0u64;
-        for (slot, alloc) in events {
-            if alloc && ages[slot].is_none() {
-                m.allocate(slot);
-                ages[slot] = Some(clock);
-                clock += 1;
-            } else if !alloc && ages[slot].is_some() {
-                m.deallocate(slot);
-                ages[slot] = None;
-            }
-        }
-        let requests: Vec<usize> = (0..16).filter(|&i| request_mask >> i & 1 == 1).collect();
-        let oracle = requests.iter().filter_map(|&i| ages[i].map(|a| (a, i))).min().map(|(_, i)| i);
-        assert_eq!(m.oldest_ready(requests), oracle);
     });
 }
 

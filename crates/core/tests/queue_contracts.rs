@@ -232,9 +232,8 @@ fn arch_key_tracks_lockstep_state_at_any_absolute_seq() {
 
 /// Statistics, the waiter table's layout and monotone totals stay out
 /// of the key: extra empty selects (stats only), a source woken after
-/// dispatch instead of dispatched ready (the table grew, SHIFT aside,
-/// whose entries keep their source tags) and an extra empty SWQUE
-/// interval (totals only) all leave it unchanged.
+/// dispatch instead of dispatched ready (the table grew) and an extra
+/// empty SWQUE interval (totals only) all leave it unchanged.
 #[test]
 fn arch_key_omits_stats_waiters_and_totals() {
     let config = IqConfig { capacity: 4, issue_width: 2, ..IqConfig::default() };
@@ -246,13 +245,7 @@ fn arch_key_omits_stats_waiters_and_totals() {
         a.dispatch(DispatchReq::new(BASE, BASE, None, [Some(5), None], FuClass::IntAlu))
             .expect("space");
         a.wakeup(5);
-        if kind == IqKind::Shift {
-            b.dispatch(DispatchReq::new(BASE, BASE, None, [Some(5), None], FuClass::IntAlu))
-                .expect("space");
-            b.wakeup(5);
-        } else {
-            dispatch_ready(&mut b, BASE);
-        }
+        dispatch_ready(&mut b, BASE);
         assert_ne!(a.stats(), b.stats(), "{kind}: the drives must differ in stats");
         let live = [BASE];
         assert_eq!(key_words(a.as_ref(), &live), key_words(b.as_ref(), &live), "{kind}");

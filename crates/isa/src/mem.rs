@@ -1,5 +1,7 @@
 //! Paged sparse memory.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
@@ -14,7 +16,44 @@ pub struct SparseMemory {
         clippy::disallowed_types,
         reason = "lookup-only: pages are probed by page number, never iterated"
     )]
-    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// A fixed multiplicative hasher for page numbers (one rotate, xor and
+/// multiply per word, as in rustc's FxHash). Page numbers are
+/// program-chosen, not adversarial, so SipHash's flooding resistance buys
+/// nothing here, and the map is never iterated, so the hash cannot reach
+/// any output.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    /// The 64-bit golden-ratio constant (odd, so the multiply is a
+    /// bijection that spreads consecutive page numbers apart).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for PageHasher {
+    /// The product's low bits depend only on the key's low bits, and the
+    /// map picks buckets by low bits: rotating the well-mixed high bits
+    /// down keeps page numbers with a power-of-two stride apart.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
 }
 
 impl SparseMemory {
@@ -138,6 +177,20 @@ mod tests {
         let mut m = SparseMemory::new();
         m.write_f64(8, -1234.5e-6);
         assert_eq!(m.read_f64(8), -1234.5e-6);
+    }
+
+    /// Page numbers 2^16 apart share their low 16 bits; the map indexes
+    /// buckets by the hash's low bits, so those must still differ.
+    #[test]
+    fn strided_page_numbers_spread_over_the_low_hash_bits() {
+        let buckets: std::collections::BTreeSet<u64> = (0..64u64)
+            .map(|i| {
+                let mut h = PageHasher::default();
+                h.write_u64(i << 16);
+                h.finish() & 63
+            })
+            .collect();
+        assert!(buckets.len() >= 32, "64 strided pages fill only {} of 64 buckets", buckets.len());
     }
 
     #[test]

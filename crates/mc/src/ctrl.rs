@@ -24,7 +24,7 @@ use swque_core::replay::Event;
 use swque_core::{ArchKey, IntervalMetrics, IqMode, ModeDecision, SwqueController, SwqueParams};
 
 use crate::explore::Harness;
-use crate::harness::{Injection, Violation, INJECT_CIRC_PC_NO_CORRECT};
+use crate::harness::{Injection, Violation};
 
 /// The controller under check plus the shadow instability mirror.
 #[derive(Debug, Clone)]
@@ -48,10 +48,10 @@ impl CtrlHarness {
         match inject {
             None => {}
             Some(Injection::ControllerNoStabilize) => params.stabilize = false,
-            Some(Injection::CircPcNoCorrect) => {
+            Some(queue_bug) => {
                 return Err(format!(
-                    "injection {INJECT_CIRC_PC_NO_CORRECT} applies to CIRC-PC, not the \
-                     controller"
+                    "injection {} applies to a queue, not the controller",
+                    queue_bug.label()
                 ));
             }
         }

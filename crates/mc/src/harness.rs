@@ -26,7 +26,8 @@
 use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
 use swque_core::replay::Event;
 use swque_core::{
-    ArchKey, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue, Tag,
+    ArchKey, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue,
+    RandomQueue, ShiftQueue, Tag,
 };
 use swque_isa::FuClass;
 
@@ -45,6 +46,10 @@ const STALE_SEQ: u64 = u64::MAX;
 pub const INJECT_CIRC_PC_NO_CORRECT: &str = "circ-pc-no-correct";
 /// `--inject` name for [`Injection::ControllerNoStabilize`].
 pub const INJECT_CONTROLLER_NO_STABILIZE: &str = "controller-no-stabilize";
+/// `--inject` name for [`Injection::AgeYoungestFirst`].
+pub const INJECT_AGE_YOUNGEST_FIRST: &str = "age-youngest-first";
+/// `--inject` name for [`Injection::ShiftPositionOrder`].
+pub const INJECT_SHIFT_POSITION_ORDER: &str = "shift-position-order";
 
 /// A named mutation the harness plants so `scripts/verify.sh` can prove
 /// the checker actually detects bugs (red/green gating).
@@ -58,6 +63,13 @@ pub enum Injection {
     /// counter never trips, so the AGE-mode FLPI threshold is never
     /// lowered — violates `ctrl-instability-reduction`.
     ControllerNoStabilize,
+    /// Build AGE via [`RandomQueue::age_youngest_first`]: the matrix
+    /// grants the youngest ready entry — violates `age-first`.
+    AgeYoungestFirst,
+    /// Build SHIFT via [`ShiftQueue::position_order`]: grants follow slot
+    /// positions, which free-list reuse scrambles — violates
+    /// `oldest-first`.
+    ShiftPositionOrder,
 }
 
 impl Injection {
@@ -66,6 +78,8 @@ impl Injection {
         match name {
             INJECT_CIRC_PC_NO_CORRECT => Some(Injection::CircPcNoCorrect),
             INJECT_CONTROLLER_NO_STABILIZE => Some(Injection::ControllerNoStabilize),
+            INJECT_AGE_YOUNGEST_FIRST => Some(Injection::AgeYoungestFirst),
+            INJECT_SHIFT_POSITION_ORDER => Some(Injection::ShiftPositionOrder),
             _ => None,
         }
     }
@@ -75,6 +89,20 @@ impl Injection {
         match self {
             Injection::CircPcNoCorrect => INJECT_CIRC_PC_NO_CORRECT,
             Injection::ControllerNoStabilize => INJECT_CONTROLLER_NO_STABILIZE,
+            Injection::AgeYoungestFirst => INJECT_AGE_YOUNGEST_FIRST,
+            Injection::ShiftPositionOrder => INJECT_SHIFT_POSITION_ORDER,
+        }
+    }
+
+    /// The one queue kind a structural injection is planted in (`None`
+    /// for the controller injection, which applies to the SWQUE kinds and
+    /// CTRL).
+    pub fn queue_kind(&self) -> Option<IqKind> {
+        match self {
+            Injection::CircPcNoCorrect => Some(IqKind::CircPc),
+            Injection::AgeYoungestFirst => Some(IqKind::Age),
+            Injection::ShiftPositionOrder => Some(IqKind::Shift),
+            Injection::ControllerNoStabilize => None,
         }
     }
 }
@@ -184,17 +212,21 @@ impl QueueHarness {
             flpi_region_frac: 1.0,
             ..IqConfig::default()
         };
+        if let Some(inject) = inject {
+            if let Some(target) = inject.queue_kind().filter(|&target| target != kind) {
+                return Err(format!(
+                    "injection {} applies to {} only, not {}",
+                    inject.label(),
+                    target.label(),
+                    kind.label()
+                ));
+            }
+        }
         let queue: Box<dyn IssueQueue> = match inject {
             None => kind.build(&config),
-            Some(Injection::CircPcNoCorrect) => {
-                if kind != IqKind::CircPc {
-                    return Err(format!(
-                        "injection {INJECT_CIRC_PC_NO_CORRECT} applies to CIRC-PC only, not {}",
-                        kind.label()
-                    ));
-                }
-                Box::new(CircPcQueue::without_correction(&config))
-            }
+            Some(Injection::CircPcNoCorrect) => Box::new(CircPcQueue::without_correction(&config)),
+            Some(Injection::AgeYoungestFirst) => Box::new(RandomQueue::age_youngest_first(&config)),
+            Some(Injection::ShiftPositionOrder) => Box::new(ShiftQueue::position_order(&config)),
             Some(Injection::ControllerNoStabilize) => {
                 if !is_swque(kind) {
                     return Err(format!(
@@ -437,11 +469,22 @@ impl QueueHarness {
                 }
             }
         }
-        if matches!(self.kind, IqKind::Age | IqKind::AgeMulti)
-            && !budget.exhausted()
-            && !pre_ready.is_empty()
+        let oldest_ready = pre_ready.iter().min().copied();
+        if let (IqKind::Age, Some(&first), Some(oldest)) =
+            (self.kind, granted.first(), oldest_ready)
         {
-            let oldest = pre_ready.iter().min().copied().unwrap_or(0);
+            // One matrix over the whole queue, and every harness op uses
+            // the same FU class: the matrix's grant leads the stream.
+            if first != oldest {
+                return Err(Violation::new(
+                    "age-first",
+                    format!("first grant seq {first} but the oldest ready seq is {oldest}"),
+                ));
+            }
+        }
+        if let (IqKind::Age | IqKind::AgeMulti, false, Some(oldest)) =
+            (self.kind, budget.exhausted(), oldest_ready)
+        {
             if !granted.contains(&oldest) {
                 return Err(Violation::new(
                     "age-first",
@@ -680,10 +723,16 @@ impl Harness for QueueHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::queue_depth;
 
     #[test]
     fn injections_parse_and_label_round_trip() {
-        for inj in [Injection::CircPcNoCorrect, Injection::ControllerNoStabilize] {
+        for inj in [
+            Injection::CircPcNoCorrect,
+            Injection::ControllerNoStabilize,
+            Injection::AgeYoungestFirst,
+            Injection::ShiftPositionOrder,
+        ] {
             assert_eq!(Injection::parse(inj.label()), Some(inj));
         }
         assert_eq!(Injection::parse("no-such-bug"), None);
@@ -696,6 +745,8 @@ mod tests {
             QueueHarness::new(IqKind::Circ, 4, 2, Some(Injection::ControllerNoStabilize)).is_err()
         );
         assert!(QueueHarness::new(IqKind::CircPc, 4, 2, Some(Injection::CircPcNoCorrect)).is_ok());
+        assert!(QueueHarness::new(IqKind::Swque, 3, 2, Some(Injection::AgeYoungestFirst)).is_err());
+        assert!(QueueHarness::new(IqKind::Rand, 3, 2, Some(Injection::ShiftPositionOrder)).is_err());
     }
 
     #[test]
@@ -753,5 +804,26 @@ mod tests {
         let outcome = crate::explore::explore(&root, 10);
         let v = outcome.violation.expect("injected queue should violate a property");
         assert_eq!(v.property, "pc-age-ordered", "detail: {}", v.detail);
+    }
+
+    #[test]
+    fn youngest_first_injection_violates_age_first() {
+        // Two ready entries and a one-wide select suffice: the planted
+        // matrix grants the younger one.
+        let root = QueueHarness::new(IqKind::Age, 3, 2, Some(Injection::AgeYoungestFirst)).unwrap();
+        let outcome = crate::explore::explore(&root, queue_depth(IqKind::Age));
+        let v = outcome.violation.expect("injected queue should violate a property");
+        assert_eq!(v.property, "age-first", "detail: {}", v.detail);
+    }
+
+    #[test]
+    fn position_order_injection_violates_oldest_first() {
+        // Slot order departs from age order only after an issue frees a
+        // low slot for a younger dispatch.
+        let root =
+            QueueHarness::new(IqKind::Shift, 3, 2, Some(Injection::ShiftPositionOrder)).unwrap();
+        let outcome = crate::explore::explore(&root, queue_depth(IqKind::Shift));
+        let v = outcome.violation.expect("injected queue should violate a property");
+        assert_eq!(v.property, "oldest-first", "detail: {}", v.detail);
     }
 }

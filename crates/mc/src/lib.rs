@@ -23,7 +23,7 @@
 //! | `pc-age-ordered` | CIRC-PC, SWQUE | single-cycle grants issue oldest-first |
 //! | `pc-ready-within-bound` | CIRC-PC, SWQUE | the two-cycle RV path cannot starve an entry |
 //! | `oldest-first` | SHIFT, CIRC-PPRI | grants are exactly the oldest ready entries |
-//! | `age-first` | AGE, AGE-multiAM | the age matrix grants the oldest ready first |
+//! | `age-first` | AGE, AGE-multiAM | AGE's first grant is the oldest ready entry; with budget left, the oldest ready entry is granted |
 //! | `swque-switch-once` | SWQUE | a switch is requested until flushed, adopted once |
 //! | `ctrl-switch-is-change` | CTRL | `SwitchTo(m)` really changes the mode to `m` |
 //! | `ctrl-stay-is-stable` | CTRL | `Stay` leaves the mode alone |
@@ -37,9 +37,12 @@
 //!
 //! Negative injections prove the checker can actually see: building
 //! CIRC-PC via `without_correction` (`--inject circ-pc-no-correct`) makes
-//! `pc-age-ordered` fail, and a `stabilize: false` controller (`--inject
-//! controller-no-stabilize`) makes `ctrl-instability-reduction` fail —
-//! both wired as mandatory red/green runs in `scripts/verify.sh`.
+//! `pc-age-ordered` fail, a `stabilize: false` controller (`--inject
+//! controller-no-stabilize`) makes `ctrl-instability-reduction` fail, an
+//! AGE matrix that grants the youngest ready entry (`--inject
+//! age-youngest-first`) makes `age-first` fail, and a SHIFT that selects
+//! in slot order (`--inject shift-position-order`) makes `oldest-first`
+//! fail — all wired as mandatory red/green runs in `scripts/verify.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

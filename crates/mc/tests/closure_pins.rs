@@ -13,8 +13,8 @@ use swque_mc::{explore, CtrlHarness, QueueHarness};
 /// `(kind, capacity, states, closure depth)` for every smoke queue scope,
 /// width 2.
 const QUEUE_PINS: [(IqKind, usize, u64, u64); 18] = [
-    (IqKind::Shift, 2, 56, 7),
-    (IqKind::Shift, 3, 360, 8),
+    (IqKind::Shift, 2, 28, 5),
+    (IqKind::Shift, 3, 120, 7),
     (IqKind::Circ, 2, 111, 8),
     (IqKind::Circ, 3, 1_463, 14),
     (IqKind::CircPpri, 2, 111, 8),
@@ -23,11 +23,11 @@ const QUEUE_PINS: [(IqKind, usize, u64, u64); 18] = [
     (IqKind::CircPc, 3, 1_919, 15),
     (IqKind::Rand, 2, 84, 8),
     (IqKind::Rand, 3, 1_204, 12),
-    (IqKind::Age, 2, 94, 8),
-    (IqKind::Age, 3, 2_871, 15),
+    (IqKind::Age, 2, 84, 8),
+    (IqKind::Age, 3, 1_204, 12),
     (IqKind::AgeMulti, 2, 84, 8),
     (IqKind::AgeMulti, 3, 1_204, 12),
-    (IqKind::Swque, 2, 6_243, 62),
+    (IqKind::Swque, 2, 5_843, 62),
     (IqKind::SwqueMulti, 2, 5_843, 62),
     (IqKind::Rearrange, 2, 154, 9),
     (IqKind::Rearrange, 3, 2_168, 12),

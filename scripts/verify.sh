@@ -316,7 +316,7 @@ echo "== mc: swque-mc --smoke (bounded exhaustive check, every kind + controller
 ./target/release/swque-mc --smoke --json > "$json_tmp/mc-smoke.json"
 ./target/release/check_json "$json_tmp/mc-smoke.json"
 
-echo "== mc: SWQUE and SWQUE-multiAM at capacity 3 (159,897 and 96,177 states)"
+echo "== mc: SWQUE and SWQUE-multiAM at capacity 3 (96,177 states each)"
 # The two scopes --smoke leaves out (the benchmark's mc_explore workload
 # mirrors --smoke, so it stays as it is); each must close clean.
 for kind in SWQUE SWQUE-multiAM; do
@@ -326,8 +326,9 @@ done
 
 echo "== mc: negative injections (planted bugs must be caught, minimized, replayable)"
 # Each injection plants a real bug (the priority-correction pass removed;
-# the controller's Figure-7 stabilization disabled) in a harness copy of
-# the structure. The checker must exit 1, name the exact property, and
+# the controller's Figure-7 stabilization disabled; the age matrix granting
+# the youngest ready entry; SHIFT selecting in slot order) in a harness
+# copy of the structure. The checker must exit 1, name the exact property, and
 # emit a minimized self-contained replay string — which the checker
 # itself re-executes before reporting, and check_json re-parses here.
 mc_neg() {
@@ -352,6 +353,8 @@ mc_neg() {
 }
 mc_neg CIRC-PC 3 circ-pc-no-correct pc-age-ordered
 mc_neg CTRL 0 controller-no-stabilize ctrl-instability-reduction
+mc_neg AGE 3 age-youngest-first age-first
+mc_neg SHIFT 3 shift-position-order oldest-first
 
 echo "== experiments: all_experiments -> check_json, and a shim matches its section"
 # The whole evaluation in one process at a reduced budget: every entry's

@@ -8,10 +8,12 @@
 //! `u64` reads plus one `trailing_zeros` per *ready* instruction,
 //! instead of 128 slot dereferences.
 //!
-//! The scan helpers ([`for_each_set`], [`for_each_set_in`]) take the
-//! word slice rather than a `BitSet` so callers can combine planes on
-//! the fly (`ready & !pending & !reverse`) without materializing the
-//! intersection.
+//! The one scan, [`for_each_set_in`], reads its words through a
+//! caller closure rather than from a `BitSet`, so callers combine planes
+//! on the fly (`ready & !pending & !reverse`) without materializing the
+//! intersection. It is the select scan of every slot-array kind, the
+//! squash scan of the free-list kinds (`SlotArray::scan_ready` and
+//! `SlotArray::squash_younger`) and the age matrices' nomination.
 
 use crate::digest::ArchKey;
 
@@ -160,47 +162,41 @@ pub fn iter_set(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Calls `f` for each set bit of `words` in ascending order; `f` returns
-/// `false` to stop the scan early (budget exhausted).
+/// Calls `f` for each set bit in `lo..hi` of the plane that `word`
+/// describes (`word(state, w)` is word `w`, least-significant bit first),
+/// in ascending index order; `f` returns `false` to stop the scan early
+/// (budget exhausted).
 ///
-/// Each word is copied into a register before its bits are visited, so
-/// `f` may clear bits it has already been handed (issuing an instruction
-/// clears its ready bit) without invalidating the scan.
+/// Word `w` is read when the scan reaches it and copied into a register
+/// before its bits are visited, so `f` may change `state` — clear the bits
+/// it has been handed (issuing an instruction clears its ready bit) —
+/// without invalidating the scan. `state` is passed to both closures so
+/// that `f` may mutate what `word` reads.
 #[inline]
-pub fn for_each_set(words: &[u64], mut f: impl FnMut(usize) -> bool) {
-    for (wi, &w) in words.iter().enumerate() {
-        let mut word = w;
-        while word != 0 {
-            let i = wi * 64 + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if !f(i) {
-                return;
-            }
-        }
-    }
-}
-
-/// [`for_each_set`] restricted to indices in `lo..hi` (used for the
-/// circular, from-the-head scan order of CIRC-PPRI).
-#[inline]
-pub fn for_each_set_in(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize) -> bool) {
+pub fn for_each_set_in<S: ?Sized>(
+    state: &mut S,
+    lo: usize,
+    hi: usize,
+    word: impl Fn(&S, usize) -> u64,
+    mut f: impl FnMut(&mut S, usize) -> bool,
+) {
     if lo >= hi {
         return;
     }
     let first_w = lo / 64;
     let last_w = (hi - 1) / 64;
-    for (wi, &w) in (first_w..).zip(&words[first_w..=last_w]) {
-        let mut word = w;
+    for wi in first_w..=last_w {
+        let mut w = word(state, wi);
         if wi == first_w {
-            word &= u64::MAX << (lo % 64);
+            w &= u64::MAX << (lo % 64);
         }
         if wi == last_w && !hi.is_multiple_of(64) {
-            word &= u64::MAX >> (64 - hi % 64);
+            w &= u64::MAX >> (64 - hi % 64);
         }
-        while word != 0 {
-            let i = wi * 64 + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if !f(i) {
+        while w != 0 {
+            let i = wi * 64 + w.trailing_zeros() as usize;
+            w &= w - 1;
+            if !f(state, i) {
                 return;
             }
         }
@@ -264,16 +260,28 @@ mod tests {
             s.set(i);
         }
         let mut seen = Vec::new();
-        for_each_set(s.words(), |i| {
-            seen.push(i);
-            true
-        });
+        for_each_set_in(
+            &mut seen,
+            0,
+            200,
+            |_, w| s.words()[w],
+            |seen, i| {
+                seen.push(i);
+                true
+            },
+        );
         assert_eq!(seen, vec![5, 70, 71, 199]);
         let mut seen = Vec::new();
-        for_each_set(s.words(), |i| {
-            seen.push(i);
-            seen.len() < 2
-        });
+        for_each_set_in(
+            &mut seen,
+            0,
+            200,
+            |_, w| s.words()[w],
+            |seen, i| {
+                seen.push(i);
+                seen.len() < 2
+            },
+        );
         assert_eq!(seen, vec![5, 70], "early stop honored");
     }
 
@@ -285,10 +293,16 @@ mod tests {
         }
         let collect = |lo, hi| {
             let mut v = Vec::new();
-            for_each_set_in(s.words(), lo, hi, |i| {
-                v.push(i);
-                true
-            });
+            for_each_set_in(
+                &mut v,
+                lo,
+                hi,
+                |_, w| s.words()[w],
+                |v, i| {
+                    v.push(i);
+                    true
+                },
+            );
             v
         };
         assert_eq!(collect(0, 200), vec![0, 5, 63, 64, 100, 128, 199]);
@@ -300,14 +314,20 @@ mod tests {
     }
 
     #[test]
-    fn iter_set_matches_for_each_set() {
+    fn iter_set_matches_the_scan() {
         let words = [0x8000_0000_0000_0001u64, 0, 0b1010];
         let via_iter: Vec<usize> = iter_set(&words).collect();
         let mut via_scan = Vec::new();
-        for_each_set(&words, |i| {
-            via_scan.push(i);
-            true
-        });
+        for_each_set_in(
+            &mut via_scan,
+            0,
+            192,
+            |_, w| words[w],
+            |v, i| {
+                v.push(i);
+                true
+            },
+        );
         assert_eq!(via_iter, via_scan);
         assert_eq!(via_iter, vec![0, 63, 129, 131]);
         assert_eq!(first_set(&words), Some(0));

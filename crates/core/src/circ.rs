@@ -16,74 +16,96 @@
 //! keeps circular allocation but always selects in true age order — the
 //! upper bound that CIRC-PC (paper §3.1) approaches with real hardware.
 
-use crate::cycle::{CycleDelta, CycleStamp};
+use crate::cycle::CycleDelta;
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
-use crate::stats::IqStats;
+use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
-/// A circular issue queue (CIRC or CIRC-PPRI).
+/// The circular allocator CIRC, CIRC-PPRI and CIRC-PC share: the slots and
+/// the region of positions `head, head + 1, …` (mod capacity) allocated in
+/// dispatch order — live entries and the holes issued entries left.
 #[derive(Debug, Clone)]
-pub struct CircQueue {
-    slots: SlotArray,
+pub(crate) struct Ring {
+    pub(crate) slots: SlotArray,
     /// Position of the oldest allocated entry.
     head: usize,
     /// Number of positions in the allocated region (live entries + holes).
     region: usize,
-    /// True = CIRC-PPRI (select in age order even under wrap-around).
-    perfect: bool,
-    flpi_floor: usize,
-    grants: GrantBuf,
-    stats: IqStats,
 }
 
-impl CircQueue {
-    /// Creates a conventional CIRC queue (position priority).
-    pub fn new(config: &IqConfig) -> CircQueue {
-        CircQueue {
-            slots: SlotArray::new(config.capacity),
-            head: 0,
-            region: 0,
-            perfect: false,
-            flpi_floor: config.flpi_rank_floor(),
-            grants: GrantBuf::default(),
-            stats: IqStats::default(),
-        }
+impl Ring {
+    pub(crate) fn new(config: &IqConfig) -> Ring {
+        Ring { slots: SlotArray::new(config.capacity), head: 0, region: 0 }
     }
 
-    /// Creates CIRC-PPRI: circular allocation with idealized perfect
-    /// priority under wrap-around.
-    pub fn perfect_priority(config: &IqConfig) -> CircQueue {
-        CircQueue { perfect: true, ..CircQueue::new(config) }
-    }
-
-    fn capacity_(&self) -> usize {
-        self.slots.capacity()
+    pub(crate) fn head(&self) -> usize {
+        self.head
     }
 
     /// Position one past the youngest allocated entry.
     fn tail(&self) -> usize {
-        (self.head + self.region) % self.capacity_()
+        (self.head + self.region) % self.slots.capacity()
     }
 
     /// True while the allocated region crosses the physical end of the
     /// buffer — the paper's "wrap-around signal".
-    pub fn wrapped(&self) -> bool {
-        self.head + self.region > self.capacity_()
+    pub(crate) fn wrapped(&self) -> bool {
+        self.head + self.region > self.slots.capacity()
     }
 
-    /// Circular distance of `pos` from the head (the age-depth of the
-    /// entry's position); used as the FLPI priority rank.
-    fn depth(&self, pos: usize) -> usize {
-        (pos + self.capacity_() - self.head) % self.capacity_()
+    /// The FLPI rank of each position under the current head: its
+    /// circular distance from the head (the age-depth of the position).
+    pub(crate) fn depth(&self) -> impl Fn(usize) -> usize {
+        let (head, cap) = (self.head, self.slots.capacity());
+        move |pos| (pos + cap - head) % cap
+    }
+
+    /// True if the region leaves a position free (holes do not count).
+    pub(crate) fn has_space(&self) -> bool {
+        self.region < self.slots.capacity()
+    }
+
+    /// Inserts `req` at the tail and returns its position, or `None` when
+    /// the region fills the buffer.
+    pub(crate) fn dispatch(&mut self, req: DispatchReq) -> Option<usize> {
+        if !self.has_space() {
+            return None;
+        }
+        let pos = self.tail();
+        self.slots.insert(pos, req);
+        self.region += 1;
+        Some(pos)
+    }
+
+    /// Counts `cycles` selects of the ring's occupancy and region.
+    pub(crate) fn count_selects(&self, ledger: &mut Ledger, cycles: u64) {
+        ledger.selects(cycles, self.slots.len(), self.region);
+    }
+
+    /// Grants the ready entries at positions `lo..hi` that `mask` leaves,
+    /// in position order until the budget runs out, each ranked by its
+    /// depth.
+    pub(crate) fn grant_ready(
+        &mut self,
+        range: (usize, usize),
+        mask: impl Fn(usize) -> u64,
+        budget: &mut IssueBudget,
+        ledger: &mut Ledger,
+        grants: &mut Vec<Grant>,
+    ) {
+        let depth = self.depth();
+        self.slots.scan_ready(range, mask, budget, |slots, pos| {
+            grants.push(ledger.grant(slots.take(pos, depth(pos), false)));
+        });
     }
 
     /// Advances the head past leading holes, shrinking the region.
-    fn advance_head(&mut self) {
+    pub(crate) fn advance_head(&mut self) {
+        let cap = self.slots.capacity();
         while self.region > 0 && !self.slots.get(self.head).valid {
-            self.head = (self.head + 1) % self.capacity_();
+            self.head = (self.head + 1) % cap;
             self.region -= 1;
         }
         if self.region == 0 {
@@ -93,153 +115,12 @@ impl CircQueue {
         }
     }
 
-    /// Grants ready entries at positions in `lo..hi` in ascending order
-    /// until the budget runs out — the position-priority select scan as a
-    /// word walk over the packed ready plane. Each word is copied to a
-    /// register before its bits are visited, so granting (which clears the
-    /// granted entry's ready bit) cannot disturb the scan.
-    fn grant_ready_in(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        budget: &mut IssueBudget,
-        grants: &mut Vec<Grant>,
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let first_w = lo / 64;
-        let last_w = (hi - 1) / 64;
-        for wi in first_w..=last_w {
-            let mut word = self.slots.ready_words()[wi];
-            if wi == first_w {
-                word &= u64::MAX << (lo % 64);
-            }
-            if wi == last_w && !hi.is_multiple_of(64) {
-                word &= u64::MAX >> (64 - hi % 64);
-            }
-            while word != 0 {
-                if budget.exhausted() {
-                    return;
-                }
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let fu = self.slots.get(pos).fu;
-                if budget.try_take(fu) {
-                    let rank = self.depth(pos);
-                    grants.push(self.grant_at(pos, rank));
-                }
-            }
-        }
-    }
-
-    fn grant_at(&mut self, pos: usize, rank: usize) -> Grant {
-        let slot = self.slots.get(pos);
-        let g = Grant {
-            payload: slot.payload,
-            seq: slot.seq,
-            dst: slot.dst,
-            fu: slot.fu,
-            rank,
-            two_cycle: false,
-        };
-        self.slots.remove(pos);
-        self.stats.issued += 1;
-        self.stats.tag_reads += 1;
-        if rank >= self.flpi_floor {
-            self.stats.issued_low_priority += 1;
-        }
-        g
-    }
-}
-
-impl IssueQueue for CircQueue {
-    fn name(&self) -> &'static str {
-        if self.perfect {
-            "CIRC-PPRI"
-        } else {
-            "CIRC"
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity_()
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn has_space(&self) -> bool {
-        self.region < self.capacity_()
-    }
-
-    fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
-        if !self.has_space() {
-            self.stats.dispatch_stalls += 1;
-            return Err(IqFullError);
-        }
-        let pos = self.tail();
-        let reverse = self.head + self.region >= self.capacity_();
-        self.slots.insert(pos, req, reverse, 0);
-        self.region += 1;
-        self.stats.dispatched += 1;
-        Ok(())
-    }
-
-    fn wakeup(&mut self, tag: Tag) {
-        self.stats.wakeups += 1;
-        self.slots.wakeup(tag);
-    }
-
-    fn has_ready(&self) -> bool {
-        self.slots.any_ready()
-    }
-
-    fn idle_tick(&mut self, cycles: CycleDelta) {
-        let cycles = cycles.get();
-        self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
-        self.stats.region_sum += cycles * self.region as u64;
-        // With nothing ready, each per-cycle select would only re-run
-        // advance_head — which converges after one call (no grants remove
-        // entries, so the head meets the same first valid slot every time).
-        self.advance_head();
-    }
-
-    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
-        self.stats.selects += 1;
-        self.stats.occupancy_sum += self.slots.len() as u64;
-        self.stats.region_sum += self.region as u64;
-
-        let cap = self.capacity_();
-        let mut grants = self.grants.take();
-        // Candidate positions in this organization's priority order.
-        // CIRC: ascending physical position (reversed under wrap-around).
-        // CIRC-PPRI: circular order from the head (true age order), i.e.
-        // positions head..cap followed by 0..head.
-        if self.perfect {
-            let head = self.head;
-            self.grant_ready_in(head, cap, budget, &mut grants);
-            self.grant_ready_in(0, head, budget, &mut grants);
-        } else {
-            self.grant_ready_in(0, cap, budget, &mut grants);
-        }
-        self.advance_head();
-        self.grants.put(grants)
-    }
-
-    fn flush(&mut self) {
-        self.slots.clear();
-        self.head = 0;
-        self.region = 0;
-    }
-
-    fn squash_younger(&mut self, seq: u64) {
+    /// Rolls the tail back over every entry younger than `seq`.
+    pub(crate) fn squash_younger(&mut self, seq: u64) {
         // Entries in the region are in dispatch order, so the squashed set
         // is a contiguous suffix: roll the tail back over live entries and
         // holes alike (a hole's last occupant seq tells us whose it was).
-        let cap = self.capacity_();
+        let cap = self.slots.capacity();
         while self.region > 0 {
             let pos = (self.head + self.region - 1) % cap;
             let slot = self.slots.get(pos);
@@ -254,24 +135,133 @@ impl IssueQueue for CircQueue {
         self.advance_head();
     }
 
-    fn stats(&self) -> IqStats {
-        self.stats
+    pub(crate) fn flush(&mut self) {
+        self.slots.clear();
+        self.head = 0;
+        self.region = 0;
     }
 
-    fn arch_key(&self, key: &mut ArchKey) {
+    pub(crate) fn arch_key(&self, key: &mut ArchKey) {
         self.slots.arch_key(key);
         key.push_usize(self.head);
         key.push_usize(self.region);
     }
+}
 
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
+/// A circular issue queue (CIRC or CIRC-PPRI).
+#[derive(Debug, Clone)]
+pub struct CircQueue {
+    ring: Ring,
+    /// True = CIRC-PPRI (select in age order even under wrap-around).
+    perfect: bool,
+    grants: GrantBuf,
+    ledger: Ledger,
+}
+
+impl CircQueue {
+    /// Creates a conventional CIRC queue (position priority).
+    pub fn new(config: &IqConfig) -> CircQueue {
+        CircQueue {
+            ring: Ring::new(config),
+            perfect: false,
+            grants: GrantBuf::default(),
+            ledger: Ledger::new(config),
+        }
+    }
+
+    /// Creates CIRC-PPRI: circular allocation with idealized perfect
+    /// priority under wrap-around.
+    pub fn perfect_priority(config: &IqConfig) -> CircQueue {
+        CircQueue { perfect: true, ..CircQueue::new(config) }
+    }
+
+    /// True while the allocated region crosses the physical end of the
+    /// buffer — the paper's "wrap-around signal".
+    pub fn wrapped(&self) -> bool {
+        self.ring.wrapped()
     }
 }
 
-impl WakeHorizon for CircQueue {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        None // purely reactive: state changes only via wakeup/select/dispatch
+impl IssueQueue for CircQueue {
+    fn name(&self) -> &'static str {
+        if self.perfect {
+            "CIRC-PPRI"
+        } else {
+            "CIRC"
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        self.ring.slots.capacity()
+    }
+
+    fn len(&self) -> usize {
+        self.ring.slots.len()
+    }
+
+    fn has_space(&self) -> bool {
+        self.ring.has_space()
+    }
+
+    fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
+        if self.ring.dispatch(req).is_none() {
+            self.ledger.stats.dispatch_stalls += 1;
+            return Err(IqFullError);
+        }
+        self.ledger.stats.dispatched += 1;
+        Ok(())
+    }
+
+    fn wakeup(&mut self, tag: Tag) {
+        self.ledger.stats.wakeups += 1;
+        self.ring.slots.wakeup(tag);
+    }
+
+    fn has_ready(&self) -> bool {
+        self.ring.slots.any_ready()
+    }
+
+    fn idle_tick(&mut self, cycles: CycleDelta) {
+        self.ring.count_selects(&mut self.ledger, cycles.get());
+        // With nothing ready, each per-cycle select would only re-run
+        // advance_head — which converges after one call (no grants remove
+        // entries, so the head meets the same first valid slot every time).
+        self.ring.advance_head();
+    }
+
+    fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
+        self.ring.count_selects(&mut self.ledger, 1);
+        let mut grants = self.grants.take();
+        // Candidate positions in this organization's priority order.
+        // CIRC: ascending physical position 0..cap (reversed under
+        // wrap-around). CIRC-PPRI: circular order from the head (true age
+        // order), i.e. positions head..cap followed by 0..head.
+        let start = if self.perfect { self.ring.head() } else { 0 };
+        for range in [(start, self.capacity()), (0, start)] {
+            self.ring.grant_ready(range, |_| u64::MAX, budget, &mut self.ledger, &mut grants);
+        }
+        self.ring.advance_head();
+        self.grants.put(grants)
+    }
+
+    fn flush(&mut self) {
+        self.ring.flush();
+    }
+
+    fn squash_younger(&mut self, seq: u64) {
+        self.ring.squash_younger(seq);
+    }
+
+    fn stats(&self) -> IqStats {
+        self.ledger.stats
+    }
+
+    fn arch_key(&self, key: &mut ArchKey) {
+        self.ring.arch_key(key);
+    }
+
+    fn clone_box(&self) -> Box<dyn IssueQueue> {
+        Box::new(self.clone())
     }
 }
 
@@ -384,17 +374,6 @@ mod tests {
         q.select(&mut budget(1)); // issues seq 1, leaves a hole behind head
         q.select(&mut budget(1)); // head still blocked; region=2, len=1
         assert!(q.stats().capacity_efficiency() < 1.0);
-    }
-
-    #[test]
-    fn reverse_flag_set_only_for_wrapped_dispatches() {
-        let mut q = CircQueue::new(&cfg(4));
-        let _ = wrap(&mut q, 4, 2);
-        // Positions 0..2 hold the wrapped (young) entries.
-        assert!(q.slots.get(0).reverse);
-        assert!(q.slots.get(1).reverse);
-        assert!(!q.slots.get(2).reverse);
-        assert!(!q.slots.get(3).reverse);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! paper's §4.4 result is that this costs almost nothing, because ready
 //! wrapped instructions are young and latency-tolerant.
 
-use crate::cycle::{CycleDelta, CycleStamp};
+use crate::bitset::BitSet;
+use crate::circ::Ring;
+use crate::cycle::CycleDelta;
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
-use crate::slots::SlotArray;
-use crate::stats::IqStats;
+use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The priority-correcting circular queue.
@@ -56,36 +56,39 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 /// ```
 #[derive(Debug, Clone)]
 pub struct CircPcQueue {
-    slots: SlotArray,
-    head: usize,
-    region: usize,
+    ring: Ring,
+    /// The reverse flag of each entry slice: set at dispatch iff
+    /// wrap-around is in effect (paper Figure 5's `R` is `reverse &&
+    /// wrapped()`). Like `pending_rv`, it is rewritten at every insert and
+    /// read only for valid entries.
+    reverse: BitSet,
+    /// Selected by `S_RV`, waiting for the next-cycle DTM merge.
+    pending_rv: BitSet,
     /// Positions granted by `S_RV` last cycle, in `S_RV` priority order,
     /// whose tags now sit in the PTLs awaiting the DTM merge.
     pending: Vec<usize>,
     issue_width: usize,
-    flpi_floor: usize,
     /// Whether the priority-correcting S_RV/PTL/DTM machinery is active.
     /// Always `true` on the simulated path; `false` only through
     /// [`CircPcQueue::without_correction`], the model checker's
     /// negative-injection hook.
     correct: bool,
     grants: GrantBuf,
-    stats: IqStats,
+    ledger: Ledger,
 }
 
 impl CircPcQueue {
     /// Creates an empty CIRC-PC queue.
     pub fn new(config: &IqConfig) -> CircPcQueue {
         CircPcQueue {
-            slots: SlotArray::new(config.capacity),
-            head: 0,
-            region: 0,
+            ring: Ring::new(config),
+            reverse: BitSet::new(config.capacity),
+            pending_rv: BitSet::new(config.capacity),
             pending: Vec::new(),
             issue_width: config.issue_width,
-            flpi_floor: config.flpi_rank_floor(),
             correct: true,
             grants: GrantBuf::default(),
-            stats: IqStats::default(),
+            ledger: Ledger::new(config),
         }
     }
 
@@ -103,51 +106,10 @@ impl CircPcQueue {
         CircPcQueue { correct: false, ..CircPcQueue::new(config) }
     }
 
-    fn capacity_(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    fn tail(&self) -> usize {
-        (self.head + self.region) % self.capacity_()
-    }
-
     /// The wrap-around signal (paper Figure 5's `R` is
-    /// `slot.reverse && wrapped()`).
+    /// `reverse && wrapped()`).
     pub fn wrapped(&self) -> bool {
-        self.head + self.region > self.capacity_()
-    }
-
-    fn depth(&self, pos: usize) -> usize {
-        (pos + self.capacity_() - self.head) % self.capacity_()
-    }
-
-    fn advance_head(&mut self) {
-        while self.region > 0 && !self.slots.get(self.head).valid {
-            self.head = (self.head + 1) % self.capacity_();
-            self.region -= 1;
-        }
-        if self.region == 0 {
-            self.head = self.tail();
-        }
-    }
-
-    fn grant_at(&mut self, pos: usize, two_cycle: bool) -> Grant {
-        let rank = self.depth(pos);
-        let slot = self.slots.get(pos);
-        let g = Grant {
-            payload: slot.payload,
-            seq: slot.seq,
-            dst: slot.dst,
-            fu: slot.fu,
-            rank,
-            two_cycle,
-        };
-        self.slots.remove(pos);
-        self.stats.issued += 1;
-        if rank >= self.flpi_floor {
-            self.stats.issued_low_priority += 1;
-        }
-        g
+        self.ring.wrapped()
     }
 }
 
@@ -157,110 +119,86 @@ impl IssueQueue for CircPcQueue {
     }
 
     fn capacity(&self) -> usize {
-        self.capacity_()
+        self.ring.slots.capacity()
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.ring.slots.len()
     }
 
     fn has_space(&self) -> bool {
-        self.region < self.capacity_()
+        self.ring.has_space()
     }
 
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
-        if !self.has_space() {
-            self.stats.dispatch_stalls += 1;
+        let Some(pos) = self.ring.dispatch(req) else {
+            self.ledger.stats.dispatch_stalls += 1;
             return Err(IqFullError);
-        }
-        let pos = self.tail();
+        };
         // The reverse flag is set at dispatch time iff wrap-around is in
-        // effect for this dispatch (paper §3.1.5, entry slice).
-        let reverse = self.head + self.region >= self.capacity_();
-        self.slots.insert(pos, req, reverse, 0);
-        self.region += 1;
-        self.stats.dispatched += 1;
+        // effect for this dispatch (paper §3.1.5, entry slice): the tail
+        // has wrapped to a position below the head.
+        self.reverse.assign(pos, pos < self.ring.head());
+        self.pending_rv.clear(pos);
+        self.ledger.stats.dispatched += 1;
         Ok(())
     }
 
     fn wakeup(&mut self, tag: Tag) {
-        self.stats.wakeups += 1;
-        self.slots.wakeup(tag);
+        self.ledger.stats.wakeups += 1;
+        self.ring.slots.wakeup(tag);
     }
 
     fn has_ready(&self) -> bool {
-        self.slots.any_ready()
+        self.ring.slots.any_ready()
     }
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
-        let cycles = cycles.get();
-        self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
-        self.stats.region_sum += cycles * self.region as u64;
+        self.ring.count_selects(&mut self.ledger, cycles.get());
         // With the ready plane empty, every PTL entry is stale: a live
         // S_RV-selected entry keeps its ready bit until it merges, so
         // valid ∧ pending_rv ⇒ ready. The per-cycle DTM merge would drain
         // and drop these stale positions on the first select; replicate.
-        debug_assert!(self.pending.iter().all(|&pos| {
-            let s = self.slots.get(pos);
-            !(s.valid && s.pending_rv)
-        }));
+        debug_assert!(self
+            .pending
+            .iter()
+            .all(|&pos| !(self.ring.slots.get(pos).valid && self.pending_rv.test(pos))));
         self.pending.clear();
         // S_NR/S_RV grant nothing, so advance_head has already converged.
-        self.advance_head();
+        self.ring.advance_head();
     }
 
     fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
-        self.stats.selects += 1;
-        self.stats.occupancy_sum += self.slots.len() as u64;
-        self.stats.region_sum += self.region as u64;
-
+        self.ring.count_selects(&mut self.ledger, 1);
         let mut grants = self.grants.take();
-        let wrapped = self.wrapped() && self.correct;
-        let nwords = self.slots.ready_words().len();
+        let wrapped = self.ring.wrapped() && self.correct;
+        let cap = self.capacity();
 
         // 1. S_NR: grant NR requests in position order (= age order within
         //    the NR region). Each grant reads the tag RAM normally. The
         //    candidate vector is `ready & !pending_rv`, minus the reverse
-        //    plane while the wrap-around signal is up — combined one word
-        //    at a time, copied to a register before scanning so that
-        //    granting (which clears the granted bits) is safe.
-        'nr: for wi in 0..nwords {
-            let mut word = self.slots.ready_words()[wi] & !self.slots.pending_rv_words()[wi];
-            if wrapped {
-                word &= !self.slots.reverse_words()[wi];
-            }
-            while word != 0 {
-                if budget.exhausted() {
-                    break 'nr;
-                }
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let fu = self.slots.get(pos).fu;
-                if budget.try_take(fu) {
-                    self.stats.tag_reads += 1;
-                    grants.push(self.grant_at(pos, false));
-                }
-            }
-        }
+        //    plane while the wrap-around signal is up.
+        let (reverse, pending_rv) = (self.reverse.words(), self.pending_rv.words());
+        let nr = |w: usize| !pending_rv[w] & if wrapped { !reverse[w] } else { u64::MAX };
+        self.ring.grant_ready((0, cap), nr, budget, &mut self.ledger, &mut grants);
 
         // 2. DTM merge: RV tags selected last cycle (waiting in the PTLs)
         //    fill the remaining merge slots; NR had priority. Losers are
         //    discarded and must re-arbitrate through S_RV. The PTL list is
         //    drained in place (taken, cleared, put back), keeping its
         //    buffer for this cycle's S_RV picks.
+        let depth = self.ring.depth();
         let mut pending = std::mem::take(&mut self.pending);
         for &pos in &pending {
-            let slot = self.slots.get(pos);
-            if !slot.valid || !slot.pending_rv {
+            let slot = self.ring.slots.get(pos);
+            if !slot.valid || !self.pending_rv.test(pos) {
                 continue; // flushed or otherwise gone
             }
+            self.pending_rv.clear(pos);
             if budget.try_take(slot.fu) {
-                self.stats.rv_issues += 1;
-                grants.push(self.grant_at(pos, true));
+                grants.push(self.ledger.grant(self.ring.slots.take(pos, depth(pos), true)));
             } else {
-                self.slots.set_pending_rv(pos, false);
-                self.stats.rv_discards += 1;
+                self.ledger.stats.rv_discards += 1;
             }
         }
         pending.clear();
@@ -269,67 +207,50 @@ impl IssueQueue for CircPcQueue {
         // 3. S_RV: select up to IW ready RV requests for next cycle's merge
         //    (`ready & !pending_rv & reverse`; only meaningful while the
         //    wrap-around signal is up — otherwise no entry routes to S_RV).
-        //    Each selection performs the second, time-sliced tag-RAM read.
+        //    S_RV has IW grants of its own, whatever the FUs. Each
+        //    selection performs the second, time-sliced tag-RAM read.
         if wrapped {
-            let mut picked = 0;
-            'rv: for wi in 0..nwords {
-                let mut word = self.slots.ready_words()[wi]
-                    & !self.slots.pending_rv_words()[wi]
-                    & self.slots.reverse_words()[wi];
-                while word != 0 {
-                    if picked == self.issue_width {
-                        break 'rv;
-                    }
-                    let pos = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.slots.set_pending_rv(pos, true);
-                    self.stats.tag_reads += 1;
-                    self.pending.push(pos);
-                    picked += 1;
-                }
+            let mut picks = IssueBudget::new(self.issue_width, [self.issue_width; 4]);
+            let (reverse, pending_rv) = (self.reverse.words(), self.pending_rv.words());
+            let rv = |w: usize| reverse[w] & !pending_rv[w];
+            let ptl = &mut self.pending;
+            self.ring.slots.scan_ready((0, cap), rv, &mut picks, |_, pos| ptl.push(pos));
+            for &pos in &self.pending {
+                self.pending_rv.set(pos);
             }
+            self.ledger.stats.tag_reads += self.pending.len() as u64;
         }
 
-        self.advance_head();
+        self.ring.advance_head();
         self.grants.put(grants)
     }
 
     fn flush(&mut self) {
-        self.slots.clear();
+        self.ring.flush();
         self.pending.clear();
-        self.head = 0;
-        self.region = 0;
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        let cap = self.capacity_();
-        while self.region > 0 {
-            let pos = (self.head + self.region - 1) % cap;
-            let slot = self.slots.get(pos);
-            if slot.seq <= seq {
-                break;
-            }
-            if slot.valid {
-                self.slots.remove(pos);
-            }
-            self.region -= 1;
-        }
+        self.ring.squash_younger(seq);
         // Squashed pending-RV grants must not merge.
-        self.pending.retain(|&pos| {
-            let s = self.slots.get(pos);
-            s.valid && s.pending_rv
-        });
-        self.advance_head();
+        let (slots, pending_rv) = (&self.ring.slots, &self.pending_rv);
+        self.pending.retain(|&pos| slots.get(pos).valid && pending_rv.test(pos));
     }
 
     fn stats(&self) -> IqStats {
-        self.stats
+        self.ledger.stats
     }
 
+    /// The reverse and pending-RV planes are written for valid entries
+    /// only: a freed position's flags are rewritten at its next insert
+    /// before anything reads them.
     fn arch_key(&self, key: &mut ArchKey) {
-        self.slots.arch_key(key);
-        key.push_usize(self.head);
-        key.push_usize(self.region);
+        self.ring.arch_key(key);
+        let planes = self.reverse.words().iter().zip(self.pending_rv.words());
+        for (&valid, (&reverse, &pending_rv)) in self.ring.slots.valid_words().iter().zip(planes) {
+            key.push(reverse & valid);
+            key.push(pending_rv & valid);
+        }
         key.push_usize(self.pending.len());
         for &pos in &self.pending {
             key.push_usize(pos);
@@ -338,14 +259,6 @@ impl IssueQueue for CircPcQueue {
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {
         Box::new(self.clone())
-    }
-}
-
-impl WakeHorizon for CircPcQueue {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        // The PTL pipeline is clocked by select() calls, not by wall cycles,
-        // and with nothing ready no PTL entry is live — purely reactive.
-        None
     }
 }
 
@@ -458,6 +371,50 @@ mod tests {
         assert_eq!(seqs, vec![4, 5, 6, 7, 8, 9], "remaining NR then merged RV");
         assert_eq!(q.stats().rv_issues, 2);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reverse_flag_set_only_for_wrapped_dispatches() {
+        let q = wrapped(4, 2, 4);
+        // Positions 0..2 hold the wrapped (young) entries.
+        assert_eq!(q.reverse.iter().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn pending_rv_plane_follows_s_rv_picks_discards_and_merges() {
+        let latched = |q: &CircPcQueue| q.pending_rv.iter().collect::<Vec<_>>();
+        let mut q = wrapped(8, 2, 6);
+        q.wakeup(888);
+        q.select(&mut budget(6));
+        assert_eq!(latched(&q), vec![0, 1], "S_RV latches its picks");
+        q.wakeup(999);
+        q.select(&mut budget(2)); // NR takes both merge slots
+        assert_eq!(q.stats().rv_discards, 2);
+        assert_eq!(latched(&q), vec![0, 1], "S_RV picks the discarded entries again");
+        q.select(&mut budget(6));
+        assert_eq!(q.stats().rv_issues, 2);
+        assert!(latched(&q).is_empty(), "the merge clears every latched flag");
+    }
+
+    #[test]
+    fn key_leaves_out_the_flags_of_freed_positions() {
+        let key = |q: &CircPcQueue| {
+            let same = |seq| seq;
+            let mut key = ArchKey::new(&same);
+            q.arch_key(&mut key);
+            key.words().to_vec()
+        };
+        // One state, reached with and without S_RV latching the wrapped
+        // entries before the squash frees them.
+        let mut latched = wrapped(8, 2, 6);
+        latched.wakeup(888);
+        assert!(latched.select(&mut budget(6)).is_empty());
+        latched.squash_younger(7);
+        let mut plain = wrapped(8, 2, 6);
+        plain.wakeup(888);
+        plain.squash_younger(7);
+        assert!(latched.pending_rv.test(0) && !plain.pending_rv.test(0));
+        assert_eq!(key(&latched), key(&plain));
     }
 
     #[test]

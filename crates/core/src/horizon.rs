@@ -62,11 +62,11 @@ use crate::cycle::CycleStamp;
 /// * `FuPool` (swque-cpu) — the earliest cycle a busy function unit frees.
 /// * `MemoryHierarchy` (swque-mem) — the earliest in-flight MSHR or L2
 ///   fill completion still in the future.
-/// * [`IssueQueue`](crate::IssueQueue) — defaults to `None`: every queue
-///   organization here mutates state only in response to `wakeup` /
-///   `select` / `dispatch` calls. SWQUE's switch-penalty window is charged
-///   through the core's fetch stall, so it is covered by the core's own
-///   fetch horizon, not the queue's.
+///
+/// The issue queues do not implement it: every organization mutates state
+/// only in response to `wakeup` / `select` / `dispatch` calls, and SWQUE's
+/// switch-penalty window is charged through the core's fetch stall, so it
+/// is covered by the core's own fetch horizon.
 pub trait WakeHorizon {
     /// Earliest cycle strictly after `now` at which this subsystem would
     /// change observable state without external stimulus, or `None` if it

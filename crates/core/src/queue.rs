@@ -9,7 +9,6 @@ use crate::circ_pc::CircPcQueue;
 use crate::controller::SwqueParams;
 use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::random_queue::RandomQueue;
 use crate::rearrange::RearrangingQueue;
 use crate::shift::ShiftQueue;
@@ -194,17 +193,17 @@ impl fmt::Display for IqKind {
 ///
 /// Queues also participate in quiescence skipping (DESIGN.md §10): the core
 /// consults [`has_ready`](IssueQueue::has_ready) when proving no instruction
-/// can issue, replays skipped cycles in bulk via
-/// [`idle_tick`](IssueQueue::idle_tick), and inherits the [`WakeHorizon`]
-/// contract (default `None`: every organization here is purely reactive —
-/// SWQUE's switch penalty is charged through the core's fetch stall, which
-/// has its own horizon).
+/// can issue and replays skipped cycles in bulk via
+/// [`idle_tick`](IssueQueue::idle_tick). A queue has no wake horizon: every
+/// organization here changes state only when called (SWQUE's switch
+/// penalty is charged through the core's fetch stall, which has its own
+/// horizon), so `WakeHorizon` is not a supertrait.
 ///
 /// For the `swque-mc` model checker (DESIGN.md §12) every organization
 /// also forks ([`clone_box`](IssueQueue::clone_box)) and states its
 /// identity as typed words ([`arch_key`](IssueQueue::arch_key)): the
 /// architectural state only, with sequence numbers renamed by the caller.
-pub trait IssueQueue: fmt::Debug + WakeHorizon {
+pub trait IssueQueue: fmt::Debug {
     /// The paper's name for this organization.
     fn name(&self) -> &'static str;
 

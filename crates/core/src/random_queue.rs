@@ -23,13 +23,12 @@
 
 use swque_isa::FuClass;
 
-use crate::bitset::BitSet;
-use crate::cycle::{CycleDelta, CycleStamp};
+use crate::bitset::{self, BitSet};
+use crate::cycle::CycleDelta;
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{BucketSpec, IqConfig, IssueQueue};
 use crate::slots::SlotArray;
-use crate::stats::IqStats;
+use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// A free-list queue: RAND (no matrices), AGE (one matrix), or AGE-multiAM
@@ -37,20 +36,28 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 #[derive(Debug, Clone)]
 pub struct RandomQueue {
     slots: SlotArray,
-    /// The members of each age-matrix bucket; empty for RAND.
-    buckets: Vec<BitSet>,
+    buckets: Buckets,
     /// XORed into every seq before the oldest-ready comparison: 0, or all
     /// ones for the model checker's planted youngest-first bug.
     age_flip: u64,
+    name: &'static str,
+    grants: GrantBuf,
+    ledger: Ledger,
+}
+
+/// The age-matrix buckets and the bucket each entry was steered to.
+#[derive(Debug, Clone)]
+struct Buckets {
+    /// The members of each bucket; empty for RAND.
+    members: Vec<BitSet>,
+    /// Live entries per bucket, for load-balanced steering.
+    load: Vec<usize>,
+    /// The bucket of each position's entry, read only while the entry is
+    /// valid (a dispatch rewrites it).
+    of: Vec<u8>,
     /// Bucket id range for each FU group: `[int, mem, fp]` as
     /// `(first, count)`.
     groups: [(u8, u8); 3],
-    /// Live entries per bucket, for load-balanced steering.
-    bucket_load: Vec<usize>,
-    flpi_floor: usize,
-    name: &'static str,
-    grants: GrantBuf,
-    stats: IqStats,
 }
 
 fn group_of(fu: FuClass) -> usize {
@@ -61,28 +68,61 @@ fn group_of(fu: FuClass) -> usize {
     }
 }
 
+impl Buckets {
+    /// Steers the entry dispatched to `pos` into the least-loaded bucket
+    /// serving `fu`. With a single matrix everything maps to bucket 0;
+    /// with none the bucket is unused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no bucket serves `fu`'s group: the group table is built
+    /// to cover every FU class, so a gap is a construction bug.
+    fn join(&mut self, pos: usize, fu: FuClass) {
+        let b = if self.members.len() <= 1 {
+            0
+        } else {
+            let (first, count) = self.groups[group_of(fu)];
+            assert!(count > 0, "no bucket serves {fu}");
+            (first..first + count).min_by_key(|&b| self.load[b as usize]).unwrap_or(first)
+        };
+        self.of[pos] = b;
+        if let Some(members) = self.members.get_mut(b as usize) {
+            members.set(pos);
+            self.load[b as usize] += 1;
+        }
+    }
+
+    /// Drops the freed position `pos` from its bucket.
+    fn leave(&mut self, pos: usize) {
+        let b = self.of[pos] as usize;
+        if let Some(members) = self.members.get_mut(b) {
+            members.clear(pos);
+            self.load[b] -= 1;
+        }
+    }
+}
+
 impl RandomQueue {
     fn with_buckets(config: &IqConfig, spec: BucketSpec, name: &'static str) -> RandomQueue {
         let total = spec.total();
-        let groups = [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)];
         RandomQueue {
             slots: SlotArray::new(config.capacity),
-            buckets: (0..total).map(|_| BitSet::new(config.capacity)).collect(),
+            buckets: Buckets {
+                members: (0..total).map(|_| BitSet::new(config.capacity)).collect(),
+                load: vec![0; total.max(1)],
+                of: vec![0; config.capacity],
+                groups: [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)],
+            },
             age_flip: 0,
-            groups,
-            bucket_load: vec![0; total.max(1)],
-            flpi_floor: config.flpi_rank_floor(),
             name,
             grants: GrantBuf::default(),
-            stats: IqStats::default(),
+            ledger: Ledger::new(config),
         }
     }
 
     /// RAND: free-list allocation, position priority, no age matrix.
     pub fn rand(config: &IqConfig) -> RandomQueue {
-        let mut q = RandomQueue::with_buckets(config, BucketSpec { int: 0, mem: 0, fp: 0 }, "RAND");
-        q.buckets.clear();
-        q
+        RandomQueue::with_buckets(config, BucketSpec { int: 0, mem: 0, fp: 0 }, "RAND")
     }
 
     /// AGE: RAND plus a single age matrix over the whole queue — the
@@ -97,76 +137,31 @@ impl RandomQueue {
         RandomQueue::with_buckets(config, config.buckets, "AGE-multiAM")
     }
 
-    /// AGE whose matrix grants the *youngest* ready entry instead of the
-    /// oldest: a planted bug for the model checker's negative runs, which
-    /// must catch it as an `age-first` violation. Not a modelled design.
-    pub fn age_youngest_first(config: &IqConfig) -> RandomQueue {
-        RandomQueue { age_flip: u64::MAX, ..RandomQueue::age(config) }
+    /// AGE (or, with `multi_am`, AGE-multiAM) whose matrices grant the
+    /// *youngest* ready member instead of the oldest: a planted bug for
+    /// the model checker's negative runs, which must catch it as an
+    /// `age-first` violation. Not a modelled design.
+    pub fn age_youngest_first(config: &IqConfig, multi_am: bool) -> RandomQueue {
+        let q = if multi_am { RandomQueue::age_multi(config) } else { RandomQueue::age(config) };
+        RandomQueue { age_flip: u64::MAX, ..q }
     }
 
     /// Number of age matrices in use (0 = RAND, 1 = AGE, k = multiAM).
     pub fn num_matrices(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Chooses the least-loaded bucket serving `fu`. With a single matrix
-    /// everything maps to bucket 0; with none the value is unused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no bucket serves `fu`'s group: the group table is built
-    /// to cover every FU class, so a gap is a construction bug.
-    fn steer(&self, fu: FuClass) -> u8 {
-        if self.buckets.len() <= 1 {
-            return 0;
-        }
-        let (first, count) = self.groups[group_of(fu)];
-        assert!(count > 0, "no bucket serves {fu}");
-        (first..first + count).min_by_key(|&b| self.bucket_load[b as usize]).unwrap_or(first)
-    }
-
-    fn remove_entry(&mut self, pos: usize) {
-        let bucket = self.slots.get(pos).bucket as usize;
-        self.slots.remove(pos);
-        if let Some(members) = self.buckets.get_mut(bucket) {
-            members.clear(pos);
-            self.bucket_load[bucket] -= 1;
-        }
+        self.buckets.members.len()
     }
 
     /// The age matrix of bucket `b`: the position of its ready member with
     /// the smallest seq (the first dispatched), if any member is ready.
     fn oldest_ready(&self, b: usize) -> Option<usize> {
+        let (ready, members) = (self.slots.ready_words(), self.buckets.members[b].words());
         let mut oldest = (u64::MAX, usize::MAX);
-        let planes = self.slots.ready_words().iter().zip(self.buckets[b].words());
-        for (wi, (&ready, &members)) in planes.enumerate() {
-            let mut word = ready & members;
-            while word != 0 {
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                oldest = oldest.min((self.slots.get(pos).seq ^ self.age_flip, pos));
-            }
-        }
+        let word = |_: &(u64, usize), w: usize| ready[w] & members[w];
+        bitset::for_each_set_in(&mut oldest, 0, self.slots.capacity(), word, |oldest, pos| {
+            *oldest = (*oldest).min((self.slots.get(pos).seq ^ self.age_flip, pos));
+            true
+        });
         (oldest.1 != usize::MAX).then_some(oldest.1)
-    }
-
-    fn grant_at(&mut self, pos: usize, rank: usize) -> Grant {
-        let slot = self.slots.get(pos);
-        let g = Grant {
-            payload: slot.payload,
-            seq: slot.seq,
-            dst: slot.dst,
-            fu: slot.fu,
-            rank,
-            two_cycle: false,
-        };
-        self.remove_entry(pos);
-        self.stats.issued += 1;
-        self.stats.tag_reads += 1;
-        if rank >= self.flpi_floor {
-            self.stats.issued_low_priority += 1;
-        }
-        g
     }
 }
 
@@ -183,31 +178,23 @@ impl IssueQueue for RandomQueue {
         self.slots.len()
     }
 
-    fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     fn has_space(&self) -> bool {
         self.slots.len() < self.slots.capacity()
     }
 
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
         let Some(pos) = self.slots.first_free() else {
-            self.stats.dispatch_stalls += 1;
+            self.ledger.stats.dispatch_stalls += 1;
             return Err(IqFullError);
         };
-        let bucket = self.steer(req.fu);
-        self.slots.insert(pos, req, false, bucket);
-        if let Some(members) = self.buckets.get_mut(bucket as usize) {
-            members.set(pos);
-            self.bucket_load[bucket as usize] += 1;
-        }
-        self.stats.dispatched += 1;
+        self.slots.insert(pos, req);
+        self.buckets.join(pos, req.fu);
+        self.ledger.stats.dispatched += 1;
         Ok(())
     }
 
     fn wakeup(&mut self, tag: Tag) {
-        self.stats.wakeups += 1;
+        self.ledger.stats.wakeups += 1;
         self.slots.wakeup(tag);
     }
 
@@ -216,109 +203,79 @@ impl IssueQueue for RandomQueue {
     }
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
-        let cycles = cycles.get();
         // With an empty ready plane both select phases are pure reads (a
         // bucket nominates only ready members) — only the per-cycle
         // averages advance.
-        self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
-        self.stats.region_sum += cycles * self.slots.len() as u64;
+        self.ledger.selects(cycles.get(), self.slots.len(), self.slots.len());
     }
 
     fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
-        self.stats.selects += 1;
-        self.stats.occupancy_sum += self.slots.len() as u64;
-        self.stats.region_sum += self.slots.len() as u64;
-
+        self.ledger.selects(1, self.slots.len(), self.slots.len());
         let mut grants = self.grants.take();
 
         // Phase 1: each age matrix nominates its oldest ready instruction,
         // which gets the highest priority independently of IQ position. A
         // grant updates the ready plane before the next bucket reads it.
-        for b in 0..self.buckets.len() {
+        for b in 0..self.buckets.members.len() {
             if budget.exhausted() {
                 break;
             }
             let Some(pos) = self.oldest_ready(b) else {
                 continue;
             };
-            let fu = self.slots.get(pos).fu;
-            if budget.try_take(fu) {
-                grants.push(self.grant_at(pos, 0));
+            if budget.try_take(self.slots.get(pos).fu) {
+                self.buckets.leave(pos);
+                grants.push(self.ledger.grant(self.slots.take(pos, 0, false)));
             }
         }
 
         // Phase 2: remaining grants in physical-position order — random
-        // with respect to age, which is RAND's weakness. Word scan over the
-        // ready plane; each word is copied to a register before its bits
-        // are visited, so granting (which clears the bit) is safe.
-        'pos: for wi in 0..self.slots.ready_words().len() {
-            let mut word = self.slots.ready_words()[wi];
-            while word != 0 {
-                if budget.exhausted() {
-                    break 'pos;
-                }
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let fu = self.slots.get(pos).fu;
-                if budget.try_take(fu) {
-                    grants.push(self.grant_at(pos, pos));
-                }
-            }
-        }
+        // with respect to age, which is RAND's weakness.
+        let (buckets, ledger, cap) = (&mut self.buckets, &mut self.ledger, self.slots.capacity());
+        self.slots.scan_ready(
+            (0, cap),
+            |_| u64::MAX,
+            budget,
+            |slots, pos| {
+                buckets.leave(pos);
+                grants.push(ledger.grant(slots.take(pos, pos, false)));
+            },
+        );
 
         self.grants.put(grants)
     }
 
     fn flush(&mut self) {
         self.slots.clear();
-        for members in &mut self.buckets {
+        for members in &mut self.buckets.members {
             members.clear_all();
         }
-        self.bucket_load.fill(0);
+        self.buckets.load.fill(0);
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        // Word scan over the valid plane; each word is copied to a register
-        // before its bits are visited, so removing (which clears the bit)
-        // cannot disturb the scan.
-        for wi in 0..self.slots.valid_words().len() {
-            let mut word = self.slots.valid_words()[wi];
-            while word != 0 {
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                if self.slots.get(pos).seq > seq {
-                    self.remove_entry(pos);
-                }
-            }
-        }
+        let buckets = &mut self.buckets;
+        self.slots.squash_younger(seq, |pos| buckets.leave(pos));
     }
 
     fn stats(&self) -> IqStats {
-        self.stats
+        self.ledger.stats
     }
 
-    /// The bucket member sets are left out: a slot's record carries its
-    /// bucket, and seqs carry the age order the matrices stand for.
+    /// Each live entry's bucket follows its slot record; a freed
+    /// position's bucket is rewritten at its next dispatch before anything
+    /// reads it, so it stays out. The member sets and loads follow from
+    /// the live buckets, and seqs carry the age order the matrices stand
+    /// for.
     fn arch_key(&self, key: &mut ArchKey) {
         self.slots.arch_key(key);
-        for (first, count) in self.groups {
-            key.push(u64::from(first));
-            key.push(u64::from(count));
-        }
-        for &load in &self.bucket_load {
-            key.push_usize(load);
+        for pos in bitset::iter_set(self.slots.valid_words()) {
+            key.push(u64::from(self.buckets.of[pos]));
         }
     }
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {
         Box::new(self.clone())
-    }
-}
-
-impl WakeHorizon for RandomQueue {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        None // purely reactive: state changes only via wakeup/select/dispatch
     }
 }
 
@@ -410,12 +367,12 @@ mod tests {
         for seq in 0..6 {
             q.dispatch(req(seq, FuClass::IntAlu)).unwrap();
         }
-        assert_eq!(q.bucket_load[0], 3);
-        assert_eq!(q.bucket_load[1], 3, "INT instructions split across both INT buckets");
+        assert_eq!(q.buckets.load[0], 3);
+        assert_eq!(q.buckets.load[1], 3, "INT instructions split across both INT buckets");
         q.dispatch(req(10, FuClass::LdSt)).unwrap();
         q.dispatch(req(11, FuClass::Fpu)).unwrap();
-        assert_eq!(q.bucket_load[2], 1);
-        assert_eq!(q.bucket_load[3], 1);
+        assert_eq!(q.buckets.load[2], 1);
+        assert_eq!(q.buckets.load[3], 1);
     }
 
     #[test]
@@ -460,7 +417,7 @@ mod tests {
         }
         q.flush();
         assert!(q.is_empty());
-        assert!(q.bucket_load.iter().all(|&l| l == 0));
+        assert!(q.buckets.load.iter().all(|&l| l == 0));
         q.dispatch(req(9, FuClass::IntAlu)).unwrap();
         let g = q.select(&mut budget(1));
         assert_eq!(g[0].seq, 9);

@@ -21,12 +21,11 @@
 use std::collections::VecDeque;
 
 use crate::bitset::BitSet;
-use crate::cycle::{CycleDelta, CycleStamp};
+use crate::cycle::CycleDelta;
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
-use crate::stats::IqStats;
+use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The rearranging random queue (extension; see module docs).
@@ -48,12 +47,11 @@ pub struct RearrangingQueue {
     main: VecDeque<(u64, u32)>,
     old_capacity: usize,
     move_width: usize,
-    flpi_floor: usize,
     /// Old-queue position snapshot reused across select cycles (granting
     /// mutates `old`, so selection iterates a copy).
     old_scratch: Vec<usize>,
     grants: GrantBuf,
-    stats: IqStats,
+    ledger: Ledger,
 }
 
 impl RearrangingQueue {
@@ -86,10 +84,9 @@ impl RearrangingQueue {
             main: VecDeque::with_capacity(2 * config.capacity),
             old_capacity,
             move_width,
-            flpi_floor: config.flpi_rank_floor(),
             old_scratch: Vec::with_capacity(old_capacity),
             grants: GrantBuf::default(),
-            stats: IqStats::default(),
+            ledger: Ledger::new(config),
         }
     }
 
@@ -123,31 +120,6 @@ impl RearrangingQueue {
             }
         }
     }
-
-    fn grant_at(&mut self, pos: usize, rank: usize) -> Grant {
-        let slot = self.slots.get(pos);
-        let g = Grant {
-            payload: slot.payload,
-            seq: slot.seq,
-            dst: slot.dst,
-            fu: slot.fu,
-            rank,
-            two_cycle: false,
-        };
-        if self.old_mask.test(pos) {
-            self.old_mask.clear(pos);
-            if let Ok(at) = self.old.binary_search_by_key(&g.seq, |&(s, _)| s) {
-                self.old.remove(at);
-            }
-        }
-        self.slots.remove(pos);
-        self.stats.issued += 1;
-        self.stats.tag_reads += 1;
-        if rank >= self.flpi_floor {
-            self.stats.issued_low_priority += 1;
-        }
-        g
-    }
 }
 
 impl IssueQueue for RearrangingQueue {
@@ -173,21 +145,21 @@ impl IssueQueue for RearrangingQueue {
     )]
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
         let Some(pos) = self.slots.first_free() else {
-            self.stats.dispatch_stalls += 1;
+            self.ledger.stats.dispatch_stalls += 1;
             return Err(IqFullError);
         };
-        self.slots.insert(pos, req, false, 0);
+        self.slots.insert(pos, req);
         if self.main.len() >= 2 * self.slots.capacity() {
             let slots = &self.slots;
             self.main.retain(|&(seq, pos)| Self::is_live(slots, seq, pos));
         }
         self.main.push_back((req.seq, pos as u32));
-        self.stats.dispatched += 1;
+        self.ledger.stats.dispatched += 1;
         Ok(())
     }
 
     fn wakeup(&mut self, tag: Tag) {
-        self.stats.wakeups += 1;
+        self.ledger.stats.wakeups += 1;
         self.slots.wakeup(tag);
     }
 
@@ -197,9 +169,7 @@ impl IssueQueue for RearrangingQueue {
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
         let cycles = cycles.get();
-        self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
-        self.stats.region_sum += cycles * self.slots.len() as u64;
+        self.ledger.selects(cycles, self.slots.len(), self.slots.len());
         // The promotion machinery still runs while nothing is ready:
         // move_width entries per cycle until the old queue fills or the
         // candidates run out. rearrange() only ever inserts, so an
@@ -215,9 +185,7 @@ impl IssueQueue for RearrangingQueue {
     }
 
     fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
-        self.stats.selects += 1;
-        self.stats.occupancy_sum += self.slots.len() as u64;
-        self.stats.region_sum += self.slots.len() as u64;
+        self.ledger.selects(1, self.slots.len(), self.slots.len());
         self.rearrange();
 
         let mut grants = self.grants.take();
@@ -232,28 +200,27 @@ impl IssueQueue for RearrangingQueue {
             }
             let slot = self.slots.get(pos);
             if slot.ready() && budget.try_take(slot.fu) {
-                grants.push(self.grant_at(pos, 0));
+                let g = self.ledger.grant(self.slots.take(pos, 0, false));
+                self.old_mask.clear(pos);
+                if let Ok(at) = self.old.binary_search_by_key(&g.seq, |&(s, _)| s) {
+                    self.old.remove(at);
+                }
+                grants.push(g);
             }
         }
         self.old_scratch = old_positions;
-        // Then the main queue, positional (random w.r.t. age): a word scan
-        // over the packed ready plane, skipping old-queue members. Words
-        // are copied to a register before their bits are visited, so
-        // granting (which clears the bit) cannot disturb the scan.
-        'main: for wi in 0..self.slots.ready_words().len() {
-            let mut word = self.slots.ready_words()[wi];
-            while word != 0 {
-                if budget.exhausted() {
-                    break 'main;
-                }
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = self.slots.get(pos);
-                if !self.old_mask.test(pos) && budget.try_take(slot.fu) {
-                    grants.push(self.grant_at(pos, pos));
-                }
-            }
-        }
+        // Then the main queue, positional (random w.r.t. age): the ready
+        // entries outside the old queue.
+        let (old_mask, ledger) = (self.old_mask.words(), &mut self.ledger);
+        let cap = self.slots.capacity();
+        self.slots.scan_ready(
+            (0, cap),
+            |w| !old_mask[w],
+            budget,
+            |slots, pos| {
+                grants.push(ledger.grant(slots.take(pos, pos, false)));
+            },
+        );
         self.grants.put(grants)
     }
 
@@ -265,19 +232,8 @@ impl IssueQueue for RearrangingQueue {
     }
 
     fn squash_younger(&mut self, seq: u64) {
-        // Word scan over the valid plane, as in `RandomQueue`: a copied
-        // word is immune to the removals it triggers.
-        for wi in 0..self.slots.valid_words().len() {
-            let mut word = self.slots.valid_words()[wi];
-            while word != 0 {
-                let pos = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                if self.slots.get(pos).seq > seq {
-                    self.old_mask.clear(pos);
-                    self.slots.remove(pos);
-                }
-            }
-        }
+        let old_mask = &mut self.old_mask;
+        self.slots.squash_younger(seq, |pos| old_mask.clear(pos));
         // `old` and `main` are sorted by seq: everything younger sits past
         // the cut.
         let cut = self.old.partition_point(|&(s, _)| s <= seq);
@@ -288,7 +244,7 @@ impl IssueQueue for RearrangingQueue {
     }
 
     fn stats(&self) -> IqStats {
-        self.stats
+        self.ledger.stats
     }
 
     /// `main` is left out: its live entries are the valid slots outside
@@ -305,14 +261,6 @@ impl IssueQueue for RearrangingQueue {
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {
         Box::new(self.clone())
-    }
-}
-
-impl WakeHorizon for RearrangingQueue {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        // Promotion is clocked by select()/idle_tick(), not wall cycles,
-        // and promotions never make an entry ready — purely reactive.
-        None
     }
 }
 

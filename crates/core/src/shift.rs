@@ -11,12 +11,11 @@
 //! positions: compaction moves 4-byte indices, not entries, and the
 //! physical slot an entry occupies is layout, not state.
 
-use crate::cycle::{CycleDelta, CycleStamp};
+use crate::cycle::CycleDelta;
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::slots::SlotArray;
-use crate::stats::IqStats;
+use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The compacting, age-ordered queue.
@@ -42,9 +41,8 @@ pub struct ShiftQueue {
     /// The model checker's planted bug: dispatch files each entry by slot
     /// position instead of at the back, so select walks slot order.
     position_order: bool,
-    flpi_floor: usize,
     grants: GrantBuf,
-    stats: IqStats,
+    ledger: Ledger,
 }
 
 impl ShiftQueue {
@@ -54,9 +52,8 @@ impl ShiftQueue {
             slots: SlotArray::new(config.capacity),
             order: Vec::with_capacity(config.capacity),
             position_order: false,
-            flpi_floor: config.flpi_rank_floor(),
             grants: GrantBuf::default(),
-            stats: IqStats::default(),
+            ledger: Ledger::new(config),
         }
     }
 
@@ -92,22 +89,22 @@ impl IssueQueue for ShiftQueue {
     )]
     fn dispatch(&mut self, req: DispatchReq) -> Result<(), IqFullError> {
         let Some(pos) = self.slots.first_free() else {
-            self.stats.dispatch_stalls += 1;
+            self.ledger.stats.dispatch_stalls += 1;
             return Err(IqFullError);
         };
-        self.slots.insert(pos, req, false, 0);
+        self.slots.insert(pos, req);
         let at = if self.position_order {
             self.order.partition_point(|&p| (p as usize) < pos)
         } else {
             self.order.len()
         };
         self.order.insert(at, pos as u32);
-        self.stats.dispatched += 1;
+        self.ledger.stats.dispatched += 1;
         Ok(())
     }
 
     fn wakeup(&mut self, tag: Tag) {
-        self.stats.wakeups += 1;
+        self.ledger.stats.wakeups += 1;
         self.slots.wakeup(tag);
     }
 
@@ -116,18 +113,13 @@ impl IssueQueue for ShiftQueue {
     }
 
     fn idle_tick(&mut self, cycles: CycleDelta) {
-        let cycles = cycles.get();
         // An empty select only advances the per-cycle averages; nothing
         // compacts because nothing issues.
-        self.stats.selects += cycles;
-        self.stats.occupancy_sum += cycles * self.slots.len() as u64;
-        self.stats.region_sum += cycles * self.slots.len() as u64;
+        self.ledger.selects(cycles.get(), self.slots.len(), self.slots.len());
     }
 
     fn select(&mut self, budget: &mut IssueBudget) -> &[Grant] {
-        self.stats.selects += 1;
-        self.stats.occupancy_sum += self.slots.len() as u64;
-        self.stats.region_sum += self.slots.len() as u64;
+        self.ledger.selects(1, self.slots.len(), self.slots.len());
 
         let mut grants = self.grants.take();
         // Compaction in place: each survivor's index moves up over the
@@ -143,20 +135,7 @@ impl IssueQueue for ShiftQueue {
             let ready = slot.ready();
             ready_left -= usize::from(ready);
             if ready && budget.try_take(slot.fu) {
-                self.stats.issued += 1;
-                self.stats.tag_reads += 1;
-                if rank >= self.flpi_floor {
-                    self.stats.issued_low_priority += 1;
-                }
-                grants.push(Grant {
-                    payload: slot.payload,
-                    seq: slot.seq,
-                    dst: slot.dst,
-                    fu: slot.fu,
-                    rank,
-                    two_cycle: false,
-                });
-                self.slots.remove(pos as usize);
+                grants.push(self.ledger.grant(self.slots.take(pos as usize, rank, false)));
             } else {
                 self.order[kept] = pos;
                 kept += 1;
@@ -184,7 +163,7 @@ impl IssueQueue for ShiftQueue {
     }
 
     fn stats(&self) -> IqStats {
-        self.stats
+        self.ledger.stats
     }
 
     /// The live entries in age order, each as the slot-array kinds write a
@@ -205,12 +184,6 @@ impl IssueQueue for ShiftQueue {
 
     fn clone_box(&self) -> Box<dyn IssueQueue> {
         Box::new(self.clone())
-    }
-}
-
-impl WakeHorizon for ShiftQueue {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        None // purely reactive: state changes only via wakeup/select/dispatch
     }
 }
 
@@ -270,8 +243,9 @@ mod tests {
     #[test]
     fn in_place_compaction_keeps_grant_ranks_and_survivor_order() {
         // Five entries; only the 2nd and 4th (ranks 1 and 3) are ready.
-        let mut q = ShiftQueue::new(&IqConfig { flpi_region_frac: 0.75, ..cfg(8, 4) });
-        assert_eq!(q.flpi_floor, 2, "ranks 2 and up count as low priority");
+        let config = IqConfig { flpi_region_frac: 0.75, ..cfg(8, 4) };
+        let mut q = ShiftQueue::new(&config);
+        assert_eq!(config.flpi_rank_floor(), 2, "ranks 2 and up count as low priority");
         for seq in 0..5 {
             let req = if seq % 2 == 1 {
                 ready(seq, FuClass::IntAlu)

@@ -3,16 +3,22 @@
 //! CAM array: each slot holds two source tags with ready flags and
 //! requests issue when both are ready.
 //!
+//! The array is kind-neutral: it holds what every organization stores per
+//! entry and nothing else. State that only some kinds read lives with
+//! them — CIRC-PC's reverse and pending-RV planes, AGE-multiAM's bucket of
+//! each entry, the circular head and region of CIRC and CIRC-PC.
+//!
 //! # Hot-path representation
 //!
-//! Alongside the per-slot records, the array maintains packed bit planes
-//! ([`BitSet`], one bit per slot) that the per-cycle scans read instead of
-//! dereferencing slots:
+//! Alongside the per-slot records, the array maintains two packed bit
+//! planes ([`BitSet`], one bit per slot) that the per-cycle scans read
+//! instead of dereferencing slots:
 //!
 //! * **valid** — slot holds a live instruction;
-//! * **ready** — valid ∧ both sources resolved (the issue-request vector);
-//! * **reverse** — the CIRC-PC wrap-around flag, mirrored from the slot;
-//! * **pending_rv** — the CIRC-PC `S_RV`-selected flag, mirrored likewise.
+//! * **ready** — valid ∧ both sources resolved (the issue-request vector).
+//!
+//! Every select scan is [`SlotArray::scan_ready`], and a grant leaves the
+//! array through [`SlotArray::take`].
 //!
 //! Wakeup is *tag-indexed*: at insert, each unresolved source registers its
 //! slot position under its tag in a waiter table, and a broadcast touches
@@ -31,9 +37,9 @@
 
 use swque_isa::FuClass;
 
-use crate::bitset::BitSet;
+use crate::bitset::{self, BitSet};
 use crate::digest::ArchKey;
-use crate::types::{DispatchReq, Tag};
+use crate::types::{DispatchReq, Grant, IssueBudget, Tag};
 
 /// One wakeup-logic entry (an "entry slice" in the paper's Figure 5).
 #[derive(Debug, Clone, Copy)]
@@ -50,12 +56,6 @@ pub struct Slot {
     pub srcs: [Option<Tag>; 2],
     /// Function-unit class.
     pub fu: FuClass,
-    /// CIRC-PC reverse flag, set at dispatch when wrap-around is in effect.
-    pub reverse: bool,
-    /// CIRC-PC: selected by `S_RV`, waiting for the next-cycle DTM merge.
-    pub pending_rv: bool,
-    /// AGE-multiAM: which age-matrix bucket the entry was steered to.
-    pub bucket: u8,
 }
 
 impl Slot {
@@ -66,9 +66,6 @@ impl Slot {
         dst: None,
         srcs: [None, None],
         fu: FuClass::IntAlu,
-        reverse: false,
-        pending_rv: false,
-        bucket: 0,
     };
 
     /// Both operands resolved: the entry raises an issue request.
@@ -84,8 +81,6 @@ pub struct SlotArray {
     len: usize,
     valid: BitSet,
     ready: BitSet,
-    reverse: BitSet,
-    pending_rv: BitSet,
     /// Waiter table: `waiters[tag]` holds the positions whose entry
     /// registered a source on `tag`, possibly stale (validated at
     /// broadcast). Grown on demand to the highest tag seen.
@@ -105,8 +100,6 @@ impl SlotArray {
             len: 0,
             valid: BitSet::new(capacity),
             ready: BitSet::new(capacity),
-            reverse: BitSet::new(capacity),
-            pending_rv: BitSet::new(capacity),
             waiters: Vec::new(),
         }
     }
@@ -121,19 +114,13 @@ impl SlotArray {
         self.len
     }
 
-    /// True when no entry is valid.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Immutable slot access.
     pub fn get(&self, pos: usize) -> &Slot {
         &self.slots[pos]
     }
 
     /// Packed issue-request vector: bit `p` set iff slot `p` is valid with
-    /// both sources resolved. The select scans read this instead of
-    /// walking the slots.
+    /// both sources resolved.
     #[inline]
     pub fn ready_words(&self) -> &[u64] {
         self.ready.words()
@@ -159,26 +146,6 @@ impl SlotArray {
         self.ready.count()
     }
 
-    /// Packed CIRC-PC reverse flags.
-    #[inline]
-    pub fn reverse_words(&self) -> &[u64] {
-        self.reverse.words()
-    }
-
-    /// Packed CIRC-PC pending-RV flags.
-    #[inline]
-    pub fn pending_rv_words(&self) -> &[u64] {
-        self.pending_rv.words()
-    }
-
-    /// Sets or clears the CIRC-PC pending-RV flag of slot `pos`, keeping
-    /// the packed plane in sync (the only slot field callers may mutate
-    /// after insert).
-    pub fn set_pending_rv(&mut self, pos: usize, v: bool) {
-        self.slots[pos].pending_rv = v;
-        self.pending_rv.assign(pos, v);
-    }
-
     fn waiter_list(&mut self, tag: Tag) -> &mut Vec<u32> {
         let idx = tag as usize;
         if idx >= self.waiters.len() {
@@ -196,7 +163,7 @@ impl SlotArray {
         clippy::cast_possible_truncation,
         reason = "pos indexes the slots, and queue capacities are far below 2^32"
     )]
-    pub fn insert(&mut self, pos: usize, req: DispatchReq, reverse: bool, bucket: u8) {
+    pub fn insert(&mut self, pos: usize, req: DispatchReq) {
         let slot = &mut self.slots[pos];
         assert!(!slot.valid, "dispatch into an occupied slot {pos}");
         *slot = Slot {
@@ -206,15 +173,10 @@ impl SlotArray {
             dst: req.dst,
             srcs: req.srcs,
             fu: req.fu,
-            reverse,
-            pending_rv: false,
-            bucket,
         };
         self.len += 1;
         self.valid.set(pos);
         self.ready.assign(pos, req.srcs[0].is_none() && req.srcs[1].is_none());
-        self.reverse.assign(pos, reverse);
-        self.pending_rv.clear(pos);
         for src in req.srcs.into_iter().flatten() {
             self.waiter_list(src).push(pos as u32);
         }
@@ -229,15 +191,58 @@ impl SlotArray {
         let slot = &mut self.slots[pos];
         assert!(slot.valid, "remove of an empty slot {pos}");
         slot.valid = false;
-        slot.pending_rv = false;
-        slot.reverse = false;
         self.len -= 1;
         self.valid.clear(pos);
         self.ready.clear(pos);
-        self.reverse.clear(pos);
-        self.pending_rv.clear(pos);
         // Waiter entries, if any remain, go stale and are discarded at the
         // tag's next broadcast.
+    }
+
+    /// The grant of slot `pos` at priority `rank`, removing the slot.
+    pub fn take(&mut self, pos: usize, rank: usize, two_cycle: bool) -> Grant {
+        let slot = self.slots[pos];
+        self.remove(pos);
+        Grant { payload: slot.payload, seq: slot.seq, dst: slot.dst, fu: slot.fu, rank, two_cycle }
+    }
+
+    /// The select scan every kind shares: offers the ready entries at
+    /// positions `lo..hi` whose bit is also set in `mask(w)` (word `w` of a
+    /// caller plane) to `budget` in ascending position order, and hands
+    /// each entry the budget admits to `admit`, until the budget is spent.
+    /// `admit` may remove the entry it is handed (see
+    /// [`bitset::for_each_set_in`]).
+    #[inline]
+    pub fn scan_ready(
+        &mut self,
+        (lo, hi): (usize, usize),
+        mask: impl Fn(usize) -> u64,
+        budget: &mut IssueBudget,
+        mut admit: impl FnMut(&mut SlotArray, usize),
+    ) {
+        let word = |slots: &SlotArray, w: usize| slots.ready.words()[w] & mask(w);
+        bitset::for_each_set_in(self, lo, hi, word, |slots, pos| {
+            if budget.exhausted() {
+                return false;
+            }
+            if budget.try_take(slots.slots[pos].fu) {
+                admit(slots, pos);
+            }
+            true
+        });
+    }
+
+    /// Removes every entry younger than `seq` wherever it sits (the
+    /// squash of the free-list kinds), calling `removed` with each freed
+    /// position.
+    pub fn squash_younger(&mut self, seq: u64, mut removed: impl FnMut(usize)) {
+        let (cap, word) = (self.capacity(), |slots: &SlotArray, w: usize| slots.valid.words()[w]);
+        bitset::for_each_set_in(self, 0, cap, word, |slots, pos| {
+            if slots.slots[pos].seq > seq {
+                slots.remove(pos);
+                removed(pos);
+            }
+            true
+        });
     }
 
     /// Broadcasts `tag` to every entry, resolving matching sources.
@@ -284,15 +289,13 @@ impl SlotArray {
         self.len = 0;
         self.valid.clear_all();
         self.ready.clear_all();
-        self.reverse.clear_all();
-        self.pending_rv.clear_all();
         for list in &mut self.waiters {
             list.clear();
         }
     }
 
     /// Writes every slot record (stale ones included), the occupancy and
-    /// the four bit planes into `key`; the waiter table is layout, not
+    /// the two bit planes into `key`; the waiter table is layout, not
     /// state (its live content is determined by the slot sources).
     pub fn arch_key(&self, key: &mut ArchKey) {
         for slot in &self.slots {
@@ -303,15 +306,10 @@ impl SlotArray {
             key.push_opt(slot.srcs[0]);
             key.push_opt(slot.srcs[1]);
             key.push_usize(slot.fu.index());
-            key.push_bool(slot.reverse);
-            key.push_bool(slot.pending_rv);
-            key.push(u64::from(slot.bucket));
         }
         key.push_usize(self.len);
         self.valid.arch_key(key);
         self.ready.arch_key(key);
-        self.reverse.arch_key(key);
-        self.pending_rv.arch_key(key);
     }
 
     /// Lowest-index free slot, if any.
@@ -346,11 +344,7 @@ impl ScalarSlotArray {
         &self.slots[pos]
     }
 
-    pub fn set_pending_rv(&mut self, pos: usize, v: bool) {
-        self.slots[pos].pending_rv = v;
-    }
-
-    pub fn insert(&mut self, pos: usize, req: DispatchReq, reverse: bool, bucket: u8) {
+    pub fn insert(&mut self, pos: usize, req: DispatchReq) {
         let slot = &mut self.slots[pos];
         assert!(!slot.valid, "dispatch into an occupied slot {pos}");
         *slot = Slot {
@@ -360,9 +354,6 @@ impl ScalarSlotArray {
             dst: req.dst,
             srcs: req.srcs,
             fu: req.fu,
-            reverse,
-            pending_rv: false,
-            bucket,
         };
         self.len += 1;
     }
@@ -371,9 +362,17 @@ impl ScalarSlotArray {
         let slot = &mut self.slots[pos];
         assert!(slot.valid, "remove of an empty slot {pos}");
         slot.valid = false;
-        slot.pending_rv = false;
-        slot.reverse = false;
         self.len -= 1;
+    }
+
+    pub fn squash_younger(&mut self, seq: u64) -> Vec<usize> {
+        let younger: Vec<usize> = (0..self.slots.len())
+            .filter(|&p| self.slots[p].valid && self.slots[p].seq > seq)
+            .collect();
+        for &pos in &younger {
+            self.remove(pos);
+        }
+        younger
     }
 
     pub fn wakeup(&mut self, tag: Tag) {
@@ -414,7 +413,7 @@ mod tests {
     #[test]
     fn insert_wakeup_ready_cycle() {
         let mut a = SlotArray::new(4);
-        a.insert(2, req(1, [Some(5), Some(6)]), false, 0);
+        a.insert(2, req(1, [Some(5), Some(6)]));
         assert!(!a.get(2).ready());
         a.wakeup(5);
         assert!(!a.get(2).ready());
@@ -427,7 +426,7 @@ mod tests {
     #[test]
     fn wakeup_matches_both_operands_of_same_tag() {
         let mut a = SlotArray::new(2);
-        a.insert(0, req(1, [Some(9), Some(9)]), false, 0);
+        a.insert(0, req(1, [Some(9), Some(9)]));
         a.wakeup(9);
         assert!(a.get(0).ready(), "one broadcast resolves both matching sources");
         assert_eq!(bitset::first_set(a.ready_words()), Some(0));
@@ -436,13 +435,13 @@ mod tests {
     #[test]
     fn remove_frees_slot_for_reuse() {
         let mut a = SlotArray::new(2);
-        a.insert(0, req(1, [None, None]), false, 0);
-        a.insert(1, req(2, [None, None]), false, 0);
+        a.insert(0, req(1, [None, None]));
+        a.insert(1, req(2, [None, None]));
         assert_eq!(a.first_free(), None);
         a.remove(0);
         assert_eq!(a.first_free(), Some(0));
         assert_eq!(a.len(), 1);
-        a.insert(0, req(3, [None, None]), false, 0);
+        a.insert(0, req(3, [None, None]));
         assert_eq!(a.len(), 2);
     }
 
@@ -450,27 +449,26 @@ mod tests {
     #[should_panic(expected = "occupied slot")]
     fn double_insert_panics() {
         let mut a = SlotArray::new(1);
-        a.insert(0, req(1, [None, None]), false, 0);
-        a.insert(0, req(2, [None, None]), false, 0);
+        a.insert(0, req(1, [None, None]));
+        a.insert(0, req(2, [None, None]));
     }
 
     #[test]
     fn clear_resets_everything() {
         let mut a = SlotArray::new(3);
-        a.insert(1, req(1, [None, None]), true, 2);
+        a.insert(1, req(1, [None, None]));
         a.clear();
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
         assert_eq!(bitset::first_set(a.valid_words()), None);
-        assert!(!a.get(1).reverse);
+        assert!(!a.get(1).valid);
         assert_eq!(bitset::first_set(a.ready_words()), None);
-        assert_eq!(bitset::first_set(a.reverse_words()), None);
     }
 
     #[test]
     fn valid_plane_in_position_order() {
         let mut a = SlotArray::new(4);
-        a.insert(3, req(1, [None, None]), false, 0);
-        a.insert(1, req(2, [None, None]), false, 0);
+        a.insert(3, req(1, [None, None]));
+        a.insert(1, req(2, [None, None]));
         let v: Vec<usize> = bitset::iter_set(a.valid_words()).collect();
         assert_eq!(v, vec![1, 3]);
     }
@@ -479,12 +477,12 @@ mod tests {
     fn stale_waiter_entry_does_not_wake_a_reused_slot() {
         let mut a = SlotArray::new(2);
         // Slot 0 waits on tag 7, then issues before 7 fires.
-        a.insert(0, req(1, [Some(7), None]), false, 0);
+        a.insert(0, req(1, [Some(7), None]));
         a.wakeup(7); // resolves it
         a.remove(0);
         // Slot 0 reused, now waiting on tag 8. The stale tag-7 entry (if
         // any survived) must not mark it ready.
-        a.insert(0, req(2, [Some(8), None]), false, 0);
+        a.insert(0, req(2, [Some(8), None]));
         a.wakeup(7);
         assert!(!a.get(0).ready(), "tag 7 is not a source of the new occupant");
         a.wakeup(8);
@@ -494,8 +492,8 @@ mod tests {
     #[test]
     fn wakeup_drains_the_waiter_list_and_keeps_its_capacity() {
         let mut a = SlotArray::new(4);
-        a.insert(0, req(1, [Some(3), None]), false, 0);
-        a.insert(1, req(2, [Some(3), Some(3)]), false, 0);
+        a.insert(0, req(1, [Some(3), None]));
+        a.insert(1, req(2, [Some(3), Some(3)]));
         let cap = a.waiters[3].capacity();
         assert!(cap >= 3);
         a.wakeup(3);
@@ -505,18 +503,39 @@ mod tests {
     }
 
     #[test]
-    fn pending_rv_plane_tracks_flag() {
+    fn take_builds_the_grant_and_frees_the_slot() {
         let mut a = SlotArray::new(3);
-        a.insert(1, req(1, [None, None]), true, 0);
-        a.set_pending_rv(1, true);
-        assert!(a.get(1).pending_rv);
-        assert_eq!(bitset::first_set(a.pending_rv_words()), Some(1));
-        a.set_pending_rv(1, false);
-        assert_eq!(bitset::first_set(a.pending_rv_words()), None);
-        assert_eq!(bitset::first_set(a.reverse_words()), Some(1));
+        a.insert(2, req(4, [None, None]));
+        let g = a.take(2, 7, true);
+        assert_eq!((g.seq, g.payload, g.dst, g.rank, g.two_cycle), (4, 40, Some(4), 7, true));
+        assert_eq!(a.len(), 0);
+        assert_eq!(bitset::first_set(a.ready_words()), None);
     }
 
-    /// Differential oracle: random insert/remove/wakeup/pending/clear
+    #[test]
+    fn scan_ready_walks_the_masked_range_until_the_budget_is_spent() {
+        let mut a = SlotArray::new(70);
+        for (seq, pos) in [2, 5, 64, 66, 69].into_iter().enumerate() {
+            a.insert(pos, req(seq as u64, [None, None]));
+        }
+        let scan = |a: &SlotArray, lo, hi, mask: &dyn Fn(usize) -> u64, width| {
+            let mut taken = Vec::new();
+            let mut budget = IssueBudget::new(width, [width; 4]);
+            a.clone().scan_ready((lo, hi), mask, &mut budget, |slots, pos| {
+                slots.remove(pos);
+                taken.push(pos);
+            });
+            taken
+        };
+        let all = |_| u64::MAX;
+        assert_eq!(scan(&a, 0, 70, &all, 9), vec![2, 5, 64, 66, 69]);
+        assert_eq!(scan(&a, 3, 67, &all, 9), vec![5, 64, 66]);
+        assert_eq!(scan(&a, 0, 70, &all, 3), vec![2, 5, 64], "the budget stops the scan");
+        let mask = |w| if w == 0 { !(1 << 5) } else { !(1 << 2) };
+        assert_eq!(scan(&a, 0, 70, &mask, 9), vec![2, 64, 69], "word w is masked by mask(w)");
+    }
+
+    /// Differential oracle: random insert/remove/wakeup/squash/clear
     /// sequences applied to the bitset array and the scalar array must
     /// agree on every observable after every operation — slots, length,
     /// first-free, and the derived bit planes.
@@ -541,9 +560,8 @@ mod tests {
                         let srcs = [mk(g), mk(g)];
                         let r = req(seq, srcs);
                         seq += 1;
-                        let reverse = g.bool();
-                        fast.insert(pos, r, reverse, 0);
-                        oracle.insert(pos, r, reverse, 0);
+                        fast.insert(pos, r);
+                        oracle.insert(pos, r);
                     }
                     // Remove a random valid slot.
                     45..=64 => {
@@ -561,16 +579,12 @@ mod tests {
                         fast.wakeup(tag);
                         oracle.wakeup(tag);
                     }
-                    // Toggle pending_rv on a valid slot.
+                    // Squash everything younger than a random cut.
                     90..=96 => {
-                        let live: Vec<usize> = (0..cap).filter(|&p| oracle.get(p).valid).collect();
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let pos = live[g.gen_range(0usize..live.len())];
-                        let v = g.bool();
-                        fast.set_pending_rv(pos, v);
-                        oracle.set_pending_rv(pos, v);
+                        let cut = g.gen_range(0..seq + 1);
+                        let mut freed = Vec::new();
+                        fast.squash_younger(cut, |pos| freed.push(pos));
+                        assert_eq!(freed, oracle.squash_younger(cut), "squashed positions");
                     }
                     // Flush.
                     _ => {
@@ -589,24 +603,12 @@ mod tests {
                     if f.valid {
                         assert_eq!(f.seq, o.seq, "seq[{p}]");
                         assert_eq!(f.srcs, o.srcs, "srcs[{p}]");
-                        assert_eq!(f.reverse, o.reverse, "reverse[{p}]");
-                        assert_eq!(f.pending_rv, o.pending_rv, "pending_rv[{p}]");
                     }
-                    // Bit planes mirror the slot state exactly.
+                    // The ready plane mirrors the slot state exactly.
                     assert_eq!(
                         fast.ready_words()[p / 64] >> (p % 64) & 1 == 1,
                         o.ready(),
                         "ready plane[{p}]"
-                    );
-                    assert_eq!(
-                        fast.reverse_words()[p / 64] >> (p % 64) & 1 == 1,
-                        o.valid && o.reverse,
-                        "reverse plane[{p}]"
-                    );
-                    assert_eq!(
-                        fast.pending_rv_words()[p / 64] >> (p % 64) & 1 == 1,
-                        o.valid && o.pending_rv,
-                        "pending plane[{p}]"
                     );
                 }
             }

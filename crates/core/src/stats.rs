@@ -1,5 +1,8 @@
 //! Issue-queue statistics.
 
+use crate::queue::IqConfig;
+use crate::types::Grant;
+
 /// Counters every queue accumulates; the circuit energy model and the SWQUE
 /// controller are both fed from these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,6 +83,47 @@ impl IqStats {
         } else {
             self.issued_low_priority as f64 / self.issued as f64
         }
+    }
+}
+
+/// A queue's [`IqStats`] together with the rank from which a grant counts
+/// as low priority: the one place where grants, selects and idle ticks
+/// are counted.
+#[derive(Debug, Clone)]
+pub(crate) struct Ledger {
+    pub(crate) stats: IqStats,
+    flpi_floor: usize,
+}
+
+impl Ledger {
+    pub(crate) fn new(config: &IqConfig) -> Ledger {
+        Ledger { stats: IqStats::default(), flpi_floor: config.flpi_rank_floor() }
+    }
+
+    /// Counts `g` and hands it back: one issue and one tag-RAM read, and a
+    /// low-priority issue when its rank reaches the floor. A two-cycle
+    /// (RV) grant counts as an RV issue instead of a read: CIRC-PC counted
+    /// its read when `S_RV` picked it.
+    pub(crate) fn grant(&mut self, g: Grant) -> Grant {
+        self.stats.issued += 1;
+        if g.two_cycle {
+            self.stats.rv_issues += 1;
+        } else {
+            self.stats.tag_reads += 1;
+        }
+        if g.rank >= self.flpi_floor {
+            self.stats.issued_low_priority += 1;
+        }
+        g
+    }
+
+    /// Counts `cycles` selects (one per select, `n` per `idle_tick(n)`)
+    /// over `len` entries in an allocated region of `region` positions,
+    /// which only the circular kinds make larger than `len`.
+    pub(crate) fn selects(&mut self, cycles: u64, len: usize, region: usize) {
+        self.stats.selects += cycles;
+        self.stats.occupancy_sum += cycles * len as u64;
+        self.stats.region_sum += cycles * region as u64;
     }
 }
 

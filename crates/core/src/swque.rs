@@ -19,7 +19,6 @@ use crate::circ_pc::CircPcQueue;
 use crate::controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
 use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
-use crate::horizon::WakeHorizon;
 use crate::queue::{IqConfig, IssueQueue};
 use crate::random_queue::RandomQueue;
 use crate::stats::{IqStats, SwqueStats};
@@ -290,16 +289,6 @@ impl IssueQueue for Swque {
 
     fn attach_trace(&mut self, trace: &TraceHandle) {
         self.trace = trace.clone();
-    }
-}
-
-impl WakeHorizon for Swque {
-    fn wake_horizon(&self, _now: CycleStamp) -> Option<CycleStamp> {
-        // Interval boundaries are retirement-counted, not cycle-counted,
-        // and the switch penalty is charged through the core's fetch stall
-        // (which has its own horizon) — nothing here is clocked by wall
-        // cycles.
-        None
     }
 }
 

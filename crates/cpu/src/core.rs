@@ -47,9 +47,9 @@
 //! ready to commit, no completion event due, no ready IQ entry, every
 //! pending load blocked, dispatch gated, fetch stalled or starved — the
 //! clock jumps straight to the earliest [`WakeHorizon`] reported by the
-//! FU pool, the memory hierarchy, and the issue queue, and the per-cycle
-//! bookkeeping (`iq_stall_cycles`, queue occupancy averages, SWQUE mode
-//! residency) is bulk-advanced. Results are byte-identical with skipping
+//! FU pool and the memory hierarchy (the issue queue has no timed state),
+//! and the per-cycle bookkeeping (`iq_stall_cycles`, queue occupancy
+//! averages, SWQUE mode residency) is bulk-advanced. Results are byte-identical with skipping
 //! on or off (DESIGN.md §10); [`Core::set_skip`] forces the per-cycle
 //! path.
 
@@ -575,7 +575,6 @@ impl Pipeline {
         // Subsystem wake horizons (the WakeHorizon contract).
         horizon = min_horizon(horizon, self.fus.wake_horizon(self.cycle));
         horizon = min_horizon(horizon, mem.wake_horizon(self.cycle));
-        horizon = min_horizon(horizon, self.iq.wake_horizon(self.cycle));
 
         // Nothing will ever wake a fully quiet pipeline: jump to the cycle
         // at which the progress invariant declares it wedged.

@@ -63,8 +63,10 @@ pub enum Injection {
     /// counter never trips, so the AGE-mode FLPI threshold is never
     /// lowered — violates `ctrl-instability-reduction`.
     ControllerNoStabilize,
-    /// Build AGE via [`RandomQueue::age_youngest_first`]: the matrix
-    /// grants the youngest ready entry — violates `age-first`.
+    /// Build AGE or AGE-multiAM via [`RandomQueue::age_youngest_first`]:
+    /// each matrix grants its youngest ready member — violates
+    /// `age-first` (in AGE-multiAM from capacity 4, where an integer
+    /// bucket first holds two entries).
     AgeYoungestFirst,
     /// Build SHIFT via [`ShiftQueue::position_order`]: grants follow slot
     /// positions, which free-list reuse scrambles — violates
@@ -94,15 +96,15 @@ impl Injection {
         }
     }
 
-    /// The one queue kind a structural injection is planted in (`None`
-    /// for the controller injection, which applies to the SWQUE kinds and
+    /// The queue kinds a structural injection is planted in (none for
+    /// the controller injection, which applies to the SWQUE kinds and
     /// CTRL).
-    pub fn queue_kind(&self) -> Option<IqKind> {
+    pub fn queue_kinds(&self) -> &'static [IqKind] {
         match self {
-            Injection::CircPcNoCorrect => Some(IqKind::CircPc),
-            Injection::AgeYoungestFirst => Some(IqKind::Age),
-            Injection::ShiftPositionOrder => Some(IqKind::Shift),
-            Injection::ControllerNoStabilize => None,
+            Injection::CircPcNoCorrect => &[IqKind::CircPc],
+            Injection::AgeYoungestFirst => &[IqKind::Age, IqKind::AgeMulti],
+            Injection::ShiftPositionOrder => &[IqKind::Shift],
+            Injection::ControllerNoStabilize => &[],
         }
     }
 }
@@ -129,6 +131,9 @@ impl Violation {
 struct ShadowEntry {
     seq: u64,
     srcs: [Option<Tag>; 2],
+    /// The age-matrix bucket the queue's steering must have chosen (0
+    /// unless the structure holding the entry has several matrices).
+    bucket: u8,
     /// Ready-but-not-granted streak across non-exhausted selects, for
     /// `pc-ready-within-bound`. Capped at the bound + 1 so the state
     /// space stays finite.
@@ -148,6 +153,8 @@ pub struct QueueHarness {
     queue: Box<dyn IssueQueue>,
     capacity: usize,
     width: usize,
+    /// Integer age-matrix buckets of the multi-matrix kinds.
+    multi_buckets: u8,
     /// Shadow entries in program (= seq) order.
     entries: Vec<ShadowEntry>,
     next_seq: u64,
@@ -213,11 +220,13 @@ impl QueueHarness {
             ..IqConfig::default()
         };
         if let Some(inject) = inject {
-            if let Some(target) = inject.queue_kind().filter(|&target| target != kind) {
+            let targets = inject.queue_kinds();
+            if !targets.is_empty() && !targets.contains(&kind) {
+                let labels: Vec<&str> = targets.iter().map(IqKind::label).collect();
                 return Err(format!(
                     "injection {} applies to {} only, not {}",
                     inject.label(),
-                    target.label(),
+                    labels.join(" and "),
                     kind.label()
                 ));
             }
@@ -225,7 +234,9 @@ impl QueueHarness {
         let queue: Box<dyn IssueQueue> = match inject {
             None => kind.build(&config),
             Some(Injection::CircPcNoCorrect) => Box::new(CircPcQueue::without_correction(&config)),
-            Some(Injection::AgeYoungestFirst) => Box::new(RandomQueue::age_youngest_first(&config)),
+            Some(Injection::AgeYoungestFirst) => {
+                Box::new(RandomQueue::age_youngest_first(&config, kind == IqKind::AgeMulti))
+            }
             Some(Injection::ShiftPositionOrder) => Box::new(ShiftQueue::position_order(&config)),
             Some(Injection::ControllerNoStabilize) => {
                 if !is_swque(kind) {
@@ -245,6 +256,7 @@ impl QueueHarness {
             queue,
             capacity,
             width,
+            multi_buckets: config.buckets.int,
             entries: Vec::new(),
             next_seq: SEQ_BASE,
             interval,
@@ -259,6 +271,21 @@ impl QueueHarness {
     /// The kind under check.
     pub fn kind(&self) -> IqKind {
         self.kind
+    }
+
+    /// The age-matrix buckets an integer op (every harness op is
+    /// `IntAlu`) can be steered to in the structure now holding the
+    /// entries: 0 without an age matrix, 1 for AGE and SWQUE's AGE mode,
+    /// the integer buckets for AGE-multiAM and SWQUE-multiAM's AGE mode.
+    fn age_buckets(&self) -> u8 {
+        let age = self.queue.mode() == IqMode::Age;
+        match self.kind {
+            IqKind::Age => 1,
+            IqKind::Swque if age => 1,
+            IqKind::AgeMulti => self.multi_buckets,
+            IqKind::SwqueMulti if age => self.multi_buckets,
+            _ => 0,
+        }
     }
 
     fn tag_live(&self, tag: Tag) -> bool {
@@ -383,7 +410,10 @@ impl QueueHarness {
             ));
         }
         self.next_seq += 1;
-        self.entries.push(ShadowEntry { seq, srcs, starve: 0 });
+        // The steering rule: the least-loaded bucket, the lowest on ties.
+        let load = |b: &u8| self.entries.iter().filter(|e| e.bucket == *b).count();
+        let bucket = (0..self.age_buckets()).min_by_key(load).unwrap_or(0);
+        self.entries.push(ShadowEntry { seq, srcs, bucket, starve: 0 });
         Ok(())
     }
 
@@ -403,6 +433,14 @@ impl QueueHarness {
         let mode = self.queue.mode();
         let pre_ready: Vec<u64> =
             self.entries.iter().filter(|e| e.ready()).map(|e| e.seq).collect();
+        // What the age matrices nominate, bucket by bucket: each bucket's
+        // oldest ready member, as many as the width admits.
+        let nominees: Vec<u64> = (0..self.age_buckets())
+            .filter_map(|b| {
+                self.entries.iter().filter(|e| e.bucket == b && e.ready()).map(|e| e.seq).min()
+            })
+            .take(width)
+            .collect();
         let mut budget = IssueBudget::new(width, [width; 4]);
         let grants = self.queue.select(&mut budget);
 
@@ -469,28 +507,16 @@ impl QueueHarness {
                 }
             }
         }
-        let oldest_ready = pre_ready.iter().min().copied();
-        if let (IqKind::Age, Some(&first), Some(oldest)) =
-            (self.kind, granted.first(), oldest_ready)
-        {
-            // One matrix over the whole queue, and every harness op uses
-            // the same FU class: the matrix's grant leads the stream.
-            if first != oldest {
-                return Err(Violation::new(
-                    "age-first",
-                    format!("first grant seq {first} but the oldest ready seq is {oldest}"),
-                ));
-            }
-        }
-        if let (IqKind::Age | IqKind::AgeMulti, false, Some(oldest)) =
-            (self.kind, budget.exhausted(), oldest_ready)
-        {
-            if !granted.contains(&oldest) {
-                return Err(Violation::new(
-                    "age-first",
-                    format!("budget left but oldest ready seq {oldest} was not granted"),
-                ));
-            }
+        // Every harness op uses the same FU class, so the matrices'
+        // grants lead the stream.
+        if !granted.starts_with(&nominees) {
+            return Err(Violation::new(
+                "age-first",
+                format!(
+                    "grants {granted:?} do not lead with each bucket's oldest ready seq \
+                     {nominees:?}"
+                ),
+            ));
         }
 
         // Liveness.
@@ -712,6 +738,7 @@ impl Harness for QueueHarness {
         for entry in &self.entries {
             key.push_opt(entry.srcs[0]);
             key.push_opt(entry.srcs[1]);
+            key.push(u64::from(entry.bucket));
             key.push(entry.starve);
         }
         key.push_opt(self.pending_switch.map(|mode| mode as u16));
@@ -746,6 +773,9 @@ mod tests {
         );
         assert!(QueueHarness::new(IqKind::CircPc, 4, 2, Some(Injection::CircPcNoCorrect)).is_ok());
         assert!(QueueHarness::new(IqKind::Swque, 3, 2, Some(Injection::AgeYoungestFirst)).is_err());
+        assert!(
+            QueueHarness::new(IqKind::AgeMulti, 4, 2, Some(Injection::AgeYoungestFirst)).is_ok()
+        );
         assert!(QueueHarness::new(IqKind::Rand, 3, 2, Some(Injection::ShiftPositionOrder)).is_err());
     }
 
@@ -812,6 +842,20 @@ mod tests {
         // matrix grants the younger one.
         let root = QueueHarness::new(IqKind::Age, 3, 2, Some(Injection::AgeYoungestFirst)).unwrap();
         let outcome = crate::explore::explore(&root, queue_depth(IqKind::Age));
+        let v = outcome.violation.expect("injected queue should violate a property");
+        assert_eq!(v.property, "age-first", "detail: {}", v.detail);
+    }
+
+    #[test]
+    fn youngest_first_injection_violates_age_first_in_age_multi_am() {
+        // Three integer buckets: a bucket first holds two entries, and so
+        // can prefer the younger, once four are queued.
+        let inject = Some(Injection::AgeYoungestFirst);
+        let root = QueueHarness::new(IqKind::AgeMulti, 3, 2, inject).unwrap();
+        let outcome = crate::explore::explore(&root, queue_depth(IqKind::AgeMulti));
+        assert!(outcome.violation.is_none() && outcome.closed(), "not observable at capacity 3");
+        let root = QueueHarness::new(IqKind::AgeMulti, 4, 2, inject).unwrap();
+        let outcome = crate::explore::explore(&root, queue_depth(IqKind::AgeMulti));
         let v = outcome.violation.expect("injected queue should violate a property");
         assert_eq!(v.property, "age-first", "detail: {}", v.detail);
     }

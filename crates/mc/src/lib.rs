@@ -23,7 +23,7 @@
 //! | `pc-age-ordered` | CIRC-PC, SWQUE | single-cycle grants issue oldest-first |
 //! | `pc-ready-within-bound` | CIRC-PC, SWQUE | the two-cycle RV path cannot starve an entry |
 //! | `oldest-first` | SHIFT, CIRC-PPRI | grants are exactly the oldest ready entries |
-//! | `age-first` | AGE, AGE-multiAM | AGE's first grant is the oldest ready entry; with budget left, the oldest ready entry is granted |
+//! | `age-first` | AGE, AGE-multiAM, SWQUE in AGE mode | the leading grants are, bucket by bucket, each age-matrix bucket's oldest ready entry (the shadow mirrors the steering) |
 //! | `swque-switch-once` | SWQUE | a switch is requested until flushed, adopted once |
 //! | `ctrl-switch-is-change` | CTRL | `SwitchTo(m)` really changes the mode to `m` |
 //! | `ctrl-stay-is-stable` | CTRL | `Stay` leaves the mode alone |
@@ -38,9 +38,9 @@
 //! Negative injections prove the checker can actually see: building
 //! CIRC-PC via `without_correction` (`--inject circ-pc-no-correct`) makes
 //! `pc-age-ordered` fail, a `stabilize: false` controller (`--inject
-//! controller-no-stabilize`) makes `ctrl-instability-reduction` fail, an
-//! AGE matrix that grants the youngest ready entry (`--inject
-//! age-youngest-first`) makes `age-first` fail, and a SHIFT that selects
+//! controller-no-stabilize`) makes `ctrl-instability-reduction` fail,
+//! AGE or AGE-multiAM matrices that grant the youngest ready entry
+//! (`--inject age-youngest-first`) make `age-first` fail, and a SHIFT that selects
 //! in slot order (`--inject shift-position-order`) makes `oldest-first`
 //! fail — all wired as mandatory red/green runs in `scripts/verify.sh`.
 

@@ -6,7 +6,7 @@ use swque_core::IqKind;
 /// Per-kind depth ceilings. The explorer stops at the reachable-set
 /// fixpoint, so a generous bound costs nothing once the space closes;
 /// measured closure depths (EXPERIMENTS.md) are ≤ 22 events for the
-/// single-structure kinds except AGE-multiAM at capacity 4 (28), and
+/// single-structure kinds except AGE-multiAM at capacity 4 (27), and
 /// 62–70 for the SWQUE organizations, whose controller walks a six-value
 /// FLPI-threshold ladder (0.04 stepping down by 0.01 to an f64 epsilon,
 /// then 0) before the space folds shut.

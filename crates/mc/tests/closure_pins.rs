@@ -15,10 +15,10 @@ use swque_mc::{explore, CtrlHarness, QueueHarness};
 const QUEUE_PINS: [(IqKind, usize, u64, u64); 18] = [
     (IqKind::Shift, 2, 28, 5),
     (IqKind::Shift, 3, 120, 7),
-    (IqKind::Circ, 2, 111, 8),
-    (IqKind::Circ, 3, 1_463, 14),
-    (IqKind::CircPpri, 2, 111, 8),
-    (IqKind::CircPpri, 3, 1_463, 14),
+    (IqKind::Circ, 2, 92, 8),
+    (IqKind::Circ, 3, 971, 13),
+    (IqKind::CircPpri, 2, 92, 8),
+    (IqKind::CircPpri, 3, 971, 13),
     (IqKind::CircPc, 2, 127, 8),
     (IqKind::CircPc, 3, 1_919, 15),
     (IqKind::Rand, 2, 84, 8),

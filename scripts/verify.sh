@@ -283,7 +283,7 @@ grep -q '^error\[E0308\]' "$demo/out.txt" \
     exit 1
 }
 
-echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall, ilp_busy and multicore_contention runs are correct"
+echo "== benchmark: swque_benchmark builds, its tests pass, and a run of each workload is correct"
 # swque_benchmark is a package of its own (an empty [workspace] table), so
 # --workspace above never compiles it, and an API change in a crate it
 # measures could break it unnoticed. It builds under target/, so nothing is
@@ -291,13 +291,15 @@ echo "== benchmark: swque_benchmark builds, its tests pass, mlp_stall, ilp_busy 
 # tracing paths; ilp_busy covers all 10 kinds and the large model on the
 # busy path (ROB and LSQ slot handles, wakeup/select, dispatch, commit);
 # multicore_contention covers the shared L2/DRAM arbitration, whose
-# queueing gives the longest completion latencies through the event ring.
+# queueing gives the longest completion latencies through the event ring;
+# mc_explore is the one workload that forks and keys queues (clone_box,
+# arch_key) through the model checker.
 bench_manifest=crates/bench/src/bin/swque_benchmark/Cargo.toml
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo build --release --offline -q --manifest-path "$bench_manifest"
 CARGO_TARGET_DIR=target/swque_benchmark \
     cargo test --offline -q --manifest-path "$bench_manifest"
-for workload in mlp_stall ilp_busy multicore_contention; do
+for workload in mlp_stall ilp_busy multicore_contention mc_explore; do
     bench_last="$(./target/swque_benchmark/release/swque_benchmark --workload "$workload" \
         --seed 0 --seconds 1 --trace 0 | tail -n 1)"
     case "$bench_last" in
@@ -326,14 +328,16 @@ done
 
 echo "== mc: negative injections (planted bugs must be caught, minimized, replayable)"
 # Each injection plants a real bug (the priority-correction pass removed;
-# the controller's Figure-7 stabilization disabled; the age matrix granting
-# the youngest ready entry; SHIFT selecting in slot order) in a harness
+# the controller's Figure-7 stabilization disabled; the age matrices of AGE
+# and AGE-multiAM granting the youngest ready entry — visible in AGE-multiAM
+# only from capacity 4, where one of its three integer buckets first holds
+# two entries; SHIFT selecting in slot order) in a harness
 # copy of the structure. The checker must exit 1, name the exact property, and
 # emit a minimized self-contained replay string — which the checker
 # itself re-executes before reporting, and check_json re-parses here.
 mc_neg() {
     local kind="$1" cap="$2" inject="$3" property="$4"
-    local out="$json_tmp/mc-neg-$inject.json"
+    local out="$json_tmp/mc-neg-$kind-$inject.json"
     if ./target/release/swque-mc --kind "$kind" --capacity "$cap" \
         --inject "$inject" --json > "$out" 2> /dev/null; then
         echo "error: swque-mc passed with the $inject bug planted" >&2
@@ -354,6 +358,7 @@ mc_neg() {
 mc_neg CIRC-PC 3 circ-pc-no-correct pc-age-ordered
 mc_neg CTRL 0 controller-no-stabilize ctrl-instability-reduction
 mc_neg AGE 3 age-youngest-first age-first
+mc_neg AGE-multiAM 4 age-youngest-first age-first
 mc_neg SHIFT 3 shift-position-order oldest-first
 
 echo "== experiments: all_experiments -> check_json, and a shim matches its section"

@@ -32,11 +32,19 @@ use crate::digest::ArchKey;
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 129]);
 /// assert_eq!(s.first_clear(), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The words live inline, so cloning a set (which the model checker does
+/// for every queue it forks) is a flat copy with no allocation. The
+/// paper's largest queue (256 entries) fills all [`BitSet::MAX_CAPACITY`]
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitSet {
-    words: Vec<u64>,
+    words: [u64; MAX_WORDS],
     capacity: usize,
 }
+
+/// Inline words per set.
+const MAX_WORDS: usize = 4;
 
 /// Number of `u64` words needed for `capacity` bits.
 pub fn words_for(capacity: usize) -> usize {
@@ -44,9 +52,21 @@ pub fn words_for(capacity: usize) -> usize {
 }
 
 impl BitSet {
+    /// The largest capacity a set can hold.
+    pub const MAX_CAPACITY: usize = MAX_WORDS * 64;
+
     /// Creates an empty set over `capacity` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds [`BitSet::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> BitSet {
-        BitSet { words: vec![0; words_for(capacity)], capacity }
+        assert!(
+            capacity <= BitSet::MAX_CAPACITY,
+            "a bit set holds at most {} elements, not {capacity}",
+            BitSet::MAX_CAPACITY
+        );
+        BitSet { words: [0; MAX_WORDS], capacity }
     }
 
     /// The number of elements the set can hold.
@@ -56,7 +76,7 @@ impl BitSet {
 
     /// Writes the set's words into `key` (the capacity is a constant).
     pub fn arch_key(&self, key: &mut ArchKey) {
-        key.push_words(&self.words);
+        key.push_words(self.words());
     }
 
     /// Inserts `i`.
@@ -92,7 +112,7 @@ impl BitSet {
 
     /// Removes every element.
     pub fn clear_all(&mut self) {
-        self.words.fill(0);
+        self.words = [0; MAX_WORDS];
     }
 
     /// Number of elements present.
@@ -102,20 +122,14 @@ impl BitSet {
 
     /// True when no element is present.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words == [0; MAX_WORDS]
     }
 
     /// The backing words, least-significant bit = element 0. Bits at or
     /// above `capacity` are always zero.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Overwrites this set with `other` (equal capacities).
-    pub fn copy_from(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.words.copy_from_slice(&other.words);
+        &self.words[..words_for(self.capacity)]
     }
 
     /// The smallest element present, if any.
@@ -126,7 +140,7 @@ impl BitSet {
     /// The smallest element *absent* (below `capacity`), if any — the
     /// free-list "first free slot" query as word ops.
     pub fn first_clear(&self) -> Option<usize> {
-        for (w, &word) in self.words.iter().enumerate() {
+        for (w, &word) in self.words().iter().enumerate() {
             if word != u64::MAX {
                 let i = w * 64 + word.trailing_ones() as usize;
                 return (i < self.capacity).then_some(i);
@@ -251,6 +265,22 @@ mod tests {
         assert_eq!(s.first_clear(), None);
         s.clear(64);
         assert_eq!(s.first_clear(), Some(64));
+    }
+
+    #[test]
+    fn the_largest_queue_fills_every_inline_word() {
+        let mut s = BitSet::new(256);
+        for i in 0..256 {
+            s.set(i);
+        }
+        assert_eq!((s.count(), s.words().len(), s.first_clear()), (256, 4, None));
+        assert_eq!(BitSet::new(150).words().len(), 3, "only the words the capacity needs");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 elements, not 257")]
+    fn a_capacity_past_the_inline_words_is_refused() {
+        BitSet::new(BitSet::MAX_CAPACITY + 1);
     }
 
     #[test]

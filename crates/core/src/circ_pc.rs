@@ -399,10 +399,9 @@ mod tests {
     #[test]
     fn key_leaves_out_the_flags_of_freed_positions() {
         let key = |q: &CircPcQueue| {
-            let same = |seq| seq;
-            let mut key = ArchKey::new(&same);
-            q.arch_key(&mut key);
-            key.words().to_vec()
+            let (same, mut words) = (|seq| seq, Vec::new());
+            q.arch_key(&mut ArchKey::new(&mut words, &same));
+            words
         };
         // One state, reached with and without S_RV latching the wrapped
         // entries before the squash frees them.

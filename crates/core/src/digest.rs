@@ -1,4 +1,5 @@
-//! FNV-1a 64 content digesting and typed architectural state keys.
+//! FNV-1a 64 content digesting, typed architectural state keys and their
+//! word digest.
 //!
 //! The workspace content-addresses sweep shards and replay files with
 //! FNV-1a 64; this module is that function hoisted to the core crate so
@@ -11,6 +12,7 @@
 //! *architectural* state (see
 //! [`IssueQueue::arch_key`](crate::IssueQueue::arch_key)), with sequence
 //! numbers passed through a renaming function the caller supplies.
+//! [`key_digest`] hashes such a key a word at a time.
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -31,6 +33,29 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// splitmix64's finalizer: a bijection of `u64` (each xor-shift and each
+/// odd multiplier is invertible) with full avalanche.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The 64-bit digest of a key's words: each word is folded in as
+/// `h ← mix(rotl(h, 23) ^ w)`, then the length as one more word.
+///
+/// Every step is a bijection of `h` for a fixed word and of the word for
+/// a fixed `h`, so two keys of equal length that differ in exactly one
+/// word never share a digest: the steps before that word agree, the step
+/// at it maps equal `h` through different words to different values, and
+/// every later step (and the length fold) maps different values to
+/// different values. Keys that differ in several words can collide, with
+/// the chance of a good 64-bit hash (DESIGN.md §12.2).
+pub fn key_digest(words: &[u64]) -> u64 {
+    let h = words.iter().fold(0x9e37_79b9_7f4a_7c15, |h: u64, &w| mix(h.rotate_left(23) ^ w));
+    mix(h.rotate_left(23) ^ words.len() as u64)
+}
+
 /// A typed architectural state key: the words a queue (or the mode
 /// controller) writes to describe the state that decides its future
 /// behaviour, and nothing else.
@@ -45,8 +70,9 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// part is written behind a length prefix, so within one queue
 /// organization equal keys mean equal architectural states.
 ///
-/// The buffer is reusable: [`clear`](ArchKey::clear) keeps its
-/// allocation.
+/// The key writes into a word buffer the caller owns, so one buffer
+/// serves every key of a run: [`new`](ArchKey::new) empties it and keeps
+/// its allocation.
 ///
 /// # Example
 ///
@@ -63,36 +89,32 @@ fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// const RANK_0: u64 = 1 << 63;
 /// let rank_a = |seq: u64| if seq == 1000 { RANK_0 } else { seq };
 /// let rank_b = |seq: u64| if seq == 7000 { RANK_0 } else { seq };
-/// let (mut key_a, mut key_b) = (ArchKey::new(&rank_a), ArchKey::new(&rank_b));
-/// a.arch_key(&mut key_a);
-/// b.arch_key(&mut key_b);
-/// assert_eq!(key_a.words(), key_b.words());
+/// let (mut words_a, mut words_b) = (Vec::new(), Vec::new());
+/// a.arch_key(&mut ArchKey::new(&mut words_a, &rank_a));
+/// b.arch_key(&mut ArchKey::new(&mut words_b, &rank_b));
+/// assert_eq!(words_a, words_b);
 /// ```
-pub struct ArchKey<'r> {
-    words: Vec<u64>,
-    rename: &'r dyn Fn(u64) -> u64,
+pub struct ArchKey<'k> {
+    words: &'k mut Vec<u64>,
+    rename: &'k dyn Fn(u64) -> u64,
 }
 
-impl<'r> ArchKey<'r> {
-    /// An empty key whose sequence numbers go through `rename`, with
-    /// room for a capacity-3 SWQUE state (~110 words) without regrowth.
-    pub fn new(rename: &'r dyn Fn(u64) -> u64) -> ArchKey<'r> {
-        ArchKey { words: Vec::with_capacity(128), rename }
-    }
-
-    /// Empties the key, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.words.clear();
+impl<'k> ArchKey<'k> {
+    /// An empty key writing into `words` (cleared, its allocation kept),
+    /// whose sequence numbers go through `rename`.
+    pub fn new(words: &'k mut Vec<u64>, rename: &'k dyn Fn(u64) -> u64) -> ArchKey<'k> {
+        words.clear();
+        ArchKey { words, rename }
     }
 
     /// The words written so far.
     pub fn words(&self) -> &[u64] {
-        &self.words
+        self.words.as_slice()
     }
 
-    /// FNV-1a 64 of the words (little-endian bytes, in order).
+    /// The [`key_digest`] of the words.
     pub fn digest(&self) -> u64 {
-        self.words.iter().fold(FNV_OFFSET, |h, w| fnv1a64_extend(h, &w.to_le_bytes()))
+        key_digest(self.words.as_slice())
     }
 
     /// Writes one word.
@@ -138,6 +160,7 @@ impl<'r> ArchKey<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swque_rng::prop::check;
 
     #[test]
     fn matches_the_published_fnv1a_vectors() {
@@ -153,28 +176,45 @@ mod tests {
     }
 
     #[test]
-    fn key_digest_is_fnv_of_the_word_bytes() {
+    fn keys_differing_in_one_word_never_share_a_digest() {
+        check(512, |g| {
+            let words: Vec<u64> = (0..g.gen_range(1usize..40)).map(|_| g.u64()).collect();
+            let at = g.gen_range(0..words.len());
+            // A flip confined to the high or the low half, or anywhere.
+            let flip = match g.gen_range(0u32..3) {
+                0 => g.u64() << 32 | 1 << 32,
+                1 => g.u64() >> 32 | 1,
+                _ => g.u64() | 1,
+            };
+            let mut other = words.clone();
+            other[at] ^= flip;
+            assert_ne!(key_digest(&words), key_digest(&other), "word {at} ^ {flip:#x}");
+        });
+    }
+
+    #[test]
+    fn the_key_digest_is_the_word_digest_and_counts_the_length() {
         let identity = |seq: u64| seq;
-        let mut key = ArchKey::new(&identity);
+        let mut words = Vec::new();
+        let mut key = ArchKey::new(&mut words, &identity);
         key.push(0x0102_0304_0506_0708);
         key.push_bool(true);
-        let bytes: Vec<u8> = key.words().iter().flat_map(|w| w.to_le_bytes()).collect();
-        assert_eq!(key.digest(), fnv1a64(&bytes));
-        key.clear();
-        assert_eq!(key.digest(), fnv1a64(b""));
+        assert_eq!(key.digest(), key_digest(&[0x0102_0304_0506_0708, 1]));
+        assert_eq!(ArchKey::new(&mut words, &identity).digest(), key_digest(&[]), "new empties");
+        assert_ne!(key_digest(&[]), key_digest(&[0]), "a zero word still counts");
     }
 
     #[test]
     fn length_prefixes_and_option_encoding_keep_keys_apart() {
         let identity = |seq: u64| seq;
-        let (mut a, mut b) = (ArchKey::new(&identity), ArchKey::new(&identity));
+        let (mut wa, mut wb) = (Vec::new(), Vec::new());
+        let (mut a, mut b) = (ArchKey::new(&mut wa, &identity), ArchKey::new(&mut wb, &identity));
         a.push_words(&[1]);
         a.push_words(&[]);
         b.push_words(&[]);
         b.push_words(&[1]);
         assert_ne!(a.words(), b.words());
-        a.clear();
-        b.clear();
+        let (mut a, mut b) = (ArchKey::new(&mut wa, &identity), ArchKey::new(&mut wb, &identity));
         a.push_opt(None);
         b.push_opt(Some(0));
         assert_ne!(a.words(), b.words());

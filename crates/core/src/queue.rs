@@ -158,6 +158,12 @@ impl IqKind {
     }
 
     /// Builds a queue of this kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.capacity` is 0 or exceeds
+    /// [`BitSet::MAX_CAPACITY`](crate::BitSet::MAX_CAPACITY) (the paper's
+    /// largest queue, 256 entries).
     pub fn build(&self, config: &IqConfig) -> Box<dyn IssueQueue> {
         match self {
             IqKind::Shift => Box::new(ShiftQueue::new(config)),

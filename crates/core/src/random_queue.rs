@@ -45,16 +45,12 @@ pub struct RandomQueue {
     ledger: Ledger,
 }
 
-/// The age-matrix buckets and the bucket each entry was steered to.
+/// The age-matrix buckets. A bucket's load is its member count, and a
+/// live entry's bucket is the one set holding its position.
 #[derive(Debug, Clone)]
 struct Buckets {
     /// The members of each bucket; empty for RAND.
     members: Vec<BitSet>,
-    /// Live entries per bucket, for load-balanced steering.
-    load: Vec<usize>,
-    /// The bucket of each position's entry, read only while the entry is
-    /// valid (a dispatch rewrites it).
-    of: Vec<u8>,
     /// Bucket id range for each FU group: `[int, mem, fp]` as
     /// `(first, count)`.
     groups: [(u8, u8); 3],
@@ -83,21 +79,23 @@ impl Buckets {
         } else {
             let (first, count) = self.groups[group_of(fu)];
             assert!(count > 0, "no bucket serves {fu}");
-            (first..first + count).min_by_key(|&b| self.load[b as usize]).unwrap_or(first)
+            let load = |b: &u8| self.members[usize::from(*b)].count();
+            (first..first + count).min_by_key(load).unwrap_or(first)
         };
-        self.of[pos] = b;
-        if let Some(members) = self.members.get_mut(b as usize) {
+        if let Some(members) = self.members.get_mut(usize::from(b)) {
             members.set(pos);
-            self.load[b as usize] += 1;
         }
+    }
+
+    /// The bucket of the live entry at `pos` (0 without matrices).
+    fn of(&self, pos: usize) -> usize {
+        self.members.iter().position(|members| members.test(pos)).unwrap_or(0)
     }
 
     /// Drops the freed position `pos` from its bucket.
     fn leave(&mut self, pos: usize) {
-        let b = self.of[pos] as usize;
-        if let Some(members) = self.members.get_mut(b) {
+        for members in &mut self.members {
             members.clear(pos);
-            self.load[b] -= 1;
         }
     }
 }
@@ -108,9 +106,7 @@ impl RandomQueue {
         RandomQueue {
             slots: SlotArray::new(config.capacity),
             buckets: Buckets {
-                members: (0..total).map(|_| BitSet::new(config.capacity)).collect(),
-                load: vec![0; total.max(1)],
-                of: vec![0; config.capacity],
+                members: vec![BitSet::new(config.capacity); total],
                 groups: [(0, spec.int), (spec.int, spec.mem), (spec.int + spec.mem, spec.fp)],
             },
             age_flip: 0,
@@ -250,7 +246,6 @@ impl IssueQueue for RandomQueue {
         for members in &mut self.buckets.members {
             members.clear_all();
         }
-        self.buckets.load.fill(0);
     }
 
     fn squash_younger(&mut self, seq: u64) {
@@ -263,14 +258,13 @@ impl IssueQueue for RandomQueue {
     }
 
     /// Each live entry's bucket follows its slot record; a freed
-    /// position's bucket is rewritten at its next dispatch before anything
-    /// reads it, so it stays out. The member sets and loads follow from
+    /// position is in no bucket. The member sets and loads follow from
     /// the live buckets, and seqs carry the age order the matrices stand
     /// for.
     fn arch_key(&self, key: &mut ArchKey) {
         self.slots.arch_key(key);
         for pos in bitset::iter_set(self.slots.valid_words()) {
-            key.push(u64::from(self.buckets.of[pos]));
+            key.push_usize(self.buckets.of(pos));
         }
     }
 
@@ -367,12 +361,16 @@ mod tests {
         for seq in 0..6 {
             q.dispatch(req(seq, FuClass::IntAlu)).unwrap();
         }
-        assert_eq!(q.buckets.load[0], 3);
-        assert_eq!(q.buckets.load[1], 3, "INT instructions split across both INT buckets");
+        assert_eq!(q.buckets.members[0].count(), 3);
+        assert_eq!(
+            q.buckets.members[1].count(),
+            3,
+            "INT instructions split across both INT buckets"
+        );
         q.dispatch(req(10, FuClass::LdSt)).unwrap();
         q.dispatch(req(11, FuClass::Fpu)).unwrap();
-        assert_eq!(q.buckets.load[2], 1);
-        assert_eq!(q.buckets.load[3], 1);
+        assert_eq!(q.buckets.members[2].count(), 1);
+        assert_eq!(q.buckets.members[3].count(), 1);
     }
 
     #[test]
@@ -417,7 +415,7 @@ mod tests {
         }
         q.flush();
         assert!(q.is_empty());
-        assert!(q.buckets.load.iter().all(|&l| l == 0));
+        assert!(q.buckets.members.iter().all(BitSet::is_empty));
         q.dispatch(req(9, FuClass::IntAlu)).unwrap();
         let g = q.select(&mut budget(1));
         assert_eq!(g[0].seq, 9);

@@ -20,15 +20,16 @@
 //! Every select scan is [`SlotArray::scan_ready`], and a grant leaves the
 //! array through [`SlotArray::take`].
 //!
-//! Wakeup is *tag-indexed*: at insert, each unresolved source registers its
-//! slot position under its tag in a waiter table, and a broadcast touches
-//! only the registered waiters instead of scanning every slot. Entries can
-//! go stale (the slot issued or was squashed before the tag fired); a
-//! broadcast validates each entry against the live slot before resolving,
-//! which is exactly what the scalar CAM scan it replaces did implicitly.
-//! The table is drained per broadcast, so an entry is visited at most once;
-//! a drained list keeps its capacity, so steady-state wakeup and insert
-//! never touch the allocator.
+//! Wakeup is *tag-indexed*: at insert, each unresolved source links its
+//! node (`2·pos + k` for source `k` of slot `pos`) into its tag's intrusive
+//! doubly-linked waiter chain, and a broadcast walks only that chain
+//! instead of scanning every slot. A chain holds exactly the live
+//! waiters: [`SlotArray::remove`] unlinks the unresolved sources of the
+//! slot it frees, and a broadcast empties the chain it resolves, so no
+//! entry is ever stale. The links are two fixed arrays (a head per tag,
+//! `(prev, next)` per node), so wakeup and insert never touch the
+//! allocator once the head array has grown to the highest tag, and
+//! cloning the array is a few flat copies.
 //!
 //! The scalar reference implementation is retained as
 //! `ScalarSlotArray` behind `#[cfg(test)]`; a differential property test at
@@ -74,6 +75,18 @@ impl Slot {
     }
 }
 
+/// The end of a waiter chain (no node).
+const NIL: u16 = u16::MAX;
+
+/// The waiter-chain node of source `k` of slot `pos`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "pos < BitSet::MAX_CAPACITY, so a node is below 512"
+)]
+fn node(pos: usize, k: usize) -> u16 {
+    (2 * pos + k) as u16
+}
+
 /// A fixed array of [`Slot`]s with CAM-style wakeup.
 #[derive(Debug, Clone)]
 pub struct SlotArray {
@@ -81,10 +94,13 @@ pub struct SlotArray {
     len: usize,
     valid: BitSet,
     ready: BitSet,
-    /// Waiter table: `waiters[tag]` holds the positions whose entry
-    /// registered a source on `tag`, possibly stale (validated at
-    /// broadcast). Grown on demand to the highest tag seen.
-    waiters: Vec<Vec<u32>>,
+    /// `heads[tag]`: the first node of `tag`'s waiter chain, or [`NIL`].
+    /// Grown on demand to the highest tag seen.
+    heads: Vec<u16>,
+    /// `[prev, next]` of each node in its tag's chain ([`NIL`] at either
+    /// end). A node is linked exactly while its slot is valid and its
+    /// source unresolved; otherwise its links are dead.
+    links: Vec<[u16; 2]>,
 }
 
 impl SlotArray {
@@ -92,7 +108,7 @@ impl SlotArray {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is 0.
+    /// Panics if `capacity` is 0 or exceeds [`BitSet::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> SlotArray {
         assert!(capacity > 0, "issue queue needs at least one entry");
         SlotArray {
@@ -100,7 +116,8 @@ impl SlotArray {
             len: 0,
             valid: BitSet::new(capacity),
             ready: BitSet::new(capacity),
-            waiters: Vec::new(),
+            heads: Vec::new(),
+            links: vec![[NIL; 2]; 2 * capacity],
         }
     }
 
@@ -146,12 +163,31 @@ impl SlotArray {
         self.ready.count()
     }
 
-    fn waiter_list(&mut self, tag: Tag) -> &mut Vec<u32> {
-        let idx = tag as usize;
-        if idx >= self.waiters.len() {
-            self.waiters.resize_with(idx + 1, Vec::new);
+    /// Links `node` at the front of `tag`'s waiter chain.
+    fn link(&mut self, node: u16, tag: Tag) {
+        let idx = usize::from(tag);
+        if idx >= self.heads.len() {
+            self.heads.resize(idx + 1, NIL);
         }
-        &mut self.waiters[idx]
+        let next = self.heads[idx];
+        self.links[usize::from(node)] = [NIL, next];
+        if next != NIL {
+            self.links[usize::from(next)][0] = node;
+        }
+        self.heads[idx] = node;
+    }
+
+    /// Unlinks `node` from `tag`'s waiter chain.
+    fn unlink(&mut self, node: u16, tag: Tag) {
+        let [prev, next] = self.links[usize::from(node)];
+        if prev == NIL {
+            self.heads[usize::from(tag)] = next;
+        } else {
+            self.links[usize::from(prev)][1] = next;
+        }
+        if next != NIL {
+            self.links[usize::from(next)][0] = prev;
+        }
     }
 
     /// Writes `req` into slot `pos`.
@@ -159,10 +195,6 @@ impl SlotArray {
     /// # Panics
     ///
     /// Panics if the slot is already valid (the caller tracks free slots).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "pos indexes the slots, and queue capacities are far below 2^32"
-    )]
     pub fn insert(&mut self, pos: usize, req: DispatchReq) {
         let slot = &mut self.slots[pos];
         assert!(!slot.valid, "dispatch into an occupied slot {pos}");
@@ -177,12 +209,16 @@ impl SlotArray {
         self.len += 1;
         self.valid.set(pos);
         self.ready.assign(pos, req.srcs[0].is_none() && req.srcs[1].is_none());
-        for src in req.srcs.into_iter().flatten() {
-            self.waiter_list(src).push(pos as u32);
+        for (k, src) in req.srcs.into_iter().enumerate() {
+            if let Some(tag) = src {
+                self.link(node(pos, k), tag);
+            }
         }
     }
 
-    /// Invalidates slot `pos` (on issue or flush).
+    /// Invalidates slot `pos` (on issue or squash), unlinking its
+    /// unresolved sources from their waiter chains. The record keeps its
+    /// fields: a stale record is part of the state key.
     ///
     /// # Panics
     ///
@@ -191,11 +227,15 @@ impl SlotArray {
         let slot = &mut self.slots[pos];
         assert!(slot.valid, "remove of an empty slot {pos}");
         slot.valid = false;
+        let srcs = slot.srcs;
         self.len -= 1;
         self.valid.clear(pos);
         self.ready.clear(pos);
-        // Waiter entries, if any remain, go stale and are discarded at the
-        // tag's next broadcast.
+        for (k, src) in srcs.into_iter().enumerate() {
+            if let Some(tag) = src {
+                self.unlink(node(pos, k), tag);
+            }
+        }
     }
 
     /// The grant of slot `pos` at priority `rank`, removing the slot.
@@ -247,38 +287,24 @@ impl SlotArray {
 
     /// Broadcasts `tag` to every entry, resolving matching sources.
     ///
-    /// Tag-indexed: only the slots that registered a source on `tag` are
-    /// touched. Stale registrations (slot issued, squashed, or reused
-    /// since) are validated against the live slot and skipped — a reused
-    /// slot that happens to wait on `tag` again has its own registration
-    /// in the drained list, so nothing is missed.
+    /// Tag-indexed: only the nodes in `tag`'s waiter chain are touched,
+    /// and every one of them is a live source on `tag`. Resolving a
+    /// source unlinks its node, so the whole chain is emptied at once.
     pub fn wakeup(&mut self, tag: Tag) {
-        let idx = tag as usize;
-        if idx >= self.waiters.len() {
+        let Some(head) = self.heads.get_mut(usize::from(tag)) else {
             return;
-        }
-        // Iterated in place and cleared, so the list keeps its capacity for
-        // the tag's next registrations (the slot and plane borrows are
-        // disjoint from the waiter table).
-        let list = &mut self.waiters[idx];
-        for &pos in list.iter() {
-            let pos = pos as usize;
+        };
+        let mut at = std::mem::replace(head, NIL);
+        while at != NIL {
+            let (pos, k) = (usize::from(at / 2), usize::from(at % 2));
+            at = self.links[usize::from(at)][1];
             let slot = &mut self.slots[pos];
-            if !slot.valid {
-                continue;
-            }
-            let mut resolved = false;
-            for src in &mut slot.srcs {
-                if *src == Some(tag) {
-                    *src = None;
-                    resolved = true;
-                }
-            }
-            if resolved && slot.srcs[0].is_none() && slot.srcs[1].is_none() {
+            debug_assert!(slot.valid && slot.srcs[k] == Some(tag), "stale waiter {pos}.{k}");
+            slot.srcs[k] = None;
+            if slot.srcs[0].is_none() && slot.srcs[1].is_none() {
                 self.ready.set(pos);
             }
         }
-        list.clear();
     }
 
     /// Clears every slot.
@@ -289,14 +315,12 @@ impl SlotArray {
         self.len = 0;
         self.valid.clear_all();
         self.ready.clear_all();
-        for list in &mut self.waiters {
-            list.clear();
-        }
+        self.heads.fill(NIL);
     }
 
     /// Writes every slot record (stale ones included), the occupancy and
-    /// the two bit planes into `key`; the waiter table is layout, not
-    /// state (its live content is determined by the slot sources).
+    /// the two bit planes into `key`; the waiter chains are layout, not
+    /// state (their content is determined by the live slots' sources).
     pub fn arch_key(&self, key: &mut ArchKey) {
         for slot in &self.slots {
             key.push_bool(slot.valid);
@@ -490,16 +514,34 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_drains_the_waiter_list_and_keeps_its_capacity() {
+    fn squashing_a_middle_waiter_keeps_both_chain_neighbours_awake() {
+        let mut a = SlotArray::new(4);
+        for pos in 0..3 {
+            a.insert(pos, req(pos as u64 + 1, [Some(5), None]));
+        }
+        // The middle waiter of tag 5's chain leaves, and its slot is
+        // reused for a waiter on tag 6.
+        a.remove(1);
+        a.insert(1, req(4, [Some(6), None]));
+        a.wakeup(5);
+        assert!(a.get(0).ready() && a.get(2).ready(), "both survivors wake");
+        assert!(!a.get(1).ready(), "the reused slot waits on tag 6 only");
+        a.wakeup(6);
+        assert!(a.get(1).ready());
+    }
+
+    #[test]
+    fn wakeup_empties_the_chain_and_resolves_a_doubled_source() {
         let mut a = SlotArray::new(4);
         a.insert(0, req(1, [Some(3), None]));
         a.insert(1, req(2, [Some(3), Some(3)]));
-        let cap = a.waiters[3].capacity();
-        assert!(cap >= 3);
         a.wakeup(3);
-        assert!(a.waiters[3].is_empty(), "a broadcast drains its waiter list");
-        assert_eq!(a.waiters[3].capacity(), cap, "the drained list keeps its buffer");
         assert!(a.get(0).ready() && a.get(1).ready());
+        assert_eq!(a.heads[3], NIL, "a broadcast empties its chain");
+        a.remove(0);
+        a.insert(0, req(3, [Some(3), None]));
+        a.wakeup(3);
+        assert!(a.get(0).ready(), "the emptied chain links a new waiter");
     }
 
     #[test]

@@ -175,10 +175,9 @@ fn renamer(live: &[u64]) -> impl Fn(u64) -> u64 + '_ {
 
 /// `q`'s key words under the renaming of its live list.
 fn key_words(q: &dyn IssueQueue, live: &[u64]) -> Vec<u64> {
-    let rename = renamer(live);
-    let mut key = ArchKey::new(&rename);
-    q.arch_key(&mut key);
-    key.words().to_vec()
+    let (rename, mut words) = (renamer(live), Vec::new());
+    q.arch_key(&mut ArchKey::new(&mut words, &rename));
+    words
 }
 
 fn dispatch_ready(q: &mut Box<dyn IssueQueue>, seq: u64) {
@@ -329,10 +328,9 @@ fn arch_key_renames_stale_seqs_to_the_marker() {
 #[test]
 fn controller_key_tracks_threshold_and_instability() {
     let words = |c: &SwqueController| {
-        let no_seqs = |seq| seq;
-        let mut key = ArchKey::new(&no_seqs);
-        c.arch_key(&mut key);
-        key.words().to_vec()
+        let (no_seqs, mut words) = (|seq| seq, Vec::new());
+        c.arch_key(&mut ArchKey::new(&mut words, &no_seqs));
+        words
     };
     let unstable = IntervalMetrics { mpki: 0.0, flpi: 0.05 };
     let calm = IntervalMetrics { mpki: 0.0, flpi: 0.0 };

@@ -181,12 +181,11 @@ impl Harness for CtrlHarness {
         }
     }
 
-    fn state_key(&self) -> u64 {
+    fn state_key(&self, words: &mut Vec<u64>) {
         let no_seqs = |seq| seq;
-        let mut key = ArchKey::new(&no_seqs);
+        let mut key = ArchKey::new(words, &no_seqs);
         self.controller.arch_key(&mut key);
         key.push(u64::from(self.shadow_instability));
-        key.digest()
     }
 }
 

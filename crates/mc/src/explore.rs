@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use swque_core::digest::key_digest;
 use swque_core::replay::Event;
 
 use crate::harness::Violation;
@@ -19,9 +20,26 @@ pub trait Harness: Clone {
     fn enabled_events(&self) -> Vec<Event>;
     /// Applies one event, checking every property along the way.
     fn apply(&mut self, event: Event) -> Result<(), Violation>;
-    /// Canonical dedup key of the current state: a digest of its typed
-    /// architectural key (DESIGN.md §12.2).
-    fn state_key(&self) -> u64;
+    /// Writes the canonical dedup key of the current state into `words`
+    /// (cleared first): its typed architectural key (DESIGN.md §12.2).
+    /// The explorer deduplicates by the key's [`key_digest`].
+    fn state_key(&self, words: &mut Vec<u64>);
+}
+
+/// The arena index standing for the root state, which has no link.
+const ROOT: usize = usize::MAX;
+
+/// The events that lead from the root to `node`, read back through the
+/// `(parent, event)` links of the arena.
+fn path_to(links: &[(usize, Event)], mut node: usize) -> Vec<Event> {
+    let mut events = Vec::new();
+    while node != ROOT {
+        let (parent, event) = links[node];
+        events.push(event);
+        node = parent;
+    }
+    events.reverse();
+    events
 }
 
 /// A property violation found during exploration, with the event path
@@ -65,27 +83,34 @@ impl RunOutcome {
 /// run) but not expanded; they are tallied in
 /// [`frontier`](RunOutcome::frontier) if unvisited, so `frontier == 0`
 /// certifies exhaustion rather than merely "we stopped looking".
+///
+/// A state's path is not stored with it: every expanded state keeps one
+/// `(parent, event)` link in an arena, and only a violation reads its
+/// path back. One key buffer serves every state.
 pub fn explore<H: Harness>(root: &H, depth: u64) -> RunOutcome {
+    let mut words = Vec::new();
     let mut visited = BTreeSet::new();
-    visited.insert(root.state_key());
-    let mut level: Vec<(H, Vec<Event>)> = vec![(root.clone(), Vec::new())];
+    root.state_key(&mut words);
+    visited.insert(key_digest(&words));
+    let mut links: Vec<(usize, Event)> = Vec::new();
+    let mut level: Vec<(H, usize)> = vec![(root.clone(), ROOT)];
     let mut outcome = RunOutcome { states: 1, deepest: 0, frontier: 0, violation: None };
 
     for current_depth in 0..=depth {
         let expanding = std::mem::take(&mut level);
         let at_bound = current_depth == depth;
-        for (state, path) in &expanding {
+        for (state, node) in &expanding {
             for event in state.enabled_events() {
                 let mut next = state.clone();
                 if let Err(v) = next.apply(event) {
-                    let mut events = path.clone();
+                    let mut events = path_to(&links, *node);
                     events.push(event);
                     outcome.violation =
                         Some(FoundViolation { property: v.property, detail: v.detail, events });
                     return outcome;
                 }
-                let key = next.state_key();
-                if !visited.insert(key) {
+                next.state_key(&mut words);
+                if !visited.insert(key_digest(&words)) {
                     continue;
                 }
                 if at_bound {
@@ -94,9 +119,8 @@ pub fn explore<H: Harness>(root: &H, depth: u64) -> RunOutcome {
                 }
                 outcome.states += 1;
                 outcome.deepest = current_depth + 1;
-                let mut events = path.clone();
-                events.push(event);
-                level.push((next, events));
+                links.push((*node, event));
+                level.push((next, links.len() - 1));
             }
         }
         if level.is_empty() && !at_bound {
@@ -182,8 +206,9 @@ mod tests {
             }
         }
 
-        fn state_key(&self) -> u64 {
-            self.value
+        fn state_key(&self, words: &mut Vec<u64>) {
+            words.clear();
+            words.push(self.value);
         }
     }
 

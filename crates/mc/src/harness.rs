@@ -26,7 +26,7 @@
 use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
 use swque_core::replay::Event;
 use swque_core::{
-    ArchKey, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue,
+    ArchKey, BitSet, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue,
     RandomQueue, ShiftQueue, Tag,
 };
 use swque_isa::FuClass;
@@ -41,6 +41,10 @@ pub const SEQ_BASE: u64 = 1000;
 
 /// What a stale seq (left in an invalidated slot) is renamed to.
 const STALE_SEQ: u64 = u64::MAX;
+
+/// Room the idle probe reserves per key: a capacity-3 SWQUE key is ~110
+/// words, so the probe's two keys are written without regrowth.
+const PROBE_KEY_WORDS: usize = 128;
 
 /// `--inject` name for [`Injection::CircPcNoCorrect`].
 pub const INJECT_CIRC_PC_NO_CORRECT: &str = "circ-pc-no-correct";
@@ -197,16 +201,17 @@ fn free_list(kind: IqKind) -> bool {
 impl QueueHarness {
     /// Builds a harness for `kind` at the given small scope.
     ///
-    /// Fails on nonsensical combinations (capacity < 2, zero width, or an
-    /// injection that does not apply to `kind`).
+    /// Fails on nonsensical combinations (capacity < 2 or past
+    /// [`BitSet::MAX_CAPACITY`], zero width, or an injection that does not
+    /// apply to `kind`).
     pub fn new(
         kind: IqKind,
         capacity: usize,
         width: usize,
         inject: Option<Injection>,
     ) -> Result<QueueHarness, String> {
-        if capacity < 2 {
-            return Err(format!("capacity must be at least 2, got {capacity}"));
+        if !(2..=BitSet::MAX_CAPACITY).contains(&capacity) {
+            return Err(format!("capacity must be 2 to {}, got {capacity}", BitSet::MAX_CAPACITY));
         }
         if width == 0 {
             return Err("issue width must be at least 1".to_string());
@@ -351,18 +356,21 @@ impl QueueHarness {
     /// `idle_tick(n)` must be observably identical to `n` empty selects
     /// — architectural state (the exact key words, which leave out reused
     /// scratch allocations) *and* statistics — and those empty selects
-    /// must grant nothing. Pure probe on clones.
+    /// must grant nothing. Pure probe on clones: one fork selects once
+    /// and is compared with `idle_tick(1)`, then twice more and is
+    /// compared with `idle_tick(3)`.
     fn idle_probe(&self) -> Result<(), Violation> {
         if self.queue.has_ready() {
             return Ok(());
         }
         let rename = |seq| self.rename(seq);
-        let (mut key_ticked, mut key_selected) = (ArchKey::new(&rename), ArchKey::new(&rename));
-        for n in [1u64, 3] {
+        let mut words_ticked = Vec::with_capacity(PROBE_KEY_WORDS);
+        let mut words_selected = Vec::with_capacity(PROBE_KEY_WORDS);
+        let mut selected = self.queue.clone();
+        for (n, selects) in [(1u64, 1), (3, 2)] {
             let mut ticked = self.queue.clone();
             ticked.idle_tick(CycleDelta::new(n));
-            let mut selected = self.queue.clone();
-            for _ in 0..n {
+            for _ in 0..selects {
                 let mut budget = IssueBudget::new(self.width, [self.width; 4]);
                 let grants = selected.select(&mut budget);
                 if !grants.is_empty() {
@@ -372,11 +380,9 @@ impl QueueHarness {
                     ));
                 }
             }
-            key_ticked.clear();
-            ticked.arch_key(&mut key_ticked);
-            key_selected.clear();
-            selected.arch_key(&mut key_selected);
-            if key_ticked.words() != key_selected.words() {
+            ticked.arch_key(&mut ArchKey::new(&mut words_ticked, &rename));
+            selected.arch_key(&mut ArchKey::new(&mut words_selected, &rename));
+            if words_ticked != words_selected {
                 return Err(Violation::new(
                     "idle-equivalence",
                     format!("idle_tick({n}) architecturally diverges from {n} empty selects"),
@@ -729,9 +735,9 @@ impl Harness for QueueHarness {
         self.idle_probe()
     }
 
-    fn state_key(&self) -> u64 {
+    fn state_key(&self, words: &mut Vec<u64>) {
         let rename = |seq| self.rename(seq);
-        let mut key = ArchKey::new(&rename);
+        let mut key = ArchKey::new(words, &rename);
         self.queue.arch_key(&mut key);
         // The shadow, by rank: its seqs are implied by the renaming.
         key.push_usize(self.entries.len());
@@ -743,7 +749,6 @@ impl Harness for QueueHarness {
         }
         key.push_opt(self.pending_switch.map(|mode| mode as u16));
         key.push_bool(self.granted_since_interval);
-        key.digest()
     }
 }
 
@@ -777,6 +782,15 @@ mod tests {
             QueueHarness::new(IqKind::AgeMulti, 4, 2, Some(Injection::AgeYoungestFirst)).is_ok()
         );
         assert!(QueueHarness::new(IqKind::Rand, 3, 2, Some(Injection::ShiftPositionOrder)).is_err());
+    }
+
+    #[test]
+    fn capacities_outside_the_bit_planes_are_rejected() {
+        for capacity in [1, BitSet::MAX_CAPACITY + 1] {
+            let err = QueueHarness::new(IqKind::Age, capacity, 2, None).unwrap_err();
+            assert_eq!(err, format!("capacity must be 2 to 256, got {capacity}"));
+        }
+        assert!(QueueHarness::new(IqKind::Age, BitSet::MAX_CAPACITY, 2, None).is_ok());
     }
 
     #[test]
@@ -821,7 +835,10 @@ mod tests {
         b.apply(Event::Select { width: 1 }).unwrap();
         b.apply(Event::Select { width: 1 }).unwrap();
         b.apply(Event::Dispatch { srcs: [Some(0), None] }).unwrap();
-        assert_eq!(a.state_key(), b.state_key());
+        let (mut ka, mut kb) = (Vec::new(), Vec::new());
+        a.state_key(&mut ka);
+        b.state_key(&mut kb);
+        assert_eq!(ka, kb);
     }
 
     #[test]

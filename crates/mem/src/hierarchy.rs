@@ -11,8 +11,6 @@
 //! single-core model: the arbiter degenerates to first-come packing and
 //! every contention counter stays zero.
 
-use std::collections::BTreeMap;
-
 use swque_core::cycle::{CycleDelta, CycleStamp};
 use swque_core::WakeHorizon;
 use swque_trace::{TraceEvent, TraceHandle};
@@ -67,20 +65,60 @@ struct RequesterMem {
     mshr_stall_cycles: u64,
 }
 
+/// Line address → completion, as a `Vec` sorted by line: a lookup is a
+/// binary search, and the map grows in place instead of allocating a tree
+/// node per fill. It is ordered because the determinism contract
+/// (DESIGN.md §8) bans hash-order iteration on the simulated path.
+#[derive(Debug, Default)]
+struct LineMap(Vec<(u64, Completion)>);
+
+impl LineMap {
+    fn find(&self, line: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&line, |&(l, _)| l)
+    }
+
+    fn get(&self, line: u64) -> Option<Completion> {
+        self.find(line).ok().map(|i| self.0[i].1)
+    }
+
+    /// Maps `line` to `done`, returning the completion it replaces.
+    fn insert(&mut self, line: u64, done: Completion) -> Option<Completion> {
+        match self.find(line) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, done)),
+            Err(i) => {
+                self.0.insert(i, (line, done));
+                None
+            }
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Completion) -> bool) {
+        self.0.retain(|(_, done)| keep(done));
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The completions in line order.
+    #[cfg(test)]
+    fn values(&self) -> impl Iterator<Item = &Completion> {
+        self.0.iter().map(|(_, done)| done)
+    }
+}
+
 /// In-flight fills: line address → completion, indexed both ways.
 ///
 /// `by_done` holds `by_line`'s completions as a sorted multiset, so the
 /// questions the idle and quota paths ask (the earliest completion after a
 /// cycle, how many fills are still busy at it) are binary searches instead
-/// of scans of every remembered fill. A sorted `Vec` rather than a counted
-/// `BTreeMap`: the maps stay small (the purge thresholds bound the past
-/// fills), fills mostly complete in launch order so inserts land near the
-/// end, and a purge is one `drain` with no allocation. The line map is
-/// ordered because the determinism contract (DESIGN.md §8) bans hash-order
-/// iteration on the simulated path.
+/// of scans of every remembered fill. Both are sorted `Vec`s rather than
+/// B-trees: the maps stay small (the purge thresholds bound the past
+/// fills), fills mostly complete in launch order so `by_done` inserts land
+/// near the end, and a purge compacts both in place with no allocation.
 #[derive(Debug)]
 struct InFlight {
-    by_line: BTreeMap<u64, Completion>,
+    by_line: LineMap,
     by_done: Vec<Completion>,
     /// `purge` forgets past fills only once `by_line` holds more than this.
     purge_above: usize,
@@ -88,11 +126,11 @@ struct InFlight {
 
 impl InFlight {
     fn new(purge_above: usize) -> InFlight {
-        InFlight { by_line: BTreeMap::new(), by_done: Vec::new(), purge_above }
+        InFlight { by_line: LineMap::default(), by_done: Vec::new(), purge_above }
     }
 
     fn get(&self, line: u64) -> Option<Completion> {
-        self.by_line.get(&line).copied()
+        self.by_line.get(line)
     }
 
     /// Records `line`'s fill, replacing (and forgetting) any earlier one.
@@ -112,7 +150,7 @@ impl InFlight {
     /// the timing model, not just housekeeping.
     fn purge(&mut self, now: CycleStamp) {
         if self.by_line.len() > self.purge_above {
-            self.by_line.retain(|_, done| done.stamp() > now);
+            self.by_line.retain(|done| done.stamp() > now);
             let past = self.first_after(now);
             self.by_done.drain(..past);
         }

@@ -318,13 +318,20 @@ echo "== mc: swque-mc --smoke (bounded exhaustive check, every kind + controller
 ./target/release/swque-mc --smoke --json > "$json_tmp/mc-smoke.json"
 ./target/release/check_json "$json_tmp/mc-smoke.json"
 
-echo "== mc: SWQUE and SWQUE-multiAM at capacity 3 (96,177 states each)"
-# The two scopes --smoke leaves out (the benchmark's mc_explore workload
-# mirrors --smoke, so it stays as it is); each must close clean.
-for kind in SWQUE SWQUE-multiAM; do
-    ./target/release/swque-mc --kind "$kind" --capacity 3 --json > "$json_tmp/mc-$kind-3.json"
-    ./target/release/check_json "$json_tmp/mc-$kind-3.json"
-done
+echo "== mc: swque-mc default matrix (29 scopes, 418,033 states)"
+# The full matrix adds what --smoke leaves out (the benchmark's mc_explore
+# workload mirrors --smoke, so it stays as it is): every non-SWQUE kind at
+# capacity 4 and the SWQUE pair at capacity 3. Every scope must close
+# clean, and the total pins the partition of the scopes closure_pins.rs
+# does not cover.
+./target/release/swque-mc --json > "$json_tmp/mc-full.json"
+./target/release/check_json "$json_tmp/mc-full.json"
+mc_total="$(grep -o '"states":[0-9]*' "$json_tmp/mc-full.json" | awk -F: '{n += $2} END {print n}')"
+echo "swque-mc default matrix: $mc_total states"
+[ "$mc_total" = 418033 ] || {
+    echo "error: the default matrix explored $mc_total states, not 418033" >&2
+    exit 1
+}
 
 echo "== mc: negative injections (planted bugs must be caught, minimized, replayable)"
 # Each injection plants a real bug (the priority-correction pass removed;

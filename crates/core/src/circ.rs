@@ -26,7 +26,7 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 /// The circular allocator CIRC, CIRC-PPRI and CIRC-PC share: the slots and
 /// the region of positions `head, head + 1, …` (mod capacity) allocated in
 /// dispatch order — live entries and the holes issued entries left.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Ring {
     pub(crate) slots: SlotArray,
     /// Position of the oldest allocated entry.
@@ -34,6 +34,8 @@ pub(crate) struct Ring {
     /// Number of positions in the allocated region (live entries + holes).
     region: usize,
 }
+
+clone_in_place!(Ring { slots, head, region });
 
 impl Ring {
     pub(crate) fn new(config: &IqConfig) -> Ring {
@@ -149,7 +151,7 @@ impl Ring {
 }
 
 /// A circular issue queue (CIRC or CIRC-PPRI).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CircQueue {
     ring: Ring,
     /// True = CIRC-PPRI (select in age order even under wrap-around).
@@ -157,6 +159,8 @@ pub struct CircQueue {
     grants: GrantBuf,
     ledger: Ledger,
 }
+
+clone_in_place!(CircQueue { ring, perfect, ledger } scratch { grants });
 
 impl CircQueue {
     /// Creates a conventional CIRC queue (position priority).
@@ -258,10 +262,6 @@ impl IssueQueue for CircQueue {
 
     fn arch_key(&self, key: &mut ArchKey) {
         self.ring.arch_key(key);
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 }
 

@@ -54,7 +54,7 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 /// let g = q.select(&mut IssueBudget::new(2, [2, 0, 0, 0]));
 /// assert!(g.iter().any(|g| g.seq == 2 && g.two_cycle));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CircPcQueue {
     ring: Ring,
     /// The reverse flag of each entry slice: set at dispatch iff
@@ -76,6 +76,10 @@ pub struct CircPcQueue {
     grants: GrantBuf,
     ledger: Ledger,
 }
+
+clone_in_place!(CircPcQueue {
+    ring, reverse, pending_rv, pending, issue_width, correct, ledger
+} scratch { grants });
 
 impl CircPcQueue {
     /// Creates an empty CIRC-PC queue.
@@ -255,10 +259,6 @@ impl IssueQueue for CircPcQueue {
         for &pos in &self.pending {
             key.push_usize(pos);
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 }
 

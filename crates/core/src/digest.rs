@@ -12,7 +12,7 @@
 //! *architectural* state (see
 //! [`IssueQueue::arch_key`](crate::IssueQueue::arch_key)), with sequence
 //! numbers passed through a renaming function the caller supplies.
-//! [`key_digest`] hashes such a key a word at a time.
+//! [`key_digest`] hashes such a key a word at a time, in four lanes.
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -41,19 +41,39 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The 64-bit digest of a key's words: each word is folded in as
-/// `h ← mix(rotl(h, 23) ^ w)`, then the length as one more word.
+/// One digest step: folds `w` into `h` as `mix(rotl(h, 23) ^ w)`, a
+/// bijection of `h` for a fixed word and of the word for a fixed `h`.
+fn step(h: u64, w: u64) -> u64 {
+    mix(h.rotate_left(23) ^ w)
+}
+
+/// The seed of the lanes and of the final fold.
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 64-bit digest of a key's words. Four lanes take the words of each
+/// whole group of four, word `i` into lane `i mod 4` by the step
+/// `h ← mix(rotl(h, 23) ^ w)`, so the four chains run side by side; then
+/// one chain folds in the four lanes, the tail words (past the last whole
+/// group) and the length by the same step, in that order.
 ///
-/// Every step is a bijection of `h` for a fixed word and of the word for
-/// a fixed `h`, so two keys of equal length that differ in exactly one
-/// word never share a digest: the steps before that word agree, the step
-/// at it maps equal `h` through different words to different values, and
-/// every later step (and the length fold) maps different values to
-/// different values. Keys that differ in several words can collide, with
-/// the chance of a good 64-bit hash (DESIGN.md §12.2).
+/// Two keys of equal length that differ in exactly one word never share
+/// a digest. If the word is in a whole group, only its lane sees it: the
+/// lane's steps before it agree, the step at it maps equal `h` through
+/// different words to different values, and every later step of the lane
+/// maps different values to different values, so exactly one lane ends
+/// different. The final chain then folds equal values up to that lane,
+/// different values at it, and is a bijection of `h` from there on (the
+/// other lanes, the tail and the length are equal). A tail word is the
+/// same argument on the final chain alone. Keys that differ in several
+/// words can collide, with the chance of a good 64-bit hash (DESIGN.md
+/// §12.2).
 pub fn key_digest(words: &[u64]) -> u64 {
-    let h = words.iter().fold(0x9e37_79b9_7f4a_7c15, |h: u64, &w| mix(h.rotate_left(23) ^ w));
-    mix(h.rotate_left(23) ^ words.len() as u64)
+    let (groups, tail) = words.as_chunks::<4>();
+    let lanes = groups.iter().fold([SEED; 4], |[a, b, c, d], [w, x, y, z]| {
+        [step(a, *w), step(b, *x), step(c, *y), step(d, *z)]
+    });
+    let h = lanes.into_iter().chain(tail.iter().copied()).fold(SEED, step);
+    step(h, words.len() as u64)
 }
 
 /// A typed architectural state key: the words a queue (or the mode
@@ -177,18 +197,24 @@ mod tests {
 
     #[test]
     fn keys_differing_in_one_word_never_share_a_digest() {
-        check(512, |g| {
-            let words: Vec<u64> = (0..g.gen_range(1usize..40)).map(|_| g.u64()).collect();
-            let at = g.gen_range(0..words.len());
-            // A flip confined to the high or the low half, or anywhere.
-            let flip = match g.gen_range(0u32..3) {
-                0 => g.u64() << 32 | 1 << 32,
-                1 => g.u64() >> 32 | 1,
-                _ => g.u64() | 1,
-            };
-            let mut other = words.clone();
-            other[at] ^= flip;
-            assert_ne!(key_digest(&words), key_digest(&other), "word {at} ^ {flip:#x}");
+        // Lengths 1..=67 put a flipped word in every lane of a whole group
+        // and in every tail position, after up to sixteen groups.
+        check(8, |g| {
+            for len in 1..=67 {
+                let words: Vec<u64> = (0..len).map(|_| g.u64()).collect();
+                for at in 0..len {
+                    // A flip confined to the high or the low half, or anywhere.
+                    for flip in [g.u64() << 32 | 1 << 32, g.u64() >> 32 | 1, g.u64() | 1] {
+                        let mut other = words.clone();
+                        other[at] ^= flip;
+                        assert_ne!(
+                            key_digest(&words),
+                            key_digest(&other),
+                            "length {len}, word {at} ^ {flip:#x}"
+                        );
+                    }
+                }
+            }
         });
     }
 
@@ -202,6 +228,7 @@ mod tests {
         assert_eq!(key.digest(), key_digest(&[0x0102_0304_0506_0708, 1]));
         assert_eq!(ArchKey::new(&mut words, &identity).digest(), key_digest(&[]), "new empties");
         assert_ne!(key_digest(&[]), key_digest(&[0]), "a zero word still counts");
+        assert_ne!(key_digest(&[0; 4]), key_digest(&[0; 5]), "so does a zero tail word");
     }
 
     #[test]

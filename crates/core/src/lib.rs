@@ -57,6 +57,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements `Clone` for a queue-layer struct field by field: `clone`
+/// clones each state field and starts each scratch field empty
+/// (`Default`), and `clone_from` copies each state field in place through
+/// the field's own `clone_from` (a `Vec` keeps its allocation) and leaves
+/// the scratch fields as they are. Both destructure the struct with no
+/// `..`, so a field missing from the lists fails to compile instead of
+/// forking stale state.
+macro_rules! clone_in_place {
+    ($ty:ident { $($field:ident),* } $(scratch { $($scratch:ident),* })?) => {
+        impl Clone for $ty {
+            fn clone(&self) -> $ty {
+                let $ty { $($field,)* $($($scratch: _,)*)? } = self;
+                $ty { $($field: $field.clone(),)* $($($scratch: Default::default(),)*)? }
+            }
+
+            fn clone_from(&mut self, src: &$ty) {
+                let $ty { $($field,)* $($($scratch: _,)*)? } = src;
+                $(self.$field.clone_from($field);)*
+            }
+        }
+    };
+}
+
 pub mod bitset;
 mod circ;
 mod circ_pc;
@@ -80,7 +103,7 @@ pub use circ_pc::CircPcQueue;
 pub use controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
 pub use digest::{fnv1a64, ArchKey};
 pub use horizon::{min_horizon, WakeHorizon};
-pub use queue::{BucketSpec, IqConfig, IqKind, IssueQueue};
+pub use queue::{BucketSpec, IqConfig, IqKind, IssueQueue, QueueFork};
 pub use random_queue::RandomQueue;
 pub use rearrange::RearrangingQueue;
 pub use shift::ShiftQueue;

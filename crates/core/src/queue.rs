@@ -1,5 +1,6 @@
 //! The [`IssueQueue`] trait and queue construction.
 
+use std::any::Any;
 use std::fmt;
 
 use swque_trace::TraceHandle;
@@ -206,10 +207,10 @@ impl fmt::Display for IqKind {
 /// horizon), so `WakeHorizon` is not a supertrait.
 ///
 /// For the `swque-mc` model checker (DESIGN.md §12) every organization
-/// also forks ([`clone_box`](IssueQueue::clone_box)) and states its
-/// identity as typed words ([`arch_key`](IssueQueue::arch_key)): the
-/// architectural state only, with sequence numbers renamed by the caller.
-pub trait IssueQueue: fmt::Debug {
+/// also forks ([`QueueFork`]) and states its identity as typed words
+/// ([`arch_key`](IssueQueue::arch_key)): the architectural state only,
+/// with sequence numbers renamed by the caller.
+pub trait IssueQueue: fmt::Debug + Any + QueueFork {
     /// The paper's name for this organization.
     fn name(&self) -> &'static str;
 
@@ -340,17 +341,44 @@ pub trait IssueQueue: fmt::Debug {
     /// bucket membership from the slot records), and put a length prefix
     /// before every variable-length part.
     fn arch_key(&self, key: &mut ArchKey);
+}
 
-    /// Clones this queue behind a fresh box. This is the model checker's
-    /// state-fork primitive: trait objects cannot derive [`Clone`], so
-    /// every organization provides the boxed clone explicitly (and
-    /// `Box<dyn IssueQueue>` implements `Clone` through it).
+/// The model checker's state-fork primitives. Trait objects cannot derive
+/// [`Clone`], so one blanket impl gives every `Clone` queue both (and
+/// `Box<dyn IssueQueue>` implements `Clone` through them).
+pub trait QueueFork {
+    /// Clones this queue behind a fresh box.
     fn clone_box(&self) -> Box<dyn IssueQueue>;
+
+    /// Makes `dst` a copy of this queue. A `dst` of the same type is
+    /// overwritten in place through [`Clone::clone_from`], which reuses
+    /// its buffers, so forking into a queue of the same kind and capacity
+    /// allocates only where a buffer must grow; any other `dst` is
+    /// replaced by [`clone_box`](QueueFork::clone_box).
+    fn clone_into(&self, dst: &mut Box<dyn IssueQueue>);
+}
+
+impl<Q: IssueQueue + Clone> QueueFork for Q {
+    fn clone_box(&self) -> Box<dyn IssueQueue> {
+        Box::new(self.clone())
+    }
+
+    fn clone_into(&self, dst: &mut Box<dyn IssueQueue>) {
+        let same: &mut dyn Any = &mut **dst;
+        match same.downcast_mut::<Q>() {
+            Some(same) => same.clone_from(self),
+            None => *dst = self.clone_box(),
+        }
+    }
 }
 
 impl Clone for Box<dyn IssueQueue> {
     fn clone(&self) -> Box<dyn IssueQueue> {
         self.clone_box()
+    }
+
+    fn clone_from(&mut self, src: &Box<dyn IssueQueue>) {
+        QueueFork::clone_into(&**src, self);
     }
 }
 

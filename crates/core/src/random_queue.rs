@@ -33,7 +33,7 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// A free-list queue: RAND (no matrices), AGE (one matrix), or AGE-multiAM
 /// (one matrix per bucket).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RandomQueue {
     slots: SlotArray,
     buckets: Buckets,
@@ -45,9 +45,11 @@ pub struct RandomQueue {
     ledger: Ledger,
 }
 
+clone_in_place!(RandomQueue { slots, buckets, age_flip, name, ledger } scratch { grants });
+
 /// The age-matrix buckets. A bucket's load is its member count, and a
 /// live entry's bucket is the one set holding its position.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Buckets {
     /// The members of each bucket; empty for RAND.
     members: Vec<BitSet>,
@@ -55,6 +57,8 @@ struct Buckets {
     /// `(first, count)`.
     groups: [(u8, u8); 3],
 }
+
+clone_in_place!(Buckets { members, groups });
 
 fn group_of(fu: FuClass) -> usize {
     match fu {
@@ -266,10 +270,6 @@ impl IssueQueue for RandomQueue {
         for pos in bitset::iter_set(self.slots.valid_words()) {
             key.push_usize(self.buckets.of(pos));
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 }
 

@@ -29,7 +29,7 @@ use crate::stats::{IqStats, Ledger};
 use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 
 /// The rearranging random queue (extension; see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RearrangingQueue {
     slots: SlotArray,
     /// Old-queue membership: `(seq, pos)` kept sorted by seq (age order).
@@ -53,6 +53,10 @@ pub struct RearrangingQueue {
     grants: GrantBuf,
     ledger: Ledger,
 }
+
+clone_in_place!(RearrangingQueue {
+    slots, old, old_mask, main, old_capacity, move_width, ledger
+} scratch { old_scratch, grants });
 
 impl RearrangingQueue {
     /// Default old-queue size (Sakai et al. use a small fraction of the
@@ -257,10 +261,6 @@ impl IssueQueue for RearrangingQueue {
             key.push_usize(pos);
         }
         self.old_mask.arch_key(key);
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 }
 

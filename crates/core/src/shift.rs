@@ -32,7 +32,7 @@ use crate::types::{DispatchReq, Grant, GrantBuf, IqFullError, IssueBudget, Tag};
 /// let grants = q.select(&mut IssueBudget::new(2, [2, 1, 1, 1]));
 /// assert_eq!(grants[0].seq, 0, "strictly oldest first");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShiftQueue {
     slots: SlotArray,
     /// Slot positions in age order; index 0 is the oldest (highest
@@ -44,6 +44,8 @@ pub struct ShiftQueue {
     grants: GrantBuf,
     ledger: Ledger,
 }
+
+clone_in_place!(ShiftQueue { slots, order, position_order, ledger } scratch { grants });
 
 impl ShiftQueue {
     /// Creates an empty SHIFT queue.
@@ -180,10 +182,6 @@ impl IssueQueue for ShiftQueue {
             key.push_opt(slot.srcs[1]);
             key.push_usize(slot.fu.index());
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 }
 

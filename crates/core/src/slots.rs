@@ -88,7 +88,7 @@ fn node(pos: usize, k: usize) -> u16 {
 }
 
 /// A fixed array of [`Slot`]s with CAM-style wakeup.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SlotArray {
     slots: Vec<Slot>,
     len: usize,
@@ -102,6 +102,8 @@ pub struct SlotArray {
     /// source unresolved; otherwise its links are dead.
     links: Vec<[u16; 2]>,
 }
+
+clone_in_place!(SlotArray { slots, len, valid, ready, heads, links });
 
 impl SlotArray {
     /// Creates `capacity` empty slots.

@@ -36,24 +36,27 @@ pub struct IqStats {
 }
 
 impl IqStats {
+    /// Combines two counter sets field by field with `op`.
+    pub(crate) fn zip_with(&self, other: &IqStats, op: impl Fn(u64, u64) -> u64) -> IqStats {
+        IqStats {
+            dispatched: op(self.dispatched, other.dispatched),
+            issued: op(self.issued, other.issued),
+            issued_low_priority: op(self.issued_low_priority, other.issued_low_priority),
+            wakeups: op(self.wakeups, other.wakeups),
+            selects: op(self.selects, other.selects),
+            occupancy_sum: op(self.occupancy_sum, other.occupancy_sum),
+            region_sum: op(self.region_sum, other.region_sum),
+            rv_issues: op(self.rv_issues, other.rv_issues),
+            rv_discards: op(self.rv_discards, other.rv_discards),
+            tag_reads: op(self.tag_reads, other.tag_reads),
+            dispatch_stalls: op(self.dispatch_stalls, other.dispatch_stalls),
+        }
+    }
+
     /// Counter difference `self - earlier` (for measurement windows that
     /// exclude warmup).
     pub fn delta(&self, earlier: &IqStats) -> IqStats {
-        IqStats {
-            dispatched: self.dispatched.saturating_sub(earlier.dispatched),
-            issued: self.issued.saturating_sub(earlier.issued),
-            issued_low_priority: self
-                .issued_low_priority
-                .saturating_sub(earlier.issued_low_priority),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            selects: self.selects.saturating_sub(earlier.selects),
-            occupancy_sum: self.occupancy_sum.saturating_sub(earlier.occupancy_sum),
-            region_sum: self.region_sum.saturating_sub(earlier.region_sum),
-            rv_issues: self.rv_issues.saturating_sub(earlier.rv_issues),
-            rv_discards: self.rv_discards.saturating_sub(earlier.rv_discards),
-            tag_reads: self.tag_reads.saturating_sub(earlier.tag_reads),
-            dispatch_stalls: self.dispatch_stalls.saturating_sub(earlier.dispatch_stalls),
-        }
+        self.zip_with(earlier, u64::saturating_sub)
     }
 
     /// Average occupancy per cycle observed at select time.

@@ -34,7 +34,7 @@ struct IntervalStart {
 }
 
 /// The mode switching issue queue.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Swque {
     circ_pc: CircPcQueue,
     age: RandomQueue,
@@ -48,6 +48,18 @@ pub struct Swque {
     stats: SwqueStats,
     trace: TraceHandle,
 }
+
+clone_in_place!(Swque {
+    circ_pc,
+    age,
+    controller,
+    params,
+    pending_mode,
+    next_interval_retired,
+    interval_start,
+    stats,
+    trace
+});
 
 impl Swque {
     /// Creates a SWQUE starting in CIRC-PC mode. `multi_am` selects whether
@@ -98,12 +110,6 @@ impl Swque {
             },
             None => self.controller.mode(),
         }
-    }
-
-    fn combined_issue_counters(&self) -> (u64, u64) {
-        let c = self.circ_pc.stats();
-        let a = self.age.stats();
-        (c.issued + a.issued, c.issued_low_priority + a.issued_low_priority)
     }
 }
 
@@ -191,21 +197,7 @@ impl IssueQueue for Swque {
     }
 
     fn stats(&self) -> IqStats {
-        let c = self.circ_pc.stats();
-        let a = self.age.stats();
-        IqStats {
-            dispatched: c.dispatched + a.dispatched,
-            issued: c.issued + a.issued,
-            issued_low_priority: c.issued_low_priority + a.issued_low_priority,
-            wakeups: c.wakeups + a.wakeups,
-            selects: c.selects + a.selects,
-            occupancy_sum: c.occupancy_sum + a.occupancy_sum,
-            region_sum: c.region_sum + a.region_sum,
-            rv_issues: c.rv_issues + a.rv_issues,
-            rv_discards: c.rv_discards + a.rv_discards,
-            tag_reads: c.tag_reads + a.tag_reads,
-            dispatch_stalls: c.dispatch_stalls + a.dispatch_stalls,
-        }
+        self.circ_pc.stats().zip_with(&self.age.stats(), |c, a| c + a)
     }
 
     fn arch_key(&self, key: &mut ArchKey) {
@@ -213,10 +205,6 @@ impl IssueQueue for Swque {
         self.age.arch_key(key);
         self.controller.arch_key(key);
         key.push_opt(self.pending_mode.map(|mode| mode as u16));
-    }
-
-    fn clone_box(&self) -> Box<dyn IssueQueue> {
-        Box::new(self.clone())
     }
 
     fn poll_mode_switch(
@@ -237,7 +225,7 @@ impl IssueQueue for Swque {
         self.controller.maybe_periodic_reset(retired_insts);
 
         let interval_mode = self.effective_mode();
-        let (issued, low) = self.combined_issue_counters();
+        let IqStats { issued, issued_low_priority: low, .. } = self.stats();
         let d_retired = (retired_insts - self.interval_start.retired).get();
         let d_miss = llc_misses.saturating_sub(self.interval_start.llc_misses);
         let d_issued = issued.saturating_sub(self.interval_start.issued);
@@ -407,5 +395,53 @@ mod tests {
         assert_eq!(s.dispatched, 2);
         assert_eq!(s.issued, 2);
         assert_eq!(s.selects, 2);
+    }
+
+    /// After a random soup that switches modes, every counter of SWQUE's
+    /// statistics is the sum of its two halves' counters.
+    #[test]
+    fn stats_are_the_sum_of_both_halves_after_a_soup() {
+        swque_rng::prop::check(32, |g| {
+            let mut q = Swque::new(&IqConfig { capacity: 6, ..cfg() }, g.bool());
+            let (mut seq, mut retired, mut misses) = (0, 0, 0);
+            for _ in 0..g.gen_range(1usize..200) {
+                match g.weighted(&[4, 3, 3, 1, 1, 1]) {
+                    0 => {
+                        let wait = g.option(|g| g.gen_range(0u16..4));
+                        let fu = [FuClass::IntAlu, FuClass::LdSt, FuClass::Fpu][g.gen_range(0..3)];
+                        let req = DispatchReq::new(seq, seq, Some(100), [wait, None], fu);
+                        seq += u64::from(q.dispatch(req).is_ok());
+                    }
+                    1 => q.wakeup(g.gen_range(0u16..4)),
+                    2 => {
+                        q.select(&mut budget());
+                    }
+                    3 => q.squash_younger(g.gen_range(0..seq + 1)),
+                    4 => q.flush(),
+                    _ => {
+                        retired += 10_000;
+                        misses += g.gen_range(0u64..200);
+                        if poll(&mut q, retired, misses) {
+                            q.flush();
+                        }
+                    }
+                }
+            }
+            let (c, a) = (q.circ_pc.stats(), q.age.stats());
+            let sum = IqStats {
+                dispatched: c.dispatched + a.dispatched,
+                issued: c.issued + a.issued,
+                issued_low_priority: c.issued_low_priority + a.issued_low_priority,
+                wakeups: c.wakeups + a.wakeups,
+                selects: c.selects + a.selects,
+                occupancy_sum: c.occupancy_sum + a.occupancy_sum,
+                region_sum: c.region_sum + a.region_sum,
+                rv_issues: c.rv_issues + a.rv_issues,
+                rv_discards: c.rv_discards + a.rv_discards,
+                tag_reads: c.tag_reads + a.tag_reads,
+                dispatch_stalls: c.dispatch_stalls + a.dispatch_stalls,
+            };
+            assert_eq!(q.stats(), sum);
+        });
     }
 }

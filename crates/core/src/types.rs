@@ -61,19 +61,15 @@ pub struct Grant {
 
 /// The grant buffer a queue's [`select`] fills and returns a slice of,
 /// reused every cycle so that select never allocates once it has grown to
-/// the issue width. It is scratch, not state: a clone starts empty, so
-/// forking a queue (the model checker's hot path) copies no stale grants,
-/// and no `arch_key` includes it.
+/// the issue width. It is scratch, not state: every queue lists it as a
+/// scratch field of its `Clone`, so a clone starts empty and an in-place
+/// copy keeps the destination's buffer (forking a queue, the model
+/// checker's hot path, copies no stale grants), and no `arch_key`
+/// includes it.
 ///
 /// [`select`]: crate::IssueQueue::select
 #[derive(Debug, Default)]
 pub(crate) struct GrantBuf(Vec<Grant>);
-
-impl Clone for GrantBuf {
-    fn clone(&self) -> GrantBuf {
-        GrantBuf::default()
-    }
-}
 
 impl GrantBuf {
     /// Takes the buffer out, cleared, so that it can be filled while the

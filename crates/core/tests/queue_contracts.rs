@@ -11,6 +11,8 @@
 //!   layout or monotone totals — separates unequal ones, renames stale
 //!   seqs, and no host-parallelism knob (`SWQUE_THREADS`, a worker
 //!   thread) moves it.
+//! * `clone_into` (the model checker's in-place fork) forks exactly what
+//!   `clone_box` forks, into any destination.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -24,8 +26,8 @@ use swque_rng::prop::{check, Gen};
 
 use swque_core::cycle::CycleStamp;
 use swque_core::{
-    ArchKey, DispatchReq, IntervalMetrics, IqConfig, IqKind, IssueBudget, IssueQueue,
-    SwqueController, SwqueParams, Tag,
+    ArchKey, CircPcQueue, DispatchReq, Grant, IntervalMetrics, IqConfig, IqKind, IqMode,
+    IssueBudget, IssueQueue, RandomQueue, ShiftQueue, SwqueController, SwqueParams, Tag,
 };
 use swque_isa::FuClass;
 
@@ -70,14 +72,14 @@ fn scan_passes(kind: IqKind) -> usize {
 }
 
 /// Applies `op`, mirroring liveness in `woken`/`live` the way the
-/// dispatcher's scoreboard would.
+/// dispatcher's scoreboard would; returns a select's grants.
 fn apply(
     q: &mut Box<dyn IssueQueue>,
     op: &Op,
     seq: &mut u64,
     live: &mut Vec<u64>,
     woken: &mut HashSet<Tag>,
-) {
+) -> Vec<Grant> {
     match op {
         Op::Dispatch { wait_tag, fu } => {
             let tag = wait_tag.filter(|t| !woken.contains(t));
@@ -101,9 +103,9 @@ fn apply(
         Op::Select { width } => {
             let w = *width as usize;
             let mut budget = IssueBudget::new(w, [w, w, w, w]);
-            for grant in q.select(&mut budget) {
-                live.retain(|&s| s != grant.seq);
-            }
+            let grants = q.select(&mut budget).to_vec();
+            live.retain(|s| grants.iter().all(|g| g.seq != *s));
+            return grants;
         }
         Op::SquashTail { keep_frac } => {
             live.sort_unstable();
@@ -117,6 +119,7 @@ fn apply(
             live.clear();
         }
     }
+    Vec::new()
 }
 
 /// `has_ready` is documented as "a nonzero-budget select could grant":
@@ -388,4 +391,93 @@ fn arch_key_is_stable_across_thread_settings() {
         let from_worker = std::thread::spawn(move || drive_and_key(kind)).join().expect("worker");
         assert_eq!(from_worker, home, "{kind}: key moved across threads");
     }
+}
+
+/// Everything a fork is compared on before it is driven: key words (seqs
+/// unrenamed, since both sides hold the same ones), statistics, mode,
+/// occupancy, space and readiness.
+fn observables(q: &dyn IssueQueue) -> impl PartialEq + std::fmt::Debug {
+    let (same, mut words) = (|seq| seq, Vec::new());
+    q.arch_key(&mut ArchKey::new(&mut words, &same));
+    (words, q.stats(), q.swque_stats(), q.mode(), q.len(), q.has_space(), q.has_ready())
+}
+
+/// `kind` built as the planted-bug variant of the model checker's
+/// negative runs, for the kinds that have one.
+fn planted(kind: IqKind, config: &IqConfig) -> Option<Box<dyn IssueQueue>> {
+    Some(match kind {
+        IqKind::Shift => Box::new(ShiftQueue::position_order(config)),
+        IqKind::CircPc => Box::new(CircPcQueue::without_correction(config)),
+        IqKind::Age => Box::new(RandomQueue::age_youngest_first(config, false)),
+        IqKind::AgeMulti => Box::new(RandomQueue::age_youngest_first(config, true)),
+        _ => return None,
+    })
+}
+
+/// `clone_into` is `clone_box` done in place. After every op of a random
+/// soup, at capacities 2, 4 and 128, each kind (and each planted-bug
+/// variant, whose flags only a copy can carry into a plain queue of its
+/// type) is copied into four destinations — a stale fork of the same
+/// kind (the previous copy, since driven elsewhere), a queue of another
+/// kind, one of the same kind at another capacity and a fresh one — and
+/// each copy must match a `clone_box` of the queue on its observables
+/// and on the grants of the next 32 ops. The SWQUE kinds start in
+/// CIRC-PC mode, with a switch to AGE pending, or in AGE mode.
+#[test]
+fn clone_into_forks_exactly_what_clone_box_forks() {
+    check(12, |g| {
+        let ops: Vec<Op> = g.vec(1..40, random_op);
+        let next: Vec<Op> = g.vec(32..33, random_op);
+        let start = g.gen_range(0u8..3);
+        for capacity in [2, 4, 128] {
+            let config = IqConfig { capacity, issue_width: 4, ..IqConfig::default() };
+            let other = IqConfig { capacity: if capacity == 128 { 4 } else { 128 }, ..config };
+            let queues = IqKind::ALL.into_iter().enumerate().flat_map(|(k, kind)| {
+                let plain = Some(kind.build(&config));
+                [plain, planted(kind, &config)].into_iter().flatten().map(move |q| (k, kind, q))
+            });
+            for (k, kind, mut q) in queues {
+                if start > 0 {
+                    // A high-MPKI interval asks SWQUE to switch to AGE.
+                    let interval = config.swque.interval_insts;
+                    let switching =
+                        q.poll_mode_switch(CycleStamp::new(1), interval, interval.get());
+                    assert_eq!(switching, q.swque_stats().is_some(), "{kind}");
+                    if start == 2 {
+                        q.flush();
+                        assert_eq!(q.mode() == IqMode::Age, switching, "{kind}");
+                    }
+                }
+                let (mut seq, mut live, mut woken) = (0u64, Vec::new(), HashSet::new());
+                let mut stale = kind.build(&config);
+                for op in &ops {
+                    apply(&mut q, op, &mut seq, &mut live, &mut woken);
+                    let dsts = [
+                        ("a stale fork", std::mem::replace(&mut stale, kind.build(&config))),
+                        ("another kind", IqKind::ALL[(k + 1) % IqKind::ALL.len()].build(&config)),
+                        ("another capacity", kind.build(&other)),
+                        ("a fresh queue", kind.build(&config)),
+                    ];
+                    for (what, mut dst) in dsts {
+                        q.clone_into(&mut dst);
+                        let mut reference = q.clone_box();
+                        let at = format!("{} at capacity {capacity}, into {what}", q.name());
+                        assert_eq!(observables(&*dst), observables(&*reference), "{at}");
+                        let drive = |fork: &mut Box<dyn IssueQueue>| {
+                            let (mut seq, mut live, mut woken) = (seq, live.clone(), woken.clone());
+                            let grants: Vec<Vec<Grant>> = next
+                                .iter()
+                                .map(|op| apply(fork, op, &mut seq, &mut live, &mut woken))
+                                .collect();
+                            (grants, observables(&**fork))
+                        };
+                        assert_eq!(drive(&mut dst), drive(&mut reference), "{at}, driven");
+                        if what == "a stale fork" {
+                            stale = dst;
+                        }
+                    }
+                }
+            }
+        }
+    });
 }

@@ -42,10 +42,6 @@ pub const SEQ_BASE: u64 = 1000;
 /// What a stale seq (left in an invalidated slot) is renamed to.
 const STALE_SEQ: u64 = u64::MAX;
 
-/// Room the idle probe reserves per key: a capacity-3 SWQUE key is ~110
-/// words, so the probe's two keys are written without regrowth.
-const PROBE_KEY_WORDS: usize = 128;
-
 /// `--inject` name for [`Injection::CircPcNoCorrect`].
 pub const INJECT_CIRC_PC_NO_CORRECT: &str = "circ-pc-no-correct";
 /// `--inject` name for [`Injection::ControllerNoStabilize`].
@@ -151,7 +147,7 @@ impl ShadowEntry {
 }
 
 /// A queue under check: the real structure plus the shadow model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QueueHarness {
     kind: IqKind,
     queue: Box<dyn IssueQueue>,
@@ -176,6 +172,71 @@ pub struct QueueHarness {
     /// With `flpi_region_frac = 1.0` this single bit determines the next
     /// interval's FLPI exactly (see module docs).
     granted_since_interval: bool,
+    /// The idle probe's forks and key buffers (scratch, not state),
+    /// created by the first probe; boxed, so a stored state pays one
+    /// word for them.
+    probe: Option<Box<ProbeForks>>,
+}
+
+/// The idle probe's two queue forks and two key buffers. They live in the
+/// harness the explorer applies events to, its scratch copy, so that each
+/// probe copies the queue into them in place. They are scratch, not
+/// state: a clone starts without them and an in-place copy keeps the
+/// destination's, so the stored states never carry them and
+/// `QueueHarness::new` (the benchmark's set-up cost) never builds them.
+#[derive(Debug)]
+struct ProbeForks {
+    ticked: Box<dyn IssueQueue>,
+    selected: Box<dyn IssueQueue>,
+    words_ticked: Vec<u64>,
+    words_selected: Vec<u64>,
+}
+
+impl Clone for QueueHarness {
+    fn clone(&self) -> QueueHarness {
+        QueueHarness {
+            queue: self.queue.clone(),
+            entries: self.entries.clone(),
+            probe: None,
+            ..*self
+        }
+    }
+
+    /// Copies the queue in place (`Box<dyn IssueQueue>::clone_from` goes
+    /// through `QueueFork::clone_into`) and the shadow through
+    /// `Vec::clone_from`, so both keep their buffers; the probe forks
+    /// stay as they are.
+    fn clone_from(&mut self, src: &QueueHarness) {
+        let QueueHarness {
+            kind,
+            queue,
+            capacity,
+            width,
+            multi_buckets,
+            entries,
+            next_seq,
+            interval,
+            pending_switch,
+            switches,
+            intervals_done,
+            misses_total,
+            granted_since_interval,
+            probe: _,
+        } = src;
+        self.kind = *kind;
+        self.queue.clone_from(queue);
+        self.capacity = *capacity;
+        self.width = *width;
+        self.multi_buckets = *multi_buckets;
+        self.entries.clone_from(entries);
+        self.next_seq = *next_seq;
+        self.interval = *interval;
+        self.pending_switch = *pending_switch;
+        self.switches = *switches;
+        self.intervals_done = *intervals_done;
+        self.misses_total = *misses_total;
+        self.granted_since_interval = *granted_since_interval;
+    }
 }
 
 fn is_swque(kind: IqKind) -> bool {
@@ -270,6 +331,7 @@ impl QueueHarness {
             intervals_done: 0,
             misses_total: 0,
             granted_since_interval: false,
+            probe: None,
         })
     }
 
@@ -340,14 +402,15 @@ impl QueueHarness {
         Ok(())
     }
 
-    /// The renaming of [`SEQ_BASE`]: live seqs become `SEQ_BASE + rank`
-    /// by their position in the (seq-ordered) shadow, others ≥ `SEQ_BASE`
-    /// become [`STALE_SEQ`], smaller values stay.
-    fn rename(&self, seq: u64) -> u64 {
+    /// The renaming of [`SEQ_BASE`] over the shadow `entries`: live seqs
+    /// become `SEQ_BASE + rank` by their position in the (seq-ordered)
+    /// shadow, others ≥ `SEQ_BASE` become [`STALE_SEQ`], smaller values
+    /// stay.
+    fn rename(entries: &[ShadowEntry], seq: u64) -> u64 {
         if seq < SEQ_BASE {
             return seq;
         }
-        match self.entries.binary_search_by_key(&seq, |e| e.seq) {
+        match entries.binary_search_by_key(&seq, |e| e.seq) {
             Ok(rank) => SEQ_BASE + rank as u64,
             Err(_) => STALE_SEQ,
         }
@@ -356,23 +419,27 @@ impl QueueHarness {
     /// `idle_tick(n)` must be observably identical to `n` empty selects
     /// — architectural state (the exact key words, which leave out reused
     /// scratch allocations) *and* statistics — and those empty selects
-    /// must grant nothing. Pure probe on clones: one fork selects once
-    /// and is compared with `idle_tick(1)`, then twice more and is
-    /// compared with `idle_tick(3)`.
-    fn idle_probe(&self) -> Result<(), Violation> {
+    /// must grant nothing. A pure probe on two forks of the queue: one
+    /// selects once and is compared with `idle_tick(1)` on the other,
+    /// then selects twice more and is compared with `idle_tick(3)` on a
+    /// fresh copy.
+    fn idle_probe(&mut self) -> Result<(), Violation> {
         if self.queue.has_ready() {
             return Ok(());
         }
-        let rename = |seq| self.rename(seq);
-        let mut words_ticked = Vec::with_capacity(PROBE_KEY_WORDS);
-        let mut words_selected = Vec::with_capacity(PROBE_KEY_WORDS);
-        let mut selected = self.queue.clone();
+        let forks = self.probe.get_or_insert_with(|| {
+            let (ticked, selected) = (self.queue.clone(), self.queue.clone());
+            Box::new(ProbeForks { ticked, selected, words_ticked: vec![], words_selected: vec![] })
+        });
+        forks.selected.clone_from(&self.queue);
+        let entries = &self.entries;
+        let rename = |seq| Self::rename(entries, seq);
         for (n, selects) in [(1u64, 1), (3, 2)] {
-            let mut ticked = self.queue.clone();
-            ticked.idle_tick(CycleDelta::new(n));
+            forks.ticked.clone_from(&self.queue);
+            forks.ticked.idle_tick(CycleDelta::new(n));
             for _ in 0..selects {
                 let mut budget = IssueBudget::new(self.width, [self.width; 4]);
-                let grants = selected.select(&mut budget);
+                let grants = forks.selected.select(&mut budget);
                 if !grants.is_empty() {
                     return Err(Violation::new(
                         "no-ready-no-grant",
@@ -380,16 +447,16 @@ impl QueueHarness {
                     ));
                 }
             }
-            ticked.arch_key(&mut ArchKey::new(&mut words_ticked, &rename));
-            selected.arch_key(&mut ArchKey::new(&mut words_selected, &rename));
-            if words_ticked != words_selected {
+            forks.ticked.arch_key(&mut ArchKey::new(&mut forks.words_ticked, &rename));
+            forks.selected.arch_key(&mut ArchKey::new(&mut forks.words_selected, &rename));
+            if forks.words_ticked != forks.words_selected {
                 return Err(Violation::new(
                     "idle-equivalence",
                     format!("idle_tick({n}) architecturally diverges from {n} empty selects"),
                 ));
             }
-            let stats = (ticked.stats(), ticked.swque_stats());
-            let expected = (selected.stats(), selected.swque_stats());
+            let stats = (forks.ticked.stats(), forks.ticked.swque_stats());
+            let expected = (forks.selected.stats(), forks.selected.swque_stats());
             if stats != expected {
                 return Err(Violation::new(
                     "idle-equivalence",
@@ -736,7 +803,7 @@ impl Harness for QueueHarness {
     }
 
     fn state_key(&self, words: &mut Vec<u64>) {
-        let rename = |seq| self.rename(seq);
+        let rename = |seq| Self::rename(&self.entries, seq);
         let mut key = ArchKey::new(words, &rename);
         self.queue.arch_key(&mut key);
         // The shadow, by rank: its seqs are implied by the renaming.

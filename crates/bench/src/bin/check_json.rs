@@ -1,286 +1,63 @@
 //! Schema validator for structured tool output: parses each file named on
-//! the command line with the in-tree JSON parser and checks its declared
-//! schema — `swque-bench-v1` experiment reports (including the nested
-//! `swque-trace-v1` shape of any embedded trace digests), the sweep
-//! orchestrator's three shapes: `swque-sweep-manifest-v1` campaign
-//! manifests, `swque-sweep-shard-v1` per-unit shards, and
-//! `swque-sweep-campaign-v1` merged reports (shard and campaign-row
-//! `unit_key`s are re-derived from the embedded unit and results go
-//! through the merge's own `validate_result`, so a tampered, stale, or
-//! zero-IPC shard fails here exactly as it fails the merge), and
-//! `swque-mc-v1` model-checker reports (every violation's replay string
-//! is re-parsed under the `swque-mc-replay-v1` grammar and checked
-//! against the run's target and violated property). Used by
-//! `scripts/verify.sh` as the JSON smoke step for these producers.
+//! the command line with the in-tree JSON parser and dispatches on its
+//! declared schema. `swque-bench-v1` experiment reports (including the
+//! nested `swque-trace-v1` shape of any embedded trace digests) are checked
+//! field by field here, because their rows are free-form. Every other
+//! schema is checked by the code that writes it: `swque-sweep-manifest-v1`
+//! campaign manifests by the sweep's own parser, `swque-sweep-shard-v1`
+//! shards and `swque-sweep-campaign-v1` merged reports by rebuilding them
+//! with their writers (`swque_bench::sweep`), and `swque-mc-v1`
+//! model-checker reports by `swque_mc::validate_report`, which also
+//! re-parses every violation's replay string. A document is valid when its
+//! writer rebuilds it byte for byte, so a tampered unit key, an edited
+//! geomean or marginal, or a zero-IPC shard fails here exactly as it fails
+//! the merge. Used by `scripts/verify.sh` as the JSON smoke step for these
+//! producers.
 //!
 //! Diagnostics name the offending JSON path (`tables[2].rows[5]`,
-//! `traces[0].trace.events`, …) so a broken writer can be located without
-//! diffing documents by eye. All files are checked even after a failure;
-//! the exit code is non-zero if *any* file was unreadable, unparseable, or
-//! schema-violating.
+//! `marginals[1].geomean_ipc`, …) so a broken writer can be located
+//! without diffing documents by eye. All files are checked even after a
+//! failure; the exit code is non-zero if *any* file was unreadable,
+//! unparseable, or schema-violating.
 
 use std::process::ExitCode;
 
-use swque_bench::sweep::validate_result;
+use swque_bench::sweep::{validate_campaign, validate_shard_doc};
 use swque_bench::{Manifest, BENCH_SCHEMA, CAMPAIGN_SCHEMA, MANIFEST_SCHEMA, SHARD_SCHEMA};
+use swque_mc::MC_SCHEMA;
 use swque_trace::Json;
-
-/// Schema string of `swque-mc` model-checker reports. A literal because
-/// the mc crate is a dev-dependency only; the unit tests assert it
-/// matches `swque_mc::MC_SCHEMA`.
-const MC_SCHEMA: &str = "swque-mc-v1";
 
 /// Dispatches on the document's declared `schema` field.
 fn check_report(doc: &Json) -> Result<String, String> {
     match doc.get("schema").and_then(Json::as_str).unwrap_or("") {
         BENCH_SCHEMA => check_bench_report(doc),
-        MANIFEST_SCHEMA => check_sweep_manifest(doc),
-        SHARD_SCHEMA => check_sweep_shard(doc),
-        CAMPAIGN_SCHEMA => check_sweep_campaign(doc),
-        MC_SCHEMA => check_mc_report(doc),
+        MANIFEST_SCHEMA => {
+            let m = Manifest::parse(&doc.to_string())?;
+            Ok(format!("sweep manifest {:?}: {} unit(s)", m.name, m.units().len()))
+        }
+        SHARD_SCHEMA => Ok(format!("sweep shard {}", validate_shard_doc(doc)?.0.key())),
+        CAMPAIGN_SCHEMA => validate_campaign(doc).map(|()| {
+            let name = doc.get("name").and_then(Json::as_str).unwrap_or("");
+            let count = |key| doc.get(key).and_then(Json::as_arr).map_or(0, <[Json]>::len);
+            format!(
+                "sweep campaign {name:?}: {} unit(s), {} marginal(s)",
+                count("rows"),
+                count("marginals")
+            )
+        }),
+        MC_SCHEMA => swque_mc::validate_report(doc).map(|runs| {
+            let states: u64 = runs.iter().map(|r| r.states).sum();
+            let violations: usize = runs.iter().map(|r| r.violations.len()).sum();
+            format!(
+                "mc report: {} run(s), {states} state(s), {violations} violation(s)",
+                runs.len()
+            )
+        }),
         other => Err(format!(
             "schema: {other:?}, expected {BENCH_SCHEMA:?}, {MANIFEST_SCHEMA:?}, \
              {SHARD_SCHEMA:?}, {CAMPAIGN_SCHEMA:?}, or {MC_SCHEMA:?}"
         )),
     }
-}
-
-/// Validates one `swque-mc-v1` model-checker report: fixed key sets at
-/// every level, cross-field consistency (`closed` ⇔ `frontier == 0`,
-/// declared totals vs per-run sums), and every violation's replay string
-/// re-parsed under the `swque-mc-replay-v1` grammar with its `expect=`
-/// clause equal to the violated property and its target equal to the
-/// run's target.
-fn check_mc_report(doc: &Json) -> Result<String, String> {
-    use swque_core::replay::Replay;
-    let keys = doc.keys();
-    let expect = ["schema", "smoke", "runs", "total_states", "violations"];
-    if keys != expect {
-        return Err(format!("$: top-level keys {keys:?}, expected {expect:?}"));
-    }
-    doc.get("smoke").and_then(Json::as_bool).ok_or("smoke: not a bool")?;
-    let runs = doc.get("runs").and_then(Json::as_arr).ok_or("runs: not an array")?;
-    let mut states_sum = 0u64;
-    let mut violation_count = 0u64;
-    for (ri, run) in runs.iter().enumerate() {
-        let path = format!("runs[{ri}]");
-        let expect = [
-            "target",
-            "capacity",
-            "width",
-            "depth",
-            "inject",
-            "states",
-            "deepest",
-            "frontier",
-            "closed",
-            "violations",
-        ];
-        if run.keys() != expect {
-            return Err(format!("{path}: keys {:?}, expected {expect:?}", run.keys()));
-        }
-        let target = run
-            .get("target")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}.target: not a string"))?;
-        run.get("inject")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}.inject: not a string"))?;
-        for key in ["capacity", "width", "depth", "states", "deepest", "frontier"] {
-            run.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{path}.{key}: not an integer"))?;
-        }
-        let closed = run
-            .get("closed")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("{path}.closed: not a bool"))?;
-        let frontier = run.get("frontier").and_then(Json::as_u64).unwrap_or(0);
-        if closed != (frontier == 0) {
-            return Err(format!("{path}: closed={closed} inconsistent with frontier={frontier}"));
-        }
-        states_sum += run.get("states").and_then(Json::as_u64).unwrap_or(0);
-        let violations = run
-            .get("violations")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{path}.violations: not an array"))?;
-        violation_count += violations.len() as u64;
-        for (vi, v) in violations.iter().enumerate() {
-            let vpath = format!("{path}.violations[{vi}]");
-            if v.keys() != ["property", "detail", "replay"] {
-                return Err(format!(
-                    "{vpath}: keys {:?}, expected property/detail/replay",
-                    v.keys()
-                ));
-            }
-            let property = v
-                .get("property")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{vpath}.property: not a string"))?;
-            v.get("detail")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{vpath}.detail: not a string"))?;
-            let replay = v
-                .get("replay")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{vpath}.replay: not a string"))?;
-            let parsed = Replay::parse(replay).map_err(|e| format!("{vpath}.replay: {e}"))?;
-            if parsed.target.label() != target {
-                return Err(format!(
-                    "{vpath}.replay: targets {}, run explores {target}",
-                    parsed.target.label()
-                ));
-            }
-            if parsed.expect.as_deref() != Some(property) {
-                return Err(format!(
-                    "{vpath}.replay: expect={:?} vs violated property {property:?}",
-                    parsed.expect
-                ));
-            }
-        }
-    }
-    let total_states =
-        doc.get("total_states").and_then(Json::as_u64).ok_or("total_states: not an integer")?;
-    if total_states != states_sum {
-        return Err(format!("total_states: {total_states} vs per-run sum {states_sum}"));
-    }
-    let declared =
-        doc.get("violations").and_then(Json::as_u64).ok_or("violations: not an integer")?;
-    if declared != violation_count {
-        return Err(format!("violations: {declared} vs per-run count {violation_count}"));
-    }
-    Ok(format!(
-        "mc report: {} run(s), {states_sum} state(s), {violation_count} violation(s)",
-        runs.len()
-    ))
-}
-
-/// Validates a `swque-sweep-manifest-v1` campaign manifest by handing it
-/// to the real parser — the definition of valid is "the orchestrator
-/// accepts it", so there is exactly one implementation of the rules.
-fn check_sweep_manifest(doc: &Json) -> Result<String, String> {
-    let m = Manifest::parse(&doc.to_string())?;
-    Ok(format!("sweep manifest {:?}: {} unit(s)", m.name, m.units().len()))
-}
-
-/// Validates the unit object embedded in shards and campaign rows.
-fn check_sweep_unit(unit: &Json, path: &str) -> Result<(), String> {
-    let want = ["kind", "model", "mpki_threshold", "flpi_threshold", "seed", "kernel", "budget"];
-    if unit.keys() != want {
-        return Err(format!("{path}: keys {:?}, expected {want:?}", unit.keys()));
-    }
-    for key in ["kind", "model", "kernel"] {
-        unit.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}.{key}: not a string"))?;
-    }
-    unit.get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{path}.seed: not an integer"))?;
-    for key in ["mpki_threshold", "flpi_threshold"] {
-        match unit.get(key) {
-            Some(Json::Null) | Some(Json::Num(_)) => {}
-            _ => return Err(format!("{path}.{key}: not a number or null")),
-        }
-    }
-    let budget = unit.get("budget").ok_or_else(|| format!("{path}.budget: missing"))?;
-    for key in ["warmup_insts", "max_insts"] {
-        budget
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{path}.budget.{key}: not an integer"))?;
-    }
-    Ok(())
-}
-
-/// The content-addressing invariant shared by shards and campaign rows:
-/// `unit_key` must equal the FNV-1a 64 digest of the embedded unit's
-/// serialization — the property resume and merge trust.
-fn check_unit_key(doc: &Json, path: &str) -> Result<(), String> {
-    let key = doc.get("unit_key").and_then(Json::as_str).unwrap_or("");
-    let unit = doc.get("unit").ok_or_else(|| format!("{path}.unit: missing"))?;
-    let expect = format!("{:016x}", swque_core::fnv1a64(unit.to_string().as_bytes()));
-    if key != expect {
-        return Err(format!(
-            "{path}.unit_key: {key:?} does not match the unit's content hash {expect:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates one `swque-sweep-shard-v1` per-unit result file.
-fn check_sweep_shard(doc: &Json) -> Result<String, String> {
-    let keys = doc.keys();
-    let expect = ["schema", "unit_key", "unit", "result"];
-    if keys != expect {
-        return Err(format!("$: top-level keys {keys:?}, expected {expect:?}"));
-    }
-    check_unit_key(doc, "$")?;
-    check_sweep_unit(doc.get("unit").ok_or("unit: missing")?, "unit")?;
-    validate_result(doc.get("result").ok_or("result: missing")?, "result")?;
-    Ok(format!("sweep shard {}", doc.get("unit_key").and_then(Json::as_str).unwrap_or("?")))
-}
-
-/// Validates one `swque-sweep-campaign-v1` merged campaign report.
-fn check_sweep_campaign(doc: &Json) -> Result<String, String> {
-    let keys = doc.keys();
-    let expect = ["schema", "name", "units", "budget", "geomean_ipc", "marginals", "rows"];
-    if keys != expect {
-        return Err(format!("$: top-level keys {keys:?}, expected {expect:?}"));
-    }
-    let name = doc.get("name").and_then(Json::as_str).ok_or("name: not a string")?;
-    let units = doc.get("units").and_then(Json::as_u64).ok_or("units: not an integer")?;
-    doc.get("geomean_ipc").and_then(Json::as_f64).ok_or("geomean_ipc: not a number")?;
-    let budget = doc.get("budget").ok_or("budget: missing")?;
-    for key in ["warmup_insts", "max_insts"] {
-        budget
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("budget.{key}: not an integer"))?;
-    }
-    let marginals = doc.get("marginals").and_then(Json::as_arr).ok_or("marginals: not an array")?;
-    for (mi, m) in marginals.iter().enumerate() {
-        if m.keys() != ["axis", "value", "units", "geomean_ipc"] {
-            return Err(format!(
-                "marginals[{mi}]: keys {:?}, expected axis/value/units/geomean_ipc",
-                m.keys()
-            ));
-        }
-        for key in ["axis", "value"] {
-            m.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("marginals[{mi}].{key}: not a string"))?;
-        }
-        m.get("units")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("marginals[{mi}].units: not an integer"))?;
-        m.get("geomean_ipc")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("marginals[{mi}].geomean_ipc: not a number"))?;
-    }
-    let rows = doc.get("rows").and_then(Json::as_arr).ok_or("rows: not an array")?;
-    if rows.len() as u64 != units {
-        return Err(format!("rows: {} row(s) vs declared units {units}", rows.len()));
-    }
-    for (ri, row) in rows.iter().enumerate() {
-        if row.keys() != ["unit_key", "unit", "result"] {
-            return Err(format!(
-                "rows[{ri}]: keys {:?}, expected unit_key/unit/result",
-                row.keys()
-            ));
-        }
-        let path = format!("rows[{ri}]");
-        check_unit_key(row, &path)?;
-        check_sweep_unit(
-            row.get("unit").ok_or_else(|| format!("{path}.unit: missing"))?,
-            &format!("{path}.unit"),
-        )?;
-        validate_result(
-            row.get("result").ok_or_else(|| format!("{path}.result: missing"))?,
-            &format!("{path}.result"),
-        )?;
-    }
-    Ok(format!("sweep campaign {name:?}: {units} unit(s), {} marginal(s)", marginals.len()))
 }
 
 /// The roles a requester-tagged result row may claim.
@@ -579,8 +356,8 @@ mod tests {
     }
 
     /// A schema-valid shard document shaped like the real orchestrator's
-    /// output (hand-built so the test needs no simulation run; the
-    /// `sweep` integration test covers the real writer).
+    /// output (hand-built so the test needs no simulation run and pins the
+    /// wire format; the `sweep` integration test covers the real writer).
     fn valid_shard_doc() -> Json {
         let unit = Json::obj([
             ("kind", Json::from("SWQUE")),
@@ -680,6 +457,37 @@ mod tests {
         assert!(err.starts_with("result.ipc:"), "{err}");
     }
 
+    /// A two-unit campaign (CIRC and AGE) through the real writer, so it
+    /// has one marginal row per kind.
+    fn valid_campaign_doc() -> Json {
+        use swque_bench::sweep::campaign_doc;
+        use swque_bench::WorkUnit;
+        let shard = valid_shard_doc();
+        let unit = WorkUnit::from_json(shard.get("unit").unwrap()).expect("unit reads back");
+        let result = shard.get("result").unwrap();
+        let rows = [
+            (WorkUnit { kind: swque_core::IqKind::Circ, ..unit.clone() }, result.clone()),
+            (unit, with(result, "ipc", Json::from(0.5))),
+        ];
+        let budget = Budget { warmup_insts: 1000, max_insts: 4000, scale: None };
+        Json::parse(&campaign_doc("t", &budget, &rows).to_string()).expect("writer output parses")
+    }
+
+    #[test]
+    fn rejects_campaigns_whose_aggregates_were_edited() {
+        let doc = valid_campaign_doc();
+        let desc = check_report(&doc).expect("valid campaign");
+        assert!(desc.contains("2 unit(s), 2 marginal(s)"), "{desc}");
+        // Top-level geomean: every value still has the right type.
+        let err = check_report(&with(&doc, "geomean_ipc", Json::from(1.5))).unwrap_err();
+        assert!(err.starts_with("geomean_ipc: 1.5, expected 1"), "{err}");
+        // One marginal's geomean.
+        let mut marginals = doc.get("marginals").and_then(Json::as_arr).unwrap().to_vec();
+        marginals[1] = with(&marginals[1], "geomean_ipc", Json::from(9.0));
+        let err = check_report(&with(&doc, "marginals", Json::Arr(marginals))).unwrap_err();
+        assert!(err.starts_with("marginals[1].geomean_ipc: 9, expected 0.5"), "{err}");
+    }
+
     #[test]
     fn validates_manifests_through_the_real_parser() {
         let doc = Json::parse(
@@ -723,11 +531,6 @@ mod tests {
 
     const MC_REPLAY: &str = "swque-mc-replay-v1 kind=CIRC-PC cap=3 width=2 \
                              inject=circ-pc-no-correct expect=pc-age-ordered events=d-.-,s2";
-
-    #[test]
-    fn mc_schema_literal_matches_the_mc_crate() {
-        assert_eq!(MC_SCHEMA, swque_mc::MC_SCHEMA);
-    }
 
     #[test]
     fn accepts_mc_writer_output_and_round_trips() {

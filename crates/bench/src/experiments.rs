@@ -204,7 +204,7 @@ pub fn run(
     workers: usize,
 ) -> Vec<Output> {
     let jobs = plan(entries, kernels, budget);
-    let outcomes = run_units(&jobs, workers);
+    let outcomes = run_units(&jobs, workers, |_, _, _| {});
     let done: Vec<(&str, &RunSpec, &Outcome)> = jobs
         .iter()
         .zip(&outcomes)

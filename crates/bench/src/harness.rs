@@ -4,7 +4,7 @@
 use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use swque_core::IqKind;
 use swque_cpu::{Core, CoreConfig, SimResult};
@@ -220,35 +220,6 @@ fn measure(program: &Program, spec: &RunSpec, traced: bool) -> Outcome {
     }
 }
 
-/// Runs `kernel` under `spec` and returns the measured-window result
-/// (warmup excluded).
-pub fn run_kernel(kernel: &Kernel, spec: &RunSpec) -> SimResult {
-    measure(&kernel.build_seeded(spec.budget.scale, spec.seed), spec, false).result
-}
-
-/// Like [`run_kernel`] but with a [`TraceHandle`] attached for the measured
-/// window: warmup runs untraced, then a fresh [`TRACE_CAPACITY`]-event ring
-/// observes the measurement and is reduced to a [`TraceSummary`]. The
-/// result is byte-identical to [`run_kernel`]'s.
-///
-/// ```
-/// use swque_bench::{run_kernel_traced, Budget, RunSpec};
-/// use swque_core::IqKind;
-/// use swque_workloads::suite;
-///
-/// let kernel = suite::by_name("deepsjeng_like").unwrap();
-/// let budget = Budget { warmup_insts: 2_000, max_insts: 10_000, scale: Some(1_000) };
-/// let (result, trace) = run_kernel_traced(&kernel, &RunSpec::medium(IqKind::Swque, budget));
-/// assert!(result.retired >= 9_000, "measured window excludes warmup");
-/// // The summary digests the ring: IPC interval samples land every 10k
-/// // retired instructions, so a short window may hold at most one.
-/// assert_eq!(trace.dropped, 0);
-/// ```
-pub fn run_kernel_traced(kernel: &Kernel, spec: &RunSpec) -> (SimResult, TraceSummary) {
-    let out = measure(&kernel.build_seeded(spec.budget.scale, spec.seed), spec, true);
-    (out.result, out.trace.unwrap_or_default())
-}
-
 /// Runs every job — a kernel and its units — on `workers` threads, one
 /// kernel at a time per worker, and returns one outcome per unit, aligned
 /// with `jobs`. A worker builds a kernel's program once for each run of
@@ -258,24 +229,35 @@ pub fn run_kernel_traced(kernel: &Kernel, spec: &RunSpec) -> (SimResult, TraceSu
 /// value — a property pinned by the `determinism` integration test.
 /// `workers` is clamped to `1..=jobs.len()`.
 ///
+/// `on_done(job, unit, outcome)` sees each outcome as its unit finishes,
+/// one call at a time, in completion order: a sweep campaign writes its
+/// shard there, so a killed campaign keeps what it finished.
+///
 /// ```
 /// use swque_bench::{run_units, Budget, RunSpec, Unit};
 /// use swque_core::IqKind;
 /// use swque_workloads::suite;
 ///
 /// let budget = Budget { warmup_insts: 1_000, max_insts: 5_000, scale: Some(500) };
-/// let unit = Unit { spec: RunSpec::medium(IqKind::Circ, budget), traced: false };
+/// let unit = Unit { spec: RunSpec::medium(IqKind::Circ, budget), traced: true };
 /// let jobs = [
 ///     (suite::by_name("deepsjeng_like").unwrap(), vec![unit.clone()]),
 ///     (suite::by_name("xz_like").unwrap(), vec![unit]),
 /// ];
-/// let outcomes = run_units(&jobs, 2);
+/// let mut finished = 0;
+/// let outcomes = run_units(&jobs, 2, |_, _, _| finished += 1);
 /// // Outcomes follow the job list, not thread completion order.
-/// assert_eq!(outcomes.len(), 2);
-/// assert!(outcomes[1][0].trace.is_none());
+/// assert_eq!((outcomes.len(), finished), (2, 2));
+/// // A traced unit also carries the digest of its measured window.
+/// assert!(outcomes[1][0].result.retired >= 4_000);
+/// assert_eq!(outcomes[1][0].trace.as_ref().map(|t| t.dropped), Some(0));
 /// ```
-pub fn run_units(jobs: &[(Kernel, Vec<Unit>)], workers: usize) -> Vec<Vec<Outcome>> {
-    let outcomes: Mutex<Vec<Vec<Outcome>>> = Mutex::new(vec![Vec::new(); jobs.len()]);
+pub fn run_units(
+    jobs: &[(Kernel, Vec<Unit>)],
+    workers: usize,
+    on_done: impl FnMut(usize, usize, &Outcome) + Send,
+) -> Vec<Vec<Outcome>> {
+    let done = Mutex::new((vec![Vec::new(); jobs.len()], on_done));
     let next = AtomicUsize::new(0);
     let workers = workers.clamp(1, jobs.len().max(1));
     std::thread::scope(|scope| {
@@ -283,17 +265,21 @@ pub fn run_units(jobs: &[(Kernel, Vec<Unit>)], workers: usize) -> Vec<Vec<Outcom
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some((kernel, units)) = jobs.get(i) else { break };
-                let mut done = Vec::with_capacity(units.len());
                 for group in units.chunk_by(|a, b| layout(&a.spec) == layout(&b.spec)) {
                     let (scale, seed) = layout(&group[0].spec);
                     let program = kernel.build_seeded(scale, seed);
-                    done.extend(group.iter().map(|u| measure(&program, &u.spec, u.traced)));
+                    for unit in group {
+                        let outcome = measure(&program, &unit.spec, unit.traced);
+                        let mut done = done.lock().unwrap_or_else(PoisonError::into_inner);
+                        let (outcomes, on_done) = &mut *done;
+                        on_done(i, outcomes[i].len(), &outcome);
+                        outcomes[i].push(outcome);
+                    }
                 }
-                outcomes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[i] = done;
             });
         }
     });
-    outcomes.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
+    done.into_inner().unwrap_or_else(PoisonError::into_inner).0
 }
 
 /// The program a spec runs: its kernel scale and layout seed.
@@ -397,11 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn run_kernel_smoke() {
+    fn run_units_smoke() {
         let k = swque_workloads::suite::by_name("deepsjeng_like").unwrap();
         let budget = Budget { warmup_insts: 5_000, max_insts: 20_000, scale: Some(2_000) };
-        let spec = RunSpec::medium(IqKind::Age, budget);
-        let r = run_kernel(&k, &spec);
+        let unit = Unit { spec: RunSpec::medium(IqKind::Age, budget), traced: false };
+        let r = &run_units(&[(k, vec![unit])], 1, |_, _, _| {})[0][0].result;
         // Commit-width granularity means the warmup snapshot may overshoot
         // by a few instructions.
         assert!(r.retired >= 19_000, "measured window present: {}", r.retired);

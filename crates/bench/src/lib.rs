@@ -6,9 +6,10 @@
 //! `src/bin/` named after the figures (`fig09`, `tab06`, `tables`, …) are
 //! shims that run one entry; `all_experiments` runs the whole evaluation
 //! in one process, simulating each distinct unit once. The library also
-//! holds the shared machinery: budgets and run specs, the kernel-parallel
-//! worker pool ([`run_units`]), result tables, structured JSON reports
-//! (see [`output`]) and sweep campaigns (see [`sweep`]).
+//! holds the shared machinery: budgets and run specs, the one worker pool
+//! ([`run_units`]), result tables, structured JSON reports (see
+//! [`output`]) and sweep campaigns (see [`sweep`]), which run their units
+//! on the same pool.
 //!
 //! # Environment knobs
 //!
@@ -27,11 +28,12 @@
 //!   this path. `all_experiments` treats the value as a directory and
 //!   writes one `BENCH_<figure>.json` per registry entry. Read by
 //!   [`output::json_path`].
-//! * **`SWQUE_THREADS`** — worker-thread count for runs (default,
-//!   and for `0`: the host's available parallelism; always clamped to the
-//!   kernel count). A pure throughput knob: results are identical for any
-//!   value, a property pinned by the `determinism` integration test. Read
-//!   by [`harness::default_workers`].
+//! * **`SWQUE_THREADS`** — worker-thread count for runs and sweep
+//!   campaigns (default, and for `0`: the host's available parallelism;
+//!   always clamped to the kernel count, for a campaign to the unit
+//!   count). A pure throughput knob: results are identical for any value,
+//!   a property pinned by the `determinism` and `sweep` integration tests.
+//!   Read by [`harness::default_workers`].
 //! * **`SWQUE_PROP_CASES`** — property-test cases per property (default
 //!   64); consumed by the in-tree harness `swque_rng::prop`.
 //! * **`SWQUE_PROP_SEED`** — base seed for property-test case generation,
@@ -55,8 +57,8 @@ pub mod sweep;
 pub mod table;
 
 pub use harness::{
-    default_workers, default_workers_with, geomean, run_kernel, run_kernel_traced, run_units,
-    Budget, Outcome, ProcessorModel, RunSpec, Short, Unit, TRACE_CAPACITY,
+    default_workers, default_workers_with, geomean, run_units, Budget, Outcome, ProcessorModel,
+    RunSpec, Short, Unit, TRACE_CAPACITY,
 };
 pub use output::{json_path, Report, BENCH_SCHEMA};
 pub use sweep::{

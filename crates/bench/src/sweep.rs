@@ -5,17 +5,17 @@
 //! budget, and lists axis values — issue-queue kinds, processor models,
 //! controller thresholds, workload layout seeds, kernels. The cartesian
 //! product of the axes is expanded in a fixed nested order into a list of
-//! *work units*; each unit is one `run_kernel` simulation through the same
-//! harness path the figure binaries use.
+//! *work units*; each unit is one job of [`run_units`], the worker pool
+//! the figure binaries use.
 //!
 //! Results are *sharded*: every completed unit writes one JSON file
 //! (schema [`SHARD_SCHEMA`]) named by the unit's content hash — an FNV-1a
 //! 64 digest of the unit's canonical JSON, which covers every
 //! code-relevant knob (axes *and* budget). Shards make campaigns
-//! resumable: a re-run validates existing shards (parse, schema, key
-//! match), repairs invalid ones, and only simulates what is missing, so a
-//! campaign killed mid-run finishes from where it died and an edited
-//! manifest reuses every unit it still shares with the old one.
+//! resumable: a re-run validates existing shards, repairs invalid ones,
+//! and only simulates what is missing, so a campaign killed mid-run
+//! finishes from where it died and an edited manifest reuses every unit
+//! it still shares with the old one.
 //!
 //! When every unit has a valid shard, the campaign *merges* (schema
 //! [`CAMPAIGN_SCHEMA`]): one row per unit in expansion order, the
@@ -24,15 +24,22 @@
 //! it — and pure (a fold over shard files in a deterministic order), so
 //! the merged report is byte-identical no matter how many workers produced
 //! the shards or across how many interrupted runs.
+//!
+//! A document is valid when its writer rebuilds it: [`validate_shard_doc`]
+//! reads the unit back with [`WorkUnit::from_json`] and re-renders it with
+//! [`shard_doc`], and [`validate_campaign`] re-folds the rows through
+//! [`campaign_doc`]. Either must reproduce the document byte for byte, so
+//! an edited geomean, marginal or unit key fails exactly where it was
+//! edited.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use swque_core::{fnv1a64, IqKind};
+use swque_cpu::SimResult;
 use swque_trace::Json;
 use swque_workloads::suite;
 
-use crate::harness::{geomean, run_kernel, Budget, ProcessorModel, RunSpec};
+use crate::harness::{geomean, run_units, Budget, ProcessorModel, RunSpec, Unit};
 
 /// Schema identifier of campaign manifests.
 pub const MANIFEST_SCHEMA: &str = "swque-sweep-manifest-v1";
@@ -131,6 +138,31 @@ impl WorkUnit {
         ])
     }
 
+    /// Reads a unit back from its [`canonical_json`](Self::canonical_json),
+    /// the inverse: `from_json(&u.canonical_json())` re-renders to the same
+    /// bytes. `Err` names the offending field.
+    pub fn from_json(doc: &Json) -> Result<WorkUnit, String> {
+        let text = |key: &str| {
+            doc.get(key).and_then(Json::as_str).ok_or_else(|| format!("{key}: not a string"))
+        };
+        let threshold = |key: &str| match doc.get(key) {
+            Some(Json::Null) => Ok(None),
+            v => v.and_then(Json::as_f64).map(Some).ok_or(format!("{key}: not a number or null")),
+        };
+        let (kind, model) = (text("kind")?, text("model")?);
+        Ok(WorkUnit {
+            kind: IqKind::from_label(kind)
+                .ok_or(format!("kind: unknown issue-queue kind {kind:?}"))?,
+            model: ProcessorModel::from_label(model)
+                .ok_or(format!("model: unknown model {model:?}"))?,
+            mpki_threshold: threshold("mpki_threshold")?,
+            flpi_threshold: threshold("flpi_threshold")?,
+            seed: parse_u64(doc, "seed")?,
+            kernel: text("kernel")?.to_string(),
+            budget: budget_from_json(doc.get("budget").ok_or("budget: missing")?)?,
+        })
+    }
+
     /// Content hash of the unit: 16 lowercase hex digits of the FNV-1a 64
     /// digest of [`canonical_json`](Self::canonical_json). Shard files are
     /// named `<key>.json`.
@@ -154,6 +186,24 @@ impl WorkUnit {
 
 fn parse_u64(doc: &Json, key: &str) -> Result<u64, String> {
     doc.get(key).and_then(Json::as_u64).ok_or_else(|| format!("{key}: not an integer"))
+}
+
+/// Reads the `budget` object of a manifest, unit or campaign; unknown keys
+/// are errors, and an omitted `scale` is the kernels' default.
+fn budget_from_json(budget: &Json) -> Result<Budget, String> {
+    for key in budget.keys() {
+        if !["warmup_insts", "max_insts", "scale"].contains(&key) {
+            return Err(format!("budget: unknown key {key:?}"));
+        }
+    }
+    Ok(Budget {
+        warmup_insts: parse_u64(budget, "warmup_insts").map_err(|e| format!("budget.{e}"))?,
+        max_insts: parse_u64(budget, "max_insts").map_err(|e| format!("budget.{e}"))?,
+        scale: match budget.get("scale") {
+            None | Some(Json::Null) => None,
+            Some(v) => Some(v.as_u64().ok_or("budget.scale: not an integer or null")?),
+        },
+    })
 }
 
 fn opt_f64_axis(doc: &Json, key: &str) -> Result<Vec<Option<f64>>, String> {
@@ -194,20 +244,7 @@ impl Manifest {
             .and_then(Json::as_str)
             .ok_or("name: missing or not a string")?
             .to_string();
-        let budget = doc.get("budget").ok_or("budget: missing")?;
-        for key in budget.keys() {
-            if !["warmup_insts", "max_insts", "scale"].contains(&key) {
-                return Err(format!("budget: unknown key {key:?}"));
-            }
-        }
-        let budget = Budget {
-            warmup_insts: parse_u64(budget, "warmup_insts").map_err(|e| format!("budget.{e}"))?,
-            max_insts: parse_u64(budget, "max_insts").map_err(|e| format!("budget.{e}"))?,
-            scale: match budget.get("scale") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("budget.scale: not an integer or null")?),
-            },
-        };
+        let budget = budget_from_json(doc.get("budget").ok_or("budget: missing")?)?;
         let axes = doc.get("axes").cloned().unwrap_or_else(|| Json::obj::<&str, _>([]));
         for key in axes.keys() {
             let known =
@@ -284,8 +321,7 @@ impl Manifest {
     /// Expands the manifest into its work units — the cartesian product of
     /// the axes in the fixed nested order kind → model → MPKI threshold →
     /// FLPI threshold → seed → kernel (kernel innermost). This order *is*
-    /// the campaign's unit order: merged-report rows follow it, and the
-    /// `--limit` prefix used by resume tests cuts along it.
+    /// the campaign's unit order: merged-report rows follow it.
     pub fn units(&self) -> Vec<WorkUnit> {
         let mut units = Vec::new();
         for &kind in &self.axes.kinds {
@@ -313,35 +349,28 @@ impl Manifest {
     }
 }
 
-/// Simulates one unit and returns its shard document. Fails (rather than
-/// writing a poisoned shard) when the simulator reports a pipeline
-/// invariant violation or the measured window is degenerate.
-pub fn run_unit(unit: &WorkUnit) -> Result<Json, String> {
-    let kernel = suite::by_name(&unit.kernel)
-        .ok_or_else(|| format!("unit {}: unknown kernel {:?}", unit.key(), unit.kernel))?;
-    let result = run_kernel(&kernel, &unit.spec());
-    if let Some(v) = &result.invariant {
-        return Err(format!("unit {} ({}): {v}", unit.key(), unit.kernel));
-    }
-    if result.cycles == 0 || result.retired == 0 {
-        return Err(format!("unit {} ({}): empty measurement window", unit.key(), unit.kernel));
-    }
-    Ok(Json::obj([
+/// The result object of a shard or campaign row: the measured window's
+/// counters and rates.
+fn result_json(result: &SimResult) -> Json {
+    Json::obj([
+        ("cycles", Json::from(result.cycles)),
+        ("retired", Json::from(result.retired)),
+        ("ipc", Json::from(result.ipc())),
+        ("mpki", Json::from(result.mpki())),
+        ("flpi", Json::from(result.iq.flpi())),
+        ("mode_switches", Json::from(result.swque.map_or(0, |s| s.switches))),
+    ])
+}
+
+/// The shard document (schema [`SHARD_SCHEMA`]) of `unit` with its
+/// `result` object.
+pub fn shard_doc(unit: &WorkUnit, result: Json) -> Json {
+    Json::obj([
         ("schema", Json::from(SHARD_SCHEMA)),
         ("unit_key", Json::from(unit.key())),
         ("unit", unit.canonical_json()),
-        (
-            "result",
-            Json::obj([
-                ("cycles", Json::from(result.cycles)),
-                ("retired", Json::from(result.retired)),
-                ("ipc", Json::from(result.ipc())),
-                ("mpki", Json::from(result.mpki())),
-                ("flpi", Json::from(result.iq.flpi())),
-                ("mode_switches", Json::from(result.swque.map_or(0, |s| s.switches))),
-            ]),
-        ),
-    ]))
+        ("result", result),
+    ])
 }
 
 /// Path of `unit`'s shard file inside `out`.
@@ -349,28 +378,48 @@ pub fn shard_path(out: &Path, unit: &WorkUnit) -> PathBuf {
     out.join("shards").join(format!("{}.json", unit.key()))
 }
 
-/// Validates the shard document stored for `unit`: declared schema,
-/// `unit_key` matching the recomputed content hash, the embedded unit
-/// matching the expanded one byte-for-byte, and a well-formed result.
-/// `Err` describes the first problem (the resume path treats any `Err` as
-/// "shard missing" and re-runs the unit; the merge path treats it as
-/// fatal).
+/// Reads the unit and result of a shard or campaign row: the unit through
+/// [`WorkUnit::from_json`], its `unit_key` checked against the unit's
+/// content hash, the result through [`validate_result`]. `path` (empty or
+/// ending in `.`) prefixes every diagnostic.
+fn read_row(row: &Json, path: &str) -> Result<(WorkUnit, Json), String> {
+    let unit = WorkUnit::from_json(row.get("unit").unwrap_or(&Json::Null))
+        .map_err(|e| format!("{path}unit.{e}"))?;
+    let key = row.get("unit_key").and_then(Json::as_str).unwrap_or("");
+    if key != unit.key() {
+        return Err(format!(
+            "{path}unit_key: {key:?} does not match the unit's content hash {:?}",
+            unit.key()
+        ));
+    }
+    let result = row.get("result").ok_or_else(|| format!("{path}result: missing"))?;
+    validate_result(result, &format!("{path}result"))?;
+    Ok((unit, result.clone()))
+}
+
+/// Validates a shard document: its result passes [`validate_result`] and
+/// [`shard_doc`] rebuilds it byte for byte from its own unit and result.
+/// Returns both. `Err` names the first offending JSON path.
+pub fn validate_shard_doc(doc: &Json) -> Result<(WorkUnit, Json), String> {
+    let (unit, result) = read_row(doc, "")?;
+    doc.mismatch(&shard_doc(&unit, result.clone())).map_or(Ok((unit, result)), Err)
+}
+
+/// Validates the shard text stored for `unit` ([`validate_shard_doc`], and
+/// its unit is `unit`) and returns its result object. `Err` describes the
+/// first problem (the resume path treats any `Err` as "shard missing" and
+/// re-runs the unit; the merge path treats it as fatal).
 pub fn validate_shard(text: &str, unit: &WorkUnit) -> Result<Json, String> {
     let doc = Json::parse(text).map_err(|e| format!("parse error: {e}"))?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != SHARD_SCHEMA {
-        return Err(format!("schema: {schema:?}, expected {SHARD_SCHEMA:?}"));
+    let (stored, result) = validate_shard_doc(&doc)?;
+    if stored.key() != unit.key() {
+        return Err(format!(
+            "unit_key: {:?} is not the manifest unit {:?}",
+            stored.key(),
+            unit.key()
+        ));
     }
-    let key = doc.get("unit_key").and_then(Json::as_str).unwrap_or("");
-    if key != unit.key() {
-        return Err(format!("unit_key: {key:?} does not match content hash {:?}", unit.key()));
-    }
-    let embedded = doc.get("unit").ok_or("unit: missing")?;
-    if embedded.to_string() != unit.canonical_json().to_string() {
-        return Err("unit: embedded unit differs from the manifest expansion".to_string());
-    }
-    validate_result(doc.get("result").ok_or("result: missing")?, "result")?;
-    Ok(doc)
+    Ok(result)
 }
 
 /// Validates the result object of a shard or campaign row: integer
@@ -397,20 +446,31 @@ pub fn validate_result(result: &Json, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes `doc` to `path` atomically: a worker-unique temporary in the
-/// same directory, flushed, then renamed into place. A campaign killed
-/// mid-write therefore leaves either no shard or a complete one — never a
-/// truncated file a resume would have to distrust.
-fn write_atomic(path: &Path, doc: &Json, tmp_tag: usize) -> Result<(), String> {
-    let dir = path.parent().ok_or("shard path has no parent")?;
-    let tmp = dir.join(format!(
-        ".tmp-{tmp_tag}-{}",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("shard")
-    ));
+/// Writes `doc` to `path` atomically: a process-unique temporary in the
+/// same directory, then renamed into place. A campaign killed mid-write
+/// therefore leaves either no file or a complete one — never a truncated
+/// file a resume or a reader would have to distrust.
+fn write_atomic(path: &Path, doc: &Json) -> Result<(), String> {
+    let dir = path.parent().ok_or("output path has no parent")?;
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("out");
+    let tmp = dir.join(format!(".tmp-{}-{name}", std::process::id()));
     std::fs::write(&tmp, format!("{doc}\n"))
         .map_err(|e| format!("write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+}
+
+/// Writes the shard of a finished unit. Fails (rather than writing a
+/// poisoned shard) when the simulator reports a pipeline invariant
+/// violation or the measured window is empty.
+fn write_shard(out: &Path, unit: &WorkUnit, result: &SimResult) -> Result<(), String> {
+    if let Some(v) = &result.invariant {
+        return Err(format!("unit {} ({}): {v}", unit.key(), unit.kernel));
+    }
+    if result.cycles == 0 || result.retired == 0 {
+        return Err(format!("unit {} ({}): empty measurement window", unit.key(), unit.kernel));
+    }
+    write_atomic(&shard_path(out, unit), &shard_doc(unit, result_json(result)))
 }
 
 /// Outcome of [`run_campaign`].
@@ -424,21 +484,18 @@ pub struct CampaignStatus {
     pub ran: usize,
     /// Invalid shards deleted and re-queued before running.
     pub repaired: usize,
-    /// `Some(path)` when every unit now has a shard and the merged
-    /// campaign report was written.
-    pub merged: Option<PathBuf>,
+    /// The merged campaign report.
+    pub merged: PathBuf,
 }
 
 /// Runs (or resumes) a campaign: validates existing shards under
 /// `out/shards/`, repairs invalid ones, simulates the missing units on
-/// `workers` threads (`limit` caps how many this invocation runs — the
-/// deterministic interruption used by resume tests), and merges the
-/// campaign report once every unit has a shard.
+/// [`run_units`] with `workers` threads, one job per unit, writing each
+/// shard as its unit finishes, and merges the campaign report.
 pub fn run_campaign(
     manifest: &Manifest,
     out: &Path,
     workers: usize,
-    limit: Option<usize>,
 ) -> Result<CampaignStatus, String> {
     let units = manifest.units();
     if units.is_empty() {
@@ -467,78 +524,47 @@ pub fn run_campaign(
             Err(_) => pending.push(unit),
         }
     }
-    if let Some(limit) = limit {
-        pending.truncate(limit);
-    }
 
-    // The same index-claiming pool shape as the harness sweep: claim order
-    // is scheduling, not semantics — every shard is keyed by content, so
-    // the on-disk outcome is identical for any worker count.
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let next: Mutex<usize> = Mutex::new(0);
-    let done: Mutex<usize> = Mutex::new(0);
-    let workers = workers.clamp(1, pending.len().max(1));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let pending = &pending;
-            let errors = &errors;
-            let next = &next;
-            let done = &done;
-            scope.spawn(move || loop {
-                let i = {
-                    let mut n = next.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                if i >= pending.len() {
-                    break;
-                }
-                let unit = pending[i];
-                let outcome =
-                    run_unit(unit).and_then(|doc| write_atomic(&shard_path(out, unit), &doc, w));
-                match outcome {
-                    Ok(()) => {
-                        let mut d = done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *d += 1;
-                        eprintln!(
-                            "[swque-sweep] {}/{} {} {}/{} seed {} {}",
-                            *d,
-                            pending.len(),
-                            unit.key(),
-                            unit.kind.label(),
-                            unit.model.label(),
-                            unit.seed,
-                            unit.kernel,
-                        );
-                    }
-                    Err(e) => {
-                        errors.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(e)
-                    }
-                }
-            });
+    // One job per unit keeps a one-kernel campaign parallel. Every shard
+    // is keyed by content, so the on-disk outcome is identical for any
+    // worker count and completion order.
+    let jobs = pending
+        .iter()
+        .map(|u| {
+            let kernel = suite::by_name(&u.kernel)
+                .ok_or_else(|| format!("unit {}: unknown kernel {:?}", u.key(), u.kernel))?;
+            Ok((kernel, vec![Unit { spec: u.spec(), traced: false }]))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let (mut finished, mut errors) = (0usize, Vec::new());
+    run_units(&jobs, workers, |job, _, outcome| {
+        let unit = pending[job];
+        match write_shard(out, unit, &outcome.result) {
+            Ok(()) => {
+                finished += 1;
+                eprintln!(
+                    "[swque-sweep] {finished}/{} {} {}/{} seed {} {}",
+                    pending.len(),
+                    unit.key(),
+                    unit.kind.label(),
+                    unit.model.label(),
+                    unit.seed,
+                    unit.kernel,
+                );
+            }
+            Err(e) => errors.push(e),
         }
     });
-    let errors = errors.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(first) = errors.first() {
         return Err(format!("{} unit(s) failed; first: {first}", errors.len()));
     }
-    let ran = pending.len();
-
-    let merged = if skipped + ran == units.len() {
-        let report = merge_campaign(manifest, out)?;
-        let path = out.join("campaign.json");
-        write_atomic(&path, &report, usize::MAX)?;
-        Some(path)
-    } else {
-        None
-    };
-    Ok(CampaignStatus { total: units.len(), skipped, ran, repaired, merged })
+    let merged = merge_campaign(manifest, out)?;
+    Ok(CampaignStatus { total: units.len(), skipped, ran: pending.len(), repaired, merged })
 }
 
 /// Per-axis marginal rows: for each (axis, value) with the axis length
 /// > 1, the geomean IPC over the units holding that value.
-fn marginals(units: &[WorkUnit], ipc: &[f64]) -> Vec<Json> {
+fn marginals(rows: &[(WorkUnit, Json)], ipc: &[f64]) -> Vec<Json> {
     let mut out = Vec::new();
     let mut axis = |name: &str, values: Vec<(String, Vec<usize>)>| {
         if values.len() < 2 {
@@ -559,7 +585,7 @@ fn marginals(units: &[WorkUnit], ipc: &[f64]) -> Vec<Json> {
     // most.
     let group = |label: &dyn Fn(&WorkUnit) -> String| -> Vec<(String, Vec<usize>)> {
         let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-        for (i, u) in units.iter().enumerate() {
+        for (i, (u, _)) in rows.iter().enumerate() {
             let l = label(u);
             match groups.iter_mut().find(|(g, _)| *g == l) {
                 Some((_, idx)) => idx.push(i),
@@ -578,38 +604,76 @@ fn marginals(units: &[WorkUnit], ipc: &[f64]) -> Vec<Json> {
     out
 }
 
-/// Merges a complete campaign into its report (schema
-/// [`CAMPAIGN_SCHEMA`]). Strict: every unit's shard must exist and pass
-/// [`validate_shard`] — a corrupt or stale shard fails the merge rather
-/// than silently skewing the aggregates. Pure fold in unit order, so the
-/// result is byte-identical regardless of how the shards were produced.
-pub fn merge_campaign(manifest: &Manifest, out: &Path) -> Result<Json, String> {
-    let units = manifest.units();
-    let mut rows = Vec::with_capacity(units.len());
-    let mut ipcs = Vec::with_capacity(units.len());
-    for unit in &units {
-        let path = shard_path(out, unit);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("merge: {}: {e}", path.display()))?;
-        let doc =
-            validate_shard(&text, unit).map_err(|e| format!("merge: {}: {e}", path.display()))?;
-        let result = doc.get("result").cloned().unwrap_or(Json::Null);
-        ipcs.push(result.get("ipc").and_then(Json::as_f64).unwrap_or(0.0));
-        rows.push(Json::obj([
+/// The merged report (schema [`CAMPAIGN_SCHEMA`]) of campaign `name` under
+/// `budget` over `rows`, each a unit and its result object, in unit order.
+/// A pure fold: the same rows give the same bytes.
+///
+/// # Panics
+///
+/// Panics if `rows` is empty or a result's `ipc` is not positive; callers
+/// check each result with [`validate_result`] first.
+pub fn campaign_doc(name: &str, budget: &Budget, rows: &[(WorkUnit, Json)]) -> Json {
+    let ipcs: Vec<f64> =
+        rows.iter().map(|(_, r)| r.get("ipc").and_then(Json::as_f64).unwrap_or(0.0)).collect();
+    let row_docs = rows.iter().map(|(unit, result)| {
+        Json::obj([
             ("unit_key", Json::from(unit.key())),
             ("unit", unit.canonical_json()),
-            ("result", result),
-        ]));
-    }
-    Ok(Json::obj([
+            ("result", result.clone()),
+        ])
+    });
+    Json::obj([
         ("schema", Json::from(CAMPAIGN_SCHEMA)),
-        ("name", Json::from(manifest.name.as_str())),
-        ("units", Json::from(units.len())),
-        ("budget", budget_json(&manifest.budget)),
+        ("name", Json::from(name)),
+        ("units", Json::from(rows.len())),
+        ("budget", budget_json(budget)),
         ("geomean_ipc", Json::from(geomean(&ipcs))),
-        ("marginals", Json::Arr(marginals(&units, &ipcs))),
-        ("rows", Json::Arr(rows)),
-    ]))
+        ("marginals", Json::Arr(marginals(rows, &ipcs))),
+        ("rows", Json::Arr(row_docs.collect())),
+    ])
+}
+
+/// Validates a campaign report: every row reads back as a shard does, and
+/// [`campaign_doc`] re-folds the rows into the same bytes — so an edited
+/// geomean or marginal fails at its own path.
+pub fn validate_campaign(doc: &Json) -> Result<(), String> {
+    let rows = doc.get("rows").and_then(Json::as_arr).ok_or("rows: not an array")?;
+    let declared = doc.get("units").and_then(Json::as_u64).ok_or("units: not an integer")?;
+    if rows.is_empty() || rows.len() as u64 != declared {
+        return Err(format!("rows: {} row(s) vs declared units {declared}", rows.len()));
+    }
+    let rows = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| read_row(row, &format!("rows[{i}].")))
+        .collect::<Result<Vec<_>, String>>()?;
+    let name = doc.get("name").and_then(Json::as_str).ok_or("name: not a string")?;
+    let budget = budget_from_json(doc.get("budget").ok_or("budget: missing")?)?;
+    doc.mismatch(&campaign_doc(name, &budget, &rows)).map_or(Ok(()), Err)
+}
+
+/// Merges a complete campaign and writes its report atomically to
+/// `out/campaign.json`, returning that path. Strict: every unit's shard
+/// must exist and pass [`validate_shard`] — a corrupt or stale shard fails
+/// the merge rather than silently skewing the aggregates. The fold is in
+/// unit order, so the report is byte-identical however the shards were
+/// produced.
+pub fn merge_campaign(manifest: &Manifest, out: &Path) -> Result<PathBuf, String> {
+    let rows = manifest
+        .units()
+        .into_iter()
+        .map(|unit| {
+            let path = shard_path(out, &unit);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("merge: {}: {e}", path.display()))?;
+            let result = validate_shard(&text, &unit)
+                .map_err(|e| format!("merge: {}: {e}", path.display()))?;
+            Ok((unit, result))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let path = out.join("campaign.json");
+    write_atomic(&path, &campaign_doc(&manifest.name, &manifest.budget, &rows))?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -733,6 +797,24 @@ mod tests {
         expected.config.iq.swque.mpki_threshold = 12.0;
         expected.config.iq.swque.flpi_threshold = 0.07;
         assert_eq!(unit.spec(), expected);
+    }
+
+    #[test]
+    fn units_read_back_from_their_canonical_json() {
+        let mut units = mini_manifest().units();
+        units[0].model = ProcessorModel::Large;
+        units[1].mpki_threshold = Some(1.5);
+        units[2].flpi_threshold = Some(0.07);
+        units[3].budget.scale = None;
+        for unit in &units {
+            let text = unit.canonical_json().to_string();
+            let back = WorkUnit::from_json(&Json::parse(&text).expect("parses")).expect("reads");
+            assert_eq!(&back, unit);
+            assert_eq!(back.canonical_json().to_string(), text);
+        }
+        let bad = Json::parse(&units[0].canonical_json().to_string().replace("CIRC", "NOPE"));
+        let err = WorkUnit::from_json(&bad.expect("parses")).unwrap_err();
+        assert!(err.starts_with("kind: unknown issue-queue kind \"NOPE\""), "{err}");
     }
 
     #[test]

@@ -36,9 +36,9 @@ fn fingerprint(jobs: &[(Kernel, Vec<Unit>)], outcomes: &[Vec<Outcome>]) -> Strin
 fn parallel_run_matches_single_worker() {
     let kernels = suite::all();
     let jobs = jobs(&kernels[..3], false);
-    let serial = fingerprint(&jobs, &run_units(&jobs, 1));
+    let serial = fingerprint(&jobs, &run_units(&jobs, 1, |_, _, _| {}));
     for workers in [2, 4, 16] {
-        let parallel = fingerprint(&jobs, &run_units(&jobs, workers));
+        let parallel = fingerprint(&jobs, &run_units(&jobs, workers, |_, _, _| {}));
         assert_eq!(serial, parallel, "outcomes differ with {workers} workers");
     }
 }
@@ -47,24 +47,27 @@ fn parallel_run_matches_single_worker() {
 fn traced_parallel_run_matches_single_worker() {
     let kernels = suite::all();
     let jobs = jobs(&kernels[..2], true);
-    let outcomes = run_units(&jobs, 1);
+    let outcomes = run_units(&jobs, 1, |_, _, _| {});
     assert!(outcomes.iter().flatten().all(|o| o.trace.is_some()), "traced units carry traces");
     let serial = fingerprint(&jobs, &outcomes);
-    let parallel = fingerprint(&jobs, &run_units(&jobs, 8));
+    let parallel = fingerprint(&jobs, &run_units(&jobs, 8, |_, _, _| {}));
     assert_eq!(serial, parallel, "traced outcomes differ across worker counts");
 }
 
 #[test]
 fn empty_and_single_kernel_lists() {
-    assert!(run_units(&[], 4).is_empty(), "no jobs, no outcomes");
+    assert!(run_units(&[], 4, |_, _, _| {}).is_empty(), "no jobs, no outcomes");
     let kernels = suite::all();
     let jobs = jobs(&kernels[..1], false);
-    let outcomes = run_units(&jobs, 4);
+    let outcomes = run_units(&jobs, 4, |_, _, _| {});
     assert_eq!(outcomes.len(), 1);
     assert_eq!(outcomes[0].len(), jobs[0].1.len(), "one outcome per unit");
     assert!(outcomes[0].iter().all(|o| o.trace.is_none()), "untraced units carry no trace");
     // A run with zero requested workers still runs (clamped to 1).
-    assert_eq!(fingerprint(&jobs, &run_units(&jobs, 0)), fingerprint(&jobs, &outcomes));
+    assert_eq!(
+        fingerprint(&jobs, &run_units(&jobs, 0, |_, _, _| {})),
+        fingerprint(&jobs, &outcomes)
+    );
 }
 
 /// A unit that halts before retiring its budget is flagged short, with
@@ -80,7 +83,7 @@ fn units_that_halt_before_their_budget_are_short() {
         .into_iter()
         .map(|b| Unit { spec: RunSpec::medium(IqKind::Age, b), traced: true })
         .collect();
-    let outcomes = run_units(&[(kernel, units)], 1);
+    let outcomes = run_units(&[(kernel, units)], 1, |_, _, _| {});
     let short: Vec<Option<Short>> = outcomes[0].iter().map(|o| o.short).collect();
     assert_eq!(short, [None, Some(Short::InMeasurement), Some(Short::InWarmup)]);
     assert!(outcomes[0].iter().all(|o| o.trace.is_some()));
@@ -108,8 +111,9 @@ fn worker_override_resolution_is_pure() {
     // one — and single- vs multi-worker equality is already pinned above,
     // so the override provably cannot change results.
     let jobs = jobs(&suite::all(), false);
-    let forced = fingerprint(&jobs, &run_units(&jobs, default_workers_with(1, jobs.len())));
-    let explicit = fingerprint(&jobs, &run_units(&jobs, 1));
+    let forced =
+        fingerprint(&jobs, &run_units(&jobs, default_workers_with(1, jobs.len()), |_, _, _| {}));
+    let explicit = fingerprint(&jobs, &run_units(&jobs, 1, |_, _, _| {}));
     assert_eq!(forced, explicit);
 }
 

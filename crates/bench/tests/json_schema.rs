@@ -4,7 +4,7 @@
 //! `swque-bench-v1` / `swque-trace-v1` shapes. A change that reshapes the
 //! JSON must update this test, DESIGN.md, and the schema version together.
 
-use swque_bench::{run_kernel_traced, Budget, Report, RunSpec, Table, BENCH_SCHEMA};
+use swque_bench::{run_units, Budget, Report, RunSpec, Table, Unit, BENCH_SCHEMA};
 use swque_core::IqKind;
 use swque_trace::Json;
 use swque_workloads::suite;
@@ -14,7 +14,9 @@ const BUDGET: Budget = Budget { warmup_insts: 5_000, max_insts: 40_000, scale: S
 #[test]
 fn bench_report_schema_is_pinned() {
     let kernel = suite::by_name("mcf_like").expect("suite kernel");
-    let (result, trace) = run_kernel_traced(&kernel, &RunSpec::medium(IqKind::Swque, BUDGET));
+    let unit = Unit { spec: RunSpec::medium(IqKind::Swque, BUDGET), traced: true };
+    let out = run_units(&[(kernel.clone(), vec![unit])], 1, |_, _, _| {}).remove(0).remove(0);
+    let (result, trace) = (out.result, out.trace.expect("traced unit carries a trace"));
     assert!(result.retired >= 30_000, "measured window ran");
 
     let mut table = Table::new(["program", "ipc"]);

@@ -2,14 +2,18 @@
 //! strict, so a campaign must (a) merge byte-identically for any worker
 //! count, (b) skip completed shards on re-run, (c) repair a shard
 //! truncated by a mid-write kill and still produce the identical merged
-//! report, and (d) refuse to merge a tampered shard.
+//! report, and (d) refuse to merge a tampered shard. Every document it
+//! writes must pass its writer's own validator.
 //!
 //! Each test owns a unique scratch directory (process id + test tag) so
 //! the suite can run concurrently in one process.
 
 use std::path::PathBuf;
 
-use swque_bench::sweep::{merge_campaign, run_campaign, shard_path, Manifest, CAMPAIGN_SCHEMA};
+use swque_bench::sweep::{
+    merge_campaign, run_campaign, shard_path, validate_campaign, validate_shard_doc, Manifest,
+    CAMPAIGN_SCHEMA,
+};
 use swque_trace::Json;
 
 /// Four cheap units: 2 kinds x 2 seeds over one kernel, tiny budget.
@@ -38,10 +42,15 @@ fn read(path: &PathBuf) -> String {
 fn campaign_runs_merges_and_validates() {
     let m = mini_manifest();
     let out = scratch("merge");
-    let status = run_campaign(&m, &out, 2, None).expect("campaign runs");
+    let status = run_campaign(&m, &out, 2).expect("campaign runs");
     assert_eq!((status.total, status.skipped, status.ran, status.repaired), (4, 0, 4, 0));
-    let merged = status.merged.expect("complete campaign merges");
-    let doc = Json::parse(&read(&merged)).expect("campaign.json parses");
+    let text = read(&status.merged);
+    let doc = Json::parse(&text).expect("campaign.json parses");
+    validate_campaign(&doc).expect("the merged report rebuilds");
+    for unit in m.units() {
+        let shard = Json::parse(&read(&shard_path(&out, &unit))).expect("shard parses");
+        assert_eq!(validate_shard_doc(&shard).expect("shard rebuilds").0.key(), unit.key());
+    }
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some(CAMPAIGN_SCHEMA));
     assert_eq!(doc.get("units").and_then(Json::as_u64), Some(4));
     assert_eq!(doc.get("rows").and_then(Json::as_arr).map(|r| r.len()), Some(4));
@@ -52,6 +61,13 @@ fn campaign_runs_merges_and_validates() {
         marginals.iter().filter_map(|m| m.get("axis").and_then(Json::as_str)).collect();
     assert_eq!(axes, ["kind", "kind", "seed", "seed"]);
     assert!(doc.get("geomean_ipc").and_then(Json::as_f64).expect("geomean") > 0.0);
+    // A merge alone rewrites the same report, through a temporary file
+    // that it renames into place.
+    std::fs::remove_file(&status.merged).expect("remove report");
+    assert_eq!(read(&merge_campaign(&m, &out).expect("merge")), text);
+    let names: Vec<_> =
+        std::fs::read_dir(&out).expect("out dir").flatten().map(|e| e.file_name()).collect();
+    assert_eq!(names.len(), 2, "only shards/ and campaign.json: {names:?}");
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -61,8 +77,8 @@ fn merged_report_is_byte_identical_for_any_worker_count() {
     let mut reports = Vec::new();
     for workers in [1usize, 3, 16] {
         let out = scratch(&format!("workers{workers}"));
-        let status = run_campaign(&m, &out, workers, None).expect("campaign runs");
-        reports.push(read(&status.merged.expect("merged")));
+        let status = run_campaign(&m, &out, workers).expect("campaign runs");
+        reports.push(read(&status.merged));
         let _ = std::fs::remove_dir_all(&out);
     }
     assert_eq!(reports[0], reports[1], "1 vs 3 workers");
@@ -73,17 +89,17 @@ fn merged_report_is_byte_identical_for_any_worker_count() {
 fn resume_skips_completed_shards_by_content_hash() {
     let m = mini_manifest();
     let out = scratch("resume");
-    // Interrupted campaign: only the first two units run.
-    let partial = run_campaign(&m, &out, 2, Some(2)).expect("partial run");
-    assert_eq!((partial.ran, partial.skipped), (2, 0));
-    assert!(partial.merged.is_none(), "incomplete campaign must not merge");
-    // The shard files the partial run produced, by content hash.
+    let golden = read(&run_campaign(&m, &out, 2).expect("full run").merged);
+    // Interrupted campaign: only the first two units' shards survive.
     let units = m.units();
+    for u in &units[2..] {
+        std::fs::remove_file(shard_path(&out, u)).expect("remove shard");
+    }
     let first_shards: Vec<String> = units[..2].iter().map(|u| read(&shard_path(&out, u))).collect();
     // Resume: the two existing shards are recognized and skipped.
-    let resumed = run_campaign(&m, &out, 2, None).expect("resume");
+    let resumed = run_campaign(&m, &out, 2).expect("resume");
     assert_eq!((resumed.skipped, resumed.ran, resumed.repaired), (2, 2, 0));
-    resumed.merged.expect("now complete");
+    assert_eq!(read(&resumed.merged), golden, "resumed report matches the full run");
     for (u, before) in units[..2].iter().zip(&first_shards) {
         assert_eq!(&read(&shard_path(&out, u)), before, "skipped shard untouched");
     }
@@ -94,17 +110,17 @@ fn resume_skips_completed_shards_by_content_hash() {
 fn kill_mid_write_truncation_is_repaired_and_report_identical() {
     let m = mini_manifest();
     let out = scratch("repair");
-    let status = run_campaign(&m, &out, 2, None).expect("first full run");
-    let golden = read(&status.merged.expect("merged"));
+    let status = run_campaign(&m, &out, 2).expect("first full run");
+    let golden = read(&status.merged);
     // Simulate a shard left truncated by a hard kill: half a document.
     let victim = shard_path(&out, &m.units()[1]);
     let text = read(&victim);
     std::fs::write(&victim, &text[..text.len() / 2]).expect("truncate shard");
     // Resume detects the invalid shard, re-runs exactly that unit, and the
     // merged report comes out byte-identical.
-    let resumed = run_campaign(&m, &out, 2, None).expect("resume after truncation");
+    let resumed = run_campaign(&m, &out, 2).expect("resume after truncation");
     assert_eq!((resumed.skipped, resumed.ran, resumed.repaired), (3, 1, 1));
-    assert_eq!(read(&resumed.merged.expect("merged again")), golden);
+    assert_eq!(read(&resumed.merged), golden);
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -112,7 +128,7 @@ fn kill_mid_write_truncation_is_repaired_and_report_identical() {
 fn tampered_shard_fails_the_merge() {
     let m = mini_manifest();
     let out = scratch("tamper");
-    run_campaign(&m, &out, 2, None).expect("full run").merged.expect("merged");
+    run_campaign(&m, &out, 2).expect("full run");
     // Flip the recorded IPC without re-hashing: the embedded unit still
     // matches its key, but the result is now unattested... the merge
     // cannot catch a result edit by hash (results are not hashed), so

@@ -58,4 +58,4 @@ pub use ctrl::CtrlHarness;
 pub use exec::{check_replay, run_replay, ReplayOutcome};
 pub use explore::{explore, minimize, FoundViolation, Harness, RunOutcome};
 pub use harness::{Injection, QueueHarness, Violation, SEQ_BASE};
-pub use report::{report, McRun, McViolation, MC_SCHEMA};
+pub use report::{report, validate_report, McRun, McViolation, MC_SCHEMA};

@@ -3,9 +3,11 @@
 //! One checker invocation produces one report: a run record per explored
 //! target (kind × capacity × width × depth × injection) with its state
 //! count, closure status, and any violations — each violation carrying
-//! the minimized replay string. `swque-bench check_json` validates this
-//! schema; `scripts/verify.sh` gates on it.
+//! the minimized replay string. [`validate_report`] checks a report by
+//! rebuilding it with [`report`]; `swque-bench check_json` calls it, and
+//! `scripts/verify.sh` gates on it.
 
+use swque_core::replay::Replay;
 use swque_trace::json::Json;
 
 use crate::explore::RunOutcome;
@@ -74,6 +76,69 @@ impl McRun {
         }
     }
 
+    /// Reads a run record back from its JSON (the inverse of the
+    /// rendering in [`report`]). Beyond the field types it refuses what the
+    /// checker cannot write: `closed` disagreeing with `frontier == 0`, and
+    /// a violation whose replay does not parse under `swque-mc-replay-v1`,
+    /// targets another kind, or expects another property. `Err` names the
+    /// offending field.
+    pub fn from_json(doc: &Json) -> Result<McRun, String> {
+        let text = |v: &Json, key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or(format!("{key}: not a string"))
+        };
+        let int =
+            |key: &str| doc.get(key).and_then(Json::as_u64).ok_or(format!("{key}: not an integer"));
+        let size = |key: &str| {
+            int(key).and_then(|n| usize::try_from(n).map_err(|e| format!("{key}: {e}")))
+        };
+        let target = text(doc, "target")?;
+        let (frontier, closed) = (int("frontier")?, doc.get("closed").and_then(Json::as_bool));
+        let closed = closed.ok_or("closed: not a bool")?;
+        if closed != (frontier == 0) {
+            return Err(format!("closed: {closed} inconsistent with frontier={frontier}"));
+        }
+        let violations =
+            doc.get("violations").and_then(Json::as_arr).ok_or("violations: not an array")?;
+        let violations = violations
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let at = |e: String| format!("violations[{i}].{e}");
+                let (property, replay) =
+                    (text(v, "property").map_err(at)?, text(v, "replay").map_err(at)?);
+                let parsed = Replay::parse(&replay).map_err(|e| at(format!("replay: {e}")))?;
+                if parsed.target.label() != target {
+                    return Err(at(format!(
+                        "replay: targets {}, run explores {target}",
+                        parsed.target.label()
+                    )));
+                }
+                if parsed.expect.as_deref() != Some(property.as_str()) {
+                    return Err(at(format!(
+                        "replay: expect={:?} vs violated property {property:?}",
+                        parsed.expect
+                    )));
+                }
+                Ok(McViolation { property, detail: text(v, "detail").map_err(at)?, replay })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(McRun {
+            target,
+            capacity: size("capacity")?,
+            width: size("width")?,
+            depth: int("depth")?,
+            inject: text(doc, "inject")?,
+            states: int("states")?,
+            deepest: int("deepest")?,
+            frontier,
+            closed,
+            violations,
+        })
+    }
+
     fn to_json(&self) -> Json {
         let violations: Vec<Json> = self
             .violations
@@ -112,6 +177,21 @@ pub fn report(smoke: bool, runs: &[McRun]) -> Json {
         ("total_states", Json::from(total_states)),
         ("violations", Json::from(violations)),
     ])
+}
+
+/// Validates a `swque-mc-v1` report by rebuilding it: every run reads back
+/// through [`McRun::from_json`], and [`report`] over those runs must give
+/// the same bytes, so edited totals fail at their own path. Returns the
+/// runs. `Err` names the first offending JSON path.
+pub fn validate_report(doc: &Json) -> Result<Vec<McRun>, String> {
+    let smoke = doc.get("smoke").and_then(Json::as_bool).ok_or("smoke: not a bool")?;
+    let runs = doc.get("runs").and_then(Json::as_arr).ok_or("runs: not an array")?;
+    let runs = runs
+        .iter()
+        .enumerate()
+        .map(|(i, run)| McRun::from_json(run).map_err(|e| format!("runs[{i}].{e}")))
+        .collect::<Result<Vec<_>, String>>()?;
+    doc.mismatch(&report(smoke, &runs)).map_or(Ok(runs), Err)
 }
 
 #[cfg(test)]
@@ -160,5 +240,19 @@ mod tests {
         let text = json.to_string();
         let back = swque_trace::json::Json::parse(&text).expect("round trip");
         assert_eq!(back.to_string(), text);
+    }
+
+    #[test]
+    fn report_rebuilds_from_its_runs() {
+        let text = report(true, &[sample_run(), McRun { violations: Vec::new(), ..sample_run() }])
+            .to_string();
+        let runs = validate_report(&Json::parse(&text).expect("parses")).expect("valid");
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].violations[0].replay, sample_run().violations[0].replay);
+        assert_eq!(report(true, &runs).to_string(), text);
+        // A run that claims closure with a live frontier is refused.
+        let open = text.replacen("\"frontier\":0", "\"frontier\":3", 1);
+        let err = validate_report(&Json::parse(&open).expect("parses")).unwrap_err();
+        assert!(err.starts_with("runs[0].closed: true inconsistent with frontier=3"), "{err}");
     }
 }

@@ -123,6 +123,41 @@ impl Json {
         }
     }
 
+    /// Where `self` first departs from `expected`, as `<json path>: <what
+    /// differs>` (`$` is the root, `rows[2].ipc` a nested member), or
+    /// `None` when both serialize to the same bytes. Validators use it to
+    /// compare a document with the one its writer rebuilds from it.
+    pub fn mismatch(&self, expected: &Json) -> Option<String> {
+        self.mismatch_at(expected, "")
+    }
+
+    fn mismatch_at(&self, expected: &Json, path: &str) -> Option<String> {
+        let at = if path.is_empty() { "$" } else { path };
+        match (self, expected) {
+            (Json::Obj(a), Json::Obj(b)) if self.keys() == expected.keys() => {
+                a.iter().zip(b).find_map(|((key, x), (_, y))| {
+                    x.mismatch_at(
+                        y,
+                        &if path.is_empty() { key.clone() } else { format!("{path}.{key}") },
+                    )
+                })
+            }
+            (Json::Obj(_), Json::Obj(_)) => {
+                Some(format!("{at}: keys {:?}, expected {:?}", self.keys(), expected.keys()))
+            }
+            (Json::Arr(a), Json::Arr(b)) if a.len() == b.len() => a
+                .iter()
+                .zip(b)
+                .enumerate()
+                .find_map(|(i, (x, y))| x.mismatch_at(y, &format!("{path}[{i}]"))),
+            (Json::Arr(a), Json::Arr(b)) => {
+                Some(format!("{at}: {} element(s), expected {}", a.len(), b.len()))
+            }
+            _ if self.to_string() == expected.to_string() => None,
+            _ => Some(format!("{at}: {self}, expected {expected}")),
+        }
+    }
+
     /// Parses a JSON document (the whole input must be one value plus
     /// optional whitespace).
     ///
@@ -484,6 +519,24 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mismatch_names_the_first_differing_path() {
+        let doc = Json::parse(r#"{"a":1,"rows":[{"x":2.5},{"x":3}]}"#).unwrap();
+        assert_eq!(doc.mismatch(&doc.clone()), None);
+        let edited = Json::parse(r#"{"a":1,"rows":[{"x":2.5},{"x":4}]}"#).unwrap();
+        assert_eq!(edited.mismatch(&doc).as_deref(), Some("rows[1].x: 4, expected 3"));
+        let short = Json::parse(r#"{"a":1,"rows":[]}"#).unwrap();
+        assert_eq!(short.mismatch(&doc).as_deref(), Some("rows: 0 element(s), expected 2"));
+        let renamed = Json::parse(r#"{"b":1,"rows":[]}"#).unwrap();
+        assert_eq!(
+            renamed.mismatch(&doc).as_deref(),
+            Some(r#"$: keys ["b", "rows"], expected ["a", "rows"]"#)
+        );
+        // A type change is a difference even where the text would agree.
+        let typed = Json::parse(r#"{"a":"1","rows":[{"x":2.5},{"x":3}]}"#).unwrap();
+        assert_eq!(typed.mismatch(&doc).as_deref(), Some(r#"a: "1", expected 1"#));
+    }
 
     #[test]
     fn writes_compact_documents() {

@@ -428,8 +428,8 @@ cat > "$json_tmp/sweep-manifest.json" <<'EOF'
  "axes": {"kinds": ["CIRC", "AGE"], "seeds": [0, 7, 11],
           "kernels": ["mcf_like", "omnetpp_like"]}}
 EOF
-./target/release/swque_sweep --manifest "$json_tmp/sweep-manifest.json" \
-    --out "$sweep_out" --workers 1 > /dev/null 2>&1 &
+SWQUE_THREADS=1 ./target/release/swque_sweep --manifest "$json_tmp/sweep-manifest.json" \
+    --out "$sweep_out" > /dev/null 2>&1 &
 sweep_pid=$!
 # Wait for the first shard, then kill the campaign mid-run (a finished
 # campaign just makes the kill a no-op; resume still covers the gate).
@@ -448,6 +448,26 @@ test -f "$sweep_out/campaign.json" || {
 first_shard="$(ls "$sweep_out/shards" | head -1)"
 ./target/release/check_json "$json_tmp/sweep-manifest.json" manifests/sensitivity.json \
     "$sweep_out/shards/$first_shard" "$sweep_out/campaign.json"
+
+echo "== sweep: negative (an edited marginal geomean must fail check_json)"
+# check_json rebuilds the campaign from its own rows, so a marginal whose
+# geomean_ipc no longer follows from them is rejected at its path, though
+# every field still has the right type.
+sed -E 's/("units":[0-9]+,"geomean_ipc":)[-0-9.e+]+/\10.125/' "$sweep_out/campaign.json" \
+    > "$json_tmp/campaign-edited.json"
+if cmp -s "$sweep_out/campaign.json" "$json_tmp/campaign-edited.json"; then
+    echo "error: the marginal edit changed nothing" >&2
+    exit 1
+fi
+if ./target/release/check_json "$json_tmp/campaign-edited.json" 2> "$json_tmp/campaign-edited.log"; then
+    echo "error: check_json accepted a campaign with an edited marginal geomean" >&2
+    exit 1
+fi
+grep -q "marginals\[0\].geomean_ipc: 0.125, expected" "$json_tmp/campaign-edited.log" || {
+    echo "error: the edited marginal was not named" >&2
+    cat "$json_tmp/campaign-edited.log" >&2
+    exit 1
+}
 
 echo "== sweep: negative (corrupted shard content hash must fail merge and check_json)"
 sed -i -E 's/"unit_key":"[0-9a-f]{16}"/"unit_key":"deadbeefdeadbeef"/' \

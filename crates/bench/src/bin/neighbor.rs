@@ -20,14 +20,15 @@
 //! 3; an unparsable value is an error) — verify.sh uses 1 for its
 //! determinism smoke. Budgets follow the
 //! usual `SWQUE_WARMUP`/`SWQUE_INSTS` knobs; the JSON report
-//! (`SWQUE_JSON`) carries one requester-tagged row per core per scenario.
+//! (`<SWQUE_JSON>/BENCH_neighbor.json`) carries one requester-tagged row
+//! per core per scenario.
 //!
 //! Per-scenario contention counters are echoed to stderr as
 //! `[neighbor] aggressors=<n> arb_wait_cycles=<w> quota_stall_cycles=<q>`
 //! so the verify gate can assert non-vacuity without parsing tables.
 
 use swque_bench::harness::knob;
-use swque_bench::{json_path, Budget, Report, Table};
+use swque_bench::{json_dir, Budget, Report, Table};
 use swque_core::IqKind;
 use swque_cpu::{CoreConfig, MultiCoreSim, SimResult};
 use swque_mem::SharedMemStats;
@@ -109,6 +110,7 @@ fn run_scenario(aggressors: usize, warmup: u64, insts: u64) -> Scenario {
 
 fn main() {
     let budget = Budget::from_env();
+    let json_dir = json_dir();
     let (warmup, insts) = (budget.warmup_insts, budget.max_insts);
     let mut report = Report::new("neighbor", &budget);
     report.param("measured_kernel", MEASURED);
@@ -191,7 +193,7 @@ fn main() {
     println!("{summary}");
     println!("{per_req}");
     report.add_table("interference", &summary).add_table("per_requester", &per_req);
-    if let Some(path) = json_path() {
-        report.write(&path);
+    if let Some(dir) = &json_dir {
+        report.write(dir);
     }
 }

@@ -3,10 +3,9 @@
 //! it reads (kernel × [`RunSpec`], traced or not) and a render function
 //! that writes its text tables and fills its [`Report`]. [`run`] serves any
 //! set of entries from one shared run in which each distinct unit is
-//! simulated once. Each figure binary (`fig09`, `tab06`, …) is a shim over
-//! [`shim`] that runs its one entry; `all_experiments` runs the
-//! [`EVALUATION`] entries in one process. The [`EXTENSIONS`] go beyond the
-//! paper.
+//! simulated once. [`select`] resolves the entry names given to the
+//! `all_experiments` binary: none selects the [`EVALUATION`], and the
+//! [`EXTENSIONS`], which go beyond the paper, run by name.
 
 use swque_circuit::area::{areas, cost_summary, density};
 use swque_circuit::delay::delays;
@@ -20,10 +19,8 @@ use swque_isa::{Emulator, FuClass};
 use swque_trace::{Json, TraceSummary};
 use swque_workloads::{suite, Category, Kernel};
 
-use crate::harness::{
-    default_workers, geomean, run_units, Budget, Outcome, ProcessorModel, RunSpec, Short, Unit,
-};
-use crate::output::{json_path, Report};
+use crate::harness::{geomean, run_units, Budget, Outcome, ProcessorModel, RunSpec, Short, Unit};
+use crate::output::Report;
 use crate::table::Table;
 
 /// `println!` into an [`Output`]'s text.
@@ -36,8 +33,8 @@ macro_rules! say {
 
 /// One experiment: the units it simulates and how it renders them.
 pub struct Experiment {
-    /// The entry's name: its shim binary, its report's `experiment`, and
-    /// its `BENCH_<name>.json` under `all_experiments`.
+    /// The entry's name: the `all_experiments` argument that selects it,
+    /// its report's `experiment`, and its `BENCH_<name>.json`.
     pub name: &'static str,
     /// `Some(kernel)` when the entry simulates that one kernel instead of
     /// the run's kernel list.
@@ -76,7 +73,8 @@ impl<'a> Row<'a> {
     }
 }
 
-/// What an entry renders: the text a shim prints and the report it writes.
+/// What an entry renders: the text of its `all_experiments` section and
+/// its report.
 pub struct Output {
     /// The plain-text tables, exactly as printed.
     pub text: String,
@@ -88,19 +86,11 @@ impl Output {
     fn new(name: &str, budget: &Budget) -> Output {
         Output { text: String::new(), report: Report::new(name, budget) }
     }
-
-    /// Prints the text and writes the report to `SWQUE_JSON`, if set.
-    pub fn emit(&self) {
-        print!("{}", self.text);
-        if let Some(path) = json_path() {
-            self.report.write(&path);
-        }
-    }
 }
 
 /// The paper's evaluation, in the order `all_experiments` runs it.
 pub static EVALUATION: [Experiment; 12] = [
-    Experiment::new("tables", |_| Vec::new(), |_, out| render_tables(None, out)),
+    Experiment::new("tables", |_| Vec::new(), tables),
     Experiment::new("fig08", |b| medium(&FIG08, b), fig08),
     // The medium SWQUE run carries the interval series Fig. 9 is about.
     Experiment::new(
@@ -156,9 +146,26 @@ impl Experiment {
     }
 }
 
-/// The entry called `name`.
-pub fn by_name(name: &str) -> Option<&'static Experiment> {
-    EVALUATION.iter().chain(&EXTENSIONS).find(|e| e.name == name)
+/// The entries `names` selects, in the order given; no names select the
+/// [`EVALUATION`]. A name that is no entry of [`EVALUATION`] or
+/// [`EXTENSIONS`], or that is given twice, is an error naming it.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    if names.is_empty() {
+        return Ok(EVALUATION.iter().collect());
+    }
+    let all = || EVALUATION.iter().chain(&EXTENSIONS);
+    let mut entries: Vec<&'static Experiment> = Vec::new();
+    for name in names {
+        let Some(entry) = all().find(|e| e.name == name) else {
+            let valid: Vec<&str> = all().map(|e| e.name).collect();
+            return Err(format!("no experiment named {name:?}; valid names: {}", valid.join(" ")));
+        };
+        if entries.iter().any(|e| e.name == name) {
+            return Err(format!("experiment {name:?} is named twice"));
+        }
+        entries.push(entry);
+    }
+    Ok(entries)
 }
 
 /// The kernels `entry` covers in a run over `kernels`.
@@ -246,20 +253,6 @@ pub fn run(
         .collect()
 }
 
-/// The body of a figure binary: renders entry `name` over the suite under
-/// `budget` (worker count from `SWQUE_THREADS`), prints its text, and
-/// writes its report to `SWQUE_JSON`, if set.
-pub fn shim(name: &str, budget: &Budget) {
-    let Some(entry) = by_name(name) else {
-        eprintln!("error: no experiment named {name:?}");
-        std::process::exit(2)
-    };
-    let kernels = suite::all();
-    for out in run(&[entry], &kernels, budget, default_workers(kernels.len())) {
-        out.emit();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Units.
 // ---------------------------------------------------------------------------
@@ -310,7 +303,7 @@ fn medium(kinds: &[IqKind], budget: &Budget) -> Vec<Unit> {
 }
 
 // ---------------------------------------------------------------------------
-// Renders. Each entry's description is its binary's module doc.
+// Renders. Each entry's description is its render function's doc.
 // ---------------------------------------------------------------------------
 
 /// Geometric mean over the `cat` kernels of unit `i`'s IPC relative to
@@ -329,31 +322,15 @@ fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
 }
 
-/// Tables 2–5, or only the one `part` names (`"table2"` … `"table5"`).
-fn render_tables(part: Option<&str>, out: &mut Output) {
-    match part {
-        Some("table2") => table2(out),
-        Some("table3") => table3(out),
-        Some("table4") => table4(out),
-        Some("table5") => table5(out),
-        _ => {
-            table2(out);
-            say!(out, "");
-            table3(out);
-            say!(out, "");
-            table4(out);
-            say!(out, "");
-            table5(out);
-        }
-    }
-}
-
-/// The body of the `tables` binary: Tables 2–5, or only the one `part`
-/// names (`"table2"` … `"table5"`), printed and written to `SWQUE_JSON`.
-pub fn tables_shim(part: Option<&str>, budget: &Budget) {
-    let mut out = Output::new("tables", budget);
-    render_tables(part, &mut out);
-    out.emit();
+/// Tables 2–5 from the config structs and the density model.
+fn tables(_: &[Row<'_>], out: &mut Output) {
+    table2(out);
+    say!(out, "");
+    table3(out);
+    say!(out, "");
+    table4(out);
+    say!(out, "");
+    table5(out);
 }
 
 /// Table 2: the medium model's configuration.
@@ -481,6 +458,7 @@ fn degradation(rows: &[Row<'_>], labels: &[&str]) -> Table {
     table
 }
 
+/// Figure 8: IPC degradation of CIRC, RAND, AGE and SWQUE relative to SHIFT.
 fn fig08(rows: &[Row<'_>], out: &mut Output) {
     let labels: Vec<&str> = FIG08[1..].iter().map(|k| k.label()).collect();
     let table = degradation(rows, &labels);
@@ -491,6 +469,7 @@ fn fig08(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("degradation", &table);
 }
 
+/// Figure 9: per-program SWQUE speedup over AGE, medium and large models.
 fn fig09(rows: &[Row<'_>], out: &mut Output) {
     let mut table = Table::new(["program", "class", "speedup (medium)", "speedup (large)"]);
     for row in rows {
@@ -519,7 +498,7 @@ fn fig09(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("speedup", &table);
 }
 
-/// Figure 10: the share of cycles SWQUE spends in each mode.
+/// Figure 10: SWQUE's execution cycles by mode (CIRC-PC vs AGE), per program.
 ///
 /// # Panics
 ///
@@ -574,6 +553,7 @@ fn render_strip(strip: &str) -> String {
         .collect()
 }
 
+/// Figure 10 as a time series: per-interval SWQUE mode strips from trace events.
 fn fig10_timeline(rows: &[Row<'_>], out: &mut Output) {
     let mut table = Table::new(["program", "intervals", "switches", "CIRC-PC", "IPC range"]);
     say!(out, "Figure 10 (timeline): SWQUE mode residency per controller interval");
@@ -602,6 +582,7 @@ fn fig10_timeline(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("timeline", &table);
 }
 
+/// Figure 11: degradation vs SHIFT of CIRC-CONV, CIRC-PPRI and CIRC-PC.
 fn fig11(rows: &[Row<'_>], out: &mut Output) {
     let table = degradation(rows, &["CIRC-CONV", "CIRC-PPRI", "CIRC-PC"]);
     say!(out, "Figure 11: degradation vs SHIFT for circular-queue variants (medium)");
@@ -612,6 +593,7 @@ fn fig11(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("degradation", &table);
 }
 
+/// Figure 12: IQ energy of SWQUE relative to the idealized shifting queue (I-SHIFT).
 fn fig12(rows: &[Row<'_>], out: &mut Output) {
     let g = IqGeometry::medium();
     let mut ishift = EnergyBreakdown::default();
@@ -641,6 +623,7 @@ fn fig12(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("energy", &table);
 }
 
+/// Figure 13: relative size of each circuit in SWQUE (medium geometry).
 #[expect(clippy::cast_possible_truncation, reason = "a bar is a fraction of 120 characters")]
 fn fig13(_: &[Row<'_>], out: &mut Output) {
     let a = areas(&IqGeometry::medium());
@@ -660,6 +643,7 @@ fn fig13(_: &[Row<'_>], out: &mut Output) {
     say!(out, "\nSWQUE area overhead vs baseline IQ: {overhead:.1}% (paper: 17%)");
 }
 
+/// Figure 14: SWQUE-1AM, AGE-multiAM and SWQUE-multiAM over single-matrix AGE.
 fn fig14(rows: &[Row<'_>], out: &mut Output) {
     let mut table = Table::new(["model", "category", "SWQUE-1AM", "AGE-multiAM", "SWQUE-multiAM"]);
     for (model, off) in [("medium (7 AM)", 0usize), ("large (9 AM)", 4)] {
@@ -675,6 +659,7 @@ fn fig14(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("multi_am", &table);
 }
 
+/// Table 6: SWQUE's added cost, and AGE given the same area as 150 entries instead.
 fn tab06(rows: &[Row<'_>], out: &mut Output) {
     let cost = cost_summary(&IqGeometry::medium());
     let mut t = Table::new(["row", "value"]);
@@ -715,6 +700,7 @@ fn fits(g: &IqGeometry) -> &'static str {
     }
 }
 
+/// Section 4.7: delay analysis, the DTM's share of the IQ critical path.
 fn sec47(_: &[Row<'_>], out: &mut Output) {
     let mut t = Table::new([
         "geometry",
@@ -737,6 +723,7 @@ fn sec47(_: &[Row<'_>], out: &mut Output) {
     out.report.add_table("delay", &t);
 }
 
+/// Section 4.8: SWQUE's sensitivity to the mode-switch penalty (10 vs 40 cycles).
 fn sec48(rows: &[Row<'_>], out: &mut Output) {
     let mut ratios = Vec::new();
     let mut switches_per_mcycle = Vec::new();
@@ -765,6 +752,7 @@ fn sec48(rows: &[Row<'_>], out: &mut Output) {
     );
 }
 
+/// Ablations of the SWQUE design choices the paper argues for in prose.
 fn ablations(rows: &[Row<'_>], out: &mut Output) {
     let gm_ipc = |i: usize| geomean(&rows.iter().map(|r| r.result(i).ipc()).collect::<Vec<_>>());
     let baseline = gm_ipc(0);
@@ -779,8 +767,8 @@ fn ablations(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("ablations", &t);
 }
 
-/// The kernel characterization table: instruction mix, mispredictions,
-/// MPKI and IPC.
+/// Instruction mix, branch and memory behaviour of every suite kernel:
+/// mispredictions, MPKI and IPC.
 ///
 /// # Panics
 ///
@@ -827,6 +815,7 @@ fn characterize(rows: &[Row<'_>], out: &mut Output) {
     say!(out, " MLP kernels: tens of MPKI; r-ILP kernels: FP-dominated, high IPC)");
 }
 
+/// Extension (the paper's §2.1 future work): SWQUE over a RAM-type wakeup.
 fn ext_ram_wakeup(rows: &[Row<'_>], out: &mut Output) {
     let cam = IqGeometry::medium();
     let ram = IqGeometry { wakeup: WakeupStyle::Ram, ..IqGeometry::medium() };
@@ -855,6 +844,7 @@ fn ext_ram_wakeup(rows: &[Row<'_>], out: &mut Output) {
     say!(out, " Scheduling behaviour, and therefore every IPC result, is unchanged.)");
 }
 
+/// Extension: the rearranging random queue of Sakai et al. (§5) vs AGE and SWQUE.
 fn ext_rearrange(rows: &[Row<'_>], out: &mut Output) {
     let mut table = Table::new(["program", "class", "REARRANGE/AGE", "SWQUE/AGE", "SHIFT/AGE"]);
     let others = 1..EXT_REARRANGE.len();
@@ -876,6 +866,7 @@ fn ext_rearrange(rows: &[Row<'_>], out: &mut Output) {
     out.report.add_table("rearrange", &table);
 }
 
+/// Circuit-model scaling with IQ size: where the double tag access stops fitting.
 fn sensitivity(_: &[Row<'_>], out: &mut Output) {
     let mut t = Table::new([
         "IQ entries",
@@ -899,8 +890,8 @@ fn sensitivity(_: &[Row<'_>], out: &mut Output) {
     out.report.add_table("circuit_scaling", &t);
 }
 
-/// The tuning table: every `TUNE` kind's IPC, SWQUE's mode share and the
-/// interval metrics.
+/// Development aid, not a paper figure: every `TUNE` kind's IPC per
+/// kernel, SWQUE's mode share and the interval metrics.
 ///
 /// # Panics
 ///
@@ -955,5 +946,39 @@ mod tests {
             assert_eq!(traced.len(), 1);
             assert_eq!(traced[0].spec, RunSpec::medium(Swque, budget));
         }
+    }
+
+    fn names(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    fn selected(names: &[&str]) -> Vec<&'static str> {
+        select(&self::names(names)).unwrap().iter().map(|e| e.name).collect()
+    }
+
+    #[test]
+    fn no_names_select_the_evaluation_in_order() {
+        let evaluation: Vec<&str> = EVALUATION.iter().map(|e| e.name).collect();
+        assert_eq!(selected(&[]), evaluation);
+    }
+
+    #[test]
+    fn names_select_entries_of_both_lists_in_the_order_given() {
+        assert_eq!(selected(&["sec48", "tables", "fig09"]), ["sec48", "tables", "fig09"]);
+        // An extension, with its one-kernel `only` field.
+        let entries = select(&names(&["ext_ram_wakeup", "fig13"])).unwrap();
+        assert_eq!(entries[0].name, "ext_ram_wakeup");
+        assert_eq!(entries[0].only, Some("deepsjeng_like"));
+        assert_eq!(entries[1].name, "fig13");
+    }
+
+    #[test]
+    fn unknown_and_repeated_names_are_errors_naming_them() {
+        let err = select(&names(&["fig09", "fig99"])).err().unwrap();
+        assert!(err.contains("\"fig99\"") && err.contains("ext_ram_wakeup"), "{err}");
+        let err = select(&names(&["fig13", "tables", "fig13"])).err().unwrap();
+        assert!(err.contains("\"fig13\"") && err.contains("twice"), "{err}");
+        // `tables` takes no part argument any more.
+        assert!(select(&names(&["tables", "table3"])).is_err());
     }
 }

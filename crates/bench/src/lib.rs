@@ -2,10 +2,10 @@
 //!
 //! Every figure and table is an entry of one registry, [`experiments`]:
 //! the units it simulates (kernel × [`RunSpec`], traced or not) and a
-//! render function for its text tables and [`Report`]. The binaries in
-//! `src/bin/` named after the figures (`fig09`, `tab06`, `tables`, …) are
-//! shims that run one entry; `all_experiments` runs the whole evaluation
-//! in one process, simulating each distinct unit once. The library also
+//! render function for its text tables and [`Report`]. The
+//! `all_experiments` binary runs the whole evaluation, or the entries named
+//! on its command line (`all_experiments fig09 tab06`), in one process,
+//! simulating each distinct unit once. The library also
 //! holds the shared machinery: budgets and run specs, the one worker pool
 //! ([`run_units`]), result tables, structured JSON reports (see
 //! [`output`]) and sweep campaigns (see [`sweep`]), which run their units
@@ -23,11 +23,13 @@
 //! * **`SWQUE_WARMUP`** — warmup instructions excluded from measurement
 //!   (default 300 000; the paper skips 16 B). Read by
 //!   [`Budget::from_env`].
-//! * **`SWQUE_JSON`** — when set, the binary *additionally* writes a
-//!   structured JSON report (schema `swque-bench-v1`, see [`output`]) to
-//!   this path. `all_experiments` treats the value as a directory and
-//!   writes one `BENCH_<figure>.json` per registry entry. Read by
-//!   [`output::json_path`].
+//! * **`SWQUE_JSON`** — when set, a directory (created if missing) into
+//!   which the binary *additionally* writes one structured JSON report
+//!   (schema `swque-bench-v1`, see [`output`]) per experiment, as
+//!   `BENCH_<experiment>.json`: one per registry entry for
+//!   `all_experiments`, `BENCH_neighbor.json` for `neighbor`. A directory
+//!   that cannot be created exits with status 2 before any simulation.
+//!   Read by [`output::json_dir`].
 //! * **`SWQUE_THREADS`** — worker-thread count for runs and sweep
 //!   campaigns (default, and for `0`: the host's available parallelism;
 //!   always clamped to the kernel count, for a campaign to the unit
@@ -60,7 +62,7 @@ pub use harness::{
     default_workers, default_workers_with, geomean, run_units, Budget, Outcome, ProcessorModel,
     RunSpec, Short, Unit, TRACE_CAPACITY,
 };
-pub use output::{json_path, Report, BENCH_SCHEMA};
+pub use output::{json_dir, Report, BENCH_SCHEMA};
 pub use sweep::{
     merge_campaign, run_campaign, CampaignStatus, Manifest, WorkUnit, CAMPAIGN_SCHEMA,
     MANIFEST_SCHEMA, SHARD_SCHEMA,

@@ -1,13 +1,12 @@
 //! Structured JSON experiment output (schema `swque-bench-v1`).
 //!
 //! Every experiment prints its plain-text tables unconditionally and
-//! *additionally* fills a [`Report`], which its binary serializes when the
-//! [`SWQUE_JSON`](crate#environment-knobs) environment variable names an
-//! output file (for `all_experiments`, a directory of one
-//! `BENCH_<experiment>.json` per entry). The serialized shape is stable
-//! and versioned (documented field-by-field in `DESIGN.md`): tooling that
-//! reads `BENCH_fig09.json` today keeps working until the schema string
-//! changes.
+//! *additionally* fills a [`Report`]. When the
+//! [`SWQUE_JSON`](crate#environment-knobs) environment variable names a
+//! directory, the binary writes each report there as
+//! `BENCH_<experiment>.json`. The serialized shape is stable and versioned
+//! (documented field-by-field in `DESIGN.md`): tooling that reads
+//! `BENCH_fig09.json` today keeps working until the schema string changes.
 //!
 //! The writer is [`swque_trace::Json`] — the workspace is hermetic, so no
 //! external serializer is available, and none is needed: reports are
@@ -23,13 +22,21 @@ use crate::table::Table;
 /// Schema identifier written into every report.
 pub const BENCH_SCHEMA: &str = "swque-bench-v1";
 
-/// The `SWQUE_JSON` destination, if the caller requested JSON output.
+/// The `SWQUE_JSON` report directory, created if missing, when the caller
+/// requested JSON output.
 ///
-/// For single-figure binaries this is the output *file*; `all_experiments`
-/// instead treats it as a *directory* and writes each entry's report to
-/// `BENCH_<figure>.json` inside it.
-pub fn json_path() -> Option<PathBuf> {
-    std::env::var_os("SWQUE_JSON").filter(|v| !v.is_empty()).map(PathBuf::from)
+/// A binary calls this once, before it simulates anything. A directory
+/// that cannot be created exits the process with status 2 and a message
+/// naming the variable and the value, as an unparsable integer knob does
+/// ([`knob`](crate::harness::knob)), so a bad destination never costs a
+/// whole run.
+pub fn json_dir() -> Option<PathBuf> {
+    let dir = PathBuf::from(std::env::var_os("SWQUE_JSON").filter(|v| !v.is_empty())?);
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("error: SWQUE_JSON={dir:?} is not a directory that can be created: {e}");
+        std::process::exit(2)
+    }
+    Some(dir)
 }
 
 /// A structured experiment report, accumulated alongside the plain-text
@@ -117,17 +124,18 @@ impl Report {
         ])
     }
 
-    /// Writes the report to `path` (the `SWQUE_JSON` destination). The
-    /// notice goes to stderr so the plain-text tables on stdout stay
-    /// paste-ready.
+    /// Writes the report to `<dir>/BENCH_<experiment>.json`, `dir` being
+    /// the [`json_dir`]. The notice goes to stderr so the plain-text tables
+    /// on stdout stay paste-ready.
     ///
     /// # Panics
     ///
-    /// Panics when `path` cannot be written — a silently dropped report is
-    /// worse than a failed experiment run.
-    pub fn write(&self, path: &Path) {
+    /// Panics when the file cannot be written — a silently dropped report
+    /// is worse than a failed experiment run.
+    pub fn write(&self, dir: &Path) {
+        let path = dir.join(format!("BENCH_{}.json", self.experiment));
         let doc = format!("{}\n", self.to_json());
-        match std::fs::write(path, doc) {
+        match std::fs::write(&path, doc) {
             Ok(()) => {}
             #[expect(
                 clippy::panic,

@@ -6,7 +6,7 @@
 //! controller thresholds, workload layout seeds, kernels. The cartesian
 //! product of the axes is expanded in a fixed nested order into a list of
 //! *work units*; each unit is one job of [`run_units`], the worker pool
-//! the figure binaries use.
+//! `all_experiments` uses.
 //!
 //! Results are *sharded*: every completed unit writes one JSON file
 //! (schema [`SHARD_SCHEMA`]) named by the unit's content hash — an FNV-1a

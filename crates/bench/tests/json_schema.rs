@@ -1,5 +1,5 @@
 //! Golden test pinning the structured-output schema: a small traced run is
-//! serialized exactly the way the figure binaries do it, re-parsed with the
+//! serialized exactly the way `all_experiments` does it, re-parsed with the
 //! in-tree parser, and its key sets compared against the documented
 //! `swque-bench-v1` / `swque-trace-v1` shapes. A change that reshapes the
 //! JSON must update this test, DESIGN.md, and the schema version together.

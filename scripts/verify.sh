@@ -368,10 +368,10 @@ mc_neg AGE 3 age-youngest-first age-first
 mc_neg AGE-multiAM 4 age-youngest-first age-first
 mc_neg SHIFT 3 shift-position-order oldest-first
 
-echo "== experiments: all_experiments -> check_json, and a shim matches its section"
+echo "== experiments: all_experiments -> check_json, one entry by name matches its section"
 # The whole evaluation in one process at a reduced budget: every entry's
-# swque-bench-v1 report must validate, and a figure binary run on its own
-# must print exactly its section of the shared run.
+# swque-bench-v1 report must validate, and one entry run by name must
+# print exactly its section of the shared run and write the same report.
 SWQUE_WARMUP=2000 SWQUE_INSTS=5000 SWQUE_JSON="$json_tmp/experiments" \
     ./target/release/all_experiments > "$json_tmp/all.txt" 2> /dev/null
 reports=("$json_tmp"/experiments/BENCH_*.json)
@@ -380,14 +380,33 @@ reports=("$json_tmp"/experiments/BENCH_*.json)
     exit 1
 }
 ./target/release/check_json "${reports[@]}"
-SWQUE_WARMUP=2000 SWQUE_INSTS=5000 ./target/release/fig09 > "$json_tmp/fig09.txt"
+SWQUE_WARMUP=2000 SWQUE_INSTS=5000 SWQUE_JSON="$json_tmp/fig09" \
+    ./target/release/all_experiments fig09 > "$json_tmp/fig09.txt" 2> /dev/null
 # A section is the lines after its "== <name>" banner, one blank line on
-# each side of the entry's own text.
-bar="============================================================="
-awk -v bar="$bar" '$0 == bar {next} /^== / {sec = $2; next} sec == "fig09"' \
-    "$json_tmp/all.txt" > "$json_tmp/fig09-section.txt"
-{ echo; cat "$json_tmp/fig09.txt"; echo; } | diff -u - "$json_tmp/fig09-section.txt" || {
-    echo "error: fig09 alone differs from its all_experiments section" >&2
+# each side of the entry's own text; the closing "Structured reports"
+# line belongs to no section.
+section() {
+    awk -v bar="=============================================================" -v want="$1" \
+        '$0 == bar {next} /^== / {sec = $2; next} /^Structured reports / {next} sec == want' "$2"
+}
+section fig09 "$json_tmp/all.txt" > "$json_tmp/fig09-section.txt"
+grep -q "^Figure 9: " "$json_tmp/fig09-section.txt" || {
+    echo "error: no fig09 section in the all_experiments output" >&2
+    exit 1
+}
+section fig09 "$json_tmp/fig09.txt" | diff -u - "$json_tmp/fig09-section.txt" || {
+    echo "error: all_experiments fig09 differs from its section of the full run" >&2
+    exit 1
+}
+cmp "$json_tmp/fig09/BENCH_fig09.json" "$json_tmp/experiments/BENCH_fig09.json" || {
+    echo "error: all_experiments fig09 wrote a different report than the full run" >&2
+    exit 1
+}
+# An unknown name is refused before any simulation.
+status=0
+./target/release/all_experiments nosuch > /dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+    echo "error: all_experiments nosuch exited $status, expected 2" >&2
     exit 1
 }
 
@@ -399,7 +418,7 @@ echo "== multi-core: neighbor determinism smoke (2-core, thread-count invariance
 # non-vacuity greps — an interference experiment that observes no
 # arbitration waits and no quota stalls is measuring nothing.
 SWQUE_WARMUP=2000 SWQUE_INSTS=10000 SWQUE_NEIGHBOR_MAX=1 \
-    SWQUE_JSON="$json_tmp/neighbor.json" SWQUE_THREADS=4 \
+    SWQUE_JSON="$json_tmp/neighbor" SWQUE_THREADS=4 \
     ./target/release/neighbor > "$json_tmp/neighbor-a.txt" 2> "$json_tmp/neighbor-a.log"
 SWQUE_WARMUP=2000 SWQUE_INSTS=10000 SWQUE_NEIGHBOR_MAX=1 \
     SWQUE_THREADS=1 ./target/release/neighbor > "$json_tmp/neighbor-b.txt" 2> /dev/null
@@ -407,7 +426,7 @@ diff -u "$json_tmp/neighbor-a.txt" "$json_tmp/neighbor-b.txt" || {
     echo "error: multi-core results depend on thread count" >&2
     exit 1
 }
-./target/release/check_json "$json_tmp/neighbor.json"
+./target/release/check_json "$json_tmp/neighbor/BENCH_neighbor.json"
 grep -Eq "aggressors=1 arb_wait_cycles=[1-9][0-9]* quota_stall_cycles=[1-9]" \
     "$json_tmp/neighbor-a.log" || {
     echo "error: 2-core neighbor run saw no arbitration waits or no quota stalls" >&2

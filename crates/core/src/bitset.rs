@@ -1,7 +1,7 @@
 //! Packed-`u64` bitset primitives backing the scheduling hot paths.
 //!
 //! Every per-cycle structure in this crate — the wakeup request vector,
-//! the valid mask, CIRC-PC's reverse/pending planes, the age-matrix
+//! the valid mask, CIRC-PC's pending-RV plane, the age-matrix
 //! buckets — is a set over at most a few hundred issue-queue slots. [`BitSet`]
 //! packs such a set into `⌈capacity/64⌉` words so the per-cycle scans
 //! become word operations: a 128-entry queue's ready scan is two
@@ -10,7 +10,7 @@
 //!
 //! The one scan, [`for_each_set_in`], reads its words through a
 //! caller closure rather than from a `BitSet`, so callers combine planes
-//! on the fly (`ready & !pending & !reverse`) without materializing the
+//! on the fly (`ready & !pending_rv`) without materializing the
 //! intersection. It is the select scan of every slot-array kind, the
 //! squash scan of the free-list kinds (`SlotArray::scan_ready` and
 //! `SlotArray::squash_younger`) and the age matrices' nomination.

@@ -18,9 +18,9 @@
 //! | Queue | Allocation | Priority | Capacity |
 //! |---|---|---|---|
 //! | [`ShiftQueue`] (SHIFT) | compacting | perfect (age) | full |
-//! | [`CircQueue`] (CIRC) | circular | *reversed under wrap-around* | holes wasted |
-//! | [`CircQueue::perfect_priority`] (CIRC-PPRI) | circular | perfect (idealized) | holes wasted |
-//! | [`CircPcQueue`] (CIRC-PC, §3.1) | circular | **corrected** via a second select logic; wrapped instructions issue one cycle late | holes wasted |
+//! | [`CircQueue::new`] (CIRC) | circular | *reversed under wrap-around*: the wrapped range first | holes wasted |
+//! | [`CircQueue::perfect_priority`] (CIRC-PPRI) | circular | perfect (idealized): the wrapped range second, same cycle | holes wasted |
+//! | [`CircQueue::priority_correcting`] (CIRC-PC, §3.1) | circular | **corrected**: the wrapped range second, through a second select logic, one cycle late | holes wasted |
 //! | [`RandomQueue::rand`] (RAND) | free list | random (position) | full |
 //! | [`RandomQueue::age`] (AGE) | free list | oldest-ready first, rest random | full |
 //! | [`RandomQueue::age_multi`] (AGE-multiAM, §4.9) | free list | per-bucket oldest-ready, rest random | full |
@@ -82,7 +82,6 @@ macro_rules! clone_in_place {
 
 pub mod bitset;
 mod circ;
-mod circ_pc;
 mod controller;
 pub mod cycle;
 pub mod digest;
@@ -99,7 +98,6 @@ mod types;
 
 pub use bitset::BitSet;
 pub use circ::CircQueue;
-pub use circ_pc::CircPcQueue;
 pub use controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
 pub use digest::{fnv1a64, ArchKey};
 pub use horizon::{min_horizon, WakeHorizon};

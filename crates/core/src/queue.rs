@@ -6,7 +6,6 @@ use std::fmt;
 use swque_trace::TraceHandle;
 
 use crate::circ::CircQueue;
-use crate::circ_pc::CircPcQueue;
 use crate::controller::SwqueParams;
 use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
@@ -170,7 +169,7 @@ impl IqKind {
             IqKind::Shift => Box::new(ShiftQueue::new(config)),
             IqKind::Circ => Box::new(CircQueue::new(config)),
             IqKind::CircPpri => Box::new(CircQueue::perfect_priority(config)),
-            IqKind::CircPc => Box::new(CircPcQueue::new(config)),
+            IqKind::CircPc => Box::new(CircQueue::priority_correcting(config)),
             IqKind::Rand => Box::new(RandomQueue::rand(config)),
             IqKind::Age => Box::new(RandomQueue::age(config)),
             IqKind::AgeMulti => Box::new(RandomQueue::age_multi(config)),
@@ -258,8 +257,8 @@ pub trait IssueQueue: fmt::Debug + Any + QueueFork {
     ///
     /// This is **necessary but not sufficient** for a same-cycle grant: a
     /// ready entry is guaranteed a grant within the organization's select
-    /// latency (one cycle for every queue here except CIRC-PC's reverse
-    /// plane, whose S_RV path takes two — the entry is latched as pending
+    /// latency (one cycle for every queue here except CIRC-PC's wrapped
+    /// region, whose S_RV path takes two — the entry is latched as pending
     /// on the first select and granted on the next), not necessarily on
     /// the very next [`select`](IssueQueue::select). The sound direction
     /// is unconditional: `has_ready() == false` implies the next select

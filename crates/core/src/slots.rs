@@ -5,8 +5,8 @@
 //!
 //! The array is kind-neutral: it holds what every organization stores per
 //! entry and nothing else. State that only some kinds read lives with
-//! them — CIRC-PC's reverse and pending-RV planes, AGE-multiAM's bucket of
-//! each entry, the circular head and region of CIRC and CIRC-PC.
+//! them — CIRC-PC's pending-RV plane, AGE-multiAM's bucket of each entry,
+//! the circular head and region of CIRC, CIRC-PPRI and CIRC-PC.
 //!
 //! # Hot-path representation
 //!

@@ -1,8 +1,8 @@
 //! SWQUE: the switching issue queue (paper §3.2).
 //!
-//! SWQUE owns both a [`CircPcQueue`] and an AGE-configured [`RandomQueue`]
-//! and operates exactly one of them at a time, as decided by the
-//! [`SwqueController`] from per-interval MPKI and FLPI measurements.
+//! SWQUE owns both a CIRC-PC [`CircQueue`] and an AGE-configured
+//! [`RandomQueue`] and operates exactly one of them at a time, as decided
+//! by the [`SwqueController`] from per-interval MPKI and FLPI measurements.
 //!
 //! # Contract with the core model
 //!
@@ -15,7 +15,7 @@
 
 use swque_trace::{TraceEvent, TraceHandle};
 
-use crate::circ_pc::CircPcQueue;
+use crate::circ::CircQueue;
 use crate::controller::{IntervalMetrics, ModeDecision, SwqueController, SwqueParams};
 use crate::cycle::{CycleDelta, CycleStamp, InstCount};
 use crate::digest::ArchKey;
@@ -36,7 +36,7 @@ struct IntervalStart {
 /// The mode switching issue queue.
 #[derive(Debug)]
 pub struct Swque {
-    circ_pc: CircPcQueue,
+    circ_pc: CircQueue,
     age: RandomQueue,
     controller: SwqueController,
     params: SwqueParams,
@@ -67,7 +67,7 @@ impl Swque {
     pub fn new(config: &IqConfig, multi_am: bool) -> Swque {
         let age = if multi_am { RandomQueue::age_multi(config) } else { RandomQueue::age(config) };
         Swque {
-            circ_pc: CircPcQueue::new(config),
+            circ_pc: CircQueue::priority_correcting(config),
             age,
             controller: SwqueController::new(config.swque),
             params: config.swque,

@@ -26,8 +26,8 @@ use swque_rng::prop::{check, Gen};
 
 use swque_core::cycle::CycleStamp;
 use swque_core::{
-    ArchKey, CircPcQueue, DispatchReq, Grant, IntervalMetrics, IqConfig, IqKind, IqMode,
-    IssueBudget, IssueQueue, RandomQueue, ShiftQueue, SwqueController, SwqueParams, Tag,
+    ArchKey, DispatchReq, Grant, IntervalMetrics, IqConfig, IqKind, IqMode, IssueBudget,
+    IssueQueue, RandomQueue, ShiftQueue, SwqueController, SwqueParams, Tag,
 };
 use swque_isa::FuClass;
 
@@ -407,7 +407,6 @@ fn observables(q: &dyn IssueQueue) -> impl PartialEq + std::fmt::Debug {
 fn planted(kind: IqKind, config: &IqConfig) -> Option<Box<dyn IssueQueue>> {
     Some(match kind {
         IqKind::Shift => Box::new(ShiftQueue::position_order(config)),
-        IqKind::CircPc => Box::new(CircPcQueue::without_correction(config)),
         IqKind::Age => Box::new(RandomQueue::age_youngest_first(config, false)),
         IqKind::AgeMulti => Box::new(RandomQueue::age_youngest_first(config, true)),
         _ => return None,

@@ -62,7 +62,7 @@ fn far_completion_events_keep_the_heap_order() {
 
     let mut config = CoreConfig::tiny();
     config.mem.dram_latency = 1_500;
-    for (kind, pinned) in [(IqKind::Age, (74_808, 1_013)), (IqKind::Swque, (74_896, 1_013))] {
+    for (kind, pinned) in [(IqKind::Age, (74_808, 1_013)), (IqKind::Swque, (74_839, 1_013))] {
         let mut core = Core::new(config.clone(), kind, &program);
         let result = core.run(u64::MAX);
         println!("{kind}: ({}, {})", result.cycles, result.retired);

@@ -10,9 +10,11 @@
 //! implementation immediately before the rewrite; any scheduling change
 //! that alters simulated timing — by one cycle — fails here.
 //!
-//! Last re-record: the prefetch launch-time fix (prefetch DRAM requests
+//! Last re-records: the prefetch launch-time fix (prefetch DRAM requests
 //! issue at the L2 lookup instead of the demand's completion cycle), which
-//! made every pin faster; the per-kind deltas are tabulated in
+//! made every pin faster, and CIRC-PC's RV region read from the head
+//! instead of a stored reverse flag, which moved the CIRC-PC and SWQUE
+//! pins and the neighbor pins; the per-kind deltas are tabulated in
 //! EXPERIMENTS.md.
 //!
 //! The `neighbor` pins at the end do the same for `MultiCoreSim`: each
@@ -61,12 +63,12 @@ fn golden_cycles_deepsjeng_like() {
             (IqKind::Shift, 26_431, 30_000),
             (IqKind::Circ, 29_001, 30_004),
             (IqKind::CircPpri, 28_859, 30_000),
-            (IqKind::CircPc, 29_397, 30_000),
+            (IqKind::CircPc, 28_966, 30_004),
             (IqKind::Rand, 30_008, 30_001),
             (IqKind::Age, 29_795, 30_002),
             (IqKind::AgeMulti, 26_456, 30_000),
-            (IqKind::Swque, 32_116, 30_002),
-            (IqKind::SwqueMulti, 29_407, 30_003),
+            (IqKind::Swque, 31_810, 30_002),
+            (IqKind::SwqueMulti, 28_981, 30_000),
             (IqKind::Rearrange, 29_454, 30_003),
         ],
     );
@@ -80,12 +82,12 @@ fn golden_cycles_xz_like() {
             (IqKind::Shift, 65_487, 30_000),
             (IqKind::Circ, 65_882, 30_000),
             (IqKind::CircPpri, 65_879, 30_000),
-            (IqKind::CircPc, 67_222, 30_000),
+            (IqKind::CircPc, 66_451, 30_000),
             (IqKind::Rand, 65_488, 30_000),
             (IqKind::Age, 65_487, 30_000),
             (IqKind::AgeMulti, 65_487, 30_000),
-            (IqKind::Swque, 66_109, 30_000),
-            (IqKind::SwqueMulti, 66_109, 30_000),
+            (IqKind::Swque, 65_845, 30_000),
+            (IqKind::SwqueMulti, 65_845, 30_000),
             (IqKind::Rearrange, 65_487, 30_000),
         ],
     );
@@ -136,7 +138,7 @@ fn golden_neighbor_two_cores() {
         &[("omnetpp_like", IqKind::Swque), ("lbm_like", IqKind::Shift)],
         4,
         (
-            &[(1_467_400, 300_002, 839_103, 5_643_185), (1_841_683, 300_004, 728_272, 7_249_705)],
+            &[(1_469_770, 300_002, 848_583, 5_653_809), (1_844_053, 300_004, 737_752, 7_258_259)],
             2_811,
         ),
     );
@@ -154,7 +156,7 @@ fn golden_neighbor_four_cores() {
         2,
         (
             &[
-                (5_858_585, 300_001, 6_959_513, 34_884_308),
+                (5_858_585, 300_001, 6_959_513, 34_885_378),
                 (6_664_931, 300_000, 6_863_714, 39_844_096),
                 (6_052_499, 300_000, 7_047_284, 35_997_352),
                 (5_590_682, 300_000, 7_127_662, 27_651_420),

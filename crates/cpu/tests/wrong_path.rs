@@ -203,7 +203,7 @@ fn stale_completion_events_leave_reused_slots_alone() {
     let program = stale_divide_program(400);
     let mut reference = swque_isa::Emulator::new(&program);
     reference.run(10_000_000).unwrap();
-    for (kind, cycles) in [(IqKind::Age, 20_704), (IqKind::Swque, 21_871)] {
+    for (kind, cycles) in [(IqKind::Age, 20_704), (IqKind::Swque, 20_826)] {
         let mut core = Core::new(CoreConfig::tiny(), kind, &program);
         let r = core.run(u64::MAX);
         assert_eq!(r.invariant, None, "{kind}");

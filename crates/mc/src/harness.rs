@@ -26,7 +26,7 @@
 use swque_core::cycle::{CycleDelta, CycleStamp, InstCount};
 use swque_core::replay::Event;
 use swque_core::{
-    ArchKey, BitSet, CircPcQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue,
+    ArchKey, BitSet, CircQueue, DispatchReq, IqConfig, IqKind, IqMode, IssueBudget, IssueQueue,
     RandomQueue, ShiftQueue, Tag,
 };
 use swque_isa::FuClass;
@@ -55,9 +55,10 @@ pub const INJECT_SHIFT_POSITION_ORDER: &str = "shift-position-order";
 /// the checker actually detects bugs (red/green gating).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Injection {
-    /// Build CIRC-PC via [`CircPcQueue::without_correction`]: the S_NR
-    /// mask and the S_RV path are disabled, so wrapped-region youngsters
-    /// issue ahead of older instructions — violates `pc-age-ordered`.
+    /// Check a position-ordered [`CircQueue`] (CIRC) as CIRC-PC: the
+    /// wrapped range is served first, in the same cycle, instead of
+    /// through `S_RV`, so wrapped-region youngsters issue ahead of older
+    /// instructions — violates `pc-age-ordered`.
     CircPcNoCorrect,
     /// Run the controller with `stabilize: false`: the instability
     /// counter never trips, so the AGE-mode FLPI threshold is never
@@ -299,7 +300,7 @@ impl QueueHarness {
         }
         let queue: Box<dyn IssueQueue> = match inject {
             None => kind.build(&config),
-            Some(Injection::CircPcNoCorrect) => Box::new(CircPcQueue::without_correction(&config)),
+            Some(Injection::CircPcNoCorrect) => Box::new(CircQueue::new(&config)),
             Some(Injection::AgeYoungestFirst) => {
                 Box::new(RandomQueue::age_youngest_first(&config, kind == IqKind::AgeMulti))
             }
@@ -629,14 +630,6 @@ impl QueueHarness {
     fn do_squash(&mut self, seq: u64) {
         self.queue.squash_younger(seq);
         self.entries.retain(|e| e.seq <= seq);
-        // `pc-ready-within-bound` is a per-squash-free-window claim: a
-        // squash reshapes the region, and an adversary squashing every
-        // few cycles can keep a wrapped entry S_NR-masked forever (the
-        // explorer finds that interleaving), which no fixed bound
-        // survives. Within squash-free windows the bound is exhaustive.
-        for entry in &mut self.entries {
-            entry.starve = 0;
-        }
     }
 
     fn do_flush(&mut self) -> Result<(), Violation> {

@@ -21,7 +21,7 @@
 //! | `idle-equivalence` | all | `idle_tick(n)` ≡ `n` empty selects: equal keys, equal stats |
 //! | `ready-within-1` | single-cycle kinds | a non-exhausted select leaves no ready entry |
 //! | `pc-age-ordered` | CIRC-PC, SWQUE | single-cycle grants issue oldest-first |
-//! | `pc-ready-within-bound` | CIRC-PC, SWQUE | the two-cycle RV path cannot starve an entry |
+//! | `pc-ready-within-bound` | CIRC-PC, SWQUE | the two-cycle RV path cannot starve an entry, squashes or not |
 //! | `oldest-first` | SHIFT, CIRC-PPRI | grants are exactly the oldest ready entries |
 //! | `age-first` | AGE, AGE-multiAM, SWQUE in AGE mode | the leading grants are, bucket by bucket, each age-matrix bucket's oldest ready entry (the shadow mirrors the steering) |
 //! | `swque-switch-once` | SWQUE | a switch is requested until flushed, adopted once |
@@ -35,10 +35,11 @@
 //! re-executes the exact counterexample via [`exec::run_replay`] — the
 //! committed corpus under `tests/replays/` replays forever.
 //!
-//! Negative injections prove the checker can actually see: building
-//! CIRC-PC via `without_correction` (`--inject circ-pc-no-correct`) makes
-//! `pc-age-ordered` fail, a `stabilize: false` controller (`--inject
-//! controller-no-stabilize`) makes `ctrl-instability-reduction` fail,
+//! Negative injections prove the checker can actually see: checking a
+//! position-ordered (CIRC) queue as CIRC-PC (`--inject
+//! circ-pc-no-correct`) makes `pc-age-ordered` fail, a `stabilize:
+//! false` controller (`--inject controller-no-stabilize`) makes
+//! `ctrl-instability-reduction` fail,
 //! AGE or AGE-multiAM matrices that grant the youngest ready entry
 //! (`--inject age-youngest-first`) make `age-first` fail, and a SHIFT that selects
 //! in slot order (`--inject shift-position-order`) makes `oldest-first`

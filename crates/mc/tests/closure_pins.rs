@@ -19,16 +19,16 @@ const QUEUE_PINS: [(IqKind, usize, u64, u64); 18] = [
     (IqKind::Circ, 3, 971, 13),
     (IqKind::CircPpri, 2, 92, 8),
     (IqKind::CircPpri, 3, 971, 13),
-    (IqKind::CircPc, 2, 127, 8),
-    (IqKind::CircPc, 3, 1_919, 15),
+    (IqKind::CircPc, 2, 105, 8),
+    (IqKind::CircPc, 3, 1_440, 15),
     (IqKind::Rand, 2, 84, 8),
     (IqKind::Rand, 3, 1_204, 12),
     (IqKind::Age, 2, 84, 8),
     (IqKind::Age, 3, 1_204, 12),
     (IqKind::AgeMulti, 2, 84, 8),
     (IqKind::AgeMulti, 3, 1_204, 12),
-    (IqKind::Swque, 2, 5_843, 62),
-    (IqKind::SwqueMulti, 2, 5_843, 62),
+    (IqKind::Swque, 2, 5_205, 62),
+    (IqKind::SwqueMulti, 2, 5_205, 62),
     (IqKind::Rearrange, 2, 154, 9),
     (IqKind::Rearrange, 3, 2_168, 12),
 ];

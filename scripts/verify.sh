@@ -318,7 +318,7 @@ echo "== mc: swque-mc --smoke (bounded exhaustive check, every kind + controller
 ./target/release/swque-mc --smoke --json > "$json_tmp/mc-smoke.json"
 ./target/release/check_json "$json_tmp/mc-smoke.json"
 
-echo "== mc: swque-mc default matrix (29 scopes, 418,033 states)"
+echo "== mc: swque-mc default matrix (29 scopes, 380,543 states)"
 # The full matrix adds what --smoke leaves out (the benchmark's mc_explore
 # workload mirrors --smoke, so it stays as it is): every non-SWQUE kind at
 # capacity 4 and the SWQUE pair at capacity 3. Every scope must close
@@ -328,8 +328,8 @@ echo "== mc: swque-mc default matrix (29 scopes, 418,033 states)"
 ./target/release/check_json "$json_tmp/mc-full.json"
 mc_total="$(grep -o '"states":[0-9]*' "$json_tmp/mc-full.json" | awk -F: '{n += $2} END {print n}')"
 echo "swque-mc default matrix: $mc_total states"
-[ "$mc_total" = 418033 ] || {
-    echo "error: the default matrix explored $mc_total states, not 418033" >&2
+[ "$mc_total" = 380543 ] || {
+    echo "error: the default matrix explored $mc_total states, not 380543" >&2
     exit 1
 }
 

@@ -30,7 +30,7 @@ fn chase_program() -> Program {
     let order: Vec<u64> = (0..NODES).map(|i| (i * 17 + 5) % NODES).collect();
     for (i, &node) in order.iter().enumerate() {
         let next = order[(i + 1) % order.len()];
-        a.data_u64s(BASE + node * STRIDE, &[BASE + next * STRIDE, node * 3 + 1]);
+        a.data_u64s(BASE + node * STRIDE, [BASE + next * STRIDE, node * 3 + 1]);
     }
     a.li(Reg(1), (BASE + order[0] * STRIDE) as i64); // cursor
     a.li(Reg(2), 2 * NODES as i64); // hops left

@@ -34,7 +34,7 @@ fn mixed_program(iters: i64) -> Program {
 /// An FP dataflow kernel.
 fn fp_program(iters: i64) -> Program {
     let mut a = Assembler::new();
-    a.data_f64s(0x100, &[1.5, 2.5, 0.5]);
+    a.data_f64s(0x100, [1.5, 2.5, 0.5]);
     a.li(Reg(1), iters);
     a.li(Reg(2), 0x100);
     a.fld(FReg(1), Reg(2), 0);
@@ -188,8 +188,7 @@ fn swque_switches_modes_on_memory_intensive_code() {
     let n = 4096u64;
     let stride = 8 * 1031 % n; // coprime stride walk
     let base = 0x10_0000u64;
-    let ring: Vec<u64> = (0..n).map(|i| base + ((i * 8 + stride * 8) % (n * 8))).collect();
-    a.data_u64s(base, &ring);
+    a.data_u64s(base, (0..n).map(|i| base + ((i * 8 + stride * 8) % (n * 8))));
     a.li(Reg(1), 3000); // loads to perform
     a.li(Reg(2), base as i64);
     a.label("loop");

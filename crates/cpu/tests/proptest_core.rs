@@ -18,7 +18,7 @@ use swque_isa::{Assembler, Emulator, Program, Reg};
 /// random mix of ALU/memory/branch work, bounded iteration count.
 fn random_program(body: &[u8], iters: u8) -> Program {
     let mut a = Assembler::new();
-    a.data_u64s(0x1000, &(0..64u64).map(|i| i * 0x9E37 + 1).collect::<Vec<_>>());
+    a.data_u64s(0x1000, (0..64u64).map(|i| i * 0x9E37 + 1));
     a.li(Reg(1), iters as i64 + 1);
     a.li(Reg(2), 0x1000);
     a.li(Reg(3), 1);

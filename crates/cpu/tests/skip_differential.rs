@@ -162,7 +162,7 @@ fn random_program(g: &mut swque_rng::prop::Gen) -> Program {
     let body: Vec<u8> = g.vec(3..16, |g| g.u8());
     let iters = g.gen_range(1u8..20);
     let mut a = Assembler::new();
-    a.data_u64s(0x1000, &(0..64u64).map(|i| i * 0x9E37 + 1).collect::<Vec<_>>());
+    a.data_u64s(0x1000, (0..64u64).map(|i| i * 0x9E37 + 1));
     a.li(Reg(1), iters as i64 + 1);
     a.li(Reg(2), 0x1000);
     a.li(Reg(3), 1);

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::inst::Inst;
+use crate::mem::Segment;
 use crate::op::Opcode;
 use crate::program::Program;
 use crate::reg::{ArchReg, FReg, Reg};
@@ -53,7 +54,7 @@ pub struct Assembler {
     )]
     labels: std::collections::HashMap<String, u64>,
     fixups: Vec<(usize, String)>,
-    data: Vec<(u64, Vec<u8>)>,
+    data: Vec<Segment>,
     duplicate: Option<String>,
 }
 
@@ -75,29 +76,21 @@ impl Assembler {
         }
     }
 
-    /// Adds an initial-data segment of raw bytes at `base`. The buffer is
-    /// taken as is, without a copy.
-    pub fn data_bytes(&mut self, base: u64, bytes: Vec<u8>) {
-        self.data.push((base, bytes));
+    /// Adds an initial-data segment of raw bytes at `base`. Like every
+    /// `data_*` method, it writes the bytes straight into the segment's
+    /// 4 KiB pages, which the program's memory images then share.
+    pub fn data_bytes(&mut self, base: u64, bytes: &[u8]) {
+        self.data.push(Segment::from_bytes(base, bytes));
     }
 
     /// Adds an initial-data segment of little-endian `u64` words at `base`.
-    pub fn data_u64s(&mut self, base: u64, words: &[u64]) {
-        self.data_words(base, words.iter().map(|w| w.to_le_bytes()));
+    pub fn data_u64s(&mut self, base: u64, words: impl IntoIterator<Item = u64>) {
+        self.data.push(Segment::from_u64s(base, words));
     }
 
     /// Adds an initial-data segment of `f64` values at `base`.
-    pub fn data_f64s(&mut self, base: u64, values: &[f64]) {
-        self.data_words(base, values.iter().map(|v| v.to_bits().to_le_bytes()));
-    }
-
-    /// Writes 8-byte words into one pre-sized segment at `base`.
-    fn data_words(&mut self, base: u64, words: impl ExactSizeIterator<Item = [u8; 8]>) {
-        let mut bytes = vec![0; words.len() * 8];
-        for (slot, word) in bytes.chunks_exact_mut(8).zip(words) {
-            slot.copy_from_slice(&word);
-        }
-        self.data_bytes(base, bytes);
+    pub fn data_f64s(&mut self, base: u64, values: impl IntoIterator<Item = f64>) {
+        self.data_u64s(base, values.into_iter().map(f64::to_bits));
     }
 
     /// Emits a raw instruction.
@@ -462,13 +455,17 @@ mod tests {
     #[test]
     fn data_segments_encoded_little_endian() {
         let mut a = Assembler::new();
-        a.data_u64s(0x100, &[0x01020304]);
-        a.data_f64s(0x200, &[1.5]);
+        a.data_u64s(0x100, [0x01020304]);
+        a.data_f64s(0x200, [1.5]);
+        // Words that straddle a page boundary.
+        a.data_u64s(0x1ffd, [u64::MAX - 1, 7]);
         a.halt();
         let p = a.finish().unwrap();
         let mem = p.initial_memory();
         assert_eq!(mem.read_u64(0x100), 0x01020304);
         assert_eq!(mem.read_f64(0x200), 1.5);
+        assert_eq!((mem.read_u64(0x1ffd), mem.read_u64(0x2005)), (u64::MAX - 1, 7));
+        assert_eq!(p.data[2].chunks().map(<[u8]>::len).collect::<Vec<_>>(), [3, 13]);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub fn disassemble(program: &Program) -> String {
     }
 
     let mut out = String::new();
-    for (base, bytes) in &program.data {
+    for segment in &program.data {
+        let bytes: Vec<u8> = segment.chunks().flatten().copied().collect();
         // Pad to whole 8-byte words (the directive is word-granular).
         let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
         for chunk in bytes.chunks(8) {
@@ -50,7 +51,7 @@ pub fn disassemble(program: &Program) -> String {
             w[..chunk.len()].copy_from_slice(chunk);
             words.push(u64::from_le_bytes(w));
         }
-        let _ = write!(out, ".data {:#x} u64", base);
+        let _ = write!(out, ".data {:#x} u64", segment.base());
         for w in words {
             let _ = write!(out, " {w:#x}");
         }
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn memory_and_fp_forms_round_trip() {
         let mut a = Assembler::new();
-        a.data_u64s(0x100, &[1, 2, 3]);
+        a.data_u64s(0x100, [1, 2, 3]);
         a.li(Reg(1), 0x100);
         a.ld(Reg(2), Reg(1), 8);
         a.st(Reg(2), Reg(1), 16);
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn unaligned_data_padded_but_equivalent() {
         let mut a = Assembler::new();
-        a.data_bytes(0x40, vec![1, 2, 3, 4, 5]); // 5 bytes: padded to one word
+        a.data_bytes(0x40, &[1, 2, 3, 4, 5]); // 5 bytes: padded to one word
         a.halt();
         let p = a.finish().unwrap();
         let q = round_trip(&p);
@@ -176,7 +177,7 @@ mod tests {
         // labels and large data segments survives the round trip.
         use crate::emu::Emulator;
         let mut a = Assembler::new();
-        a.data_u64s(0x1000, &(0..256u64).collect::<Vec<_>>());
+        a.data_u64s(0x1000, 0..256);
         a.li(Reg(1), 50);
         a.label("outer");
         for i in 0..10 {

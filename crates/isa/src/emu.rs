@@ -65,8 +65,10 @@ impl Error for EmuError {}
 /// Functional interpreter for [`Program`]s.
 ///
 /// Holds the program's instruction text and a paged memory loaded from its
-/// data segments; the segments themselves are not kept, so an emulator holds
-/// one copy of the data image. Executes one instruction per
+/// data segments. The memory shares the segments' pages copy-on-write, so
+/// building or cloning an emulator copies no page: a page is copied on its
+/// first store, and only that emulator sees the store. Executes one
+/// instruction per
 /// [`step`](Emulator::step), maintaining the architectural register files
 /// and memory. Loops forever if the program does; callers bound execution
 /// with [`run`](Emulator::run) or by counting steps.
@@ -362,8 +364,8 @@ mod tests {
         // never touched above them, and the top of the address space.
         let mut a = Assembler::new();
         let pattern: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
-        a.data_bytes(0x2000 - 32, pattern.clone());
-        a.data_bytes(u64::MAX - 3, pattern[..4].to_vec());
+        a.data_bytes(0x2000 - 32, &pattern);
+        a.data_bytes(u64::MAX - 3, &pattern[..4]);
         a.halt();
         let emu = Emulator::new(&a.finish().unwrap());
         let mut shadow = emu.shadow(0);
@@ -416,7 +418,7 @@ mod tests {
     #[test]
     fn fp_pipeline_computes() {
         let emu = run_prog(|a| {
-            a.data_f64s(0x100, &[2.0, 8.0]);
+            a.data_f64s(0x100, [2.0, 8.0]);
             a.li(Reg(1), 0x100);
             a.fld(FReg(1), Reg(1), 0);
             a.fld(FReg(2), Reg(1), 8);
@@ -540,7 +542,7 @@ mod tests {
     #[test]
     fn shadow_reads_through_to_base_memory_with_overlay() {
         let mut a = Assembler::new();
-        a.data_u64s(0x100, &[42]);
+        a.data_u64s(0x100, [42]);
         a.li(Reg(1), 0x100);
         a.ld(Reg(2), Reg(1), 0); // reads 42 through to base
         a.li(Reg(3), 7);

@@ -56,7 +56,7 @@ pub use asm::{AsmError, Assembler};
 pub use disasm::disassemble;
 pub use emu::{EmuError, Emulator, MemAccess, Retired, ShadowEmulator};
 pub use inst::Inst;
-pub use mem::SparseMemory;
+pub use mem::{Segment, SparseMemory};
 pub use op::{FuClass, Opcode};
 pub use parse::{parse_program, ParseError};
 pub use program::Program;

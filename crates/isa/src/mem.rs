@@ -1,23 +1,46 @@
-//! Paged sparse memory.
+//! Paged sparse memory, and the copy-on-write pages it shares with the
+//! data segments of [`Program`](crate::Program)s.
 
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
+/// One 4 KiB page of bytes.
+type Page = [u8; PAGE_SIZE];
+
 /// A sparse 64-bit byte-addressable memory backed by 4 KiB pages.
 ///
 /// Reads of untouched memory return zero; pages are allocated on first write.
 /// Multi-byte accesses may span page boundaries.
+///
+/// Pages are shared copy-on-write: a clone of a memory, and the memory
+/// [`Program::initial_memory`](crate::Program::initial_memory) builds from
+/// [`Segment`]s, hold the same pages as their source until one of them
+/// writes a page. That write copies only the page it lands on,
+/// so a clone costs one reference count per page, never a page copy.
+///
+/// Two memories are equal when they hold the same resident pages with the
+/// same bytes.
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
     #[expect(
         clippy::disallowed_types,
-        reason = "lookup-only: pages are probed by page number, never iterated"
+        reason = "pages are probed by page number; the only walk is the order-free `eq`"
     )]
-    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+    pages: std::collections::HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
+
+impl PartialEq for SparseMemory {
+    fn eq(&self, other: &SparseMemory) -> bool {
+        self.pages == other.pages
+    }
+}
+
+impl Eq for SparseMemory {}
 
 /// A fixed multiplicative hasher for page numbers (one rotate, xor and
 /// multiply per word, as in rustc's FxHash). Page numbers are
@@ -75,9 +98,12 @@ impl SparseMemory {
         }
     }
 
-    /// The page holding `addr`, allocated (zeroed) on first touch.
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    /// The page holding `addr`, allocated (zeroed) on first touch and
+    /// copied on the first write while another memory or segment shares it.
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        Arc::make_mut(
+            self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Arc::new([0; PAGE_SIZE])),
+        )
     }
 
     /// Writes one byte, allocating the page if needed.
@@ -126,9 +152,9 @@ impl SparseMemory {
     }
 
     /// Copies a byte slice into memory starting at `addr`, a page at a
-    /// time: one page lookup and one block copy per touched page, so
-    /// loading an image costs O(pages), not O(bytes). Addresses wrap past
-    /// `u64::MAX` to 0, and an empty slice allocates no page.
+    /// time: one page lookup and one block copy per touched page.
+    /// Addresses wrap past `u64::MAX` to 0, and an empty slice allocates no
+    /// page.
     pub fn write_bytes(&mut self, mut addr: u64, bytes: &[u8]) {
         let mut rest = bytes;
         while !rest.is_empty() {
@@ -140,6 +166,152 @@ impl SparseMemory {
             addr = (addr | PAGE_MASK).wrapping_add(1);
             rest = tail;
         }
+    }
+
+    /// Writes `segment`'s bytes over the current contents, exactly as
+    /// [`write_bytes`](SparseMemory::write_bytes) of them would. A page the
+    /// segment covers whole is mapped by sharing the segment's page; only
+    /// the partly covered pages at its two ends are copied, so that the
+    /// bytes around the segment keep their values.
+    pub(crate) fn load(&mut self, segment: &Segment) {
+        for (addr, span, page) in segment.spans() {
+            if span.len() == PAGE_SIZE {
+                self.pages.insert(addr >> PAGE_SHIFT, Arc::clone(page));
+            } else {
+                self.write_bytes(addr + span.start as u64, &page[span]);
+            }
+        }
+    }
+}
+
+/// An initial-data segment: `len` bytes at `base`, held as the 4 KiB pages
+/// of the address space they fall in, ready to be shared by every
+/// [`SparseMemory`] that
+/// [`Program::initial_memory`](crate::Program::initial_memory) builds.
+///
+/// The bytes of the first and last page that lie outside the segment are
+/// zero, so equal segments hold equal pages and the derived equality
+/// compares base and bytes. Addresses wrap past `u64::MAX` to 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    base: u64,
+    len: usize,
+    /// Page `i` holds the addresses from `(base & !PAGE_MASK) + i * PAGE_SIZE`.
+    pages: Vec<Arc<Page>>,
+}
+
+impl Segment {
+    /// Address of the segment's first byte.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// A segment holding `bytes` at `base`.
+    pub(crate) fn from_bytes(base: u64, bytes: &[u8]) -> Segment {
+        let mut segment = SegmentWriter::new(base);
+        segment.write(bytes);
+        segment.finish()
+    }
+
+    /// A segment holding `words`, little-endian, from `base`.
+    pub(crate) fn from_u64s(base: u64, words: impl IntoIterator<Item = u64>) -> Segment {
+        let mut segment = SegmentWriter::new(base);
+        segment.write_u64s(words);
+        segment.finish()
+    }
+
+    /// The segment's bytes in address order, one slice per page.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.spans().map(|(_, span, page)| &page[span])
+    }
+
+    /// `(page address, bytes of the page inside the segment, page)` for
+    /// every page, in address order.
+    fn spans(&self) -> impl Iterator<Item = (u64, Range<usize>, &Arc<Page>)> {
+        let start = (self.base & PAGE_MASK) as usize;
+        let end = start + self.len;
+        let first = self.base & !PAGE_MASK;
+        self.pages.iter().enumerate().map(move |(i, page)| {
+            let at = i * PAGE_SIZE;
+            let span = start.max(at) - at..end.min(at + PAGE_SIZE) - at;
+            (first.wrapping_add(at as u64), span, page)
+        })
+    }
+}
+
+/// Builds a [`Segment`] from bytes appended in address order, filling one
+/// page at a time: no buffer the size of the segment is ever allocated.
+#[derive(Debug)]
+struct SegmentWriter {
+    segment: Segment,
+    /// The page being filled; bytes below `fill` are written.
+    page: Box<Page>,
+    fill: usize,
+}
+
+impl SegmentWriter {
+    /// An empty segment at `base`.
+    fn new(base: u64) -> SegmentWriter {
+        SegmentWriter {
+            segment: Segment { base, len: 0, pages: Vec::new() },
+            page: Box::new([0; PAGE_SIZE]),
+            fill: (base & PAGE_MASK) as usize,
+        }
+    }
+
+    /// Appends `bytes` to the segment.
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.segment.len += bytes.len();
+        while !bytes.is_empty() {
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - self.fill));
+            self.page[self.fill..self.fill + chunk.len()].copy_from_slice(chunk);
+            self.fill += chunk.len();
+            bytes = rest;
+            if self.fill == PAGE_SIZE {
+                self.push_page();
+            }
+        }
+    }
+
+    /// Appends little-endian `u64`s, a page at a time: the words that fit
+    /// in the page being filled go in one tight loop, and only a word that
+    /// straddles a page boundary takes the byte path.
+    fn write_u64s(&mut self, words: impl IntoIterator<Item = u64>) {
+        let mut words = words.into_iter();
+        loop {
+            let mut filled = 0;
+            for (slot, word) in self.page[self.fill..].chunks_exact_mut(8).zip(&mut words) {
+                slot.copy_from_slice(&word.to_le_bytes());
+                filled += 8;
+            }
+            self.fill += filled;
+            self.segment.len += filled;
+            if self.fill == PAGE_SIZE {
+                self.push_page();
+                continue;
+            }
+            // The page has room left: either the words ran out, or the
+            // next one straddles the page boundary.
+            match words.next() {
+                Some(word) => self.write(&word.to_le_bytes()),
+                None => return,
+            }
+        }
+    }
+
+    /// Moves the page being filled into the segment and starts the next.
+    fn push_page(&mut self) {
+        self.segment.pages.push(Arc::new(*self.page));
+        self.fill = 0;
+    }
+
+    /// The finished segment, its last page zero-padded.
+    fn finish(mut self) -> Segment {
+        if self.segment.len > 0 && self.fill > 0 {
+            self.page[self.fill..].fill(0);
+            self.push_page();
+        }
+        self.segment
     }
 }
 

@@ -129,7 +129,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                 Some("u64") => {
                     let words: Result<Vec<u64>, _> =
                         parts.map(|t| parse_int(line, t).map(|v| v as u64)).collect();
-                    a.data_u64s(base, &words?);
+                    a.data_u64s(base, words?);
                 }
                 Some("f64") => {
                     let vals: Result<Vec<f64>, ParseError> = parts
@@ -140,7 +140,7 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
                             })
                         })
                         .collect();
-                    a.data_f64s(base, &vals?);
+                    a.data_f64s(base, vals?);
                 }
                 other => return err(line, format!("expected u64 or f64, got `{other:?}`")),
             }

@@ -1,18 +1,21 @@
 //! Executable programs: instruction text plus initial data image.
 
 use crate::inst::Inst;
-use crate::mem::SparseMemory;
+use crate::mem::{Segment, SparseMemory};
 
 /// A complete program: instruction sequence and initial data segments.
 ///
 /// Program counters are instruction indices (one instruction per pc). Data
-/// segments are copied into memory before execution begins.
+/// segments are loaded into memory, in order, before execution begins;
+/// their pages are shared with every memory loaded from them, so neither a
+/// clone of the program nor an emulator built from it copies the image.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     /// Instruction text, indexed by pc.
     pub insts: Vec<Inst>,
-    /// `(base address, bytes)` initial-data segments.
-    pub data: Vec<(u64, Vec<u8>)>,
+    /// Initial-data segments; a later one overwrites an earlier one where
+    /// they overlap.
+    pub data: Vec<Segment>,
     /// Entry pc.
     pub entry: u64,
 }
@@ -33,11 +36,15 @@ impl Program {
         usize::try_from(pc).ok().and_then(|i| self.insts.get(i))
     }
 
-    /// Builds the initial memory image from the data segments.
+    /// Builds the initial memory image from the data segments, applied in
+    /// order. Every page a segment covers whole is shared with the segment,
+    /// not copied; only the partly covered pages at a segment's ends are
+    /// copied, so the image is the one `write_bytes` of each segment in
+    /// turn would give.
     pub fn initial_memory(&self) -> SparseMemory {
         let mut mem = SparseMemory::new();
-        for (base, bytes) in &self.data {
-            mem.write_bytes(*base, bytes);
+        for segment in &self.data {
+            mem.load(segment);
         }
         mem
     }
@@ -54,28 +61,26 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::Assembler;
     use crate::op::Opcode;
 
     #[test]
     fn initial_memory_applies_segments() {
-        let p = Program {
-            insts: vec![Inst::bare(Opcode::Halt)],
-            data: vec![(0x1000, vec![1, 2, 3]), (0x2000, 7u64.to_le_bytes().to_vec())],
-            entry: 0,
-        };
-        let mem = p.initial_memory();
+        let mut a = Assembler::new();
+        a.data_bytes(0x1000, &[1, 2, 3]);
+        a.data_u64s(0x2000, [7]);
+        let mem = a.finish().unwrap().initial_memory();
         assert_eq!(mem.read_u8(0x1001), 2);
         assert_eq!(mem.read_u64(0x2000), 7);
     }
 
     #[test]
     fn later_segments_overwrite_earlier_ones() {
-        let p = Program {
-            insts: vec![Inst::bare(Opcode::Halt)],
-            data: vec![(0x0ffc, vec![1; 8]), (0x0ffe, vec![2; 4]), (0x1001, vec![3])],
-            entry: 0,
-        };
-        let mem = p.initial_memory();
+        let mut a = Assembler::new();
+        a.data_bytes(0x0ffc, &[1; 8]);
+        a.data_bytes(0x0ffe, &[2; 4]);
+        a.data_bytes(0x1001, &[3]);
+        let mem = a.finish().unwrap().initial_memory();
         let bytes: Vec<u8> = (0x0ffc..0x1004).map(|a| mem.read_u8(a)).collect();
         assert_eq!(bytes, [1, 1, 2, 2, 2, 3, 1, 1]);
         assert_eq!(mem.resident_pages(), 2);

@@ -1,5 +1,6 @@
-//! Property tests for the ISA substrate: sparse memory vs a byte-map
-//! model, and emulator/shadow agreement on straight-line code.
+//! Property tests for the ISA substrate: sparse memory, program images and
+//! their copy-on-write forks vs a byte-map model, and emulator/shadow
+//! agreement on straight-line code.
 //!
 //! Ported from `proptest` to the in-tree harness (`swque_rng::prop`);
 //! each property keeps at least its original case count (128).
@@ -8,9 +9,9 @@
     reason = "test models: the byte map and page set are probed and counted, never iterated"
 )]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use swque_rng::prop::check;
+use swque_rng::prop::{check, Gen};
 
 use swque_isa::{disassemble, parse_program, Assembler, Emulator, Opcode, Reg, SparseMemory};
 
@@ -20,7 +21,6 @@ use swque_isa::{disassemble, parse_program, Assembler, Emulator, Opcode, Reg, Sp
 /// each written range and the resident page count match the model.
 #[test]
 fn sparse_memory_matches_byte_map() {
-    const PAGE: u64 = 4096;
     check(128, |g| {
         let ops: Vec<(u8, u64, u64)> = g.vec(1..200, |g| {
             let kind = g.gen_range(0u8..4);
@@ -68,6 +68,148 @@ fn sparse_memory_matches_byte_map() {
             }
             assert_eq!(mem.resident_pages(), pages.len());
         }
+    });
+}
+
+const PAGE: u64 = 4096;
+
+/// A byte-map model of a memory image: every byte ever written, and the
+/// pages those bytes fall in.
+#[derive(Debug, Clone, Default)]
+struct Image {
+    bytes: BTreeMap<u64, u8>,
+    pages: BTreeSet<u64>,
+}
+
+impl Image {
+    fn write(&mut self, addr: u64, bytes: &[u8]) {
+        for (i, &b) in bytes.iter().enumerate() {
+            let at = addr.wrapping_add(i as u64);
+            self.bytes.insert(at, b);
+            self.pages.insert(at / PAGE);
+        }
+    }
+
+    /// `mem` holds exactly this image: every byte of every page the model
+    /// touched reads as modelled (zero where never written), and no other
+    /// page is resident.
+    fn assert_held_by(&self, mem: &SparseMemory, what: &str) {
+        for &page in &self.pages {
+            for at in (0..PAGE).map(|i| page * PAGE + i) {
+                let want = self.bytes.get(&at).copied().unwrap_or(0);
+                assert_eq!(mem.read_u8(at), want, "{what}: byte at {at:#x}");
+            }
+        }
+        assert_eq!(mem.resident_pages(), self.pages.len(), "{what}: resident pages");
+    }
+}
+
+/// A data segment of 0–3 pages, at an unaligned base near 0 or (one time
+/// in four) wrapping past `u64::MAX`; a quarter of the bases and lengths
+/// are page-aligned. No byte is zero, so a byte erased by a page's zero
+/// padding always shows. Half the segments go through `data_u64s`.
+/// Returns the segment's base and bytes.
+fn add_segment(g: &mut Gen, a: &mut Assembler) -> (u64, Vec<u8>) {
+    let base = match g.gen_range(0u8..4) {
+        0 => u64::MAX - g.gen_range(0..2 * PAGE),
+        1 => g.gen_range(0..4) * PAGE,
+        _ => g.gen_range(0..4 * PAGE),
+    };
+    let len = if g.gen_range(0u8..4) == 0 {
+        g.gen_range(0..4) * PAGE
+    } else {
+        g.gen_range(0..3 * PAGE + 1)
+    };
+    let seed = g.u64();
+    let mut bytes: Vec<u8> =
+        (0..len).map(|i| (i.wrapping_mul(131).wrapping_add(seed) as u8) | 1).collect();
+    if g.bool() {
+        a.data_bytes(base, &bytes);
+    } else {
+        bytes.truncate(bytes.len() / 8 * 8);
+        let words = bytes.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+        a.data_u64s(base, words);
+    }
+    (base, bytes)
+}
+
+/// A program's initial memory is the image its segments give when applied
+/// in order, for overlapping, unaligned segments of up to three pages: a
+/// whole page a segment shares must not hide the bytes around it.
+#[test]
+fn initial_memory_applies_overlapping_segments_in_order() {
+    check(128, |g| {
+        let mut a = Assembler::new();
+        let mut image = Image::default();
+        let mut segments = Vec::new();
+        for _ in 0..g.gen_range(1..6) {
+            let (base, bytes) = add_segment(g, &mut a);
+            image.write(base, &bytes);
+            segments.push((base, bytes));
+        }
+        a.halt();
+        let program = a.finish().unwrap();
+        image.assert_held_by(&program.initial_memory(), "initial memory");
+        for (segment, (base, bytes)) in program.data.iter().zip(&segments) {
+            assert_eq!(segment.base(), *base);
+            assert!(segment.chunks().flatten().eq(bytes), "segment at {base:#x}: chunks differ");
+        }
+    });
+}
+
+/// Forks of a memory loaded from a program share its pages copy-on-write:
+/// after a clone taken mid-sequence, writes interleaved on the two copies
+/// each reach only their own copy, and the program's image stays as built.
+#[test]
+fn forked_memories_see_only_their_own_writes() {
+    check(128, |g| {
+        let mut a = Assembler::new();
+        let mut built = Image::default();
+        for _ in 0..g.gen_range(1..4) {
+            let (base, bytes) = add_segment(g, &mut a);
+            built.write(base, &bytes);
+        }
+        a.halt();
+        let program = a.finish().unwrap();
+        let mut mems = vec![program.initial_memory()];
+        let mut images = vec![built.clone()];
+        let ops = g.gen_range(1..40);
+        let fork_at = g.gen_range(0..ops);
+        for op in 0..ops {
+            if op == fork_at {
+                mems.push(mems[0].clone());
+                images.push(images[0].clone());
+            }
+            let side = g.gen_range(0..mems.len());
+            let addr = if g.bool() {
+                u64::MAX - g.gen_range(0..2 * PAGE)
+            } else {
+                g.gen_range(0..7 * PAGE)
+            };
+            let value = g.u64();
+            let written: Vec<u8> = match g.gen_range(0u8..3) {
+                0 => {
+                    mems[side].write_u8(addr, value as u8);
+                    vec![value as u8]
+                }
+                1 => {
+                    mems[side].write_u64(addr, value);
+                    value.to_le_bytes().to_vec()
+                }
+                _ => {
+                    let len = g.gen_range(0..2 * PAGE as usize + 1);
+                    let bytes: Vec<u8> =
+                        (0..len).map(|i| (value as usize).wrapping_add(i * 7) as u8).collect();
+                    mems[side].write_bytes(addr, &bytes);
+                    bytes
+                }
+            };
+            images[side].write(addr, &written);
+        }
+        for (side, (mem, image)) in mems.iter().zip(&images).enumerate() {
+            image.assert_held_by(mem, &format!("fork {side}"));
+        }
+        built.assert_held_by(&program.initial_memory(), "program image after the writes");
     });
 }
 

@@ -75,17 +75,13 @@ pub fn branchy_search(iters: u64, p: &BranchyParams) -> Program {
     let mut a = Assembler::new();
 
     // Initial data: fill the footprint with LCG noise so loads are defined.
-    let words: Vec<u64> = {
-        let mut x = p.seed | 1;
-        (0..p.footprint / 8)
-            .map(|_| {
-                x = x.wrapping_mul(super::LCG_MUL as u64).wrapping_add(super::LCG_ADD as u64);
-                x
-            })
-            .collect()
-    };
+    let mut x = p.seed | 1;
+    let words = (0..p.footprint / 8).map(|_| {
+        x = x.wrapping_mul(super::LCG_MUL as u64).wrapping_add(super::LCG_ADD as u64);
+        x
+    });
     let base = 0x10_0000u64;
-    a.data_u64s(base, &words);
+    a.data_u64s(base, words);
 
     a.li(Reg(1), iters as i64);
     a.li(Reg(2), (p.seed | 1) as i64);

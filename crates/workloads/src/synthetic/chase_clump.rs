@@ -115,20 +115,18 @@ pub fn chase_clump(iters: u64, p: &ChaseClumpParams) -> Program {
     // Chase ring: Sattolo single cycle over the L1-resident nodes.
     let ring_base = 0x10_0000u64;
     let nodes = p.ring_bytes / 8;
-    a.data_bytes(ring_base, ring_table(nodes, ring_base, &mut rng));
+    ring_table(&mut a, nodes, ring_base, &mut rng);
 
     // Gather buffer: LCG noise, so hard-branch conditions derived from
     // gathered values are unlearnable by the direction predictor.
     let gather_base = 0x80_0000u64;
     let mut x = p.seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-    let gather_words: Vec<u64> = (0..p.gather_bytes / 8)
-        .map(|_| {
-            x = x.wrapping_mul(super::LCG_MUL as u64).wrapping_add(super::LCG_ADD as u64);
-            x
-        })
-        .collect();
-    a.data_u64s(gather_base, &gather_words);
-    a.data_f64s(0x1000, &[1.25, 0.75]);
+    let gather_words = (0..p.gather_bytes / 8).map(|_| {
+        x = x.wrapping_mul(super::LCG_MUL as u64).wrapping_add(super::LCG_ADD as u64);
+        x
+    });
+    a.data_u64s(gather_base, gather_words);
+    a.data_f64s(0x1000, [1.25, 0.75]);
 
     a.li(Reg(1), iters as i64);
     a.li(Reg(2), (p.seed | 1) as i64);

@@ -58,16 +58,17 @@ pub(crate) fn reg_num(base: u8, offset: usize) -> u8 {
 }
 
 /// Builds a random ring permutation (a single cycle) with Sattolo's
-/// algorithm and returns its data segment: word `i`, little-endian, is the
-/// *address* of the successor of node `i`.
+/// algorithm and adds it to `a` as a data segment at `base`: word `i`,
+/// little-endian, is the *address* of the successor of node `i`.
 ///
-/// The bytes are written in one pass from a `u32` scratch permutation, so
-/// no `u64` node table is ever live beside them.
+/// The words go straight from a `u32` scratch permutation into the
+/// segment's pages, so neither a `u64` node table nor a contiguous byte
+/// image is ever live beside them.
 ///
 /// # Panics
 ///
 /// Panics if `nodes` exceeds `u32::MAX`, before allocating anything.
-pub(crate) fn ring_table(nodes: u64, base: u64, rng: &mut Rng) -> Vec<u8> {
+pub(crate) fn ring_table(a: &mut Assembler, nodes: u64, base: u64, rng: &mut Rng) {
     let n = u32::try_from(nodes).unwrap_or(u32::MAX);
     assert!(u64::from(n) == nodes, "a ring of {nodes} nodes exceeds u32 node indices");
     let mut perm: Vec<u32> = (0..n).collect();
@@ -77,11 +78,7 @@ pub(crate) fn ring_table(nodes: u64, base: u64, rng: &mut Rng) -> Vec<u8> {
         perm.swap(i, j);
     }
     // perm is a cyclic permutation; successor of node i is perm[i].
-    let mut bytes = vec![0; perm.len() * 8];
-    for (word, &next) in bytes.chunks_exact_mut(8).zip(&perm) {
-        word.copy_from_slice(&(base + u64::from(next) * 8).to_le_bytes());
-    }
-    bytes
+    a.data_u64s(base, perm.iter().map(|&next| base + u64::from(next) * 8));
 }
 
 /// Resolves a generator's labels into its program.
@@ -153,8 +150,8 @@ mod tests {
     use swque_isa::Emulator;
     use swque_rng::prop::check;
 
-    /// The one-pass ring segment is byte-identical to the construction it
-    /// replaced: a `u64` node table, then serialized word by word through
+    /// The ring program is identical to the construction it replaced: a
+    /// `u64` node table, then serialized word by word through
     /// `Assembler::data_u64s`.
     #[test]
     fn ring_segment_matches_the_table_then_words_reference() {
@@ -173,14 +170,17 @@ mod tests {
             let base = g.gen_range(0u64..1 << 40) * 8;
             let table = reference_table(nodes, base, &mut Rng::seed_from_u64(seed));
             let mut reference = Assembler::new();
-            reference.data_u64s(base, &table);
-            let reference = reference.finish().unwrap().data;
+            reference.data_u64s(base, table.iter().copied());
+            let reference = reference.finish().unwrap();
             let words: Vec<u8> = table.iter().flat_map(|w| w.to_le_bytes()).collect();
-            assert!(reference[0].1 == words, "data_u64s serializes little-endian words");
+            let bytes: Vec<u8> = reference.data[0].chunks().flatten().copied().collect();
+            assert!(bytes == words, "data_u64s serializes little-endian words");
 
             let mut rng = Rng::seed_from_u64(seed);
-            let segment = ring_table(nodes, base, &mut rng);
-            assert!(segment == reference[0].1, "{nodes} nodes, seed {seed:#x}: segment differs");
+            let mut ring = Assembler::new();
+            ring_table(&mut ring, nodes, base, &mut rng);
+            let ring = ring.finish().unwrap();
+            assert!(ring.data == reference.data, "{nodes} nodes, seed {seed:#x}: segment differs");
             let mut after = Rng::seed_from_u64(seed);
             reference_table(nodes, base, &mut after);
             assert_eq!(rng.next_u64(), after.next_u64(), "same number of draws");

@@ -58,10 +58,9 @@ pub fn phased(phases: u64, p: &PhasedParams) -> Program {
     let base = 0x100_0000u64;
     let mut a = Assembler::new();
     // Ring for the memory phase (Sattolo single cycle).
-    a.data_bytes(base, ring_table(p.nodes, base, &mut rng));
+    ring_table(&mut a, p.nodes, base, &mut rng);
     // Small compute-phase footprint.
-    let small: Vec<u64> = (0..4096).map(|i| i * 3 + 1).collect();
-    a.data_u64s(0x40_0000, &small);
+    a.data_u64s(0x40_0000, (0..4096).map(|i| i * 3 + 1));
 
     a.li(Reg(28), phases as i64);
     a.li(Reg(2), (p.seed | 1) as i64);

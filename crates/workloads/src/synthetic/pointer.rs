@@ -62,9 +62,9 @@ pub fn pointer_chase(iters: u64, p: &PointerChaseParams) -> Program {
     let mut rng = Rng::seed_from_u64(p.seed);
     let base = 0x100_0000u64;
     let mut a = Assembler::new();
-    a.data_bytes(base, ring_table(p.nodes, base, &mut rng));
+    ring_table(&mut a, p.nodes, base, &mut rng);
     if p.fp_work > 0 {
-        a.data_f64s(0x1000, &[1.0 + 1.0 / 3.0, 0.75, 2.5]);
+        a.data_f64s(0x1000, [1.0 + 1.0 / 3.0, 0.75, 2.5]);
     }
 
     a.li(Reg(1), iters as i64);
@@ -133,16 +133,16 @@ mod tests {
         let mut rng = Rng::seed_from_u64(7);
         let n = 256u64;
         let base = 0u64;
-        let ring = ring_table(n, base, &mut rng);
-        let table: Vec<u64> =
-            ring.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect();
+        let mut a = Assembler::new();
+        ring_table(&mut a, n, base, &mut rng);
+        let ring = a.finish().unwrap().initial_memory();
         // Follow the ring; we must visit all nodes before returning to 0.
         let mut seen = vec![false; n as usize];
         let mut at = 0u64;
         for _ in 0..n {
             assert!(!seen[at as usize], "revisited node {at} early: not a single cycle");
             seen[at as usize] = true;
-            at = table[at as usize] / 8;
+            at = ring.read_u64(base + at * 8) / 8;
         }
         assert_eq!(at, 0, "returned to start after exactly n steps");
     }

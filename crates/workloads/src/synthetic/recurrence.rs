@@ -65,9 +65,8 @@ pub fn fp_recurrence(iters: u64, p: &FpRecurrenceParams) -> Program {
     let mut a = Assembler::new();
 
     let base = 0x40_0000u64;
-    let table: Vec<f64> = (0..1024).map(|i| 0.5 + (i as f64) * 0.125).collect();
-    a.data_f64s(base, &table);
-    a.data_f64s(0x1000, &[1.0000001, 0.99999, 0.5]);
+    a.data_f64s(base, (0..1024).map(|i| 0.5 + (i as f64) * 0.125));
+    a.data_f64s(0x1000, [1.0000001, 0.99999, 0.5]);
 
     a.li(Reg(1), iters as i64);
     a.li(Reg(2), (p.seed | 1) as i64);

@@ -57,9 +57,8 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
     // the rest reads as zero, which is fine for FP streaming arithmetic.
     let bases: Vec<u64> = (0..p.arrays).map(|k| 0x200_0000 + (k as u64) * 0x100_0000).collect();
     for (k, &b) in bases.iter().enumerate() {
-        let vals: Vec<f64> =
-            (0..512).map(|i| 1.0 + (i as f64) * rng.gen_range(0.1..0.5) + k as f64).collect();
-        a.data_f64s(b, &vals);
+        let vals = (0..512).map(|i| 1.0 + (i as f64) * rng.gen_range(0.1..0.5) + k as f64);
+        a.data_f64s(b, vals);
     }
 
     a.li(Reg(1), iters as i64);
@@ -67,7 +66,7 @@ pub fn stream_fp(iters: u64, p: &StreamFpParams) -> Program {
         a.li(Reg(reg_num(24, k)), b as i64); // stream pointers
     }
     a.li(Reg(4), (p.footprint - 1) as i64); // wrap mask
-    a.data_f64s(0x1000, &[1.5, 0.25]);
+    a.data_f64s(0x1000, [1.5, 0.25]);
     a.li(Reg(5), 0x1000);
     a.fld(FReg(1), Reg(5), 0); // multiplicand
     a.fld(FReg(2), Reg(5), 8); // addend

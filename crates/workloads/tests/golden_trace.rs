@@ -75,9 +75,11 @@ fn fingerprint(p: &Program) -> u64 {
     };
     eat(format!("{:?}", p.insts).as_bytes());
     eat(&p.entry.to_le_bytes());
-    for (base, bytes) in &p.data {
-        eat(&base.to_le_bytes());
-        eat(bytes);
+    for segment in &p.data {
+        eat(&segment.base().to_le_bytes());
+        for chunk in segment.chunks() {
+            eat(chunk);
+        }
     }
     h
 }

@@ -14,10 +14,8 @@ fn main() {
     // A little dot-product-with-threshold kernel.
     let n = 4096i64;
     let mut a = Assembler::new();
-    let xs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-    let ys: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-    a.data_f64s(0x10_0000, &xs);
-    a.data_f64s(0x20_0000, &ys);
+    a.data_f64s(0x10_0000, (0..n).map(|i| (i as f64).sin()));
+    a.data_f64s(0x20_0000, (0..n).map(|i| (i as f64).cos()));
 
     a.li(Reg(1), n); // counter
     a.li(Reg(2), 0x10_0000); // x pointer
